@@ -8,8 +8,7 @@ an exact truncated-Fock-space reference solver for validation.
 
 __version__ = "0.1.0"
 
-from .linalg import (DEFAULT_TOLS, SubsystemShape, Tolerances, commutator,
-                     hermitian_propagator, kron, partial_trace)
+from .linalg import SubsystemShape, partial_trace
 from .master_eq import (BathStatistics, InteractionDecomposition,
                         TraceDriftError, Trajectory, first_order_hamiltonian,
                         propagate, rhs, second_order_generator)
@@ -28,8 +27,7 @@ from .spin_boson import (RateChannel, RateFunctions, SpectralDiscretization,
 __all__ = [
     "__version__",
     # linear algebra
-    "Tolerances", "DEFAULT_TOLS", "SubsystemShape",
-    "kron", "partial_trace", "commutator", "hermitian_propagator",
+    "SubsystemShape", "partial_trace",
     # master equation engine
     "InteractionDecomposition", "BathStatistics", "Trajectory",
     "TraceDriftError", "first_order_hamiltonian", "second_order_generator",

@@ -13,28 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLS",
     "SubsystemShape",
-    "kron",
     "partial_trace",
-    "commutator",
-    "hermitian_propagator",
     "hermiticity_defect",
     "require_hermitian",
+    "require_density_matrix",
 ]
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Validity-check tolerances, centralized so tests can tighten them."""
-
-    hermiticity: float = 1e-10   # max |A - A^dag| for inputs declared Hermitian
-    unitarity: float = 1e-9     # max |U U^dag - I| for produced propagators
-    trace: float = 1e-12        # residual trace of commutators and the like
-
-
-DEFAULT_TOLS = Tolerances()
 
 
 def _as_square(a, name: str = "matrix") -> np.ndarray:
@@ -50,13 +34,27 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
-def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLS.hermiticity,
+def require_hermitian(a: np.ndarray, tol: float = 1e-10,
                       name: str = "matrix") -> np.ndarray:
     a = _as_square(a, name)
     defect = hermiticity_defect(a)
     if defect > tol:
         raise ValueError(f"{name} is not Hermitian: max |A - A^dag| = {defect:.3e} > {tol:.1e}")
     return a
+
+
+def require_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """``rho`` as a complex array if it is Hermitian, unit trace and positive
+    semidefinite within ``tol``; ``ValueError`` otherwise."""
+    rho = require_hermitian(rho, tol, "initial state")
+    trace = complex(np.trace(rho))
+    if abs(trace - 1.0) > tol:
+        raise ValueError(f"initial state trace {trace:.12g} is not 1")
+    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+    if min_eig < -tol:
+        raise ValueError(f"initial state is not positive semidefinite: "
+                         f"eigenvalue {min_eig:.3e}")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -83,11 +81,6 @@ class SubsystemShape:
         return int(np.prod(self.factor_dims))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    return np.kron(_as_square(a, "a"), _as_square(b, "b"))
-
-
 def partial_trace(rho: np.ndarray, shape: SubsystemShape) -> np.ndarray:
     """Trace out every tensor factor except ``shape.keep_index``.
 
@@ -107,25 +100,3 @@ def partial_trace(rho: np.ndarray, shape: SubsystemShape) -> np.ndarray:
     col_labels = [i if i != shape.keep_index else n + i for i in range(n)]
     out_labels = [shape.keep_index, n + shape.keep_index]
     return np.einsum(reshaped, row_labels + col_labels, out_labels)
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b - b @ a`` for equal-dimension square matrices."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
-def hermitian_propagator(h: np.ndarray, t: float,
-                         tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """``exp(-i h t)`` for Hermitian ``h`` via eigendecomposition.
-
-    The eigenbasis route is exactly unitary up to rounding, and reusing it
-    across many times is cheap; it rejects inputs that fail the hermiticity
-    tolerance rather than silently symmetrizing them.
-    """
-    h = require_hermitian(h, tol.hermiticity, "propagator generator")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * float(t))) @ v.conj().T

@@ -1,16 +1,26 @@
 """Generic second-order time-local master equation engine.
 
-The coupling Hamiltonian is supplied as a sum of system operators paired
-with bath operators; the bath enters only through first moments and
+The coupling Hamiltonian is supplied as a sum of constant system operators
+paired with bath operators; the bath enters only through first moments and
 two-time correlation functions.  The generator at time ``t`` is
 
     d rho / dt = -i [H1(t), rho] + L2(rho, t),
 
 where ``H1`` collects the first-moment terms and ``L2`` is the second-order
-dissipative part built from time integrals of the correlations.  The inner
-integral over [0, t] runs on a composite-Simpson sub-grid of fixed panel
-count unless the bath supplies exact integrated correlations (the
-spin-boson module does), which keeps results bit-reproducible either way.
+dissipative part built from time integrals of the correlations.  With
+constant system operators it is one linear combination
+
+    L(t) = sum_c f_c(t) S_c
+
+of fixed superoperators ``S_c`` built once from the coupling terms, weighted
+by coefficients ``f_c`` the bath supplies for a whole array of times: the
+first moments, then the forward and reverse integrated correlations.  A
+time-dependent coupling operator of finite dimension splits into constant
+eigen-operators whose phases move into the bath correlations, as in the
+spin-boson co-rotating frame.  The integrated correlations come in closed
+form when the bath supplies them (the spin-boson module does), otherwise
+from composite Simpson on a fixed panel count, which keeps results
+bit-reproducible either way.
 
 Propagation is classic fixed-step RK4 with internal substeps per output
 interval.  Violations of trace or hermiticity are reported, never repaired:
@@ -22,12 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
 from scipy.integrate import simpson
 
-from .linalg import commutator, require_hermitian
+from .linalg import require_density_matrix
 
 __all__ = [
     "DEFAULT_PANELS",
@@ -43,13 +54,17 @@ __all__ = [
     "propagate",
 ]
 
-# Panels for the inner correlation-time integral.  Correlation kernels
+# Panels for the Simpson integral over correlation time, used for baths
+# without closed-form integrated correlations.  Correlation kernels
 # oscillate, so the count is fixed rather than adaptive.
 DEFAULT_PANELS = 200
 
 # Target for (generator spectral norm) * (RK4 substep); keeps the local
 # integration error far below the physics tolerances.
 _STEP_NORM_TARGET = 1e-3
+
+# Times across the grid at which default_substeps probes the generator norm.
+_NORM_PROBES = 9
 
 # Trace drift beyond this aborts a propagation outright.
 _TRACE_ABORT = 1e-6
@@ -72,69 +87,95 @@ class TraceDriftError(RuntimeError):
 
 @dataclass(frozen=True)
 class InteractionDecomposition:
-    """System side of the coupling Hamiltonian.
-
-    ``terms`` holds one entry per coupling term: either a constant matrix or
-    a callable ``t -> matrix``.  ``coupling_scale`` multiplies every term;
-    scale 1 is the physical model, other values exist only for order-scaling
-    diagnostics.
-    """
+    """System side of the coupling Hamiltonian: one constant matrix per term."""
 
     terms: tuple
-    coupling_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
+        terms = tuple(np.asarray(s, dtype=complex) for s in self.terms)
+        object.__setattr__(self, "terms", terms)
+        if not terms:
             raise ValueError("decomposition needs at least one term")
-        if self.coupling_scale < 0:
-            raise ValueError(f"coupling_scale must be >= 0, got {self.coupling_scale}")
-        dims = {np.asarray(s if not callable(s) else s(0.0)).shape for s in self.terms}
+        dims = {s.shape for s in terms}
         if len(dims) != 1 or any(len(s) != 2 or s[0] != s[1] for s in dims):
             raise ValueError(f"terms must share one square system dimension, got {dims}")
 
     @property
     def dim(self) -> int:
-        first = self.terms[0]
-        return np.asarray(first if not callable(first) else first(0.0)).shape[0]
+        return self.terms[0].shape[0]
 
     @property
     def n_terms(self) -> int:
         return len(self.terms)
 
-    @property
-    def time_independent(self) -> bool:
-        return not any(callable(s) for s in self.terms)
+    @cached_property
+    def superoperators(self) -> np.ndarray:
+        """Basis ``S_c`` of the generator, shape ``(n + 2 n^2, d^2, d^2)``.
 
-    def operator(self, n: int, t: float) -> np.ndarray:
-        term = self.terms[n]
-        s = np.asarray(term(t) if callable(term) else term, dtype=complex)
-        return self.coupling_scale * s
+        Each acts on row-major vectorized states, where ``A rho B`` becomes
+        ``kron(A, B.T) @ rho.ravel()``.  In the order of
+        :meth:`BathStatistics.coefficients`:
+
+            first moment n:    rho -> -i [S_n, rho]
+            forward (j, k):    rho -> -[S_j, S_k rho]
+            reverse (j, k):    rho ->  [S_k, rho S_j]
+        """
+        eye = np.eye(self.dim)
+        s = self.terms
+        first = [-1j * (np.kron(a, eye) - np.kron(eye, a.T)) for a in s]
+        forward = [np.kron(b, a.T) - np.kron(a @ b, eye) for a in s for b in s]
+        reverse = [np.kron(b, a.T) - np.kron(eye, (a @ b).T) for a in s for b in s]
+        return np.array(first + forward + reverse)
 
 
 @dataclass(frozen=True)
 class BathStatistics:
     """Bath side of the coupling Hamiltonian.
 
-    ``first_moments[n](t)`` is the bath average of the n-th bath operator at
-    time ``t``; ``correlation(j, k, t, s)`` the connected two-time average of
-    operators j at ``t`` and k at ``s``.  The optional integrated hooks give
-    exact closed forms of
+    ``first_moments[n](times)`` is the bath average of the n-th bath
+    operator at each of an array of times (a constant may come back as a
+    scalar); ``correlation(j, k, t, s)`` the connected two-time average of
+    operators j at ``t`` and k at ``s``.  The optional ``integrals(times)``
+    gives exact closed forms of
 
-        integrated_correlation(j, k, t)      = int_0^t ds correlation(j, k, t, s)
-        integrated_correlation_rev(j, k, t)  = int_0^t ds correlation(j, k, s, t)
+        forward[i, j, k] = int_0^t ds correlation(j, k, t, s)
+        reverse[i, j, k] = int_0^t ds correlation(j, k, s, t)
 
-    and are used instead of quadrature whenever the system operators are
-    time-independent.
+    at ``t = times[i]``, each of shape ``(len(times), n, n)``; without it
+    the integrals run on a composite-Simpson grid of ``DEFAULT_PANELS``.
     """
 
     first_moments: tuple
     correlation: Callable[[int, int, float, float], complex]
-    integrated_correlation: Callable[[int, int, float], complex] | None = None
-    integrated_correlation_rev: Callable[[int, int, float], complex] | None = None
+    integrals: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "first_moments", tuple(self.first_moments))
+
+    def coefficients(self, times) -> np.ndarray:
+        """Generator coefficients ``f_c`` at each time, shape ``(len(times), n + 2 n^2)``:
+        the first moments, then the forward and reverse integrals, each
+        ``n x n`` block in row-major order."""
+        times = np.asarray(times, dtype=float)
+        moments = [np.broadcast_to(m(times), times.shape) for m in self.first_moments]
+        forward, reverse = (self.integrals or self._simpson_integrals)(times)
+        return np.concatenate([np.array(moments, dtype=complex).T,
+                               forward.reshape(len(times), -1),
+                               reverse.reshape(len(times), -1)], axis=1)
+
+    def _simpson_integrals(self, times: np.ndarray):
+        n = len(self.first_moments)
+        forward = np.zeros((len(times), n, n), dtype=complex)
+        reverse = np.zeros_like(forward)
+        for i, t in enumerate(times):
+            nodes = np.linspace(0.0, t, DEFAULT_PANELS + 1)
+            for j in range(n):
+                for k in range(n):
+                    c_fwd = [self.correlation(j, k, t, s) for s in nodes]
+                    c_rev = [self.correlation(j, k, s, t) for s in nodes]
+                    forward[i, j, k] = simpson(c_fwd, x=nodes)
+                    reverse[i, j, k] = simpson(c_rev, x=nodes)
+        return forward, reverse
 
 
 @dataclass
@@ -164,7 +205,8 @@ class Trajectory:
         return np.max(np.abs(self.states - self.states.conj().transpose(0, 2, 1)), axis=(1, 2))
 
     def min_eigenvalues(self) -> np.ndarray:
-        return np.array([np.linalg.eigvalsh(0.5 * (s + s.conj().T))[0] for s in self.states])
+        s = self.states
+        return np.linalg.eigvalsh(0.5 * (s + s.conj().transpose(0, 2, 1)))[:, 0]
 
     def validate(self, trace_tol: float = 1e-9, herm_tol: float = 1e-9) -> "Trajectory":
         tr = self.trace_errors()
@@ -180,116 +222,65 @@ class Trajectory:
 
 def first_order_hamiltonian(decomp: InteractionDecomposition, bath: BathStatistics,
                             t: float) -> np.ndarray:
-    """First-moment effective Hamiltonian: sum_n <E_n(t)> S_n(t).
+    """First-moment effective Hamiltonian: sum_n <E_n(t)> S_n.
 
     Hermitian whenever adjoint-paired terms come with conjugate moments;
     identically zero for baths with vanishing first moments.
     """
-    if len(bath.first_moments) != decomp.n_terms:
+    moments = _coefficients(decomp, bath, t)[:decomp.n_terms]
+    return np.tensordot(moments, np.array(decomp.terms), axes=1)
+
+
+def _coefficients(decomp, bath, t) -> np.ndarray:
+    """``bath.coefficients`` at ``t`` (scalar or array), checked against ``decomp``."""
+    f = bath.coefficients(np.atleast_1d(t))
+    if f.shape[1] != len(decomp.superoperators):
         raise ValueError("one first moment per decomposition term required")
-    out = np.zeros((decomp.dim, decomp.dim), dtype=complex)
-    for n, moment in enumerate(bath.first_moments):
-        m = complex(moment(t))
-        if m != 0:
-            out += m * decomp.operator(n, t)
-    return out
+    return f if np.ndim(t) else f[0]
 
 
-def _quadrature_kernels(decomp, bath, t, panels):
-    """Simpson kernels for the second-order generator.
-
-    forward[j, k] = int_0^t ds C_jk(t, s) S_k(s)   (operator of the later index)
-    reverse[j, k] = int_0^t ds C_jk(s, t) S_j(s)   (operator of the integrated index)
-    """
-    nodes = np.linspace(0.0, t, panels + 1)
-    n = decomp.n_terms
-    ops = np.array([[decomp.operator(k, s) for s in nodes] for k in range(n)])
-    forward = np.empty((n, n, decomp.dim, decomp.dim), dtype=complex)
-    reverse = np.empty_like(forward)
-    for j in range(n):
-        for k in range(n):
-            c_fwd = np.array([bath.correlation(j, k, t, s) for s in nodes])
-            c_rev = np.array([bath.correlation(j, k, s, t) for s in nodes])
-            forward[j, k] = simpson(c_fwd[:, None, None] * ops[k], x=nodes, axis=0)
-            reverse[j, k] = simpson(c_rev[:, None, None] * ops[j], x=nodes, axis=0)
-    return forward, reverse
+def _apply(mat: np.ndarray, rho) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    return (mat @ rho.ravel()).reshape(rho.shape)
 
 
 def second_order_generator(decomp: InteractionDecomposition, bath: BathStatistics,
-                           rho: np.ndarray, t: float,
-                           panels: int = DEFAULT_PANELS) -> np.ndarray:
+                           rho: np.ndarray, t: float) -> np.ndarray:
     """Second-order dissipative part of the generator at time ``t``.
 
     Evaluates
 
-        - sum_{m,n} int_0^t ds ( C_mn(t,s) [S_m(t), S_n(s) rho]
-                                 - C_nm(s,t) [S_m(t), rho S_n(s)] )
+        - sum_{m,n} int_0^t ds ( C_mn(t,s) [S_m, S_n rho]
+                                 - C_nm(s,t) [S_m, rho S_n] )
 
-    using the bath's exact integrated correlations when available (and all
-    system operators are constant), composite Simpson otherwise.  The result
-    is traceless by construction.
+    from the forward and reverse coefficients of the bath.  The result is
+    traceless by construction.
     """
-    rho = np.asarray(rho, dtype=complex)
-    dim = decomp.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    if t == 0.0:
-        return out
-
-    n_terms = decomp.n_terms
-    s_now = [decomp.operator(m, t) for m in range(n_terms)]
-
-    exact = (decomp.time_independent
-             and bath.integrated_correlation is not None
-             and bath.integrated_correlation_rev is not None)
-    if exact:
-        # both coupling_scale factors already sit inside the s_now operators
-        for m in range(n_terms):
-            for n in range(n_terms):
-                fwd = complex(bath.integrated_correlation(m, n, t))
-                rev = complex(bath.integrated_correlation_rev(n, m, t))
-                if fwd != 0:
-                    out -= fwd * commutator(s_now[m], s_now[n] @ rho)
-                if rev != 0:
-                    out += rev * commutator(s_now[m], rho @ s_now[n])
-        return out
-
-    forward, reverse = _quadrature_kernels(decomp, bath, t, panels)
-    for m in range(n_terms):
-        for n in range(n_terms):
-            out -= commutator(s_now[m], forward[m, n] @ rho)
-            out += commutator(s_now[m], rho @ reverse[n, m])
-    return out
+    n = decomp.n_terms
+    f = _coefficients(decomp, bath, t)[n:]
+    return _apply(np.tensordot(f, decomp.superoperators[n:], axes=1), rho)
 
 
 def rhs(decomp: InteractionDecomposition, bath: BathStatistics,
-        rho: np.ndarray, t: float, panels: int = DEFAULT_PANELS) -> np.ndarray:
+        rho: np.ndarray, t: float) -> np.ndarray:
     """Full generator: commutator with the first-moment Hamiltonian plus the
     second-order part.  Linear in ``rho``; maps Hermitian to Hermitian and is
     traceless whenever the bath correlations satisfy the Hermitian pairing
     relation."""
-    h1 = first_order_hamiltonian(decomp, bath, t)
-    out = second_order_generator(decomp, bath, rho, t, panels=panels)
-    if np.any(h1):
-        out -= 1j * commutator(h1, np.asarray(rho, dtype=complex))
-    return out
+    return _apply(generator_matrix(decomp, bath, t), rho)
 
 
 def generator_matrix(decomp: InteractionDecomposition, bath: BathStatistics,
-                     t: float, panels: int = DEFAULT_PANELS) -> np.ndarray:
-    """Matrix of the generator acting on vectorized (row-major) states."""
-    d = decomp.dim
-    mat = np.empty((d * d, d * d), dtype=complex)
-    unit = np.zeros((d, d), dtype=complex)
-    for col in range(d * d):
-        unit.flat[col] = 1.0
-        mat[:, col] = rhs(decomp, bath, unit, t, panels=panels).ravel()
-        unit.flat[col] = 0.0
-    return mat
+                     t) -> np.ndarray:
+    """Matrix of the generator acting on vectorized (row-major) states.
+
+    For an array ``t`` returns one matrix per time, shape ``(len(t), d^2, d^2)``.
+    """
+    return np.tensordot(_coefficients(decomp, bath, t), decomp.superoperators, axes=1)
 
 
 def default_substeps(decomp: InteractionDecomposition, bath: BathStatistics,
-                     times: np.ndarray, panels: int = DEFAULT_PANELS,
-                     probes: int = 9) -> int:
+                     times: np.ndarray) -> int:
     """RK4 substep count per output interval from a generator-norm bound.
 
     Samples the generator's spectral norm at a few times across the grid and
@@ -298,9 +289,8 @@ def default_substeps(decomp: InteractionDecomposition, bath: BathStatistics,
     times = np.asarray(times, dtype=float)
     if len(times) < 2:
         return 1
-    span = np.linspace(times[0], times[-1], probes)
-    norm = max(np.linalg.norm(generator_matrix(decomp, bath, t, panels=panels), 2)
-               for t in span)
+    span = np.linspace(times[0], times[-1], _NORM_PROBES)
+    norm = float(np.max(np.linalg.norm(generator_matrix(decomp, bath, span), 2, axis=(1, 2))))
     if norm == 0.0:
         return 1
     dt_max = _STEP_NORM_TARGET / norm
@@ -308,33 +298,18 @@ def default_substeps(decomp: InteractionDecomposition, bath: BathStatistics,
     return max(1, math.ceil(interval / dt_max))
 
 
-def _rk4_step(f, t, rho, h):
-    k1 = f(t, rho)
-    k2 = f(t + 0.5 * h, rho + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, rho + 0.5 * h * k2)
-    k4 = f(t + h, rho + h * k3)
-    return rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
               rho0: np.ndarray, times: Sequence[float],
-              substeps: int | None = None, panels: int = DEFAULT_PANELS,
-              model_tag: str = "") -> Trajectory:
+              substeps: int | None = None, model_tag: str = "") -> Trajectory:
     """Propagate ``rho0`` over ``times`` with fixed-step RK4.
 
     ``rho0`` must be Hermitian, unit trace and positive semidefinite within
-    1e-10.  Trace drift beyond 1e-6 at any internal step aborts with a
-    :class:`TraceDriftError`; accepted trajectories satisfy the 1e-9 trace
-    and hermiticity invariants at every sample.
+    1e-10.  The generator is evaluated once per output interval at all of
+    its RK4 stage times.  Trace drift beyond 1e-6 at any internal step
+    aborts with a :class:`TraceDriftError`; accepted trajectories satisfy
+    the 1e-9 trace and hermiticity invariants at every sample.
     """
-    rho0 = require_hermitian(rho0, 1e-10, "initial state")
-    trace = complex(np.trace(rho0))
-    if abs(trace - 1.0) > 1e-10:
-        raise ValueError(f"initial state trace {trace:.12g} is not 1")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T))[0])
-    if min_eig < -1e-10:
-        raise ValueError(f"initial state has negative eigenvalue {min_eig:.3e}")
-
+    rho0 = require_density_matrix(rho0)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-d grid")
@@ -344,34 +319,38 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
     if len(times) == 1:
         return Trajectory(times, rho0[None, :, :].copy(),
                           metadata={"model": model_tag, "integrator": "rk4",
-                                    "substeps": 0, "panels": panels})
+                                    "substeps": 0})
 
     if substeps is None:
-        substeps = default_substeps(decomp, bath, times, panels=panels)
+        substeps = default_substeps(decomp, bath, times)
     if substeps < 1:
         raise ValueError("substeps must be a positive integer")
     step_size = float(np.max(np.diff(times))) / substeps
 
-    def f(t, rho):
-        return rhs(decomp, bath, rho, t, panels=panels)
-
-    states = np.empty((len(times),) + rho0.shape, dtype=complex)
+    d = rho0.shape[0]
+    states = np.empty((len(times), d, d), dtype=complex)
     states[0] = rho0
-    rho = rho0.astype(complex)
+    v = rho0.ravel().copy()
+    half_steps = 0.5 * np.arange(2 * substeps + 1)
     for i in range(len(times) - 1):
         h = (times[i + 1] - times[i]) / substeps
         t = times[i]
-        for _ in range(substeps):
-            rho = _rk4_step(f, t, rho, h)
+        # stage times t, t + h/2, t + h, ... of all substeps in this interval
+        stages = generator_matrix(decomp, bath, t + h * half_steps)
+        for j in range(0, 2 * substeps, 2):
+            k1 = stages[j] @ v
+            k2 = stages[j + 1] @ (v + 0.5 * h * k1)
+            k3 = stages[j + 1] @ (v + 0.5 * h * k2)
+            k4 = stages[j + 2] @ (v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += h
-            drift = abs(complex(np.trace(rho)) - 1.0)
+            drift = abs(v[::d + 1].sum() - 1.0)
             if drift > _TRACE_ABORT:
                 raise TraceDriftError(t, drift)
-        states[i + 1] = rho
+        states[i + 1] = v.reshape(d, d)
 
     traj = Trajectory(times, states,
                       metadata={"model": model_tag, "integrator": "rk4",
-                                "substeps": substeps, "step_size": step_size,
-                                "panels": panels})
+                                "substeps": substeps, "step_size": step_size})
     traj.metadata["min_eigenvalue"] = traj.min_eigenvalues()
     return traj.validate()

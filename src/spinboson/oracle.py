@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import simpson
 
-from .linalg import SubsystemShape, partial_trace, require_hermitian
+from .linalg import SubsystemShape, partial_trace, require_density_matrix
 from .master_eq import Trajectory
 from .spin_boson import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, SpinBosonModel
 
@@ -211,15 +211,6 @@ def interaction_unitary(model: SpinBosonModel, bath: TruncatedBath, t: float,
     return phases[:, None] * u_sch
 
 
-def _check_density_matrix(rho0: np.ndarray) -> np.ndarray:
-    rho0 = require_hermitian(rho0, 1e-10, "initial state")
-    if abs(complex(np.trace(rho0)) - 1.0) > 1e-10:
-        raise ValueError("initial state trace is not 1")
-    if float(np.linalg.eigvalsh(rho0)[0]) < -1e-10:
-        raise ValueError("initial state is not positive semidefinite")
-    return rho0
-
-
 def exact_reduced_dynamics(model: SpinBosonModel, bath: TruncatedBath,
                            rho0: np.ndarray, times: Sequence[float],
                            beta: float | None = None,
@@ -234,7 +225,7 @@ def exact_reduced_dynamics(model: SpinBosonModel, bath: TruncatedBath,
     the Fock cutoff and flagged if any sampled element moves by more than
     ``truncation_tol``.
     """
-    rho0 = _check_density_matrix(rho0)
+    rho0 = require_density_matrix(rho0)
     times = np.asarray(times, dtype=float)
     rho_e = thermal_bath_state(model, bath, beta)
     full0 = np.kron(rho0, rho_e)

@@ -1,50 +1,9 @@
 import numpy as np
 import pytest
 
-from spinboson.linalg import (DEFAULT_TOLS, SubsystemShape, commutator,
-                              hermitian_propagator, kron, partial_trace)
+from spinboson.linalg import SubsystemShape, partial_trace
 
-from helpers import make_rng, random_complex, random_density_matrix, random_hermitian
-
-SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-# -- kron ---------------------------------------------------------------------
-
-def kron_index_oracle(a, b):
-    """Direct four-index definition, quadruple loop."""
-    da, db = a.shape[0], b.shape[0]
-    out = np.zeros((da * db, da * db), dtype=complex)
-    for i in range(da):
-        for j in range(da):
-            for k in range(db):
-                for l in range(db):
-                    out[i * db + k, j * db + l] = a[i, j] * b[k, l]
-    return out
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_sigma_z_identity():
-    assert np.array_equal(kron(SIGMA_Z, np.eye(2)), np.diag([1, 1, -1, -1]).astype(complex))
-
-
-def test_kron_matches_index_oracle():
-    rng = make_rng(11)
-    a = random_complex(rng, (2, 2))
-    b = random_complex(rng, (3, 3))
-    assert np.allclose(kron(a, b), kron_index_oracle(a, b), atol=1e-14)
-
-
-def test_kron_trace_factorizes():
-    rng = make_rng(12)
-    for _ in range(5):
-        a = random_complex(rng, (3, 3))
-        b = random_complex(rng, (4, 4))
-        assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) <= 1e-12 * max(
-            1.0, abs(np.trace(a) * np.trace(b)))
+from helpers import make_rng, random_complex, random_density_matrix
 
 
 # -- partial trace ------------------------------------------------------------
@@ -63,9 +22,9 @@ def test_partial_trace_product_state():
     rng = make_rng(21)
     rho_a = random_density_matrix(rng, 2)
     rho_b = random_density_matrix(rng, 3)
-    got = partial_trace(kron(rho_a, rho_b), SubsystemShape((2, 3), keep_index=0))
+    got = partial_trace(np.kron(rho_a, rho_b), SubsystemShape((2, 3), keep_index=0))
     assert np.allclose(got, rho_a, atol=1e-14)
-    got_b = partial_trace(kron(rho_a, rho_b), SubsystemShape((2, 3), keep_index=1))
+    got_b = partial_trace(np.kron(rho_a, rho_b), SubsystemShape((2, 3), keep_index=1))
     assert np.allclose(got_b, rho_b, atol=1e-14)
 
 
@@ -107,89 +66,3 @@ def test_subsystem_shape_validation():
         SubsystemShape((2, 0), keep_index=0)
     with pytest.raises(ValueError):
         SubsystemShape((2, 3), keep_index=2)
-
-
-# -- commutator ---------------------------------------------------------------
-
-def test_commutator_with_self_and_identity():
-    rng = make_rng(31)
-    a = random_complex(rng, (3, 3))
-    assert np.max(np.abs(commutator(a, a))) == 0.0
-    assert np.max(np.abs(commutator(np.eye(3), a))) == 0.0
-
-
-def test_commutator_ladder_product():
-    # factor-two ladder convention: [sigma+, sigma-] = diag(4, -4)
-    sp = np.array([[0, 2], [0, 0]], dtype=complex)
-    sm = np.array([[0, 0], [2, 0]], dtype=complex)
-    direct = sp @ sm - sm @ sp  # 2x2 multiplication oracle
-    got = commutator(sp, sm)
-    assert np.array_equal(got, direct)
-    assert np.array_equal(got, np.diag([4.0, -4.0]).astype(complex))
-
-
-def test_commutator_trace_vanishes():
-    rng = make_rng(32)
-    for _ in range(10):
-        a = random_complex(rng, (4, 4))
-        b = random_complex(rng, (4, 4))
-        assert abs(np.trace(commutator(a, b))) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(b)
-
-
-def test_commutator_rejects_mismatched_dims():
-    with pytest.raises(ValueError):
-        commutator(np.eye(2), np.eye(3))
-
-
-# -- hermitian propagator -----------------------------------------------------
-
-def expm_taylor_oracle(m, terms=60):
-    """Scaling-and-squaring Taylor series, independent of eigendecomposition."""
-    squarings = max(0, int(np.ceil(np.log2(max(1.0, np.linalg.norm(m, np.inf))))) + 2)
-    x = m / (2 ** squarings)
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
-    for k in range(1, terms):
-        term = term @ x / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
-def test_propagator_at_zero_time():
-    rng = make_rng(41)
-    h = random_hermitian(rng, 4)
-    assert np.allclose(hermitian_propagator(h, 0.0), np.eye(4), atol=1e-14)
-
-
-def test_propagator_diagonal_case():
-    omega = 1.7
-    h = np.diag([omega / 2, -omega / 2]).astype(complex)
-    t = 2.3
-    expected = np.diag([np.exp(-1j * omega * t / 2), np.exp(1j * omega * t / 2)])
-    assert np.allclose(hermitian_propagator(h, t), expected, atol=1e-14)
-
-
-def test_propagator_matches_taylor_oracle():
-    rng = make_rng(42)
-    h = random_hermitian(rng, 6)
-    t = 0.9
-    expected = expm_taylor_oracle(-1j * h * t)
-    assert np.max(np.abs(hermitian_propagator(h, t) - expected)) <= 1e-8
-
-
-def test_propagator_unitarity_and_group_law():
-    rng = make_rng(43)
-    h = random_hermitian(rng, 5)
-    u1 = hermitian_propagator(h, 0.6)
-    u2 = hermitian_propagator(h, 1.9)
-    u12 = hermitian_propagator(h, 2.5)
-    assert np.max(np.abs(u1 @ u1.conj().T - np.eye(5))) <= DEFAULT_TOLS.unitarity
-    assert np.max(np.abs(u1 @ u2 - u12)) <= 1e-9
-
-
-def test_propagator_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        hermitian_propagator(m, 1.0)

@@ -69,6 +69,14 @@ def test_model_validation():
         SpinBosonModel(1.0, [(1.0, 0.1)], 0.0)
     with pytest.raises(ValueError):
         SpinBosonModel(1.0, [(1.0, 0.1)], -2.0)
+    for omega0, mode in ((math.nan, (1.0, 0.1)), (math.inf, (1.0, 0.1)),
+                         (1.0, (math.nan, 0.1)), (1.0, (math.inf, 0.1)),
+                         (1.0, (1.0, math.nan)), (1.0, (1.0, -math.inf))):
+        with pytest.raises(ValueError, match="finite"):
+            SpinBosonModel(omega0, [mode], 1.0)
+    nan_eta = SpectralDiscretization(ohmic_density(math.nan, 5.0), 0.5, 1.5, 4)
+    with pytest.raises(ValueError, match="finite"):
+        nan_eta.build_model(1.0, 1.0)
 
 
 def test_model_scaling():
@@ -495,11 +503,12 @@ def test_integrated_correlations_match_quadrature():
     model = SpinBosonModel(1.0, [(0.8, 0.1), (1.4, 0.06)], 1.3)
     bath = bath_statistics(model)
     t = 2.2
+    forward, reverse = bath.integrals(np.array([t]))
     s = np.linspace(0.0, t, 2001)
     for j, k in ((0, 1), (1, 0)):
         fwd = complex(simpson(np.array([bath.correlation(j, k, t, sv) for sv in s]), x=s))
         rev = complex(simpson(np.array([bath.correlation(j, k, sv, t) for sv in s]), x=s))
-        assert bath.integrated_correlation(j, k, t) == pytest.approx(fwd, abs=1e-8)
-        assert bath.integrated_correlation_rev(j, k, t) == pytest.approx(rev, abs=1e-8)
-    assert bath.integrated_correlation(0, 0, t) == 0j
-    assert bath.integrated_correlation(1, 1, t) == 0j
+        assert forward[0, j, k] == pytest.approx(fwd, abs=1e-8)
+        assert reverse[0, j, k] == pytest.approx(rev, abs=1e-8)
+    assert forward[0, 0, 0] == forward[0, 1, 1] == 0j
+    assert reverse[0, 0, 0] == reverse[0, 1, 1] == 0j
