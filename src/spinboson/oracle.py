@@ -1,11 +1,13 @@
 """Brute-force reference dynamics on a truncated Fock space.
 
 Each bosonic mode is capped at ``n_max`` quanta, which makes the full
-system+bath space finite: one eigendecomposition of the total Hamiltonian
-then gives the reduced dynamics exactly (within the truncation) at every
-requested time.  Everything downstream is built on that exact propagator:
-the series terms of the evolution operator, the deviation of the reduced
-map from the identity, and the alternating-sum inversion identity.
+system+bath space finite.  The coupling exchanges single quanta, so the
+total Hamiltonian splits into excitation-number sectors, and one
+eigendecomposition per sector gives the reduced dynamics exactly (within
+the truncation) at every requested time.  The series terms of the
+evolution operator, the deviation of the reduced map from the identity and
+the alternating-sum inversion identity work with the propagator on the full
+space instead; both read the same matrix elements.
 
 All reduced states returned here live in the frame co-rotating with the
 uncoupled Hamiltonian, so they compare directly against the master-equation
@@ -24,7 +26,7 @@ from scipy.integrate import simpson
 
 from .linalg import SubsystemShape, partial_trace, require_density_matrix
 from .master_eq import Trajectory
-from .spin_boson import SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, SpinBosonModel
+from .spin_boson import SIGMA_PLUS, SpinBosonModel
 
 __all__ = [
     "BathDimensionError",
@@ -123,30 +125,87 @@ def bath_annihilation_ops(bath: TruncatedBath) -> list[np.ndarray]:
     return ops
 
 
+def _matrix_elements(model: SpinBosonModel, bath: TruncatedBath):
+    """Matrix elements of the total Hamiltonian in the product basis.
+
+    Product state ``s * bath_dim + b`` is system level ``s`` (0 up, 1 down)
+    with bath state ``b``; mode 0 is the most significant digit of ``b``.
+    Returns the occupation table (bath_dim, n_modes), the diagonal energies
+    (the uncoupled Hamiltonian, length 2 * bath_dim) and the coupling as
+    ``(rows, cols, values)``: <up, n| H |down, n + e_k> = 2 g_k sqrt(n_k + 1)
+    in the factor-two ladder convention, each pair listed once.
+    """
+    strides = bath.levels ** np.arange(bath.n_modes - 1, -1, -1)
+    occupations = np.arange(bath.bath_dim)[:, None] // strides % bath.levels
+    e_sys = np.array([0.5 * model.omega0, -0.5 * model.omega0])
+    energies = np.add.outer(e_sys, occupations @ model.frequencies).ravel()
+    rows, cols, values = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for k, (_, g) in enumerate(model.modes):
+        below = np.flatnonzero(occupations[:, k] < bath.n_max)
+        rows.append(below)
+        cols.append(bath.bath_dim + below + strides[k])
+        values.append(2.0 * g * np.sqrt(occupations[below, k] + 1.0))
+    return occupations, energies, tuple(map(np.concatenate, (rows, cols, values)))
+
+
 def full_hamiltonian(model: SpinBosonModel, bath: TruncatedBath) -> np.ndarray:
     """Total Hamiltonian on the truncated system+bath space.
 
     Level splitting plus free modes plus the excitation-exchanging coupling,
     in the module-wide factor-two ladder convention.
     """
-    eye_bath = np.eye(bath.bath_dim, dtype=complex)
-    eye_sys = np.eye(2, dtype=complex)
-    h = 0.5 * model.omega0 * np.kron(SIGMA_Z, eye_bath)
-    for (omega, g), b in zip(model.modes, bath_annihilation_ops(bath)):
-        h += omega * np.kron(eye_sys, b.conj().T @ b)
-        h += g * (np.kron(SIGMA_PLUS, b) + np.kron(SIGMA_MINUS, b.conj().T))
+    _, energies, (rows, cols, values) = _matrix_elements(model, bath)
+    h = np.diag(energies).astype(complex)
+    h[rows, cols] = values
+    h[cols, rows] = values
     return h
 
 
-def _free_energies(model: SpinBosonModel, bath: TruncatedBath) -> np.ndarray:
-    """Diagonal of the uncoupled Hamiltonian in the product basis."""
-    e_sys = np.array([0.5 * model.omega0, -0.5 * model.omega0])
-    idx = np.arange(bath.bath_dim)
-    e_bath = np.zeros(bath.bath_dim)
-    for k, (omega, _) in enumerate(model.modes):
-        stride = bath.levels ** (bath.n_modes - 1 - k)
-        e_bath += omega * ((idx // stride) % bath.levels)
-    return np.add.outer(e_sys, e_bath).ravel()
+def _sector_hamiltonians(model: SpinBosonModel, bath: TruncatedBath):
+    """Blocks of the total Hamiltonian in excitation-number sectors.
+
+    The coupling only exchanges single quanta, so N = n_up + sum_k n_k is
+    conserved (exactly, also under the per-mode Fock cutoff).  Sector N holds
+    the states (up, n) with sum n = N - 1 and (down, n) with sum n = N.
+    Returns one ``(states, block)`` pair per N = 0, 1, ...: the product-basis
+    indices of the sector in ascending order (its up states first) and the
+    Hamiltonian restricted to them.
+    """
+    occupations, energies, (rows, cols, values) = _matrix_elements(model, bath)
+    quanta = occupations.sum(axis=1)
+    number = np.concatenate([quanta + 1, quanta])
+    order = np.argsort(number, kind="stable")
+    starts = np.searchsorted(number[order], np.arange(number.max() + 2))
+    local = np.empty_like(order)
+    local[order] = np.arange(len(order)) - starts[number[order]]
+    blocks = []
+    for n in range(number.max() + 1):
+        states = order[starts[n]:starts[n + 1]]
+        h = np.diag(energies[states])
+        inside = number[rows] == n
+        r, c = local[rows[inside]], local[cols[inside]]
+        h[r, c] = values[inside]
+        h[c, r] = values[inside]
+        blocks.append((states, h))
+    return blocks
+
+
+def _bath_weights(model: SpinBosonModel, bath: TruncatedBath,
+                  beta: float | None) -> np.ndarray:
+    """Diagonal of the truncated thermal bath state, one weight per bath state."""
+    beta = model.beta if beta is None else beta
+    if not (beta == math.inf or beta > 0):
+        raise ValueError(f"beta must be positive or math.inf, got {beta}")
+    weights = np.ones(1)
+    for omega, _ in model.modes:
+        if beta == math.inf:
+            mode = np.zeros(bath.levels)
+            mode[0] = 1.0
+        else:
+            mode = np.exp(-np.arange(bath.levels) * beta * omega)
+            mode /= mode.sum()
+        weights = np.multiply.outer(weights, mode).ravel()
+    return weights
 
 
 def thermal_bath_state(model: SpinBosonModel, bath: TruncatedBath,
@@ -157,21 +216,7 @@ def thermal_bath_state(model: SpinBosonModel, bath: TruncatedBath,
     ``n_max``, normalized by the truncated sum; the vacuum (beta infinite)
     puts all weight on the ground level.
     """
-    beta = model.beta if beta is None else beta
-    if not (beta == math.inf or beta > 0):
-        raise ValueError(f"beta must be positive or math.inf, got {beta}")
-    factors = []
-    for omega, _ in model.modes:
-        if beta == math.inf:
-            weights = np.zeros(bath.levels)
-            weights[0] = 1.0
-        else:
-            weights = np.exp(-np.arange(bath.levels) * beta * omega)
-            weights /= weights.sum()
-        factors.append(np.diag(weights).astype(complex))
-    if not factors:
-        return np.eye(1, dtype=complex)
-    return reduce(np.kron, factors)
+    return np.diag(_bath_weights(model, bath, beta)).astype(complex)
 
 
 def interaction_hamiltonian(model: SpinBosonModel, bath: TruncatedBath,
@@ -207,7 +252,7 @@ def interaction_unitary(model: SpinBosonModel, bath: TruncatedBath, t: float,
     """Exact co-rotating-frame propagator exp(+i H0 t) exp(-i H t)."""
     w, v = _eigensystem(model, bath) if eig is None else eig
     u_sch = (v * np.exp(-1j * w * float(t))) @ v.conj().T
-    phases = np.exp(1j * _free_energies(model, bath) * float(t))
+    phases = np.exp(1j * _matrix_elements(model, bath)[1] * float(t))
     return phases[:, None] * u_sch
 
 
@@ -218,39 +263,68 @@ def exact_reduced_dynamics(model: SpinBosonModel, bath: TruncatedBath,
                            truncation_tol: float = 1e-6) -> Trajectory:
     """Exact reduced dynamics of the system, rotated to the co-rotating frame.
 
-    Propagates ``rho0 (x) thermal bath`` with the eigendecomposed total
-    Hamiltonian, partial-traces each sample, then applies the free system
-    rotation so the output is directly comparable to master-equation
-    trajectories.  With ``check_truncation`` the run is repeated at double
-    the Fock cutoff and flagged if any sampled element moves by more than
-    ``truncation_tol``.
+    Propagates ``rho0 (x) thermal bath`` one excitation-number sector at a
+    time.  The bath state is diagonal, so the full state only has blocks
+    (N, N), which give the populations, and (N, N - 1) and (N - 1, N), which
+    give the coherences rho01 and rho10.  Each block is eigendecomposed once;
+    the reduced element it contributes is then a bilinear form in the phases
+    exp(-i w t) of the two sectors, evaluated for all sample times in one
+    product.  Sectors holding no bath weight (all but two for the vacuum)
+    are never diagonalized.  The free system rotation is applied last, so
+    the output is directly comparable to master-equation trajectories.  With
+    ``check_truncation`` the run is repeated at double the Fock cutoff and
+    flagged if any sampled element moves by more than ``truncation_tol``.
     """
     rho0 = require_density_matrix(rho0)
     times = np.asarray(times, dtype=float)
-    rho_e = thermal_bath_state(model, bath, beta)
-    full0 = np.kron(rho0, rho_e)
-    w, v = _eigensystem(model, bath)
-    a0 = v.conj().T @ full0 @ v
+    weights = _bath_weights(model, bath, beta)
+    reduced = np.zeros((len(times), 2, 2), dtype=complex)
+    previous = None
+    for sector, h in _sector_hamiltonians(model, bath):
+        p = weights[sector % bath.bath_dim]
+        if not p.any():
+            break  # the weights fall with the quanta, so no later sector has any
+        w, v = np.linalg.eigh(h)
+        phase = np.exp(-1j * np.outer(times, w))
+        up = sector < bath.bath_dim
+        v_up, v_down, p_up = v[up], v[~up], p[up]
+        # block (N, N) of the initial state in the eigenbasis; the
+        # populations are tr(P_s U A U^dag) with P_s the projector on level s
+        a = (rho0[0, 0] * ((v_up.T * p_up) @ v_up)
+             + rho0[1, 1] * ((v_down.T * p[~up]) @ v_down))
+        for s, v_s in enumerate((v_up, v_down)):
+            reduced[:, s, s] += _bilinear(phase, (v_s.T @ v_s) * a, phase)
+        if previous is not None:
+            # the up states here pair with the down states of sector N - 1,
+            # bath state by bath state in the same order
+            prev_down, prev_phase = previous
+            overlap = prev_down.T @ v_up
+            y = rho0[0, 1] * ((v_up.T * p_up) @ prev_down)
+            reduced[:, 0, 1] += _bilinear(phase, overlap.T * y, prev_phase)
+            y = rho0[1, 0] * ((prev_down.T * p_up) @ v_up)
+            reduced[:, 1, 0] += _bilinear(prev_phase, overlap * y, phase)
+        previous = v_down, phase
+
     e_sys = np.array([0.5 * model.omega0, -0.5 * model.omega0])
-
-    states = np.empty((len(times), 2, 2), dtype=complex)
-    for i, t in enumerate(times):
-        ph = np.exp(-1j * w * t)
-        rho_full = v @ (a0 * np.outer(ph, ph.conj())) @ v.conj().T
-        reduced = partial_trace(rho_full, bath.shape)
-        rot = np.exp(1j * e_sys * t)
-        states[i] = rot[:, None] * reduced * rot.conj()[None, :]
-
+    rot = np.exp(1j * np.outer(times, e_sys))
+    states = rot[:, :, None] * reduced * rot.conj()[:, None, :]
     traj = Trajectory(times, states,
                       metadata={"integrator": "exact-eig", "n_max": bath.n_max})
     traj.metadata["min_eigenvalue"] = traj.min_eigenvalues()
     traj.validate()
     if check_truncation:
-        shift = truncation_shift(model, bath, rho0, times, beta=beta)
+        fine = exact_reduced_dynamics(model, bath.with_n_max(2 * bath.n_max),
+                                      rho0, times, beta=beta)
+        shift = float(np.max(np.abs(traj.states - fine.states)))
         traj.metadata["truncation_shift"] = shift
         if shift > truncation_tol:
             raise TruncationError(shift, truncation_tol)
     return traj
+
+
+def _bilinear(left: np.ndarray, c: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_ij left[t, i] c[i, j] conj(right[t, j]) for every row t."""
+    return np.sum((left @ c) * right.conj(), axis=1)
 
 
 def truncation_shift(model: SpinBosonModel, bath: TruncatedBath,

@@ -459,10 +459,12 @@ def bath_statistics(model: SpinBosonModel) -> BathStatistics:
         return 0j
 
     def integrals(times: np.ndarray):
-        # the reverse integrals are the complex conjugates of the forward ones
+        # the reverse integrals are the complex conjugates of the forward ones;
+        # a vacuum bath has no absorption weight, so its channel stays zero
         forward = np.zeros((len(times), 2, 2), dtype=complex)
         forward[:, 0, 1] = rates.emission.decay(times) - 1j * rates.emission.shift(times)
-        forward[:, 1, 0] = rates.absorption.decay(times) + 1j * rates.absorption.shift(times)
+        if np.any(absorption):
+            forward[:, 1, 0] = rates.absorption.decay(times) + 1j * rates.absorption.shift(times)
         return forward, forward.conj()
 
     zero = lambda t: 0j

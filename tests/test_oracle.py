@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from spinboson import oracle
+from spinboson.linalg import partial_trace
 from spinboson.master_eq import rhs
 from spinboson.oracle import (BathDimensionError, TruncatedBath,
                               TruncationError, bath_annihilation_ops,
@@ -82,6 +84,23 @@ def test_full_hamiltonian_hermitian():
     model = SpinBosonModel(1.0, [(0.7, 0.12), (1.9, -0.08)], 2.0)
     h = full_hamiltonian(model, TruncatedBath(model, n_max=3))
     assert np.max(np.abs(h - h.conj().T)) <= 1e-12
+
+
+def test_sector_blocks_reassemble_full_hamiltonian():
+    model = SpinBosonModel(1.0, [(0.7, 0.12), (1.9, -0.08), (1.1, 0.05)], 2.0)
+    bath = TruncatedBath(model, n_max=2)
+    h = full_hamiltonian(model, bath)
+    blocks = oracle._sector_hamiltonians(model, bath)
+    assembled = np.zeros_like(h)
+    for states, block in blocks:
+        assembled[np.ix_(states, states)] = block
+    assert np.array_equal(assembled, h)
+    # every product state sits in exactly one sector
+    assert np.array_equal(np.sort(np.concatenate([s for s, _ in blocks])),
+                          np.arange(bath.full_dim))
+    # the coupling agrees with the one built from ladder operators
+    assert np.allclose(h - np.diag(np.diag(h)), interaction_hamiltonian(model, bath, 0.0),
+                       atol=1e-15)
 
 
 # -- thermal bath state ------------------------------------------------------------
@@ -168,6 +187,69 @@ def test_exact_dynamics_conserves_excitation_number():
         u = v @ np.diag(np.exp(-1j * w * t)) @ v.conj().T
         value = np.trace(u @ full0 @ u.conj().T @ number).real
         assert value == pytest.approx(expected, abs=1e-9)
+
+
+def full_space_reduced_dynamics(model, bath, rho0, times):
+    """Reference: the full co-rotating propagator on rho0 (x) rho_E, traced."""
+    full0 = np.kron(rho0, thermal_bath_state(model, bath))
+    out = []
+    for t in times:
+        u = interaction_unitary(model, bath, t)
+        out.append(partial_trace(u @ full0 @ u.conj().T, bath.shape))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("model, n_max", [
+    (SpinBosonModel(1.0, [(0.8, 0.15), (1.4, 0.1)], 1.0), 3),
+    (vacuum_mode(g=0.2, detune=0.3), 4),
+    (SpinBosonModel(1.0, [(0.9, 0.1), (1.0, 0.2), (1.2, 0.15)], 0.8), 0),
+    (SpinBosonModel(1.0, [(0.9, 0.1), (1.0, 0.2), (1.2, 0.15)], 0.8), 1),
+    (SpinBosonModel(1.0, [(0.9, 0.1), (1.0, 0.2), (1.2, 0.15)], 0.8), 2),
+    (SpinBosonModel(1.3, [], 1.0), 4),
+    (SpinBosonModel(1.0, [(1.3, 0.0), (0.7, 0.0)], 1.0), 2),
+], ids=["thermal-2mode", "vacuum-detuned", "3mode-nmax0", "3mode-nmax1",
+        "3mode-nmax2", "no-modes", "zero-coupling"])
+def test_sector_solver_matches_full_space_propagation(model, n_max):
+    bath = TruncatedBath(model, n_max=n_max)
+    grid = np.linspace(0, 4, 9)
+    rho0 = random_density_matrix(make_rng(n_max), 2)
+    traj = exact_reduced_dynamics(model, bath, rho0, grid)
+    reference = full_space_reduced_dynamics(model, bath, rho0, grid)
+    assert np.max(np.abs(traj.states - reference)) <= 1e-12
+
+
+def test_exact_dynamics_forms_no_full_space_array(monkeypatch):
+    model = SpinBosonModel(1.0, [(0.8, 0.15), (1.4, 0.1), (1.1, 0.05)], 1.0)
+    bath = TruncatedBath(model, n_max=3)
+    expected = exact_reduced_dynamics(model, bath, RHO_MIXED, np.linspace(0, 3, 7))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full-space construction")
+
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "full_hamiltonian", forbidden)
+    monkeypatch.setattr(np, "kron", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    traj = exact_reduced_dynamics(model, bath, RHO_MIXED, np.linspace(0, 3, 7))
+    assert np.array_equal(traj.states, expected.states)
+    # the largest sector, N = 5: 12 up states with 4 quanta, 12 down with 5
+    assert max(sizes) == 24
+
+
+def test_check_truncation_reports_the_doubled_cutoff_shift():
+    model = SpinBosonModel(1.0, [(1.0, 0.08)], 2.0)
+    bath = TruncatedBath(model, n_max=3)
+    grid = np.linspace(0, 2, 5)
+    traj = exact_reduced_dynamics(model, bath, RHO_MIXED, grid, check_truncation=True,
+                                  truncation_tol=1e-2)
+    shift = traj.metadata["truncation_shift"]
+    assert 0.0 < shift == truncation_shift(model, bath, RHO_MIXED, grid)
 
 
 def test_exact_dynamics_validates_initial_state():
