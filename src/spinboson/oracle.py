@@ -5,9 +5,11 @@ system+bath space finite.  The coupling exchanges single quanta, so the
 total Hamiltonian splits into excitation-number sectors, and one
 eigendecomposition per sector gives the reduced dynamics exactly (within
 the truncation) at every requested time.  The series terms of the
-evolution operator, the deviation of the reduced map from the identity and
-the alternating-sum inversion identity work with the propagator on the full
-space instead; both read the same matrix elements.
+evolution operator come from one exponential of a block matrix built from
+the free energies and the coupling; the deviation of the reduced map from
+the identity and the alternating-sum inversion identity work with the
+propagator on the full space.  All of them read one table of product-basis
+matrix elements.
 
 All reduced states returned here live in the frame co-rotating with the
 uncoupled Hamiltonian, so they compare directly against the master-equation
@@ -18,30 +20,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.linalg import expm
 
 from .linalg import SubsystemShape, partial_trace, require_density_matrix
 from .master_eq import Trajectory
-from .spin_boson import SIGMA_PLUS, SpinBosonModel
+from .spin_boson import SpinBosonModel
 
 __all__ = [
     "BathDimensionError",
     "TruncationError",
     "TruncatedBath",
-    "bath_annihilation_ops",
     "full_hamiltonian",
     "thermal_bath_state",
-    "interaction_hamiltonian",
     "interaction_unitary",
     "exact_reduced_dynamics",
     "dyson_terms",
     "reduced_map_deviation",
     "map_inversion_residual",
-    "truncation_shift",
 ]
 
 
@@ -72,7 +70,8 @@ class TruncatedBath:
 
     Thermal runs with beta * omega >= 1 are well served by the default
     ``n_max = 4``; hotter baths populate higher levels and need an explicit,
-    larger cutoff (check with :func:`truncation_shift`).
+    larger cutoff (check with ``exact_reduced_dynamics(...,
+    check_truncation=True)``).
     """
 
     model: SpinBosonModel
@@ -108,21 +107,6 @@ class TruncatedBath:
 
     def with_n_max(self, n_max: int) -> "TruncatedBath":
         return replace(self, n_max=n_max)
-
-
-def _annihilation(levels: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, levels, dtype=float)), k=1).astype(complex)
-
-
-def bath_annihilation_ops(bath: TruncatedBath) -> list[np.ndarray]:
-    """Per-mode annihilation operators on the bath factor (no system factor)."""
-    b = _annihilation(bath.levels)
-    eye = np.eye(bath.levels, dtype=complex)
-    ops = []
-    for k in range(bath.n_modes):
-        factors = [b if j == k else eye for j in range(bath.n_modes)]
-        ops.append(reduce(np.kron, factors))
-    return ops
 
 
 def _matrix_elements(model: SpinBosonModel, bath: TruncatedBath):
@@ -219,41 +203,18 @@ def thermal_bath_state(model: SpinBosonModel, bath: TruncatedBath,
     return np.diag(_bath_weights(model, bath, beta)).astype(complex)
 
 
-def interaction_hamiltonian(model: SpinBosonModel, bath: TruncatedBath,
-                            t: float) -> np.ndarray:
-    """Coupling Hamiltonian in the co-rotating frame at time ``t``."""
-    return _coupling_batch(model, bath, np.array([float(t)]))[0]
-
-
-def _coupling_parts(model: SpinBosonModel, bath: TruncatedBath):
-    ops = bath_annihilation_ops(bath)
-    lowering = np.array([g * np.kron(SIGMA_PLUS, b)
-                         for (_, g), b in zip(model.modes, ops)])
-    detunings = model.frequencies - model.omega0
-    return lowering, detunings
-
-
-def _coupling_batch(model, bath, times: np.ndarray) -> np.ndarray:
-    """Co-rotating coupling Hamiltonian at each time, shape (n, d, d)."""
-    lowering, detunings = _coupling_parts(model, bath)
-    if len(lowering) == 0:
-        return np.zeros((len(times), bath.full_dim, bath.full_dim), dtype=complex)
-    phases = np.exp(-1j * np.outer(times, detunings))
-    part = np.einsum("nm,mij->nij", phases, lowering)
-    return part + part.conj().transpose(0, 2, 1)
-
-
-def _eigensystem(model, bath):
-    return np.linalg.eigh(full_hamiltonian(model, bath))
-
-
-def interaction_unitary(model: SpinBosonModel, bath: TruncatedBath, t: float,
-                        eig=None) -> np.ndarray:
+def interaction_unitary(model: SpinBosonModel, bath: TruncatedBath,
+                        t: float) -> np.ndarray:
     """Exact co-rotating-frame propagator exp(+i H0 t) exp(-i H t)."""
-    w, v = _eigensystem(model, bath) if eig is None else eig
+    h = full_hamiltonian(model, bath)
+    w, v = np.linalg.eigh(h)
     u_sch = (v * np.exp(-1j * w * float(t))) @ v.conj().T
-    phases = np.exp(1j * _matrix_elements(model, bath)[1] * float(t))
-    return phases[:, None] * u_sch
+    return _co_rotate(h, t, u_sch)
+
+
+def _co_rotate(h: np.ndarray, t: float, op: np.ndarray) -> np.ndarray:
+    """exp(+i H0 t) op, with H0 the diagonal of ``h``."""
+    return np.exp(1j * np.diag(h).real * float(t))[:, None] * op
 
 
 def exact_reduced_dynamics(model: SpinBosonModel, bath: TruncatedBath,
@@ -327,46 +288,29 @@ def _bilinear(left: np.ndarray, c: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.sum((left @ c) * right.conj(), axis=1)
 
 
-def truncation_shift(model: SpinBosonModel, bath: TruncatedBath,
-                     rho0: np.ndarray, times: Sequence[float],
-                     beta: float | None = None) -> float:
-    """Largest element change of the reduced states when n_max doubles."""
-    coarse = exact_reduced_dynamics(model, bath, rho0, times, beta=beta)
-    fine = exact_reduced_dynamics(model, bath.with_n_max(2 * bath.n_max),
-                                  rho0, times, beta=beta)
-    return float(np.max(np.abs(coarse.states - fine.states)))
-
-
 def dyson_terms(model: SpinBosonModel, bath: TruncatedBath, t: float,
-                order: int = 2, panels: int = 200) -> list[np.ndarray]:
+                order: int = 2) -> list[np.ndarray]:
     """Series terms of the co-rotating evolution operator through ``order``.
 
-    Term zero is the identity; each later term integrates the coupling
-    against the previous one.  Time integrals run on fixed composite-Simpson
-    grids (``panels`` per nesting level) for reproducibility.
+    Term zero is the identity and term k is the k-fold time-ordered integral
+    of (-i) times the co-rotating coupling.  All terms come from one matrix
+    exponential (Van Loan, IEEE TAC 23, 395 (1978)): with H = H0 + V, the
+    block matrix holding -i H0 on every diagonal block and -i V on the block
+    superdiagonal exponentiates, at time t, to a first block row whose block
+    k is exp(-i H0 t) times term k.
     """
     if not 0 <= order <= 2:
         raise ValueError("only orders 0..2 are implemented")
-    d = bath.full_dim
-    terms = [np.eye(d, dtype=complex)]
-    if order == 0:
-        return terms
-    if t == 0:
-        return terms + [np.zeros((d, d), dtype=complex)] * order
-
-    outer = np.linspace(0.0, float(t), panels + 1)
-    h_outer = _coupling_batch(model, bath, outer)
-    terms.append(-1j * simpson(h_outer, x=outer, axis=0))
-    if order == 1:
-        return terms
-
-    integrand = np.zeros_like(h_outer)
-    for i in range(1, len(outer)):
-        inner = np.linspace(0.0, outer[i], panels + 1)
-        h_inner = _coupling_batch(model, bath, inner)
-        integrand[i] = h_outer[i] @ simpson(h_inner, x=inner, axis=0)
-    terms.append(-simpson(integrand, x=outer, axis=0))
-    return terms
+    d, n = bath.full_dim, order + 1
+    h = full_hamiltonian(model, bath)
+    free = np.diag(np.diag(h))
+    blocks = np.zeros((n, d, n, d), dtype=complex)
+    for k in range(n):
+        blocks[k, :, k] = free
+        if k:
+            blocks[k - 1, :, k] = h - free
+    row = expm(-1j * float(t) * blocks.reshape(n * d, n * d))[:d].reshape(d, n, d)
+    return [np.eye(d, dtype=complex)] + [_co_rotate(h, t, row[:, k]) for k in range(1, n)]
 
 
 def _deviation_map(model, bath, beta, t):

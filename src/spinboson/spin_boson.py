@@ -86,6 +86,9 @@ PROJ_DOWN = SIGMA_MINUS @ SIGMA_PLUS
 # ~4e-4 at x = 1e-6).
 _RESONANCE_EPS = 1e-3
 
+# Panels of the fixed Simpson grid in population_solution's inner integral.
+_POPULATION_PANELS = 400
+
 
 def thermal_occupation(omega: float, beta: float) -> float:
     """Mean boson number of a mode at frequency ``omega``, temperature ``1/beta``.
@@ -252,7 +255,7 @@ class RateChannel:
 
     def _eval(self, t, which: int):
         t_arr = np.asarray(t, dtype=float)
-        if self.detunings.size == 0:
+        if not self.weights.any():  # no modes, or a channel with no weight
             out = np.zeros_like(t_arr)
             return float(out) if t_arr.ndim == 0 else out
         x = np.multiply.outer(t_arr, self.detunings)
@@ -351,22 +354,21 @@ def coherence_solution(rho01_0: complex, rates: RateFunctions, t):
     return rho01_0 * phase * envelope
 
 
-def population_solution(rho00_0: float, rates: RateFunctions, t,
-                        panels: int = 400):
+def population_solution(rho00_0: float, rates: RateFunctions, t):
     """Closed-form spin-up population by variation of parameters.
 
     With E(t) = exp(-8 int_0^t (absorption.decay + emission.decay)), returns
 
         rho00(t) = rho00(0) E(t) + E(t) int_0^t 8 absorption.decay(s) / E(s) ds,
 
-    the inner integral on a composite-Simpson grid (default 400 panels),
+    the inner integral on a fixed composite-Simpson grid of 400 panels,
     arranged as exp(I(s) - I(t)) so large exponents never appear.  The
     spin-down population is one minus the result.
     """
     def single(tv: float) -> float:
         if tv == 0.0:
             return float(rho00_0)
-        nodes = np.linspace(0.0, tv, panels + 1)
+        nodes = np.linspace(0.0, tv, _POPULATION_PANELS + 1)
         running = 8.0 * rates.total_decay_integral(nodes)
         homogeneous = rho00_0 * math.exp(-running[-1])
         integrand = 8.0 * rates.absorption.decay(nodes) * np.exp(running - running[-1])
@@ -459,12 +461,10 @@ def bath_statistics(model: SpinBosonModel) -> BathStatistics:
         return 0j
 
     def integrals(times: np.ndarray):
-        # the reverse integrals are the complex conjugates of the forward ones;
-        # a vacuum bath has no absorption weight, so its channel stays zero
+        # the reverse integrals are the complex conjugates of the forward ones
         forward = np.zeros((len(times), 2, 2), dtype=complex)
         forward[:, 0, 1] = rates.emission.decay(times) - 1j * rates.emission.shift(times)
-        if np.any(absorption):
-            forward[:, 1, 0] = rates.absorption.decay(times) + 1j * rates.absorption.shift(times)
+        forward[:, 1, 0] = rates.absorption.decay(times) + 1j * rates.absorption.shift(times)
         return forward, forward.conj()
 
     zero = lambda t: 0j

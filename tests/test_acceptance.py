@@ -198,7 +198,7 @@ def test_criterion_7_series_consistency():
     def residual(factor):
         model = base.scaled(factor)
         bath = TruncatedBath(model, n_max=3)
-        u0, u1, u2 = dyson_terms(model, bath, t, panels=200)
+        u0, u1, u2 = dyson_terms(model, bath, t)
         return float(np.linalg.norm(u0 + u1 + u2 - interaction_unitary(model, bath, t)))
 
     r1, r2, r3 = residual(1.0), residual(0.5), residual(0.25)

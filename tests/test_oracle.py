@@ -2,22 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from spinboson import oracle
 from spinboson.linalg import partial_trace
 from spinboson.master_eq import rhs
 from spinboson.oracle import (BathDimensionError, TruncatedBath,
-                              TruncationError, bath_annihilation_ops,
-                              dyson_terms, exact_reduced_dynamics,
-                              full_hamiltonian, interaction_hamiltonian,
+                              TruncationError, dyson_terms,
+                              exact_reduced_dynamics, full_hamiltonian,
                               interaction_unitary, map_inversion_residual,
-                              reduced_map_deviation, thermal_bath_state,
-                              truncation_shift)
+                              reduced_map_deviation, thermal_bath_state)
 from spinboson.spin_boson import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z,
                                   SpinBosonModel, bath_statistics,
                                   interaction_decomposition)
 
-from helpers import make_rng, random_density_matrix
+from helpers import (bath_annihilation_ops, ladder_coupling, make_rng,
+                     random_density_matrix)
 
 RHO_EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 RHO_MIXED = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]], dtype=complex)
@@ -99,8 +99,7 @@ def test_sector_blocks_reassemble_full_hamiltonian():
     assert np.array_equal(np.sort(np.concatenate([s for s, _ in blocks])),
                           np.arange(bath.full_dim))
     # the coupling agrees with the one built from ladder operators
-    assert np.allclose(h - np.diag(np.diag(h)), interaction_hamiltonian(model, bath, 0.0),
-                       atol=1e-15)
+    assert np.allclose(h - np.diag(np.diag(h)), ladder_coupling(model, bath), atol=1e-15)
 
 
 # -- thermal bath state ------------------------------------------------------------
@@ -248,8 +247,9 @@ def test_check_truncation_reports_the_doubled_cutoff_shift():
     grid = np.linspace(0, 2, 5)
     traj = exact_reduced_dynamics(model, bath, RHO_MIXED, grid, check_truncation=True,
                                   truncation_tol=1e-2)
+    fine = exact_reduced_dynamics(model, TruncatedBath(model, n_max=6), RHO_MIXED, grid)
     shift = traj.metadata["truncation_shift"]
-    assert 0.0 < shift == truncation_shift(model, bath, RHO_MIXED, grid)
+    assert 0.0 < shift == float(np.max(np.abs(traj.states - fine.states)))
 
 
 def test_exact_dynamics_validates_initial_state():
@@ -266,8 +266,9 @@ def test_exact_dynamics_validates_initial_state():
 
 def test_truncation_exact_for_single_excitation_vacuum():
     model = vacuum_mode()
-    assert truncation_shift(model, TruncatedBath(model, n_max=2), RHO_MIXED,
-                            np.linspace(0, 2, 5)) <= 1e-12
+    traj = exact_reduced_dynamics(model, TruncatedBath(model, n_max=2), RHO_MIXED,
+                                  np.linspace(0, 2, 5), check_truncation=True)
+    assert traj.metadata["truncation_shift"] <= 1e-12
 
 
 def test_truncation_invariant_on_acceptance_parameters():
@@ -321,6 +322,43 @@ def test_dyson_partial_sum_error_is_third_order():
     assert 6.0 <= r1 / r2 <= 10.0
 
 
+@pytest.mark.parametrize("t", [0.4, 1.3, 3.7])
+def test_dyson_terms_satisfy_second_order_unitarity(t):
+    # U^dag U = 1 order by order in the coupling; at second order that is
+    # U2 + U2^dag + U1^dag U1 = 0, where U1^dag U1 = U1 U1^dag (U1 is
+    # anti-hermitian)
+    model = SpinBosonModel(1.0, [(0.9, 0.1), (1.0, 0.2), (1.2, 0.15)], 0.8)
+    _, u1, u2 = dyson_terms(model, TruncatedBath(model, n_max=2), t)
+    assert np.max(np.abs(u2 + u2.conj().T + u1 @ u1.conj().T)) <= 1e-13
+
+
+def test_dyson_terms_match_nested_quadrature():
+    # reference: the co-rotating coupling g (sigma+ (x) b exp(-i d s) + h.c.),
+    # built from ladder operators, integrated once and twice on nested
+    # composite-Simpson grids
+    g, detune = 0.2, 0.3
+    model = vacuum_mode(g=g, detune=detune)
+    bath = TruncatedBath(model, n_max=2)
+    (b,) = bath_annihilation_ops(bath)
+    lowering = g * np.kron(SIGMA_PLUS, b)
+    t, panels = 1.5, 200
+
+    def co_rotating(s):
+        part = np.exp(-1j * detune * s)[:, None, None] * lowering
+        return part + part.conj().transpose(0, 2, 1)
+
+    outer = np.linspace(0.0, t, panels + 1)
+    h_outer = co_rotating(outer)
+    integrand = np.zeros_like(h_outer)
+    for i in range(1, len(outer)):
+        inner = np.linspace(0.0, outer[i], panels + 1)
+        integrand[i] = h_outer[i] @ simpson(co_rotating(inner), x=inner, axis=0)
+
+    _, u1, u2 = dyson_terms(model, bath, t)
+    assert np.max(np.abs(u1 + 1j * simpson(h_outer, x=outer, axis=0))) <= 1e-10
+    assert np.max(np.abs(u2 + simpson(integrand, x=outer, axis=0))) <= 1e-10
+
+
 def test_dyson_rejects_unimplemented_orders():
     model = vacuum_mode()
     with pytest.raises(ValueError):
@@ -337,12 +375,11 @@ def test_interaction_unitary_properties():
 
 
 def test_interaction_hamiltonian_at_zero_matches_schroedinger_coupling():
+    # at t = 0 the co-rotating coupling is the off-diagonal part of H
     model = two_mode_vacuum(0.07, 0.11)
     bath = TruncatedBath(model, n_max=2)
-    expected = np.zeros((bath.full_dim, bath.full_dim), dtype=complex)
-    for (_, g), b in zip(model.modes, bath_annihilation_ops(bath)):
-        expected += g * (np.kron(SIGMA_PLUS, b) + np.kron(SIGMA_MINUS, b.conj().T))
-    assert np.allclose(interaction_hamiltonian(model, bath, 0.0), expected, atol=1e-14)
+    h = full_hamiltonian(model, bath)
+    assert np.allclose(h - np.diag(np.diag(h)), ladder_coupling(model, bath), atol=1e-14)
 
 
 # -- reduced map deviation ---------------------------------------------------------------
