@@ -18,6 +18,7 @@ __all__ = [
     "hermiticity_defect",
     "require_hermitian",
     "require_density_matrix",
+    "require_time_grid",
 ]
 
 
@@ -38,7 +39,7 @@ def require_hermitian(a: np.ndarray, tol: float = 1e-10,
                       name: str = "matrix") -> np.ndarray:
     a = _as_square(a, name)
     defect = hermiticity_defect(a)
-    if defect > tol:
+    if not defect <= tol:  # a NaN entry fails too
         raise ValueError(f"{name} is not Hermitian: max |A - A^dag| = {defect:.3e} > {tol:.1e}")
     return a
 
@@ -48,13 +49,26 @@ def require_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     semidefinite within ``tol``; ``ValueError`` otherwise."""
     rho = require_hermitian(rho, tol, "initial state")
     trace = complex(np.trace(rho))
-    if abs(trace - 1.0) > tol:
+    if not abs(trace - 1.0) <= tol:
         raise ValueError(f"initial state trace {trace:.12g} is not 1")
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
     if min_eig < -tol:
         raise ValueError(f"initial state is not positive semidefinite: "
                          f"eigenvalue {min_eig:.3e}")
     return rho
+
+
+def require_time_grid(times) -> np.ndarray:
+    """``times`` as a float array if it is a non-empty, finite, strictly
+    increasing 1-d grid; ``ValueError`` otherwise."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) == 0:
+        raise ValueError("times must be a non-empty 1-d grid")
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"times must be finite, got {times[~np.isfinite(times)][0]}")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+    return times
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,9 @@ by coefficients ``f_c`` the bath supplies for a whole array of times: the
 first moments, then the forward and reverse integrated correlations.  A
 time-dependent coupling operator of finite dimension splits into constant
 eigen-operators whose phases move into the bath correlations, as in the
-spin-boson co-rotating frame.  The integrated correlations come in closed
-form when the bath supplies them (the spin-boson module does), otherwise
-from composite Simpson on a fixed panel count, which keeps results
-bit-reproducible either way.
+spin-boson co-rotating frame.  The bath supplies the integrated
+correlations itself (the spin-boson module does so in closed form), so the
+engine runs no quadrature.
 
 Propagation is classic fixed-step RK4 with internal substeps per output
 interval.  Violations of trace or hermiticity are reported, never repaired:
@@ -36,12 +35,10 @@ from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .linalg import require_density_matrix
+from .linalg import require_density_matrix, require_time_grid
 
 __all__ = [
-    "DEFAULT_PANELS",
     "InteractionDecomposition",
     "BathStatistics",
     "Trajectory",
@@ -53,11 +50,6 @@ __all__ = [
     "default_substeps",
     "propagate",
 ]
-
-# Panels for the Simpson integral over correlation time, used for baths
-# without closed-form integrated correlations.  Correlation kernels
-# oscillate, so the count is fixed rather than adaptive.
-DEFAULT_PANELS = 200
 
 # Target for (generator spectral norm) * (RK4 substep); keeps the local
 # integration error far below the physics tolerances.
@@ -135,19 +127,21 @@ class BathStatistics:
     ``first_moments[n](times)`` is the bath average of the n-th bath
     operator at each of an array of times (a constant may come back as a
     scalar); ``correlation(j, k, t, s)`` the connected two-time average of
-    operators j at ``t`` and k at ``s``.  The optional ``integrals(times)``
-    gives exact closed forms of
+    operators j at ``t`` and k at ``s``.  ``integrals(times)`` gives
 
         forward[i, j, k] = int_0^t ds correlation(j, k, t, s)
         reverse[i, j, k] = int_0^t ds correlation(j, k, s, t)
 
-    at ``t = times[i]``, each of shape ``(len(times), n, n)``; without it
-    the integrals run on a composite-Simpson grid of ``DEFAULT_PANELS``.
+    at ``t = times[i]``, each of shape ``(len(times), n, n)``; these are
+    all the generator reads.  The spin-boson bath gives them in closed
+    form.  ``correlation`` is their definition, against which the closed
+    forms are checked; the test suite holds a composite-Simpson quadrature
+    of it as the reference for baths without closed forms.
     """
 
     first_moments: tuple
     correlation: Callable[[int, int, float, float], complex]
-    integrals: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    integrals: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
         object.__setattr__(self, "first_moments", tuple(self.first_moments))
@@ -158,24 +152,10 @@ class BathStatistics:
         ``n x n`` block in row-major order."""
         times = np.asarray(times, dtype=float)
         moments = [np.broadcast_to(m(times), times.shape) for m in self.first_moments]
-        forward, reverse = (self.integrals or self._simpson_integrals)(times)
+        forward, reverse = self.integrals(times)
         return np.concatenate([np.array(moments, dtype=complex).T,
                                forward.reshape(len(times), -1),
                                reverse.reshape(len(times), -1)], axis=1)
-
-    def _simpson_integrals(self, times: np.ndarray):
-        n = len(self.first_moments)
-        forward = np.zeros((len(times), n, n), dtype=complex)
-        reverse = np.zeros_like(forward)
-        for i, t in enumerate(times):
-            nodes = np.linspace(0.0, t, DEFAULT_PANELS + 1)
-            for j in range(n):
-                for k in range(n):
-                    c_fwd = [self.correlation(j, k, t, s) for s in nodes]
-                    c_rev = [self.correlation(j, k, s, t) for s in nodes]
-                    forward[i, j, k] = simpson(c_fwd, x=nodes)
-                    reverse[i, j, k] = simpson(c_rev, x=nodes)
-        return forward, reverse
 
 
 @dataclass
@@ -187,10 +167,8 @@ class Trajectory:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = require_time_grid(self.times)
         self.states = np.asarray(self.states, dtype=complex)
-        if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be a strictly increasing 1-d grid")
         if self.states.shape[0] != self.times.shape[0]:
             raise ValueError("one state per time point required")
 
@@ -209,12 +187,13 @@ class Trajectory:
         return np.linalg.eigvalsh(0.5 * (s + s.conj().transpose(0, 2, 1)))[:, 0]
 
     def validate(self, trace_tol: float = 1e-9, herm_tol: float = 1e-9) -> "Trajectory":
+        # written as "not all within", so that a NaN error fails (argmax finds it)
         tr = self.trace_errors()
-        if np.any(tr > trace_tol):
+        if not np.all(tr <= trace_tol):
             i = int(np.argmax(tr))
             raise ValueError(f"trace error {tr[i]:.3e} at t = {self.times[i]:.6g}")
         he = self.hermiticity_errors()
-        if np.any(he > herm_tol):
+        if not np.all(he <= herm_tol):
             i = int(np.argmax(he))
             raise ValueError(f"hermiticity error {he[i]:.3e} at t = {self.times[i]:.6g}")
         return self
@@ -304,17 +283,14 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
     """Propagate ``rho0`` over ``times`` with fixed-step RK4.
 
     ``rho0`` must be Hermitian, unit trace and positive semidefinite within
-    1e-10.  The generator is evaluated once per output interval at all of
-    its RK4 stage times.  Trace drift beyond 1e-6 at any internal step
-    aborts with a :class:`TraceDriftError`; accepted trajectories satisfy
-    the 1e-9 trace and hermiticity invariants at every sample.
+    1e-10, and ``times`` a finite, strictly increasing grid.  The generator
+    is evaluated once per output interval at all of its RK4 stage times.
+    Trace drift beyond 1e-6 (or NaN) at any internal step aborts with a
+    :class:`TraceDriftError`; accepted trajectories satisfy the 1e-9 trace
+    and hermiticity invariants at every sample.
     """
     rho0 = require_density_matrix(rho0)
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise ValueError("times must be a non-empty 1-d grid")
-    if len(times) > 1 and np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
+    times = require_time_grid(times)
 
     if len(times) == 1:
         return Trajectory(times, rho0[None, :, :].copy(),
@@ -345,12 +321,12 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
             v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += h
             drift = abs(v[::d + 1].sum() - 1.0)
-            if drift > _TRACE_ABORT:
+            if not drift <= _TRACE_ABORT:  # NaN aborts too
                 raise TraceDriftError(t, drift)
         states[i + 1] = v.reshape(d, d)
 
     traj = Trajectory(times, states,
                       metadata={"model": model_tag, "integrator": "rk4",
-                                "substeps": substeps, "step_size": step_size})
+                                "substeps": substeps, "step_size": step_size}).validate()
     traj.metadata["min_eigenvalue"] = traj.min_eigenvalues()
-    return traj.validate()
+    return traj

@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
-from .linalg import SubsystemShape, partial_trace, require_density_matrix
+from .linalg import (SubsystemShape, partial_trace, require_density_matrix,
+                     require_time_grid)
 from .master_eq import Trajectory
 from .spin_boson import SpinBosonModel
 
@@ -235,9 +235,10 @@ def exact_reduced_dynamics(model: SpinBosonModel, bath: TruncatedBath,
     the output is directly comparable to master-equation trajectories.  With
     ``check_truncation`` the run is repeated at double the Fock cutoff and
     flagged if any sampled element moves by more than ``truncation_tol``.
+    ``times`` must be a finite, strictly increasing grid.
     """
     rho0 = require_density_matrix(rho0)
-    times = np.asarray(times, dtype=float)
+    times = require_time_grid(times)
     weights = _bath_weights(model, bath, beta)
     reduced = np.zeros((len(times), 2, 2), dtype=complex)
     previous = None
@@ -270,9 +271,8 @@ def exact_reduced_dynamics(model: SpinBosonModel, bath: TruncatedBath,
     rot = np.exp(1j * np.outer(times, e_sys))
     states = rot[:, :, None] * reduced * rot.conj()[:, None, :]
     traj = Trajectory(times, states,
-                      metadata={"integrator": "exact-eig", "n_max": bath.n_max})
+                      metadata={"integrator": "exact-eig", "n_max": bath.n_max}).validate()
     traj.metadata["min_eigenvalue"] = traj.min_eigenvalues()
-    traj.validate()
     if check_truncation:
         fine = exact_reduced_dynamics(model, bath.with_n_max(2 * bath.n_max),
                                       rho0, times, beta=beta)
@@ -297,8 +297,11 @@ def dyson_terms(model: SpinBosonModel, bath: TruncatedBath, t: float,
     exponential (Van Loan, IEEE TAC 23, 395 (1978)): with H = H0 + V, the
     block matrix holding -i H0 on every diagonal block and -i V on the block
     superdiagonal exponentiates, at time t, to a first block row whose block
-    k is exp(-i H0 t) times term k.
+    k is exp(-i H0 t) times term k.  Needs scipy, which nothing else in the
+    package imports.
     """
+    from scipy.linalg import expm  # here, to keep scipy off the import path
+
     if not 0 <= order <= 2:
         raise ValueError("only orders 0..2 are implemented")
     d, n = bath.full_dim, order + 1

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .master_eq import BathStatistics, InteractionDecomposition
 
@@ -86,8 +85,10 @@ PROJ_DOWN = SIGMA_MINUS @ SIGMA_PLUS
 # ~4e-4 at x = 1e-6).
 _RESONANCE_EPS = 1e-3
 
-# Panels of the fixed Simpson grid in population_solution's inner integral.
+# Panels of the fixed Simpson grid in population_solution's inner integral,
+# and the composite-Simpson weights (1, 4, 2, ..., 2, 4, 1) / 3 on its nodes.
 _POPULATION_PANELS = 400
+_SIMPSON_WEIGHTS = np.r_[1.0, np.tile([4.0, 2.0], _POPULATION_PANELS // 2)[:-1], 1.0] / 3.0
 
 
 def thermal_occupation(omega: float, beta: float) -> float:
@@ -363,7 +364,8 @@ def population_solution(rho00_0: float, rates: RateFunctions, t):
 
     the inner integral on a fixed composite-Simpson grid of 400 panels,
     arranged as exp(I(s) - I(t)) so large exponents never appear.  The
-    spin-down population is one minus the result.
+    spin-down population is one minus the result.  ``t`` may be a scalar or
+    an array of any shape; an array result has the same shape.
     """
     def single(tv: float) -> float:
         if tv == 0.0:
@@ -372,12 +374,13 @@ def population_solution(rho00_0: float, rates: RateFunctions, t):
         running = 8.0 * rates.total_decay_integral(nodes)
         homogeneous = rho00_0 * math.exp(-running[-1])
         integrand = 8.0 * rates.absorption.decay(nodes) * np.exp(running - running[-1])
-        return float(homogeneous + simpson(integrand, x=nodes))
+        step = tv / _POPULATION_PANELS
+        return float(homogeneous + step * (_SIMPSON_WEIGHTS @ integrand))
 
     t_arr = np.asarray(t, dtype=float)
     if t_arr.ndim == 0:
         return single(float(t_arr))
-    return np.array([single(float(tv)) for tv in t_arr])
+    return np.array([single(float(tv)) for tv in t_arr.ravel()]).reshape(t_arr.shape)
 
 
 def vacuum_rates(model: SpinBosonModel, t):

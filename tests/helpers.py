@@ -1,10 +1,16 @@
-"""Shared random-state and ladder-operator helpers for the test suite."""
+"""Shared random-state, quadrature and ladder-operator helpers for the test suite."""
 
 from functools import reduce
 
 import numpy as np
+from scipy.integrate import simpson
 
+from spinboson.master_eq import BathStatistics
 from spinboson.spin_boson import SIGMA_MINUS, SIGMA_PLUS
+
+# Panels for the Simpson integral over correlation time in quadrature_bath.
+# Correlation kernels oscillate, so the count is fixed rather than adaptive.
+DEFAULT_PANELS = 200
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -34,6 +40,31 @@ def matrix_units(d: int) -> list[np.ndarray]:
             u[i, j] = 1.0
             units.append(u)
     return units
+
+
+# -- integrated correlations by quadrature ------------------------------------
+# The reference for baths without closed-form integrated correlations: the
+# engine itself only reads the integrals a bath supplies.
+
+def quadrature_bath(first_moments, correlation) -> BathStatistics:
+    """Bath whose integrated correlations are composite Simpson over
+    ``DEFAULT_PANELS`` panels of its ``correlation``."""
+    n = len(first_moments)
+
+    def integrals(times: np.ndarray):
+        forward = np.zeros((len(times), n, n), dtype=complex)
+        reverse = np.zeros_like(forward)
+        for i, t in enumerate(times):
+            nodes = np.linspace(0.0, t, DEFAULT_PANELS + 1)
+            for j in range(n):
+                for k in range(n):
+                    c_fwd = [correlation(j, k, t, s) for s in nodes]
+                    c_rev = [correlation(j, k, s, t) for s in nodes]
+                    forward[i, j, k] = simpson(c_fwd, x=nodes)
+                    reverse[i, j, k] = simpson(c_rev, x=nodes)
+        return forward, reverse
+
+    return BathStatistics(first_moments, correlation, integrals)
 
 
 # -- ladder operators, built from Kronecker products ------------------------

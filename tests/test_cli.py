@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinboson
 from spinboson.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
                            RATES_HEADER, TRAJECTORY_HEADER, main, read_csv)
 
@@ -331,3 +336,31 @@ def test_help_lists_all_verbs(capsys):
     out = capsys.readouterr().out
     for verb in ("rates", "evolve", "exact", "compare", "limits"):
         assert verb in out
+
+
+# Run in a fresh interpreter: the CLI path loads no scipy module, and
+# dyson_terms, the one function that needs scipy, loads it when called.
+IMPORT_PATH_SCRIPT = """\
+import math, sys
+import numpy as np
+import spinboson, spinboson.cli
+assert spinboson.cli.main(["rates", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+assert not loaded, loaded
+from spinboson import SpinBosonModel, TruncatedBath, dyson_terms
+model = SpinBosonModel(1.0, [(1.1, 0.05)], math.inf)
+_, u1, u2 = dyson_terms(model, TruncatedBath(model, n_max=1), 0.7)
+assert np.max(np.abs(u1)) > 1e-3
+assert np.max(np.abs(u2 + u2.conj().T + u1 @ u1.conj().T)) <= 1e-13
+"""
+
+
+def test_cli_import_path_loads_no_scipy(tmp_path):
+    cfg = write_cfg(tmp_path, THERMAL_CFG)
+    src = str(Path(spinboson.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT, cfg,
+                           str(tmp_path / "rates.csv")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr

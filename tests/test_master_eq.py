@@ -11,15 +11,16 @@ from spinboson.master_eq import (BathStatistics, InteractionDecomposition,
 from spinboson.spin_boson import (SIGMA_Z, SpinBosonModel, bath_statistics,
                                   interaction_decomposition)
 
-from helpers import make_rng, random_density_matrix, random_hermitian
+from helpers import (make_rng, quadrature_bath, random_density_matrix,
+                     random_hermitian)
 
 ZERO_MOMENT = lambda t: 0j
 
 
 def silent_bath(n_terms=2):
     """All moments and correlations zero."""
-    return BathStatistics(first_moments=(ZERO_MOMENT,) * n_terms,
-                          correlation=lambda j, k, t, s: 0j)
+    return quadrature_bath(first_moments=(ZERO_MOMENT,) * n_terms,
+                           correlation=lambda j, k, t, s: 0j)
 
 
 def thermal_pair(beta=1.2):
@@ -43,8 +44,8 @@ def test_first_order_vanishes_for_thermal_spin_boson():
 def test_first_order_single_constant_moment():
     c = 0.37
     decomp = InteractionDecomposition(terms=(SIGMA_Z,))
-    bath = BathStatistics(first_moments=(lambda t: c,),
-                          correlation=lambda j, k, t, s: 0j)
+    bath = quadrature_bath(first_moments=(lambda t: c,),
+                           correlation=lambda j, k, t, s: 0j)
     assert np.allclose(first_order_hamiltonian(decomp, bath, 0.9), c * SIGMA_Z)
 
 
@@ -70,8 +71,8 @@ def test_exact_hook_matches_simpson_quadrature():
     # same physics through the closed-form hooks and through the generic
     # Simpson path; agreement is limited only by quadrature error
     model, decomp, bath = thermal_pair()
-    quad_bath = BathStatistics(first_moments=bath.first_moments,
-                               correlation=bath.correlation)
+    quad_bath = quadrature_bath(first_moments=bath.first_moments,
+                                correlation=bath.correlation)
     rng = make_rng(6)
     rho = random_density_matrix(rng, 2)
     for t in (0.2, 1.0, 2.5):
@@ -181,6 +182,29 @@ def test_trace_drift_aborts(monkeypatch):
     assert err.value.t > 0
 
 
+def test_trace_drift_aborts_on_nan(monkeypatch):
+    # NaN compares false against any tolerance; the abort must still fire
+    _, decomp, bath = thermal_pair()
+
+    def nan_generator(decomp, bath, t):
+        return np.full((len(t), 4, 4), np.nan)
+
+    monkeypatch.setattr(master_eq, "generator_matrix", nan_generator)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(TraceDriftError) as err:
+        propagate(decomp, bath, rho0, np.linspace(0, 5, 6), substeps=4)
+    assert math.isnan(err.value.drift)
+
+
+@pytest.mark.parametrize("substeps", [4, None])
+@pytest.mark.parametrize("bad", [[0.0, math.nan], [0.0, math.inf], [math.nan]])
+def test_propagate_rejects_non_finite_times(substeps, bad):
+    _, decomp, bath = thermal_pair()
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="finite"):
+        propagate(decomp, bath, rho0, bad, substeps=substeps)
+
+
 def rk4_over_rhs(decomp, bath, rho0, times, substeps):
     """Fixed-step RK4 written directly over ``rhs``, one call per stage."""
     rho = rho0.astype(complex)
@@ -246,6 +270,30 @@ def test_trajectory_validation_catches_bad_states():
     bad_herm[1, 0, 1] = 1e-6
     with pytest.raises(ValueError):
         Trajectory(times, bad_herm).validate()
+
+
+def test_trajectory_validation_catches_nan_states():
+    times = np.array([0.0, 1.0])
+    states = np.broadcast_to(np.diag([0.5, 0.5]), (2, 2, 2)).astype(complex)
+    nan_trace = states.copy()
+    nan_trace[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="trace error nan"):
+        Trajectory(times, nan_trace).validate()
+    nan_herm = states.copy()
+    nan_herm[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="hermiticity error nan"):
+        Trajectory(times, nan_herm).validate()
+
+
+def test_trajectory_rejects_non_finite_times():
+    states = np.zeros((2, 2, 2), dtype=complex)
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory(np.array([0.0, math.nan]), states)
+
+
+def test_bath_statistics_requires_integrals():
+    with pytest.raises(TypeError):
+        BathStatistics(first_moments=(ZERO_MOMENT,), correlation=lambda j, k, t, s: 0j)
 
 
 def test_trajectory_requires_increasing_times():

@@ -262,6 +262,13 @@ def test_exact_dynamics_validates_initial_state():
         exact_reduced_dynamics(model, bath, 2 * RHO_EXCITED, grid)
 
 
+@pytest.mark.parametrize("bad", [[0.0, math.nan], [0.0, math.inf], [math.nan]])
+def test_exact_dynamics_rejects_non_finite_times(bad):
+    model = vacuum_mode()
+    with pytest.raises(ValueError, match="finite"):
+        exact_reduced_dynamics(model, TruncatedBath(model, n_max=2), RHO_MIXED, bad)
+
+
 # -- truncation convergence ----------------------------------------------------------
 
 def test_truncation_exact_for_single_excitation_vacuum():

@@ -303,6 +303,34 @@ def test_population_solution_trivials():
     silent = rate_functions(SpinBosonModel(1.0, [(1.2, 0.0)], 1.0))
     assert population_solution(0.77, silent, 0.0) == 0.77
     assert population_solution(0.77, silent, 4.0) == pytest.approx(0.77, abs=1e-14)
+    # any array shape comes back in the same shape, element by element
+    rates = rate_functions(SpinBosonModel(1.0, [(0.8, 0.1), (1.2, 0.07)], 1.0))
+    t = np.array([[0.0, 1.0, 2.5], [4.0, 6.0, 9.0]])
+    out = population_solution(0.6, rates, t)
+    assert out.shape == t.shape
+    assert out[0, 0] == 0.6
+    assert [population_solution(0.6, rates, tv) for tv in t.ravel()] == out.ravel().tolist()
+
+
+def population_by_scipy_simpson(rho00_0, rates, tv, panels=400):
+    """The variation-of-parameters population with scipy's Simpson rule."""
+    if tv == 0.0:
+        return rho00_0
+    nodes = np.linspace(0.0, tv, panels + 1)
+    running = 8.0 * rates.total_decay_integral(nodes)
+    integrand = 8.0 * rates.absorption.decay(nodes) * np.exp(running - running[-1])
+    return rho00_0 * math.exp(-running[-1]) + float(simpson(integrand, x=nodes))
+
+
+@pytest.mark.parametrize("model", [
+    SpinBosonModel(1.0, [(0.8, 0.1), (1.2, 0.07)], 1.0),
+    SpectralDiscretization(ohmic_density(0.01, 5.0), 0.01, 10.0, 400).build_model(1.0, math.inf),
+], ids=["thermal_2mode", "ohmic_400_vacuum"])
+def test_population_solution_matches_scipy_simpson(model):
+    rates = rate_functions(model)
+    grid = np.linspace(0.0, 20.0, 41)
+    expected = [population_by_scipy_simpson(0.7, rates, tv) for tv in grid]
+    assert np.max(np.abs(population_solution(0.7, rates, grid) - expected)) <= 1e-14
 
 
 def test_population_high_temperature_closed_form():
