@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .master_eq import TraceDriftError, Trajectory, propagate, rhs
+from .master_eq import TraceDriftError, Trajectory, generator_matrix, propagate
 from .oracle import (BathDimensionError, TruncatedBath, exact_reduced_dynamics)
 from .spin_boson import (bath_statistics, interaction_decomposition,
                          markov_rates, rate_functions, vacuum_rhs)
@@ -87,8 +87,7 @@ def run_rates(cfg: RunConfig, out: str) -> int:
     grid = cfg.time_grid()
     absorption, emission = rates.absorption, rates.emission
     columns = [grid,
-               absorption.decay(grid), absorption.shift(grid),
-               emission.decay(grid), emission.shift(grid),
+               *absorption.decay_and_shift(grid), *emission.decay_and_shift(grid),
                absorption.decay_integral(grid), absorption.shift_integral(grid),
                emission.decay_integral(grid), emission.shift_integral(grid)]
     write_csv(out, RATES_HEADER, [np.atleast_1d(c) for c in columns])
@@ -226,19 +225,15 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
     # vacuum: absorption rates vanish identically and the generic generator
     # collapses to the single-dissipator form
     if model.vacuum:
-        max_absorption = max(float(np.max(np.abs(rates.absorption.decay(grid)))),
-                             float(np.max(np.abs(rates.absorption.shift(grid)))))
-        units = []
-        for i in range(2):
-            for j in range(2):
-                unit = np.zeros((2, 2), dtype=complex)
-                unit[i, j] = 1.0
-                units.append(unit)
+        max_absorption = max(float(np.max(np.abs(r)))
+                             for r in rates.absorption.decay_and_shift(grid))
+        # the generator applied to the unit matrix |i><j| is column 2 i + j
+        # of its matrix
+        generic = generator_matrix(decomp, bath, grid)
         mismatch = 0.0
-        for t in grid:
-            for unit in units:
-                diff = vacuum_rhs(model, unit, t) - rhs(decomp, bath, unit, t)
-                mismatch = max(mismatch, float(np.max(np.abs(diff))))
+        for col, unit in enumerate(np.eye(4, dtype=complex).reshape(4, 2, 2)):
+            diff = vacuum_rhs(model, unit, grid) - generic[:, :, col].reshape(-1, 2, 2)
+            mismatch = max(mismatch, float(np.max(np.abs(diff))))
         ok = max_absorption <= 1e-15 and mismatch <= 1e-8
         checks.append(("vacuum", "pass" if ok else "fail", [
             ("max_abs_absorption_rate", max_absorption),

@@ -22,9 +22,14 @@ correlations itself (the spin-boson module does so in closed form), so the
 engine runs no quadrature.
 
 Propagation is classic fixed-step RK4 with internal substeps per output
-interval.  Violations of trace or hermiticity are reported, never repaired:
-a drifting trace signals an inconsistent generator or too coarse a step,
-and silently renormalizing would mask it.
+interval.  The equation is linear, so each substep is one step matrix
+``M = I + h/6 (K1 + 2 K2 + 2 K3 + K4)`` built from the generator at the
+substep's stage times.  One generator batch per output interval gives the
+step matrices of all its substeps at once, and the state then advances by
+one matrix-vector product per substep.  Violations of trace or
+hermiticity are reported, never repaired: a drifting trace signals an
+inconsistent generator or too coarse a step, and silently renormalizing
+would mask it.
 """
 
 from __future__ import annotations
@@ -277,6 +282,23 @@ def default_substeps(decomp: InteractionDecomposition, bath: BathStatistics,
     return max(1, math.ceil(interval / dt_max))
 
 
+def _rk4_step_matrices(stages: np.ndarray, h: float) -> np.ndarray:
+    """Classic RK4 step matrices of a linear ODE, one per substep.
+
+    ``stages`` holds the generator at the stage times t, t + h/2, t + h, ...
+    of consecutive substeps of size ``h``, shape ``(2 n + 1, D, D)``.  Returns
+    the ``n`` matrices ``M`` with ``v(t + h) = M v(t)``:
+
+        K1 = A(t),  K2 = A(t + h/2) (I + h/2 K1),  K3 = A(t + h/2) (I + h/2 K2),
+        K4 = A(t + h) (I + h K3),  M = I + h/6 (K1 + 2 K2 + 2 K3 + K4).
+    """
+    start, mid, end = stages[:-1:2], stages[1::2], stages[2::2]
+    k2 = mid + (0.5 * h) * (mid @ start)
+    k3 = mid + (0.5 * h) * (mid @ k2)
+    k4 = end + h * (end @ k3)
+    return np.eye(stages.shape[-1]) + (h / 6.0) * (start + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
               rho0: np.ndarray, times: Sequence[float],
               substeps: int | None = None, model_tag: str = "") -> Trajectory:
@@ -284,9 +306,10 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
 
     ``rho0`` must be Hermitian, unit trace and positive semidefinite within
     1e-10, and ``times`` a finite, strictly increasing grid.  The generator
-    is evaluated once per output interval at all of its RK4 stage times.
-    Trace drift beyond 1e-6 (or NaN) at any internal step aborts with a
-    :class:`TraceDriftError`; accepted trajectories satisfy the 1e-9 trace
+    is evaluated once per output interval at all of its RK4 stage times,
+    which give one step matrix per substep.  Trace drift beyond 1e-6 (or
+    NaN) after any substep aborts with a :class:`TraceDriftError` naming
+    the first such substep; accepted trajectories satisfy the 1e-9 trace
     and hermiticity invariants at every sample.
     """
     rho0 = require_density_matrix(rho0)
@@ -307,22 +330,21 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
     states = np.empty((len(times), d, d), dtype=complex)
     states[0] = rho0
     v = rho0.ravel().copy()
+    path = np.empty((substeps, d * d), dtype=complex)
     half_steps = 0.5 * np.arange(2 * substeps + 1)
     for i in range(len(times) - 1):
         h = (times[i + 1] - times[i]) / substeps
-        t = times[i]
         # stage times t, t + h/2, t + h, ... of all substeps in this interval
-        stages = generator_matrix(decomp, bath, t + h * half_steps)
-        for j in range(0, 2 * substeps, 2):
-            k1 = stages[j] @ v
-            k2 = stages[j + 1] @ (v + 0.5 * h * k1)
-            k3 = stages[j + 1] @ (v + 0.5 * h * k2)
-            k4 = stages[j + 2] @ (v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-            drift = abs(v[::d + 1].sum() - 1.0)
-            if not drift <= _TRACE_ABORT:  # NaN aborts too
-                raise TraceDriftError(t, drift)
+        stages = generator_matrix(decomp, bath, times[i] + h * half_steps)
+        steps = _rk4_step_matrices(stages, h)
+        for j in range(substeps):
+            v = steps[j] @ v
+            path[j] = v
+        drift = np.abs(path[:, ::d + 1].sum(axis=1) - 1.0)
+        bad = ~(drift <= _TRACE_ABORT)  # NaN aborts too
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise TraceDriftError(times[i] + (j + 1) * h, float(drift[j]))
         states[i + 1] = v.reshape(d, d)
 
     traj = Trajectory(times, states,

@@ -33,12 +33,17 @@ a ``shift`` part (sine kernel, feeds the second-order effective
 Hamiltonian), plus exact running integrals of both.  All four are closed
 per-mode sums, not quadratures, which keeps them fast and bit-reproducible;
 the defining integrals survive in the test suite as an independent check.
+``decay``, ``shift`` and the decay integral are written in half-angle form,
+which has no cancellation near resonance; decay and shift come from one
+sine and one cosine per mode and time.  Only the shift integral keeps a
+near-resonance series.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -78,12 +83,18 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [2.0, 0.0]], dtype=complex)
 PROJ_UP = SIGMA_PLUS @ SIGMA_MINUS
 PROJ_DOWN = SIGMA_MINUS @ SIGMA_PLUS
 
-# Near-resonance guard: below this value of |detuning * t| the closed-form
-# kernels switch to their second-order series.  At 1e-3 both branches are
-# accurate to better than 5e-10 relative; a smaller radius would expose the
-# (1 - cos x)/x^2 kernel to catastrophic cancellation (relative error
-# ~4e-4 at x = 1e-6).
+# Near-resonance guard of shift_integral's kernel (1 - sin(x)/x)/x: below
+# |x| = 1e-3 it switches to its two-term series x/6 (1 - x^2/20), whose
+# truncation error there is 1.2e-15 relative.  The closed form just above
+# loses about 7 digits to the cancellation in 1 - sin(x)/x, which leaves it
+# accurate to better than 1e-9 relative.
 _RESONANCE_EPS = 1e-3
+
+# Detunings below this count as exact resonance, so that the half-angle
+# factor 2w/d^2 cannot overflow.  The resonant values differ from such a
+# mode's exact rates by a relative (d t)^2 / 12 at most, which is below
+# rounding for any t under 1e92.
+_RESONANT_DETUNING = 1e-100
 
 # Panels of the fixed Simpson grid in population_solution's inner integral,
 # and the composite-Simpson weights (1, 4, 2, ..., 2, 4, 1) / 3 on its nodes.
@@ -210,21 +221,15 @@ class SpectralDiscretization:
 
 # -- rate functions ---------------------------------------------------------
 
-def _kernel(x: np.ndarray, which: int) -> np.ndarray:
-    """One dimensionless kernel shape as a function of x = detuning * t.
+def _shift_integral_kernel(x: np.ndarray) -> np.ndarray:
+    """The shape (1 - sin(x)/x)/x of ``shift_integral`` at x = detuning * t.
 
-    ``which`` selects sin(x)/x, (1 - cos x)/x, (1 - cos x)/x**2 or
-    (1 - sin(x)/x)/x.  Below |x| = ``_RESONANCE_EPS`` (1e-3) each switches
-    to its two-term series, accurate to better than 5e-10 relative.
+    Below |x| = ``_RESONANCE_EPS`` (1e-3) it switches to its two-term
+    series, accurate to 1.2e-15 relative there; the closed form above the
+    cutover is accurate to better than 1e-9 relative.
     """
     small = np.abs(x) < _RESONANCE_EPS
     xs = np.where(small, 1.0, x)
-    if which == 0:
-        return np.where(small, 1.0 - x * x / 6.0, np.sin(xs) / xs)
-    if which == 1:
-        return np.where(small, 0.5 * x * (1.0 - x * x / 12.0), (1.0 - np.cos(xs)) / xs)
-    if which == 2:
-        return np.where(small, 0.5 * (1.0 - x * x / 12.0), (1.0 - np.cos(xs)) / (xs * xs))
     return np.where(small, x / 6.0 * (1.0 - x * x / 20.0), (1.0 - np.sin(xs) / xs) / xs)
 
 
@@ -243,6 +248,12 @@ class RateChannel:
     which are the running time integrals of ``w_k cos(d_k (t - s))`` and
     ``w_k sin(d_k (t - s))`` over s in [0, t], and their integrals again.
     All evaluators accept scalar or array ``t``.
+
+    The first three are computed in half-angle form, free of cancellation:
+    with ``a_k = d_k t / 2`` they are sums of ``(2 w_k / d_k) sin a_k cos a_k``,
+    ``(2 w_k / d_k) sin^2 a_k`` and ``(2 w_k / d_k^2) sin^2 a_k``, each a
+    matrix-vector product against per-mode factors computed once per channel.
+    A mode on resonance (``d_k = 0``) adds ``w_k t``, ``0`` and ``w_k t^2 / 2``.
     """
 
     detunings: np.ndarray
@@ -254,29 +265,56 @@ class RateChannel:
         if self.detunings.shape != self.weights.shape:
             raise ValueError("one weight per detuning required")
 
-    def _eval(self, t, which: int):
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Half detunings, ``2 w / d`` and ``2 w / d^2`` (zero on resonance),
+        and the summed weight of the resonant modes."""
+        d, w = self.detunings, self.weights
+        resonant = np.abs(d) < _RESONANT_DETUNING
+        rate = 2.0 * w / np.where(resonant, 1.0, d)
+        rate[resonant] = 0.0
+        integral = rate / np.where(resonant, 1.0, d)
+        return 0.5 * d, rate, integral, float(w[resonant].sum())
+
+    def decay_and_shift(self, t):
+        """``(decay(t), shift(t))`` from one sine and one cosine per mode and time."""
         t_arr = np.asarray(t, dtype=float)
         if not self.weights.any():  # no modes, or a channel with no weight
-            out = np.zeros_like(t_arr)
-            return float(out) if t_arr.ndim == 0 else out
-        x = np.multiply.outer(t_arr, self.detunings)
-        kernel = _kernel(x, which)
-        # kernels are scaled by t (decay/shift) or t^2 (the integrals)
-        power = 1 if which in (0, 1) else 2
-        out = np.sum(self.weights * kernel, axis=-1) * t_arr ** power
-        return float(out) if t_arr.ndim == 0 else out
+            zero = _like(t_arr, np.zeros_like(t_arr))
+            return zero, zero
+        half_detunings, rate, _, resonant_weight = self._factors
+        a = np.multiply.outer(t_arr, half_detunings)
+        sin_a = np.sin(a)
+        decay = (sin_a * np.cos(a)) @ rate + resonant_weight * t_arr
+        shift = (sin_a * sin_a) @ rate
+        return _like(t_arr, decay), _like(t_arr, shift)
 
     def decay(self, t):
-        return self._eval(t, 0)
+        return self.decay_and_shift(t)[0]
 
     def shift(self, t):
-        return self._eval(t, 1)
+        return self.decay_and_shift(t)[1]
 
     def decay_integral(self, t):
-        return self._eval(t, 2)
+        t_arr = np.asarray(t, dtype=float)
+        if not self.weights.any():
+            return _like(t_arr, np.zeros_like(t_arr))
+        half_detunings, _, integral, resonant_weight = self._factors
+        sin_a = np.sin(np.multiply.outer(t_arr, half_detunings))
+        out = (sin_a * sin_a) @ integral + 0.5 * resonant_weight * t_arr ** 2
+        return _like(t_arr, out)
 
     def shift_integral(self, t):
-        return self._eval(t, 3)
+        t_arr = np.asarray(t, dtype=float)
+        if not self.weights.any():
+            return _like(t_arr, np.zeros_like(t_arr))
+        kernel = _shift_integral_kernel(np.multiply.outer(t_arr, self.detunings))
+        return _like(t_arr, np.sum(self.weights * kernel, axis=-1) * t_arr ** 2)
+
+
+def _like(t_arr: np.ndarray, out):
+    """``out`` as a float when the times were a scalar."""
+    return float(out) if t_arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -392,19 +430,20 @@ def vacuum_rates(model: SpinBosonModel, t):
     """
     if not model.vacuum:
         raise ValueError("vacuum rates require beta = math.inf")
-    rates = rate_functions(model)
-    return 2.0 * rates.emission.decay(t), -2.0 * rates.emission.shift(t)
+    decay, shift = rate_functions(model).emission.decay_and_shift(t)
+    return 2.0 * decay, -2.0 * shift
 
 
-def vacuum_rhs(model: SpinBosonModel, rho: np.ndarray, t: float) -> np.ndarray:
+def vacuum_rhs(model: SpinBosonModel, rho: np.ndarray, t) -> np.ndarray:
     """Generator assembled in the vacuum single-dissipator form.
 
     -(i/2) shift [P_up, rho] + decay (sigma_minus rho sigma_plus - {P_up, rho}/2)
     with P_up = sigma_plus sigma_minus.  Equals the generic second-order
     generator for vacuum baths; kept as an independent assembly for
-    structural checks.
+    structural checks.  For an array ``t`` returns one matrix per time,
+    shape ``(len(t), 2, 2)``.
     """
-    decay, shift = vacuum_rates(model, t)
+    decay, shift = (np.asarray(r)[..., None, None] for r in vacuum_rates(model, t))
     rho = np.asarray(rho, dtype=complex)
     comm = PROJ_UP @ rho - rho @ PROJ_UP
     anti = PROJ_UP @ rho + rho @ PROJ_UP
@@ -466,8 +505,10 @@ def bath_statistics(model: SpinBosonModel) -> BathStatistics:
     def integrals(times: np.ndarray):
         # the reverse integrals are the complex conjugates of the forward ones
         forward = np.zeros((len(times), 2, 2), dtype=complex)
-        forward[:, 0, 1] = rates.emission.decay(times) - 1j * rates.emission.shift(times)
-        forward[:, 1, 0] = rates.absorption.decay(times) + 1j * rates.absorption.shift(times)
+        emission_decay, emission_shift = rates.emission.decay_and_shift(times)
+        absorption_decay, absorption_shift = rates.absorption.decay_and_shift(times)
+        forward[:, 0, 1] = emission_decay - 1j * emission_shift
+        forward[:, 1, 0] = absorption_decay + 1j * absorption_shift
         return forward, forward.conj()
 
     zero = lambda t: 0j

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -240,6 +241,25 @@ def test_limits_vacuum_config(tmp_path):
     assert "max_abs_absorption_rate = 0" in text
     assert "[zero_temperature]\nstatus = pass" in text
     assert "[high_temperature]\nstatus = skipped" in text
+
+
+def test_limits_vacuum_check_fails_on_perturbed_bath(tmp_path, monkeypatch):
+    # a bath whose integrated correlations are off by 1e-6 relative no longer
+    # matches the vacuum single-dissipator form within the 1e-8 threshold
+    import spinboson.cli as cli
+    from spinboson.spin_boson import bath_statistics
+
+    def perturbed(model):
+        bath = bath_statistics(model)
+        integrals = lambda times: tuple((1 + 1e-6) * f for f in bath.integrals(times))
+        return dataclasses.replace(bath, integrals=integrals)
+
+    monkeypatch.setattr(cli, "bath_statistics", perturbed)
+    cfg = write_cfg(tmp_path, VACUUM_CFG)
+    out = tmp_path / "limits.txt"
+    assert main(["limits", "--config", cfg, "--out", str(out)]) == EXIT_CHECK
+    text = open(str(out), encoding="utf-8").read()
+    assert "[vacuum]\nstatus = fail" in text
 
 
 def test_limits_high_temperature_config(tmp_path):

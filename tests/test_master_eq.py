@@ -179,7 +179,8 @@ def test_trace_drift_aborts(monkeypatch):
     with pytest.raises(TraceDriftError) as err:
         propagate(decomp, bath, rho0, np.linspace(0, 5, 6), substeps=4)
     assert err.value.drift > 1e-6
-    assert err.value.t > 0
+    # the first substep of the first interval already drifts
+    assert err.value.t == pytest.approx(0.25)
 
 
 def test_trace_drift_aborts_on_nan(monkeypatch):
@@ -194,6 +195,7 @@ def test_trace_drift_aborts_on_nan(monkeypatch):
     with pytest.raises(TraceDriftError) as err:
         propagate(decomp, bath, rho0, np.linspace(0, 5, 6), substeps=4)
     assert math.isnan(err.value.drift)
+    assert err.value.t == pytest.approx(0.25)
 
 
 @pytest.mark.parametrize("substeps", [4, None])
@@ -232,6 +234,22 @@ def test_propagate_matches_rk4_over_rhs(beta, times):
     traj = propagate(decomp, bath, rho0, times, substeps=6)
     expected = rk4_over_rhs(decomp, bath, rho0, times, 6)
     assert np.max(np.abs(traj.states - expected)) <= 1e-12
+
+
+def test_propagate_evaluates_one_generator_batch_per_interval(monkeypatch):
+    # a batch spanning the whole grid would hold every stage time's
+    # generator at once; one interval's batch keeps the memory bounded
+    _, decomp, bath = thermal_pair()
+    batch_sizes = []
+
+    def recording_generator(decomp, bath, t):
+        batch_sizes.append(len(t))
+        return generator_matrix(decomp, bath, t)
+
+    monkeypatch.setattr(master_eq, "generator_matrix", recording_generator)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    propagate(decomp, bath, rho0, np.linspace(0, 5, 6), substeps=4)
+    assert batch_sizes == [2 * 4 + 1] * 5
 
 
 def test_default_substeps_zero_generator():

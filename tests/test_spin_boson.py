@@ -189,6 +189,28 @@ def test_near_resonance_branch_is_continuous():
                                                      rel=1e-9)
 
 
+def _taylor(x, first_power, denominator_offset):
+    """sum_{n < 25} (-1)^n x^(2n + first_power) / (2n + denominator_offset)!"""
+    return math.fsum((-1) ** n * x ** (2 * n + first_power)
+                     / math.factorial(2 * n + denominator_offset) for n in range(25))
+
+
+@pytest.mark.parametrize("detuning", [1e-9, 1e-6, 5e-4, 0.99e-3, 1.01e-3, 3e-3,
+                                      1e-2, 0.1, 0.7])
+def test_rate_forms_match_taylor_reference(detuning):
+    # at t = 1, x = detuning; 25 terms of each series are exact for |x| <= 1
+    # in double precision, on both sides of the old 1e-3 series cutover
+    x = detuning
+    ch = RateChannel(np.array([detuning]), np.array([1.0]))
+    reference = {
+        "decay": _taylor(x, 0, 1),           # sin(x) / x
+        "shift": _taylor(x, 1, 2),           # (1 - cos x) / x
+        "decay_integral": _taylor(x, 0, 2),  # (1 - cos x) / x^2
+    }
+    for name, value in reference.items():
+        assert getattr(ch, name)(1.0) == pytest.approx(value, rel=1e-14, abs=0.0), name
+
+
 def test_exact_resonance_closed_values():
     ch = RateChannel(np.array([0.0]), np.array([1.0]))
     t = 2.5
