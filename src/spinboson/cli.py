@@ -85,11 +85,11 @@ def _write_keyvals(fh, pairs) -> None:
 def run_rates(cfg: RunConfig, out: str) -> int:
     rates = rate_functions(cfg.model())
     grid = cfg.time_grid()
-    absorption, emission = rates.absorption, rates.emission
-    columns = [grid,
-               *absorption.decay_and_shift(grid), *emission.decay_and_shift(grid),
-               absorption.decay_integral(grid), absorption.shift_integral(grid),
-               emission.decay_integral(grid), emission.shift_integral(grid)]
+    # decay, shift and decay integral of both channels from one phase pass
+    (a_decay, a_shift, a_integral), (e_decay, e_shift, e_integral) = rates.sums(grid)
+    columns = [grid, a_decay, a_shift, e_decay, e_shift,
+               a_integral, rates.absorption.shift_integral(grid),
+               e_integral, rates.emission.shift_integral(grid)]
     write_csv(out, RATES_HEADER, [np.atleast_1d(c) for c in columns])
     print(f"wrote {out}")
     return EXIT_OK

@@ -21,15 +21,25 @@ spin-boson co-rotating frame.  The bath supplies the integrated
 correlations itself (the spin-boson module does so in closed form), so the
 engine runs no quadrature.
 
+The bath evaluates its integrals on a time lattice: the times
+``starts[..., q] + offsets[..., r]`` of a few coarse starts and a few fine
+offsets (:func:`lattice_times`).  A bath whose integrals are sums of
+oscillating terms gets every lattice time from the phases of the starts
+and the offsets alone by angle addition, as the spin-boson bath does.  A
+plain array of times is the lattice with the single offset 0.
+
 Propagation is classic fixed-step RK4 with internal substeps per output
 interval.  The equation is linear, so each substep is one step matrix
 ``M = I + h/6 (K1 + 2 K2 + 2 K3 + K4)`` built from the generator at the
-substep's stage times.  One generator batch per output interval gives the
-step matrices of all its substeps at once, and the state then advances by
-one matrix-vector product per substep.  Violations of trace or
-hermiticity are reported, never repaired: a drifting trace signals an
-inconsistent generator or too coarse a step, and silently renormalizing
-would mask it.
+substep's stage times.  An interval's ``2 s + 1`` stage times
+``t + k h / 2`` form an arithmetic progression, which is the lattice of
+about ``sqrt(2 s)`` coarse starts and as many fine offsets.  Whole
+intervals are batched up to a fixed count of stage times, so that the
+generator batch stays small in memory however long the grid is; the step
+matrices of a batch come at once, and the state then advances by one
+matrix-vector product per substep.  Violations of trace or hermiticity
+are reported, never repaired: a drifting trace signals an inconsistent
+generator or too coarse a step, and silently renormalizing would mask it.
 """
 
 from __future__ import annotations
@@ -51,7 +61,10 @@ __all__ = [
     "first_order_hamiltonian",
     "second_order_generator",
     "rhs",
+    "lattice_times",
+    "progression_lattice",
     "generator_matrix",
+    "stage_generators",
     "default_substeps",
     "propagate",
 ]
@@ -65,6 +78,18 @@ _NORM_PROBES = 9
 
 # Trace drift beyond this aborts a propagation outright.
 _TRACE_ABORT = 1e-6
+
+# Stage times per generator batch in propagate.  A batch holds the bath's
+# phase tables and the generator with its RK4 products at every stage time
+# it covers, so a fixed count, not one that grows with the grid, keeps the
+# memory bounded.  512 still batches several intervals at a few dozen
+# substeps, which amortizes the per-batch overhead of a few-mode bath; a
+# 400-mode bath peaks at about 1.4 MB of arrays at 128 substeps (one
+# interval a batch) and 4.9 MB at 31 (eight).
+_STAGE_BUDGET = 512
+
+# The lattice of a plain array of times: the single offset 0.
+_ORIGIN = np.zeros(1)
 
 
 class TraceDriftError(RuntimeError):
@@ -116,13 +141,28 @@ class InteractionDecomposition:
             first moment n:    rho -> -i [S_n, rho]
             forward (j, k):    rho -> -[S_j, S_k rho]
             reverse (j, k):    rho ->  [S_k, rho S_j]
+
+        The Kronecker products of all terms are formed at once by
+        broadcasting over stacked operands.
         """
+        s = np.array(self.terms)
+        st = s.transpose(0, 2, 1)
         eye = np.eye(self.dim)
-        s = self.terms
-        first = [-1j * (np.kron(a, eye) - np.kron(eye, a.T)) for a in s]
-        forward = [np.kron(b, a.T) - np.kron(a @ b, eye) for a in s for b in s]
-        reverse = [np.kron(b, a.T) - np.kron(eye, (a @ b).T) for a in s for b in s]
-        return np.array(first + forward + reverse)
+        pair = s[:, None] @ s[None, :]          # [j, k] = S_j S_k
+        mixed = _kron(s[None, :], st[:, None])  # [j, k] = kron(S_k, S_j^T)
+        first = -1j * (_kron(s, eye) - _kron(eye, st))
+        forward = mixed - _kron(pair, eye)
+        reverse = mixed - _kron(eye, pair.swapaxes(-1, -2))
+        size = self.dim ** 2
+        return np.concatenate([first, forward.reshape(-1, size, size),
+                               reverse.reshape(-1, size, size)])
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` over the last two axes, broadcast over the leading ones."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    rows, cols = out.shape[-4] * out.shape[-3], out.shape[-2] * out.shape[-1]
+    return out.reshape(out.shape[:-4] + (rows, cols))
 
 
 @dataclass(frozen=True)
@@ -132,35 +172,64 @@ class BathStatistics:
     ``first_moments[n](times)`` is the bath average of the n-th bath
     operator at each of an array of times (a constant may come back as a
     scalar); ``correlation(j, k, t, s)`` the connected two-time average of
-    operators j at ``t`` and k at ``s``.  ``integrals(times)`` gives
+    operators j at ``t`` and k at ``s``.  ``integrals(starts, offsets)``
+    gives, on the lattice ``t = lattice_times(starts, offsets)``,
 
-        forward[i, j, k] = int_0^t ds correlation(j, k, t, s)
-        reverse[i, j, k] = int_0^t ds correlation(j, k, s, t)
+        forward[..., j, k] = int_0^t ds correlation(j, k, t, s)
+        reverse[..., j, k] = int_0^t ds correlation(j, k, s, t)
 
-    at ``t = times[i]``, each of shape ``(len(times), n, n)``; these are
-    all the generator reads.  The spin-boson bath gives them in closed
-    form.  ``correlation`` is their definition, against which the closed
-    forms are checked; the test suite holds a composite-Simpson quadrature
-    of it as the reference for baths without closed forms.
+    each of shape ``t.shape + (n, n)``; these are all the generator reads.
+    A plain array of times is the lattice with the single offset 0.  The
+    spin-boson bath gives them in closed form, from the phases of the
+    starts and the offsets alone.  ``correlation`` is their definition,
+    against which the closed forms are checked; the test suite holds a
+    composite-Simpson quadrature of it, evaluated at the summed lattice
+    times, as the reference for baths without closed forms.
     """
 
     first_moments: tuple
     correlation: Callable[[int, int, float, float], complex]
-    integrals: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    integrals: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
         object.__setattr__(self, "first_moments", tuple(self.first_moments))
 
-    def coefficients(self, times) -> np.ndarray:
-        """Generator coefficients ``f_c`` at each time, shape ``(len(times), n + 2 n^2)``:
-        the first moments, then the forward and reverse integrals, each
-        ``n x n`` block in row-major order."""
-        times = np.asarray(times, dtype=float)
+    def coefficients(self, starts, offsets) -> np.ndarray:
+        """Generator coefficients ``f_c`` on the lattice ``t`` of ``starts`` and
+        ``offsets``, shape ``t.shape + (n + 2 n^2,)``: the first moments, then
+        the forward and reverse integrals, each ``n x n`` block in row-major
+        order."""
+        starts = np.atleast_1d(np.asarray(starts, dtype=float))
+        offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
+        times = lattice_times(starts, offsets)
         moments = [np.broadcast_to(m(times), times.shape) for m in self.first_moments]
-        forward, reverse = self.integrals(times)
-        return np.concatenate([np.array(moments, dtype=complex).T,
-                               forward.reshape(len(times), -1),
-                               reverse.reshape(len(times), -1)], axis=1)
+        forward, reverse = self.integrals(starts, offsets)
+        return np.concatenate([np.stack(moments, axis=-1).astype(complex),
+                               forward.reshape(times.shape + (-1,)),
+                               reverse.reshape(times.shape + (-1,))], axis=-1)
+
+
+def progression_lattice(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and offsets whose lattice, flattened, begins 0, 1, ..., count - 1.
+
+    The offsets are 0 ... fine - 1 and the starts 0, fine, 2 fine, ... with
+    ``fine = isqrt(count - 1) + 1``: about ``sqrt(count)`` of each, and a
+    lattice that runs at most ``fine - 1`` past ``count - 1``.  Scaled by a
+    step and shifted, it holds any arithmetic progression.
+    """
+    fine = math.isqrt(count - 1) + 1
+    return fine * np.arange(-(-count // fine), dtype=float), np.arange(fine, dtype=float)
+
+
+def lattice_times(starts, offsets) -> np.ndarray:
+    """Times ``starts[..., q] + offsets[..., r]`` of a lattice, shape ``(..., Q, R)``.
+
+    The leading axes of ``starts`` and ``offsets`` broadcast against each
+    other; a scalar is a single start or offset.
+    """
+    starts = np.atleast_1d(np.asarray(starts, dtype=float))
+    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
+    return starts[..., :, None] + offsets[..., None, :]
 
 
 @dataclass
@@ -215,12 +284,14 @@ def first_order_hamiltonian(decomp: InteractionDecomposition, bath: BathStatisti
     return np.tensordot(moments, np.array(decomp.terms), axes=1)
 
 
-def _coefficients(decomp, bath, t) -> np.ndarray:
-    """``bath.coefficients`` at ``t`` (scalar or array), checked against ``decomp``."""
-    f = bath.coefficients(np.atleast_1d(t))
-    if f.shape[1] != len(decomp.superoperators):
+def _coefficients(decomp, bath, t, offsets=None) -> np.ndarray:
+    """``bath.coefficients`` checked against ``decomp``: at the times ``t``
+    (scalar or array) in their shape, or on the lattice of the starts ``t``
+    and ``offsets``."""
+    f = bath.coefficients(t, _ORIGIN if offsets is None else offsets)
+    if f.shape[-1] != len(decomp.superoperators):
         raise ValueError("one first moment per decomposition term required")
-    return f if np.ndim(t) else f[0]
+    return f.reshape(np.shape(t) + (-1,)) if offsets is None else f
 
 
 def _apply(mat: np.ndarray, rho) -> np.ndarray:
@@ -263,6 +334,26 @@ def generator_matrix(decomp: InteractionDecomposition, bath: BathStatistics,
     return np.tensordot(_coefficients(decomp, bath, t), decomp.superoperators, axes=1)
 
 
+def stage_generators(decomp: InteractionDecomposition, bath: BathStatistics,
+                     starts: np.ndarray, steps: np.ndarray, substeps: int) -> np.ndarray:
+    """Generator matrices at the RK4 stage times of whole intervals.
+
+    Interval i starts at ``starts[i]`` and runs ``substeps`` substeps of
+    size ``steps[i]``; its stage times ``starts[i] + k steps[i] / 2``,
+    k = 0 ... 2 substeps, are evaluated as the lattice of the coarse starts
+    ``starts[i] + q fine steps[i] / 2`` and the fine offsets
+    ``r steps[i] / 2`` (r < fine, ``fine = isqrt(2 substeps) + 1``), trimmed
+    to the stage times.  Returns shape ``(len(starts), 2 substeps + 1, D, D)``.
+    """
+    stage_count = 2 * substeps + 1
+    coarse, fine = progression_lattice(stage_count)
+    half = 0.5 * np.asarray(steps, dtype=float)[:, None]
+    lattice_starts = np.asarray(starts, dtype=float)[:, None] + half * coarse
+    f = _coefficients(decomp, bath, lattice_starts, half * fine)
+    f = f.reshape(len(half), -1, f.shape[-1])[:, :stage_count]
+    return np.tensordot(f, decomp.superoperators, axes=1)
+
+
 def default_substeps(decomp: InteractionDecomposition, bath: BathStatistics,
                      times: np.ndarray) -> int:
     """RK4 substep count per output interval from a generator-norm bound.
@@ -282,17 +373,19 @@ def default_substeps(decomp: InteractionDecomposition, bath: BathStatistics,
     return max(1, math.ceil(interval / dt_max))
 
 
-def _rk4_step_matrices(stages: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step_matrices(stages: np.ndarray, h) -> np.ndarray:
     """Classic RK4 step matrices of a linear ODE, one per substep.
 
     ``stages`` holds the generator at the stage times t, t + h/2, t + h, ...
-    of consecutive substeps of size ``h``, shape ``(2 n + 1, D, D)``.  Returns
-    the ``n`` matrices ``M`` with ``v(t + h) = M v(t)``:
+    of consecutive substeps of size ``h``, shape ``(..., 2 n + 1, D, D)``,
+    with one ``h`` per leading index.  Returns the ``n`` matrices ``M`` with
+    ``v(t + h) = M v(t)``, shape ``(..., n, D, D)``:
 
         K1 = A(t),  K2 = A(t + h/2) (I + h/2 K1),  K3 = A(t + h/2) (I + h/2 K2),
         K4 = A(t + h) (I + h K3),  M = I + h/6 (K1 + 2 K2 + 2 K3 + K4).
     """
-    start, mid, end = stages[:-1:2], stages[1::2], stages[2::2]
+    h = np.asarray(h, dtype=float)[..., None, None, None]
+    start, mid, end = stages[..., :-1:2, :, :], stages[..., 1::2, :, :], stages[..., 2::2, :, :]
     k2 = mid + (0.5 * h) * (mid @ start)
     k3 = mid + (0.5 * h) * (mid @ k2)
     k4 = end + h * (end @ k3)
@@ -306,11 +399,14 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
 
     ``rho0`` must be Hermitian, unit trace and positive semidefinite within
     1e-10, and ``times`` a finite, strictly increasing grid.  The generator
-    is evaluated once per output interval at all of its RK4 stage times,
-    which give one step matrix per substep.  Trace drift beyond 1e-6 (or
-    NaN) after any substep aborts with a :class:`TraceDriftError` naming
-    the first such substep; accepted trajectories satisfy the 1e-9 trace
-    and hermiticity invariants at every sample.
+    is evaluated at all RK4 stage times of a batch of whole intervals at
+    once (:func:`stage_generators`), which gives one step matrix per
+    substep.  A batch holds as many intervals as fit 512 stage times, or
+    one interval if that alone has more: a fixed count, so that memory stays
+    bounded on any grid.  Trace drift beyond 1e-6 (or NaN) after any
+    substep aborts with a :class:`TraceDriftError` naming the first such
+    substep; accepted trajectories satisfy the 1e-9 trace and hermiticity
+    invariants at every sample.
     """
     rho0 = require_density_matrix(rho0)
     times = require_time_grid(times)
@@ -331,21 +427,22 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
     states[0] = rho0
     v = rho0.ravel().copy()
     path = np.empty((substeps, d * d), dtype=complex)
-    half_steps = 0.5 * np.arange(2 * substeps + 1)
-    for i in range(len(times) - 1):
-        h = (times[i + 1] - times[i]) / substeps
-        # stage times t, t + h/2, t + h, ... of all substeps in this interval
-        stages = generator_matrix(decomp, bath, times[i] + h * half_steps)
-        steps = _rk4_step_matrices(stages, h)
-        for j in range(substeps):
-            v = steps[j] @ v
-            path[j] = v
-        drift = np.abs(path[:, ::d + 1].sum(axis=1) - 1.0)
-        bad = ~(drift <= _TRACE_ABORT)  # NaN aborts too
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise TraceDriftError(times[i] + (j + 1) * h, float(drift[j]))
-        states[i + 1] = v.reshape(d, d)
+    intervals = len(times) - 1
+    per_batch = max(1, _STAGE_BUDGET // (2 * substeps + 1))
+    for first in range(0, intervals, per_batch):
+        stop = min(first + per_batch, intervals)
+        h = np.diff(times[first:stop + 1]) / substeps
+        stages = stage_generators(decomp, bath, times[first:stop], h, substeps)
+        for i, steps in zip(range(first, stop), _rk4_step_matrices(stages, h)):
+            for j in range(substeps):
+                v = steps[j] @ v
+                path[j] = v
+            drift = np.abs(path[:, ::d + 1].sum(axis=1) - 1.0)
+            bad = ~(drift <= _TRACE_ABORT)  # NaN aborts too
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise TraceDriftError(times[i] + (j + 1) * h[i - first], float(drift[j]))
+            states[i + 1] = v.reshape(d, d)
 
     traj = Trajectory(times, states,
                       metadata={"model": model_tag, "integrator": "rk4",

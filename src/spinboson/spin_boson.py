@@ -33,10 +33,24 @@ a ``shift`` part (sine kernel, feeds the second-order effective
 Hamiltonian), plus exact running integrals of both.  All four are closed
 per-mode sums, not quadratures, which keeps them fast and bit-reproducible;
 the defining integrals survive in the test suite as an independent check.
+Only the shift integral keeps a near-resonance series.
+
 ``decay``, ``shift`` and the decay integral are written in half-angle form,
-which has no cancellation near resonance; decay and shift come from one
-sine and one cosine per mode and time.  Only the shift integral keeps a
-near-resonance series.
+which has no cancellation near resonance, and are evaluated on a time
+lattice ``start + offset`` (:func:`~spinboson.master_eq.lattice_times`).
+With ``A = d start / 2`` and ``B = d offset / 2`` angle addition gives
+
+    sin a cos a = sA cA (cB^2 - sB^2) + (cA^2 - sA^2) sB cB
+    sin^2 a     = sA^2 cB^2 + 2 sA cA sB cB + cA^2 sB^2
+
+at ``a = A + B``, so one sine and cosine pass over the starts and the
+offsets, and one matrix product over the modes, give every lattice time.
+The RK4 stage times of an interval are such a lattice with about
+``sqrt(2 s)`` starts and offsets for ``s`` substeps, against ``2 s + 1``
+phases per mode evaluated one by one; a plain array of times is the
+lattice with the single offset 0.  Near resonance every term above keeps
+one sign, so nothing cancels.  Both channels of a thermal bath share their
+detunings, and so one phase pass.
 """
 
 from __future__ import annotations
@@ -48,7 +62,8 @@ from typing import Callable
 
 import numpy as np
 
-from .master_eq import BathStatistics, InteractionDecomposition
+from .master_eq import (BathStatistics, InteractionDecomposition, lattice_times,
+                        progression_lattice)
 
 __all__ = [
     "SIGMA_Z",
@@ -100,6 +115,8 @@ _RESONANT_DETUNING = 1e-100
 # and the composite-Simpson weights (1, 4, 2, ..., 2, 4, 1) / 3 on its nodes.
 _POPULATION_PANELS = 400
 _SIMPSON_WEIGHTS = np.r_[1.0, np.tile([4.0, 2.0], _POPULATION_PANELS // 2)[:-1], 1.0] / 3.0
+# Its nodes k step, k = 0 ... 400, as a lattice of 20 starts and 21 offsets.
+_SIMPSON_STARTS, _SIMPSON_OFFSETS = progression_lattice(_POPULATION_PANELS + 1)
 
 
 def thermal_occupation(omega: float, beta: float) -> float:
@@ -233,7 +250,7 @@ def _shift_integral_kernel(x: np.ndarray) -> np.ndarray:
     return np.where(small, x / 6.0 * (1.0 - x * x / 20.0), (1.0 - np.sin(xs) / xs) / xs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateChannel:
     """One weighted family of rate kernels summed over modes.
 
@@ -247,13 +264,16 @@ class RateChannel:
 
     which are the running time integrals of ``w_k cos(d_k (t - s))`` and
     ``w_k sin(d_k (t - s))`` over s in [0, t], and their integrals again.
-    All evaluators accept scalar or array ``t``.
+    All evaluators accept scalar or array ``t``; ``sums`` also takes a
+    lattice of starts ``t`` and ``offsets``, and then returns the shape of
+    :func:`~spinboson.master_eq.lattice_times`.
 
     The first three are computed in half-angle form, free of cancellation:
     with ``a_k = d_k t / 2`` they are sums of ``(2 w_k / d_k) sin a_k cos a_k``,
-    ``(2 w_k / d_k) sin^2 a_k`` and ``(2 w_k / d_k^2) sin^2 a_k``, each a
-    matrix-vector product against per-mode factors computed once per channel.
-    A mode on resonance (``d_k = 0``) adds ``w_k t``, ``0`` and ``w_k t^2 / 2``.
+    ``(2 w_k / d_k) sin^2 a_k`` and ``(2 w_k / d_k^2) sin^2 a_k``, against
+    per-mode factors computed once per channel.  A mode on resonance
+    (``d_k = 0``) adds ``w_k t``, ``0`` and ``w_k t^2 / 2``.  Channels compare
+    by identity; their arrays make value equality ambiguous.
     """
 
     detunings: np.ndarray
@@ -267,42 +287,35 @@ class RateChannel:
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Half detunings, ``2 w / d`` and ``2 w / d^2`` (zero on resonance),
-        and the summed weight of the resonant modes."""
+        """Half detunings; ``2 w / d`` and ``2 w / d^2`` (zero on resonance),
+        each repeated for the three angle-addition terms; and the summed
+        weight of the resonant modes."""
         d, w = self.detunings, self.weights
         resonant = np.abs(d) < _RESONANT_DETUNING
         rate = 2.0 * w / np.where(resonant, 1.0, d)
         rate[resonant] = 0.0
         integral = rate / np.where(resonant, 1.0, d)
-        return 0.5 * d, rate, integral, float(w[resonant].sum())
+        return (0.5 * d, np.concatenate([rate] * 3), np.concatenate([integral] * 3),
+                float(w[resonant].sum()))
+
+    def sums(self, t, offsets=None, parts=("decay", "shift", "decay_integral")):
+        """The ``parts`` named (decay, shift, decay_integral) at the times
+        ``t``, or on the lattice of the starts ``t`` and ``offsets``, from
+        one phase pass."""
+        times, starts, offsets = _lattice(t, offsets)
+        return tuple(_like(times, s) for s in _channel_sums((self,), parts, starts, offsets)[0])
 
     def decay_and_shift(self, t):
-        """``(decay(t), shift(t))`` from one sine and one cosine per mode and time."""
-        t_arr = np.asarray(t, dtype=float)
-        if not self.weights.any():  # no modes, or a channel with no weight
-            zero = _like(t_arr, np.zeros_like(t_arr))
-            return zero, zero
-        half_detunings, rate, _, resonant_weight = self._factors
-        a = np.multiply.outer(t_arr, half_detunings)
-        sin_a = np.sin(a)
-        decay = (sin_a * np.cos(a)) @ rate + resonant_weight * t_arr
-        shift = (sin_a * sin_a) @ rate
-        return _like(t_arr, decay), _like(t_arr, shift)
+        return self.sums(t, parts=("decay", "shift"))
 
     def decay(self, t):
-        return self.decay_and_shift(t)[0]
+        return self.sums(t, parts=("decay",))[0]
 
     def shift(self, t):
-        return self.decay_and_shift(t)[1]
+        return self.sums(t, parts=("shift",))[0]
 
     def decay_integral(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if not self.weights.any():
-            return _like(t_arr, np.zeros_like(t_arr))
-        half_detunings, _, integral, resonant_weight = self._factors
-        sin_a = np.sin(np.multiply.outer(t_arr, half_detunings))
-        out = (sin_a * sin_a) @ integral + 0.5 * resonant_weight * t_arr ** 2
-        return _like(t_arr, out)
+        return self.sums(t, parts=("decay_integral",))[0]
 
     def shift_integral(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -312,26 +325,125 @@ class RateChannel:
         return _like(t_arr, np.sum(self.weights * kernel, axis=-1) * t_arr ** 2)
 
 
-def _like(t_arr: np.ndarray, out):
-    """``out`` as a float when the times were a scalar."""
-    return float(out) if t_arr.ndim == 0 else out
+def _lattice(t, offsets):
+    """``(times, starts, offsets)``: the times in the shape of the result and
+    the lattice that gives them; without offsets, the times ``t`` as starts
+    and the single offset 0."""
+    if offsets is None:
+        times = np.asarray(t, dtype=float)
+        return times, times.reshape(-1), np.zeros(1)
+    starts = np.atleast_1d(np.asarray(t, dtype=float))
+    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
+    return lattice_times(starts, offsets), starts, offsets
+
+
+def _like(times: np.ndarray, out):
+    """``out`` in the shape of ``times``, and a float when that is a scalar."""
+    return float(out.reshape(())) if times.ndim == 0 else out.reshape(times.shape)
+
+
+# The parts a channel sums: the angle-addition basis (0: sin a cos a,
+# 1: sin^2 a), the index of the per-mode factor in RateChannel._factors, and
+# the resonant modes' term as (coefficient on their weight, power of t).
+_PARTS = {
+    "decay": (0, 1, (1.0, 1)),
+    "shift": (1, 1, None),
+    "decay_integral": (1, 2, (0.5, 2)),
+}
+
+
+def _channel_sums(channels, parts, starts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each of ``parts`` of each channel on the lattice of ``starts`` and
+    ``offsets``, shape ``(len(channels), len(parts)) + lattice_times(...).shape``.
+
+    The channels share their detunings (one model's, or the same channel
+    twice), so one phase pass serves them all.  A channel with no weight
+    (no modes, or a vacuum's absorption) is zero without a kernel
+    evaluation.
+    """
+    live = [bool(ch.weights.any()) for ch in channels]
+    factors = [ch._factors for ch, alive in zip(channels, live) if alive]
+    if not factors:
+        return np.zeros((len(channels), len(parts)) + lattice_times(starts, offsets).shape)
+    rows = [(_PARTS[p][0], f[_PARTS[p][1]]) for f in factors for p in parts]
+    sums = _half_angle_sums(factors[0][0], rows, starts, offsets)
+    sums = sums.reshape((len(factors), len(parts)) + sums.shape[1:])
+    if any(f[3] for f in factors):
+        times = lattice_times(starts, offsets)
+        for j, part in enumerate(parts):
+            if _PARTS[part][2] is None:
+                continue
+            coefficient, power = _PARTS[part][2]
+            for i, f in enumerate(factors):
+                sums[i, j] += coefficient * f[3] * times ** power
+    if all(live):
+        return sums
+    out = np.zeros((len(channels),) + sums.shape[1:])
+    out[live] = sums
+    return out
+
+
+def _half_angle_sums(half_detunings: np.ndarray, rows, starts: np.ndarray,
+                     offsets: np.ndarray) -> np.ndarray:
+    """``sum_k c_k sin a_k cos a_k`` (basis 0) or ``sum_k c_k sin^2 a_k``
+    (basis 1) for each ``(basis, c)`` of ``rows``, at
+    ``a_k = half_detunings_k (start + offset)`` on the lattice; each ``c``
+    holds its per-mode factors three times over.  Shape
+    ``(len(rows),) + lattice_times(starts, offsets).shape``.
+
+    One sine and cosine per start and mode and per offset and mode; the
+    angle-addition terms of a row are one matrix product over the modes
+    against ``[cB^2, sB cB, sB^2]`` of the offsets.
+    """
+    phase_a = starts[..., :, None] * half_detunings      # (..., Q, K)
+    phase_b = offsets[..., :, None] * half_detunings     # (..., R, K)
+    sa, ca = np.sin(phase_a), np.cos(phase_a)
+    sb, cb = np.sin(phase_b), np.cos(phase_b)
+    right = np.concatenate([cb * cb, sb * cb, sb * sb], axis=-1).swapaxes(-1, -2)
+    sc, ss, cc = sa * ca, sa * sa, ca * ca
+    kinds = {basis for basis, _ in rows}
+    # times as rows (..., Q, 3K), so that each time's sum over the modes is
+    # one dot product, in the order of a per-time evaluation
+    bases = {}
+    if 0 in kinds:
+        bases[0] = np.concatenate([sc, cc - ss, -sc], axis=-1)
+    if 1 in kinds:
+        bases[1] = np.concatenate([ss, 2.0 * sc, cc], axis=-1)
+    # the factors weight the offsets' side, the smaller one for plain times
+    return np.stack([bases[basis] @ (c[:, None] * right) for basis, c in rows])
 
 
 @dataclass(frozen=True)
 class RateFunctions:
-    """Absorption (occupation-weighted) and emission (occupation+1) channels."""
+    """Absorption (occupation-weighted) and emission (occupation+1) channels
+    over the same modes; each total sums both from one phase pass."""
 
     absorption: RateChannel
     emission: RateChannel
 
+    def __post_init__(self):
+        if not np.array_equal(self.absorption.detunings, self.emission.detunings):
+            raise ValueError("absorption and emission must share their detunings")
+
+    def sums(self, t, parts=("decay", "shift", "decay_integral")):
+        """``(absorption parts, emission parts)``: the ``parts`` named (decay,
+        shift, decay_integral) of both channels at the times ``t``, from one
+        phase pass."""
+        times, starts, offsets = _lattice(t, None)
+        channels = _channel_sums((self.absorption, self.emission), parts, starts, offsets)
+        return tuple(tuple(_like(times, s) for s in channel) for channel in channels)
+
     def total_decay(self, t):
-        return self.absorption.decay(t) + self.emission.decay(t)
+        (absorption,), (emission,) = self.sums(t, ("decay",))
+        return absorption + emission
 
     def total_shift(self, t):
-        return self.absorption.shift(t) + self.emission.shift(t)
+        (absorption,), (emission,) = self.sums(t, ("shift",))
+        return absorption + emission
 
     def total_decay_integral(self, t):
-        return self.absorption.decay_integral(t) + self.emission.decay_integral(t)
+        (absorption,), (emission,) = self.sums(t, ("decay_integral",))
+        return absorption + emission
 
     def total_shift_integral(self, t):
         return self.absorption.shift_integral(t) + self.emission.shift_integral(t)
@@ -401,18 +513,28 @@ def population_solution(rho00_0: float, rates: RateFunctions, t):
         rho00(t) = rho00(0) E(t) + E(t) int_0^t 8 absorption.decay(s) / E(s) ds,
 
     the inner integral on a fixed composite-Simpson grid of 400 panels,
-    arranged as exp(I(s) - I(t)) so large exponents never appear.  The
-    spin-down population is one minus the result.  ``t`` may be a scalar or
-    an array of any shape; an array result has the same shape.
+    arranged as exp(I(s) - I(t)) so large exponents never appear; its
+    nodes are evaluated as a time lattice.  On a vacuum bath (no absorption
+    weight) the inner integral is exactly zero, and all times come from one
+    decay-integral evaluation.  The spin-down population is one minus the
+    result.  ``t`` may be a scalar or an array of any shape; an array result
+    has the same shape.
     """
+    if not rates.absorption.weights.any():
+        decayed = rho00_0 * np.exp(-8.0 * rates.emission.decay_integral(t))
+        return float(decayed) if np.ndim(t) == 0 else decayed
+
     def single(tv: float) -> float:
         if tv == 0.0:
             return float(rho00_0)
-        nodes = np.linspace(0.0, tv, _POPULATION_PANELS + 1)
-        running = 8.0 * rates.total_decay_integral(nodes)
-        homogeneous = rho00_0 * math.exp(-running[-1])
-        integrand = 8.0 * rates.absorption.decay(nodes) * np.exp(running - running[-1])
+        # the Simpson nodes k step as a lattice, both channels in one pass
         step = tv / _POPULATION_PANELS
+        sums = _channel_sums((rates.absorption, rates.emission), ("decay", "decay_integral"),
+                             step * _SIMPSON_STARTS, step * _SIMPSON_OFFSETS)
+        sums = sums.reshape(2, 2, -1)[:, :, :_POPULATION_PANELS + 1]
+        running = 8.0 * (sums[0, 1] + sums[1, 1])
+        homogeneous = rho00_0 * math.exp(-running[-1])
+        integrand = 8.0 * sums[0, 0] * np.exp(running - running[-1])
         return float(homogeneous + step * (_SIMPSON_WEIGHTS @ integrand))
 
     t_arr = np.asarray(t, dtype=float)
@@ -488,8 +610,8 @@ def bath_statistics(model: SpinBosonModel) -> BathStatistics:
         C[1,0](t, s) = sum_k g_k^2  n_k      exp(+i d_k (t - s))
 
     with d_k the detunings.  Their exact time integrals are the decay and
-    shift rates of :func:`rate_functions`, so the generic engine never
-    quadratures this bath unless asked to.
+    shift rates of :func:`rate_functions`, evaluated on the engine's time
+    lattice, so the generic engine never quadratures this bath.
     """
     rates = rate_functions(model)
     detunings = rates.emission.detunings
@@ -502,13 +624,14 @@ def bath_statistics(model: SpinBosonModel) -> BathStatistics:
             return complex(np.sum(absorption * np.exp(1j * detunings * (t - s))))
         return 0j
 
-    def integrals(times: np.ndarray):
-        # the reverse integrals are the complex conjugates of the forward ones
-        forward = np.zeros((len(times), 2, 2), dtype=complex)
-        emission_decay, emission_shift = rates.emission.decay_and_shift(times)
-        absorption_decay, absorption_shift = rates.absorption.decay_and_shift(times)
-        forward[:, 0, 1] = emission_decay - 1j * emission_shift
-        forward[:, 1, 0] = absorption_decay + 1j * absorption_shift
+    def integrals(starts: np.ndarray, offsets: np.ndarray):
+        # both channels from one phase pass; the reverse integrals are the
+        # complex conjugates of the forward ones
+        (e_decay, e_shift), (a_decay, a_shift) = _channel_sums(
+            (rates.emission, rates.absorption), ("decay", "shift"), starts, offsets)
+        forward = np.zeros(e_decay.shape + (2, 2), dtype=complex)
+        forward[..., 0, 1] = e_decay - 1j * e_shift
+        forward[..., 1, 0] = a_decay + 1j * a_shift
         return forward, forward.conj()
 
     zero = lambda t: 0j

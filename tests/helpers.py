@@ -1,11 +1,12 @@
-"""Shared random-state, quadrature and ladder-operator helpers for the test suite."""
+"""Shared random-state, quadrature, rate-reference and ladder-operator helpers
+for the test suite."""
 
 from functools import reduce
 
 import numpy as np
 from scipy.integrate import simpson
 
-from spinboson.master_eq import BathStatistics
+from spinboson.master_eq import BathStatistics, lattice_times
 from spinboson.spin_boson import SIGMA_MINUS, SIGMA_PLUS
 
 # Panels for the Simpson integral over correlation time in quadrature_bath.
@@ -51,20 +52,49 @@ def quadrature_bath(first_moments, correlation) -> BathStatistics:
     ``DEFAULT_PANELS`` panels of its ``correlation``."""
     n = len(first_moments)
 
-    def integrals(times: np.ndarray):
-        forward = np.zeros((len(times), n, n), dtype=complex)
+    def integrals(starts: np.ndarray, offsets: np.ndarray):
+        # the lattice contract, met by evaluating at the summed times
+        times = lattice_times(starts, offsets)
+        forward = np.zeros(times.shape + (n, n), dtype=complex)
         reverse = np.zeros_like(forward)
-        for i, t in enumerate(times):
+        for i, t in np.ndenumerate(times):
             nodes = np.linspace(0.0, t, DEFAULT_PANELS + 1)
             for j in range(n):
                 for k in range(n):
                     c_fwd = [correlation(j, k, t, s) for s in nodes]
                     c_rev = [correlation(j, k, s, t) for s in nodes]
-                    forward[i, j, k] = simpson(c_fwd, x=nodes)
-                    reverse[i, j, k] = simpson(c_rev, x=nodes)
+                    forward[i + (j, k)] = simpson(c_fwd, x=nodes)
+                    reverse[i + (j, k)] = simpson(c_rev, x=nodes)
         return forward, reverse
 
     return BathStatistics(first_moments, correlation, integrals)
+
+
+# -- rate kernels one time at a time -----------------------------------------
+# The reference for the lattice kernel of RateChannel: the half-angle sums
+# with one sine and one cosine per mode and time, no angle addition.
+
+def half_angle_rates(detunings, weights, t):
+    """``(decay, shift, decay_integral)`` of the channel at the times ``t``.
+
+    With ``a_k = d_k t / 2`` these are the sums of ``(2 w_k / d_k) sin a_k
+    cos a_k``, ``(2 w_k / d_k) sin^2 a_k`` and ``(2 w_k / d_k^2) sin^2 a_k``;
+    a mode with ``|d_k| < 1e-100`` counts as resonant and adds ``w_k t``,
+    ``0`` and ``w_k t^2 / 2``.
+    """
+    d = np.asarray(detunings, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    t = np.asarray(t, dtype=float)
+    resonant = np.abs(d) < 1e-100
+    rate = np.where(resonant, 0.0, 2.0 * w / np.where(resonant, 1.0, d))
+    integral = rate / np.where(resonant, 1.0, d)
+    a = np.multiply.outer(t, 0.5 * d)
+    sin_a = np.sin(a)
+    resonant_weight = w[resonant].sum()
+    decay = (sin_a * np.cos(a)) @ rate + resonant_weight * t
+    shift = (sin_a * sin_a) @ rate
+    decay_integral = (sin_a * sin_a) @ integral + 0.5 * resonant_weight * t ** 2
+    return decay, shift, decay_integral
 
 
 # -- ladder operators, built from Kronecker products ------------------------

@@ -7,12 +7,13 @@ import spinboson.master_eq as master_eq
 from spinboson.master_eq import (BathStatistics, InteractionDecomposition,
                                  TraceDriftError, Trajectory, default_substeps,
                                  first_order_hamiltonian, generator_matrix,
-                                 propagate, rhs, second_order_generator)
+                                 propagate, rhs, second_order_generator,
+                                 stage_generators)
 from spinboson.spin_boson import (SIGMA_Z, SpinBosonModel, bath_statistics,
                                   interaction_decomposition)
 
-from helpers import (make_rng, quadrature_bath, random_density_matrix,
-                     random_hermitian)
+from helpers import (make_rng, quadrature_bath, random_complex,
+                     random_density_matrix, random_hermitian)
 
 ZERO_MOMENT = lambda t: 0j
 
@@ -29,6 +30,18 @@ def thermal_pair(beta=1.2):
 
 
 # -- first-order hamiltonian ---------------------------------------------------
+
+def test_superoperators_match_kron_construction():
+    rng = make_rng(11)
+    for d, n in ((2, 2), (3, 3)):
+        terms = tuple(random_complex(rng, (d, d)) for _ in range(n))
+        eye = np.eye(d)
+        first = [-1j * (np.kron(a, eye) - np.kron(eye, a.T)) for a in terms]
+        forward = [np.kron(b, a.T) - np.kron(a @ b, eye) for a in terms for b in terms]
+        reverse = [np.kron(b, a.T) - np.kron(eye, (a @ b).T) for a in terms for b in terms]
+        expected = np.array(first + forward + reverse)
+        assert np.array_equal(InteractionDecomposition(terms).superoperators, expected)
+
 
 def test_first_order_zero_moments():
     decomp = InteractionDecomposition(terms=(SIGMA_Z, SIGMA_Z))
@@ -171,10 +184,10 @@ def test_trace_drift_aborts(monkeypatch):
     # here by patching the generator matrices the integrator consumes
     _, decomp, bath = thermal_pair()
 
-    def leaky_generator(decomp, bath, t):
-        return 0.05 * np.broadcast_to(np.eye(4), (len(t), 4, 4))
+    def leaky_generator(decomp, bath, starts, steps, substeps):
+        return 0.05 * np.broadcast_to(np.eye(4), (len(starts), 2 * substeps + 1, 4, 4))
 
-    monkeypatch.setattr(master_eq, "generator_matrix", leaky_generator)
+    monkeypatch.setattr(master_eq, "stage_generators", leaky_generator)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(TraceDriftError) as err:
         propagate(decomp, bath, rho0, np.linspace(0, 5, 6), substeps=4)
@@ -187,10 +200,10 @@ def test_trace_drift_aborts_on_nan(monkeypatch):
     # NaN compares false against any tolerance; the abort must still fire
     _, decomp, bath = thermal_pair()
 
-    def nan_generator(decomp, bath, t):
-        return np.full((len(t), 4, 4), np.nan)
+    def nan_generator(decomp, bath, starts, steps, substeps):
+        return np.full((len(starts), 2 * substeps + 1, 4, 4), np.nan)
 
-    monkeypatch.setattr(master_eq, "generator_matrix", nan_generator)
+    monkeypatch.setattr(master_eq, "stage_generators", nan_generator)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(TraceDriftError) as err:
         propagate(decomp, bath, rho0, np.linspace(0, 5, 6), substeps=4)
@@ -236,20 +249,40 @@ def test_propagate_matches_rk4_over_rhs(beta, times):
     assert np.max(np.abs(traj.states - expected)) <= 1e-12
 
 
-def test_propagate_evaluates_one_generator_batch_per_interval(monkeypatch):
+@pytest.mark.parametrize("substeps", [40, 600])
+def test_propagate_batches_whole_intervals_within_the_stage_budget(monkeypatch, substeps):
     # a batch spanning the whole grid would hold every stage time's
-    # generator at once; one interval's batch keeps the memory bounded
+    # generator at once; batches of whole intervals up to a fixed count of
+    # stage times keep the memory bounded on any grid
     _, decomp, bath = thermal_pair()
-    batch_sizes = []
+    batches = []
 
-    def recording_generator(decomp, bath, t):
-        batch_sizes.append(len(t))
-        return generator_matrix(decomp, bath, t)
+    def recording_generators(decomp, bath, starts, steps, substeps):
+        batches.append(np.array(starts))
+        return stage_generators(decomp, bath, starts, steps, substeps)
 
-    monkeypatch.setattr(master_eq, "generator_matrix", recording_generator)
+    monkeypatch.setattr(master_eq, "stage_generators", recording_generators)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
-    propagate(decomp, bath, rho0, np.linspace(0, 5, 6), substeps=4)
-    assert batch_sizes == [2 * 4 + 1] * 5
+    times = np.linspace(0, 3, 31)
+    propagate(decomp, bath, rho0, times, substeps=substeps)
+    assert len(batches) > 1
+    # every interval once, in order, and no interval split between batches
+    assert np.array_equal(np.concatenate(batches), times[:-1])
+    for starts in batches:
+        assert (len(starts) * (2 * substeps + 1) <= master_eq._STAGE_BUDGET
+                or len(starts) == 1)
+
+
+def test_stage_generators_match_generator_at_stage_times():
+    # the lattice of coarse starts and fine offsets, trimmed, is the RK4
+    # stage times t + k h / 2 of each interval
+    _, decomp, bath = thermal_pair()
+    starts, steps, substeps = np.array([0.0, 0.7, 1.9]), np.array([0.05, 0.11, 0.02]), 7
+    stages = stage_generators(decomp, bath, starts, steps, substeps)
+    assert stages.shape == (3, 2 * substeps + 1, 4, 4)
+    for i in range(3):
+        t = starts[i] + steps[i] * 0.5 * np.arange(2 * substeps + 1)
+        assert np.max(np.abs(stages[i] - generator_matrix(decomp, bath, t))) <= 1e-14
 
 
 def test_default_substeps_zero_generator():

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from spinboson.master_eq import BathStatistics, propagate, rhs
+from spinboson.master_eq import BathStatistics, lattice_times, propagate, rhs
 from spinboson.spin_boson import (PROJ_DOWN, PROJ_UP, RateChannel,
                                   RateFunctions, SpectralDiscretization,
                                   SpinBosonModel, bath_statistics,
@@ -16,7 +18,8 @@ from spinboson.spin_boson import (PROJ_DOWN, PROJ_UP, RateChannel,
                                   thermal_occupation, vacuum_rates,
                                   vacuum_rhs)
 
-from helpers import make_rng, matrix_units, random_density_matrix
+from helpers import (half_angle_rates, make_rng, matrix_units,
+                     random_density_matrix)
 
 
 def random_model(rng, vacuum_chance=0.25):
@@ -207,8 +210,13 @@ def test_rate_forms_match_taylor_reference(detuning):
         "shift": _taylor(x, 1, 2),           # (1 - cos x) / x
         "decay_integral": _taylor(x, 0, 2),  # (1 - cos x) / x^2
     }
+    # t = 1 both as a plain time and as the lattice time 0.6 + 0.4
+    start, offset = np.array([0.6]), np.array([0.4])
+    on_lattice = dict(zip(("decay", "shift", "decay_integral"), ch.sums(start, offset)))
     for name, value in reference.items():
         assert getattr(ch, name)(1.0) == pytest.approx(value, rel=1e-14, abs=0.0), name
+        assert on_lattice[name].shape == (1, 1)
+        assert on_lattice[name][0, 0] == pytest.approx(value, rel=1e-14, abs=0.0), name
 
 
 def test_exact_resonance_closed_values():
@@ -218,6 +226,61 @@ def test_exact_resonance_closed_values():
     assert ch.shift(t) == 0.0
     assert ch.decay_integral(t) == 0.5 * t * t
     assert ch.shift_integral(t) == 0.0
+
+
+_detuning = st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(modes=st.lists(st.tuples(_detuning, st.floats(0.0, 1.0)), min_size=1, max_size=5),
+       starts=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=4),
+       offsets=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
+def test_lattice_kernel_matches_per_time_reference(modes, starts, offsets):
+    d, w = (np.array(v) for v in zip(*modes))
+    starts, offsets = np.array(starts), np.array(offsets)
+    ch = RateChannel(d, w)
+    t = lattice_times(starts, offsets)
+    expected = half_angle_rates(d, w, t)
+    got = ch.sums(starts, offsets)
+    # the per-mode factors c (2 w / d, 2 w / d^2; w t and w t^2 / 2 on
+    # resonance) set the scale.  Both sides round the phase a = d t / 2 in
+    # their own way, by an ulp of a, so the scale grows with |a|.
+    resonant = np.abs(d) < 1e-100
+    safe = np.where(resonant, 1.0, d)
+    growth = 1.0 + np.abs(0.5 * d) * t.max()
+    rate = np.sum(np.where(resonant, w * t.max(), np.abs(2 * w / safe)) * growth)
+    integral = np.sum(np.where(resonant, 0.5 * w * t.max() ** 2,
+                               np.abs(2 * w / safe / safe)) * growth)
+    # below the normal range (subnormal weights) only absolute rounding is left
+    floor = np.finfo(float).tiny
+    for g, e, scale in zip(got, expected, (rate, rate, integral)):
+        assert g.shape == t.shape
+        assert np.max(np.abs(g - e)) <= 1e-14 * scale + floor
+
+
+def test_thermal_channels_share_one_lattice_pass():
+    model = SpinBosonModel(1.0, [(0.8, 0.1), (1.0, 0.05), (1.4, 0.06)], 1.3)
+    rates = rate_functions(model)
+    starts, offsets = np.array([[0.0, 0.9], [2.0, 3.1]]), np.array([[0.0, 0.1, 0.2]])
+    forward, reverse = bath_statistics(model).integrals(starts, offsets)
+    assert forward.shape == (2, 2, 3, 2, 2)
+    t = lattice_times(starts, offsets)
+    for channel, (j, k), sign in ((rates.emission, (0, 1), -1), (rates.absorption, (1, 0), 1)):
+        decay, shift, _ = half_angle_rates(channel.detunings, channel.weights, t)
+        assert np.max(np.abs(forward[..., j, k] - (decay + sign * 1j * shift))) <= 1e-15
+    assert np.array_equal(reverse, forward.conj())
+    # one pass needs one set of modes
+    with pytest.raises(ValueError, match="share their detunings"):
+        RateFunctions(rates.absorption,
+                      RateChannel(rates.emission.detunings + 0.1, rates.emission.weights))
+
+
+def test_rate_channel_compares_by_identity():
+    a = RateChannel(np.array([0.1, -0.2]), np.array([1.0, 2.0]))
+    b = RateChannel(np.array([0.1, -0.2]), np.array([1.0, 2.0]))
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
 
 
 def test_rate_channel_scalar_and_array_agree():
@@ -553,7 +616,7 @@ def test_integrated_correlations_match_quadrature():
     model = SpinBosonModel(1.0, [(0.8, 0.1), (1.4, 0.06)], 1.3)
     bath = bath_statistics(model)
     t = 2.2
-    forward, reverse = bath.integrals(np.array([t]))
+    forward, reverse = (f[:, 0] for f in bath.integrals(np.array([t]), np.zeros(1)))
     s = np.linspace(0.0, t, 2001)
     for j, k in ((0, 1), (1, 0)):
         fwd = complex(simpson(np.array([bath.correlation(j, k, t, sv) for sv in s]), x=s))
