@@ -23,23 +23,34 @@ engine runs no quadrature.
 
 The bath evaluates its integrals on a time lattice: the times
 ``starts[..., q] + offsets[..., r]`` of a few coarse starts and a few fine
-offsets (:func:`lattice_times`).  A bath whose integrals are sums of
-oscillating terms gets every lattice time from the phases of the starts
-and the offsets alone by angle addition, as the spin-boson bath does.  A
-plain array of times is the lattice with the single offset 0.
+offsets (:func:`lattice_times`), in two stages.  ``integrals(offsets)``
+does the work that depends on the offsets alone and returns the evaluator
+of the starts, so one offsets table serves every batch of starts it is
+called with.  A bath whose integrals are sums of oscillating terms gets
+every lattice time from the phases of the starts and the offsets alone by
+angle addition, as the spin-boson bath does.  A plain array of times is
+the lattice with the single offset 0: ``integrals(_ORIGIN)(times)``.
 
 Propagation is classic fixed-step RK4 with internal substeps per output
 interval.  The equation is linear, so each substep is one step matrix
 ``M = I + h/6 (K1 + 2 K2 + 2 K3 + K4)`` built from the generator at the
 substep's stage times.  An interval's ``2 s + 1`` stage times
-``t + k h / 2`` form an arithmetic progression, which is the lattice of
-about ``sqrt(2 s)`` coarse starts and as many fine offsets.  Whole
-intervals are batched up to a fixed count of stage times, so that the
-generator batch stays small in memory however long the grid is; the step
-matrices of a batch come at once, and the state then advances by one
-matrix-vector product per substep.  Violations of trace or hermiticity
-are reported, never repaired: a drifting trace signals an inconsistent
-generator or too coarse a step, and silently renormalizing would mask it.
+``t + k h / 2`` form an arithmetic progression: the lattice of the coarse
+starts ``t + q R h / 2`` and the ``R`` fine offsets ``r h / 2``.  When the
+grid's steps are bit-equal, one offsets row serves every interval, so the
+bath builds its offsets table once per propagation and each batch
+evaluates only its own starts; otherwise each interval has its own row,
+as the broadcasting of starts against offsets allows.  ``R`` is about the
+square root of the stage times one row serves, capped by the batch budget
+below.  Whole intervals are batched up to a fixed count of stage times, so
+that the generator batch stays small in memory however long the grid is;
+the step matrices of a batch come at once.  The state then advances block
+by block: the prefix products of about ``sqrt(s)`` consecutive step
+matrices come from that many batched matrix products, and one batched
+matrix-vector product per block gives the state after each of its
+substeps.  Violations of trace or hermiticity are reported, never
+repaired: a drifting trace signals an inconsistent generator or too coarse
+a step, and silently renormalizing would mask it.
 """
 
 from __future__ import annotations
@@ -79,13 +90,15 @@ _NORM_PROBES = 9
 # Trace drift beyond this aborts a propagation outright.
 _TRACE_ABORT = 1e-6
 
-# Stage times per generator batch in propagate.  A batch holds the bath's
-# phase tables and the generator with its RK4 products at every stage time
+# Stage times per generator batch in propagate, and the cap on the stage
+# times one offsets row is sized for.  A batch holds the bath's phase tables
+# of its starts and the generator with its RK4 products at every stage time
 # it covers, so a fixed count, not one that grows with the grid, keeps the
-# memory bounded.  512 still batches several intervals at a few dozen
-# substeps, which amortizes the per-batch overhead of a few-mode bath; a
-# 400-mode bath peaks at about 1.4 MB of arrays at 128 substeps (one
-# interval a batch) and 4.9 MB at 31 (eight).
+# memory bounded; the shared offsets table adds at most about sqrt(512)
+# offsets.  512 still batches several intervals at a few dozen substeps,
+# which amortizes the per-batch overhead of a few-mode bath; a 400-mode
+# vacuum bath peaks at about 1.1 MB of arrays at 128 substeps (one interval
+# a batch) and 1.5 MB at 31 (eight), a thermal one at 1.8 and 1.9 MB.
 _STAGE_BUDGET = 512
 
 # The lattice of a plain array of times: the single offset 0.
@@ -172,52 +185,64 @@ class BathStatistics:
     ``first_moments[n](times)`` is the bath average of the n-th bath
     operator at each of an array of times (a constant may come back as a
     scalar); ``correlation(j, k, t, s)`` the connected two-time average of
-    operators j at ``t`` and k at ``s``.  ``integrals(starts, offsets)``
-    gives, on the lattice ``t = lattice_times(starts, offsets)``,
+    operators j at ``t`` and k at ``s``.  ``integrals(offsets)`` returns the
+    evaluator of the starts: ``integrals(offsets)(starts)`` gives, on the
+    lattice ``t = lattice_times(starts, offsets)``,
 
         forward[..., j, k] = int_0^t ds correlation(j, k, t, s)
         reverse[..., j, k] = int_0^t ds correlation(j, k, s, t)
 
     each of shape ``t.shape + (n, n)``; these are all the generator reads.
-    A plain array of times is the lattice with the single offset 0.  The
-    spin-boson bath gives them in closed form, from the phases of the
-    starts and the offsets alone.  ``correlation`` is their definition,
-    against which the closed forms are checked; the test suite holds a
-    composite-Simpson quadrature of it, evaluated at the summed lattice
-    times, as the reference for baths without closed forms.
+    The outer call does the work that depends on the offsets alone, so that
+    one evaluator serves any number of batches of starts.  A plain array of
+    times is the lattice with the single offset 0.  The spin-boson bath
+    gives the integrals in closed form, from the phases of the starts and
+    the offsets alone.  ``correlation`` is their definition, against which
+    the closed forms are checked; the test suite holds a composite-Simpson
+    quadrature of it, evaluated at the summed lattice times, as the
+    reference for baths without closed forms.
     """
 
     first_moments: tuple
     correlation: Callable[[int, int, float, float], complex]
-    integrals: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    integrals: Callable[[np.ndarray], Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]
 
     def __post_init__(self):
         object.__setattr__(self, "first_moments", tuple(self.first_moments))
 
-    def coefficients(self, starts, offsets) -> np.ndarray:
-        """Generator coefficients ``f_c`` on the lattice ``t`` of ``starts`` and
-        ``offsets``, shape ``t.shape + (n + 2 n^2,)``: the first moments, then
-        the forward and reverse integrals, each ``n x n`` block in row-major
-        order."""
-        starts = np.atleast_1d(np.asarray(starts, dtype=float))
+    def coefficients(self, offsets) -> Callable[[np.ndarray], np.ndarray]:
+        """Evaluator of the generator coefficients ``f_c`` on the lattices of
+        ``offsets``: given ``starts``, their values on the lattice ``t`` of
+        ``starts`` and ``offsets``, shape ``t.shape + (n + 2 n^2,)``: the first
+        moments, then the forward and reverse integrals, each ``n x n`` block in
+        row-major order."""
         offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-        times = lattice_times(starts, offsets)
-        moments = [np.broadcast_to(m(times), times.shape) for m in self.first_moments]
-        forward, reverse = self.integrals(starts, offsets)
-        return np.concatenate([np.stack(moments, axis=-1).astype(complex),
-                               forward.reshape(times.shape + (-1,)),
-                               reverse.reshape(times.shape + (-1,))], axis=-1)
+        integrals = self.integrals(offsets)
+
+        def at(starts) -> np.ndarray:
+            starts = np.atleast_1d(np.asarray(starts, dtype=float))
+            times = lattice_times(starts, offsets)
+            moments = [np.broadcast_to(m(times), times.shape) for m in self.first_moments]
+            forward, reverse = integrals(starts)
+            return np.concatenate([np.stack(moments, axis=-1).astype(complex),
+                                   forward.reshape(times.shape + (-1,)),
+                                   reverse.reshape(times.shape + (-1,))], axis=-1)
+
+        return at
 
 
-def progression_lattice(count: int) -> tuple[np.ndarray, np.ndarray]:
+def progression_lattice(count: int, served: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Starts and offsets whose lattice, flattened, begins 0, 1, ..., count - 1.
 
     The offsets are 0 ... fine - 1 and the starts 0, fine, 2 fine, ... with
-    ``fine = isqrt(count - 1) + 1``: about ``sqrt(count)`` of each, and a
-    lattice that runs at most ``fine - 1`` past ``count - 1``.  Scaled by a
-    step and shifted, it holds any arithmetic progression.
+    ``fine = isqrt(served - 1) + 1``, and a lattice that runs at most
+    ``fine - 1`` past ``count - 1``.  ``served`` is the count of lattice
+    times one set of offsets serves, ``count`` by default; when several
+    progressions share the offsets it is their total, which balances the
+    offsets shared by all against the starts each one needs.  Scaled by a
+    step and shifted, the lattice holds any arithmetic progression.
     """
-    fine = math.isqrt(count - 1) + 1
+    fine = math.isqrt((count if served is None else served) - 1) + 1
     return fine * np.arange(-(-count // fine), dtype=float), np.arange(fine, dtype=float)
 
 
@@ -284,14 +309,16 @@ def first_order_hamiltonian(decomp: InteractionDecomposition, bath: BathStatisti
     return np.tensordot(moments, np.array(decomp.terms), axes=1)
 
 
-def _coefficients(decomp, bath, t, offsets=None) -> np.ndarray:
-    """``bath.coefficients`` checked against ``decomp``: at the times ``t``
-    (scalar or array) in their shape, or on the lattice of the starts ``t``
-    and ``offsets``."""
-    f = bath.coefficients(t, _ORIGIN if offsets is None else offsets)
+def _coefficients(decomp, bath, t) -> np.ndarray:
+    """``bath.coefficients`` at the times ``t`` (scalar or array), in their
+    shape, checked against ``decomp``."""
+    return _checked(decomp, bath.coefficients(_ORIGIN)(t)).reshape(np.shape(t) + (-1,))
+
+
+def _checked(decomp, f: np.ndarray) -> np.ndarray:
     if f.shape[-1] != len(decomp.superoperators):
         raise ValueError("one first moment per decomposition term required")
-    return f.reshape(np.shape(t) + (-1,)) if offsets is None else f
+    return f
 
 
 def _apply(mat: np.ndarray, rho) -> np.ndarray:
@@ -335,23 +362,37 @@ def generator_matrix(decomp: InteractionDecomposition, bath: BathStatistics,
 
 
 def stage_generators(decomp: InteractionDecomposition, bath: BathStatistics,
-                     starts: np.ndarray, steps: np.ndarray, substeps: int) -> np.ndarray:
-    """Generator matrices at the RK4 stage times of whole intervals.
+                     times: np.ndarray, substeps: int) -> Callable[[int, int], np.ndarray]:
+    """Generator matrices at the RK4 stage times of the intervals of ``times``.
 
-    Interval i starts at ``starts[i]`` and runs ``substeps`` substeps of
-    size ``steps[i]``; its stage times ``starts[i] + k steps[i] / 2``,
-    k = 0 ... 2 substeps, are evaluated as the lattice of the coarse starts
-    ``starts[i] + q fine steps[i] / 2`` and the fine offsets
-    ``r steps[i] / 2`` (r < fine, ``fine = isqrt(2 substeps) + 1``), trimmed
-    to the stage times.  Returns shape ``(len(starts), 2 substeps + 1, D, D)``.
+    Returns ``stages(first, stop)``, the matrices of intervals ``first`` to
+    ``stop - 1``, shape ``(stop - first, 2 substeps + 1, D, D)``.  Interval i
+    runs ``substeps`` substeps of size ``h_i``; its stage times
+    ``times[i] + k h_i / 2``, k = 0 ... 2 substeps, are evaluated as the
+    lattice of the coarse starts ``times[i] + q R h_i / 2`` and the fine
+    offsets ``r h_i / 2``, r < R, trimmed to the stage times.  When all
+    steps are bit-equal the offsets are one row, shape ``(1, R)``, built into
+    the bath's offsets table here, once; otherwise they are one row per
+    interval, tabled for each call's intervals.  ``R`` is from
+    :func:`progression_lattice` over the stage times one row serves, at most
+    ``_STAGE_BUDGET``.
     """
+    times = np.asarray(times, dtype=float)
     stage_count = 2 * substeps + 1
-    coarse, fine = progression_lattice(stage_count)
-    half = 0.5 * np.asarray(steps, dtype=float)[:, None]
-    lattice_starts = np.asarray(starts, dtype=float)[:, None] + half * coarse
-    f = _coefficients(decomp, bath, lattice_starts, half * fine)
-    f = f.reshape(len(half), -1, f.shape[-1])[:, :stage_count]
-    return np.tensordot(f, decomp.superoperators, axes=1)
+    half = 0.5 * np.diff(times) / substeps
+    rows = half[:1] if np.all(half == half[0]) else half
+    served = min(stage_count * len(half) // len(rows), _STAGE_BUDGET)
+    coarse, fine = progression_lattice(stage_count, served)
+    offsets = rows[:, None] * fine
+    shared = bath.coefficients(offsets) if len(rows) == 1 else None
+
+    def stages(first: int, stop: int) -> np.ndarray:
+        evaluate = shared if shared is not None else bath.coefficients(offsets[first:stop])
+        f = _checked(decomp, evaluate(times[first:stop, None] + half[first:stop, None] * coarse))
+        f = f.reshape(stop - first, -1, f.shape[-1])[:, :stage_count]
+        return np.tensordot(f, decomp.superoperators, axes=1)
+
+    return stages
 
 
 def default_substeps(decomp: InteractionDecomposition, bath: BathStatistics,
@@ -392,6 +433,24 @@ def _rk4_step_matrices(stages: np.ndarray, h) -> np.ndarray:
     return np.eye(stages.shape[-1]) + (h / 6.0) * (start + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _block_products(steps: np.ndarray, block: int) -> np.ndarray:
+    """Running products of the step matrices within consecutive blocks.
+
+    ``steps`` holds ``n`` step matrices ``M_1 ... M_n`` along axis -3; they
+    are padded with identities to whole blocks of ``block``.  Returns shape
+    ``(..., blocks, block, D, D)`` whose entry ``[b, k]`` is
+    ``M_{b block + k + 1} ... M_{b block + 1}``, from ``block - 1`` batched
+    matrix products.
+    """
+    n, dim = steps.shape[-3], steps.shape[-1]
+    pad = np.broadcast_to(np.eye(dim), steps.shape[:-3] + (-n % block, dim, dim))
+    out = np.concatenate([steps, pad], axis=-3)
+    out = out.reshape(steps.shape[:-3] + (-1, block, dim, dim))
+    for k in range(1, block):
+        out[..., k, :, :] = out[..., k, :, :] @ out[..., k - 1, :, :]
+    return out
+
+
 def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
               rho0: np.ndarray, times: Sequence[float],
               substeps: int | None = None, model_tag: str = "") -> Trajectory:
@@ -403,10 +462,14 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
     once (:func:`stage_generators`), which gives one step matrix per
     substep.  A batch holds as many intervals as fit 512 stage times, or
     one interval if that alone has more: a fixed count, so that memory stays
-    bounded on any grid.  Trace drift beyond 1e-6 (or NaN) after any
-    substep aborts with a :class:`TraceDriftError` naming the first such
-    substep; accepted trajectories satisfy the 1e-9 trace and hermiticity
-    invariants at every sample.
+    bounded on any grid.  On a grid of bit-equal steps the bath's table of
+    the fine offsets is built once and shared by every batch.  The state
+    advances by blocks of ``isqrt(substeps)`` substeps: the running products
+    of a block's step matrices, then one matrix-vector product per block
+    for the states after all its substeps.  Trace drift beyond 1e-6 (or
+    NaN) after any substep aborts with a :class:`TraceDriftError` naming
+    the first such substep; accepted trajectories satisfy the 1e-9 trace
+    and hermiticity invariants at every sample.
     """
     rho0 = require_density_matrix(rho0)
     times = require_time_grid(times)
@@ -426,18 +489,23 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
     states = np.empty((len(times), d, d), dtype=complex)
     states[0] = rho0
     v = rho0.ravel().copy()
-    path = np.empty((substeps, d * d), dtype=complex)
+    block = math.isqrt(substeps)
+    # the state after each substep of an interval, block by block, and a
+    # view of the diagonals of its first `substeps` states (the rest is padding)
+    path = np.empty((-(-substeps // block), block, d * d), dtype=complex)
+    trace = path.reshape(-1, d * d)[:substeps, ::d + 1]
     intervals = len(times) - 1
     per_batch = max(1, _STAGE_BUDGET // (2 * substeps + 1))
+    stages = stage_generators(decomp, bath, times, substeps)
     for first in range(0, intervals, per_batch):
         stop = min(first + per_batch, intervals)
         h = np.diff(times[first:stop + 1]) / substeps
-        stages = stage_generators(decomp, bath, times[first:stop], h, substeps)
-        for i, steps in zip(range(first, stop), _rk4_step_matrices(stages, h)):
-            for j in range(substeps):
-                v = steps[j] @ v
-                path[j] = v
-            drift = np.abs(path[:, ::d + 1].sum(axis=1) - 1.0)
+        products = _block_products(_rk4_step_matrices(stages(first, stop), h), block)
+        for i, interval in zip(range(first, stop), products):
+            for b, product in enumerate(interval):
+                path[b] = product @ v
+                v = path[b, -1]
+            drift = np.abs(trace.sum(axis=1) - 1.0)
             bad = ~(drift <= _TRACE_ABORT)  # NaN aborts too
             if bad.any():
                 j = int(np.argmax(bad))

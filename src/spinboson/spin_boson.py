@@ -44,13 +44,18 @@ With ``A = d start / 2`` and ``B = d offset / 2`` angle addition gives
     sin^2 a     = sA^2 cB^2 + 2 sA cA sB cB + cA^2 sB^2
 
 at ``a = A + B``, so one sine and cosine pass over the starts and the
-offsets, and one matrix product over the modes, give every lattice time.
-The RK4 stage times of an interval are such a lattice with about
-``sqrt(2 s)`` starts and offsets for ``s`` substeps, against ``2 s + 1``
-phases per mode evaluated one by one; a plain array of times is the
-lattice with the single offset 0.  Near resonance every term above keeps
-one sign, so nothing cancels.  Both channels of a thermal bath share their
-detunings, and so one phase pass.
+offsets, and one matrix product over the modes per basis, give every
+lattice time.  The evaluation has two stages, as the engine's bath
+contract asks: the offsets' phases and the table ``[cB^2, sB cB, sB^2]``,
+weighted by the per-mode factors of every part asked for and stacked into
+one operand per basis, come first; the returned evaluator then takes only
+the phases of its starts.  The RK4 stage times of an interval are such a
+lattice with about ``sqrt(2 s)`` starts and offsets for ``s`` substeps,
+against ``2 s + 1`` phases per mode evaluated one by one, and on a grid of
+equal steps one offsets table serves every interval; a plain array of
+times is the lattice with the single offset 0.  Near resonance every term
+above keeps one sign, so nothing cancels.  Both channels of a thermal bath
+share their detunings, and so one phase pass.
 """
 
 from __future__ import annotations
@@ -117,6 +122,12 @@ _POPULATION_PANELS = 400
 _SIMPSON_WEIGHTS = np.r_[1.0, np.tile([4.0, 2.0], _POPULATION_PANELS // 2)[:-1], 1.0] / 3.0
 # Its nodes k step, k = 0 ... 400, as a lattice of 20 starts and 21 offsets.
 _SIMPSON_STARTS, _SIMPSON_OFFSETS = progression_lattice(_POPULATION_PANELS + 1)
+# Lattice times times modes per kernel call of population_solution, which
+# batches whole samples (420 lattice times each) up to it, or takes one
+# sample if that alone has more.  A fixed count keeps the phase tables near
+# 1.4 MB however many samples and modes (1.7 MB at 400 modes, one sample a
+# call); a few-mode bath gets all its samples from one call.
+_POPULATION_BUDGET = 1 << 17
 
 
 def thermal_occupation(omega: float, beta: float) -> float:
@@ -303,7 +314,7 @@ class RateChannel:
         ``t``, or on the lattice of the starts ``t`` and ``offsets``, from
         one phase pass."""
         times, starts, offsets = _lattice(t, offsets)
-        return tuple(_like(times, s) for s in _channel_sums((self,), parts, starts, offsets)[0])
+        return tuple(_like(times, s) for s in _channel_sums((self,), parts, offsets)(starts)[0])
 
     def decay_and_shift(self, t):
         return self.sums(t, parts=("decay", "shift"))
@@ -352,9 +363,10 @@ _PARTS = {
 }
 
 
-def _channel_sums(channels, parts, starts: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Each of ``parts`` of each channel on the lattice of ``starts`` and
-    ``offsets``, shape ``(len(channels), len(parts)) + lattice_times(...).shape``.
+def _channel_sums(channels, parts, offsets: np.ndarray) -> Callable[[np.ndarray], list]:
+    """Evaluator of each of ``parts`` of each channel on the lattices of
+    ``offsets``: given ``starts``, ``sums[channel][part]`` of shape
+    ``lattice_times(starts, offsets).shape``.
 
     The channels share their detunings (one model's, or the same channel
     twice), so one phase pass serves them all.  A channel with no weight
@@ -364,53 +376,75 @@ def _channel_sums(channels, parts, starts: np.ndarray, offsets: np.ndarray) -> n
     live = [bool(ch.weights.any()) for ch in channels]
     factors = [ch._factors for ch, alive in zip(channels, live) if alive]
     if not factors:
-        return np.zeros((len(channels), len(parts)) + lattice_times(starts, offsets).shape)
+        return lambda starts: np.zeros((len(channels), len(parts))
+                                       + lattice_times(starts, offsets).shape)
     rows = [(_PARTS[p][0], f[_PARTS[p][1]]) for f in factors for p in parts]
-    sums = _half_angle_sums(factors[0][0], rows, starts, offsets)
-    sums = sums.reshape((len(factors), len(parts)) + sums.shape[1:])
-    if any(f[3] for f in factors):
-        times = lattice_times(starts, offsets)
-        for j, part in enumerate(parts):
-            if _PARTS[part][2] is None:
-                continue
+    kernel = _half_angle_sums(factors[0][0], rows, offsets)
+    resonant = []  # (channel, part, weight of its resonant term, power of t)
+    for j, part in enumerate(parts):
+        if _PARTS[part][2] is not None:
             coefficient, power = _PARTS[part][2]
-            for i, f in enumerate(factors):
-                sums[i, j] += coefficient * f[3] * times ** power
-    if all(live):
-        return sums
-    out = np.zeros((len(channels),) + sums.shape[1:])
-    out[live] = sums
-    return out
+            resonant += [(i, j, coefficient * f[3], power) for i, f in enumerate(factors) if f[3]]
+
+    def at(starts: np.ndarray) -> list:
+        flat = kernel(starts)
+        sums = [flat[i:i + len(parts)] for i in range(0, len(flat), len(parts))]
+        if resonant:
+            times = lattice_times(starts, offsets)
+            for i, j, weight, power in resonant:
+                sums[i][j] += weight * times ** power
+        if all(live):
+            return sums
+        sums = iter(sums)
+        return [next(sums) if alive else list(np.zeros((len(parts),) + flat[0].shape))
+                for alive in live]
+
+    return at
 
 
-def _half_angle_sums(half_detunings: np.ndarray, rows, starts: np.ndarray,
-                     offsets: np.ndarray) -> np.ndarray:
-    """``sum_k c_k sin a_k cos a_k`` (basis 0) or ``sum_k c_k sin^2 a_k``
-    (basis 1) for each ``(basis, c)`` of ``rows``, at
-    ``a_k = half_detunings_k (start + offset)`` on the lattice; each ``c``
-    holds its per-mode factors three times over.  Shape
-    ``(len(rows),) + lattice_times(starts, offsets).shape``.
+def _half_angle_sums(half_detunings: np.ndarray, rows,
+                     offsets: np.ndarray) -> Callable[[np.ndarray], list]:
+    """Evaluator of ``sum_k c_k sin a_k cos a_k`` (basis 0) or
+    ``sum_k c_k sin^2 a_k`` (basis 1) for each ``(basis, c)`` of ``rows``, at
+    ``a_k = half_detunings_k (start + offset)`` on the lattices of
+    ``offsets``: given ``starts``, one array per row of shape
+    ``lattice_times(starts, offsets).shape``.  Each ``c`` holds its per-mode
+    factors three times over.
 
-    One sine and cosine per start and mode and per offset and mode; the
-    angle-addition terms of a row are one matrix product over the modes
-    against ``[cB^2, sB cB, sB^2]`` of the offsets.
+    This call takes one sine and cosine per offset and mode and stacks the
+    factor rows of each basis against ``[cB^2, sB cB, sB^2]`` of the offsets
+    into one operand; the evaluator takes one sine and cosine per start and
+    mode, and the angle-addition terms of all rows of a basis are one
+    matrix product over the modes.
     """
-    phase_a = starts[..., :, None] * half_detunings      # (..., Q, K)
     phase_b = offsets[..., :, None] * half_detunings     # (..., R, K)
-    sa, ca = np.sin(phase_a), np.cos(phase_a)
     sb, cb = np.sin(phase_b), np.cos(phase_b)
     right = np.concatenate([cb * cb, sb * cb, sb * sb], axis=-1).swapaxes(-1, -2)
-    sc, ss, cc = sa * ca, sa * sa, ca * ca
-    kinds = {basis for basis, _ in rows}
-    # times as rows (..., Q, 3K), so that each time's sum over the modes is
-    # one dot product, in the order of a per-time evaluation
-    bases = {}
-    if 0 in kinds:
-        bases[0] = np.concatenate([sc, cc - ss, -sc], axis=-1)
-    if 1 in kinds:
-        bases[1] = np.concatenate([ss, 2.0 * sc, cc], axis=-1)
     # the factors weight the offsets' side, the smaller one for plain times
-    return np.stack([bases[basis] @ (c[:, None] * right) for basis, c in rows])
+    members = {}
+    for i, (basis, _) in enumerate(rows):
+        members.setdefault(basis, []).append(i)
+    operands = {basis: np.concatenate([rows[i][1][:, None] * right for i in m], axis=-1)
+                if len(m) > 1 else rows[m[0]][1][:, None] * right
+                for basis, m in members.items()}
+    fine = offsets.shape[-1]
+
+    def at(starts: np.ndarray) -> list:
+        phase_a = starts[..., :, None] * half_detunings      # (..., Q, K)
+        sa, ca = np.sin(phase_a), np.cos(phase_a)
+        sc, ss, cc = sa * ca, sa * sa, ca * ca
+        out = [None] * len(rows)
+        for basis, m in members.items():
+            # times as rows (..., Q, 3K), so that each time's sum over the
+            # modes is one dot product, in the order of a per-time evaluation
+            left = np.concatenate([sc, cc - ss, -sc] if basis == 0 else [ss, 2.0 * sc, cc],
+                                  axis=-1)
+            product = left @ operands[basis]                     # (..., Q, len(m) R)
+            for k, i in enumerate(m):
+                out[i] = product[..., k * fine:(k + 1) * fine]
+        return out
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -430,7 +464,7 @@ class RateFunctions:
         shift, decay_integral) of both channels at the times ``t``, from one
         phase pass."""
         times, starts, offsets = _lattice(t, None)
-        channels = _channel_sums((self.absorption, self.emission), parts, starts, offsets)
+        channels = _channel_sums((self.absorption, self.emission), parts, offsets)(starts)
         return tuple(tuple(_like(times, s) for s in channel) for channel in channels)
 
     def total_decay(self, t):
@@ -514,7 +548,8 @@ def population_solution(rho00_0: float, rates: RateFunctions, t):
 
     the inner integral on a fixed composite-Simpson grid of 400 panels,
     arranged as exp(I(s) - I(t)) so large exponents never appear; its
-    nodes are evaluated as a time lattice.  On a vacuum bath (no absorption
+    nodes are evaluated as a time lattice, those of a batch of samples as
+    one lattice with a leading sample axis.  On a vacuum bath (no absorption
     weight) the inner integral is exactly zero, and all times come from one
     decay-integral evaluation.  The spin-down population is one minus the
     result.  ``t`` may be a scalar or an array of any shape; an array result
@@ -524,23 +559,29 @@ def population_solution(rho00_0: float, rates: RateFunctions, t):
         decayed = rho00_0 * np.exp(-8.0 * rates.emission.decay_integral(t))
         return float(decayed) if np.ndim(t) == 0 else decayed
 
-    def single(tv: float) -> float:
-        if tv == 0.0:
-            return float(rho00_0)
-        # the Simpson nodes k step as a lattice, both channels in one pass
-        step = tv / _POPULATION_PANELS
-        sums = _channel_sums((rates.absorption, rates.emission), ("decay", "decay_integral"),
-                             step * _SIMPSON_STARTS, step * _SIMPSON_OFFSETS)
-        sums = sums.reshape(2, 2, -1)[:, :, :_POPULATION_PANELS + 1]
-        running = 8.0 * (sums[0, 1] + sums[1, 1])
-        homogeneous = rho00_0 * math.exp(-running[-1])
-        integrand = 8.0 * sums[0, 0] * np.exp(running - running[-1])
-        return float(homogeneous + step * (_SIMPSON_WEIGHTS @ integrand))
-
+    # the Simpson nodes k step of each sample as one lattice, a leading
+    # sample axis over batches of samples, both channels in one pass
     t_arr = np.asarray(t, dtype=float)
-    if t_arr.ndim == 0:
-        return single(float(t_arr))
-    return np.array([single(float(tv)) for tv in t_arr.ravel()]).reshape(t_arr.shape)
+    flat = t_arr.ravel()
+    out = np.full(flat.shape, float(rho00_0))
+    samples = np.flatnonzero(flat)
+    nodes = _POPULATION_PANELS + 1
+    per_batch = max(1, _POPULATION_BUDGET // (_SIMPSON_STARTS.size * _SIMPSON_OFFSETS.size
+                                              * rates.emission.detunings.size))
+    for first in range(0, samples.size, per_batch):
+        batch = samples[first:first + per_batch]
+        step = flat[batch, None] / _POPULATION_PANELS
+        sums = _channel_sums((rates.absorption, rates.emission), ("decay", "decay_integral"),
+                             step * _SIMPSON_OFFSETS)(step * _SIMPSON_STARTS)
+        (decay, absorbed), (_, emitted) = ([s.reshape(batch.size, -1)[:, :nodes] for s in channel]
+                                           for channel in sums)
+        running = 8.0 * (absorbed + emitted)
+        final = running[:, -1:]
+        homogeneous = rho00_0 * np.exp(-final[:, 0])
+        integrand = 8.0 * decay * np.exp(running - final)
+        # a sum per sample, so that a sample's value does not depend on its batch
+        out[batch] = homogeneous + step[:, 0] * np.sum(integrand * _SIMPSON_WEIGHTS, axis=-1)
+    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
 
 def vacuum_rates(model: SpinBosonModel, t):
@@ -562,11 +603,13 @@ def vacuum_rhs(model: SpinBosonModel, rho: np.ndarray, t) -> np.ndarray:
     -(i/2) shift [P_up, rho] + decay (sigma_minus rho sigma_plus - {P_up, rho}/2)
     with P_up = sigma_plus sigma_minus.  Equals the generic second-order
     generator for vacuum baths; kept as an independent assembly for
-    structural checks.  For an array ``t`` returns one matrix per time,
-    shape ``(len(t), 2, 2)``.
+    structural checks.  ``rho`` may be a stack of states, shape
+    ``(..., 2, 2)``, all evaluated from one rate evaluation; the result has
+    shape ``np.shape(t) + rho.shape``.
     """
-    decay, shift = (np.asarray(r)[..., None, None] for r in vacuum_rates(model, t))
     rho = np.asarray(rho, dtype=complex)
+    expand = (Ellipsis,) + (None,) * rho.ndim
+    decay, shift = (np.asarray(r)[expand] for r in vacuum_rates(model, t))
     comm = PROJ_UP @ rho - rho @ PROJ_UP
     anti = PROJ_UP @ rho + rho @ PROJ_UP
     return -0.5j * shift * comm + decay * (SIGMA_MINUS @ rho @ SIGMA_PLUS - 0.5 * anti)
@@ -624,15 +667,19 @@ def bath_statistics(model: SpinBosonModel) -> BathStatistics:
             return complex(np.sum(absorption * np.exp(1j * detunings * (t - s))))
         return 0j
 
-    def integrals(starts: np.ndarray, offsets: np.ndarray):
-        # both channels from one phase pass; the reverse integrals are the
-        # complex conjugates of the forward ones
-        (e_decay, e_shift), (a_decay, a_shift) = _channel_sums(
-            (rates.emission, rates.absorption), ("decay", "shift"), starts, offsets)
-        forward = np.zeros(e_decay.shape + (2, 2), dtype=complex)
-        forward[..., 0, 1] = e_decay - 1j * e_shift
-        forward[..., 1, 0] = a_decay + 1j * a_shift
-        return forward, forward.conj()
+    def integrals(offsets: np.ndarray):
+        # both channels from one phase pass, over one offsets table; the
+        # reverse integrals are the complex conjugates of the forward ones
+        sums = _channel_sums((rates.emission, rates.absorption), ("decay", "shift"), offsets)
+
+        def at(starts: np.ndarray):
+            (e_decay, e_shift), (a_decay, a_shift) = sums(starts)
+            forward = np.zeros(e_decay.shape + (2, 2), dtype=complex)
+            forward[..., 0, 1] = e_decay - 1j * e_shift
+            forward[..., 1, 0] = a_decay + 1j * a_shift
+            return forward, forward.conj()
+
+        return at
 
     zero = lambda t: 0j
     return BathStatistics(first_moments=(zero, zero),

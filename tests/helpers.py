@@ -52,9 +52,11 @@ def quadrature_bath(first_moments, correlation) -> BathStatistics:
     ``DEFAULT_PANELS`` panels of its ``correlation``."""
     n = len(first_moments)
 
-    def integrals(starts: np.ndarray, offsets: np.ndarray):
+    def integrals(offsets: np.ndarray):
         # the lattice contract, met by evaluating at the summed times
-        times = lattice_times(starts, offsets)
+        return lambda starts: integrals_at(lattice_times(starts, offsets))
+
+    def integrals_at(times: np.ndarray):
         forward = np.zeros(times.shape + (n, n), dtype=complex)
         reverse = np.zeros_like(forward)
         for i, t in np.ndenumerate(times):

@@ -251,8 +251,8 @@ def test_limits_vacuum_check_fails_on_perturbed_bath(tmp_path, monkeypatch):
 
     def perturbed(model):
         bath = bath_statistics(model)
-        integrals = lambda starts, offsets: tuple(
-            (1 + 1e-6) * f for f in bath.integrals(starts, offsets))
+        integrals = lambda offsets: lambda starts: tuple(
+            (1 + 1e-6) * f for f in bath.integrals(offsets)(starts))
         return dataclasses.replace(bath, integrals=integrals)
 
     monkeypatch.setattr(cli, "bath_statistics", perturbed)

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinboson.master_eq as master_eq
 from spinboson.master_eq import (BathStatistics, InteractionDecomposition,
@@ -184,8 +187,9 @@ def test_trace_drift_aborts(monkeypatch):
     # here by patching the generator matrices the integrator consumes
     _, decomp, bath = thermal_pair()
 
-    def leaky_generator(decomp, bath, starts, steps, substeps):
-        return 0.05 * np.broadcast_to(np.eye(4), (len(starts), 2 * substeps + 1, 4, 4))
+    def leaky_generator(decomp, bath, times, substeps):
+        return lambda first, stop: 0.05 * np.broadcast_to(
+            np.eye(4), (stop - first, 2 * substeps + 1, 4, 4))
 
     monkeypatch.setattr(master_eq, "stage_generators", leaky_generator)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
@@ -200,8 +204,8 @@ def test_trace_drift_aborts_on_nan(monkeypatch):
     # NaN compares false against any tolerance; the abort must still fire
     _, decomp, bath = thermal_pair()
 
-    def nan_generator(decomp, bath, starts, steps, substeps):
-        return np.full((len(starts), 2 * substeps + 1, 4, 4), np.nan)
+    def nan_generator(decomp, bath, times, substeps):
+        return lambda first, stop: np.full((stop - first, 2 * substeps + 1, 4, 4), np.nan)
 
     monkeypatch.setattr(master_eq, "stage_generators", nan_generator)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
@@ -257,9 +261,14 @@ def test_propagate_batches_whole_intervals_within_the_stage_budget(monkeypatch, 
     _, decomp, bath = thermal_pair()
     batches = []
 
-    def recording_generators(decomp, bath, starts, steps, substeps):
-        batches.append(np.array(starts))
-        return stage_generators(decomp, bath, starts, steps, substeps)
+    def recording_generators(decomp, bath, times, substeps):
+        stages = stage_generators(decomp, bath, times, substeps)
+
+        def recorded(first, stop):
+            batches.append(np.array(times[first:stop]))
+            return stages(first, stop)
+
+        return recorded
 
     monkeypatch.setattr(master_eq, "stage_generators", recording_generators)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
@@ -273,16 +282,109 @@ def test_propagate_batches_whole_intervals_within_the_stage_budget(monkeypatch, 
                 or len(starts) == 1)
 
 
+def counting_integrals(bath):
+    """``bath`` with its integrals recording each offsets table built (outer
+    calls) and each batch of starts evaluated (inner calls)."""
+    tables, batches = [], []
+
+    def integrals(offsets):
+        tables.append(np.array(offsets))
+        evaluate = bath.integrals(offsets)
+
+        def at(starts):
+            batches.append(np.array(starts))
+            return evaluate(starts)
+
+        return at
+
+    return dataclasses.replace(bath, integrals=integrals), tables, batches
+
+
+@pytest.mark.parametrize("substeps", [40, 600])
+def test_uniform_grid_builds_its_offsets_table_once(substeps):
+    # bit-equal steps share one offsets row, so the bath tables the fine
+    # offsets once per propagate and each batch evaluates only its starts
+    _, decomp, bath = thermal_pair()
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    times = 0.125 * np.arange(31.0)
+    assert np.all(np.diff(times) == 0.125)
+    counted, tables, batches = counting_integrals(bath)
+    propagate(decomp, counted, rho0, times, substeps=substeps)
+    # R from the stage times one row serves, capped at the batch budget
+    fine = math.isqrt(min(30 * (2 * substeps + 1), master_eq._STAGE_BUDGET) - 1) + 1
+    assert len(tables) == 1
+    assert np.array_equal(tables[0], 0.0625 / substeps * np.arange(fine)[None, :])
+    assert len(batches) > 1
+    # every interval once, in order, and no interval split between batches
+    assert np.array_equal(np.concatenate([starts[:, 0] for starts in batches]), times[:-1])
+    for starts in batches:
+        assert (len(starts) * (2 * substeps + 1) <= master_eq._STAGE_BUDGET
+                or len(starts) == 1)
+
+    # steps one ulp apart take one offsets row per interval, tabled per batch
+    times[7] = np.nextafter(times[7], math.inf)
+    counted, tables, batches = counting_integrals(bath)
+    propagate(decomp, counted, rho0, times, substeps=substeps)
+    assert [len(t) for t in tables] == [len(starts) for starts in batches]
+
+
+@settings(max_examples=30, deadline=None)
+@given(beta=st.sampled_from([1.2, math.inf]),
+       sixteenths=st.integers(1, 12), intervals=st.integers(1, 4),
+       substeps=st.integers(1, 9), grid=st.sampled_from(["uniform", "ulp", "varied"]),
+       varied=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4))
+def test_propagate_with_shared_offsets_matches_rk4_over_rhs(beta, sixteenths, intervals,
+                                                            substeps, grid, varied):
+    # exact multiples of 1/16 give bit-equal steps, which share one offsets
+    # row; a step one ulp off, or steps that differ a lot, take one row each
+    model = SpinBosonModel(1.0, [(0.8, 0.3), (1.3, 0.25)], beta)
+    decomp, bath = interaction_decomposition(model), bath_statistics(model)
+    times = sixteenths / 16.0 * np.arange(intervals + 1.0)
+    if grid == "ulp":
+        times[-1] = np.nextafter(times[-1], math.inf)
+    elif grid == "varied":
+        times = np.concatenate([[0.0], np.cumsum(varied[:intervals])])
+    rho0 = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]], dtype=complex)
+    traj = propagate(decomp, bath, rho0, times, substeps=substeps)
+    expected = rk4_over_rhs(decomp, bath, rho0, times, substeps)
+    assert np.max(np.abs(traj.states - expected)) <= 1e-12
+
+
+def test_trace_drift_names_the_substep_where_it_starts_mid_block(monkeypatch):
+    # 16 substeps advance in blocks of 4; the generator turns leaky at the
+    # middle stage of substep 6, the second of the second block, so the
+    # substeps before it are exact identities and substep 6 drifts first
+    _, decomp, bath = thermal_pair()
+    substeps, onset = 16, 6
+
+    def leaky_from_onset(decomp, bath, times, substeps):
+        def stages(first, stop):
+            out = np.zeros((stop - first, 2 * substeps + 1, 4, 4))
+            out[:, 2 * onset - 1:] = 0.05 * np.eye(4)
+            return out
+        return stages
+
+    monkeypatch.setattr(master_eq, "stage_generators", leaky_from_onset)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(TraceDriftError) as err:
+        propagate(decomp, bath, rho0, np.linspace(0, 5, 6), substeps=substeps)
+    assert err.value.drift > 1e-6
+    assert err.value.t == pytest.approx(onset / substeps)
+
+
 def test_stage_generators_match_generator_at_stage_times():
     # the lattice of coarse starts and fine offsets, trimmed, is the RK4
-    # stage times t + k h / 2 of each interval
+    # stage times t + k h / 2 of each interval, with one offsets row per
+    # interval or one shared by all of them (bit-equal steps)
     _, decomp, bath = thermal_pair()
-    starts, steps, substeps = np.array([0.0, 0.7, 1.9]), np.array([0.05, 0.11, 0.02]), 7
-    stages = stage_generators(decomp, bath, starts, steps, substeps)
-    assert stages.shape == (3, 2 * substeps + 1, 4, 4)
-    for i in range(3):
-        t = starts[i] + steps[i] * 0.5 * np.arange(2 * substeps + 1)
-        assert np.max(np.abs(stages[i] - generator_matrix(decomp, bath, t))) <= 1e-14
+    substeps = 7
+    for times in (np.array([0.0, 0.35, 1.12, 1.26]), 0.375 * np.arange(4.0)):
+        starts, steps = times[:-1], np.diff(times) / substeps
+        stages = stage_generators(decomp, bath, times, substeps)(0, 3)
+        assert stages.shape == (3, 2 * substeps + 1, 4, 4)
+        for i in range(3):
+            t = starts[i] + steps[i] * 0.5 * np.arange(2 * substeps + 1)
+            assert np.max(np.abs(stages[i] - generator_matrix(decomp, bath, t))) <= 1e-14
 
 
 def test_default_substeps_zero_generator():

@@ -262,7 +262,7 @@ def test_thermal_channels_share_one_lattice_pass():
     model = SpinBosonModel(1.0, [(0.8, 0.1), (1.0, 0.05), (1.4, 0.06)], 1.3)
     rates = rate_functions(model)
     starts, offsets = np.array([[0.0, 0.9], [2.0, 3.1]]), np.array([[0.0, 0.1, 0.2]])
-    forward, reverse = bath_statistics(model).integrals(starts, offsets)
+    forward, reverse = bath_statistics(model).integrals(offsets)(starts)
     assert forward.shape == (2, 2, 3, 2, 2)
     t = lattice_times(starts, offsets)
     for channel, (j, k), sign in ((rates.emission, (0, 1), -1), (rates.absorption, (1, 0), 1)):
@@ -397,6 +397,33 @@ def test_population_solution_trivials():
     assert [population_solution(0.6, rates, tv) for tv in t.ravel()] == out.ravel().tolist()
 
 
+@pytest.mark.parametrize("mode_count, calls", [(2, 1), (400, 10)])
+def test_population_solution_batches_samples_within_the_budget(monkeypatch, mode_count,
+                                                               calls):
+    # a few-mode bath takes all samples' Simpson lattices in one kernel call,
+    # a many-mode bath one sample a call, so that the phase tables stay
+    # bounded; a sample's value does not depend on its batch
+    import spinboson.spin_boson as spin_boson
+    disc = SpectralDiscretization(ohmic_density(0.01, 5.0), 0.01, 10.0, mode_count)
+    rates = rate_functions(disc.build_model(1.0, 1.0))
+    grid = np.linspace(0.0, 5.0, 11)
+    alone = [population_solution(0.7, rates, tv) for tv in grid]
+    batches = []
+
+    def recording(channels, parts, offsets):
+        batches.append(len(offsets))
+        return channel_sums(channels, parts, offsets)
+
+    channel_sums = spin_boson._channel_sums
+    monkeypatch.setattr(spin_boson, "_channel_sums", recording)
+    out = population_solution(0.7, rates, grid)
+    assert len(batches) == calls and sum(batches) == 10
+    for samples in batches:
+        assert (samples * 420 * mode_count <= spin_boson._POPULATION_BUDGET
+                or samples == 1)
+    assert out.tolist() == alone
+
+
 def population_by_scipy_simpson(rho00_0, rates, tv, panels=400):
     """The variation-of-parameters population with scipy's Simpson rule."""
     if tv == 0.0:
@@ -528,6 +555,14 @@ def test_vacuum_rhs_matches_generic_generator():
         for rho in (random_density_matrix(rng, 2), *matrix_units(2)):
             diff = vacuum_rhs(model, rho, t) - rhs(decomp, bath, rho, t)
             assert np.max(np.abs(diff)) <= 1e-8
+    # a stack of states at an array of times, from one rate evaluation,
+    # equals the states one at a time
+    t = np.array([0.3, 1.1, 4.2])
+    states = np.array([random_density_matrix(rng, 2), *matrix_units(2)])
+    stacked = vacuum_rhs(model, states, t)
+    assert stacked.shape == (3, 5, 2, 2)
+    for k, rho in enumerate(states):
+        assert np.array_equal(stacked[:, k], vacuum_rhs(model, rho, t))
 
 
 # -- constant-rate limit --------------------------------------------------------------
@@ -616,7 +651,7 @@ def test_integrated_correlations_match_quadrature():
     model = SpinBosonModel(1.0, [(0.8, 0.1), (1.4, 0.06)], 1.3)
     bath = bath_statistics(model)
     t = 2.2
-    forward, reverse = (f[:, 0] for f in bath.integrals(np.array([t]), np.zeros(1)))
+    forward, reverse = (f[:, 0] for f in bath.integrals(np.zeros(1))(np.array([t])))
     s = np.linspace(0.0, t, 2001)
     for j, k in ((0, 1), (1, 0)):
         fwd = complex(simpson(np.array([bath.correlation(j, k, t, sv) for sv in s]), x=s))
