@@ -10,14 +10,18 @@ compare  master equation vs reference: per-time distances and the
 limits   vacuum / high-temperature / zero-temperature / constant-rate
          checks applicable to the config (structured text report)
 
-Every verb takes ``--config <path>`` and ``--out <path>`` (the latter falls
-back to ``output_path`` from the config).  Numbers are serialized with 17
+Usage: ``spinboson <verb> --config <path> [--out <path>]``; ``--help``
+lists the verbs with one line each.  One flat parser reads the verb as a
+positional argument, so the options may come before or after it
+(``spinboson --config run.cfg rates`` works too).  ``--out`` falls back to
+``output_path`` from the config.  Numbers are serialized with 17
 significant digits, so emitted CSV re-parses bit-exactly; nothing in any
 code path depends on wall clock or randomness, so identical configs yield
 byte-identical outputs.
 
-Exit codes: 0 success / all checks pass; 1 configuration error; 2 runtime
-abort (trace drift, Hilbert-space cap); 3 failed check in compare/limits.
+Exit codes: 0 success / all checks pass; 1 configuration or usage error;
+2 runtime abort (trace drift, Hilbert-space cap, Fock truncation not
+converged under ``check_truncation``); 3 failed check in compare/limits.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .master_eq import TraceDriftError, Trajectory, generator_matrix, propagate
-from .oracle import (BathDimensionError, TruncatedBath, exact_reduced_dynamics)
+from .oracle import (BathDimensionError, TruncatedBath, TruncationError,
+                     exact_reduced_dynamics)
 from .spin_boson import (bath_statistics, interaction_decomposition,
                          markov_rates, rate_functions, vacuum_rhs)
 
@@ -148,7 +153,9 @@ def run_evolve(cfg: RunConfig, out: str) -> int:
 def run_exact(cfg: RunConfig, out: str) -> int:
     model = cfg.model()
     bath = TruncatedBath(model, n_max=cfg.n_max)
-    traj = exact_reduced_dynamics(model, bath, cfg.initial_state(), cfg.time_grid())
+    traj = exact_reduced_dynamics(model, bath, cfg.initial_state(), cfg.time_grid(),
+                                  check_truncation=cfg.check_truncation,
+                                  truncation_tol=cfg.truncation_tol)
     _write_trajectory(cfg, traj, out,
                       [("integrator", "exact-eig"), ("n_max", cfg.n_max)])
     return EXIT_OK
@@ -168,7 +175,9 @@ def run_compare(cfg: RunConfig, out: str) -> int:
         bath = TruncatedBath(model, n_max=cfg.n_max)
         me = propagate(interaction_decomposition(model), bath_statistics(model),
                        rho0, grid, substeps=cfg.rk4_substeps)
-        exact = exact_reduced_dynamics(model, bath, rho0, grid)
+        exact = exact_reduced_dynamics(model, bath, rho0, grid,
+                                       check_truncation=cfg.check_truncation,
+                                       truncation_tol=cfg.truncation_tol)
         dist = np.linalg.norm(me.states - exact.states, axis=(1, 2))
         if factor == 1.0:
             distances = dist
@@ -311,12 +320,13 @@ def run_limits(cfg: RunConfig, out: str) -> int:
     return EXIT_OK if not failed else EXIT_CHECK
 
 
+# verb -> (runner, one-line description for --help)
 _COMMANDS = {
-    "rates": run_rates,
-    "evolve": run_evolve,
-    "exact": run_exact,
-    "compare": run_compare,
-    "limits": run_limits,
+    "rates": (run_rates, "tabulate the four rate functions and their integrals"),
+    "evolve": (run_evolve, "propagate the master equation and write the trajectory"),
+    "exact": (run_exact, "propagate the truncated-Fock reference and write the trajectory"),
+    "compare": (run_compare, "master equation vs reference with coupling-order scaling"),
+    "limits": (run_limits, "run the limit checks applicable to the config"),
 }
 
 
@@ -324,26 +334,22 @@ class _Parser(argparse.ArgumentParser):
     # usage mistakes are configuration errors as far as exit codes go
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # one parser with the verb as a choice: every add_argument builds a help
+    # formatter, so a sub-parser per verb costs several times as much
+    verbs = "\n".join(f"  {name:<9}{help_line}" for name, (_, help_line) in _COMMANDS.items())
     parser = _Parser(prog="spinboson",
-                     description="Non-Markovian spin-boson dynamics toolkit")
+                     description="Non-Markovian spin-boson dynamics toolkit",
+                     epilog=f"commands:\n{verbs}",
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    help_lines = {
-        "rates": "tabulate the four rate functions and their integrals",
-        "evolve": "propagate the master equation and write the trajectory",
-        "exact": "propagate the truncated-Fock reference and write the trajectory",
-        "compare": "master equation vs reference with coupling-order scaling",
-        "limits": "run the limit checks applicable to the config",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=help_lines[name])
-        p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument("--out", help="output path (default: output_path from the config)")
+    parser.add_argument("command", choices=_COMMANDS, help="the verb to run (see below)")
+    parser.add_argument("--config", required=True, help="run configuration file")
+    parser.add_argument("--out", help="output path (default: output_path from the config)")
     return parser
 
 
@@ -354,11 +360,11 @@ def main(argv=None) -> int:
         out = args.out or cfg.output_path
         if not out:
             raise ConfigError("no output path: pass --out or set output_path")
-        return _COMMANDS[args.command](cfg, out)
+        return _COMMANDS[args.command][0](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TraceDriftError, BathDimensionError) as exc:
+    except (TraceDriftError, BathDimensionError, TruncationError) as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -12,7 +12,10 @@ model:       omega0, beta ("vacuum" or a positive float), and exactly one of
                omega_min, omega_max, mode_count
 simulation:  t_max, samples, rk4_substeps (optional, default automatic)
 state:       rho00, rho01 (complex literal, e.g. "0.3+0.1j")
-oracle:      oracle_enabled (true|false, default false), n_max (default 4)
+oracle:      oracle_enabled (true|false, default false), n_max (default 4),
+             check_truncation (true|false, default false: rerun the exact
+             solver at twice n_max and abort if any element moves by more
+             than truncation_tol), truncation_tol (default 1e-6)
 output:      output_format (csv), output_path (optional if --out is given)
 """
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +42,7 @@ _KNOWN_KEYS = {
     "density", "eta", "omega_c", "omega_min", "omega_max", "mode_count",
     "t_max", "samples", "rk4_substeps",
     "rho00", "rho01",
-    "oracle_enabled", "n_max",
+    "oracle_enabled", "n_max", "check_truncation", "truncation_tol",
     "output_format", "output_path",
 }
 
@@ -65,6 +69,8 @@ class RunConfig:
     rho01: complex
     oracle_enabled: bool
     n_max: int
+    check_truncation: bool
+    truncation_tol: float
     output_format: str
     output_path: str | None
 
@@ -79,6 +85,12 @@ class RunConfig:
                                       self.mode_count)
 
     def model(self) -> SpinBosonModel:
+        """The model, built once per config (by the validation in
+        :func:`parse_config_text`) and shared by every caller."""
+        return self._model
+
+    @cached_property
+    def _model(self) -> SpinBosonModel:
         if self.modes is not None:
             return SpinBosonModel(self.omega0, self.modes, self.beta)
         return self.discretization().build_model(self.omega0, self.beta)
@@ -229,6 +241,8 @@ def parse_config_text(text: str) -> RunConfig:
         rho01=convert("rho01", _parse_complex, default=0j),
         oracle_enabled=convert("oracle_enabled", _parse_bool, default=False),
         n_max=convert("n_max", _parse_int, default=4),
+        check_truncation=convert("check_truncation", _parse_bool, default=False),
+        truncation_tol=convert("truncation_tol", _parse_positive_float, default=1e-6),
         output_format=convert("output_format", str, default="csv"),
         output_path=convert("output_path", str),
     )
@@ -252,8 +266,6 @@ def parse_config_text(text: str) -> RunConfig:
             f"initial state not positive semidefinite: |rho01|^2 = {abs(cfg.rho01)**2:.6g} "
             f"exceeds rho00*(1-rho00) = {cfg.rho00 * (1 - cfg.rho00):.6g}")
     try:
-        if cfg.density is not None:
-            cfg.discretization()
         cfg.model()
     except ConfigError:
         raise

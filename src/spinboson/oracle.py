@@ -298,9 +298,12 @@ def dyson_terms(model: SpinBosonModel, bath: TruncatedBath, t: float,
     block matrix holding -i H0 on every diagonal block and -i V on the block
     superdiagonal exponentiates, at time t, to a first block row whose block
     k is exp(-i H0 t) times term k.  Needs scipy, which nothing else in the
-    package imports.
+    package imports; install it with the ``dyson`` extra.
     """
-    from scipy.linalg import expm  # here, to keep scipy off the import path
+    try:
+        from scipy.linalg import expm  # here, to keep scipy off the import path
+    except ImportError as exc:
+        raise ImportError("dyson_terms needs scipy: pip install 'spinboson[dyson]'") from exc
 
     if not 0 <= order <= 2:
         raise ValueError("only orders 0..2 are implemented")

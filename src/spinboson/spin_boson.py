@@ -143,9 +143,22 @@ def thermal_occupation(omega: float, beta: float) -> float:
     return 1.0 / math.expm1(beta * omega)
 
 
+def _read_only(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class SpinBosonModel:
-    """Two-level splitting, discrete modes ``(omega_k, g_k)``, inverse temperature."""
+    """Two-level splitting, discrete modes ``(omega_k, g_k)``, inverse temperature.
+
+    The splitting ``omega0`` must be positive and finite, like every mode
+    frequency: ``|0>`` is the excited level, and the thermal occupation at
+    the system frequency (``markov_rates``) has no meaning at or below zero.
+    ``frequencies``, ``couplings`` and ``occupations()`` are computed once per
+    model and returned as read-only arrays, which every consumer shares.
+    """
 
     omega0: float
     modes: tuple[tuple[float, float], ...]
@@ -156,6 +169,8 @@ class SpinBosonModel:
             self, "modes", tuple((float(w), float(g)) for w, g in self.modes))
         if not math.isfinite(self.omega0):
             raise ValueError(f"omega0 must be finite, got {self.omega0}")
+        if self.omega0 <= 0:
+            raise ValueError(f"omega0 must be positive, got {self.omega0}")
         if not all(math.isfinite(w) and math.isfinite(g) for w, g in self.modes):
             raise ValueError("mode frequencies and couplings must be finite")
         if any(w <= 0 for w, _ in self.modes):
@@ -167,16 +182,20 @@ class SpinBosonModel:
     def vacuum(self) -> bool:
         return self.beta == math.inf
 
-    @property
+    @cached_property
     def frequencies(self) -> np.ndarray:
-        return np.array([w for w, _ in self.modes], dtype=float)
+        return _read_only([w for w, _ in self.modes])
 
-    @property
+    @cached_property
     def couplings(self) -> np.ndarray:
-        return np.array([g for _, g in self.modes], dtype=float)
+        return _read_only([g for _, g in self.modes])
+
+    @cached_property
+    def _occupations(self) -> np.ndarray:
+        return _read_only([thermal_occupation(w, self.beta) for w, _ in self.modes])
 
     def occupations(self) -> np.ndarray:
-        return np.array([thermal_occupation(w, self.beta) for w, _ in self.modes])
+        return self._occupations
 
     def scaled(self, factor: float) -> "SpinBosonModel":
         """Same model with every coupling multiplied by ``factor``."""

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spinboson
+import spinboson.cli as cli
 from spinboson.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
                            RATES_HEADER, TRAJECTORY_HEADER, main, read_csv)
 
@@ -357,6 +358,87 @@ def test_help_lists_all_verbs(capsys):
     out = capsys.readouterr().out
     for verb in ("rates", "evolve", "exact", "compare", "limits"):
         assert verb in out
+
+
+def test_help_pairs_every_verb_with_its_description(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for verb, (_, description) in cli._COMMANDS.items():
+        assert any(line.split() == [verb] + description.split() for line in lines), verb
+
+
+def test_usage_errors_exit_config(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, THERMAL_CFG)
+    for argv in ([], ["rates"], ["frobnicate", "--config", cfg],
+                 ["rates", "--config", cfg, "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG, argv
+        assert "error:" in capsys.readouterr().err
+
+
+def test_options_may_precede_the_verb(tmp_path):
+    cfg = write_cfg(tmp_path, THERMAL_CFG)
+    first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+    assert main(["--config", cfg, "rates", "--out", str(first)]) == EXIT_OK
+    assert main(["rates", "--config", cfg, "--out", str(last)]) == EXIT_OK
+    assert first.read_bytes() == last.read_bytes()
+
+
+@pytest.mark.parametrize("verb", ["rates", "limits"])
+def test_each_main_call_builds_one_parser_and_one_model(tmp_path, monkeypatch, verb):
+    # the discretized model is sampled once per call (not again in the verb),
+    # and nothing is reused between calls
+    from spinboson.spin_boson import SpectralDiscretization
+
+    calls = {"parser": 0, "modes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_build_parser", counted("parser", cli._build_parser))
+    monkeypatch.setattr(SpectralDiscretization, "modes",
+                        counted("modes", SpectralDiscretization.modes))
+    cfg = write_cfg(tmp_path, MARKOV_CFG)
+    for n in (1, 2):
+        assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert calls == {"parser": n, "modes": n}
+
+
+HOT_CFG = """\
+omega0 = 1.0
+beta = 0.01
+modes = 0.8:0.1, 1.2:0.07
+t_max = 10.0
+samples = 101
+rk4_substeps = 60
+rho00 = 0.7
+rho01 = 0.25+0.1j
+oracle_enabled = true
+n_max = 4
+"""
+
+
+@pytest.mark.parametrize("verb", ["exact", "compare"])
+def test_truncation_check_aborts_on_a_hot_bath(tmp_path, capsys, verb):
+    # at beta = 0.01 the default cutoff is far from converged: doubling n_max
+    # moves the trajectory by about 8e-2, which only the opt-in check reports
+    # unchecked, compare fails its [6, 10] window as on every physical config
+    unchecked = {"exact": EXIT_OK, "compare": EXIT_CHECK}[verb]
+    out = str(tmp_path / "out")
+    off = write_cfg(tmp_path, HOT_CFG, "off.cfg")
+    assert main([verb, "--config", off, "--out", out]) == unchecked
+    on = write_cfg(tmp_path, HOT_CFG + "check_truncation = true\n", "on.cfg")
+    assert main([verb, "--config", on, "--out", out]) == EXIT_RUNTIME
+    assert "runtime abort: truncation not converged" in capsys.readouterr().err
+    loose = write_cfg(tmp_path, HOT_CFG + "check_truncation = true\ntruncation_tol = 1\n",
+                      "loose.cfg")
+    assert main([verb, "--config", loose, "--out", out]) == unchecked
 
 
 # Run in a fresh interpreter: the CLI path loads no scipy module, and

@@ -119,6 +119,23 @@ def test_value_range_checks():
         parse_config_text(GOOD.replace("t_max = 5.0", "t_max = -1.0"))
 
 
+def test_truncation_check_keys():
+    cfg = parse_config_text(GOOD)
+    assert cfg.check_truncation is False and cfg.truncation_tol == 1e-6
+    cfg = parse_config_text(GOOD + "check_truncation = true\ntruncation_tol = 1e-4\n")
+    assert cfg.check_truncation is True and cfg.truncation_tol == 1e-4
+    with pytest.raises(ConfigError, match="field 'check_truncation'"):
+        parse_config_text(GOOD + "check_truncation = maybe\n")
+    for tol in ("0", "-1e-6", "nan", "small"):
+        with pytest.raises(ConfigError, match="field 'truncation_tol'"):
+            parse_config_text(GOOD + f"truncation_tol = {tol}\n")
+
+
+def test_model_is_built_once_per_config():
+    cfg = parse_config_text(GOOD_DISC)
+    assert cfg.model() is cfg.model()
+
+
 def test_comments_and_blank_lines_ignored():
     text = "\n# leading comment\n\n" + GOOD + "\n   # trailing\n"
     cfg = parse_config_text(text)

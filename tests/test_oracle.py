@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -297,6 +298,13 @@ def test_truncation_flagged_for_hot_bath():
 
 
 # -- series terms of the propagator ----------------------------------------------------
+
+def test_dyson_terms_without_scipy_name_the_extra(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+    model = vacuum_mode()
+    with pytest.raises(ImportError, match=r"spinboson\[dyson\]"):
+        dyson_terms(model, TruncatedBath(model, n_max=1), 0.5)
+
 
 def test_dyson_terms_at_zero_time():
     model = two_mode_vacuum()

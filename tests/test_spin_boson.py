@@ -82,6 +82,27 @@ def test_model_validation():
         nan_eta.build_model(1.0, 1.0)
 
 
+def test_model_rejects_non_positive_splitting():
+    # omega0 <= 0 is rejected at construction, as the config parser does
+    for omega0 in (0.0, -0.0, -1.0):
+        with pytest.raises(ValueError, match="omega0 must be positive"):
+            SpinBosonModel(omega0, [(1.0, 0.1)], 1.0)
+
+
+def test_model_arrays_are_read_only_and_match_the_modes():
+    model = SpinBosonModel(1.0, [(0.8, 0.1), (1.2, -0.07)], 1.3)
+    assert model.frequencies.tolist() == [0.8, 1.2]
+    assert model.couplings.tolist() == [0.1, -0.07]
+    assert model.occupations().tolist() == [thermal_occupation(0.8, 1.3),
+                                            thermal_occupation(1.2, 1.3)]
+    for values in (model.frequencies, model.couplings, model.occupations()):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 5.0
+    # computed once: every read returns the same array
+    assert model.frequencies is model.frequencies
+    assert model.occupations() is model.occupations()
+
+
 def test_model_scaling():
     m = SpinBosonModel(1.0, [(1.0, 0.1), (2.0, 0.2)], 1.0)
     half = m.scaled(0.5)
