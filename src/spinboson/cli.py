@@ -154,8 +154,7 @@ def run_exact(cfg: RunConfig, out: str) -> int:
     model = cfg.model()
     bath = TruncatedBath(model, n_max=cfg.n_max)
     traj = exact_reduced_dynamics(model, bath, cfg.initial_state(), cfg.time_grid(),
-                                  check_truncation=cfg.check_truncation,
-                                  truncation_tol=cfg.truncation_tol)
+                                  check_truncation=cfg.check_truncation)
     _write_trajectory(cfg, traj, out,
                       [("integrator", "exact-eig"), ("n_max", cfg.n_max)])
     return EXIT_OK
@@ -176,8 +175,7 @@ def run_compare(cfg: RunConfig, out: str) -> int:
         me = propagate(interaction_decomposition(model), bath_statistics(model),
                        rho0, grid, substeps=cfg.rk4_substeps)
         exact = exact_reduced_dynamics(model, bath, rho0, grid,
-                                       check_truncation=cfg.check_truncation,
-                                       truncation_tol=cfg.truncation_tol)
+                                       check_truncation=cfg.check_truncation)
         dist = np.linalg.norm(me.states - exact.states, axis=(1, 2))
         if factor == 1.0:
             distances = dist

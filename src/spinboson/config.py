@@ -15,7 +15,7 @@ state:       rho00, rho01 (complex literal, e.g. "0.3+0.1j")
 oracle:      oracle_enabled (true|false, default false), n_max (default 4),
              check_truncation (true|false, default false: rerun the exact
              solver at twice n_max and abort if any element moves by more
-             than truncation_tol), truncation_tol (default 1e-6)
+             than 1e-6)
 output:      output_format (csv), output_path (optional if --out is given)
 """
 
@@ -42,7 +42,7 @@ _KNOWN_KEYS = {
     "density", "eta", "omega_c", "omega_min", "omega_max", "mode_count",
     "t_max", "samples", "rk4_substeps",
     "rho00", "rho01",
-    "oracle_enabled", "n_max", "check_truncation", "truncation_tol",
+    "oracle_enabled", "n_max", "check_truncation",
     "output_format", "output_path",
 }
 
@@ -70,7 +70,6 @@ class RunConfig:
     oracle_enabled: bool
     n_max: int
     check_truncation: bool
-    truncation_tol: float
     output_format: str
     output_path: str | None
 
@@ -242,7 +241,6 @@ def parse_config_text(text: str) -> RunConfig:
         oracle_enabled=convert("oracle_enabled", _parse_bool, default=False),
         n_max=convert("n_max", _parse_int, default=4),
         check_truncation=convert("check_truncation", _parse_bool, default=False),
-        truncation_tol=convert("truncation_tol", _parse_positive_float, default=1e-6),
         output_format=convert("output_format", str, default="csv"),
         output_path=convert("output_path", str),
     )

@@ -46,9 +46,9 @@ __all__ = [
 class BathDimensionError(ValueError):
     """Truncated Hilbert space would exceed the configured cap."""
 
-    def __init__(self, dim: int, cap: int, n_max: int, n_modes: int):
+    def __init__(self, dim: int, cap: int, n_max: int, n_modes: int, needed_by: str = ""):
         super().__init__(
-            f"full Hilbert dimension 2*({n_max}+1)^{n_modes} = {dim} exceeds the "
+            f"{needed_by}full Hilbert dimension 2*({n_max}+1)^{n_modes} = {dim} exceeds the "
             f"cap of {cap}; lower n_max or the mode count, or raise dim_cap")
         self.dim = dim
         self.cap = cap
@@ -234,11 +234,19 @@ def exact_reduced_dynamics(model: SpinBosonModel, bath: TruncatedBath,
     are never diagonalized.  The free system rotation is applied last, so
     the output is directly comparable to master-equation trajectories.  With
     ``check_truncation`` the run is repeated at double the Fock cutoff and
-    flagged if any sampled element moves by more than ``truncation_tol``.
+    flagged if any sampled element moves by more than ``truncation_tol``;
+    a doubled cutoff over ``bath.dim_cap`` raises before the first run.
     ``times`` must be a finite, strictly increasing grid.
     """
     rho0 = require_density_matrix(rho0)
     times = require_time_grid(times)
+    if check_truncation:
+        # the rerun must fit the cap too: say so before the first run, not after it
+        fine_n_max = 2 * bath.n_max
+        fine_dim = 2 * (fine_n_max + 1) ** bath.n_modes
+        if fine_dim > bath.dim_cap:
+            raise BathDimensionError(fine_dim, bath.dim_cap, fine_n_max, bath.n_modes,
+                                     needed_by="check_truncation reruns at twice n_max: ")
     weights = _bath_weights(model, bath, beta)
     reduced = np.zeros((len(times), 2, 2), dtype=complex)
     previous = None
@@ -274,7 +282,7 @@ def exact_reduced_dynamics(model: SpinBosonModel, bath: TruncatedBath,
                       metadata={"integrator": "exact-eig", "n_max": bath.n_max}).validate()
     traj.metadata["min_eigenvalue"] = traj.min_eigenvalues()
     if check_truncation:
-        fine = exact_reduced_dynamics(model, bath.with_n_max(2 * bath.n_max),
+        fine = exact_reduced_dynamics(model, bath.with_n_max(fine_n_max),
                                       rho0, times, beta=beta)
         shift = float(np.max(np.abs(traj.states - fine.states)))
         traj.metadata["truncation_shift"] = shift

@@ -436,9 +436,18 @@ def test_truncation_check_aborts_on_a_hot_bath(tmp_path, capsys, verb):
     on = write_cfg(tmp_path, HOT_CFG + "check_truncation = true\n", "on.cfg")
     assert main([verb, "--config", on, "--out", out]) == EXIT_RUNTIME
     assert "runtime abort: truncation not converged" in capsys.readouterr().err
-    loose = write_cfg(tmp_path, HOT_CFG + "check_truncation = true\ntruncation_tol = 1\n",
-                      "loose.cfg")
-    assert main([verb, "--config", loose, "--out", out]) == unchecked
+
+
+def test_truncation_check_names_itself_when_the_doubled_cutoff_is_too_large(tmp_path, capsys):
+    # 4 modes at n_max = 4 fit the cap (dimension 1250); the rerun at n_max = 8
+    # (dimension 13122) does not, which is reported before the first run
+    text = HOT_CFG.replace("beta = 0.01", "beta = 1.0").replace(
+        "modes = 0.8:0.1, 1.2:0.07", "modes = 0.9:0.05, 1.0:0.05, 1.1:0.05, 1.2:0.05")
+    cfg = write_cfg(tmp_path, text + "check_truncation = true\n")
+    assert main(["exact", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "runtime abort: check_truncation reruns at twice n_max" in err
+    assert "2*(8+1)^4 = 13122" in err
 
 
 # Run in a fresh interpreter: the CLI path loads no scipy module, and
