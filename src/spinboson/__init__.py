@@ -13,7 +13,7 @@ from .master_eq import (BathStatistics, InteractionDecomposition,
                         TraceDriftError, Trajectory, first_order_hamiltonian,
                         propagate, rhs, second_order_generator)
 from .oracle import (BathDimensionError, TruncatedBath, dyson_terms,
-                     exact_reduced_dynamics, full_hamiltonian,
+                     exact_reduced_dynamics, exact_scaled_dynamics, full_hamiltonian,
                      map_inversion_residual, reduced_map_deviation,
                      thermal_bath_state)
 from .spin_boson import (RateChannel, RateFunctions, SpectralDiscretization,
@@ -40,6 +40,6 @@ __all__ = [
     "flat_density", "interaction_decomposition", "bath_statistics",
     # exact reference
     "TruncatedBath", "BathDimensionError", "full_hamiltonian",
-    "thermal_bath_state", "exact_reduced_dynamics", "dyson_terms",
+    "thermal_bath_state", "exact_reduced_dynamics", "exact_scaled_dynamics", "dyson_terms",
     "reduced_map_deviation", "map_inversion_residual",
 ]

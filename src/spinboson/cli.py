@@ -36,7 +36,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .master_eq import TraceDriftError, Trajectory, generator_matrix, propagate
 from .oracle import (BathDimensionError, TruncatedBath, TruncationError,
-                     exact_reduced_dynamics)
+                     exact_reduced_dynamics, exact_scaled_dynamics)
 from .spin_boson import (bath_statistics, interaction_decomposition,
                          markov_rates, rate_functions, vacuum_rhs)
 
@@ -69,13 +69,6 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
         fh.write(",".join(header) + "\n")
         for i in range(rows):
             fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
-
-
-def read_csv(path: str) -> tuple[list[str], np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = [[float(x) for x in line.strip().split(",")] for line in fh if line.strip()]
-    return header, np.array(data)
 
 
 def _write_keyvals(fh, pairs) -> None:
@@ -166,16 +159,16 @@ def run_compare(cfg: RunConfig, out: str) -> int:
     base = cfg.model()
     grid = cfg.time_grid()
     rho0 = cfg.initial_state()
+    # one sector pass gives the reference at every coupling scale
+    references = exact_scaled_dynamics(base, TruncatedBath(base, n_max=cfg.n_max), rho0, grid,
+                                       SCALING_FACTORS, check_truncation=cfg.check_truncation)
 
     distances = None
     errors = []
-    for factor in SCALING_FACTORS:
+    for factor, exact in zip(SCALING_FACTORS, references):
         model = base.scaled(factor)
-        bath = TruncatedBath(model, n_max=cfg.n_max)
         me = propagate(interaction_decomposition(model), bath_statistics(model),
                        rho0, grid, substeps=cfg.rk4_substeps)
-        exact = exact_reduced_dynamics(model, bath, rho0, grid,
-                                       check_truncation=cfg.check_truncation)
         dist = np.linalg.norm(me.states - exact.states, axis=(1, 2))
         if factor == 1.0:
             distances = dist

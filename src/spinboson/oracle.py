@@ -4,11 +4,13 @@ Each bosonic mode is capped at ``n_max`` quanta, which makes the full
 system+bath space finite.  The coupling exchanges single quanta, so the
 total Hamiltonian splits into excitation-number sectors, and one
 eigendecomposition per sector gives the reduced dynamics exactly (within
-the truncation) at every requested time.  The series terms of the
-evolution operator come from one exponential of a block matrix built from
-the free energies and the coupling; the deviation of the reduced map from
-the identity and the alternating-sum inversion identity work with the
-propagator on the full space.  All of them read one table of product-basis
+the truncation) at every requested time.  One pass over the sectors serves
+several coupling scales at once: the sector blocks and the bath weights are
+built once, and only the eigendecompositions repeat per scale.  The series
+terms of the evolution operator come from one exponential of a block matrix
+built from the free energies and the coupling; the deviation of the reduced
+map from the identity and the alternating-sum inversion identity work with
+the propagator on the full space.  All of them read one table of product-basis
 matrix elements.
 
 All reduced states returned here live in the frame co-rotating with the
@@ -37,6 +39,7 @@ __all__ = [
     "thermal_bath_state",
     "interaction_unitary",
     "exact_reduced_dynamics",
+    "exact_scaled_dynamics",
     "dyson_terms",
     "reduced_map_deviation",
     "map_inversion_residual",
@@ -151,9 +154,11 @@ def _sector_hamiltonians(model: SpinBosonModel, bath: TruncatedBath):
     The coupling only exchanges single quanta, so N = n_up + sum_k n_k is
     conserved (exactly, also under the per-mode Fock cutoff).  Sector N holds
     the states (up, n) with sum n = N - 1 and (down, n) with sum n = N.
-    Returns one ``(states, block)`` pair per N = 0, 1, ...: the product-basis
-    indices of the sector in ascending order (its up states first) and the
-    Hamiltonian restricted to them.
+    Returns one ``(states, energies, coupling)`` triple per N = 0, 1, ...:
+    the product-basis indices of the sector in ascending order (its up
+    states first), their uncoupled energies and the coupling restricted to
+    them.  The block of the model with every coupling scaled by ``f`` is
+    ``np.diag(energies) + f * coupling``.
     """
     occupations, energies, (rows, cols, values) = _matrix_elements(model, bath)
     quanta = occupations.sum(axis=1)
@@ -165,12 +170,12 @@ def _sector_hamiltonians(model: SpinBosonModel, bath: TruncatedBath):
     blocks = []
     for n in range(number.max() + 1):
         states = order[starts[n]:starts[n + 1]]
-        h = np.diag(energies[states])
+        v = np.zeros((len(states), len(states)))
         inside = number[rows] == n
         r, c = local[rows[inside]], local[cols[inside]]
-        h[r, c] = values[inside]
-        h[c, r] = values[inside]
-        blocks.append((states, h))
+        v[r, c] = values[inside]
+        v[c, r] = values[inside]
+        blocks.append((states, energies[states], v))
     return blocks
 
 
@@ -224,22 +229,45 @@ def exact_reduced_dynamics(model: SpinBosonModel, bath: TruncatedBath,
                            truncation_tol: float = 1e-6) -> Trajectory:
     """Exact reduced dynamics of the system, rotated to the co-rotating frame.
 
+    The one-factor case of :func:`exact_scaled_dynamics`, which describes
+    the method and the arguments.
+    """
+    return exact_scaled_dynamics(model, bath, rho0, times, (1.0,), beta=beta,
+                                 check_truncation=check_truncation,
+                                 truncation_tol=truncation_tol)[0]
+
+
+def exact_scaled_dynamics(model: SpinBosonModel, bath: TruncatedBath,
+                          rho0: np.ndarray, times: Sequence[float],
+                          factors: Sequence[float], beta: float | None = None,
+                          check_truncation: bool = False,
+                          truncation_tol: float = 1e-6) -> list[Trajectory]:
+    """Exact reduced dynamics of ``model.scaled(f)`` for each ``f`` in ``factors``.
+
     Propagates ``rho0 (x) thermal bath`` one excitation-number sector at a
-    time.  The bath state is diagonal, so the full state only has blocks
-    (N, N), which give the populations, and (N, N - 1) and (N - 1, N), which
-    give the coherences rho01 and rho10.  Each block is eigendecomposed once;
-    the reduced element it contributes is then a bilinear form in the phases
-    exp(-i w t) of the two sectors, evaluated for all sample times in one
-    product.  Sectors holding no bath weight (all but two for the vacuum)
-    are never diagonalized.  The free system rotation is applied last, so
-    the output is directly comparable to master-equation trajectories.  With
-    ``check_truncation`` the run is repeated at double the Fock cutoff and
-    flagged if any sampled element moves by more than ``truncation_tol``;
-    a doubled cutoff over ``bath.dim_cap`` raises before the first run.
-    ``times`` must be a finite, strictly increasing grid.
+    time, in one pass for all factors: the sectors and the bath weights are
+    built once, since scaling the couplings by f turns each block into
+    ``diag(E) + f V`` and leaves the weights alone.  The bath state is
+    diagonal, so the full state only has blocks (N, N), which give the
+    populations, and (N, N - 1) and (N - 1, N), which give the coherences
+    rho01 and rho10.  Each block is eigendecomposed once per factor; the
+    reduced element it contributes is then a bilinear form in the phases
+    exp(-i w t) of the two sectors, evaluated for all sample times in real
+    arithmetic on their cosines and sines.  Sectors holding no bath weight
+    (all but two for the vacuum) are never diagonalized.  The free system
+    rotation is applied last, so the output is directly comparable to
+    master-equation trajectories.  With ``check_truncation`` the pass is
+    repeated at double the Fock cutoff, and the first factor whose sampled
+    elements move by more than ``truncation_tol`` raises TruncationError; a
+    doubled cutoff over ``bath.dim_cap`` raises before the first pass.
+    ``times`` must be a finite, strictly increasing grid.  Returns one
+    trajectory per factor, in the order given.
     """
     rho0 = require_density_matrix(rho0)
     times = require_time_grid(times)
+    factors = np.asarray(factors, dtype=float)
+    if factors.ndim != 1 or not np.all(np.isfinite(factors)):
+        raise ValueError("coupling factors must be a 1-d sequence of finite numbers")
     if check_truncation:
         # the rerun must fit the cap too: say so before the first run, not after it
         fine_n_max = 2 * bath.n_max
@@ -247,53 +275,94 @@ def exact_reduced_dynamics(model: SpinBosonModel, bath: TruncatedBath,
         if fine_dim > bath.dim_cap:
             raise BathDimensionError(fine_dim, bath.dim_cap, fine_n_max, bath.n_modes,
                                      needed_by="check_truncation reruns at twice n_max: ")
-    weights = _bath_weights(model, bath, beta)
-    reduced = np.zeros((len(times), 2, 2), dtype=complex)
-    previous = None
-    for sector, h in _sector_hamiltonians(model, bath):
-        p = weights[sector % bath.bath_dim]
-        if not p.any():
-            break  # the weights fall with the quanta, so no later sector has any
-        w, v = np.linalg.eigh(h)
-        phase = np.exp(-1j * np.outer(times, w))
-        up = sector < bath.bath_dim
-        v_up, v_down, p_up = v[up], v[~up], p[up]
-        # block (N, N) of the initial state in the eigenbasis; the
-        # populations are tr(P_s U A U^dag) with P_s the projector on level s
-        a = (rho0[0, 0] * ((v_up.T * p_up) @ v_up)
-             + rho0[1, 1] * ((v_down.T * p[~up]) @ v_down))
-        for s, v_s in enumerate((v_up, v_down)):
-            reduced[:, s, s] += _bilinear(phase, (v_s.T @ v_s) * a, phase)
-        if previous is not None:
-            # the up states here pair with the down states of sector N - 1,
-            # bath state by bath state in the same order
-            prev_down, prev_phase = previous
-            overlap = prev_down.T @ v_up
-            y = rho0[0, 1] * ((v_up.T * p_up) @ prev_down)
-            reduced[:, 0, 1] += _bilinear(phase, overlap.T * y, prev_phase)
-            y = rho0[1, 0] * ((prev_down.T * p_up) @ v_up)
-            reduced[:, 1, 0] += _bilinear(prev_phase, overlap * y, phase)
-        previous = v_down, phase
+    z = _sector_sums(model, bath, rho0, times, factors, beta)
+    reduced = np.empty((len(factors), len(times), 2, 2), dtype=complex)
+    reduced[:, :, 0, 0] = z[:, 0]
+    reduced[:, :, 1, 1] = z[:, 1]
+    reduced[:, :, 0, 1] = rho0[0, 1] * z[:, 2]
+    reduced[:, :, 1, 0] = rho0[1, 0] * z[:, 3]
 
     e_sys = np.array([0.5 * model.omega0, -0.5 * model.omega0])
     rot = np.exp(1j * np.outer(times, e_sys))
-    states = rot[:, :, None] * reduced * rot.conj()[:, None, :]
-    traj = Trajectory(times, states,
-                      metadata={"integrator": "exact-eig", "n_max": bath.n_max}).validate()
-    traj.metadata["min_eigenvalue"] = traj.min_eigenvalues()
+    trajectories = []
+    for states in rot[:, :, None] * reduced * rot.conj()[:, None, :]:
+        traj = Trajectory(times, states,
+                          metadata={"integrator": "exact-eig", "n_max": bath.n_max}).validate()
+        traj.metadata["min_eigenvalue"] = traj.min_eigenvalues()
+        trajectories.append(traj)
     if check_truncation:
-        fine = exact_reduced_dynamics(model, bath.with_n_max(fine_n_max),
-                                      rho0, times, beta=beta)
-        shift = float(np.max(np.abs(traj.states - fine.states)))
-        traj.metadata["truncation_shift"] = shift
-        if shift > truncation_tol:
-            raise TruncationError(shift, truncation_tol)
-    return traj
+        fine = exact_scaled_dynamics(model, bath.with_n_max(fine_n_max), rho0, times,
+                                     factors, beta=beta)
+        for traj, reference in zip(trajectories, fine):
+            shift = float(np.max(np.abs(traj.states - reference.states)))
+            traj.metadata["truncation_shift"] = shift
+            if shift > truncation_tol:
+                raise TruncationError(shift, truncation_tol)
+    return trajectories
 
 
-def _bilinear(left: np.ndarray, c: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_ij left[t, i] c[i, j] conj(right[t, j]) for every row t."""
-    return np.sum((left @ c) * right.conj(), axis=1)
+def _sector_sums(model: SpinBosonModel, bath: TruncatedBath, rho0: np.ndarray,
+                 times: np.ndarray, factors: np.ndarray,
+                 beta: float | None) -> np.ndarray:
+    """Sector pass behind :func:`exact_scaled_dynamics`.
+
+    Returns rho00, rho11, rho01 / rho0[0, 1] and rho10 / rho0[1, 0] before
+    the free rotation, shape ``(len(factors), 4, len(times))``.  Each is a
+    sum over sectors of bilinear forms sum_ij phase[t, i] c[i, j]
+    conj(phase'[t, j]) with real c and phase = exp(-i w t) = cos - i sin,
+    accumulated as its four real cos/sin pairings.
+    """
+    weights = _bath_weights(model, bath, beta)
+    sectors = []
+    for states, energies, coupling in _sector_hamiltonians(model, bath):
+        p = weights[states % bath.bath_dim]
+        if not p.any():
+            break  # the weights fall with the quanta, so no later sector has any
+        up = states < bath.bath_dim
+        # q: block (N, N) of the initial state, diagonal in the product basis
+        sectors.append((energies, coupling, np.count_nonzero(up), p,
+                        p * np.where(up, rho0[0, 0].real, rho0[1, 1].real)))
+    n_t = len(times)
+    sums = np.zeros((len(factors), 4, 2, 2, n_t))
+    # one factor at a time over the shared sectors: stacking the factors'
+    # d x d temporaries costs more peak memory than the loop costs time
+    for k, factor in enumerate(factors):
+        previous = None
+        for energies, coupling, n_up, p, q in sectors:
+            h = factor * coupling
+            h.flat[::len(energies) + 1] += energies
+            w, v = np.linalg.eigh(h)
+            angles = np.multiply.outer(times, w)
+            trig = np.array((np.cos(angles), np.sin(angles)))
+            x = trig.reshape(2 * n_t, -1)
+            # the populations are tr(P_s U A U^dag) with P_s the projector on
+            # level s and A the initial block in the eigenbasis
+            a = (v.T * q) @ v
+            v_up, v_down = v[:n_up], v[n_up:]
+            levels = np.array((v_up.T @ v_up, v_down.T @ v_down))
+            sums[k, :2] += _pairings(x @ (levels * a), trig)
+            if previous is not None:
+                # the up states here pair with the down states of sector
+                # N - 1, bath state by bath state in the same order; the two
+                # coherences share one matrix but are summed apart, so their
+                # mismatch stays a measured hermiticity error
+                prev_down, prev_x, prev_trig = previous
+                b = (v_up.T @ prev_down) * ((v_up.T * p[:n_up]) @ prev_down)
+                sums[k, 2] += _pairings(x @ b, prev_trig)
+                sums[k, 3] += _pairings(prev_x @ b.T, trig)
+            previous = v_down, x, trig
+    return (sums[:, :, 0, 0] + sums[:, :, 1, 1]) + 1j * (sums[:, :, 0, 1] - sums[:, :, 1, 0])
+
+
+def _pairings(left: np.ndarray, trig: np.ndarray) -> np.ndarray:
+    """sum_j left[..., u, t, j] trig[u', t, j] for u, u' in (cos, sin).
+
+    ``left`` holds the rows of cos @ c and then those of sin @ c, shape
+    ``(..., 2 * times, j)``; ``trig`` the cosines and sines of the sector
+    on the right of c, ``(2, times, j)``.  Returns shape ``(..., 2, 2, times)``.
+    """
+    halves = left.reshape(left.shape[:-2] + trig.shape)
+    return np.einsum("...utj,vtj->...uvt", halves, trig)
 
 
 def dyson_terms(model: SpinBosonModel, bath: TruncatedBath, t: float,

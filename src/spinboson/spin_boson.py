@@ -156,8 +156,9 @@ class SpinBosonModel:
     The splitting ``omega0`` must be positive and finite, like every mode
     frequency: ``|0>`` is the excited level, and the thermal occupation at
     the system frequency (``markov_rates``) has no meaning at or below zero.
-    ``frequencies``, ``couplings`` and ``occupations()`` are computed once per
-    model and returned as read-only arrays, which every consumer shares.
+    ``frequencies``, ``couplings``, ``occupations()`` and the rate evaluators
+    of :func:`rate_functions` are computed once per model, on read-only
+    arrays, which every consumer shares.
     """
 
     omega0: float
@@ -196,6 +197,16 @@ class SpinBosonModel:
 
     def occupations(self) -> np.ndarray:
         return self._occupations
+
+    @cached_property
+    def _rate_functions(self) -> "RateFunctions":
+        # see rate_functions
+        detunings = _read_only(self.frequencies - self.omega0)
+        g2 = self.couplings ** 2
+        return RateFunctions(
+            absorption=RateChannel(detunings, _read_only(g2 * self._occupations)),
+            emission=RateChannel(detunings, _read_only(g2 * (self._occupations + 1.0))),
+        )
 
     def scaled(self, factor: float) -> "SpinBosonModel":
         """Same model with every coupling multiplied by ``factor``."""
@@ -486,10 +497,6 @@ class RateFunctions:
         channels = _channel_sums((self.absorption, self.emission), parts, offsets)(starts)
         return tuple(tuple(_like(times, s) for s in channel) for channel in channels)
 
-    def total_decay(self, t):
-        (absorption,), (emission,) = self.sums(t, ("decay",))
-        return absorption + emission
-
     def total_shift(self, t):
         (absorption,), (emission,) = self.sums(t, ("shift",))
         return absorption + emission
@@ -507,14 +514,9 @@ def rate_functions(model: SpinBosonModel) -> RateFunctions:
 
     The emission weights carry the extra ``+1``, so emission minus
     absorption is exactly the occupation-independent vacuum contribution.
+    Built once per model, with read-only arrays, and shared by every caller.
     """
-    detunings = model.frequencies - model.omega0
-    g2 = model.couplings ** 2
-    occ = model.occupations()
-    return RateFunctions(
-        absorption=RateChannel(detunings, g2 * occ),
-        emission=RateChannel(detunings, g2 * (occ + 1.0)),
-    )
+    return model._rate_functions
 
 
 # -- assembled equation of motion -------------------------------------------

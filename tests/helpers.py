@@ -121,3 +121,13 @@ def ladder_coupling(model, bath) -> np.ndarray:
     for (_, g), b in zip(model.modes, bath_annihilation_ops(bath)):
         out += g * (np.kron(SIGMA_PLUS, b) + np.kron(SIGMA_MINUS, b.conj().T))
     return out
+
+
+# -- CLI output --------------------------------------------------------------
+
+def read_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """Header and rows of a CSV written by the CLI."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        data = [[float(x) for x in line.strip().split(",")] for line in fh if line.strip()]
+    return header, np.array(data)

@@ -11,7 +11,9 @@ import pytest
 import spinboson
 import spinboson.cli as cli
 from spinboson.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
-                           RATES_HEADER, TRAJECTORY_HEADER, main, read_csv)
+                           RATES_HEADER, TRAJECTORY_HEADER, main)
+
+from helpers import read_csv
 
 VACUUM_CFG = """\
 omega0 = 1.0
@@ -448,6 +450,42 @@ def test_truncation_check_names_itself_when_the_doubled_cutoff_is_too_large(tmp_
     err = capsys.readouterr().err
     assert "runtime abort: check_truncation reruns at twice n_max" in err
     assert "2*(8+1)^4 = 13122" in err
+
+
+@pytest.mark.parametrize("check, passes", [("false", 1), ("true", 2)])
+def test_compare_builds_the_sectors_once_per_pass(tmp_path, monkeypatch, check, passes):
+    # all three coupling scales come from one sector pass; check_truncation
+    # adds the pass at twice n_max
+    import spinboson.oracle as oracle
+
+    built = []
+    sectors = oracle._sector_hamiltonians
+
+    def counted(model, bath):
+        built.append(bath.n_max)
+        return sectors(model, bath)
+
+    monkeypatch.setattr(oracle, "_sector_hamiltonians", counted)
+    cfg = write_cfg(tmp_path, COMPARE_CFG + f"check_truncation = {check}\n")
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CHECK
+    assert built == [4, 8][:passes]
+
+
+def test_vacuum_limits_build_the_rate_functions_once(tmp_path, monkeypatch):
+    from spinboson.spin_boson import RateFunctions
+
+    built = []
+    post_init = RateFunctions.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(RateFunctions, "__post_init__", counted)
+    cfg = write_cfg(tmp_path, VACUUM_CFG)
+    for n in (1, 2):
+        assert main(["limits", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(built) == n
 
 
 # Run in a fresh interpreter: the CLI path loads no scipy module, and

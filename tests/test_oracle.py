@@ -10,7 +10,8 @@ from spinboson.linalg import partial_trace
 from spinboson.master_eq import rhs
 from spinboson.oracle import (BathDimensionError, TruncatedBath,
                               TruncationError, dyson_terms,
-                              exact_reduced_dynamics, full_hamiltonian,
+                              exact_reduced_dynamics, exact_scaled_dynamics,
+                              full_hamiltonian,
                               interaction_unitary, map_inversion_residual,
                               reduced_map_deviation, thermal_bath_state)
 from spinboson.spin_boson import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z,
@@ -93,11 +94,11 @@ def test_sector_blocks_reassemble_full_hamiltonian():
     h = full_hamiltonian(model, bath)
     blocks = oracle._sector_hamiltonians(model, bath)
     assembled = np.zeros_like(h)
-    for states, block in blocks:
-        assembled[np.ix_(states, states)] = block
+    for states, energies, coupling in blocks:
+        assembled[np.ix_(states, states)] = np.diag(energies) + coupling
     assert np.array_equal(assembled, h)
     # every product state sits in exactly one sector
-    assert np.array_equal(np.sort(np.concatenate([s for s, _ in blocks])),
+    assert np.array_equal(np.sort(np.concatenate([s for s, _, _ in blocks])),
                           np.arange(bath.full_dim))
     # the coupling agrees with the one built from ladder operators
     assert np.allclose(h - np.diag(np.diag(h)), ladder_coupling(model, bath), atol=1e-15)
@@ -230,7 +231,7 @@ def test_exact_dynamics_forms_no_full_space_array(monkeypatch):
     eigh = np.linalg.eigh
 
     def recording_eigh(a, *args, **kwargs):
-        sizes.append(a.shape[0])
+        sizes.append(a.shape[-1])
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "full_hamiltonian", forbidden)
@@ -240,6 +241,54 @@ def test_exact_dynamics_forms_no_full_space_array(monkeypatch):
     assert np.array_equal(traj.states, expected.states)
     # the largest sector, N = 5: 12 up states with 4 quanta, 12 down with 5
     assert max(sizes) == 24
+
+
+@pytest.mark.parametrize("model, n_max", [
+    (SpinBosonModel(1.0, [(0.8, 0.15), (1.4, 0.1)], 1.0), 4),
+    (SpinBosonModel(1.0, [(0.9, 0.1), (1.0, 0.2), (1.2, 0.15)], math.inf), 3),
+    (SpinBosonModel(1.3, [], 1.0), 4),
+    (SpinBosonModel(1.0, [(1.3, 0.0), (0.7, 0.0)], 1.0), 2),
+], ids=["thermal-2mode", "vacuum-3mode", "no-modes", "zero-coupling"])
+def test_scaled_pass_matches_one_run_per_scaled_model(model, n_max):
+    factors = (1.0, 0.5, 0.25, 0.3)
+    grid = np.linspace(0, 4, 9)
+    rho0 = random_density_matrix(make_rng(7), 2)
+    scaled = exact_scaled_dynamics(model, TruncatedBath(model, n_max=n_max), rho0, grid,
+                                   factors)
+    assert len(scaled) == len(factors)
+    for factor, traj in zip(factors, scaled):
+        model_f = model.scaled(factor)
+        single = exact_reduced_dynamics(model_f, TruncatedBath(model_f, n_max=n_max),
+                                        rho0, grid)
+        assert np.max(np.abs(traj.states - single.states)) <= 1e-14
+        assert traj.metadata.keys() == single.metadata.keys()
+
+
+def test_scaled_pass_rejects_non_finite_factors():
+    model = vacuum_mode()
+    with pytest.raises(ValueError, match="finite"):
+        exact_scaled_dynamics(model, TruncatedBath(model, n_max=2), RHO_MIXED,
+                              np.linspace(0, 1, 3), (1.0, math.nan))
+
+
+def test_scaled_truncation_check_raises_for_the_first_unconverged_factor():
+    # at zero coupling the cutoff cannot matter; at full coupling on a hot
+    # bath it does, so the error carries the shift of the full-coupling run
+    model = SpinBosonModel(1.0, [(1.0, 0.08)], 0.3)
+    bath = TruncatedBath(model, n_max=1)
+    grid = np.linspace(0, 2, 5)
+    fine = exact_reduced_dynamics(model, bath.with_n_max(2), RHO_MIXED, grid)
+    coarse = exact_reduced_dynamics(model, bath, RHO_MIXED, grid)
+    expected = float(np.max(np.abs(coarse.states - fine.states)))
+    for factors in ((0.0, 1.0), (1.0, 0.5)):
+        with pytest.raises(TruncationError) as err:
+            exact_scaled_dynamics(model, bath, RHO_MIXED, grid, factors,
+                                  check_truncation=True)
+        assert err.value.shift == expected
+    passed = exact_scaled_dynamics(model, bath, RHO_MIXED, grid, (0.0, 1.0),
+                                   check_truncation=True, truncation_tol=1.0)
+    assert passed[0].metadata["truncation_shift"] <= 1e-15
+    assert passed[1].metadata["truncation_shift"] == expected
 
 
 def test_check_truncation_reports_the_doubled_cutoff_shift():

@@ -103,6 +103,17 @@ def test_model_arrays_are_read_only_and_match_the_modes():
     assert model.occupations() is model.occupations()
 
 
+def test_rate_functions_are_built_once_per_model_on_read_only_arrays():
+    model = SpinBosonModel(1.0, [(0.8, 0.1), (1.2, -0.07)], 1.3)
+    rates = rate_functions(model)
+    assert rate_functions(model) is rates
+    assert rate_functions(model.scaled(1.0)) is not rates
+    for channel in (rates.absorption, rates.emission):
+        for values in (channel.detunings, channel.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 5.0
+
+
 def test_model_scaling():
     m = SpinBosonModel(1.0, [(1.0, 0.1), (2.0, 0.2)], 1.0)
     half = m.scaled(0.5)
