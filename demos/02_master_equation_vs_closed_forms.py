@@ -26,7 +26,8 @@ grid = np.linspace(0.0, 10.0, 41)
 
 traj = propagate(interaction_decomposition(model), bath_statistics(model),
                  rho0, grid)
-print(f"RK4 with {traj.metadata['substeps']} substeps per sample interval")
+print(f"RK4 with {traj.metadata['substeps']} substeps per sample interval, "
+      f"step-doubling error estimate {traj.metadata['error_estimate']:.1e}")
 print()
 
 coh = coherence_solution(rho0[0, 1], rates, grid)

@@ -10,8 +10,9 @@ __version__ = "0.1.0"
 
 from .linalg import SubsystemShape, partial_trace
 from .master_eq import (BathStatistics, InteractionDecomposition,
-                        TraceDriftError, Trajectory, first_order_hamiltonian,
-                        propagate, rhs, second_order_generator)
+                        StepDoublingError, TraceDriftError, Trajectory,
+                        first_order_hamiltonian, propagate, rhs,
+                        second_order_generator)
 from .oracle import (BathDimensionError, TruncatedBath, dyson_terms,
                      exact_reduced_dynamics, exact_scaled_dynamics, full_hamiltonian,
                      map_inversion_residual, reduced_map_deviation,
@@ -30,8 +31,8 @@ __all__ = [
     "SubsystemShape", "partial_trace",
     # master equation engine
     "InteractionDecomposition", "BathStatistics", "Trajectory",
-    "TraceDriftError", "first_order_hamiltonian", "second_order_generator",
-    "rhs", "propagate",
+    "TraceDriftError", "StepDoublingError", "first_order_hamiltonian",
+    "second_order_generator", "rhs", "propagate",
     # spin-boson model
     "SpinBosonModel", "SpectralDiscretization", "RateChannel", "RateFunctions",
     "thermal_occupation", "rate_functions", "second_order_hamiltonian",

@@ -20,8 +20,9 @@ code path depends on wall clock or randomness, so identical configs yield
 byte-identical outputs.
 
 Exit codes: 0 success / all checks pass; 1 configuration or usage error;
-2 runtime abort (trace drift, Hilbert-space cap, Fock truncation not
-converged under ``check_truncation``); 3 failed check in compare/limits.
+2 runtime abort (trace drift, a non-finite step-doubling estimate,
+Hilbert-space cap, Fock truncation not converged under
+``check_truncation``); 3 failed check in compare/limits.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .master_eq import TraceDriftError, Trajectory, generator_matrix, propagate
+from .master_eq import (StepDoublingError, TraceDriftError, Trajectory, generator_matrix,
+                        propagate)
 from .oracle import (BathDimensionError, TruncatedBath, TruncationError,
                      exact_reduced_dynamics, exact_scaled_dynamics)
 from .spin_boson import (bath_statistics, interaction_decomposition,
@@ -138,8 +140,10 @@ def run_evolve(cfg: RunConfig, out: str) -> int:
     traj = propagate(interaction_decomposition(model), bath_statistics(model),
                      cfg.initial_state(), cfg.time_grid(),
                      substeps=cfg.rk4_substeps, model_tag=cfg.model_tag())
-    _write_trajectory(cfg, traj, out,
-                      [("integrator", "rk4"), ("substeps", traj.metadata["substeps"])])
+    extra = [("integrator", "rk4"), ("substeps", traj.metadata["substeps"])]
+    if cfg.rk4_substeps is None:
+        extra.append(("error_estimate", traj.metadata["error_estimate"]))
+    _write_trajectory(cfg, traj, out, extra)
     return EXIT_OK
 
 
@@ -355,7 +359,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TraceDriftError, BathDimensionError, TruncationError) as exc:
+    except (TraceDriftError, StepDoublingError, BathDimensionError, TruncationError) as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

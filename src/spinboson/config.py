@@ -10,7 +10,8 @@ model:       omega0, beta ("vacuum" or a positive float), and exactly one of
              * modes            explicit list, "omega:g, omega:g, ..."
              * density (ohmic|flat), eta, omega_c (ohmic only),
                omega_min, omega_max, mode_count
-simulation:  t_max, samples, rk4_substeps (optional, default automatic)
+simulation:  t_max, samples, rk4_substeps (optional; by default sized from
+             a step-doubling error estimate, see master_eq.propagate)
 state:       rho00, rho01 (complex literal, e.g. "0.3+0.1j")
 oracle:      oracle_enabled (true|false, default false), n_max (default 4),
              check_truncation (true|false, default false: rerun the exact

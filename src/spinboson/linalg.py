@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "SubsystemShape",
     "partial_trace",
-    "hermiticity_defect",
     "require_hermitian",
     "require_density_matrix",
     "require_time_grid",
@@ -29,16 +28,10 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Max-norm distance of ``a`` from its own conjugate transpose."""
-    a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T)))
-
-
 def require_hermitian(a: np.ndarray, tol: float = 1e-10,
                       name: str = "matrix") -> np.ndarray:
     a = _as_square(a, name)
-    defect = hermiticity_defect(a)
+    defect = float(np.max(np.abs(a - a.conj().T)))
     if not defect <= tol:  # a NaN entry fails too
         raise ValueError(f"{name} is not Hermitian: max |A - A^dag| = {defect:.3e} > {tol:.1e}")
     return a

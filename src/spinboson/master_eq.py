@@ -31,7 +31,7 @@ every lattice time from the phases of the starts and the offsets alone by
 angle addition, as the spin-boson bath does.  A plain array of times is
 the lattice with the single offset 0: ``integrals(_ORIGIN)(times)``.
 
-Propagation is classic fixed-step RK4 with internal substeps per output
+Propagation is classic RK4 with one count of internal substeps per output
 interval.  The equation is linear, so each substep is one step matrix
 ``M = I + h/6 (K1 + 2 K2 + 2 K3 + K4)`` built from the generator at the
 substep's stage times.  An interval's ``2 s + 1`` stage times
@@ -48,14 +48,16 @@ the step matrices of a batch come at once.  The state then advances block
 by block: the prefix products of about ``sqrt(s)`` consecutive step
 matrices come from that many batched matrix products, and one batched
 matrix-vector product per block gives the state after each of its
-substeps.  Violations of trace or hermiticity are reported, never
-repaired: a drifting trace signals an inconsistent generator or too coarse
-a step, and silently renormalizing would mask it.
+substeps.  Without a given count, the count is sized from the step-doubling
+estimate of the integration error (:func:`propagate`).  Violations of trace or hermiticity are reported,
+never repaired: a drifting trace signals an inconsistent generator or too
+coarse a step, and silently renormalizing would mask it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Sequence
@@ -69,6 +71,7 @@ __all__ = [
     "BathStatistics",
     "Trajectory",
     "TraceDriftError",
+    "StepDoublingError",
     "first_order_hamiltonian",
     "second_order_generator",
     "rhs",
@@ -76,16 +79,22 @@ __all__ = [
     "progression_lattice",
     "generator_matrix",
     "stage_generators",
-    "default_substeps",
     "propagate",
 ]
 
-# Target for (generator spectral norm) * (RK4 substep); keeps the local
-# integration error far below the physics tolerances.
-_STEP_NORM_TARGET = 1e-3
+# Target for the step-doubling estimate of the global integration error of
+# an automatic run: max over samples and elements of |v_s - v_{s/2}| / 15.
+_ERROR_TARGET = 1e-12
 
-# Times across the grid at which default_substeps probes the generator norm.
-_NORM_PROBES = 9
+# Substeps per interval of an automatic run's pilot; even, so that every
+# other stage time forms the substeps of twice the size.
+_PILOT_SUBSTEPS = 4
+
+# An automatic run stops at the first batch whose estimate exceeds this, or
+# at a trace drift with an estimate beyond it: its steps are too large for
+# the fourth-order error law to size the rerun, which grows as if the
+# estimate were this (by a factor of about 35).
+_ESTIMATE_CAP = 1e-6
 
 # Trace drift beyond this aborts a propagation outright.
 _TRACE_ABORT = 1e-6
@@ -118,6 +127,18 @@ class TraceDriftError(RuntimeError):
             "reduce the step size or check the bath correlations")
         self.t = t
         self.drift = drift
+
+
+class StepDoublingError(RuntimeError):
+    """Raised when the step-doubling error estimate of an automatic run is
+    not finite, so that no substep count can be sized from it."""
+
+    def __init__(self, substeps: int, estimate: float):
+        super().__init__(
+            f"step-doubling error estimate is {estimate} at {substeps} substeps "
+            "per interval; pass a fixed substep count or check the bath correlations")
+        self.substeps = substeps
+        self.estimate = estimate
 
 
 @dataclass(frozen=True)
@@ -395,25 +416,6 @@ def stage_generators(decomp: InteractionDecomposition, bath: BathStatistics,
     return stages
 
 
-def default_substeps(decomp: InteractionDecomposition, bath: BathStatistics,
-                     times: np.ndarray) -> int:
-    """RK4 substep count per output interval from a generator-norm bound.
-
-    Samples the generator's spectral norm at a few times across the grid and
-    sizes the substep so that norm * dt stays at or below 1e-3.
-    """
-    times = np.asarray(times, dtype=float)
-    if len(times) < 2:
-        return 1
-    span = np.linspace(times[0], times[-1], _NORM_PROBES)
-    norm = float(np.max(np.linalg.norm(generator_matrix(decomp, bath, span), 2, axis=(1, 2))))
-    if norm == 0.0:
-        return 1
-    dt_max = _STEP_NORM_TARGET / norm
-    interval = float(np.max(np.diff(times)))
-    return max(1, math.ceil(interval / dt_max))
-
-
 def _rk4_step_matrices(stages: np.ndarray, h) -> np.ndarray:
     """Classic RK4 step matrices of a linear ODE, one per substep.
 
@@ -451,44 +453,25 @@ def _block_products(steps: np.ndarray, block: int) -> np.ndarray:
     return out
 
 
-def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
-              rho0: np.ndarray, times: Sequence[float],
-              substeps: int | None = None, model_tag: str = "") -> Trajectory:
-    """Propagate ``rho0`` over ``times`` with fixed-step RK4.
+def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int,
+                doubled: bool) -> tuple[np.ndarray | None, float | None]:
+    """States on ``times`` from RK4 at ``substeps`` per interval, and with
+    ``doubled`` (even ``substeps``) the step-doubling error estimate.
 
-    ``rho0`` must be Hermitian, unit trace and positive semidefinite within
-    1e-10, and ``times`` a finite, strictly increasing grid.  The generator
-    is evaluated at all RK4 stage times of a batch of whole intervals at
-    once (:func:`stage_generators`), which gives one step matrix per
-    substep.  A batch holds as many intervals as fit 512 stage times, or
-    one interval if that alone has more: a fixed count, so that memory stays
-    bounded on any grid.  On a grid of bit-equal steps the bath's table of
-    the fine offsets is built once and shared by every batch.  The state
-    advances by blocks of ``isqrt(substeps)`` substeps: the running products
-    of a block's step matrices, then one matrix-vector product per block
-    for the states after all its substeps.  Trace drift beyond 1e-6 (or
-    NaN) after any substep aborts with a :class:`TraceDriftError` naming
-    the first such substep; accepted trajectories satisfy the 1e-9 trace
-    and hermiticity invariants at every sample.
+    The second state advances by the RK4 step matrices of size 2 h from
+    every other stage generator of the batch, so no generator is evaluated
+    twice.  A batch whose estimate passes ``_ESTIMATE_CAP`` or is NaN, or a
+    trace drift with an estimate past the cap, ends the run with states
+    ``None`` and that estimate; any other drift raises.
     """
-    rho0 = require_density_matrix(rho0)
-    times = require_time_grid(times)
-
-    if len(times) == 1:
-        return Trajectory(times, rho0[None, :, :].copy(),
-                          metadata={"model": model_tag, "integrator": "rk4",
-                                    "substeps": 0})
-
-    if substeps is None:
-        substeps = default_substeps(decomp, bath, times)
-    if substeps < 1:
-        raise ValueError("substeps must be a positive integer")
-    step_size = float(np.max(np.diff(times))) / substeps
-
     d = rho0.shape[0]
     states = np.empty((len(times), d, d), dtype=complex)
     states[0] = rho0
     v = rho0.ravel().copy()
+    if doubled:
+        coarse = np.empty((len(times), d * d), dtype=complex)
+        coarse[0] = v
+        estimate = 0.0
     block = math.isqrt(substeps)
     # the state after each substep of an interval, block by block, and a
     # view of the diagonals of its first `substeps` states (the rest is padding)
@@ -500,20 +483,116 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
     for first in range(0, intervals, per_batch):
         stop = min(first + per_batch, intervals)
         h = np.diff(times[first:stop + 1]) / substeps
-        products = _block_products(_rk4_step_matrices(stages(first, stop), h), block)
+        batch = stages(first, stop)
+        products = _block_products(_rk4_step_matrices(batch, h), block)
+        if doubled:
+            # the product of each interval's substeps of size 2 h
+            halves = _rk4_step_matrices(batch[:, ::2], 2.0 * h)
+            coarse_steps = halves[:, 0]
+            for k in range(1, substeps // 2):
+                coarse_steps = halves[:, k] @ coarse_steps
+        # free this batch's stage generators before the next one is evaluated
+        del batch
         for i, interval in zip(range(first, stop), products):
             for b, product in enumerate(interval):
                 path[b] = product @ v
                 v = path[b, -1]
+            if doubled:
+                coarse[i + 1] = coarse_steps[i - first] @ coarse[i]
             drift = np.abs(trace.sum(axis=1) - 1.0)
             bad = ~(drift <= _TRACE_ABORT)  # NaN aborts too
             if bad.any():
+                if doubled:
+                    deviation = float(np.max(np.abs(v - coarse[i + 1]))) / 15.0
+                    if deviation > _ESTIMATE_CAP:
+                        return None, deviation
                 j = int(np.argmax(bad))
                 raise TraceDriftError(times[i] + (j + 1) * h[i - first], float(drift[j]))
             states[i + 1] = v.reshape(d, d)
+        if doubled:
+            fine = states[first + 1:stop + 1].reshape(stop - first, -1)
+            deviation = float(np.max(np.abs(fine - coarse[first + 1:stop + 1]))) / 15.0
+            if not deviation <= _ESTIMATE_CAP:  # NaN too
+                return None, deviation
+            estimate = max(estimate, deviation)
+    return states, estimate if doubled else None
 
-    traj = Trajectory(times, states,
-                      metadata={"model": model_tag, "integrator": "rk4",
-                                "substeps": substeps, "step_size": step_size}).validate()
+
+def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
+              rho0: np.ndarray, times: Sequence[float],
+              substeps: int | None = None, model_tag: str = "") -> Trajectory:
+    """Propagate ``rho0`` over ``times`` with RK4 at one count of substeps
+    per output interval.
+
+    ``rho0`` must be Hermitian, unit trace and positive semidefinite within
+    1e-10, ``times`` a finite, strictly increasing grid, and ``substeps`` a
+    positive integer (a bool or a float raises ``ValueError``) or ``None``.
+
+    ``substeps=None`` sizes the count from the integration's own error.  A
+    pilot at 4 substeps per interval also advances a second state on steps
+    of twice the size, from every other stage generator of its batches.
+    Their step-doubling estimate of the global error (Hairer, Norsett &
+    Wanner, *Solving Ordinary Differential Equations I*, II.4),
+    ``max |v_s - v_{s/2}| / 15`` over the samples and elements, is kept as
+    ``metadata["error_estimate"]``.  At or below 1e-12 the run is the
+    result; otherwise it is repeated at the least even count of at least
+    ``s * 1.1 * (estimate / 1e-12)^(1/4)``, so every rerun grows.  Beyond
+    1e-6 the steps are too large for that fourth-order law and may be
+    unstable: the run stops at the end of the batch, or at a trace drift,
+    and its rerun grows as if the estimate were 1e-6 (about 35 times).  A
+    complete rerun that does not halve the estimate has reached the
+    rounding floor and is the result.  A non-finite estimate raises
+    :class:`StepDoublingError`.  A fixed ``substeps`` computes no estimate.
+
+    The generator is evaluated at all RK4 stage times of a batch of whole
+    intervals at once (:func:`stage_generators`), which gives one step
+    matrix per substep.  A batch holds as many intervals as fit 512 stage
+    times, or one interval if that alone has more: a fixed count, so that
+    memory stays bounded on any grid.  On a grid of bit-equal steps the
+    bath's table of the fine offsets is built once and shared by every
+    batch.  The state advances by blocks of ``isqrt(substeps)`` substeps:
+    the running products of a block's step matrices, then one matrix-vector
+    product per block for the states after all its substeps.  Trace drift
+    beyond 1e-6 (or NaN) after any substep aborts with a
+    :class:`TraceDriftError` naming the first such substep; accepted
+    trajectories satisfy the 1e-9 trace and hermiticity invariants at every
+    sample.
+    """
+    rho0 = require_density_matrix(rho0)
+    times = require_time_grid(times)
+    if substeps is not None and (isinstance(substeps, bool)
+                                 or not isinstance(substeps, numbers.Integral)
+                                 or substeps < 1):
+        raise ValueError("substeps must be a positive integer")
+
+    metadata: dict[str, Any] = {"model": model_tag, "integrator": "rk4"}
+    if len(times) == 1:
+        metadata["substeps"] = 0
+        if substeps is None:
+            metadata["error_estimate"] = 0.0
+        return Trajectory(times, rho0[None, :, :].copy(), metadata=metadata)
+
+    if substeps is not None:
+        substeps = int(substeps)
+        states, estimate = _rk4_states(decomp, bath, rho0, times, substeps, False)
+    else:
+        substeps, previous = _PILOT_SUBSTEPS, math.inf
+        while True:
+            states, estimate = _rk4_states(decomp, bath, rho0, times, substeps, True)
+            if not math.isfinite(estimate):
+                raise StepDoublingError(substeps, estimate)
+            if states is not None and (estimate <= _ERROR_TARGET or estimate > 0.5 * previous):
+                break
+            # the factor exceeds 1.1, so the count grows on every rerun; the
+            # estimate of a stopped run is a bound, not a size
+            previous = math.inf if states is None else estimate
+            growth = 1.1 * (min(estimate, _ESTIMATE_CAP) / _ERROR_TARGET) ** 0.25
+            substeps = 2 * math.ceil(0.5 * substeps * growth)
+    metadata["substeps"] = substeps
+    metadata["step_size"] = float(np.max(np.diff(times))) / substeps
+    if estimate is not None:
+        metadata["error_estimate"] = estimate
+
+    traj = Trajectory(times, states, metadata=metadata).validate()
     traj.metadata["min_eigenvalue"] = traj.min_eigenvalues()
     return traj

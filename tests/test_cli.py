@@ -148,6 +148,26 @@ def test_evolve_summary_sidecar(tmp_path):
     assert abs(float(summary["final_rho00"]) + float(summary["final_rho11"]) - 1.0) <= 1e-9
 
 
+def test_evolve_summary_adds_the_estimate_only_for_automatic_substeps(tmp_path):
+    auto_cfg = write_cfg(tmp_path, THERMAL_CFG.replace("rk4_substeps = 40\n", ""), "auto.cfg")
+    auto = tmp_path / "auto.csv"
+    assert main(["evolve", "--config", auto_cfg, "--out", str(auto)]) == EXIT_OK
+    auto_lines = Path(str(auto) + ".summary").read_text().splitlines()
+    assert [line.split(" = ")[0] for line in auto_lines[-3:]] == \
+        ["integrator", "substeps", "error_estimate"]
+    assert 0.0 <= float(auto_lines[-1].split(" = ")[1]) <= 1e-12
+    # the same count, fixed: the same trajectory bytes, and the sidecar
+    # without the estimate line
+    substeps = auto_lines[-2].split(" = ")[1]
+    fixed_cfg = write_cfg(tmp_path, THERMAL_CFG.replace("rk4_substeps = 40",
+                                                        f"rk4_substeps = {substeps}"),
+                          "fixed.cfg")
+    fixed = tmp_path / "fixed.csv"
+    assert main(["evolve", "--config", fixed_cfg, "--out", str(fixed)]) == EXIT_OK
+    assert fixed.read_bytes() == auto.read_bytes()
+    assert Path(str(fixed) + ".summary").read_text().splitlines() == auto_lines[:-1]
+
+
 def test_evolve_vacuum_population_decay(tmp_path):
     from spinboson.config import load_config
     from spinboson.spin_boson import rate_functions
@@ -438,6 +458,18 @@ def test_truncation_check_aborts_on_a_hot_bath(tmp_path, capsys, verb):
     on = write_cfg(tmp_path, HOT_CFG + "check_truncation = true\n", "on.cfg")
     assert main([verb, "--config", on, "--out", out]) == EXIT_RUNTIME
     assert "runtime abort: truncation not converged" in capsys.readouterr().err
+
+
+def test_non_finite_step_doubling_estimate_exits_runtime(tmp_path, capsys, monkeypatch):
+    from spinboson.master_eq import StepDoublingError
+
+    def failing(*args, **kwargs):
+        raise StepDoublingError(4, math.nan)
+
+    monkeypatch.setattr(cli, "propagate", failing)
+    cfg = write_cfg(tmp_path, THERMAL_CFG.replace("rk4_substeps = 40\n", ""))
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    assert "runtime abort: step-doubling error estimate is nan" in capsys.readouterr().err
 
 
 def test_truncation_check_names_itself_when_the_doubled_cutoff_is_too_large(tmp_path, capsys):

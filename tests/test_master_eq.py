@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 import spinboson.master_eq as master_eq
 from spinboson.master_eq import (BathStatistics, InteractionDecomposition,
-                                 TraceDriftError, Trajectory, default_substeps,
+                                 TraceDriftError, Trajectory,
                                  first_order_hamiltonian, generator_matrix,
                                  propagate, rhs, second_order_generator,
                                  stage_generators)
 from spinboson.spin_boson import (SIGMA_Z, SpinBosonModel, bath_statistics,
-                                  interaction_decomposition)
+                                  coherence_solution, interaction_decomposition,
+                                  rate_functions)
 
 from helpers import (make_rng, quadrature_bath, random_complex,
                      random_density_matrix, random_hermitian)
@@ -141,7 +142,8 @@ def test_propagate_zero_generator_is_constant():
     bath = silent_bath(1)
     rho0 = np.array([[0.8, 0.1j], [-0.1j, 0.2]], dtype=complex)
     traj = propagate(decomp, bath, rho0, np.linspace(0, 3, 7))
-    assert traj.metadata["substeps"] == 1
+    assert traj.metadata["substeps"] == master_eq._PILOT_SUBSTEPS
+    assert traj.metadata["error_estimate"] == 0.0
     assert np.max(np.abs(traj.states - rho0)) == 0.0
 
 
@@ -388,8 +390,129 @@ def test_stage_generators_match_generator_at_stage_times():
 
 
 def test_default_substeps_zero_generator():
+    # a zero generator needs no more than the pilot of the automatic sizing
     decomp = InteractionDecomposition(terms=(SIGMA_Z,))
-    assert default_substeps(decomp, silent_bath(1), np.linspace(0, 2, 5)) == 1
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    traj = propagate(decomp, silent_bath(1), rho0, np.linspace(0, 2, 5))
+    assert traj.metadata["substeps"] == master_eq._PILOT_SUBSTEPS
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, 4.0, "4", 0, -3])
+def test_propagate_rejects_non_integral_substeps(bad):
+    _, decomp, bath = thermal_pair()
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="substeps must be a positive integer"):
+        propagate(decomp, bath, rho0, [0.0, 1.0], substeps=bad)
+
+
+def test_propagate_records_an_int_substep_count():
+    _, decomp, bath = thermal_pair()
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    traj = propagate(decomp, bath, rho0, np.linspace(0, 1, 3), substeps=np.int64(6))
+    assert type(traj.metadata["substeps"]) is int
+    assert "error_estimate" not in traj.metadata
+    assert np.array_equal(traj.states,
+                          propagate(decomp, bath, rho0, np.linspace(0, 1, 3), substeps=6).states)
+
+
+README_MODES = [(0.8, 0.1), (1.2, 0.07)]
+
+
+@pytest.mark.parametrize("modes, beta, rho0, times, max_substeps", [
+    # the benchmark's thermal_2mode model
+    (README_MODES, 1.0, [[0.7, 0.25 + 0.1j], [0.25 - 0.1j, 0.3]], np.linspace(0, 1, 11), 4),
+    # the model of test_rk4_matches_closed_forms
+    ([(0.8, 0.1), (1.0, 0.08), (1.3, 0.06)], 1.1, [[0.6, 0.3 + 0.1j], [0.3 - 0.1j, 0.4]],
+     np.linspace(0, 5, 26), None),
+    # hot enough that the pilot's steps are too large for the error law
+    (README_MODES, 0.01, [[0.7, 0.25 + 0.1j], [0.25 - 0.1j, 0.3]], np.linspace(0, 1, 11), 299),
+])
+def test_step_doubling_estimate_tracks_the_error(modes, beta, rho0, times, max_substeps):
+    model = SpinBosonModel(1.0, modes, beta)
+    decomp, bath = interaction_decomposition(model), bath_statistics(model)
+    rho0 = np.array(rho0, dtype=complex)
+    traj = propagate(decomp, bath, rho0, times)
+    reference = propagate(decomp, bath, rho0, times, substeps=4096)
+    error = np.max(np.abs(traj.states - reference.states))
+    estimate = traj.metadata["error_estimate"]
+    assert error <= 1e-11
+    assert estimate <= master_eq._ERROR_TARGET
+    if error >= 1e-13:
+        assert error / 3 <= estimate <= 3 * error
+    if max_substeps is not None:
+        assert traj.metadata["substeps"] <= max_substeps
+
+
+def test_automatic_substeps_recover_from_a_drifting_pilot():
+    # at beta = 1e-4 the pilot's own trace drifts; the run stops at its
+    # step-doubling cap and reruns finer instead of aborting
+    model = SpinBosonModel(1.0, README_MODES, 1e-4)
+    decomp, bath = interaction_decomposition(model), bath_statistics(model)
+    rho0 = np.array([[0.7, 0.25 + 0.1j], [0.25 - 0.1j, 0.3]])
+    times = np.linspace(0, 1, 11)
+    with pytest.raises(TraceDriftError):
+        propagate(decomp, bath, rho0, times, substeps=master_eq._PILOT_SUBSTEPS)
+    traj = propagate(decomp, bath, rho0, times)
+    assert traj.metadata["error_estimate"] <= master_eq._ERROR_TARGET
+    coherence = coherence_solution(rho0[0, 1], rate_functions(model), times)
+    assert np.max(np.abs(traj.states[:, 0, 1] - coherence)) <= 1e-10
+
+
+def test_automatic_substeps_stop_at_the_rounding_floor(monkeypatch):
+    # a target below rounding is never met; the loop ends once a rerun no
+    # longer halves the estimate
+    monkeypatch.setattr(master_eq, "_ERROR_TARGET", 1e-19)
+    model = SpinBosonModel(1.0, README_MODES, 1.0)
+    decomp, bath = interaction_decomposition(model), bath_statistics(model)
+    rho0 = np.array([[0.7, 0.25 + 0.1j], [0.25 - 0.1j, 0.3]])
+    runs = []
+    original = master_eq._rk4_states
+
+    def recorded(*args):
+        states, estimate = original(*args)
+        runs.append((args[4], estimate))
+        return states, estimate
+
+    monkeypatch.setattr(master_eq, "_rk4_states", recorded)
+    traj = propagate(decomp, bath, rho0, np.linspace(0, 1, 11))
+    counts = [count for count, _ in runs]
+    assert counts == sorted(set(counts)) and len(counts) >= 3
+    assert runs[-1][1] > 0.5 * runs[-2][1] > 0.5e-19
+    assert traj.metadata["substeps"] == counts[-1]
+    assert traj.metadata["error_estimate"] == runs[-1][1]
+
+
+def test_trace_drift_aborts_on_nan_with_automatic_substeps(monkeypatch):
+    _, decomp, bath = thermal_pair()
+
+    def nan_generator(decomp, bath, times, substeps):
+        return lambda first, stop: np.full((stop - first, 2 * substeps + 1, 4, 4), np.nan)
+
+    monkeypatch.setattr(master_eq, "stage_generators", nan_generator)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(TraceDriftError) as err:
+        propagate(decomp, bath, rho0, np.linspace(0, 5, 6))
+    assert math.isnan(err.value.drift)
+    assert err.value.t == pytest.approx(5 / (5 * master_eq._PILOT_SUBSTEPS))
+
+
+def test_non_finite_estimate_raises_step_doubling_error(monkeypatch):
+    # only the doubled steps of the pilot (its n + 1 even-indexed stage
+    # generators) turn NaN, so the fine run passes its trace check
+    _, decomp, bath = thermal_pair()
+    original = master_eq._rk4_step_matrices
+
+    def nan_when_doubled(stages, h):
+        steps = original(stages, h)
+        doubled = stages.shape[-3] == master_eq._PILOT_SUBSTEPS + 1
+        return np.full_like(steps, np.nan) if doubled else steps
+
+    monkeypatch.setattr(master_eq, "_rk4_step_matrices", nan_when_doubled)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(master_eq.StepDoublingError) as err:
+        propagate(decomp, bath, rho0, np.linspace(0, 5, 6))
+    assert err.value.substeps == master_eq._PILOT_SUBSTEPS
+    assert math.isnan(err.value.estimate)
 
 
 def test_integrator_self_convergence_is_fourth_order():
