@@ -22,36 +22,46 @@ correlations itself (the spin-boson module does so in closed form), so the
 engine runs no quadrature.
 
 The bath evaluates its integrals on a time lattice: the times
-``starts[..., q] + offsets[..., r]`` of a few coarse starts and a few fine
-offsets (:func:`lattice_times`), in two stages.  ``integrals(offsets)``
-does the work that depends on the offsets alone and returns the evaluator
-of the starts, so one offsets table serves every batch of starts it is
-called with.  A bath whose integrals are sums of oscillating terms gets
-every lattice time from the phases of the starts and the offsets alone by
-angle addition, as the spin-boson bath does.  A plain array of times is
-the lattice with the single offset 0: ``integrals(_ORIGIN)(times)``.
+``origin + steps[..., q] + offsets[..., r]`` of a batch of origins, a few
+coarse steps and a few fine offsets, in two stages.  ``integrals(steps,
+offsets)`` does the work that depends on the steps and offsets alone and
+returns the evaluator of the origins, so one table serves every batch of
+origins it is called with.  A bath whose integrals are sums of oscillating
+terms gets every lattice time from the phases of the origins, steps and
+offsets alone by angle addition, as the spin-boson bath does.  A plain
+array of times is the lattice with the single step 0 and the single offset
+0: ``integrals(_ORIGIN, _ORIGIN)(times)``.
 
 Propagation is classic RK4 with one count of internal substeps per output
 interval.  The equation is linear, so each substep is one step matrix
 ``M = I + h/6 (K1 + 2 K2 + 2 K3 + K4)`` built from the generator at the
 substep's stage times.  An interval's ``2 s + 1`` stage times
-``t + k h / 2`` form an arithmetic progression: the lattice of the coarse
-starts ``t + q R h / 2`` and the ``R`` fine offsets ``r h / 2``.  When the
-grid's steps are bit-equal, one offsets row serves every interval, so the
-bath builds its offsets table once per propagation and each batch
-evaluates only its own starts; otherwise each interval has its own row,
-as the broadcasting of starts against offsets allows.  ``R`` is about the
-square root of the stage times one row serves, capped by the batch budget
-below.  Whole intervals are batched up to a fixed count of stage times, so
-that the generator batch stays small in memory however long the grid is;
-the step matrices of a batch come at once.  The state then advances block
-by block: the prefix products of about ``sqrt(s)`` consecutive step
-matrices come from that many batched matrix products, and one batched
-matrix-vector product per block gives the state after each of its
-substeps.  Without a given count, the count is sized from the step-doubling
-estimate of the integration error (:func:`propagate`).  Violations of trace or hermiticity are reported,
-never repaired: a drifting trace signals an inconsistent generator or too
-coarse a step, and silently renormalizing would mask it.
+``t + k h / 2`` form an arithmetic progression: the lattice of the
+interval's origin ``t``, the coarse steps ``q R h / 2`` and the ``R`` fine
+offsets ``r h / 2``.  When the grid's steps are bit-equal, one row of
+steps and offsets serves every interval, so the bath builds its table once
+per propagation and each batch evaluates only its own origins, one phase
+per mode each; otherwise each interval has its own row, as the
+broadcasting of origins against steps and offsets allows.  ``R`` is about
+the square root of the stage times one row serves, capped by the batch
+budget below.  Whole intervals are batched up to a fixed count of stage
+times, so that the generator batch stays small in memory however long the
+grid is; the step matrices of a batch come at once.  The state then
+advances block by block: the prefix products of about ``sqrt(s)``
+consecutive step matrices come from that many batched matrix products, and
+one batched matrix-vector product per block gives the state after each of
+its substeps.  Without a given count, the count is sized from the
+step-doubling estimate of the integration error (:func:`propagate`).
+
+The stage generators, step matrices, block products and the state advance
+are in real arithmetic: each complex matrix is its interleaved real form,
+in which the entry ``x + i y`` is the block ``[[x, -y], [y, x]]``
+(:func:`_real_form`), so that it acts on the real view ``v.view(float)``
+of a complex vector ``v`` as the matrix acts on ``v``.  The states stay
+complex arrays, written through their real views.  Violations of trace or
+hermiticity are reported, never repaired: a drifting trace signals an
+inconsistent generator or too coarse a step, and silently renormalizing
+would mask it.
 """
 
 from __future__ import annotations
@@ -100,17 +110,19 @@ _ESTIMATE_CAP = 1e-6
 _TRACE_ABORT = 1e-6
 
 # Stage times per generator batch in propagate, and the cap on the stage
-# times one offsets row is sized for.  A batch holds the bath's phase tables
-# of its starts and the generator with its RK4 products at every stage time
-# it covers, so a fixed count, not one that grows with the grid, keeps the
-# memory bounded; the shared offsets table adds at most about sqrt(512)
-# offsets.  512 still batches several intervals at a few dozen substeps,
-# which amortizes the per-batch overhead of a few-mode bath; a 400-mode
-# vacuum bath peaks at about 1.1 MB of arrays at 128 substeps (one interval
-# a batch) and 1.5 MB at 31 (eight), a thermal one at 1.8 and 1.9 MB.
+# times one row of steps and offsets is sized for.  A batch holds the bath's
+# phase tables of its coarse starts and the real forms of the generator and
+# its RK4 products at every stage time it covers, so a fixed count, not one
+# that grows with the grid, keeps the memory bounded; the shared table adds
+# about sqrt(512) steps and offsets at most.  512 still batches several
+# intervals at a few dozen substeps, which amortizes the per-batch overhead
+# of a few-mode bath.  One propagate over 10 intervals of a 400-mode vacuum
+# bath peaks at about 1.0 MB of arrays at 128 substeps (one interval a
+# batch) and 1.3 MB at 31 (eight), a thermal one at 1.8 MB at both
+# (tracemalloc; a whole ohmic_400 evolve peaks at 1.07 MB).
 _STAGE_BUDGET = 512
 
-# The lattice of a plain array of times: the single offset 0.
+# The lattice of a plain array of times: the single step and offset 0.
 _ORIGIN = np.zeros(1)
 
 
@@ -191,6 +203,27 @@ class InteractionDecomposition:
         return np.concatenate([first, forward.reshape(-1, size, size),
                                reverse.reshape(-1, size, size)])
 
+    @cached_property
+    def real_superoperators(self) -> np.ndarray:
+        """Basis of the generator's real form, shape ``(2 c, 2 d^2, 2 d^2)``
+        for the ``c`` superoperators: the real forms of ``S_c`` and
+        ``i S_c``, interleaved, so that the real form of ``sum_c f_c S_c`` is
+        the real view ``f.view(float)`` of the coefficients against it."""
+        s = self.superoperators
+        return _real_form(np.stack([s, 1j * s], axis=1).reshape((-1,) + s.shape[1:]))
+
+
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """Real matrices, shape ``(..., 2 D, 2 D)``, that act on the real view
+    ``v.view(float)`` of complex vectors as ``m`` (``(..., D, D)``) acts on
+    ``v``: the entry ``x + i y`` becomes the block ``[[x, -y], [y, x]]``."""
+    rows, cols = m.shape[-2:]
+    out = np.empty(m.shape[:-2] + (rows, 2, cols, 2))
+    out[..., 0, :, 0] = out[..., 1, :, 1] = m.real
+    out[..., 1, :, 0] = m.imag
+    out[..., 0, :, 1] = -m.imag
+    return out.reshape(m.shape[:-2] + (2 * rows, 2 * cols))
+
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` over the last two axes, broadcast over the leading ones."""
@@ -206,45 +239,51 @@ class BathStatistics:
     ``first_moments[n](times)`` is the bath average of the n-th bath
     operator at each of an array of times (a constant may come back as a
     scalar); ``correlation(j, k, t, s)`` the connected two-time average of
-    operators j at ``t`` and k at ``s``.  ``integrals(offsets)`` returns the
-    evaluator of the starts: ``integrals(offsets)(starts)`` gives, on the
-    lattice ``t = lattice_times(starts, offsets)``,
+    operators j at ``t`` and k at ``s``.  ``integrals(steps, offsets)``
+    returns the evaluator of the origins: ``integrals(steps,
+    offsets)(origins)`` gives, on the lattice ``t = lattice_times(origins[...,
+    None] + steps, offsets)`` of shape ``origins.shape + (Q, R)``,
 
         forward[..., j, k] = int_0^t ds correlation(j, k, t, s)
         reverse[..., j, k] = int_0^t ds correlation(j, k, s, t)
 
     each of shape ``t.shape + (n, n)``; these are all the generator reads.
-    The outer call does the work that depends on the offsets alone, so that
-    one evaluator serves any number of batches of starts.  A plain array of
-    times is the lattice with the single offset 0.  The spin-boson bath
-    gives the integrals in closed form, from the phases of the starts and
-    the offsets alone.  ``correlation`` is their definition, against which
-    the closed forms are checked; the test suite holds a composite-Simpson
-    quadrature of it, evaluated at the summed lattice times, as the
-    reference for baths without closed forms.
+    The outer call does the work that depends on the coarse steps and fine
+    offsets alone, that is on the step size of a propagation, so that one
+    evaluator serves any number of batches of origins; the leading axes of
+    ``steps`` and ``offsets`` broadcast against the origins.  A plain array
+    of times is the lattice of those origins with the single step 0 and the
+    single offset 0.  The spin-boson bath gives the integrals in closed
+    form, from one phase per mode of each origin, step and offset by angle
+    addition.  ``correlation`` is their definition, against which the closed
+    forms are checked; the test suite holds a composite-Simpson quadrature
+    of it, evaluated at the summed lattice times, as the reference for baths
+    without closed forms.
     """
 
     first_moments: tuple
     correlation: Callable[[int, int, float, float], complex]
-    integrals: Callable[[np.ndarray], Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]
+    integrals: Callable[[np.ndarray, np.ndarray],
+                        Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]
 
     def __post_init__(self):
         object.__setattr__(self, "first_moments", tuple(self.first_moments))
 
-    def coefficients(self, offsets) -> Callable[[np.ndarray], np.ndarray]:
+    def coefficients(self, steps, offsets) -> Callable[[np.ndarray], np.ndarray]:
         """Evaluator of the generator coefficients ``f_c`` on the lattices of
-        ``offsets``: given ``starts``, their values on the lattice ``t`` of
-        ``starts`` and ``offsets``, shape ``t.shape + (n + 2 n^2,)``: the first
-        moments, then the forward and reverse integrals, each ``n x n`` block in
-        row-major order."""
+        ``steps`` and ``offsets``: given ``origins``, their values on the
+        lattice ``t`` of ``origins``, ``steps`` and ``offsets``, shape
+        ``t.shape + (n + 2 n^2,)``: the first moments, then the forward and
+        reverse integrals, each ``n x n`` block in row-major order."""
+        steps = np.atleast_1d(np.asarray(steps, dtype=float))
         offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-        integrals = self.integrals(offsets)
+        integrals = self.integrals(steps, offsets)
 
-        def at(starts) -> np.ndarray:
-            starts = np.atleast_1d(np.asarray(starts, dtype=float))
-            times = lattice_times(starts, offsets)
+        def at(origins) -> np.ndarray:
+            origins = np.atleast_1d(np.asarray(origins, dtype=float))
+            times = lattice_times(origins[..., None] + steps, offsets)
             moments = [np.broadcast_to(m(times), times.shape) for m in self.first_moments]
-            forward, reverse = integrals(starts)
+            forward, reverse = integrals(origins)
             return np.concatenate([np.stack(moments, axis=-1).astype(complex),
                                    forward.reshape(times.shape + (-1,)),
                                    reverse.reshape(times.shape + (-1,))], axis=-1)
@@ -333,7 +372,7 @@ def first_order_hamiltonian(decomp: InteractionDecomposition, bath: BathStatisti
 def _coefficients(decomp, bath, t) -> np.ndarray:
     """``bath.coefficients`` at the times ``t`` (scalar or array), in their
     shape, checked against ``decomp``."""
-    return _checked(decomp, bath.coefficients(_ORIGIN)(t)).reshape(np.shape(t) + (-1,))
+    return _checked(decomp, bath.coefficients(_ORIGIN, _ORIGIN)(t)).reshape(np.shape(t) + (-1,))
 
 
 def _checked(decomp, f: np.ndarray) -> np.ndarray:
@@ -384,19 +423,23 @@ def generator_matrix(decomp: InteractionDecomposition, bath: BathStatistics,
 
 def stage_generators(decomp: InteractionDecomposition, bath: BathStatistics,
                      times: np.ndarray, substeps: int) -> Callable[[int, int], np.ndarray]:
-    """Generator matrices at the RK4 stage times of the intervals of ``times``.
+    """Real forms of the generator matrices at the RK4 stage times of the
+    intervals of ``times``.
 
     Returns ``stages(first, stop)``, the matrices of intervals ``first`` to
-    ``stop - 1``, shape ``(stop - first, 2 substeps + 1, D, D)``.  Interval i
-    runs ``substeps`` substeps of size ``h_i``; its stage times
+    ``stop - 1``, shape ``(stop - first, 2 substeps + 1, 2 D, 2 D)`` for
+    generators of dimension ``D`` (:func:`_real_form`).  Interval i runs
+    ``substeps`` substeps of size ``h_i``; its stage times
     ``times[i] + k h_i / 2``, k = 0 ... 2 substeps, are evaluated as the
-    lattice of the coarse starts ``times[i] + q R h_i / 2`` and the fine
-    offsets ``r h_i / 2``, r < R, trimmed to the stage times.  When all
-    steps are bit-equal the offsets are one row, shape ``(1, R)``, built into
-    the bath's offsets table here, once; otherwise they are one row per
+    lattice of the origin ``times[i]``, the coarse steps ``q R h_i / 2`` and
+    the fine offsets ``r h_i / 2``, r < R, trimmed to the stage times.  When
+    all steps are bit-equal the steps and offsets are one row each, shapes
+    ``(1, Q)`` and ``(1, R)``, built into the bath's table here, once, and
+    a batch passes only its origins; otherwise they are one row per
     interval, tabled for each call's intervals.  ``R`` is from
     :func:`progression_lattice` over the stage times one row serves, at most
-    ``_STAGE_BUDGET``.
+    ``_STAGE_BUDGET``.  The real forms come from one real product of the
+    coefficients' real view with :attr:`InteractionDecomposition.real_superoperators`.
     """
     times = np.asarray(times, dtype=float)
     stage_count = 2 * substeps + 1
@@ -404,14 +447,16 @@ def stage_generators(decomp: InteractionDecomposition, bath: BathStatistics,
     rows = half[:1] if np.all(half == half[0]) else half
     served = min(stage_count * len(half) // len(rows), _STAGE_BUDGET)
     coarse, fine = progression_lattice(stage_count, served)
-    offsets = rows[:, None] * fine
-    shared = bath.coefficients(offsets) if len(rows) == 1 else None
+    steps, offsets = rows[:, None] * coarse, rows[:, None] * fine
+    shared = bath.coefficients(steps, offsets) if len(rows) == 1 else None
+    basis = decomp.real_superoperators
 
     def stages(first: int, stop: int) -> np.ndarray:
-        evaluate = shared if shared is not None else bath.coefficients(offsets[first:stop])
-        f = _checked(decomp, evaluate(times[first:stop, None] + half[first:stop, None] * coarse))
+        evaluate = (shared if shared is not None
+                    else bath.coefficients(steps[first:stop], offsets[first:stop]))
+        f = _checked(decomp, evaluate(times[first:stop]))
         f = f.reshape(stop - first, -1, f.shape[-1])[:, :stage_count]
-        return np.tensordot(f, decomp.superoperators, axes=1)
+        return np.tensordot(f.view(float), basis, axes=1)
 
     return stages
 
@@ -429,10 +474,25 @@ def _rk4_step_matrices(stages: np.ndarray, h) -> np.ndarray:
     """
     h = np.asarray(h, dtype=float)[..., None, None, None]
     start, mid, end = stages[..., :-1:2, :, :], stages[..., 1::2, :, :], stages[..., 2::2, :, :]
-    k2 = mid + (0.5 * h) * (mid @ start)
-    k3 = mid + (0.5 * h) * (mid @ k2)
-    k4 = end + h * (end @ k3)
-    return np.eye(stages.shape[-1]) + (h / 6.0) * (start + 2.0 * k2 + 2.0 * k3 + k4)
+    # in place, so that at most three products are held at once
+    k2 = mid @ start
+    k2 *= 0.5 * h
+    k2 += mid
+    k3 = mid @ k2
+    k3 *= 0.5 * h
+    k3 += mid
+    k4 = end @ k3
+    k4 *= h
+    k4 += end
+    # M = I + h/6 (K1 + 2 K2 + 2 K3 + K4), summed in that order
+    k2 *= 2.0
+    k2 += start
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += np.eye(stages.shape[-1])
+    return k2
 
 
 def _block_products(steps: np.ndarray, block: int) -> np.ndarray:
@@ -474,8 +534,10 @@ def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int
         estimate = 0.0
     block = math.isqrt(substeps)
     # the state after each substep of an interval, block by block, and a
-    # view of the diagonals of its first `substeps` states (the rest is padding)
+    # view of the diagonals of its first `substeps` states (the rest is
+    # padding); the real step matrices write it through its real view
     path = np.empty((-(-substeps // block), block, d * d), dtype=complex)
+    real_path = path.view(float)
     trace = path.reshape(-1, d * d)[:substeps, ::d + 1]
     intervals = len(times) - 1
     per_batch = max(1, _STAGE_BUDGET // (2 * substeps + 1))
@@ -495,10 +557,11 @@ def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int
         del batch
         for i, interval in zip(range(first, stop), products):
             for b, product in enumerate(interval):
-                path[b] = product @ v
+                np.matmul(product, v.view(float), out=real_path[b])
                 v = path[b, -1]
             if doubled:
-                coarse[i + 1] = coarse_steps[i - first] @ coarse[i]
+                np.matmul(coarse_steps[i - first], coarse[i].view(float),
+                          out=coarse[i + 1].view(float))
             drift = np.abs(trace.sum(axis=1) - 1.0)
             bad = ~(drift <= _TRACE_ABORT)  # NaN aborts too
             if bad.any():
@@ -549,14 +612,17 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
     matrix per substep.  A batch holds as many intervals as fit 512 stage
     times, or one interval if that alone has more: a fixed count, so that
     memory stays bounded on any grid.  On a grid of bit-equal steps the
-    bath's table of the fine offsets is built once and shared by every
-    batch.  The state advances by blocks of ``isqrt(substeps)`` substeps:
-    the running products of a block's step matrices, then one matrix-vector
-    product per block for the states after all its substeps.  Trace drift
-    beyond 1e-6 (or NaN) after any substep aborts with a
+    bath's table of the coarse steps and fine offsets is built once and
+    shared by every batch, which passes only its intervals' origins.  The
+    state advances by blocks of ``isqrt(substeps)`` substeps: the running
+    products of a block's step matrices, then one matrix-vector product per
+    block for the states after all its substeps.  Generators, step matrices
+    and products are the real forms of the complex ones, and the states are
+    advanced through their real views, so nothing is symmetrized on the
+    way.  Trace drift beyond 1e-6 (or NaN) after any substep aborts with a
     :class:`TraceDriftError` naming the first such substep; accepted
     trajectories satisfy the 1e-9 trace and hermiticity invariants at every
-    sample.
+    sample, a one-point grid included.
     """
     rho0 = require_density_matrix(rho0)
     times = require_time_grid(times)
@@ -567,12 +633,10 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
 
     metadata: dict[str, Any] = {"model": model_tag, "integrator": "rk4"}
     if len(times) == 1:
-        metadata["substeps"] = 0
-        if substeps is None:
-            metadata["error_estimate"] = 0.0
-        return Trajectory(times, rho0[None, :, :].copy(), metadata=metadata)
-
-    if substeps is not None:
+        # no interval to integrate: the initial state is the trajectory
+        states, estimate = rho0[None, :, :].copy(), 0.0 if substeps is None else None
+        substeps = 0
+    elif substeps is not None:
         substeps = int(substeps)
         states, estimate = _rk4_states(decomp, bath, rho0, times, substeps, False)
     else:
@@ -589,7 +653,8 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
             growth = 1.1 * (min(estimate, _ESTIMATE_CAP) / _ERROR_TARGET) ** 0.25
             substeps = 2 * math.ceil(0.5 * substeps * growth)
     metadata["substeps"] = substeps
-    metadata["step_size"] = float(np.max(np.diff(times))) / substeps
+    if substeps:
+        metadata["step_size"] = float(np.max(np.diff(times))) / substeps
     if estimate is not None:
         metadata["error_estimate"] = estimate
 

@@ -37,25 +37,33 @@ Only the shift integral keeps a near-resonance series.
 
 ``decay``, ``shift`` and the decay integral are written in half-angle form,
 which has no cancellation near resonance, and are evaluated on a time
-lattice ``start + offset`` (:func:`~spinboson.master_eq.lattice_times`).
-With ``A = d start / 2`` and ``B = d offset / 2`` angle addition gives
+lattice ``origin + step + offset``
+(:class:`~spinboson.master_eq.BathStatistics`).  The phase ``A = d start /
+2`` of a coarse start ``origin + step`` comes from those of the origin
+(``O``) and the step (``P``) by angle addition, ``sA = sO cP + cO sP`` and
+``cA = cO cP - sO sP``; with ``B = d offset / 2`` angle addition again gives
 
     sin a cos a = sA cA (cB^2 - sB^2) + (cA^2 - sA^2) sB cB
     sin^2 a     = sA^2 cB^2 + 2 sA cA sB cB + cA^2 sB^2
 
-at ``a = A + B``, so one sine and cosine pass over the starts and the
-offsets, and one matrix product over the modes per basis, give every
-lattice time.  The evaluation has two stages, as the engine's bath
-contract asks: the offsets' phases and the table ``[cB^2, sB cB, sB^2]``,
-weighted by the per-mode factors of every part asked for and stacked into
-one operand per basis, come first; the returned evaluator then takes only
-the phases of its starts.  The RK4 stage times of an interval are such a
-lattice with about ``sqrt(2 s)`` starts and offsets for ``s`` substeps,
-against ``2 s + 1`` phases per mode evaluated one by one, and on a grid of
-equal steps one offsets table serves every interval; a plain array of
-times is the lattice with the single offset 0.  Near resonance every term
-above keeps one sign, so nothing cancels.  Both channels of a thermal bath
-share their detunings, and so one phase pass.
+at ``a = A + B``, so one sine and cosine pass over the origins, the steps
+and the offsets, and one matrix product over the modes per basis, give
+every lattice time.  The evaluation has two stages, as the engine's bath
+contract asks: the steps' sines and cosines, and the offsets' phases and
+table ``[cB^2, sB cB, sB^2]`` weighted by the per-mode factors of every
+part asked for and stacked into one operand per basis, come first; the
+returned evaluator then takes only the phases of its origins.  The RK4
+stage times of an interval are such a lattice with one origin and about
+``sqrt(2 s)`` steps and offsets for ``s`` substeps, against ``2 s + 1``
+phases per mode evaluated one by one, and on a grid of equal steps one
+table serves every interval, which then costs one sine and one cosine per
+mode.  Through the bath, a plain array of times is the lattice of those
+origins with the single step and offset 0, where ``sO 1 + cO 0`` is exact,
+so the angle addition leaves the values as they are; the rate evaluators
+of this module pass their times (or starts) as the steps of the origin 0
+instead, which takes no angle addition.  Near resonance every term above
+keeps one sign, so nothing cancels.  Both channels of a thermal bath share
+their detunings, and so one phase pass.
 """
 
 from __future__ import annotations
@@ -344,7 +352,7 @@ class RateChannel:
         ``t``, or on the lattice of the starts ``t`` and ``offsets``, from
         one phase pass."""
         times, starts, offsets = _lattice(t, offsets)
-        return tuple(_like(times, s) for s in _channel_sums((self,), parts, offsets)(starts)[0])
+        return tuple(_like(times, s) for s in _channel_sums((self,), parts, starts, offsets)()[0])
 
     def decay_and_shift(self, t):
         return self.sums(t, parts=("decay", "shift"))
@@ -393,10 +401,13 @@ _PARTS = {
 }
 
 
-def _channel_sums(channels, parts, offsets: np.ndarray) -> Callable[[np.ndarray], list]:
+def _channel_sums(channels, parts, steps: np.ndarray,
+                  offsets: np.ndarray) -> Callable[..., list]:
     """Evaluator of each of ``parts`` of each channel on the lattices of
-    ``offsets``: given ``starts``, ``sums[channel][part]`` of shape
-    ``lattice_times(starts, offsets).shape``.
+    ``steps`` and ``offsets``: given ``origins``, ``sums[channel][part]`` of
+    shape ``lattice_times(origins[..., None] + steps, offsets).shape``;
+    without them, on the lattice ``lattice_times(steps, offsets)`` of the
+    starts ``steps``.
 
     The channels share their detunings (one model's, or the same channel
     twice), so one phase pass serves them all.  A channel with no weight
@@ -405,22 +416,25 @@ def _channel_sums(channels, parts, offsets: np.ndarray) -> Callable[[np.ndarray]
     """
     live = [bool(ch.weights.any()) for ch in channels]
     factors = [ch._factors for ch, alive in zip(channels, live) if alive]
+
+    def lattice(origins):
+        return lattice_times(steps if origins is None else origins[..., None] + steps, offsets)
+
     if not factors:
-        return lambda starts: np.zeros((len(channels), len(parts))
-                                       + lattice_times(starts, offsets).shape)
+        return lambda origins=None: np.zeros((len(channels), len(parts)) + lattice(origins).shape)
     rows = [(_PARTS[p][0], f[_PARTS[p][1]]) for f in factors for p in parts]
-    kernel = _half_angle_sums(factors[0][0], rows, offsets)
+    kernel = _half_angle_sums(factors[0][0], rows, steps, offsets)
     resonant = []  # (channel, part, weight of its resonant term, power of t)
     for j, part in enumerate(parts):
         if _PARTS[part][2] is not None:
             coefficient, power = _PARTS[part][2]
             resonant += [(i, j, coefficient * f[3], power) for i, f in enumerate(factors) if f[3]]
 
-    def at(starts: np.ndarray) -> list:
-        flat = kernel(starts)
+    def at(origins: np.ndarray | None = None) -> list:
+        flat = kernel(origins)
         sums = [flat[i:i + len(parts)] for i in range(0, len(flat), len(parts))]
         if resonant:
-            times = lattice_times(starts, offsets)
+            times = lattice(origins)
             for i, j, weight, power in resonant:
                 sums[i][j] += weight * times ** power
         if all(live):
@@ -432,20 +446,22 @@ def _channel_sums(channels, parts, offsets: np.ndarray) -> Callable[[np.ndarray]
     return at
 
 
-def _half_angle_sums(half_detunings: np.ndarray, rows,
-                     offsets: np.ndarray) -> Callable[[np.ndarray], list]:
+def _half_angle_sums(half_detunings: np.ndarray, rows, steps: np.ndarray,
+                     offsets: np.ndarray) -> Callable[..., list]:
     """Evaluator of ``sum_k c_k sin a_k cos a_k`` (basis 0) or
     ``sum_k c_k sin^2 a_k`` (basis 1) for each ``(basis, c)`` of ``rows``, at
-    ``a_k = half_detunings_k (start + offset)`` on the lattices of
-    ``offsets``: given ``starts``, one array per row of shape
-    ``lattice_times(starts, offsets).shape``.  Each ``c`` holds its per-mode
-    factors three times over.
+    ``a_k = half_detunings_k (origin + step + offset)`` on the lattices of
+    ``steps`` and ``offsets``: given ``origins`` (0 if omitted), one array
+    per row of the lattice's shape (:func:`_channel_sums`).  Each ``c``
+    holds its per-mode factors three times over.
 
-    This call takes one sine and cosine per offset and mode and stacks the
-    factor rows of each basis against ``[cB^2, sB cB, sB^2]`` of the offsets
-    into one operand; the evaluator takes one sine and cosine per start and
-    mode, and the angle-addition terms of all rows of a basis are one
-    matrix product over the modes.
+    This call takes one sine and cosine per step and mode, and per offset
+    and mode, and stacks the factor rows of each basis against
+    ``[cB^2, sB cB, sB^2]`` of the offsets into one operand; the evaluator
+    takes one sine and cosine per origin and mode and turns them into those
+    of every start ``origin + step`` by angle addition, and the
+    angle-addition terms of all rows of a basis are one matrix product over
+    the modes.
     """
     phase_b = offsets[..., :, None] * half_detunings     # (..., R, K)
     sb, cb = np.sin(phase_b), np.cos(phase_b)
@@ -458,11 +474,22 @@ def _half_angle_sums(half_detunings: np.ndarray, rows,
                 if len(m) > 1 else rows[m[0]][1][:, None] * right
                 for basis, m in members.items()}
     fine = offsets.shape[-1]
+    phase_p = steps[..., :, None] * half_detunings       # (..., Q, K)
+    sp, cp = np.sin(phase_p), np.cos(phase_p)
 
-    def at(starts: np.ndarray) -> list:
-        phase_a = starts[..., :, None] * half_detunings      # (..., Q, K)
-        sa, ca = np.sin(phase_a), np.cos(phase_a)
-        sc, ss, cc = sa * ca, sa * sa, ca * ca
+    def at(origins: np.ndarray | None = None) -> list:
+        if origins is None:
+            sc, ss, cc = sp * cp, sp * sp, cp * cp
+        else:
+            phase_o = origins[..., None, None] * half_detunings  # (..., 1, K)
+            so, co = np.sin(phase_o), np.cos(phase_o)
+            # the starts' phases A = O + P by angle addition, then sin A cos A,
+            # sin^2 A and cos^2 A, in three arrays of the starts' shape
+            sa, ca, sc = so * cp, co * cp, co * sp
+            sa += sc
+            ca -= np.multiply(so, sp, out=sc)
+            sc = np.multiply(sa, ca, out=sc)
+            ss, cc = np.square(sa, out=sa), np.square(ca, out=ca)
         out = [None] * len(rows)
         for basis, m in members.items():
             # times as rows (..., Q, 3K), so that each time's sum over the
@@ -494,16 +521,8 @@ class RateFunctions:
         shift, decay_integral) of both channels at the times ``t``, from one
         phase pass."""
         times, starts, offsets = _lattice(t, None)
-        channels = _channel_sums((self.absorption, self.emission), parts, offsets)(starts)
+        channels = _channel_sums((self.absorption, self.emission), parts, starts, offsets)()
         return tuple(tuple(_like(times, s) for s in channel) for channel in channels)
-
-    def total_shift(self, t):
-        (absorption,), (emission,) = self.sums(t, ("shift",))
-        return absorption + emission
-
-    def total_decay_integral(self, t):
-        (absorption,), (emission,) = self.sums(t, ("decay_integral",))
-        return absorption + emission
 
     def total_shift_integral(self, t):
         return self.absorption.shift_integral(t) + self.emission.shift_integral(t)
@@ -539,8 +558,8 @@ def element_ode_matrix(rates: RateFunctions, t: float) -> np.ndarray:
     """
     a = rates.absorption.decay(t)
     e = rates.emission.decay(t)
-    s = rates.total_shift(t)
-    lam = 4j * s - 4.0 * (a + e)
+    (absorption,), (emission,) = rates.sums(t, ("shift",))
+    lam = 4j * (absorption + emission) - 4.0 * (a + e)
     return np.array([
         [-8.0 * e, 0.0, 0.0, 8.0 * a],
         [0.0, lam, 0.0, 0.0],
@@ -556,7 +575,8 @@ def coherence_solution(rho01_0: complex, rates: RateFunctions, t):
     conjugate with the same decay envelope.
     """
     phase = np.exp(4j * rates.total_shift_integral(t))
-    envelope = np.exp(-4.0 * rates.total_decay_integral(t))
+    (absorption,), (emission,) = rates.sums(t, ("decay_integral",))
+    envelope = np.exp(-4.0 * (absorption + emission))
     return rho01_0 * phase * envelope
 
 
@@ -593,7 +613,7 @@ def population_solution(rho00_0: float, rates: RateFunctions, t):
         batch = samples[first:first + per_batch]
         step = flat[batch, None] / _POPULATION_PANELS
         sums = _channel_sums((rates.absorption, rates.emission), ("decay", "decay_integral"),
-                             step * _SIMPSON_OFFSETS)(step * _SIMPSON_STARTS)
+                             step * _SIMPSON_STARTS, step * _SIMPSON_OFFSETS)()
         (decay, absorbed), (_, emitted) = ([s.reshape(batch.size, -1)[:, :nodes] for s in channel]
                                            for channel in sums)
         running = 8.0 * (absorbed + emitted)
@@ -688,13 +708,15 @@ def bath_statistics(model: SpinBosonModel) -> BathStatistics:
             return complex(np.sum(absorption * np.exp(1j * detunings * (t - s))))
         return 0j
 
-    def integrals(offsets: np.ndarray):
-        # both channels from one phase pass, over one offsets table; the
-        # reverse integrals are the complex conjugates of the forward ones
-        sums = _channel_sums((rates.emission, rates.absorption), ("decay", "shift"), offsets)
+    def integrals(steps: np.ndarray, offsets: np.ndarray):
+        # both channels from one phase pass, over one table of steps and
+        # offsets; the reverse integrals are the complex conjugates of the
+        # forward ones
+        sums = _channel_sums((rates.emission, rates.absorption), ("decay", "shift"),
+                             steps, offsets)
 
-        def at(starts: np.ndarray):
-            (e_decay, e_shift), (a_decay, a_shift) = sums(starts)
+        def at(origins: np.ndarray):
+            (e_decay, e_shift), (a_decay, a_shift) = sums(origins)
             forward = np.zeros(e_decay.shape + (2, 2), dtype=complex)
             forward[..., 0, 1] = e_decay - 1j * e_shift
             forward[..., 1, 0] = a_decay + 1j * a_shift

@@ -52,9 +52,9 @@ def quadrature_bath(first_moments, correlation) -> BathStatistics:
     ``DEFAULT_PANELS`` panels of its ``correlation``."""
     n = len(first_moments)
 
-    def integrals(offsets: np.ndarray):
+    def integrals(steps: np.ndarray, offsets: np.ndarray):
         # the lattice contract, met by evaluating at the summed times
-        return lambda starts: integrals_at(lattice_times(starts, offsets))
+        return lambda origins: integrals_at(lattice_times(origins[..., None] + steps, offsets))
 
     def integrals_at(times: np.ndarray):
         forward = np.zeros(times.shape + (n, n), dtype=complex)

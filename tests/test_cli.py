@@ -168,6 +168,19 @@ def test_evolve_summary_adds_the_estimate_only_for_automatic_substeps(tmp_path):
     assert Path(str(fixed) + ".summary").read_text().splitlines() == auto_lines[:-1]
 
 
+def test_evolve_single_sample_writes_one_row_and_the_summary(tmp_path):
+    cfg = write_cfg(tmp_path, THERMAL_CFG.replace("samples = 33", "samples = 1"))
+    out = tmp_path / "traj.csv"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    header, data = read_csv(str(out))
+    assert header == TRAJECTORY_HEADER
+    assert data.shape == (1, len(TRAJECTORY_HEADER))
+    summary = read_summary(str(out) + ".summary")
+    assert summary["samples"] == "1"
+    assert summary["substeps"] == "0"
+    assert float(summary["min_eigenvalue"]) > 0.0
+
+
 def test_evolve_vacuum_population_decay(tmp_path):
     from spinboson.config import load_config
     from spinboson.spin_boson import rate_functions
@@ -274,8 +287,8 @@ def test_limits_vacuum_check_fails_on_perturbed_bath(tmp_path, monkeypatch):
 
     def perturbed(model):
         bath = bath_statistics(model)
-        integrals = lambda offsets: lambda starts: tuple(
-            (1 + 1e-6) * f for f in bath.integrals(offsets)(starts))
+        integrals = lambda steps, offsets: lambda origins: tuple(
+            (1 + 1e-6) * f for f in bath.integrals(steps, offsets)(origins))
         return dataclasses.replace(bath, integrals=integrals)
 
     monkeypatch.setattr(cli, "bath_statistics", perturbed)

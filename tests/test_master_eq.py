@@ -12,8 +12,9 @@ from spinboson.master_eq import (BathStatistics, InteractionDecomposition,
                                  first_order_hamiltonian, generator_matrix,
                                  propagate, rhs, second_order_generator,
                                  stage_generators)
-from spinboson.spin_boson import (SIGMA_Z, SpinBosonModel, bath_statistics,
-                                  coherence_solution, interaction_decomposition,
+from spinboson.spin_boson import (SIGMA_Z, SpectralDiscretization, SpinBosonModel,
+                                  bath_statistics, coherence_solution,
+                                  interaction_decomposition, ohmic_density,
                                   rate_functions)
 
 from helpers import (make_rng, quadrature_bath, random_complex,
@@ -31,6 +32,48 @@ def silent_bath(n_terms=2):
 def thermal_pair(beta=1.2):
     model = SpinBosonModel(1.0, [(0.8, 0.07), (1.3, 0.05)], beta)
     return model, interaction_decomposition(model), bath_statistics(model)
+
+
+def ohmic_vacuum():
+    """The 400-mode ohmic vacuum discretization of the ohmic_400 benchmark,
+    with its grid of 10 intervals of 5 at 128 substeps: phases up to about
+    225 rad."""
+    disc = SpectralDiscretization(ohmic_density(0.01, 5.0), 0.01, 10.0, 400)
+    model = disc.build_model(1.0, math.inf)
+    return model, interaction_decomposition(model), bath_statistics(model)
+
+
+OHMIC_GRID, OHMIC_SUBSTEPS = np.linspace(0.0, 50.0, 11), 128
+
+
+def ulp_grid(times, i=7):
+    """``times`` with grid point ``i`` moved up by one ulp: the steps are no
+    longer bit-equal."""
+    times = np.array(times)
+    times[i] = np.nextafter(times[i], math.inf)
+    return times
+
+
+def complex_form(real):
+    """The complex matrices whose real forms are ``real``, shape
+    ``(..., 2 D, 2 D)``, after checking that every entry is a block
+    ``[[x, -y], [y, x]]``."""
+    x, y = real[..., ::2, ::2], real[..., 1::2, ::2]
+    assert np.array_equal(real[..., 1::2, 1::2], x)
+    assert np.array_equal(real[..., ::2, 1::2], -y)
+    return x + 1j * y
+
+
+def patched_generator(generator):
+    """A stand-in for ``stage_generators`` giving the real form of the
+    constant complex ``generator`` at every stage time."""
+    real = master_eq._real_form(np.asarray(generator, dtype=complex))
+
+    def stage_generators(decomp, bath, times, substeps):
+        return lambda first, stop: np.broadcast_to(
+            real, (stop - first, 2 * substeps + 1) + real.shape)
+
+    return stage_generators
 
 
 # -- first-order hamiltonian ---------------------------------------------------
@@ -153,6 +196,14 @@ def test_propagate_single_point_grid():
     traj = propagate(decomp, bath, rho0, [0.0])
     assert traj.states.shape == (1, 2, 2)
     assert np.array_equal(traj.states[0], rho0)
+    # the same validation and metadata as any other grid
+    assert traj.metadata["substeps"] == 0
+    assert traj.metadata["error_estimate"] == 0.0
+    assert np.array_equal(traj.metadata["min_eigenvalue"], [0.0])
+    fixed = propagate(decomp, bath, rho0, [0.0], substeps=4)
+    assert fixed.metadata["substeps"] == 0
+    assert "error_estimate" not in fixed.metadata
+    assert np.array_equal(fixed.metadata["min_eigenvalue"], [0.0])
 
 
 def test_propagate_validates_initial_state():
@@ -190,8 +241,9 @@ def test_trace_drift_aborts(monkeypatch):
     _, decomp, bath = thermal_pair()
 
     def leaky_generator(decomp, bath, times, substeps):
+        # the real form of 0.05 times the identity on 2x2 states
         return lambda first, stop: 0.05 * np.broadcast_to(
-            np.eye(4), (stop - first, 2 * substeps + 1, 4, 4))
+            np.eye(8), (stop - first, 2 * substeps + 1, 8, 8))
 
     monkeypatch.setattr(master_eq, "stage_generators", leaky_generator)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
@@ -207,7 +259,7 @@ def test_trace_drift_aborts_on_nan(monkeypatch):
     _, decomp, bath = thermal_pair()
 
     def nan_generator(decomp, bath, times, substeps):
-        return lambda first, stop: np.full((stop - first, 2 * substeps + 1, 4, 4), np.nan)
+        return lambda first, stop: np.full((stop - first, 2 * substeps + 1, 8, 8), np.nan)
 
     monkeypatch.setattr(master_eq, "stage_generators", nan_generator)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
@@ -285,17 +337,17 @@ def test_propagate_batches_whole_intervals_within_the_stage_budget(monkeypatch, 
 
 
 def counting_integrals(bath):
-    """``bath`` with its integrals recording each offsets table built (outer
-    calls) and each batch of starts evaluated (inner calls)."""
+    """``bath`` with its integrals recording the offsets of each table built
+    (outer calls) and each batch of origins evaluated (inner calls)."""
     tables, batches = [], []
 
-    def integrals(offsets):
+    def integrals(steps, offsets):
         tables.append(np.array(offsets))
-        evaluate = bath.integrals(offsets)
+        evaluate = bath.integrals(steps, offsets)
 
-        def at(starts):
-            batches.append(np.array(starts))
-            return evaluate(starts)
+        def at(origins):
+            batches.append(np.array(origins))
+            return evaluate(origins)
 
         return at
 
@@ -318,7 +370,7 @@ def test_uniform_grid_builds_its_offsets_table_once(substeps):
     assert np.array_equal(tables[0], 0.0625 / substeps * np.arange(fine)[None, :])
     assert len(batches) > 1
     # every interval once, in order, and no interval split between batches
-    assert np.array_equal(np.concatenate([starts[:, 0] for starts in batches]), times[:-1])
+    assert np.array_equal(np.concatenate(batches), times[:-1])
     for starts in batches:
         assert (len(starts) * (2 * substeps + 1) <= master_eq._STAGE_BUDGET
                 or len(starts) == 1)
@@ -361,8 +413,8 @@ def test_trace_drift_names_the_substep_where_it_starts_mid_block(monkeypatch):
 
     def leaky_from_onset(decomp, bath, times, substeps):
         def stages(first, stop):
-            out = np.zeros((stop - first, 2 * substeps + 1, 4, 4))
-            out[:, 2 * onset - 1:] = 0.05 * np.eye(4)
+            out = np.zeros((stop - first, 2 * substeps + 1, 8, 8))
+            out[:, 2 * onset - 1:] = 0.05 * np.eye(8)
             return out
         return stages
 
@@ -375,18 +427,93 @@ def test_trace_drift_names_the_substep_where_it_starts_mid_block(monkeypatch):
 
 
 def test_stage_generators_match_generator_at_stage_times():
-    # the lattice of coarse starts and fine offsets, trimmed, is the RK4
-    # stage times t + k h / 2 of each interval, with one offsets row per
-    # interval or one shared by all of them (bit-equal steps)
+    # the lattice of origins, coarse steps and fine offsets, trimmed, is the
+    # RK4 stage times t + k h / 2 of each interval, with one row of steps and
+    # offsets per interval or one shared by all of them (bit-equal steps)
     _, decomp, bath = thermal_pair()
     substeps = 7
     for times in (np.array([0.0, 0.35, 1.12, 1.26]), 0.375 * np.arange(4.0)):
         starts, steps = times[:-1], np.diff(times) / substeps
-        stages = stage_generators(decomp, bath, times, substeps)(0, 3)
+        stages = complex_form(stage_generators(decomp, bath, times, substeps)(0, 3))
         assert stages.shape == (3, 2 * substeps + 1, 4, 4)
         for i in range(3):
             t = starts[i] + steps[i] * 0.5 * np.arange(2 * substeps + 1)
             assert np.max(np.abs(stages[i] - generator_matrix(decomp, bath, t))) <= 1e-14
+
+
+@pytest.mark.parametrize("grid", ["uniform", "ulp"])
+def test_stage_generators_at_ohmic_scale(grid):
+    # phases up to about 225 rad, 12 coarse starts per interval from one
+    # origin each (uniform), or a table per interval (one step an ulp off)
+    model, decomp, bath = ohmic_vacuum()
+    times = OHMIC_GRID if grid == "uniform" else ulp_grid(OHMIC_GRID)
+    stages = stage_generators(decomp, bath, times, OHMIC_SUBSTEPS)
+    # the per-mode factor scale of the rates, sum_k |2 w_k / d_k|
+    channel = rate_functions(model).emission
+    scale = np.sum(np.abs(2.0 * channel.weights / channel.detunings))
+    for i in range(len(times) - 1):
+        step = (times[i + 1] - times[i]) / OHMIC_SUBSTEPS
+        t = times[i] + step * 0.5 * np.arange(2 * OHMIC_SUBSTEPS + 1)
+        got = complex_form(stages(i, i + 1)[0])
+        assert np.max(np.abs(got - generator_matrix(decomp, bath, t))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("grid", ["uniform", "ulp"])
+def test_origin_lattice_work_count(monkeypatch, grid):
+    # on a grid of bit-equal steps each interval takes one sine and one
+    # cosine per mode, of its origin; the steps and offsets are tabled once.
+    # With one step an ulp off, each interval tables its own.
+    model, decomp, bath = ohmic_vacuum()
+    times = OHMIC_GRID if grid == "uniform" else ulp_grid(OHMIC_GRID)
+    counts = {"sin": 0, "cos": 0}
+
+    def counting(name):
+        original = getattr(np, name)
+
+        def counted(x, *args, **kwargs):
+            counts[name] += np.size(x)
+            return original(x, *args, **kwargs)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(np, name, counting(name))
+    rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    propagate(decomp, bath, rho0, times, substeps=OHMIC_SUBSTEPS)
+    intervals, stage_count = len(times) - 1, 2 * OHMIC_SUBSTEPS + 1
+    modes = len(model.modes)
+    if grid == "uniform":
+        coarse, fine = master_eq.progression_lattice(stage_count, 512)
+        expected = (intervals + len(coarse) + len(fine)) * modes
+    else:
+        coarse, fine = master_eq.progression_lattice(stage_count)
+        expected = intervals * (1 + len(coarse) + len(fine)) * modes
+    assert (len(coarse), len(fine)) == ((12, 23) if grid == "uniform" else (16, 17))
+    # one channel pass: the vacuum's absorption channel has no weight
+    assert counts == {"sin": expected, "cos": expected}
+
+
+def test_hermiticity_breaking_generator_is_reported(monkeypatch):
+    # rotates both coherences by the same phase: the trace is kept, the
+    # Hermiticity is not, and nothing on the way symmetrizes the states
+    _, decomp, bath = thermal_pair()
+    monkeypatch.setattr(master_eq, "stage_generators",
+                        patched_generator(np.diag([0.0, 0.1j, 0.1j, 0.0])))
+    rho0 = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]], dtype=complex)
+    with pytest.raises(ValueError, match="hermiticity error"):
+        propagate(decomp, bath, rho0, np.linspace(0, 5, 6), substeps=4)
+
+
+def test_imaginary_trace_drift_aborts(monkeypatch):
+    # a phase on the whole state gives the trace an imaginary part, which
+    # the trace check sees after the first substep
+    _, decomp, bath = thermal_pair()
+    monkeypatch.setattr(master_eq, "stage_generators", patched_generator(0.05j * np.eye(4)))
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(TraceDriftError) as err:
+        propagate(decomp, bath, rho0, np.linspace(0, 5, 6), substeps=4)
+    assert err.value.drift > 1e-6
+    assert err.value.t == pytest.approx(0.25)
 
 
 def test_default_substeps_zero_generator():
@@ -486,7 +613,7 @@ def test_trace_drift_aborts_on_nan_with_automatic_substeps(monkeypatch):
     _, decomp, bath = thermal_pair()
 
     def nan_generator(decomp, bath, times, substeps):
-        return lambda first, stop: np.full((stop - first, 2 * substeps + 1, 4, 4), np.nan)
+        return lambda first, stop: np.full((stop - first, 2 * substeps + 1, 8, 8), np.nan)
 
     monkeypatch.setattr(master_eq, "stage_generators", nan_generator)
     rho0 = np.diag([1.0, 0.0]).astype(complex)

@@ -294,7 +294,7 @@ def test_thermal_channels_share_one_lattice_pass():
     model = SpinBosonModel(1.0, [(0.8, 0.1), (1.0, 0.05), (1.4, 0.06)], 1.3)
     rates = rate_functions(model)
     starts, offsets = np.array([[0.0, 0.9], [2.0, 3.1]]), np.array([[0.0, 0.1, 0.2]])
-    forward, reverse = bath_statistics(model).integrals(offsets)(starts)
+    forward, reverse = bath_statistics(model).integrals(starts, offsets)(np.zeros(2))
     assert forward.shape == (2, 2, 3, 2, 2)
     t = lattice_times(starts, offsets)
     for channel, (j, k), sign in ((rates.emission, (0, 1), -1), (rates.absorption, (1, 0), 1)):
@@ -412,7 +412,8 @@ def test_coherence_amplitude_envelope():
     r = rate_functions(model)
     z0 = 0.4 + 0.1j
     t = np.linspace(0.0, 6.0, 25)
-    envelope = abs(z0) * np.exp(-4.0 * r.total_decay_integral(t))
+    (absorption,), (emission,) = r.sums(t, ("decay_integral",))
+    envelope = abs(z0) * np.exp(-4.0 * (absorption + emission))
     assert np.max(np.abs(np.abs(coherence_solution(z0, r, t)) - envelope)) <= 1e-14
 
 
@@ -442,9 +443,9 @@ def test_population_solution_batches_samples_within_the_budget(monkeypatch, mode
     alone = [population_solution(0.7, rates, tv) for tv in grid]
     batches = []
 
-    def recording(channels, parts, offsets):
+    def recording(channels, parts, steps, offsets):
         batches.append(len(offsets))
-        return channel_sums(channels, parts, offsets)
+        return channel_sums(channels, parts, steps, offsets)
 
     channel_sums = spin_boson._channel_sums
     monkeypatch.setattr(spin_boson, "_channel_sums", recording)
@@ -461,7 +462,8 @@ def population_by_scipy_simpson(rho00_0, rates, tv, panels=400):
     if tv == 0.0:
         return rho00_0
     nodes = np.linspace(0.0, tv, panels + 1)
-    running = 8.0 * rates.total_decay_integral(nodes)
+    (absorption,), (emission,) = rates.sums(nodes, ("decay_integral",))
+    running = 8.0 * (absorption + emission)
     integrand = 8.0 * rates.absorption.decay(nodes) * np.exp(running - running[-1])
     return rho00_0 * math.exp(-running[-1]) + float(simpson(integrand, x=nodes))
 
@@ -683,7 +685,7 @@ def test_integrated_correlations_match_quadrature():
     model = SpinBosonModel(1.0, [(0.8, 0.1), (1.4, 0.06)], 1.3)
     bath = bath_statistics(model)
     t = 2.2
-    forward, reverse = (f[:, 0] for f in bath.integrals(np.zeros(1))(np.array([t])))
+    forward, reverse = (f[:, 0, 0] for f in bath.integrals(np.zeros(1), np.zeros(1))(np.array([t])))
     s = np.linspace(0.0, t, 2001)
     for j, k in ((0, 1), (1, 0)):
         fwd = complex(simpson(np.array([bath.correlation(j, k, t, sv) for sv in s]), x=s))
