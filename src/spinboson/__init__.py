@@ -8,7 +8,6 @@ an exact truncated-Fock-space reference solver for validation.
 
 __version__ = "0.1.0"
 
-from .linalg import SubsystemShape, partial_trace
 from .master_eq import (BathStatistics, InteractionDecomposition,
                         StepDoublingError, TraceDriftError, Trajectory,
                         first_order_hamiltonian, propagate, rhs,
@@ -27,8 +26,6 @@ from .spin_boson import (RateChannel, RateFunctions, SpectralDiscretization,
 
 __all__ = [
     "__version__",
-    # linear algebra
-    "SubsystemShape", "partial_trace",
     # master equation engine
     "InteractionDecomposition", "BathStatistics", "Trajectory",
     "TraceDriftError", "StepDoublingError", "first_order_hamiltonian",

@@ -167,11 +167,11 @@ def run_compare(cfg: RunConfig, out: str) -> int:
     references = exact_scaled_dynamics(base, TruncatedBath(base, n_max=cfg.n_max), rho0, grid,
                                        SCALING_FACTORS, check_truncation=cfg.check_truncation)
 
+    decomp = interaction_decomposition(base)
     distances = None
     errors = []
     for factor, exact in zip(SCALING_FACTORS, references):
-        model = base.scaled(factor)
-        me = propagate(interaction_decomposition(model), bath_statistics(model),
+        me = propagate(decomp, bath_statistics(base.scaled(factor)),
                        rho0, grid, substeps=cfg.rk4_substeps)
         dist = np.linalg.norm(me.states - exact.states, axis=(1, 2))
         if factor == 1.0:

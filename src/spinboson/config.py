@@ -17,7 +17,7 @@ oracle:      oracle_enabled (true|false, default false), n_max (default 4),
              check_truncation (true|false, default false: rerun the exact
              solver at twice n_max and abort if any element moves by more
              than 1e-6)
-output:      output_format (csv), output_path (optional if --out is given)
+output:      output_path (optional if --out is given)
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ _KNOWN_KEYS = {
     "t_max", "samples", "rk4_substeps",
     "rho00", "rho01",
     "oracle_enabled", "n_max", "check_truncation",
-    "output_format", "output_path",
+    "output_path",
 }
 
 _REQUIRED_KEYS = {"omega0", "beta", "t_max", "samples", "rho00", "rho01"}
@@ -71,7 +71,6 @@ class RunConfig:
     oracle_enabled: bool
     n_max: int
     check_truncation: bool
-    output_format: str
     output_path: str | None
 
     def discretization(self) -> SpectralDiscretization | None:
@@ -242,22 +241,17 @@ def parse_config_text(text: str) -> RunConfig:
         oracle_enabled=convert("oracle_enabled", _parse_bool, default=False),
         n_max=convert("n_max", _parse_int, default=4),
         check_truncation=convert("check_truncation", _parse_bool, default=False),
-        output_format=convert("output_format", str, default="csv"),
         output_path=convert("output_path", str),
     )
 
     if cfg.samples < 1:
         raise ConfigError(f"samples must be at least 1, got {cfg.samples}")
-    if cfg.samples > 1 and cfg.t_max <= 0:
-        raise ConfigError("t_max must be positive")
     if cfg.rk4_substeps is not None and cfg.rk4_substeps < 1:
         raise ConfigError(f"rk4_substeps must be at least 1, got {cfg.rk4_substeps}")
     if cfg.n_max < 1:
         raise ConfigError(f"n_max must be at least 1, got {cfg.n_max}")
     if cfg.mode_count is not None and cfg.mode_count < 1:
         raise ConfigError(f"mode_count must be at least 1, got {cfg.mode_count}")
-    if cfg.output_format != "csv":
-        raise ConfigError(f"output_format must be csv, got {cfg.output_format!r}")
     if not 0.0 <= cfg.rho00 <= 1.0:
         raise ConfigError(f"rho00 must lie in [0, 1], got {cfg.rho00}")
     if abs(cfg.rho01) ** 2 > cfg.rho00 * (1.0 - cfg.rho00) + 1e-15:

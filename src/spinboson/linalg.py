@@ -1,20 +1,14 @@
-"""Dense complex linear algebra shared by the dynamics modules.
+"""Input checks shared by the dynamics modules.
 
-Everything operates on plain ``numpy`` arrays (``complex128``, square).  The
-Hilbert spaces in this package stay small (a two-level system times a
-truncated bosonic bath), so dense storage plus eigendecompositions beat any
-sparse or iterative machinery.
+Square, Hermitian and density matrices as plain ``numpy`` arrays
+(``complex128``), and finite, strictly increasing time grids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "SubsystemShape",
-    "partial_trace",
     "require_hermitian",
     "require_density_matrix",
     "require_time_grid",
@@ -62,48 +56,3 @@ def require_time_grid(times) -> np.ndarray:
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     return times
-
-
-@dataclass(frozen=True)
-class SubsystemShape:
-    """Tensor-factor layout of a composite Hilbert space.
-
-    ``factor_dims`` lists the dimension of each factor in kron order and
-    ``keep_index`` names the factor that survives a partial trace.
-    """
-
-    factor_dims: tuple[int, ...]
-    keep_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "factor_dims", tuple(int(d) for d in self.factor_dims))
-        if not self.factor_dims or any(d < 1 for d in self.factor_dims):
-            raise ValueError(f"factor dimensions must be positive, got {self.factor_dims}")
-        if not 0 <= self.keep_index < len(self.factor_dims):
-            raise ValueError(
-                f"keep_index {self.keep_index} out of range for {len(self.factor_dims)} factors")
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.factor_dims))
-
-
-def partial_trace(rho: np.ndarray, shape: SubsystemShape) -> np.ndarray:
-    """Trace out every tensor factor except ``shape.keep_index``.
-
-    The trace of the input is preserved exactly (the operation is a plain
-    index contraction).
-    """
-    rho = _as_square(rho, "rho")
-    if rho.shape[0] != shape.total_dim:
-        raise ValueError(
-            f"state dimension {rho.shape[0]} does not match factor dims {shape.factor_dims}")
-    dims = shape.factor_dims
-    n = len(dims)
-    reshaped = rho.reshape(dims + dims)
-    # einsum sublist form: traced factors share one label between row and
-    # column axes, the kept factor gets distinct row/column labels.
-    row_labels = list(range(n))
-    col_labels = [i if i != shape.keep_index else n + i for i in range(n)]
-    out_labels = [shape.keep_index, n + shape.keep_index]
-    return np.einsum(reshaped, row_labels + col_labels, out_labels)

@@ -8,9 +8,10 @@ the truncation) at every requested time.  One pass over the sectors serves
 several coupling scales at once: the sector blocks and the bath weights are
 built once, and only the eigendecompositions repeat per scale.  The series
 terms of the evolution operator come from one exponential of a block matrix
-built from the free energies and the coupling; the deviation of the reduced
-map from the identity and the alternating-sum inversion identity work with
-the propagator on the full space.  All of them read one table of product-basis
+built from the free energies and the coupling.  The exact reduced map comes
+from the same sector pass, as a 4 x 4 matrix on row-major 2 x 2 states; the
+deviation of that map from the identity and the alternating-sum inversion
+identity work with it alone.  All of them read one table of product-basis
 matrix elements.
 
 All reduced states returned here live in the frame co-rotating with the
@@ -26,8 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (SubsystemShape, partial_trace, require_density_matrix,
-                     require_time_grid)
+from .linalg import require_density_matrix, require_time_grid
 from .master_eq import Trajectory
 from .spin_boson import SpinBosonModel
 
@@ -103,10 +103,6 @@ class TruncatedBath:
     @property
     def full_dim(self) -> int:
         return 2 * self.bath_dim
-
-    @property
-    def shape(self) -> SubsystemShape:
-        return SubsystemShape((2, self.bath_dim), keep_index=0)
 
     def with_n_max(self, n_max: int) -> "TruncatedBath":
         return replace(self, n_max=n_max)
@@ -396,17 +392,36 @@ def dyson_terms(model: SpinBosonModel, bath: TruncatedBath, t: float,
     return [np.eye(d, dtype=complex)] + [_co_rotate(h, t, row[:, k]) for k in range(1, n)]
 
 
-def _deviation_map(model, bath, beta, t):
-    u = interaction_unitary(model, bath, t)
-    u_dag = u.conj().T
-    rho_e = thermal_bath_state(model, bath, beta)
-    shape = bath.shape
+def _reduced_map(model: SpinBosonModel, bath: TruncatedBath, t: float,
+                 beta: float | None) -> np.ndarray:
+    """Exact reduced map Phi(t) as a 4 x 4 matrix on row-major 2 x 2 states.
 
-    def eps(rho: np.ndarray) -> np.ndarray:
-        full = np.kron(rho, rho_e)
-        return partial_trace(u @ full @ u_dag, shape) - rho
+    Built from the sector pass: the bath state is diagonal and the coupling
+    conserves the excitation number, so populations map to populations and
+    each coherence only to itself.  The population columns are the runs
+    from the initial populations (1, 0) and (0, 1); the coherence entries
+    are the per-unit rho01 and rho10 sums, with the free rotation
+    exp(i (e_i - e_j) t) applied.
+    """
+    times = require_time_grid([t])
+    factors = np.ones(1)
+    up = _sector_sums(model, bath, np.diag([1.0, 0.0]), times, factors, beta)[0, :, 0]
+    down = _sector_sums(model, bath, np.diag([0.0, 1.0]), times, factors, beta)[0, :, 0]
+    rotation = np.exp(1j * model.omega0 * times[0])
+    phi = np.zeros((4, 4), dtype=complex)
+    phi[[0, 3], 0] = up[:2]
+    phi[[0, 3], 3] = down[:2]
+    phi[1, 1] = up[2] * rotation
+    phi[2, 2] = up[3] * rotation.conjugate()
+    return phi
 
-    return eps
+
+def _system_state(rho) -> np.ndarray:
+    """``rho`` as a complex 4-vector, row-major; ``ValueError`` unless 2 x 2."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValueError(f"rho must be a 2 x 2 system operator, got shape {rho.shape}")
+    return rho.reshape(4)
 
 
 def reduced_map_deviation(model: SpinBosonModel, bath: TruncatedBath,
@@ -414,10 +429,12 @@ def reduced_map_deviation(model: SpinBosonModel, bath: TruncatedBath,
                           beta: float | None = None) -> np.ndarray:
     """Deviation of the exact reduced map from the identity at time ``t``.
 
-    Vanishes at t = 0 and as the couplings go to zero; for thermal baths its
-    leading order is quadratic in the coupling.
+    Returns (Phi(t) - I) applied to the 2 x 2 operator ``rho``.  Vanishes at
+    t = 0 and as the couplings go to zero; for thermal baths its leading
+    order is quadratic in the coupling.
     """
-    return _deviation_map(model, bath, beta, t)(np.asarray(rho, dtype=complex))
+    vec = _system_state(rho)
+    return ((_reduced_map(model, bath, t, beta) - np.eye(4)) @ vec).reshape(2, 2)
 
 
 def map_inversion_residual(model: SpinBosonModel, bath: TruncatedBath,
@@ -433,20 +450,20 @@ def map_inversion_residual(model: SpinBosonModel, bath: TruncatedBath,
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    rho0 = np.asarray(rho0, dtype=complex)
-    eps = _deviation_map(model, bath, beta, t)
-    rho_t = rho0 + eps(rho0)
+    rho0 = _system_state(rho0)
+    eps = _reduced_map(model, bath, t, beta) - np.eye(4)
+    rho_t = rho0 + eps @ rho0
 
     total = rho_t.copy()
     current = rho_t
     sign = 1.0
     for _ in range(order):
-        current = eps(current)
+        current = eps @ current
         sign = -sign
         total += sign * current
 
     tail = rho0
     for _ in range(order + 1):
-        tail = eps(tail)
+        tail = eps @ tail
     tail_sign = -1.0 if (order + 1) % 2 else 1.0
     return float(np.linalg.norm(total - rho0 + tail_sign * tail))

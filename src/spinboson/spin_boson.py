@@ -262,10 +262,6 @@ class SpectralDiscretization:
     def delta_omega(self) -> float:
         return (self.omega_max - self.omega_min) / self.mode_count
 
-    @property
-    def density_of_states(self) -> float:
-        return self.mode_count / (self.omega_max - self.omega_min)
-
     def mode_grid(self) -> np.ndarray:
         d = self.delta_omega
         return self.omega_min + d * (np.arange(self.mode_count) + 0.5)
@@ -524,9 +520,6 @@ class RateFunctions:
         channels = _channel_sums((self.absorption, self.emission), parts, starts, offsets)()
         return tuple(tuple(_like(times, s) for s in channel) for channel in channels)
 
-    def total_shift_integral(self, t):
-        return self.absorption.shift_integral(t) + self.emission.shift_integral(t)
-
 
 def rate_functions(model: SpinBosonModel) -> RateFunctions:
     """Closed per-mode rate evaluators for ``model``.
@@ -574,7 +567,8 @@ def coherence_solution(rho01_0: complex, rates: RateFunctions, t):
     Uses the exact running integrals; the lower coherence is the complex
     conjugate with the same decay envelope.
     """
-    phase = np.exp(4j * rates.total_shift_integral(t))
+    phase = np.exp(4j * (rates.absorption.shift_integral(t)
+                         + rates.emission.shift_integral(t)))
     (absorption,), (emission,) = rates.sums(t, ("decay_integral",))
     envelope = np.exp(-4.0 * (absorption + emission))
     return rho01_0 * phase * envelope

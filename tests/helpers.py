@@ -1,5 +1,5 @@
-"""Shared random-state, quadrature, rate-reference and ladder-operator helpers
-for the test suite."""
+"""Shared random-state, quadrature, rate-reference, ladder-operator and
+partial-trace helpers for the test suite."""
 
 from functools import reduce
 
@@ -121,6 +121,16 @@ def ladder_coupling(model, bath) -> np.ndarray:
     for (_, g), b in zip(model.modes, bath_annihilation_ops(bath)):
         out += g * (np.kron(SIGMA_PLUS, b) + np.kron(SIGMA_MINUS, b.conj().T))
     return out
+
+
+# -- partial trace -----------------------------------------------------------
+# The full-space reference for the oracle's sector pass, which never forms a
+# state on system (x) bath.
+
+def partial_trace(rho, dims: tuple[int, int]) -> np.ndarray:
+    """Trace of ``rho`` over the second of two tensor factors of dimensions
+    ``dims``, in Kronecker order."""
+    return np.trace(np.asarray(rho).reshape(dims + dims), axis1=1, axis2=3)
 
 
 # -- CLI output --------------------------------------------------------------

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -559,3 +561,13 @@ def test_cli_import_path_loads_no_scipy(tmp_path):
                            str(tmp_path / "rates.csv")],
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("module", ["spinboson"] + sorted(
+    "spinboson." + info.name for info in pkgutil.iter_modules(spinboson.__path__)))
+def test_every_exported_name_resolves(module):
+    # a stale re-export left behind by a deletion fails here, not at the
+    # first `from spinboson import *` of a user
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing

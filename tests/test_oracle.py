@@ -6,7 +6,6 @@ import pytest
 from scipy.integrate import simpson
 
 from spinboson import oracle
-from spinboson.linalg import partial_trace
 from spinboson.master_eq import rhs
 from spinboson.oracle import (BathDimensionError, TruncatedBath,
                               TruncationError, dyson_terms,
@@ -19,7 +18,7 @@ from spinboson.spin_boson import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z,
                                   interaction_decomposition)
 
 from helpers import (bath_annihilation_ops, ladder_coupling, make_rng,
-                     random_density_matrix)
+                     partial_trace, random_density_matrix)
 
 RHO_EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 RHO_MIXED = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]], dtype=complex)
@@ -196,7 +195,7 @@ def full_space_reduced_dynamics(model, bath, rho0, times):
     out = []
     for t in times:
         u = interaction_unitary(model, bath, t)
-        out.append(partial_trace(u @ full0 @ u.conj().T, bath.shape))
+        out.append(partial_trace(u @ full0 @ u.conj().T, (2, bath.bath_dim)))
     return np.array(out)
 
 
@@ -223,6 +222,9 @@ def test_exact_dynamics_forms_no_full_space_array(monkeypatch):
     model = SpinBosonModel(1.0, [(0.8, 0.15), (1.4, 0.1), (1.1, 0.05)], 1.0)
     bath = TruncatedBath(model, n_max=3)
     expected = exact_reduced_dynamics(model, bath, RHO_MIXED, np.linspace(0, 3, 7))
+    # the deviation map and the inversion identity read the same sector pass
+    expected_deviation = reduced_map_deviation(model, bath, RHO_MIXED, 1.3)
+    expected_residual = map_inversion_residual(model, bath, RHO_MIXED, 1.3, 2)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("full-space construction")
@@ -240,6 +242,11 @@ def test_exact_dynamics_forms_no_full_space_array(monkeypatch):
     traj = exact_reduced_dynamics(model, bath, RHO_MIXED, np.linspace(0, 3, 7))
     assert np.array_equal(traj.states, expected.states)
     # the largest sector, N = 5: 12 up states with 4 quanta, 12 down with 5
+    assert max(sizes) == 24
+    sizes.clear()
+    assert np.array_equal(reduced_map_deviation(model, bath, RHO_MIXED, 1.3),
+                          expected_deviation)
+    assert map_inversion_residual(model, bath, RHO_MIXED, 1.3, 2) == expected_residual
     assert max(sizes) == 24
 
 
@@ -447,6 +454,37 @@ def test_interaction_hamiltonian_at_zero_matches_schroedinger_coupling():
 
 
 # -- reduced map deviation ---------------------------------------------------------------
+
+@pytest.mark.parametrize("model, n_max", [
+    (SpinBosonModel(1.0, [(0.9, 0.1), (1.0, 0.2), (1.2, 0.15)], 0.8), 3),
+    (two_mode_vacuum(0.2, 0.1), 4),
+    (SpinBosonModel(1.0, [(1.3, 0.0), (0.7, 0.0)], 1.0), 2),
+], ids=["thermal-3mode", "vacuum-2mode", "zero-coupling"])
+@pytest.mark.parametrize("t", [0.0, 0.7, 2.0])
+def test_deviation_map_matches_full_space_reference(model, n_max, t):
+    # (Phi - I) rho against U (rho (x) rho_E) U^dag traced over the bath, on a
+    # state and on a non-Hermitian operator (the map is linear on both)
+    bath = TruncatedBath(model, n_max=n_max)
+    u = interaction_unitary(model, bath, t)
+    rho_e = thermal_bath_state(model, bath)
+    operator = np.array([[0.3, 1.0 - 0.4j], [2.0j, -0.5]])
+    for rho in (random_density_matrix(make_rng(n_max), 2), operator):
+        full = u @ np.kron(rho, rho_e) @ u.conj().T
+        reference = partial_trace(full, (2, bath.bath_dim)) - rho
+        got = reduced_map_deviation(model, bath, rho, t)
+        assert np.max(np.abs(got - reference)) <= 1e-13
+
+
+@pytest.mark.parametrize("rho", [np.eye(3) / 3, np.array([0.6, 0.2, 0.2, 0.4]),
+                                 np.zeros((1, 2, 2))], ids=["3x3", "flat-4", "stacked"])
+def test_deviation_map_and_inversion_identity_reject_non_2x2_states(rho):
+    model = vacuum_mode(g=0.1)
+    bath = TruncatedBath(model, n_max=3)
+    with pytest.raises(ValueError, match="2 x 2"):
+        reduced_map_deviation(model, bath, rho, 1.0)
+    with pytest.raises(ValueError, match="2 x 2"):
+        map_inversion_residual(model, bath, rho, 1.0, 1)
+
 
 def test_deviation_map_trivial_zeros():
     model = vacuum_mode(g=0.1)

@@ -641,10 +641,9 @@ def test_markov_plateau_of_time_resolved_rate():
 
 # -- discretization -------------------------------------------------------------------
 
-def test_discretization_couplings_and_density_of_states():
+def test_discretization_couplings():
     disc = SpectralDiscretization(ohmic_density(0.05, 3.0), 0.5, 2.5, 8)
     assert disc.delta_omega == pytest.approx(0.25)
-    assert disc.density_of_states == pytest.approx(8 / 2.0)
     modes = disc.modes()
     assert len(modes) == 8
     for omega, g in modes:
