@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .master_eq import (StepDoublingError, TraceDriftError, Trajectory, generator_matrix,
-                        propagate)
+                        propagate, propagate_scaled)
 from .oracle import (BathDimensionError, TruncatedBath, TruncationError,
                      exact_reduced_dynamics, exact_scaled_dynamics)
 from .spin_boson import (bath_statistics, interaction_decomposition,
@@ -167,12 +167,12 @@ def run_compare(cfg: RunConfig, out: str) -> int:
     references = exact_scaled_dynamics(base, TruncatedBath(base, n_max=cfg.n_max), rho0, grid,
                                        SCALING_FACTORS, check_truncation=cfg.check_truncation)
 
-    decomp = interaction_decomposition(base)
+    # and one master-equation pass, from one bath
+    trajectories = propagate_scaled(interaction_decomposition(base), bath_statistics(base),
+                                    rho0, grid, SCALING_FACTORS, substeps=cfg.rk4_substeps)
     distances = None
     errors = []
-    for factor, exact in zip(SCALING_FACTORS, references):
-        me = propagate(decomp, bath_statistics(base.scaled(factor)),
-                       rho0, grid, substeps=cfg.rk4_substeps)
+    for factor, me, exact in zip(SCALING_FACTORS, trajectories, references):
         dist = np.linalg.norm(me.states - exact.states, axis=(1, 2))
         if factor == 1.0:
             distances = dist

@@ -53,6 +53,12 @@ one batched matrix-vector product per block gives the state after each of
 its substeps.  Without a given count, the count is sized from the
 step-doubling estimate of the integration error (:func:`propagate`).
 
+Several coupling scales run in one pass (:func:`propagate_scaled`).  The
+generator is second order in the coupling: scaling every coupling by f
+scales the first moments by f and the integrated correlations by f**2, so
+one evaluation of a batch's coefficients serves every scale, and the step
+matrices, block products and states carry a leading axis of scales.
+
 The stage generators, step matrices, block products and the state advance
 are in real arithmetic: each complex matrix is its interleaved real form,
 in which the entry ``x + i y`` is the block ``[[x, -y], [y, x]]``
@@ -90,6 +96,7 @@ __all__ = [
     "generator_matrix",
     "stage_generators",
     "propagate",
+    "propagate_scaled",
 ]
 
 # Target for the step-doubling estimate of the global integration error of
@@ -119,7 +126,11 @@ _TRACE_ABORT = 1e-6
 # of a few-mode bath.  One propagate over 10 intervals of a 400-mode vacuum
 # bath peaks at about 1.0 MB of arrays at 128 substeps (one interval a
 # batch) and 1.3 MB at 31 (eight), a thermal one at 1.8 MB at both
-# (tracemalloc; a whole ohmic_400 evolve peaks at 1.07 MB).
+# (tracemalloc; a whole ohmic_400 evolve peaks at 1.07 MB).  The count does
+# not change with the coupling scales of propagate_scaled, so the batches
+# fall where they do for one scale; the real forms, step matrices and block
+# products are held once per scale, so that part of a batch's memory grows
+# with the count of scales, while the bath's tables and coefficients do not.
 _STAGE_BUDGET = 512
 
 # The lattice of a plain array of times: the single step and offset 0.
@@ -278,15 +289,21 @@ class BathStatistics:
         steps = np.atleast_1d(np.asarray(steps, dtype=float))
         offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
         integrals = self.integrals(steps, offsets)
+        n = len(self.first_moments)
 
         def at(origins) -> np.ndarray:
             origins = np.atleast_1d(np.asarray(origins, dtype=float))
             times = lattice_times(origins[..., None] + steps, offsets)
-            moments = [np.broadcast_to(m(times), times.shape) for m in self.first_moments]
+            out = np.empty(times.shape + (n + 2 * n * n,), dtype=complex)
+            for i, moment in enumerate(self.first_moments):
+                out[..., i] = moment(times)
             forward, reverse = integrals(origins)
-            return np.concatenate([np.stack(moments, axis=-1).astype(complex),
-                                   forward.reshape(times.shape + (-1,)),
-                                   reverse.reshape(times.shape + (-1,))], axis=-1)
+            if np.shape(forward)[-2:] != (n, n):
+                raise ValueError("one first moment per decomposition term required")
+            blocks = out[..., n:].reshape(times.shape + (2, n, n))
+            blocks[..., 0, :, :] = forward
+            blocks[..., 1, :, :] = reverse
+            return out
 
         return at
 
@@ -422,7 +439,8 @@ def generator_matrix(decomp: InteractionDecomposition, bath: BathStatistics,
 
 
 def stage_generators(decomp: InteractionDecomposition, bath: BathStatistics,
-                     times: np.ndarray, substeps: int) -> Callable[[int, int], np.ndarray]:
+                     times: np.ndarray, substeps: int,
+                     factors=None) -> Callable[[int, int], np.ndarray]:
     """Real forms of the generator matrices at the RK4 stage times of the
     intervals of ``times``.
 
@@ -440,6 +458,11 @@ def stage_generators(decomp: InteractionDecomposition, bath: BathStatistics,
     :func:`progression_lattice` over the stage times one row serves, at most
     ``_STAGE_BUDGET``.  The real forms come from one real product of the
     coefficients' real view with :attr:`InteractionDecomposition.real_superoperators`.
+
+    With ``factors``, a scalar or an array, the generators are those of the
+    couplings scaled by each factor, with the shape of ``factors`` in front:
+    the coefficients the bath gives once per batch are scaled by the
+    second-order rule (:func:`_coefficient_scales`) before the product.
     """
     times = np.asarray(times, dtype=float)
     stage_count = 2 * substeps + 1
@@ -450,15 +473,32 @@ def stage_generators(decomp: InteractionDecomposition, bath: BathStatistics,
     steps, offsets = rows[:, None] * coarse, rows[:, None] * fine
     shared = bath.coefficients(steps, offsets) if len(rows) == 1 else None
     basis = decomp.real_superoperators
+    scales = None if factors is None else _coefficient_scales(decomp, factors)
 
     def stages(first: int, stop: int) -> np.ndarray:
         evaluate = (shared if shared is not None
                     else bath.coefficients(steps[first:stop], offsets[first:stop]))
         f = _checked(decomp, evaluate(times[first:stop]))
-        f = f.reshape(stop - first, -1, f.shape[-1])[:, :stage_count]
-        return np.tensordot(f.view(float), basis, axes=1)
+        f = f.reshape(stop - first, -1, f.shape[-1])[:, :stage_count].view(float)
+        if scales is not None:
+            f = scales[..., None, None, :] * f
+        return np.tensordot(f, basis, axes=1)
 
     return stages
+
+
+def _coefficient_scales(decomp: InteractionDecomposition, factors) -> np.ndarray:
+    """Multipliers of the real view of the generator coefficients when every
+    coupling is scaled by ``factors``, shape ``np.shape(factors) + (2 c,)``.
+
+    The generator is second order in the coupling: the first moments scale
+    with f and the integrated correlations with f**2.  A power of two scales
+    every bath sum exactly, so for such factors the scaled coefficients equal
+    those of the scaled bath bit for bit.
+    """
+    f = np.asarray(factors, dtype=float)[..., None]
+    first = np.arange(len(decomp.superoperators)) < decomp.n_terms
+    return np.repeat(np.where(first, f, f * f), 2, axis=-1)
 
 
 def _rk4_step_matrices(stages: np.ndarray, h) -> np.ndarray:
@@ -514,34 +554,52 @@ def _block_products(steps: np.ndarray, block: int) -> np.ndarray:
 
 
 def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int,
-                doubled: bool) -> tuple[np.ndarray | None, float | None]:
-    """States on ``times`` from RK4 at ``substeps`` per interval, and with
-    ``doubled`` (even ``substeps``) the step-doubling error estimate.
+                doubled: bool, factors: np.ndarray | None = None):
+    """States on ``times`` from RK4 at ``substeps`` per interval, shape
+    ``(k, len(times), d, d)``, and with ``doubled`` (even ``substeps``) the
+    step-doubling error estimates, shape ``(k,)``: one per coupling factor
+    of ``factors``, or for the unscaled couplings alone (k = 1).
 
-    The second state advances by the RK4 step matrices of size 2 h from
-    every other stage generator of the batch, so no generator is evaluated
-    twice.  A batch whose estimate passes ``_ESTIMATE_CAP`` or is NaN, or a
-    trace drift with an estimate past the cap, ends the run with states
-    ``None`` and that estimate; any other drift raises.
+    The stage generators of a batch are evaluated once for all factors, and
+    the step matrices, block products and states carry the leading factor
+    axis.  The second state advances by the RK4 step matrices of size 2 h
+    from every other stage generator of the batch, so no generator is
+    evaluated twice.  A batch whose estimate passes ``_ESTIMATE_CAP`` or is
+    NaN, or a trace drift with an estimate past the cap, ends the run with
+    states ``None`` and the estimates; any other drift raises with one
+    factor, and with several ends the run with ``(None, None)``, after which
+    :func:`propagate_scaled` reruns the factors one at a time.
     """
-    d = rho0.shape[0]
-    states = np.empty((len(times), d, d), dtype=complex)
-    states[0] = rho0
-    v = rho0.ravel().copy()
+    count, d = (1 if factors is None else len(factors)), rho0.shape[0]
+    states = np.empty((count, len(times), d, d), dtype=complex)
+    states[:, 0] = rho0
     if doubled:
-        coarse = np.empty((len(times), d * d), dtype=complex)
-        coarse[0] = v
-        estimate = 0.0
+        coarse = np.empty((count, len(times), d * d), dtype=complex)
+        coarse[:, 0] = rho0.ravel()
+        coarse_columns = coarse.view(float)[..., None]
+        estimates = np.zeros(count)
     block = math.isqrt(substeps)
-    # the state after each substep of an interval, block by block, and a
-    # view of the diagonals of its first `substeps` states (the rest is
-    # padding); the real step matrices write it through its real view
-    path = np.empty((-(-substeps // block), block, d * d), dtype=complex)
-    real_path = path.view(float)
-    trace = path.reshape(-1, d * d)[:substeps, ::d + 1]
+    blocks = -(-substeps // block)
+    # the states after each substep of an interval, block by block; the
+    # padding repeats the last substep, so `last` is the interval's end and
+    # the next interval's start.  The real step matrices write the states
+    # through real column views, set up once, and `trace` views the
+    # diagonals of the first `substeps` states of each factor.
+    path = np.empty((count, blocks, block, d * d), dtype=complex)
+    path[:, -1, -1] = rho0.ravel()
+    last = path[:, -1, -1]
+    columns = path.view(float)[..., None]
+    starts = [columns[:, b - 1, -1:] for b in range(blocks)]
+    ends = [columns[:, b] for b in range(blocks)]
+    trace = path.reshape(count, -1, d * d)[:, :substeps, ::d + 1]
     intervals = len(times) - 1
     per_batch = max(1, _STAGE_BUDGET // (2 * substeps + 1))
-    stages = stage_generators(decomp, bath, times, substeps)
+    if factors is None:
+        # the unscaled couplings: the four-argument call that the drift tests patch
+        unscaled = stage_generators(decomp, bath, times, substeps)
+        stages = lambda first, stop: unscaled(first, stop)[None]
+    else:
+        stages = stage_generators(decomp, bath, times, substeps, factors)
     for first in range(0, intervals, per_batch):
         stop = min(first + per_batch, intervals)
         h = np.diff(times[first:stop + 1]) / substeps
@@ -549,36 +607,85 @@ def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int
         products = _block_products(_rk4_step_matrices(batch, h), block)
         if doubled:
             # the product of each interval's substeps of size 2 h
-            halves = _rk4_step_matrices(batch[:, ::2], 2.0 * h)
-            coarse_steps = halves[:, 0]
+            halves = _rk4_step_matrices(batch[..., ::2, :, :], 2.0 * h)
+            coarse_steps = halves[..., 0, :, :]
             for k in range(1, substeps // 2):
-                coarse_steps = halves[:, k] @ coarse_steps
+                coarse_steps = halves[..., k, :, :] @ coarse_steps
         # free this batch's stage generators before the next one is evaluated
         del batch
-        for i, interval in zip(range(first, stop), products):
-            for b, product in enumerate(interval):
-                np.matmul(product, v.view(float), out=real_path[b])
-                v = path[b, -1]
+        # one (k, block, D, D) product per interval and block
+        for i, interval in zip(range(first, stop), products.transpose(1, 2, 0, 3, 4, 5)):
+            for product, start, end in zip(interval, starts, ends):
+                np.matmul(product, start, out=end)
             if doubled:
-                np.matmul(coarse_steps[i - first], coarse[i].view(float),
-                          out=coarse[i + 1].view(float))
-            drift = np.abs(trace.sum(axis=1) - 1.0)
+                np.matmul(coarse_steps[:, i - first], coarse_columns[:, i],
+                          out=coarse_columns[:, i + 1])
+            drift = np.abs(trace.sum(axis=-1) - 1.0)
             bad = ~(drift <= _TRACE_ABORT)  # NaN aborts too
             if bad.any():
+                if count > 1:
+                    return None, None
                 if doubled:
-                    deviation = float(np.max(np.abs(v - coarse[i + 1]))) / 15.0
-                    if deviation > _ESTIMATE_CAP:
+                    deviation = np.max(np.abs(last - coarse[:, i + 1]), axis=-1) / 15.0
+                    if deviation[0] > _ESTIMATE_CAP:
                         return None, deviation
-                j = int(np.argmax(bad))
-                raise TraceDriftError(times[i] + (j + 1) * h[i - first], float(drift[j]))
-            states[i + 1] = v.reshape(d, d)
+                j = int(np.argmax(bad[0]))
+                raise TraceDriftError(times[i] + (j + 1) * h[i - first], float(drift[0, j]))
+            states[:, i + 1] = last.reshape(count, d, d)
         if doubled:
-            fine = states[first + 1:stop + 1].reshape(stop - first, -1)
-            deviation = float(np.max(np.abs(fine - coarse[first + 1:stop + 1]))) / 15.0
-            if not deviation <= _ESTIMATE_CAP:  # NaN too
+            fine = states[:, first + 1:stop + 1].reshape(count, stop - first, -1)
+            deviation = np.max(np.abs(fine - coarse[:, first + 1:stop + 1]), axis=(1, 2)) / 15.0
+            if not np.all(deviation <= _ESTIMATE_CAP):  # NaN too
                 return None, deviation
-            estimate = max(estimate, deviation)
-    return states, estimate if doubled else None
+            np.maximum(estimates, deviation, out=estimates)
+    return states, estimates if doubled else None
+
+
+def _automatic(run: Callable[[int], tuple], pilot: tuple | None = None) -> tuple:
+    """``(states, estimate, substeps)`` of an automatic run: the pilot at
+    ``_PILOT_SUBSTEPS``, its result ``pilot`` when given, and the reruns
+    :func:`propagate` describes, each ``run(substeps)``."""
+    substeps, previous = _PILOT_SUBSTEPS, math.inf
+    states, estimate = run(substeps) if pilot is None else pilot
+    while True:
+        if not math.isfinite(estimate):
+            raise StepDoublingError(substeps, estimate)
+        if states is not None and (estimate <= _ERROR_TARGET or estimate > 0.5 * previous):
+            return states, estimate, substeps
+        # the factor exceeds 1.1, so the count grows on every rerun; the
+        # estimate of a stopped run is a bound, not a size
+        previous = math.inf if states is None else estimate
+        growth = 1.1 * (min(estimate, _ESTIMATE_CAP) / _ERROR_TARGET) ** 0.25
+        substeps = 2 * math.ceil(0.5 * substeps * growth)
+        states, estimate = run(substeps)
+
+
+def _one_factor(decomp, bath, rho0, times, substeps, factor, pilot=None) -> tuple:
+    """``(states, estimate, substeps)`` of the couplings scaled by ``factor``
+    alone, continuing from an automatic ``pilot`` when given."""
+    factors = None if factor == 1.0 else np.array([factor])
+
+    def run(substeps: int, doubled: bool) -> tuple:
+        states, estimates = _rk4_states(decomp, bath, rho0, times, substeps, doubled, factors)
+        return (None if states is None else states[0],
+                None if estimates is None else float(estimates[0]))
+
+    if substeps is not None:
+        return run(substeps, False)[0], None, substeps
+    return _automatic(lambda s: run(s, True), pilot)
+
+
+def _trajectory(times, run: tuple, model_tag: str) -> Trajectory:
+    """The validated trajectory of ``run``, ``(states, estimate, substeps)``."""
+    states, estimate, substeps = run
+    metadata: dict[str, Any] = {"model": model_tag, "integrator": "rk4", "substeps": substeps}
+    if substeps:
+        metadata["step_size"] = float(np.max(np.diff(times))) / substeps
+    if estimate is not None:
+        metadata["error_estimate"] = estimate
+    traj = Trajectory(times, states, metadata=metadata).validate()
+    traj.metadata["min_eigenvalue"] = traj.min_eigenvalues()
+    return traj
 
 
 def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
@@ -586,6 +693,9 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
               substeps: int | None = None, model_tag: str = "") -> Trajectory:
     """Propagate ``rho0`` over ``times`` with RK4 at one count of substeps
     per output interval.
+
+    The one-factor case of :func:`propagate_scaled`, with the factor 1: the
+    couplings as the bath gives them.
 
     ``rho0`` must be Hermitian, unit trace and positive semidefinite within
     1e-10, ``times`` a finite, strictly increasing grid, and ``substeps`` a
@@ -624,40 +734,60 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
     trajectories satisfy the 1e-9 trace and hermiticity invariants at every
     sample, a one-point grid included.
     """
+    return propagate_scaled(decomp, bath, rho0, times, (1.0,), substeps, model_tag)[0]
+
+
+def propagate_scaled(decomp: InteractionDecomposition, bath: BathStatistics,
+                     rho0: np.ndarray, times: Sequence[float], factors: Sequence[float],
+                     substeps: int | None = None, model_tag: str = "") -> list[Trajectory]:
+    """:func:`propagate` with every coupling scaled by each of ``factors``,
+    in one pass; returns one trajectory per factor, in the order given.
+
+    The generator is second order in the coupling, so scaling the couplings
+    by f scales the bath's first moments by f and its integrated
+    correlations by f**2.  Each batch's coefficients are evaluated once and
+    scaled per factor; for a power of two this is exact, and the result
+    equals that of the bath of the scaled model bit for bit.  The step
+    matrices, block products and states of all factors advance together,
+    batch by batch as in :func:`propagate`, so that each result equals a
+    separate run: the batches, the stops and the drift checks are those of
+    one factor.  An automatic run shares its pilot; a factor whose pilot is
+    rejected reruns alone from its own count.  If any factor drifts or stops
+    early in the shared run, the factors are rerun one at a time, in order,
+    which raises the exception the separate runs raise.  ``factors`` must be
+    a 1-d sequence of finite numbers; the other arguments are those of
+    :func:`propagate`.
+    """
     rho0 = require_density_matrix(rho0)
     times = require_time_grid(times)
-    if substeps is not None and (isinstance(substeps, bool)
-                                 or not isinstance(substeps, numbers.Integral)
-                                 or substeps < 1):
-        raise ValueError("substeps must be a positive integer")
+    factors = np.asarray(factors, dtype=float)
+    if factors.ndim != 1 or not np.all(np.isfinite(factors)):
+        raise ValueError("coupling factors must be a 1-d sequence of finite numbers")
+    if substeps is not None:
+        if (isinstance(substeps, bool) or not isinstance(substeps, numbers.Integral)
+                or substeps < 1):
+            raise ValueError("substeps must be a positive integer")
+        substeps = int(substeps)
 
-    metadata: dict[str, Any] = {"model": model_tag, "integrator": "rk4"}
     if len(times) == 1:
         # no interval to integrate: the initial state is the trajectory
-        states, estimate = rho0[None, :, :].copy(), 0.0 if substeps is None else None
-        substeps = 0
-    elif substeps is not None:
-        substeps = int(substeps)
-        states, estimate = _rk4_states(decomp, bath, rho0, times, substeps, False)
-    else:
-        substeps, previous = _PILOT_SUBSTEPS, math.inf
-        while True:
-            states, estimate = _rk4_states(decomp, bath, rho0, times, substeps, True)
-            if not math.isfinite(estimate):
-                raise StepDoublingError(substeps, estimate)
-            if states is not None and (estimate <= _ERROR_TARGET or estimate > 0.5 * previous):
-                break
-            # the factor exceeds 1.1, so the count grows on every rerun; the
-            # estimate of a stopped run is a bound, not a size
-            previous = math.inf if states is None else estimate
-            growth = 1.1 * (min(estimate, _ESTIMATE_CAP) / _ERROR_TARGET) ** 0.25
-            substeps = 2 * math.ceil(0.5 * substeps * growth)
-    metadata["substeps"] = substeps
-    if substeps:
-        metadata["step_size"] = float(np.max(np.diff(times))) / substeps
-    if estimate is not None:
-        metadata["error_estimate"] = estimate
-
-    traj = Trajectory(times, states, metadata=metadata).validate()
-    traj.metadata["min_eigenvalue"] = traj.min_eigenvalues()
-    return traj
+        estimate = 0.0 if substeps is None else None
+        return [_trajectory(times, (rho0[None, :, :].copy(), estimate, 0), model_tag)
+                for _ in factors]
+    if len(factors) == 1:
+        run = _one_factor(decomp, bath, rho0, times, substeps, factors[0])
+        return [_trajectory(times, run, model_tag)]
+    automatic = substeps is None
+    states, estimates = _rk4_states(decomp, bath, rho0, times,
+                                    _PILOT_SUBSTEPS if automatic else substeps,
+                                    automatic, factors)
+    # each trajectory is checked as its run ends, so the first failure is
+    # the one separate runs meet first
+    if states is None:
+        return [_trajectory(times, _one_factor(decomp, bath, rho0, times, substeps, f),
+                            model_tag) for f in factors]
+    if not automatic:
+        return [_trajectory(times, (s, None, substeps), model_tag) for s in states]
+    return [_trajectory(times, _one_factor(decomp, bath, rho0, times, None, f, (s, float(e))),
+                        model_tag)
+            for f, s, e in zip(factors, states, estimates)]

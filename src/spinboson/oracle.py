@@ -22,6 +22,7 @@ trajectories.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -82,8 +83,12 @@ class TruncatedBath:
     dim_cap: int = 8192
 
     def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError("n_max must be non-negative")
+        for name in ("n_max", "dim_cap"):
+            value = getattr(self, name)
+            # as for propagate's substeps: a bool or a float is no count
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 0):
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         if self.full_dim > self.dim_cap:
             raise BathDimensionError(self.full_dim, self.dim_cap,
                                      self.n_max, self.n_modes)
@@ -271,7 +276,7 @@ def exact_scaled_dynamics(model: SpinBosonModel, bath: TruncatedBath,
         if fine_dim > bath.dim_cap:
             raise BathDimensionError(fine_dim, bath.dim_cap, fine_n_max, bath.n_modes,
                                      needed_by="check_truncation reruns at twice n_max: ")
-    z = _sector_sums(model, bath, rho0, times, factors, beta)
+    z = _sector_sums(model, bath, rho0.diagonal().real, times, factors, beta)
     reduced = np.empty((len(factors), len(times), 2, 2), dtype=complex)
     reduced[:, :, 0, 0] = z[:, 0]
     reduced[:, :, 1, 1] = z[:, 1]
@@ -297,17 +302,22 @@ def exact_scaled_dynamics(model: SpinBosonModel, bath: TruncatedBath,
     return trajectories
 
 
-def _sector_sums(model: SpinBosonModel, bath: TruncatedBath, rho0: np.ndarray,
+def _sector_sums(model: SpinBosonModel, bath: TruncatedBath, populations: np.ndarray,
                  times: np.ndarray, factors: np.ndarray,
                  beta: float | None) -> np.ndarray:
     """Sector pass behind :func:`exact_scaled_dynamics`.
 
-    Returns rho00, rho11, rho01 / rho0[0, 1] and rho10 / rho0[1, 0] before
-    the free rotation, shape ``(len(factors), 4, len(times))``.  Each is a
-    sum over sectors of bilinear forms sum_ij phase[t, i] c[i, j]
-    conj(phase'[t, j]) with real c and phase = exp(-i w t) = cos - i sin,
-    accumulated as its four real cos/sin pairings.
+    ``populations`` holds the initial (rho00, rho11), shape ``(2,)``, or a
+    stack of them, shape ``(k, 2)``.  Returns rho00 and rho11 from each
+    initial pair in turn, then rho01 / rho0[0, 1] and rho10 / rho0[1, 0],
+    before the free rotation: shape ``(len(factors), 2 k + 2, len(times))``,
+    with k = 1 for a single pair.  Each is a sum over sectors of bilinear
+    forms sum_ij phase[t, i] c[i, j] conj(phase'[t, j]) with real c and
+    phase = exp(-i w t) = cos - i sin, accumulated as its four real cos/sin
+    pairings.  Every sector is diagonalized once per factor, whatever the
+    number of initial pairs; each pair costs one d x d product more.
     """
+    populations = np.asarray(populations, dtype=float)
     weights = _bath_weights(model, bath, beta)
     sectors = []
     for states, energies, coupling in _sector_hamiltonians(model, bath):
@@ -315,11 +325,11 @@ def _sector_sums(model: SpinBosonModel, bath: TruncatedBath, rho0: np.ndarray,
         if not p.any():
             break  # the weights fall with the quanta, so no later sector has any
         up = states < bath.bath_dim
-        # q: block (N, N) of the initial state, diagonal in the product basis
+        # q: block (N, N) of each initial state, diagonal in the product basis
         sectors.append((energies, coupling, np.count_nonzero(up), p,
-                        p * np.where(up, rho0[0, 0].real, rho0[1, 1].real)))
+                        p * np.where(up, populations[..., :1], populations[..., 1:])))
     n_t = len(times)
-    sums = np.zeros((len(factors), 4, 2, 2, n_t))
+    sums = np.zeros((len(factors), populations.size + 2, 2, 2, n_t))
     # one factor at a time over the shared sectors: stacking the factors'
     # d x d temporaries costs more peak memory than the loop costs time
     for k, factor in enumerate(factors):
@@ -333,10 +343,11 @@ def _sector_sums(model: SpinBosonModel, bath: TruncatedBath, rho0: np.ndarray,
             x = trig.reshape(2 * n_t, -1)
             # the populations are tr(P_s U A U^dag) with P_s the projector on
             # level s and A the initial block in the eigenbasis
-            a = (v.T * q) @ v
+            a = (v.T * q[..., None, :]) @ v
             v_up, v_down = v[:n_up], v[n_up:]
             levels = np.array((v_up.T @ v_up, v_down.T @ v_down))
-            sums[k, :2] += _pairings(x @ (levels * a), trig)
+            pairings = _pairings(x @ (levels * a[..., None, :, :]), trig)
+            sums[k, :-2] += pairings.reshape(-1, 2, 2, n_t)
             if previous is not None:
                 # the up states here pair with the down states of sector
                 # N - 1, bath state by bath state in the same order; the two
@@ -344,8 +355,8 @@ def _sector_sums(model: SpinBosonModel, bath: TruncatedBath, rho0: np.ndarray,
                 # mismatch stays a measured hermiticity error
                 prev_down, prev_x, prev_trig = previous
                 b = (v_up.T @ prev_down) * ((v_up.T * p[:n_up]) @ prev_down)
-                sums[k, 2] += _pairings(x @ b, prev_trig)
-                sums[k, 3] += _pairings(prev_x @ b.T, trig)
+                sums[k, -2] += _pairings(x @ b, prev_trig)
+                sums[k, -1] += _pairings(prev_x @ b.T, trig)
             previous = v_down, x, trig
     return (sums[:, :, 0, 0] + sums[:, :, 1, 1]) + 1j * (sums[:, :, 0, 1] - sums[:, :, 1, 0])
 
@@ -398,21 +409,19 @@ def _reduced_map(model: SpinBosonModel, bath: TruncatedBath, t: float,
 
     Built from the sector pass: the bath state is diagonal and the coupling
     conserves the excitation number, so populations map to populations and
-    each coherence only to itself.  The population columns are the runs
-    from the initial populations (1, 0) and (0, 1); the coherence entries
-    are the per-unit rho01 and rho10 sums, with the free rotation
-    exp(i (e_i - e_j) t) applied.
+    each coherence only to itself.  The population columns are those from
+    the initial populations (1, 0) and (0, 1), stacked in one pass; the
+    coherence entries are the per-unit rho01 and rho10 sums, with the free
+    rotation exp(i (e_i - e_j) t) applied.
     """
     times = require_time_grid([t])
-    factors = np.ones(1)
-    up = _sector_sums(model, bath, np.diag([1.0, 0.0]), times, factors, beta)[0, :, 0]
-    down = _sector_sums(model, bath, np.diag([0.0, 1.0]), times, factors, beta)[0, :, 0]
+    z = _sector_sums(model, bath, np.eye(2), times, np.ones(1), beta)[0, :, 0]
     rotation = np.exp(1j * model.omega0 * times[0])
     phi = np.zeros((4, 4), dtype=complex)
-    phi[[0, 3], 0] = up[:2]
-    phi[[0, 3], 3] = down[:2]
-    phi[1, 1] = up[2] * rotation
-    phi[2, 2] = up[3] * rotation.conjugate()
+    phi[[0, 3], 0] = z[0:2]
+    phi[[0, 3], 3] = z[2:4]
+    phi[1, 1] = z[4] * rotation
+    phi[2, 2] = z[5] * rotation.conjugate()
     return phi
 
 

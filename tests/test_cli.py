@@ -518,6 +518,35 @@ def test_compare_builds_the_sectors_once_per_pass(tmp_path, monkeypatch, check, 
     assert built == [4, 8][:passes]
 
 
+def test_compare_evaluates_the_bath_once_per_batch(tmp_path, monkeypatch):
+    # all three coupling scales share one bath and each batch's coefficients:
+    # 8 intervals at 40 substeps are batches of 6 and 2 intervals
+    from spinboson.spin_boson import bath_statistics
+
+    baths, batches = [], []
+
+    def counted(model):
+        bath = bath_statistics(model)
+        baths.append(model)
+
+        def integrals(steps, offsets):
+            evaluate = bath.integrals(steps, offsets)
+
+            def at(origins):
+                batches.append(len(origins))
+                return evaluate(origins)
+
+            return at
+
+        return dataclasses.replace(bath, integrals=integrals)
+
+    monkeypatch.setattr(cli, "bath_statistics", counted)
+    cfg = write_cfg(tmp_path, COMPARE_CFG)
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CHECK
+    assert len(baths) == 1
+    assert batches == [6, 2]
+
+
 def test_vacuum_limits_build_the_rate_functions_once(tmp_path, monkeypatch):
     from spinboson.spin_boson import RateFunctions
 

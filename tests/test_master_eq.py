@@ -10,8 +10,8 @@ import spinboson.master_eq as master_eq
 from spinboson.master_eq import (BathStatistics, InteractionDecomposition,
                                  TraceDriftError, Trajectory,
                                  first_order_hamiltonian, generator_matrix,
-                                 propagate, rhs, second_order_generator,
-                                 stage_generators)
+                                 propagate, propagate_scaled, rhs,
+                                 second_order_generator, stage_generators)
 from spinboson.spin_boson import (SIGMA_Z, SpectralDiscretization, SpinBosonModel,
                                   bath_statistics, coherence_solution,
                                   interaction_decomposition, ohmic_density,
@@ -657,6 +657,111 @@ def test_integrator_self_convergence_is_fourth_order():
     assert 12.0 <= ratio <= 20.0
 
 
+# -- several coupling scales in one pass -----------------------------------------
+
+SCALES = (1.0, 0.5, 0.25)
+BENCH_RHO0 = np.array([[0.7, 0.25 + 0.1j], [0.25 - 0.1j, 0.3]])
+FOCK_MODES = [(0.9, 0.03), (0.95, 0.03), (1.05, 0.03), (1.1, 0.03)]
+
+
+def assert_matches_separate_runs(model, rho0, times, factors, substeps):
+    """``propagate_scaled`` equals one ``propagate`` per scaled model, bit
+    for bit, signed zeros included, with the same step metadata."""
+    decomp = interaction_decomposition(model)
+    joint = propagate_scaled(decomp, bath_statistics(model), rho0, times, factors,
+                             substeps=substeps)
+    assert len(joint) == len(factors)
+    for factor, traj in zip(factors, joint):
+        alone = propagate(decomp, bath_statistics(model.scaled(factor)), rho0, times,
+                          substeps=substeps)
+        assert traj.states.tobytes() == alone.states.tobytes()
+        for key in ("substeps", "step_size", "error_estimate"):
+            assert traj.metadata.get(key) == alone.metadata.get(key)
+    return joint
+
+
+@pytest.mark.parametrize("substeps", [4, None])
+@pytest.mark.parametrize("modes, beta, times", [
+    # the seed-0 models of the thermal_2mode and fock_4mode benchmarks; at
+    # automatic substeps the fock model's factor-1 pilot is rejected and
+    # reruns alone
+    (README_MODES, 1.0, np.linspace(0, 1, 11)),
+    (FOCK_MODES, 2.0, np.linspace(0, 5, 11)),
+    (README_MODES, math.inf, np.linspace(0, 2, 11)),
+], ids=["thermal_2mode", "fock_4mode", "vacuum"])
+def test_propagate_scaled_equals_separate_runs(modes, beta, times, substeps):
+    model = SpinBosonModel(1.0, modes, beta)
+    assert_matches_separate_runs(model, BENCH_RHO0, times, SCALES, substeps)
+
+
+def test_propagate_scaled_reruns_a_rejected_pilot_alone():
+    # at beta = 0.01 the factor-1 pilot stops at the estimate cap; the
+    # factors then run one at a time, as separate calls do
+    model = SpinBosonModel(1.0, README_MODES, 0.01)
+    joint = assert_matches_separate_runs(model, BENCH_RHO0, np.linspace(0, 1, 11), SCALES, None)
+    assert joint[0].metadata["substeps"] > master_eq._PILOT_SUBSTEPS
+
+
+@pytest.mark.parametrize("substeps", [6, None])
+def test_propagate_scaled_agrees_with_scaled_baths_for_any_factor(substeps):
+    # 0.3 is no power of two: the scaled coefficients and those of the
+    # scaled bath differ by rounding only
+    model = SpinBosonModel(1.0, README_MODES, 1.0)
+    decomp = interaction_decomposition(model)
+    times = np.linspace(0, 1, 11)
+    joint = propagate_scaled(decomp, bath_statistics(model), BENCH_RHO0, times, (1.0, 0.3),
+                             substeps=substeps)
+    for factor, traj in zip((1.0, 0.3), joint):
+        alone = propagate(decomp, bath_statistics(model.scaled(factor)), BENCH_RHO0, times,
+                          substeps=substeps)
+        assert traj.metadata["substeps"] == alone.metadata["substeps"]
+        scale = np.max(np.abs(alone.states))
+        assert np.max(np.abs(traj.states - alone.states)) <= 1e-14 * scale
+
+
+def test_propagate_scaled_raises_the_drift_of_separate_runs(monkeypatch):
+    # as in test_trace_drift_aborts: a leaking generator for every factor
+    _, decomp, bath = thermal_pair()
+
+    def leaky_generator(decomp, bath, times, substeps, factors=None):
+        return lambda first, stop: 0.05 * np.broadcast_to(
+            np.eye(8), np.shape(factors) + (stop - first, 2 * substeps + 1, 8, 8))
+
+    monkeypatch.setattr(master_eq, "stage_generators", leaky_generator)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    times = np.linspace(0, 5, 6)
+    with pytest.raises(TraceDriftError) as alone:
+        propagate(decomp, bath, rho0, times, substeps=4)
+    with pytest.raises(TraceDriftError) as joint:
+        propagate_scaled(decomp, bath, rho0, times, SCALES, substeps=4)
+    assert (joint.value.t, joint.value.drift) == (alone.value.t, alone.value.drift)
+    assert str(joint.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("factors", [[1.0, math.nan], [math.inf], [[1.0, 0.5]], 1.0])
+def test_propagate_scaled_rejects_bad_factors(factors):
+    _, decomp, bath = thermal_pair()
+    with pytest.raises(ValueError, match="factors"):
+        propagate_scaled(decomp, bath, np.diag([1.0, 0.0]), np.linspace(0, 1, 3), factors)
+
+
+@settings(max_examples=25, deadline=None)
+@given(modes=st.lists(st.tuples(st.floats(0.5, 1.5), st.floats(0.0, 0.2)),
+                      min_size=1, max_size=3),
+       beta=st.sampled_from([0.7, 2.0, math.inf]),
+       powers=st.lists(st.integers(-4, 1), min_size=1, max_size=4),
+       substeps=st.sampled_from([None, 1, 3, 4]),
+       intervals=st.integers(1, 6))
+def test_propagate_scaled_is_separate_runs_for_powers_of_two(modes, beta, powers, substeps,
+                                                             intervals):
+    # a power-of-two factor scales every bath sum exactly, so one pass and
+    # separate runs agree bit for bit on any model, grid and substep count
+    model = SpinBosonModel(1.0, modes, beta)
+    factors = [2.0 ** p for p in powers]
+    assert_matches_separate_runs(model, BENCH_RHO0, np.linspace(0, 2, intervals + 1), factors,
+                                 substeps)
+
+
 # -- trajectory type -------------------------------------------------------------
 
 def test_trajectory_validation_catches_bad_states():
@@ -692,6 +797,15 @@ def test_trajectory_rejects_non_finite_times():
     states = np.zeros((2, 2, 2), dtype=complex)
     with pytest.raises(ValueError, match="finite"):
         Trajectory(np.array([0.0, math.nan]), states)
+
+
+def test_bath_with_too_few_first_moments_is_rejected():
+    # the bath's own mismatch is named before any shape error
+    _, decomp, bath = thermal_pair()
+    short = dataclasses.replace(bath, first_moments=bath.first_moments[:1],
+                                integrals=lambda steps, offsets: bath.integrals(steps, offsets))
+    with pytest.raises(ValueError, match="one first moment per decomposition term"):
+        generator_matrix(decomp, short, np.array([0.5]))
 
 
 def test_bath_statistics_requires_integrals():

@@ -50,6 +50,21 @@ def test_dimension_cap_rejected_with_diagnostic():
     assert "lower n_max" in str(err.value)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n_max": 2.5}, {"n_max": 2.0}, {"n_max": True}, {"n_max": -1},
+    {"dim_cap": 8192.0}, {"dim_cap": True}, {"dim_cap": -1},
+])
+def test_truncated_bath_rejects_non_integral_counts(kwargs):
+    # 2.5 used to fail later as an IndexError and True to run silently as 1
+    with pytest.raises(ValueError, match="non-negative integer"):
+        TruncatedBath(two_mode_vacuum(), **kwargs)
+
+
+def test_truncated_bath_accepts_numpy_integers():
+    bath = TruncatedBath(two_mode_vacuum(), n_max=np.int64(3), dim_cap=np.int32(100))
+    assert bath.full_dim == 32
+
+
 def test_annihilation_matrix_elements():
     model = SpinBosonModel(1.0, [(1.0, 0.1)], math.inf)
     b = bath_annihilation_ops(TruncatedBath(model, n_max=3))[0]
@@ -248,6 +263,36 @@ def test_exact_dynamics_forms_no_full_space_array(monkeypatch):
                           expected_deviation)
     assert map_inversion_residual(model, bath, RHO_MIXED, 1.3, 2) == expected_residual
     assert max(sizes) == 24
+
+
+@pytest.mark.parametrize("beta", [1.0, math.inf])
+def test_reduced_map_takes_both_population_columns_from_one_pass(monkeypatch, beta):
+    model = SpinBosonModel(1.0, [(0.8, 0.15), (1.4, 0.1), (1.1, 0.05)], beta)
+    bath = TruncatedBath(model, n_max=3)
+    times, factors = np.array([1.3]), np.ones(1)
+    stacked = oracle._sector_sums(model, bath, np.eye(2), times, factors, None)[0]
+    # the two passes from the initial populations (1, 0) and (0, 1)
+    up, down = (oracle._sector_sums(model, bath, pair, times, factors, None)[0]
+                for pair in np.eye(2))
+    assert stacked.shape == (6, 1)
+    assert np.max(np.abs(stacked[:2] - up[:2])) <= 1e-15
+    assert np.max(np.abs(stacked[2:4] - down[:2])) <= 1e-15
+    assert np.max(np.abs(stacked[4:] - up[2:])) <= 1e-15
+
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    exact_reduced_dynamics(model, bath, RHO_MIXED, times)
+    per_sector = list(sizes)
+    sizes.clear()
+    reduced_map_deviation(model, bath, RHO_MIXED, 1.3)
+    # one eigendecomposition per sector with bath weight, as for one state
+    assert sizes == per_sector
 
 
 @pytest.mark.parametrize("model, n_max", [
