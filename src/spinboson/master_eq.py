@@ -124,9 +124,9 @@ _TRACE_ABORT = 1e-6
 # about sqrt(512) steps and offsets at most.  512 still batches several
 # intervals at a few dozen substeps, which amortizes the per-batch overhead
 # of a few-mode bath.  One propagate over 10 intervals of a 400-mode vacuum
-# bath peaks at about 1.0 MB of arrays at 128 substeps (one interval a
-# batch) and 1.3 MB at 31 (eight), a thermal one at 1.8 MB at both
-# (tracemalloc; a whole ohmic_400 evolve peaks at 1.07 MB).  The count does
+# bath peaks at about 0.83 MB of arrays at 128 substeps (one interval a
+# batch) and 1.2 MB at 31 (eight), a thermal one at 1.1 and 1.4 MB
+# (tracemalloc; a whole ohmic_400 evolve peaks at 0.92 MB).  The count does
 # not change with the coupling scales of propagate_scaled, so the batches
 # fall where they do for one scale; the real forms, step matrices and block
 # products are held once per scale, so that part of a batch's memory grows
@@ -555,55 +555,64 @@ def _block_products(steps: np.ndarray, block: int) -> np.ndarray:
 
 def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int,
                 doubled: bool, factors: np.ndarray | None = None):
-    """States on ``times`` from RK4 at ``substeps`` per interval, shape
-    ``(k, len(times), d, d)``, and with ``doubled`` (even ``substeps``) the
-    step-doubling error estimates, shape ``(k,)``: one per coupling factor
-    of ``factors``, or for the unscaled couplings alone (k = 1).
+    """States on ``times`` from RK4 at ``substeps`` per interval and, with
+    ``doubled`` (even ``substeps``), the step-doubling error estimates: one
+    of each per coupling factor of ``factors``, or for the unscaled
+    couplings alone (one factor).  The states are a list of
+    ``(len(times), d, d)`` arrays and the estimates an array.
 
     The stage generators of a batch are evaluated once for all factors, and
     the step matrices, block products and states carry the leading factor
     axis.  The second state advances by the RK4 step matrices of size 2 h
     from every other stage generator of the batch, so no generator is
-    evaluated twice.  A batch whose estimate passes ``_ESTIMATE_CAP`` or is
-    NaN, or a trace drift with an estimate past the cap, ends the run with
-    states ``None`` and the estimates; any other drift raises with one
-    factor, and with several ends the run with ``(None, None)``, after which
-    :func:`propagate_scaled` reruns the factors one at a time.
+    evaluated twice.  A factor whose batch estimate passes ``_ESTIMATE_CAP``
+    or is NaN stops: its states are ``None``, its estimate that of the
+    batch, and the other factors go on without it.  With one factor a trace
+    drift stops it in the same way when its estimate at the drift passes
+    the cap, and raises otherwise; with several, any drift ends the run with
+    ``(None, None)``, after which :func:`propagate_scaled` reruns the
+    factors one at a time.
     """
     count, d = (1 if factors is None else len(factors)), rho0.shape[0]
+    live = np.arange(count)  # the factors still advancing
     states = np.empty((count, len(times), d, d), dtype=complex)
     states[:, 0] = rho0
+    # the estimates of the live factors, and of every factor at the end
+    estimates, final = np.zeros(count), np.zeros(count)
+    coarse = None
     if doubled:
         coarse = np.empty((count, len(times), d * d), dtype=complex)
         coarse[:, 0] = rho0.ravel()
-        coarse_columns = coarse.view(float)[..., None]
-        estimates = np.zeros(count)
     block = math.isqrt(substeps)
     blocks = -(-substeps // block)
     # the states after each substep of an interval, block by block; the
     # padding repeats the last substep, so `last` is the interval's end and
     # the next interval's start.  The real step matrices write the states
-    # through real column views, set up once, and `trace` views the
-    # diagonals of the first `substeps` states of each factor.
+    # through real column views, set up again when factors stop, and
+    # `trace` views the diagonals of the first `substeps` states of each
+    # factor.
     path = np.empty((count, blocks, block, d * d), dtype=complex)
     path[:, -1, -1] = rho0.ravel()
-    last = path[:, -1, -1]
-    columns = path.view(float)[..., None]
-    starts = [columns[:, b - 1, -1:] for b in range(blocks)]
-    ends = [columns[:, b] for b in range(blocks)]
-    trace = path.reshape(count, -1, d * d)[:, :substeps, ::d + 1]
+
+    def views():
+        columns = path.view(float)[..., None]
+        return (path[:, -1, -1], [columns[:, b - 1, -1:] for b in range(blocks)],
+                [columns[:, b] for b in range(blocks)],
+                path.reshape(len(path), -1, d * d)[:, :substeps, ::d + 1],
+                None if coarse is None else coarse.view(float)[..., None])
+
+    last, starts, ends, trace, coarse_columns = views()
     intervals = len(times) - 1
     per_batch = max(1, _STAGE_BUDGET // (2 * substeps + 1))
-    if factors is None:
-        # the unscaled couplings: the four-argument call that the drift tests patch
-        unscaled = stage_generators(decomp, bath, times, substeps)
-        stages = lambda first, stop: unscaled(first, stop)[None]
-    else:
-        stages = stage_generators(decomp, bath, times, substeps, factors)
+    stages = stage_generators(decomp, bath, times, substeps, factors)
     for first in range(0, intervals, per_batch):
         stop = min(first + per_batch, intervals)
         h = np.diff(times[first:stop + 1]) / substeps
         batch = stages(first, stop)
+        # the unscaled couplings' generators have no factor axis
+        batch = batch.reshape((count,) + batch.shape[-4:])
+        if len(live) < count:
+            batch = batch[live]
         products = _block_products(_rk4_step_matrices(batch, h), block)
         if doubled:
             # the product of each interval's substeps of size 2 h
@@ -628,17 +637,28 @@ def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int
                 if doubled:
                     deviation = np.max(np.abs(last - coarse[:, i + 1]), axis=-1) / 15.0
                     if deviation[0] > _ESTIMATE_CAP:
-                        return None, deviation
+                        return [None], deviation
                 j = int(np.argmax(bad[0]))
                 raise TraceDriftError(times[i] + (j + 1) * h[i - first], float(drift[0, j]))
-            states[:, i + 1] = last.reshape(count, d, d)
+            states[:, i + 1] = last.reshape(-1, d, d)
         if doubled:
-            fine = states[:, first + 1:stop + 1].reshape(count, stop - first, -1)
+            fine = states[:, first + 1:stop + 1].reshape(len(live), stop - first, -1)
             deviation = np.max(np.abs(fine - coarse[:, first + 1:stop + 1]), axis=(1, 2)) / 15.0
-            if not np.all(deviation <= _ESTIMATE_CAP):  # NaN too
-                return None, deviation
+            stopped = ~(deviation <= _ESTIMATE_CAP)  # NaN too
+            if stopped.any():
+                final[live[stopped]] = deviation[stopped]
+                kept = ~stopped
+                live, states, path, coarse = live[kept], states[kept], path[kept], coarse[kept]
+                estimates, deviation = estimates[kept], deviation[kept]
+                if not len(live):
+                    break
+                last, starts, ends, trace, coarse_columns = views()
             np.maximum(estimates, deviation, out=estimates)
-    return states, estimates if doubled else None
+    results = [None] * count
+    for j, s in zip(live, states):
+        results[j] = s
+    final[live] = estimates
+    return results, final if doubled else None
 
 
 def _automatic(run: Callable[[int], tuple], pilot: tuple | None = None) -> tuple:
@@ -752,11 +772,11 @@ def propagate_scaled(decomp: InteractionDecomposition, bath: BathStatistics,
     batch by batch as in :func:`propagate`, so that each result equals a
     separate run: the batches, the stops and the drift checks are those of
     one factor.  An automatic run shares its pilot; a factor whose pilot is
-    rejected reruns alone from its own count.  If any factor drifts or stops
-    early in the shared run, the factors are rerun one at a time, in order,
-    which raises the exception the separate runs raise.  ``factors`` must be
-    a 1-d sequence of finite numbers; the other arguments are those of
-    :func:`propagate`.
+    rejected, or stops early and leaves the shared pilot to the others,
+    reruns alone from its own count.  If any factor drifts in the shared
+    run, the factors are rerun one at a time, in order, which raises the
+    exception the separate runs raise.  ``factors`` must be a 1-d sequence
+    of finite numbers; the other arguments are those of :func:`propagate`.
     """
     rho0 = require_density_matrix(rho0)
     times = require_time_grid(times)

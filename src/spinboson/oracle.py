@@ -6,9 +6,10 @@ total Hamiltonian splits into excitation-number sectors, and one
 eigendecomposition per sector gives the reduced dynamics exactly (within
 the truncation) at every requested time.  One pass over the sectors serves
 several coupling scales at once: the sector blocks and the bath weights are
-built once, and only the eigendecompositions repeat per scale.  The series
-terms of the evolution operator come from one exponential of a block matrix
-built from the free energies and the coupling.  The exact reduced map comes
+built once, and each sector diagonalizes the stacked blocks of a chunk of
+scales in one call.  The series terms of the evolution operator come from
+one exponential of a block matrix built from the free energies and the
+coupling.  The exact reduced map comes
 from the same sector pass, as a 4 x 4 matrix on row-major 2 x 2 states; the
 deviation of that map from the identity and the alternating-sum inversion
 identity work with it alone.  All of them read one table of product-basis
@@ -45,6 +46,10 @@ __all__ = [
     "reduced_map_deviation",
     "map_inversion_residual",
 ]
+
+# Elements of the stacked d x d sector blocks of one chunk of coupling
+# factors in the sector pass (_sector_sums).
+_SECTOR_BUDGET = 4096
 
 
 class BathDimensionError(ValueError):
@@ -168,12 +173,17 @@ def _sector_hamiltonians(model: SpinBosonModel, bath: TruncatedBath):
     starts = np.searchsorted(number[order], np.arange(number.max() + 2))
     local = np.empty_like(order)
     local[order] = np.arange(len(order)) - starts[number[order]]
+    # the coupled pairs grouped by sector, so that each sector takes a slice
+    pair_number = number[rows]
+    pairs = np.argsort(pair_number, kind="stable")
+    bounds = np.searchsorted(pair_number[pairs], np.arange(number.max() + 2))
+    rows, cols, values = local[rows[pairs]], local[cols[pairs]], values[pairs]
     blocks = []
     for n in range(number.max() + 1):
         states = order[starts[n]:starts[n + 1]]
         v = np.zeros((len(states), len(states)))
-        inside = number[rows] == n
-        r, c = local[rows[inside]], local[cols[inside]]
+        inside = slice(bounds[n], bounds[n + 1])
+        r, c = rows[inside], cols[inside]
         v[r, c] = values[inside]
         v[c, r] = values[inside]
         blocks.append((states, energies[states], v))
@@ -251,13 +261,15 @@ def exact_scaled_dynamics(model: SpinBosonModel, bath: TruncatedBath,
     ``diag(E) + f V`` and leaves the weights alone.  The bath state is
     diagonal, so the full state only has blocks (N, N), which give the
     populations, and (N, N - 1) and (N - 1, N), which give the coherences
-    rho01 and rho10.  Each block is eigendecomposed once per factor; the
+    rho01 and rho10.  Each block is eigendecomposed once per factor, with
+    the factors stacked in chunks that :func:`_sector_sums` sizes; the
     reduced element it contributes is then a bilinear form in the phases
     exp(-i w t) of the two sectors, evaluated for all sample times in real
-    arithmetic on their cosines and sines.  Sectors holding no bath weight
-    (all but two for the vacuum) are never diagonalized.  The free system
-    rotation is applied last, so the output is directly comparable to
-    master-equation trajectories.  With ``check_truncation`` the pass is
+    arithmetic on their cosines and sines.  Every factor's result is the
+    same, bit for bit, as that of a pass with that factor alone.  Sectors
+    holding no bath weight (all but two for the vacuum) are never
+    diagonalized.  The free system rotation is applied last, so the output
+    is directly comparable to master-equation trajectories.  With ``check_truncation`` the pass is
     repeated at double the Fock cutoff, and the first factor whose sampled
     elements move by more than ``truncation_tol`` raises TruncationError; a
     doubled cutoff over ``bath.dim_cap`` raises before the first pass.
@@ -314,62 +326,88 @@ def _sector_sums(model: SpinBosonModel, bath: TruncatedBath, populations: np.nda
     with k = 1 for a single pair.  Each is a sum over sectors of bilinear
     forms sum_ij phase[t, i] c[i, j] conj(phase'[t, j]) with real c and
     phase = exp(-i w t) = cos - i sin, accumulated as its four real cos/sin
-    pairings.  Every sector is diagonalized once per factor, whatever the
-    number of initial pairs; each pair costs one d x d product more.
+    pairings, in sector order.  Every sector is diagonalized once per
+    factor, whatever the number of initial pairs; each pair costs one
+    d x d product more.
+
+    The factors run in chunks of ``max(1, _SECTOR_BUDGET // d**2)``, d the
+    largest diagonalized sector: a chunk stacks its factors' blocks, so each
+    sector takes one ``eigh`` call and one of each product per chunk, while
+    its temporaries grow with the chunk.  A pass of small sectors takes many
+    factors at once; one whose largest sector is past the budget takes one
+    at a time, so its peak memory stays that of one factor.  Each factor's
+    arithmetic is the same in any chunk.
     """
     populations = np.asarray(populations, dtype=float)
     weights = _bath_weights(model, bath, beta)
+    bath_dim = bath.bath_dim
+    level_up, level_down = populations[..., :1], populations[..., 1:]
     sectors = []
     for states, energies, coupling in _sector_hamiltonians(model, bath):
-        p = weights[states % bath.bath_dim]
+        p = weights[states % bath_dim]
         if not p.any():
             break  # the weights fall with the quanta, so no later sector has any
-        up = states < bath.bath_dim
-        # q: block (N, N) of each initial state, diagonal in the product basis
-        sectors.append((energies, coupling, np.count_nonzero(up), p,
-                        p * np.where(up, populations[..., :1], populations[..., 1:])))
+        up = states < bath_dim
+        n_up = np.count_nonzero(up)
+        # q: block (N, N) of each initial state, diagonal in the product
+        # basis, with axes for the level and the factor of a chunk's products
+        q = p * np.where(up, level_up, level_down)
+        sectors.append((energies, coupling, n_up, p[:n_up], q[..., None, None, None, :]))
     n_t = len(times)
-    sums = np.zeros((len(factors), populations.size + 2, 2, 2, n_t))
-    # one factor at a time over the shared sectors: stacking the factors'
-    # d x d temporaries costs more peak memory than the loop costs time
-    for k, factor in enumerate(factors):
+    column = times[:, None]
+    sums = np.zeros((populations.size + 2, len(factors), 2, 2, n_t))
+    chunk = max(1, _SECTOR_BUDGET // max(len(s[0]) for s in sectors) ** 2)
+    for first in range(0, len(factors), chunk):
+        scales = factors[first:first + chunk, None, None]
+        count = len(scales)
+        part = sums[:, first:first + count]
+        diagonal, rho01, rho10 = part[:-2], part[-2], part[-1]
         previous = None
-        for energies, coupling, n_up, p, q in sectors:
-            h = factor * coupling
-            h.flat[::len(energies) + 1] += energies
+        for energies, coupling, n_up, p_up, q in sectors:
+            d = len(energies)
+            h = scales * coupling
+            h.reshape(count, -1)[:, ::d + 1] += energies
             w, v = np.linalg.eigh(h)
-            angles = np.multiply.outer(times, w)
-            trig = np.array((np.cos(angles), np.sin(angles)))
-            x = trig.reshape(2 * n_t, -1)
+            trig = np.empty((count, 2, n_t, d))
+            angles = np.multiply(column, w[:, None, :], out=trig[:, 1])
+            np.cos(angles, out=trig[:, 0])
+            np.sin(angles, out=angles)
+            x = trig.reshape(count, 2 * n_t, d)
             # the populations are tr(P_s U A U^dag) with P_s the projector on
             # level s and A the initial block in the eigenbasis
-            a = (v.T * q[..., None, :]) @ v
-            v_up, v_down = v[:n_up], v[n_up:]
-            levels = np.array((v_up.T @ v_up, v_down.T @ v_down))
-            pairings = _pairings(x @ (levels * a[..., None, :, :]), trig)
-            sums[k, :-2] += pairings.reshape(-1, 2, 2, n_t)
+            vt = v.swapaxes(-1, -2)
+            a = (vt * q) @ v
+            v_up, v_down = v[:, :n_up], v[:, n_up:]
+            up_t = vt[..., :n_up]
+            levels = np.empty((2, count, d, d))
+            np.matmul(up_t, v_up, out=levels[0])
+            np.matmul(vt[..., n_up:], v_down, out=levels[1])
+            pairings = _pairings(x @ (levels * a), trig)
+            diagonal += pairings.reshape(diagonal.shape)
             if previous is not None:
                 # the up states here pair with the down states of sector
                 # N - 1, bath state by bath state in the same order; the two
                 # coherences share one matrix but are summed apart, so their
                 # mismatch stays a measured hermiticity error
                 prev_down, prev_x, prev_trig = previous
-                b = (v_up.T @ prev_down) * ((v_up.T * p[:n_up]) @ prev_down)
-                sums[k, -2] += _pairings(x @ b, prev_trig)
-                sums[k, -1] += _pairings(prev_x @ b.T, trig)
+                b = (up_t @ prev_down) * ((up_t * p_up) @ prev_down)
+                rho01 += _pairings(x @ b, prev_trig)
+                rho10 += _pairings(prev_x @ b.swapaxes(-1, -2), trig)
             previous = v_down, x, trig
-    return (sums[:, :, 0, 0] + sums[:, :, 1, 1]) + 1j * (sums[:, :, 0, 1] - sums[:, :, 1, 0])
+    z = (sums[..., 0, 0, :] + sums[..., 1, 1, :]) + 1j * (sums[..., 0, 1, :] - sums[..., 1, 0, :])
+    return z.swapaxes(0, 1)
 
 
 def _pairings(left: np.ndarray, trig: np.ndarray) -> np.ndarray:
-    """sum_j left[..., u, t, j] trig[u', t, j] for u, u' in (cos, sin).
+    """sum_j left[..., u, t, j] trig[..., u', t, j] for u, u' in (cos, sin).
 
     ``left`` holds the rows of cos @ c and then those of sin @ c, shape
     ``(..., 2 * times, j)``; ``trig`` the cosines and sines of the sector
-    on the right of c, ``(2, times, j)``.  Returns shape ``(..., 2, 2, times)``.
+    on the right of c, ``(..., 2, times, j)``, its leading axes broadcast
+    against those of ``left``.  Returns shape ``(..., 2, 2, times)``.
     """
-    halves = left.reshape(left.shape[:-2] + trig.shape)
-    return np.einsum("...utj,vtj->...uvt", halves, trig)
+    halves = left.reshape(left.shape[:-2] + trig.shape[-3:])
+    return np.einsum("...utj,...vtj->...uvt", halves, trig)
 
 
 def dyson_terms(model: SpinBosonModel, bath: TruncatedBath, t: float,

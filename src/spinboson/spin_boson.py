@@ -51,13 +51,13 @@ and the offsets, and one matrix product over the modes per basis, give
 every lattice time.  The evaluation has two stages, as the engine's bath
 contract asks: the steps' sines and cosines, and the offsets' phases and
 table ``[cB^2, sB cB, sB^2]`` weighted by the per-mode factors of every
-part asked for and stacked into one operand per basis, come first; the
-returned evaluator then takes only the phases of its origins.  The RK4
-stage times of an interval are such a lattice with one origin and about
-``sqrt(2 s)`` steps and offsets for ``s`` substeps, against ``2 s + 1``
-phases per mode evaluated one by one, and on a grid of equal steps one
-table serves every interval, which then costs one sine and one cosine per
-mode.  Through the bath, a plain array of times is the lattice of those
+part asked for and stacked into one operand per basis (bases with the same
+factors share one), come first; the returned evaluator then takes only the
+phases of its origins.  The RK4 stage times of an interval are such a
+lattice with one origin and about ``sqrt(2 s)`` steps and offsets for ``s``
+substeps, against ``2 s + 1`` phases per mode evaluated one by one, and on
+a grid of equal steps one table serves every interval, which then costs
+one sine and one cosine per mode.  Through the bath, a plain array of times is the lattice of those
 origins with the single step and offset 0, where ``sO 1 + cO 0`` is exact,
 so the angle addition leaves the values as they are; the rate evaluators
 of this module pass their times (or starts) as the steps of the origin 0
@@ -453,22 +453,30 @@ def _half_angle_sums(half_detunings: np.ndarray, rows, steps: np.ndarray,
 
     This call takes one sine and cosine per step and mode, and per offset
     and mode, and stacks the factor rows of each basis against
-    ``[cB^2, sB cB, sB^2]`` of the offsets into one operand; the evaluator
-    takes one sine and cosine per origin and mode and turns them into those
-    of every start ``origin + step`` by angle addition, and the
+    ``[cB^2, sB cB, sB^2]`` of the offsets into one operand, which bases
+    with the same factor rows share, and drops the offsets' table; the
+    evaluator takes one sine and cosine per origin and mode and turns them
+    into those of every start ``origin + step`` by angle addition, and the
     angle-addition terms of all rows of a basis are one matrix product over
     the modes.
     """
     phase_b = offsets[..., :, None] * half_detunings     # (..., R, K)
     sb, cb = np.sin(phase_b), np.cos(phase_b)
     right = np.concatenate([cb * cb, sb * cb, sb * sb], axis=-1).swapaxes(-1, -2)
-    # the factors weight the offsets' side, the smaller one for plain times
+    del phase_b, sb, cb
+    # the factors weight the offsets' side, the smaller one for plain times;
+    # bases whose rows hold the same factor arrays share one operand
     members = {}
     for i, (basis, _) in enumerate(rows):
         members.setdefault(basis, []).append(i)
-    operands = {basis: np.concatenate([rows[i][1][:, None] * right for i in m], axis=-1)
-                if len(m) > 1 else rows[m[0]][1][:, None] * right
-                for basis, m in members.items()}
+    operands, built = {}, {}
+    for basis, m in members.items():
+        key = tuple([id(rows[i][1]) for i in m])
+        if key not in built:
+            built[key] = (np.concatenate([rows[i][1][:, None] * right for i in m], axis=-1)
+                          if len(m) > 1 else rows[m[0]][1][:, None] * right)
+        operands[basis] = built[key]
+    del right, built
     fine = offsets.shape[-1]
     phase_p = steps[..., :, None] * half_detunings       # (..., Q, K)
     sp, cp = np.sin(phase_p), np.cos(phase_p)

@@ -69,7 +69,7 @@ def patched_generator(generator):
     constant complex ``generator`` at every stage time."""
     real = master_eq._real_form(np.asarray(generator, dtype=complex))
 
-    def stage_generators(decomp, bath, times, substeps):
+    def stage_generators(decomp, bath, times, substeps, factors=None):
         return lambda first, stop: np.broadcast_to(
             real, (stop - first, 2 * substeps + 1) + real.shape)
 
@@ -240,7 +240,7 @@ def test_trace_drift_aborts(monkeypatch):
     # here by patching the generator matrices the integrator consumes
     _, decomp, bath = thermal_pair()
 
-    def leaky_generator(decomp, bath, times, substeps):
+    def leaky_generator(decomp, bath, times, substeps, factors=None):
         # the real form of 0.05 times the identity on 2x2 states
         return lambda first, stop: 0.05 * np.broadcast_to(
             np.eye(8), (stop - first, 2 * substeps + 1, 8, 8))
@@ -258,7 +258,7 @@ def test_trace_drift_aborts_on_nan(monkeypatch):
     # NaN compares false against any tolerance; the abort must still fire
     _, decomp, bath = thermal_pair()
 
-    def nan_generator(decomp, bath, times, substeps):
+    def nan_generator(decomp, bath, times, substeps, factors=None):
         return lambda first, stop: np.full((stop - first, 2 * substeps + 1, 8, 8), np.nan)
 
     monkeypatch.setattr(master_eq, "stage_generators", nan_generator)
@@ -315,8 +315,8 @@ def test_propagate_batches_whole_intervals_within_the_stage_budget(monkeypatch, 
     _, decomp, bath = thermal_pair()
     batches = []
 
-    def recording_generators(decomp, bath, times, substeps):
-        stages = stage_generators(decomp, bath, times, substeps)
+    def recording_generators(decomp, bath, times, substeps, factors=None):
+        stages = stage_generators(decomp, bath, times, substeps, factors)
 
         def recorded(first, stop):
             batches.append(np.array(times[first:stop]))
@@ -411,7 +411,7 @@ def test_trace_drift_names_the_substep_where_it_starts_mid_block(monkeypatch):
     _, decomp, bath = thermal_pair()
     substeps, onset = 16, 6
 
-    def leaky_from_onset(decomp, bath, times, substeps):
+    def leaky_from_onset(decomp, bath, times, substeps, factors=None):
         def stages(first, stop):
             out = np.zeros((stop - first, 2 * substeps + 1, 8, 8))
             out[:, 2 * onset - 1:] = 0.05 * np.eye(8)
@@ -612,7 +612,7 @@ def test_automatic_substeps_stop_at_the_rounding_floor(monkeypatch):
 def test_trace_drift_aborts_on_nan_with_automatic_substeps(monkeypatch):
     _, decomp, bath = thermal_pair()
 
-    def nan_generator(decomp, bath, times, substeps):
+    def nan_generator(decomp, bath, times, substeps, factors=None):
         return lambda first, stop: np.full((stop - first, 2 * substeps + 1, 8, 8), np.nan)
 
     monkeypatch.setattr(master_eq, "stage_generators", nan_generator)
@@ -700,6 +700,51 @@ def test_propagate_scaled_reruns_a_rejected_pilot_alone():
     model = SpinBosonModel(1.0, README_MODES, 0.01)
     joint = assert_matches_separate_runs(model, BENCH_RHO0, np.linspace(0, 1, 11), SCALES, None)
     assert joint[0].metadata["substeps"] > master_eq._PILOT_SUBSTEPS
+
+
+def test_propagate_scaled_keeps_the_shared_pilot_when_one_factor_stops():
+    # at beta = 0.01 the factor-1 pilot stops at the estimate cap after its
+    # first batch; the other factors finish the shared pilot, and only the
+    # stopped one reruns, so the pilot's batch is evaluated once where
+    # separate runs evaluate it once each
+    model = SpinBosonModel(1.0, README_MODES, 0.01)
+    decomp = interaction_decomposition(model)
+    times = np.linspace(0, 1, 11)
+    counted, _, batches = counting_integrals(bath_statistics(model))
+    joint = propagate_scaled(decomp, counted, BENCH_RHO0, times, SCALES)
+    separate = []
+    for factor, traj in zip(SCALES, joint):
+        counted, _, alone_batches = counting_integrals(bath_statistics(model.scaled(factor)))
+        alone = propagate(decomp, counted, BENCH_RHO0, times)
+        assert traj.states.tobytes() == alone.states.tobytes()
+        for key in ("substeps", "step_size", "error_estimate"):
+            assert traj.metadata[key] == alone.metadata[key]
+        separate.append(alone_batches)
+    assert joint[0].metadata["substeps"] > master_eq._PILOT_SUBSTEPS
+    # every run's pilot is one batch of all ten intervals
+    assert all(len(b[0]) == len(times) - 1 for b in separate)
+    reruns = [batch for b in separate for batch in b[1:]]
+    assert len(batches) == 1 + len(reruns)
+    assert all(np.array_equal(a, b) for a, b in zip(batches[1:], reruns))
+
+
+def test_ohmic_propagate_stays_within_its_memory():
+    # tracemalloc's peak of one 128-substep propagate of the 400-mode ohmic
+    # model on its 11-point grid: the bath's decay and shift sums share one
+    # offsets operand (1.05 MB when each built its own)
+    import tracemalloc
+
+    _, decomp, bath = ohmic_vacuum()
+    rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    run = lambda: propagate(decomp, bath, rho0, OHMIC_GRID, substeps=OHMIC_SUBSTEPS)
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.85e6
 
 
 @pytest.mark.parametrize("substeps", [6, None])

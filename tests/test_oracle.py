@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from spinboson import oracle
@@ -314,6 +316,100 @@ def test_scaled_pass_matches_one_run_per_scaled_model(model, n_max):
                                         rho0, grid)
         assert np.max(np.abs(traj.states - single.states)) <= 1e-14
         assert traj.metadata.keys() == single.metadata.keys()
+
+
+# the seed-0 models of the thermal_2mode and fock_4mode benchmarks, with
+# their grids and cutoffs, and a vacuum model
+BENCH_RHO0 = np.array([[0.7, 0.25 + 0.1j], [0.25 - 0.1j, 0.3]])
+THERMAL_2MODE = (SpinBosonModel(1.0, [(0.8, 0.1), (1.2, 0.07)], 1.0), 6, np.linspace(0, 1, 11))
+FOCK_4MODE = (SpinBosonModel(1.0, [(0.9, 0.03), (0.95, 0.03), (1.05, 0.03), (1.1, 0.03)], 2.0),
+              3, np.linspace(0, 5, 11))
+VACUUM_3MODE = (SpinBosonModel(1.0, [(0.9, 0.1), (1.0, 0.2), (1.2, 0.15)], math.inf), 3,
+                np.linspace(0, 4, 9))
+
+
+def assert_stacked_pass_is_per_factor_passes(model, n_max, times, factors, rho0=BENCH_RHO0):
+    """Each trajectory of the stacked pass equals the pass of its factor
+    alone, bit for bit, with the same metadata."""
+    bath = TruncatedBath(model, n_max=n_max)
+    stacked = exact_scaled_dynamics(model, bath, rho0, times, factors)
+    assert len(stacked) == len(factors)
+    for factor, traj in zip(factors, stacked):
+        alone = exact_scaled_dynamics(model, bath, rho0, times, (factor,))[0]
+        assert np.array_equal(traj.states, alone.states)
+        assert traj.metadata.keys() == alone.metadata.keys()
+        assert np.array_equal(traj.metadata["min_eigenvalue"], alone.metadata["min_eigenvalue"])
+
+
+@pytest.mark.parametrize("case, factors", [
+    (THERMAL_2MODE, (1.0, 0.5, 0.25)),
+    (FOCK_4MODE, (1.0, 0.5, 0.25)),
+    (VACUUM_3MODE, (1.0, 0.5, 0.25, 0.3)),
+    # 24 factors a chunk at the thermal model's largest sector, 13 states:
+    # two chunks
+    (THERMAL_2MODE, tuple(np.linspace(-1.5, 2.0, 40))),
+], ids=["thermal_2mode", "fock_4mode", "vacuum", "thermal-two-chunks"])
+def test_stacked_factors_equal_one_factor_passes(case, factors):
+    model, n_max, times = case
+    assert_stacked_pass_is_per_factor_passes(model, n_max, times, factors)
+
+
+@pytest.mark.parametrize("case, factors, chunks", [
+    (THERMAL_2MODE, (1.0, 0.5, 0.25), [3]),
+    (THERMAL_2MODE, tuple(np.linspace(0.1, 2.0, 40)), [24, 16]),
+    # the largest sector, 84 states, is past the budget: one factor a chunk
+    (FOCK_4MODE, (1.0, 0.5, 0.25), [1, 1, 1]),
+], ids=["thermal_2mode", "thermal-two-chunks", "fock_4mode"])
+def test_sector_pass_takes_one_eigh_per_sector_and_chunk(monkeypatch, case, factors, chunks):
+    model, n_max, times = case
+    bath = TruncatedBath(model, n_max=n_max)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    exact_reduced_dynamics(model, bath, BENCH_RHO0, times)
+    sizes = [shape[-1] for shape in calls]  # one per sector with bath weight
+    assert calls == [(1, d, d) for d in sizes]
+    chunk = max(1, oracle._SECTOR_BUDGET // max(sizes) ** 2)
+    assert [min(chunk, len(factors) - i) for i in range(0, len(factors), chunk)] == chunks
+    calls.clear()
+    exact_scaled_dynamics(model, bath, BENCH_RHO0, times, factors)
+    assert calls == [(count, d, d) for count in chunks for d in sizes]
+
+
+def test_three_factor_fock_pass_stays_within_its_memory():
+    # tracemalloc's peak of the three-factor pass on the fock_4mode model:
+    # its largest sector takes chunks of one factor, so no temporary grows
+    # with the factor count (0.990 MB before the factors were stacked)
+    import tracemalloc
+
+    model, n_max, times = FOCK_4MODE
+    bath = TruncatedBath(model, n_max=n_max)
+    run = lambda: exact_scaled_dynamics(model, bath, BENCH_RHO0, times, (1.0, 0.5, 0.25))
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.990e6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(modes=st.lists(st.tuples(st.floats(0.5, 1.5), st.floats(-0.3, 0.3)),
+                      min_size=1, max_size=3),
+       beta=st.sampled_from([0.5, 1.0, 3.0, math.inf]),
+       n_max=st.integers(0, 3),
+       factors=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+def test_stacked_pass_is_per_factor_passes_on_small_models(modes, beta, n_max, factors):
+    model = SpinBosonModel(1.0, modes, beta)
+    assert_stacked_pass_is_per_factor_passes(model, n_max, np.linspace(0, 3, 7), factors,
+                                             RHO_MIXED)
 
 
 def test_scaled_pass_rejects_non_finite_factors():
