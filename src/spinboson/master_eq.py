@@ -776,7 +776,8 @@ def propagate_scaled(decomp: InteractionDecomposition, bath: BathStatistics,
     reruns alone from its own count.  If any factor drifts in the shared
     run, the factors are rerun one at a time, in order, which raises the
     exception the separate runs raise.  ``factors`` must be a 1-d sequence
-    of finite numbers; the other arguments are those of :func:`propagate`.
+    of finite numbers; with none, no bath is evaluated and the result is
+    empty.  The other arguments are those of :func:`propagate`.
     """
     rho0 = require_density_matrix(rho0)
     times = require_time_grid(times)
@@ -789,6 +790,8 @@ def propagate_scaled(decomp: InteractionDecomposition, bath: BathStatistics,
             raise ValueError("substeps must be a positive integer")
         substeps = int(substeps)
 
+    if not len(factors):
+        return []
     if len(times) == 1:
         # no interval to integrate: the initial state is the trajectory
         estimate = 0.0 if substeps is None else None

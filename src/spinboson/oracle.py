@@ -7,13 +7,15 @@ eigendecomposition per sector gives the reduced dynamics exactly (within
 the truncation) at every requested time.  One pass over the sectors serves
 several coupling scales at once: the sector blocks and the bath weights are
 built once, and each sector diagonalizes the stacked blocks of a chunk of
-scales in one call.  The series terms of the evolution operator come from
-one exponential of a block matrix built from the free energies and the
-coupling.  The exact reduced map comes
-from the same sector pass, as a 4 x 4 matrix on row-major 2 x 2 states; the
-deviation of that map from the identity and the alternating-sum inversion
-identity work with it alone.  All of them read one table of product-basis
-matrix elements.
+scales in one call.  The rest of the pass runs on buckets of consecutive
+sectors, zero-padded to common shapes, so that many small sectors share
+each array operation; a large sector is a bucket of its own.  The series
+terms of the evolution operator come from one exponential of a block
+matrix built from the free energies and the coupling.  The exact reduced
+map comes from the same sector pass, as a 4 x 4 matrix on row-major 2 x 2
+states; the deviation of that map from the identity and the
+alternating-sum inversion identity work with it alone.  All of them read
+one table of product-basis matrix elements.
 
 All reduced states returned here live in the frame co-rotating with the
 uncoupled Hamiltonian, so they compare directly against the master-equation
@@ -47,8 +49,12 @@ __all__ = [
     "map_inversion_residual",
 ]
 
-# Elements of the stacked d x d sector blocks of one chunk of coupling
-# factors in the sector pass (_sector_sums).
+# Sector pass (_sector_sums): a chunk takes max(1, _SECTOR_BUDGET // d**2)
+# coupling factors, d the largest sector, and a bucket of consecutive sectors
+# holds at most _SECTOR_BUDGET zero-padded eigenvector elements per factor.
+# A chunk's bucket arrays thus hold up to chunk x _SECTOR_BUDGET elements and
+# its phases 2 len(times) times that: the chunk bounds one bucket's memory,
+# which for many small sectors exceeds the largest sector's alone.
 _SECTOR_BUDGET = 4096
 
 
@@ -262,7 +268,7 @@ def exact_scaled_dynamics(model: SpinBosonModel, bath: TruncatedBath,
     diagonal, so the full state only has blocks (N, N), which give the
     populations, and (N, N - 1) and (N - 1, N), which give the coherences
     rho01 and rho10.  Each block is eigendecomposed once per factor, with
-    the factors stacked in chunks that :func:`_sector_sums` sizes; the
+    the factors and sectors stacked as :func:`_sector_sums` describes; the
     reduced element it contributes is then a bilinear form in the phases
     exp(-i w t) of the two sectors, evaluated for all sample times in real
     arithmetic on their cosines and sines.  Every factor's result is the
@@ -331,83 +337,174 @@ def _sector_sums(model: SpinBosonModel, bath: TruncatedBath, populations: np.nda
     d x d product more.
 
     The factors run in chunks of ``max(1, _SECTOR_BUDGET // d**2)``, d the
-    largest diagonalized sector: a chunk stacks its factors' blocks, so each
-    sector takes one ``eigh`` call and one of each product per chunk, while
-    its temporaries grow with the chunk.  A pass of small sectors takes many
-    factors at once; one whose largest sector is past the budget takes one
-    at a time, so its peak memory stays that of one factor.  Each factor's
-    arithmetic is the same in any chunk.
+    largest diagonalized sector, and the sectors in buckets of consecutive
+    sectors (:func:`_buckets`).  Each sector takes one ``eigh`` call per
+    chunk, on its blocks stacked over the chunk's factors.  Its eigenvalues
+    and eigenvectors are zero-padded into its bucket's stacked arrays, and
+    the phases, the products and the pairings run once per bucket and
+    chunk; the padding adds zeros only, and the sectors' sums are added in
+    sector order.  The coherence across a bucket boundary pairs the
+    bucket's first sector with the previous bucket's last.  Memory per
+    chunk: each stacked array of a bucket holds at most ``chunk x
+    _SECTOR_BUDGET`` elements, times the initial pairs for the population
+    products and times ``2 len(times)`` for the phases and the products
+    with them.  So small sectors share arrays larger than any one of them
+    needs, and the chunk does not bound a pass's memory by that of its
+    largest sector: on ``thermal_2mode`` the three-factor pass peaks at
+    about 4.7 times the peak of its sectors run one at a time, on a grid
+    of 201 or 1001 times.  A sector past the budget is a bucket of its own
+    and costs what it would unbucketed.  Each factor's arithmetic is the
+    same in any chunk.
     """
     populations = np.asarray(populations, dtype=float)
-    weights = _bath_weights(model, bath, beta)
-    bath_dim = bath.bath_dim
-    level_up, level_down = populations[..., :1], populations[..., 1:]
+    # one weight per product state: its bath state's, for either level
+    weights = np.tile(_bath_weights(model, bath, beta), 2)
     sectors = []
     for states, energies, coupling in _sector_hamiltonians(model, bath):
-        p = weights[states % bath_dim]
+        p = weights[states]
         if not p.any():
             break  # the weights fall with the quanta, so no later sector has any
-        up = states < bath_dim
-        n_up = np.count_nonzero(up)
-        # q: block (N, N) of each initial state, diagonal in the product
-        # basis, with axes for the level and the factor of a chunk's products
-        q = p * np.where(up, level_up, level_down)
-        sectors.append((energies, coupling, n_up, p[:n_up], q[..., None, None, None, :]))
+        sectors.append((energies, coupling, int(np.searchsorted(states, bath.bath_dim)), p))
     n_t = len(times)
     column = times[:, None]
     sums = np.zeros((populations.size + 2, len(factors), 2, 2, n_t))
     chunk = max(1, _SECTOR_BUDGET // max(len(s[0]) for s in sectors) ** 2)
+    buckets = _buckets(sectors, populations)
     for first in range(0, len(factors), chunk):
         scales = factors[first:first + chunk, None, None]
         count = len(scales)
         part = sums[:, first:first + count]
         diagonal, rho01, rho10 = part[:-2], part[-2], part[-1]
         previous = None
-        for energies, coupling, n_up, p_up, q in sectors:
-            d = len(energies)
-            h = scales * coupling
-            h.reshape(count, -1)[:, ::d + 1] += energies
-            w, v = np.linalg.eigh(h)
-            trig = np.empty((count, 2, n_t, d))
-            angles = np.multiply(column, w[:, None, :], out=trig[:, 1])
-            np.cos(angles, out=trig[:, 0])
+        for blocks, n_up, q, p_up in buckets:
+            w, v = _eigensystems(blocks, scales, n_up, q.shape[-1])
+            n_s, columns = w.shape[1:]
+            trig = np.empty((count, n_s, 2, n_t, columns))
+            angles = np.multiply(column, w[:, :, None, :], out=trig[:, :, 1])
+            np.cos(angles, out=trig[:, :, 0])
             np.sin(angles, out=angles)
-            x = trig.reshape(count, 2 * n_t, d)
-            # the populations are tr(P_s U A U^dag) with P_s the projector on
-            # level s and A the initial block in the eigenbasis
-            vt = v.swapaxes(-1, -2)
-            a = (vt * q) @ v
-            v_up, v_down = v[:, :n_up], v[:, n_up:]
-            up_t = vt[..., :n_up]
-            levels = np.empty((2, count, d, d))
-            np.matmul(up_t, v_up, out=levels[0])
-            np.matmul(vt[..., n_up:], v_down, out=levels[1])
-            pairings = _pairings(x @ (levels * a), trig)
-            diagonal += pairings.reshape(diagonal.shape)
+            x = trig.reshape(count, n_s, 2 * n_t, columns)
+            for level, pairings in enumerate(_population_pairings(v, n_up, q, x, trig)):
+                diagonal[level::2] += pairings.reshape(diagonal[level::2].shape)
+            # the up states of sector N pair with the down states of sector
+            # N - 1, bath state by bath state in the same order: first across
+            # the boundary with the previous bucket, then inside this one.
+            # The two coherences share one matrix but are summed apart, so
+            # their mismatch stays a measured hermiticity error
+            up_t, down = v[..., :n_up, :].swapaxes(-1, -2), v[..., n_up:, :]
             if previous is not None:
-                # the up states here pair with the down states of sector
-                # N - 1, bath state by bath state in the same order; the two
-                # coherences share one matrix but are summed apart, so their
-                # mismatch stays a measured hermiticity error
+                m = blocks[0][2]
                 prev_down, prev_x, prev_trig = previous
-                b = (up_t @ prev_down) * ((up_t * p_up) @ prev_down)
-                rho01 += _pairings(x @ b, prev_trig)
-                rho10 += _pairings(prev_x @ b.swapaxes(-1, -2), trig)
-            previous = v_down, x, trig
+                to, fro = _coherences(up_t[:, :1, :, :m], p_up[:1, :, :m], prev_down[:, :, :m],
+                                      x[:, :1], prev_x, trig[:, :1], prev_trig)
+                rho01 += to
+                rho10 += fro
+            if n_s > 1:
+                m = min(n_up, down.shape[-2])
+                to, fro = _coherences(up_t[:, 1:, :, :m], p_up[1:, :, :m], down[:, :-1, :m],
+                                      x[:, 1:], x[:, :-1], trig[:, 1:], trig[:, :-1])
+                rho01 += to
+                rho10 += fro
+            previous = down[:, -1:], x[:, -1:], trig[:, -1:]
     z = (sums[..., 0, 0, :] + sums[..., 1, 1, :]) + 1j * (sums[..., 0, 1, :] - sums[..., 1, 0, :])
     return z.swapaxes(0, 1)
 
 
-def _pairings(left: np.ndarray, trig: np.ndarray) -> np.ndarray:
-    """sum_j left[..., u, t, j] trig[..., u', t, j] for u, u' in (cos, sin).
+def _buckets(sectors: list, populations: np.ndarray) -> list:
+    """Consecutive sectors grouped into the zero-padded buckets of the sector pass.
 
-    ``left`` holds the rows of cos @ c and then those of sin @ c, shape
-    ``(..., 2 * times, j)``; ``trig`` the cosines and sines of the sector
-    on the right of c, ``(..., 2, times, j)``, its leading axes broadcast
-    against those of ``left``.  Returns shape ``(..., 2, 2, times)``.
+    ``sectors`` holds one ``(energies, coupling, up count, weights)`` per
+    sector, in order.  A sector joins the open bucket while the bucket's
+    padded elements per factor, sectors x rows x columns, stay within
+    ``_SECTOR_BUDGET``, so the buckets depend on the sector dimensions
+    alone.  A bucket's rows are its largest up count and then its largest
+    down count: sector N's up rows line up with sector N - 1's down rows.
+    Returns one ``(blocks, up rows, q, p_up)`` per bucket: each sector's
+    ``(energies, coupling, up count)``; the padded block (N, N) of each
+    initial state, diagonal in the product basis, shape ``lead + (1,
+    sectors, 1, rows)`` with ``lead`` the leading shape of ``populations``;
+    and the padded up-state weights, ``(sectors, 1, up rows)``.
+    """
+    groups = []  # the sectors of each bucket and its (up rows, down rows, columns)
+    for sector in sectors:
+        d, up = len(sector[0]), sector[2]
+        shape = (up, d - up, d)
+        if groups:
+            group, padded = groups[-1]
+            grown = tuple(map(max, padded, shape))
+            if (len(group) + 1) * (grown[0] + grown[1]) * grown[2] <= _SECTOR_BUDGET:
+                groups[-1] = group + [sector], grown
+                continue
+        groups.append(([sector], shape))
+    buckets = []
+    for group, (n_up, n_down, _) in groups:
+        p = np.zeros((len(group), n_up + n_down))
+        for s, (_, _, up, weights) in enumerate(group):
+            p[s, :up] = weights[:up]
+            p[s, n_up:n_up + len(weights) - up] = weights[up:]
+        q = p * np.repeat(populations, (n_up, n_down), axis=-1)[..., None, :]
+        buckets.append(([sector[:3] for sector in group], n_up,
+                        q[..., None, :, None, :], p[:, None, :n_up]))
+    return buckets
+
+
+def _eigensystems(blocks: list, scales: np.ndarray, n_up: int,
+                  n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a bucket's sectors, zero-padded.
+
+    Each sector takes one ``eigh`` call on its stacked blocks
+    ``diag(E) + f V``.  Returns ``w``, shape ``(factors, sectors,
+    columns)``, and ``v``, shape ``(factors, sectors, n_rows, columns)``,
+    each sector's up rows first and its down rows from row ``n_up``.
+    """
+    count = len(scales)
+    systems = []
+    for energies, coupling, _ in blocks:
+        h = scales * coupling
+        h.reshape(count, -1)[:, ::len(energies) + 1] += energies
+        systems.append(np.linalg.eigh(h))
+    columns = max(len(energies) for energies, _, _ in blocks)
+    w = np.zeros((count, len(blocks), columns))
+    v = np.zeros((count, len(blocks), n_rows, columns))
+    for s, ((energies, _, up), (ws, vs)) in enumerate(zip(blocks, systems)):
+        d = len(energies)
+        w[:, s, :d] = ws
+        v[:, s, :up, :d] = vs[:, :up]
+        v[:, s, n_up:n_up + d - up, :d] = vs[:, up:]
+    return w, v
+
+
+def _population_pairings(v, n_up, q, x, trig) -> list[np.ndarray]:
+    """The rho00 and rho11 pairings of a bucket, each summed over its sectors.
+
+    The populations are tr(P_s U A U^dag), with P_s the projector on level
+    s and A the initial block, both in the eigenbasis.  The levels run one
+    after the other, so that only one level's products are held at a time.
+    """
+    vt = v.swapaxes(-1, -2)
+    a = (vt * q) @ v
+    return [_pairings(x @ (a * (vt[..., rows] @ v[..., rows, :])), trig)
+            for rows in (slice(None, n_up), slice(n_up, None))]
+
+
+def _coherences(up_t, p_up, prev_down, x, prev_x, trig, prev_trig):
+    """The rho01 and rho10 pairings of sectors with the sectors before them."""
+    b = (up_t @ prev_down) * ((up_t * p_up) @ prev_down)
+    return _pairings(x @ b, prev_trig), _pairings(prev_x @ b.swapaxes(-1, -2), trig)
+
+
+def _pairings(left: np.ndarray, trig: np.ndarray) -> np.ndarray:
+    """sum_sj left[..., s, u, t, j] trig[..., s, u', t, j] for u, u' in (cos, sin).
+
+    ``left`` holds, for each sector s of a bucket, the rows of cos @ c and
+    then those of sin @ c, shape ``(..., sectors, 2 * times, j)``; ``trig``
+    the cosines and sines of the sectors on the right of c, ``(...,
+    sectors, 2, times, j)``, its leading axes broadcast against those of
+    ``left``.  The sectors are summed in order.  Returns shape ``(..., 2,
+    2, times)``.
     """
     halves = left.reshape(left.shape[:-2] + trig.shape[-3:])
-    return np.einsum("...utj,...vtj->...uvt", halves, trig)
+    return np.einsum("...sutj,...svtj->...uvt", halves, trig)
 
 
 def dyson_terms(model: SpinBosonModel, bath: TruncatedBath, t: float,

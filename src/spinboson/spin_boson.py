@@ -69,6 +69,7 @@ their detunings, and so one phase pass.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -255,8 +256,10 @@ class SpectralDiscretization:
         if not 0 <= self.omega_min < self.omega_max:
             raise ValueError(
                 f"need 0 <= omega_min < omega_max, got [{self.omega_min}, {self.omega_max}]")
-        if self.mode_count < 1:
-            raise ValueError("mode_count must be at least 1")
+        # as for TruncatedBath's n_max: a bool or a float is no count
+        if (isinstance(self.mode_count, bool) or not isinstance(self.mode_count, numbers.Integral)
+                or self.mode_count < 1):
+            raise ValueError(f"mode_count must be a positive integer, got {self.mode_count!r}")
 
     @property
     def delta_omega(self) -> float:

@@ -783,6 +783,16 @@ def test_propagate_scaled_raises_the_drift_of_separate_runs(monkeypatch):
     assert str(joint.value) == str(alone.value)
 
 
+@pytest.mark.parametrize("substeps", [None, 4])
+def test_propagate_scaled_without_factors_evaluates_no_bath(substeps):
+    # an empty factor list returns before any bath table or batch is built
+    _, decomp, bath = thermal_pair()
+    counted, tables, batches = counting_integrals(bath)
+    times = np.linspace(0, 1, 3)
+    assert propagate_scaled(decomp, counted, BENCH_RHO0, times, [], substeps=substeps) == []
+    assert tables == batches == []
+
+
 @pytest.mark.parametrize("factors", [[1.0, math.nan], [math.inf], [[1.0, 0.5]], 1.0])
 def test_propagate_scaled_rejects_bad_factors(factors):
     _, decomp, bath = thermal_pair()

@@ -224,8 +224,12 @@ def full_space_reduced_dynamics(model, bath, rho0, times):
     (SpinBosonModel(1.0, [(0.9, 0.1), (1.0, 0.2), (1.2, 0.15)], 0.8), 2),
     (SpinBosonModel(1.3, [], 1.0), 4),
     (SpinBosonModel(1.0, [(1.3, 0.0), (0.7, 0.0)], 1.0), 2),
+    # sectors of 1 to 54 states in buckets [1, 4, 9, 16, 25], then [36], [46],
+    # [52], [54], [52], [46], [36, 25, 16] and [9, 4, 1]: the coherences cross
+    # bucket boundaries in all four ways
+    (SpinBosonModel(1.0, [(0.9, 0.1), (1.0, 0.2), (1.2, 0.15)], 0.8), 5),
 ], ids=["thermal-2mode", "vacuum-detuned", "3mode-nmax0", "3mode-nmax1",
-        "3mode-nmax2", "no-modes", "zero-coupling"])
+        "3mode-nmax2", "no-modes", "zero-coupling", "3mode-bucket-boundaries"])
 def test_sector_solver_matches_full_space_propagation(model, n_max):
     bath = TruncatedBath(model, n_max=n_max)
     grid = np.linspace(0, 4, 9)
@@ -381,6 +385,29 @@ def test_sector_pass_takes_one_eigh_per_sector_and_chunk(monkeypatch, case, fact
     assert calls == [(count, d, d) for count in chunks for d in sizes]
 
 
+def test_sector_pass_buckets_small_sectors_and_leaves_large_ones_alone(monkeypatch):
+    # the buckets read the sector dimensions only: neither the factor count
+    # nor the number of initial population pairs (two for the reduced map)
+    # moves them
+    recorded = []
+    buckets = oracle._buckets
+
+    def recording(sectors, populations):
+        out = buckets(sectors, populations)
+        recorded.append([[len(energies) for energies, _, _ in blocks] for blocks, *_ in out])
+        return out
+
+    monkeypatch.setattr(oracle, "_buckets", recording)
+    for (model, n_max, times), factors in [(THERMAL_2MODE, (1.0,)), (FOCK_4MODE, (1.0, 0.5, 0.25))]:
+        exact_scaled_dynamics(model, TruncatedBath(model, n_max=n_max), BENCH_RHO0, times,
+                              factors)
+    model, n_max, _ = THERMAL_2MODE
+    reduced_map_deviation(model, TruncatedBath(model, n_max=n_max), RHO_MIXED, 0.5)
+    thermal = [[1, 3, 5, 7, 9, 11, 13, 13, 11, 9, 7, 5, 3, 1]]
+    fock = [[1, 5, 14, 30], [51], [71], [84], [84], [71], [51], [30, 14, 5, 1]]
+    assert recorded == [thermal, fock, thermal]
+
+
 def test_three_factor_fock_pass_stays_within_its_memory():
     # tracemalloc's peak of the three-factor pass on the fock_4mode model:
     # its largest sector takes chunks of one factor, so no temporary grows
@@ -400,6 +427,31 @@ def test_three_factor_fock_pass_stays_within_its_memory():
     assert peak <= 0.990e6
 
 
+@pytest.mark.parametrize("samples, bound", [(11, 0.45e6), (201, 4.2e6)])
+def test_three_factor_thermal_pass_stays_within_its_memory(samples, bound):
+    # tracemalloc's peak of the three-factor pass on the thermal_2mode model,
+    # whose 14 sectors (at most 13 states) share one bucket, so its arrays
+    # carry all 14 sectors: 0.401 MB on the model's 11 times and 3.81 MB on
+    # 201, against 0.106 and 0.821 MB one sector at a time; the phases and
+    # the products with them grow with the grid.  Each bound leaves 10 to
+    # 12 % for numpy's temporaries, and the first fails the 0.667 MB of
+    # holding both population levels' products at once
+    import tracemalloc
+
+    model, n_max, _ = THERMAL_2MODE
+    bath = TruncatedBath(model, n_max=n_max)
+    times = np.linspace(0, 1, samples)
+    run = lambda: exact_scaled_dynamics(model, bath, BENCH_RHO0, times, (1.0, 0.5, 0.25))
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(modes=st.lists(st.tuples(st.floats(0.5, 1.5), st.floats(-0.3, 0.3)),
                       min_size=1, max_size=3),
@@ -410,6 +462,12 @@ def test_stacked_pass_is_per_factor_passes_on_small_models(modes, beta, n_max, f
     model = SpinBosonModel(1.0, modes, beta)
     assert_stacked_pass_is_per_factor_passes(model, n_max, np.linspace(0, 3, 7), factors,
                                              RHO_MIXED)
+
+
+def test_scaled_pass_without_factors_is_empty():
+    model = vacuum_mode()
+    assert exact_scaled_dynamics(model, TruncatedBath(model, n_max=2), RHO_MIXED,
+                                 np.linspace(0, 1, 3), []) == []
 
 
 def test_scaled_pass_rejects_non_finite_factors():

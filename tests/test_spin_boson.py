@@ -663,6 +663,20 @@ def test_discretization_validation():
         bad.modes()
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, True, 0, -2])
+def test_discretization_rejects_non_integral_mode_counts(count):
+    # 2.5 on [0, 1] would give 3 modes with delta_omega = 0.4, the last one
+    # on the band edge, and True one mode
+    with pytest.raises(ValueError, match="mode_count must be a positive integer"):
+        SpectralDiscretization(flat_density(0.1), 0.0, 1.0, count)
+
+
+def test_discretization_accepts_numpy_integers():
+    disc = SpectralDiscretization(flat_density(0.1), 0.0, 1.0, np.int64(4))
+    assert disc.delta_omega == 0.25
+    assert len(disc.modes()) == 4
+
+
 # -- bath statistics invariants ----------------------------------------------------------
 
 def test_correlations_satisfy_hermitian_pairing():
