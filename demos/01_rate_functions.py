@@ -27,17 +27,16 @@ print()
 grid = np.linspace(0.0, 8.0, 9)
 print("      t   absorption.decay  absorption.shift  emission.decay  emission.shift")
 for t in grid:
-    print(f"  {t:5.1f}   {rates.absorption.decay(t):16.6f}  "
-          f"{rates.absorption.shift(t):16.6f}  {rates.emission.decay(t):14.6f}  "
-          f"{rates.emission.shift(t):14.6f}")
+    (a_decay, a_shift), (e_decay, e_shift) = rates.sums(t, ("decay", "shift"))
+    print(f"  {t:5.1f}   {a_decay:16.6f}  {a_shift:16.6f}  {e_decay:14.6f}  {e_shift:14.6f}")
 print()
 
 print("the emission channel minus the absorption channel is the")
 print("occupation-independent (spontaneous) part, here checked at t = 5:")
 spontaneous = sum(g * g * np.sin((w - model.omega0) * 5.0) / (w - model.omega0)
                   for w, g in model.modes)
-print(f"  emission.decay - absorption.decay = "
-      f"{rates.emission.decay(5.0) - rates.absorption.decay(5.0):.10f}")
+(absorption,), (emission,) = rates.sums(5.0, ("decay",))
+print(f"  emission.decay - absorption.decay = {emission - absorption:.10f}")
 print(f"  direct spontaneous sum            = {spontaneous:.10f}")
 print()
 
@@ -52,5 +51,5 @@ print("400-mode ohmic comb (cutoff 5): emission decay rate vs the")
 print(f"resonance value pi * J(1) * (n(1) + 1) = {plateau:.6f}")
 print(f"  (n(1) = {thermal_occupation(1.0, 1.0):.6f} at this temperature)")
 for t in (0.5, 1.0, 2.0, 5.0, 15.0, 30.0, 50.0):
-    val = dense_rates.emission.decay(t)
+    (val,) = dense_rates.emission.sums(t, parts=("decay",))
     print(f"  t = {t:5.1f}: {val:.6f}   ({100 * (val / plateau - 1):+6.2f} %)")

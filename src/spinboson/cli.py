@@ -230,7 +230,7 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
     # collapses to the single-dissipator form
     if model.vacuum:
         max_absorption = max(float(np.max(np.abs(r)))
-                             for r in rates.absorption.decay_and_shift(grid))
+                             for r in rates.absorption.sums(grid, parts=("decay", "shift")))
         # the generator applied to the unit matrix |i><j| is column 2 i + j
         # of its matrix
         generic = generator_matrix(decomp, bath, grid).swapaxes(1, 2).reshape(-1, 4, 2, 2)
@@ -250,7 +250,8 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
     if not model.vacuum and min_occ >= 100.0:
         traj = propagate(decomp, bath, cfg.initial_state(), grid,
                          substeps=cfg.rk4_substeps)
-        decay_factor = math.exp(-16.0 * rates.absorption.decay_integral(cfg.t_max))
+        (integral,) = rates.absorption.sums(cfg.t_max, parts=("decay_integral",))
+        decay_factor = math.exp(-16.0 * integral)
         final = float(traj.states[-1, 0, 0].real)
         ok = decay_factor < 1e-4 and abs(final - 0.5) <= 1e-3
         checks.append(("high_temperature", "pass" if ok else "fail", [
@@ -269,7 +270,7 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
     if model.vacuum:
         traj = propagate(decomp, bath, cfg.initial_state(), grid,
                          substeps=cfg.rk4_substeps)
-        envelope = np.exp(-8.0 * rates.emission.decay_integral(grid))
+        envelope = np.exp(-8.0 * rates.emission.sums(grid, parts=("decay_integral",))[0])
         closed = cfg.rho00 * envelope
         deviation = float(np.max(np.abs(traj.states[:, 0, 0].real - closed)))
         final_rho11 = float(traj.states[-1, 1, 1].real)
@@ -288,7 +289,7 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
     if disc is not None and disc.omega_min <= model.omega0 <= disc.omega_max:
         _, emission_const = markov_rates(disc, model)
         quartile = grid[3 * (len(grid) - 1) // 4:]
-        resolved = rates.emission.decay(quartile)
+        (resolved,) = rates.emission.sums(quartile, parts=("decay",))
         deviation = float(np.max(np.abs(resolved - emission_const))) / emission_const
         checks.append(("markov_plateau", "pass" if deviation <= 0.10 else "fail", [
             ("expected_plateau", emission_const),

@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .linalg import require_count
 from .spin_boson import (SpectralDiscretization, SpinBosonModel, flat_density,
                          ohmic_density)
 
@@ -244,24 +245,22 @@ def parse_config_text(text: str) -> RunConfig:
         output_path=convert("output_path", str),
     )
 
-    if cfg.samples < 1:
-        raise ConfigError(f"samples must be at least 1, got {cfg.samples}")
-    if cfg.rk4_substeps is not None and cfg.rk4_substeps < 1:
-        raise ConfigError(f"rk4_substeps must be at least 1, got {cfg.rk4_substeps}")
-    if cfg.n_max < 1:
-        raise ConfigError(f"n_max must be at least 1, got {cfg.n_max}")
-    if cfg.mode_count is not None and cfg.mode_count < 1:
-        raise ConfigError(f"mode_count must be at least 1, got {cfg.mode_count}")
+    # the 2 x 2 closed form of linalg.require_density_matrix, whose eigenvalue
+    # call would cost more than the rest of the parse on every invocation;
+    # "not <=" rejects a NaN rho01 too
     if not 0.0 <= cfg.rho00 <= 1.0:
         raise ConfigError(f"rho00 must lie in [0, 1], got {cfg.rho00}")
-    if abs(cfg.rho01) ** 2 > cfg.rho00 * (1.0 - cfg.rho00) + 1e-15:
+    if not abs(cfg.rho01) ** 2 <= cfg.rho00 * (1.0 - cfg.rho00) + 1e-15:
         raise ConfigError(
             f"initial state not positive semidefinite: |rho01|^2 = {abs(cfg.rho01)**2:.6g} "
             f"exceeds rho00*(1-rho00) = {cfg.rho00 * (1 - cfg.rho00):.6g}")
+    # the library's checks name their fields: the counts here, the model's in cfg.model()
     try:
+        require_count(cfg.samples, "samples", 1)
+        if cfg.rk4_substeps is not None:
+            require_count(cfg.rk4_substeps, "rk4_substeps", 1)
+        require_count(cfg.n_max, "n_max", 1)
         cfg.model()
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return cfg

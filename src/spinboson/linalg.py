@@ -1,10 +1,12 @@
-"""Input checks shared by the dynamics modules.
+"""Input checks shared by the dynamics modules and the config parser.
 
 Square, Hermitian and density matrices as plain ``numpy`` arrays
-(``complex128``), and finite, strictly increasing time grids.
+(``complex128``), finite, strictly increasing time grids, and counts.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -12,6 +14,7 @@ __all__ = [
     "require_hermitian",
     "require_density_matrix",
     "require_time_grid",
+    "require_count",
 ]
 
 
@@ -56,3 +59,13 @@ def require_time_grid(times) -> np.ndarray:
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     return times
+
+
+def require_count(value, name: str, minimum: int = 0) -> int:
+    """``value`` as an ``int`` if it is an integer (a numpy one too) of at
+    least ``minimum``, 0 or 1; ``ValueError`` naming ``name`` otherwise.  A
+    bool or a float is no count, whatever its value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        kind = "positive" if minimum else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)

@@ -21,43 +21,15 @@ spin-boson co-rotating frame.  The bath supplies the integrated
 correlations itself (the spin-boson module does so in closed form), so the
 engine runs no quadrature.
 
-The bath evaluates its integrals on a time lattice: the times
-``origin + steps[..., q] + offsets[..., r]`` of a batch of origins, a few
-coarse steps and a few fine offsets, in two stages.  ``integrals(steps,
-offsets)`` does the work that depends on the steps and offsets alone and
-returns the evaluator of the origins, so one table serves every batch of
-origins it is called with.  A bath whose integrals are sums of oscillating
-terms gets every lattice time from the phases of the origins, steps and
-offsets alone by angle addition, as the spin-boson bath does.  A plain
-array of times is the lattice with the single step 0 and the single offset
-0: ``integrals(_ORIGIN, _ORIGIN)(times)``.
-
-Propagation is classic RK4 with one count of internal substeps per output
-interval.  The equation is linear, so each substep is one step matrix
-``M = I + h/6 (K1 + 2 K2 + 2 K3 + K4)`` built from the generator at the
-substep's stage times.  An interval's ``2 s + 1`` stage times
-``t + k h / 2`` form an arithmetic progression: the lattice of the
-interval's origin ``t``, the coarse steps ``q R h / 2`` and the ``R`` fine
-offsets ``r h / 2``.  When the grid's steps are bit-equal, one row of
-steps and offsets serves every interval, so the bath builds its table once
-per propagation and each batch evaluates only its own origins, one phase
-per mode each; otherwise each interval has its own row, as the
-broadcasting of origins against steps and offsets allows.  ``R`` is about
-the square root of the stage times one row serves, capped by the batch
-budget below.  Whole intervals are batched up to a fixed count of stage
-times, so that the generator batch stays small in memory however long the
-grid is; the step matrices of a batch come at once.  The state then
-advances block by block: the prefix products of about ``sqrt(s)``
-consecutive step matrices come from that many batched matrix products, and
-one batched matrix-vector product per block gives the state after each of
-its substeps.  Without a given count, the count is sized from the
-step-doubling estimate of the integration error (:func:`propagate`).
-
-Several coupling scales run in one pass (:func:`propagate_scaled`).  The
-generator is second order in the coupling: scaling every coupling by f
-scales the first moments by f and the integrated correlations by f**2, so
-one evaluation of a batch's coefficients serves every scale, and the step
-matrices, block products and states carry a leading axis of scales.
+The bath evaluates its integrals on a time lattice of origins, coarse
+steps and fine offsets, in two stages (the contract of
+:class:`BathStatistics`).  Propagation is classic RK4 with one count of
+substeps per output interval, fixed or sized from a step-doubling error
+estimate (:func:`propagate`); the generator at the RK4 stage times of a
+batch of intervals is one such lattice evaluation
+(:func:`stage_generators`).  Any number of coupling scales run in one pass
+(:func:`propagate_scaled`), one evaluation of a batch's coefficients
+serving every scale; one scale is the single factor 1.
 
 The stage generators, step matrices, block products and the state advance
 are in real arithmetic: each complex matrix is its interleaved real form,
@@ -73,14 +45,13 @@ would mask it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .linalg import require_density_matrix, require_time_grid
+from .linalg import require_count, require_density_matrix, require_time_grid
 
 __all__ = [
     "InteractionDecomposition",
@@ -265,8 +236,8 @@ class BathStatistics:
     ``steps`` and ``offsets`` broadcast against the origins.  A plain array
     of times is the lattice of those origins with the single step 0 and the
     single offset 0.  The spin-boson bath gives the integrals in closed
-    form, from one phase per mode of each origin, step and offset by angle
-    addition.  ``correlation`` is their definition, against which the closed
+    form (:mod:`spinboson.spin_boson` describes how it evaluates the
+    lattice).  ``correlation`` is their definition, against which the closed
     forms are checked; the test suite holds a composite-Simpson quadrature
     of it, evaluated at the summed lattice times, as the reference for baths
     without closed forms.
@@ -440,7 +411,7 @@ def generator_matrix(decomp: InteractionDecomposition, bath: BathStatistics,
 
 def stage_generators(decomp: InteractionDecomposition, bath: BathStatistics,
                      times: np.ndarray, substeps: int,
-                     factors=None) -> Callable[[int, int], np.ndarray]:
+                     factors=1.0) -> Callable[[int, int], np.ndarray]:
     """Real forms of the generator matrices at the RK4 stage times of the
     intervals of ``times``.
 
@@ -457,12 +428,18 @@ def stage_generators(decomp: InteractionDecomposition, bath: BathStatistics,
     interval, tabled for each call's intervals.  ``R`` is from
     :func:`progression_lattice` over the stage times one row serves, at most
     ``_STAGE_BUDGET``.  The real forms come from one real product of the
-    coefficients' real view with :attr:`InteractionDecomposition.real_superoperators`.
+    coefficients' real view with the flattened
+    :attr:`InteractionDecomposition.real_superoperators`.
 
-    With ``factors``, a scalar or an array, the generators are those of the
-    couplings scaled by each factor, with the shape of ``factors`` in front:
-    the coefficients the bath gives once per batch are scaled by the
-    second-order rule (:func:`_coefficient_scales`) before the product.
+    The caller takes whole intervals in batches of at most
+    ``_STAGE_BUDGET`` (512) stage times, or one interval if that alone has
+    more: a fixed count, so that a batch's memory stays bounded on any
+    grid.  On bit-equal steps every batch shares the one table.
+
+    The generators are those of the couplings scaled by ``factors``, a
+    scalar (1 by default) or an array whose shape comes first: the basis is
+    scaled once by the second-order rule (:func:`_scaled_basis`), and the
+    coefficients the bath gives once per batch serve every factor.
     """
     times = np.asarray(times, dtype=float)
     stage_count = 2 * substeps + 1
@@ -472,33 +449,36 @@ def stage_generators(decomp: InteractionDecomposition, bath: BathStatistics,
     coarse, fine = progression_lattice(stage_count, served)
     steps, offsets = rows[:, None] * coarse, rows[:, None] * fine
     shared = bath.coefficients(steps, offsets) if len(rows) == 1 else None
-    basis = decomp.real_superoperators
-    scales = None if factors is None else _coefficient_scales(decomp, factors)
+    basis = _scaled_basis(decomp, factors)
+    size = decomp.real_superoperators.shape[-1]
 
     def stages(first: int, stop: int) -> np.ndarray:
         evaluate = (shared if shared is not None
                     else bath.coefficients(steps[first:stop], offsets[first:stop]))
         f = _checked(decomp, evaluate(times[first:stop]))
         f = f.reshape(stop - first, -1, f.shape[-1])[:, :stage_count].view(float)
-        if scales is not None:
-            f = scales[..., None, None, :] * f
-        return np.tensordot(f, basis, axes=1)
+        return (f.reshape(-1, f.shape[-1]) @ basis).reshape(
+            np.shape(factors) + f.shape[:-1] + (size, size))
 
     return stages
 
 
-def _coefficient_scales(decomp: InteractionDecomposition, factors) -> np.ndarray:
-    """Multipliers of the real view of the generator coefficients when every
-    coupling is scaled by ``factors``, shape ``np.shape(factors) + (2 c,)``.
+def _scaled_basis(decomp: InteractionDecomposition, factors) -> np.ndarray:
+    """:attr:`InteractionDecomposition.real_superoperators` for every
+    coupling scaled by ``factors``, each matrix flattened: shape
+    ``np.shape(factors) + (2 c, 4 D^2)``, against which the real view of the
+    unscaled coefficients gives the scaled generators.
 
     The generator is second order in the coupling: the first moments scale
-    with f and the integrated correlations with f**2.  A power of two scales
-    every bath sum exactly, so for such factors the scaled coefficients equal
-    those of the scaled bath bit for bit.
+    with f and the integrated correlations with f**2, and so do their rows
+    of the basis.  A power of two scales every product exactly, so for such
+    factors the generators equal those of the scaled bath bit for bit.
     """
     f = np.asarray(factors, dtype=float)[..., None]
     first = np.arange(len(decomp.superoperators)) < decomp.n_terms
-    return np.repeat(np.where(first, f, f * f), 2, axis=-1)
+    scales = np.repeat(np.where(first, f, f * f), 2, axis=-1)
+    basis = decomp.real_superoperators
+    return (scales[..., None, None] * basis).reshape(scales.shape + (-1,))
 
 
 def _rk4_step_matrices(stages: np.ndarray, h) -> np.ndarray:
@@ -554,12 +534,11 @@ def _block_products(steps: np.ndarray, block: int) -> np.ndarray:
 
 
 def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int,
-                doubled: bool, factors: np.ndarray | None = None):
+                doubled: bool, factors: np.ndarray):
     """States on ``times`` from RK4 at ``substeps`` per interval and, with
     ``doubled`` (even ``substeps``), the step-doubling error estimates: one
-    of each per coupling factor of ``factors``, or for the unscaled
-    couplings alone (one factor).  The states are a list of
-    ``(len(times), d, d)`` arrays and the estimates an array.
+    of each per coupling factor of ``factors``, a 1-d array.  The states
+    are a list of ``(len(times), d, d)`` arrays and the estimates an array.
 
     The stage generators of a batch are evaluated once for all factors, and
     the step matrices, block products and states carry the leading factor
@@ -573,7 +552,7 @@ def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int
     ``(None, None)``, after which :func:`propagate_scaled` reruns the
     factors one at a time.
     """
-    count, d = (1 if factors is None else len(factors)), rho0.shape[0]
+    count, d = len(factors), rho0.shape[0]
     live = np.arange(count)  # the factors still advancing
     states = np.empty((count, len(times), d, d), dtype=complex)
     states[:, 0] = rho0
@@ -609,8 +588,6 @@ def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int
         stop = min(first + per_batch, intervals)
         h = np.diff(times[first:stop + 1]) / substeps
         batch = stages(first, stop)
-        # the unscaled couplings' generators have no factor axis
-        batch = batch.reshape((count,) + batch.shape[-4:])
         if len(live) < count:
             batch = batch[live]
         products = _block_products(_rk4_step_matrices(batch, h), block)
@@ -683,10 +660,9 @@ def _automatic(run: Callable[[int], tuple], pilot: tuple | None = None) -> tuple
 def _one_factor(decomp, bath, rho0, times, substeps, factor, pilot=None) -> tuple:
     """``(states, estimate, substeps)`` of the couplings scaled by ``factor``
     alone, continuing from an automatic ``pilot`` when given."""
-    factors = None if factor == 1.0 else np.array([factor])
-
     def run(substeps: int, doubled: bool) -> tuple:
-        states, estimates = _rk4_states(decomp, bath, rho0, times, substeps, doubled, factors)
+        states, estimates = _rk4_states(decomp, bath, rho0, times, substeps, doubled,
+                                        np.array([factor]))
         return (None if states is None else states[0],
                 None if estimates is None else float(estimates[0]))
 
@@ -737,22 +713,19 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
     rounding floor and is the result.  A non-finite estimate raises
     :class:`StepDoublingError`.  A fixed ``substeps`` computes no estimate.
 
-    The generator is evaluated at all RK4 stage times of a batch of whole
-    intervals at once (:func:`stage_generators`), which gives one step
-    matrix per substep.  A batch holds as many intervals as fit 512 stage
-    times, or one interval if that alone has more: a fixed count, so that
-    memory stays bounded on any grid.  On a grid of bit-equal steps the
-    bath's table of the coarse steps and fine offsets is built once and
-    shared by every batch, which passes only its intervals' origins.  The
-    state advances by blocks of ``isqrt(substeps)`` substeps: the running
-    products of a block's step matrices, then one matrix-vector product per
-    block for the states after all its substeps.  Generators, step matrices
-    and products are the real forms of the complex ones, and the states are
-    advanced through their real views, so nothing is symmetrized on the
-    way.  Trace drift beyond 1e-6 (or NaN) after any substep aborts with a
-    :class:`TraceDriftError` naming the first such substep; accepted
-    trajectories satisfy the 1e-9 trace and hermiticity invariants at every
-    sample, a one-point grid included.
+    The equation is linear, so each substep is one step matrix
+    ``M = I + h/6 (K1 + 2 K2 + 2 K3 + K4)`` from the generator at its stage
+    times, which come in batches of whole intervals
+    (:func:`stage_generators`).  The state advances by blocks of
+    ``isqrt(substeps)`` substeps: the running products of a block's step
+    matrices, then one matrix-vector product per block for the states after
+    all its substeps.  Generators, step matrices and products are the real
+    forms of the complex ones, and the states are advanced through their
+    real views, so nothing is symmetrized on the way.  Trace drift beyond
+    1e-6 (or NaN) after any substep aborts with a :class:`TraceDriftError`
+    naming the first such substep; accepted trajectories satisfy the 1e-9
+    trace and hermiticity invariants at every sample, a one-point grid
+    included.
     """
     return propagate_scaled(decomp, bath, rho0, times, (1.0,), substeps, model_tag)[0]
 
@@ -785,10 +758,7 @@ def propagate_scaled(decomp: InteractionDecomposition, bath: BathStatistics,
     if factors.ndim != 1 or not np.all(np.isfinite(factors)):
         raise ValueError("coupling factors must be a 1-d sequence of finite numbers")
     if substeps is not None:
-        if (isinstance(substeps, bool) or not isinstance(substeps, numbers.Integral)
-                or substeps < 1):
-            raise ValueError("substeps must be a positive integer")
-        substeps = int(substeps)
+        substeps = require_count(substeps, "substeps", 1)
 
     if not len(factors):
         return []
@@ -797,9 +767,6 @@ def propagate_scaled(decomp: InteractionDecomposition, bath: BathStatistics,
         estimate = 0.0 if substeps is None else None
         return [_trajectory(times, (rho0[None, :, :].copy(), estimate, 0), model_tag)
                 for _ in factors]
-    if len(factors) == 1:
-        run = _one_factor(decomp, bath, rho0, times, substeps, factors[0])
-        return [_trajectory(times, run, model_tag)]
     automatic = substeps is None
     states, estimates = _rk4_states(decomp, bath, rho0, times,
                                     _PILOT_SUBSTEPS if automatic else substeps,

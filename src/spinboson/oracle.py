@@ -25,13 +25,12 @@ trajectories.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import require_density_matrix, require_time_grid
+from .linalg import require_count, require_density_matrix, require_time_grid
 from .master_eq import Trajectory
 from .spin_boson import SpinBosonModel
 
@@ -94,12 +93,8 @@ class TruncatedBath:
     dim_cap: int = 8192
 
     def __post_init__(self):
-        for name in ("n_max", "dim_cap"):
-            value = getattr(self, name)
-            # as for propagate's substeps: a bool or a float is no count
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < 0):
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        require_count(self.n_max, "n_max")
+        require_count(self.dim_cap, "dim_cap")
         if self.full_dim > self.dim_cap:
             raise BathDimensionError(self.full_dim, self.dim_cap,
                                      self.n_max, self.n_modes)
@@ -166,11 +161,12 @@ def _sector_hamiltonians(model: SpinBosonModel, bath: TruncatedBath):
     The coupling only exchanges single quanta, so N = n_up + sum_k n_k is
     conserved (exactly, also under the per-mode Fock cutoff).  Sector N holds
     the states (up, n) with sum n = N - 1 and (down, n) with sum n = N.
-    Returns one ``(states, energies, coupling)`` triple per N = 0, 1, ...:
+    Yields one ``(states, energies, coupling)`` triple per N = 0, 1, ...:
     the product-basis indices of the sector in ascending order (its up
     states first), their uncoupled energies and the coupling restricted to
     them.  The block of the model with every coupling scaled by ``f`` is
-    ``np.diag(energies) + f * coupling``.
+    ``np.diag(energies) + f * coupling``.  Each block is built when it is
+    asked for, so a pass that stops early never builds the later ones.
     """
     occupations, energies, (rows, cols, values) = _matrix_elements(model, bath)
     quanta = occupations.sum(axis=1)
@@ -184,7 +180,6 @@ def _sector_hamiltonians(model: SpinBosonModel, bath: TruncatedBath):
     pairs = np.argsort(pair_number, kind="stable")
     bounds = np.searchsorted(pair_number[pairs], np.arange(number.max() + 2))
     rows, cols, values = local[rows[pairs]], local[cols[pairs]], values[pairs]
-    blocks = []
     for n in range(number.max() + 1):
         states = order[starts[n]:starts[n + 1]]
         v = np.zeros((len(states), len(states)))
@@ -192,8 +187,7 @@ def _sector_hamiltonians(model: SpinBosonModel, bath: TruncatedBath):
         r, c = rows[inside], cols[inside]
         v[r, c] = values[inside]
         v[c, r] = values[inside]
-        blocks.append((states, energies[states], v))
-    return blocks
+        yield states, energies[states], v
 
 
 def _bath_weights(model: SpinBosonModel, bath: TruncatedBath,
@@ -273,12 +267,13 @@ def exact_scaled_dynamics(model: SpinBosonModel, bath: TruncatedBath,
     exp(-i w t) of the two sectors, evaluated for all sample times in real
     arithmetic on their cosines and sines.  Every factor's result is the
     same, bit for bit, as that of a pass with that factor alone.  Sectors
-    holding no bath weight (all but two for the vacuum) are never
+    holding no bath weight (all but two for the vacuum) are never built or
     diagonalized.  The free system rotation is applied last, so the output
-    is directly comparable to master-equation trajectories.  With ``check_truncation`` the pass is
-    repeated at double the Fock cutoff, and the first factor whose sampled
-    elements move by more than ``truncation_tol`` raises TruncationError; a
-    doubled cutoff over ``bath.dim_cap`` raises before the first pass.
+    is directly comparable to master-equation trajectories.  With
+    ``check_truncation`` the pass is repeated at double the Fock cutoff,
+    and the first factor whose sampled elements move by more than
+    ``truncation_tol`` raises TruncationError; a doubled cutoff over
+    ``bath.dim_cap`` raises before the first pass.
     ``times`` must be a finite, strictly increasing grid.  Returns one
     trajectory per factor, in the order given.
     """

@@ -33,11 +33,16 @@ a ``shift`` part (sine kernel, feeds the second-order effective
 Hamiltonian), plus exact running integrals of both.  All four are closed
 per-mode sums, not quadratures, which keeps them fast and bit-reproducible;
 the defining integrals survive in the test suite as an independent check.
-Only the shift integral keeps a near-resonance series.
+``RateChannel.sums`` (one channel) and ``RateFunctions.sums`` (both) give
+the decay, shift and decay-integral parts asked for from one evaluation;
+the shift integral is a kernel of its own (``shift_integral``), the only
+one with a near-resonance series.
 
-``decay``, ``shift`` and the decay integral are written in half-angle form,
-which has no cancellation near resonance, and are evaluated on a time
-lattice ``origin + step + offset``
+With ``a_k = d_k t / 2`` for the detunings ``d_k`` and weights ``w_k``,
+the decay, the shift and the decay integral are the half-angle sums of
+``(2 w_k / d_k) sin a_k cos a_k``, ``(2 w_k / d_k) sin^2 a_k`` and
+``(2 w_k / d_k^2) sin^2 a_k``, which have no cancellation near resonance,
+and are evaluated on a time lattice ``origin + step + offset``
 (:class:`~spinboson.master_eq.BathStatistics`).  The phase ``A = d start /
 2`` of a coarse start ``origin + step`` comes from those of the origin
 (``O``) and the step (``P``) by angle addition, ``sA = sO cP + cO sP`` and
@@ -53,15 +58,14 @@ contract asks: the steps' sines and cosines, and the offsets' phases and
 table ``[cB^2, sB cB, sB^2]`` weighted by the per-mode factors of every
 part asked for and stacked into one operand per basis (bases with the same
 factors share one), come first; the returned evaluator then takes only the
-phases of its origins.  The RK4 stage times of an interval are such a
-lattice with one origin and about ``sqrt(2 s)`` steps and offsets for ``s``
-substeps, against ``2 s + 1`` phases per mode evaluated one by one, and on
-a grid of equal steps one table serves every interval, which then costs
-one sine and one cosine per mode.  Through the bath, a plain array of times is the lattice of those
-origins with the single step and offset 0, where ``sO 1 + cO 0`` is exact,
-so the angle addition leaves the values as they are; the rate evaluators
-of this module pass their times (or starts) as the steps of the origin 0
-instead, which takes no angle addition.  Near resonance every term above
+phases of its origins.  The engine's RK4 stage times are such lattices
+(:func:`~spinboson.master_eq.stage_generators`): on a grid of equal steps
+an interval then costs one sine and one cosine per mode.  Through the
+bath, a plain array of times is the lattice of those origins with the
+single step and offset 0, where ``sO 1 + cO 0`` is exact, so the angle
+addition leaves the values as they are; the rate evaluators of this
+module pass their times (or starts) as the steps of the origin 0 instead,
+which takes no angle addition.  Near resonance every term above
 keeps one sign, so nothing cancels.  Both channels of a thermal bath share
 their detunings, and so one phase pass.
 """
@@ -69,13 +73,13 @@ their detunings, and so one phase pass.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from .linalg import require_count
 from .master_eq import (BathStatistics, InteractionDecomposition, lattice_times,
                         progression_lattice)
 
@@ -256,10 +260,7 @@ class SpectralDiscretization:
         if not 0 <= self.omega_min < self.omega_max:
             raise ValueError(
                 f"need 0 <= omega_min < omega_max, got [{self.omega_min}, {self.omega_max}]")
-        # as for TruncatedBath's n_max: a bool or a float is no count
-        if (isinstance(self.mode_count, bool) or not isinstance(self.mode_count, numbers.Integral)
-                or self.mode_count < 1):
-            raise ValueError(f"mode_count must be a positive integer, got {self.mode_count!r}")
+        require_count(self.mode_count, "mode_count", 1)
 
     @property
     def delta_omega(self) -> float:
@@ -312,16 +313,16 @@ class RateChannel:
 
     which are the running time integrals of ``w_k cos(d_k (t - s))`` and
     ``w_k sin(d_k (t - s))`` over s in [0, t], and their integrals again.
-    All evaluators accept scalar or array ``t``; ``sums`` also takes a
-    lattice of starts ``t`` and ``offsets``, and then returns the shape of
+    ``sums`` gives the first three, ``shift_integral`` the last; both
+    accept scalar or array ``t``, and ``sums`` also a lattice of starts
+    ``t`` and ``offsets``, and then returns the shape of
     :func:`~spinboson.master_eq.lattice_times`.
 
-    The first three are computed in half-angle form, free of cancellation:
-    with ``a_k = d_k t / 2`` they are sums of ``(2 w_k / d_k) sin a_k cos a_k``,
-    ``(2 w_k / d_k) sin^2 a_k`` and ``(2 w_k / d_k^2) sin^2 a_k``, against
-    per-mode factors computed once per channel.  A mode on resonance
-    (``d_k = 0``) adds ``w_k t``, ``0`` and ``w_k t^2 / 2``.  Channels compare
-    by identity; their arrays make value equality ambiguous.
+    The first three take the half-angle form of the module docstring,
+    against per-mode factors computed once per channel.  A mode on
+    resonance (``d_k = 0``) adds ``w_k t``, ``0`` and ``w_k t^2 / 2``.
+    Channels compare by identity; their arrays make value equality
+    ambiguous.
     """
 
     detunings: np.ndarray
@@ -352,18 +353,6 @@ class RateChannel:
         one phase pass."""
         times, starts, offsets = _lattice(t, offsets)
         return tuple(_like(times, s) for s in _channel_sums((self,), parts, starts, offsets)()[0])
-
-    def decay_and_shift(self, t):
-        return self.sums(t, parts=("decay", "shift"))
-
-    def decay(self, t):
-        return self.sums(t, parts=("decay",))[0]
-
-    def shift(self, t):
-        return self.sums(t, parts=("shift",))[0]
-
-    def decay_integral(self, t):
-        return self.sums(t, parts=("decay_integral",))[0]
 
     def shift_integral(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -547,10 +536,10 @@ def rate_functions(model: SpinBosonModel) -> RateFunctions:
 def second_order_hamiltonian(rates: RateFunctions, t: float) -> np.ndarray:
     """Shift part of the generator, diagonal in the energy basis.
 
-    absorption.shift * sigma_minus sigma_plus - emission.shift * sigma_plus sigma_minus.
+    absorption shift * sigma_minus sigma_plus - emission shift * sigma_plus sigma_minus.
     """
-    return (rates.absorption.shift(t) * PROJ_DOWN
-            - rates.emission.shift(t) * PROJ_UP)
+    (absorption,), (emission,) = rates.sums(t, ("shift",))
+    return absorption * PROJ_DOWN - emission * PROJ_UP
 
 
 def element_ode_matrix(rates: RateFunctions, t: float) -> np.ndarray:
@@ -560,10 +549,8 @@ def element_ode_matrix(rates: RateFunctions, t: float) -> np.ndarray:
     and pick up a phase from the shift rates; the population block's columns
     sum to zero (probability conservation).
     """
-    a = rates.absorption.decay(t)
-    e = rates.emission.decay(t)
-    (absorption,), (emission,) = rates.sums(t, ("shift",))
-    lam = 4j * (absorption + emission) - 4.0 * (a + e)
+    (a, a_shift), (e, e_shift) = rates.sums(t, ("decay", "shift"))
+    lam = 4j * (a_shift + e_shift) - 4.0 * (a + e)
     return np.array([
         [-8.0 * e, 0.0, 0.0, 8.0 * a],
         [0.0, lam, 0.0, 0.0],
@@ -588,9 +575,9 @@ def coherence_solution(rho01_0: complex, rates: RateFunctions, t):
 def population_solution(rho00_0: float, rates: RateFunctions, t):
     """Closed-form spin-up population by variation of parameters.
 
-    With E(t) = exp(-8 int_0^t (absorption.decay + emission.decay)), returns
+    With E(t) = exp(-8 int_0^t (absorption decay + emission decay)), returns
 
-        rho00(t) = rho00(0) E(t) + E(t) int_0^t 8 absorption.decay(s) / E(s) ds,
+        rho00(t) = rho00(0) E(t) + E(t) int_0^t 8 absorption decay(s) / E(s) ds,
 
     the inner integral on a fixed composite-Simpson grid of 400 panels,
     arranged as exp(I(s) - I(t)) so large exponents never appear; its
@@ -602,7 +589,7 @@ def population_solution(rho00_0: float, rates: RateFunctions, t):
     has the same shape.
     """
     if not rates.absorption.weights.any():
-        decayed = rho00_0 * np.exp(-8.0 * rates.emission.decay_integral(t))
+        decayed = rho00_0 * np.exp(-8.0 * rates.emission.sums(t, parts=("decay_integral",))[0])
         return float(decayed) if np.ndim(t) == 0 else decayed
 
     # the Simpson nodes k step of each sample as one lattice, a leading
@@ -639,7 +626,7 @@ def vacuum_rates(model: SpinBosonModel, t):
     """
     if not model.vacuum:
         raise ValueError("vacuum rates require beta = math.inf")
-    decay, shift = rate_functions(model).emission.decay_and_shift(t)
+    decay, shift = rate_functions(model).emission.sums(t, parts=("decay", "shift"))
     return 2.0 * decay, -2.0 * shift
 
 

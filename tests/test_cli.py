@@ -87,9 +87,10 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 def read_summary(path):
     out = {}
-    for line in open(path, encoding="utf-8"):
-        key, _, value = line.partition(" = ")
-        out[key.strip()] = value.strip()
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            key, _, value = line.partition(" = ")
+            out[key.strip()] = value.strip()
     return out
 
 
@@ -195,7 +196,8 @@ def test_evolve_vacuum_population_decay(tmp_path):
     assert np.all(np.diff(rho00) < 0)  # monotone decay toward the ground state
     cfg = load_config(cfg_path)
     rates = rate_functions(cfg.model())
-    closed = np.exp(-8.0 * rates.emission.decay_integral(cfg.time_grid()))
+    (integral,) = rates.emission.sums(cfg.time_grid(), parts=("decay_integral",))
+    closed = np.exp(-8.0 * integral)
     assert np.max(np.abs(rho00 - closed)) <= 1e-6
 
 
@@ -226,7 +228,7 @@ def test_compare_zero_coupling_all_distances_vanish(tmp_path):
     cfg = write_cfg(tmp_path, COMPARE_CFG.replace("modes = 1.0:0.05", "modes = 1.0:0"))
     out = tmp_path / "report.txt"
     assert main(["compare", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    text = open(str(out), encoding="utf-8").read()
+    text = out.read_text(encoding="utf-8")
     assert "overall = pass" in text
     assert "below-noise-floor" in text
     for line in text.splitlines():
@@ -241,7 +243,7 @@ def test_compare_physical_model_reports_fourth_order_ratios(tmp_path):
     cfg = write_cfg(tmp_path, COMPARE_CFG)
     out = tmp_path / "report.txt"
     assert main(["compare", "--config", cfg, "--out", str(out)]) == EXIT_CHECK
-    text = open(str(out), encoding="utf-8").read()
+    text = out.read_text(encoding="utf-8")
     assert "overall = fail" in text
     ratios = [float(line.split(" = ")[1]) for line in text.splitlines()
               if line.startswith("ratio_") and "pass" not in line and "fail" not in line
@@ -255,7 +257,7 @@ def test_compare_report_row_count_matches_grid(tmp_path):
     cfg = write_cfg(tmp_path, COMPARE_CFG)
     out = tmp_path / "report.txt"
     main(["compare", "--config", cfg, "--out", str(out)])
-    lines = open(str(out), encoding="utf-8").read().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     start = lines.index("[distances]") + 2
     end = lines.index("[scaling]")
     assert end - start == 9  # one row per grid point
@@ -274,7 +276,7 @@ def test_limits_vacuum_config(tmp_path):
     cfg = write_cfg(tmp_path, VACUUM_CFG)
     out = tmp_path / "limits.txt"
     assert main(["limits", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    text = open(str(out), encoding="utf-8").read()
+    text = out.read_text(encoding="utf-8")
     assert "[vacuum]\nstatus = pass" in text
     assert "max_abs_absorption_rate = 0" in text
     assert "[zero_temperature]\nstatus = pass" in text
@@ -297,7 +299,7 @@ def test_limits_vacuum_check_fails_on_perturbed_bath(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, VACUUM_CFG)
     out = tmp_path / "limits.txt"
     assert main(["limits", "--config", cfg, "--out", str(out)]) == EXIT_CHECK
-    text = open(str(out), encoding="utf-8").read()
+    text = out.read_text(encoding="utf-8")
     assert "[vacuum]\nstatus = fail" in text
 
 
@@ -305,7 +307,7 @@ def test_limits_high_temperature_config(tmp_path):
     cfg = write_cfg(tmp_path, HIGH_T_CFG)
     out = tmp_path / "limits.txt"
     assert main(["limits", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    text = open(str(out), encoding="utf-8").read()
+    text = out.read_text(encoding="utf-8")
     assert "[high_temperature]\nstatus = pass" in text
     summary = dict(line.split(" = ") for line in text.splitlines()
                    if " = " in line and not line.startswith("["))
@@ -316,7 +318,7 @@ def test_limits_markov_config(tmp_path):
     cfg = write_cfg(tmp_path, MARKOV_CFG)
     out = tmp_path / "limits.txt"
     assert main(["limits", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    text = open(str(out), encoding="utf-8").read()
+    text = out.read_text(encoding="utf-8")
     assert "[markov_plateau]\nstatus = pass" in text
 
 
@@ -325,7 +327,7 @@ def test_limits_failing_check_exits_nonzero(tmp_path):
     cfg = write_cfg(tmp_path, VACUUM_CFG.replace("t_max = 14.0", "t_max = 1.0"))
     out = tmp_path / "limits.txt"
     assert main(["limits", "--config", cfg, "--out", str(out)]) == EXIT_CHECK
-    text = open(str(out), encoding="utf-8").read()
+    text = out.read_text(encoding="utf-8")
     assert "[zero_temperature]\nstatus = fail" in text
 
 

@@ -100,6 +100,20 @@ def test_initial_state_positivity():
         parse_config_text(bad)
     with pytest.raises(ConfigError, match="rho00"):
         parse_config_text(GOOD.replace("rho00 = 0.7", "rho00 = 1.4"))
+    # complex() reads "nan"; a NaN entry fails the Hermitian check
+    with pytest.raises(ConfigError, match="rho01"):
+        parse_config_text(GOOD.replace("rho01 = 0.2+0.1j", "rho01 = nan"))
+
+
+@pytest.mark.parametrize("rho00, rho01", [("0.5", "0.5"), ("0.2", "0.24+0.32j"),
+                                          ("0.3", repr(math.sqrt(0.21))), ("1.0", "0"),
+                                          ("0.0", "0")])
+def test_pure_initial_state_is_accepted(rho00, rho01):
+    # |rho01|^2 = rho00 (1 - rho00): one eigenvalue is zero, up to rounding
+    text = GOOD.replace("rho00 = 0.7", f"rho00 = {rho00}").replace("rho01 = 0.2+0.1j",
+                                                                 f"rho01 = {rho01}")
+    cfg = parse_config_text(text)
+    assert cfg.rho00 == float(rho00) and cfg.rho01 == complex(rho01)
 
 
 def test_bad_mode_syntax():

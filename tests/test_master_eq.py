@@ -69,9 +69,9 @@ def patched_generator(generator):
     constant complex ``generator`` at every stage time."""
     real = master_eq._real_form(np.asarray(generator, dtype=complex))
 
-    def stage_generators(decomp, bath, times, substeps, factors=None):
+    def stage_generators(decomp, bath, times, substeps, factors=1.0):
         return lambda first, stop: np.broadcast_to(
-            real, (stop - first, 2 * substeps + 1) + real.shape)
+            real, np.shape(factors) + (stop - first, 2 * substeps + 1) + real.shape)
 
     return stage_generators
 
@@ -240,10 +240,10 @@ def test_trace_drift_aborts(monkeypatch):
     # here by patching the generator matrices the integrator consumes
     _, decomp, bath = thermal_pair()
 
-    def leaky_generator(decomp, bath, times, substeps, factors=None):
+    def leaky_generator(decomp, bath, times, substeps, factors=1.0):
         # the real form of 0.05 times the identity on 2x2 states
         return lambda first, stop: 0.05 * np.broadcast_to(
-            np.eye(8), (stop - first, 2 * substeps + 1, 8, 8))
+            np.eye(8), np.shape(factors) + (stop - first, 2 * substeps + 1, 8, 8))
 
     monkeypatch.setattr(master_eq, "stage_generators", leaky_generator)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
@@ -258,8 +258,9 @@ def test_trace_drift_aborts_on_nan(monkeypatch):
     # NaN compares false against any tolerance; the abort must still fire
     _, decomp, bath = thermal_pair()
 
-    def nan_generator(decomp, bath, times, substeps, factors=None):
-        return lambda first, stop: np.full((stop - first, 2 * substeps + 1, 8, 8), np.nan)
+    def nan_generator(decomp, bath, times, substeps, factors=1.0):
+        return lambda first, stop: np.full(
+            np.shape(factors) + (stop - first, 2 * substeps + 1, 8, 8), np.nan)
 
     monkeypatch.setattr(master_eq, "stage_generators", nan_generator)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
@@ -315,7 +316,7 @@ def test_propagate_batches_whole_intervals_within_the_stage_budget(monkeypatch, 
     _, decomp, bath = thermal_pair()
     batches = []
 
-    def recording_generators(decomp, bath, times, substeps, factors=None):
+    def recording_generators(decomp, bath, times, substeps, factors=1.0):
         stages = stage_generators(decomp, bath, times, substeps, factors)
 
         def recorded(first, stop):
@@ -411,10 +412,10 @@ def test_trace_drift_names_the_substep_where_it_starts_mid_block(monkeypatch):
     _, decomp, bath = thermal_pair()
     substeps, onset = 16, 6
 
-    def leaky_from_onset(decomp, bath, times, substeps, factors=None):
+    def leaky_from_onset(decomp, bath, times, substeps, factors=1.0):
         def stages(first, stop):
-            out = np.zeros((stop - first, 2 * substeps + 1, 8, 8))
-            out[:, 2 * onset - 1:] = 0.05 * np.eye(8)
+            out = np.zeros(np.shape(factors) + (stop - first, 2 * substeps + 1, 8, 8))
+            out[..., 2 * onset - 1:, :, :] = 0.05 * np.eye(8)
             return out
         return stages
 
@@ -612,8 +613,9 @@ def test_automatic_substeps_stop_at_the_rounding_floor(monkeypatch):
 def test_trace_drift_aborts_on_nan_with_automatic_substeps(monkeypatch):
     _, decomp, bath = thermal_pair()
 
-    def nan_generator(decomp, bath, times, substeps, factors=None):
-        return lambda first, stop: np.full((stop - first, 2 * substeps + 1, 8, 8), np.nan)
+    def nan_generator(decomp, bath, times, substeps, factors=1.0):
+        return lambda first, stop: np.full(
+            np.shape(factors) + (stop - first, 2 * substeps + 1, 8, 8), np.nan)
 
     monkeypatch.setattr(master_eq, "stage_generators", nan_generator)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
@@ -768,7 +770,7 @@ def test_propagate_scaled_raises_the_drift_of_separate_runs(monkeypatch):
     # as in test_trace_drift_aborts: a leaking generator for every factor
     _, decomp, bath = thermal_pair()
 
-    def leaky_generator(decomp, bath, times, substeps, factors=None):
+    def leaky_generator(decomp, bath, times, substeps, factors=1.0):
         return lambda first, stop: 0.05 * np.broadcast_to(
             np.eye(8), np.shape(factors) + (stop - first, 2 * substeps + 1, 8, 8))
 

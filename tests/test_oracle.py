@@ -108,7 +108,7 @@ def test_sector_blocks_reassemble_full_hamiltonian():
     model = SpinBosonModel(1.0, [(0.7, 0.12), (1.9, -0.08), (1.1, 0.05)], 2.0)
     bath = TruncatedBath(model, n_max=2)
     h = full_hamiltonian(model, bath)
-    blocks = oracle._sector_hamiltonians(model, bath)
+    blocks = list(oracle._sector_hamiltonians(model, bath))
     assembled = np.zeros_like(h)
     for states, energies, coupling in blocks:
         assembled[np.ix_(states, states)] = np.diag(energies) + coupling
@@ -450,6 +450,28 @@ def test_three_factor_thermal_pass_stays_within_its_memory(samples, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+def test_vacuum_pass_builds_only_the_weighted_sectors():
+    # tracemalloc's peak of one pass on a 6-mode vacuum model at n_max = 3
+    # (full dimension 8192, the default cap), where only sectors N = 0 and 1
+    # hold bath weight: 1.74 MB when the pass builds those two blocks alone,
+    # 55.0 MB when it builds all 20 sectors' dense blocks first.  The bound
+    # leaves 4.6 times the first and fails the second
+    import tracemalloc
+
+    model = SpinBosonModel(1.0, [(0.7 + 0.1 * k, 0.05) for k in range(6)], math.inf)
+    bath = TruncatedBath(model, n_max=3)
+    assert bath.full_dim == bath.dim_cap == 8192
+    run = lambda: exact_reduced_dynamics(model, bath, RHO_MIXED, np.linspace(0, 2, 11))
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -140,9 +140,10 @@ def test_rates_zero_at_zero_time():
     for _ in range(5):
         r = rate_functions(random_model(rng))
         for channel in (r.absorption, r.emission):
-            assert channel.decay(0.0) == 0.0
-            assert channel.shift(0.0) == 0.0
-            assert channel.decay_integral(0.0) == 0.0
+            decay, shift, decay_integral = channel.sums(0.0)
+            assert decay == 0.0
+            assert shift == 0.0
+            assert decay_integral == 0.0
             assert channel.shift_integral(0.0) == 0.0
 
 
@@ -150,8 +151,9 @@ def test_vacuum_absorption_vanishes_identically():
     model = SpinBosonModel(1.0, [(0.6, 0.2), (1.4, 0.1)], math.inf)
     r = rate_functions(model)
     t = np.linspace(0.0, 20.0, 50)
-    assert np.max(np.abs(r.absorption.decay(t))) == 0.0
-    assert np.max(np.abs(r.absorption.shift(t))) == 0.0
+    decay, shift = r.absorption.sums(t, parts=("decay", "shift"))
+    assert np.max(np.abs(decay)) == 0.0
+    assert np.max(np.abs(shift)) == 0.0
 
 
 def test_single_resonant_mode_rates():
@@ -159,12 +161,13 @@ def test_single_resonant_mode_rates():
     model = SpinBosonModel(1.0, [(1.0, 0.1)], math.log(1.5))  # occupation 2
     r = rate_functions(model)
     assert model.occupations()[0] == pytest.approx(2.0, abs=1e-13)
-    assert r.absorption.decay(3.0) == pytest.approx(0.06, abs=1e-14)
-    assert r.absorption.shift(3.0) == 0.0
-    assert r.absorption.decay(3.0) == pytest.approx(
+    decay, shift, decay_integral = r.absorption.sums(3.0)
+    assert decay == pytest.approx(0.06, abs=1e-14)
+    assert shift == 0.0
+    assert decay == pytest.approx(
         rate_quadrature_oracle(model, 3.0, np.cos, 0.0), abs=1e-10)
     # running integral of g^2*n*t is g^2*n*t^2/2
-    assert r.absorption.decay_integral(3.0) == pytest.approx(0.09, abs=1e-13)
+    assert decay_integral == pytest.approx(0.09, abs=1e-13)
 
 
 def test_closed_rates_match_quadrature_oracle():
@@ -173,13 +176,14 @@ def test_closed_rates_match_quadrature_oracle():
         model = random_model(rng, vacuum_chance=0.0)
         r = rate_functions(model)
         for t in (0.7, 2.5):
-            assert r.absorption.decay(t) == pytest.approx(
+            (a_decay, a_shift), (e_decay, e_shift) = r.sums(t, ("decay", "shift"))
+            assert a_decay == pytest.approx(
                 rate_quadrature_oracle(model, t, np.cos, 0.0), abs=1e-8)
-            assert r.absorption.shift(t) == pytest.approx(
+            assert a_shift == pytest.approx(
                 rate_quadrature_oracle(model, t, np.sin, 0.0), abs=1e-8)
-            assert r.emission.decay(t) == pytest.approx(
+            assert e_decay == pytest.approx(
                 rate_quadrature_oracle(model, t, np.cos, 1.0), abs=1e-8)
-            assert r.emission.shift(t) == pytest.approx(
+            assert e_shift == pytest.approx(
                 rate_quadrature_oracle(model, t, np.sin, 1.0), abs=1e-8)
 
 
@@ -188,10 +192,11 @@ def test_rate_integrals_match_quadrature_of_rates():
     r = rate_functions(model)
     t = 4.0
     s = np.linspace(0.0, t, 2001)
-    assert r.emission.decay_integral(t) == pytest.approx(
-        float(simpson(r.emission.decay(s), x=s)), abs=1e-8)
+    decay, shift = r.emission.sums(s, parts=("decay", "shift"))
+    assert r.emission.sums(t, parts=("decay_integral",))[0] == pytest.approx(
+        float(simpson(decay, x=s)), abs=1e-8)
     assert r.emission.shift_integral(t) == pytest.approx(
-        float(simpson(r.emission.shift(s), x=s)), abs=1e-8)
+        float(simpson(shift, x=s)), abs=1e-8)
 
 
 def test_emission_minus_absorption_is_the_vacuum_part():
@@ -202,10 +207,10 @@ def test_emission_minus_absorption_is_the_vacuum_part():
         r = rate_functions(model)
         vac = RateChannel(model.frequencies - model.omega0, model.couplings ** 2)
         for t in (0.5, 1.8, 7.0):
-            assert r.emission.decay(t) - r.absorption.decay(t) == pytest.approx(
-                vac.decay(t), abs=1e-12)
-            assert r.emission.shift(t) - r.absorption.shift(t) == pytest.approx(
-                vac.shift(t), abs=1e-12)
+            (a_decay, a_shift), (e_decay, e_shift) = r.sums(t, ("decay", "shift"))
+            vac_decay, vac_shift = vac.sums(t, parts=("decay", "shift"))
+            assert e_decay - a_decay == pytest.approx(vac_decay, abs=1e-12)
+            assert e_shift - a_shift == pytest.approx(vac_shift, abs=1e-12)
 
 
 def test_near_resonance_branch_is_continuous():
@@ -216,10 +221,10 @@ def test_near_resonance_branch_is_continuous():
     for detuning in (0.99e-3, 1.01e-3):
         x = detuning * t
         ch = RateChannel(np.array([detuning]), np.array([1.0]))
-        assert ch.decay(t) == pytest.approx(t * (1 - x * x / 6), rel=1e-9)
-        assert ch.shift(t) == pytest.approx(0.5 * x * t * (1 - x * x / 12), rel=1e-9)
-        assert ch.decay_integral(t) == pytest.approx(0.5 * t * t * (1 - x * x / 12),
-                                                     rel=1e-9)
+        decay, shift, decay_integral = ch.sums(t)
+        assert decay == pytest.approx(t * (1 - x * x / 6), rel=1e-9)
+        assert shift == pytest.approx(0.5 * x * t * (1 - x * x / 12), rel=1e-9)
+        assert decay_integral == pytest.approx(0.5 * t * t * (1 - x * x / 12), rel=1e-9)
         assert ch.shift_integral(t) == pytest.approx(x * t * t / 6 * (1 - x * x / 20),
                                                      rel=1e-9)
 
@@ -246,7 +251,7 @@ def test_rate_forms_match_taylor_reference(detuning):
     start, offset = np.array([0.6]), np.array([0.4])
     on_lattice = dict(zip(("decay", "shift", "decay_integral"), ch.sums(start, offset)))
     for name, value in reference.items():
-        assert getattr(ch, name)(1.0) == pytest.approx(value, rel=1e-14, abs=0.0), name
+        assert ch.sums(1.0, parts=(name,))[0] == pytest.approx(value, rel=1e-14, abs=0.0), name
         assert on_lattice[name].shape == (1, 1)
         assert on_lattice[name][0, 0] == pytest.approx(value, rel=1e-14, abs=0.0), name
 
@@ -254,9 +259,10 @@ def test_rate_forms_match_taylor_reference(detuning):
 def test_exact_resonance_closed_values():
     ch = RateChannel(np.array([0.0]), np.array([1.0]))
     t = 2.5
-    assert ch.decay(t) == t
-    assert ch.shift(t) == 0.0
-    assert ch.decay_integral(t) == 0.5 * t * t
+    decay, shift, decay_integral = ch.sums(t)
+    assert decay == t
+    assert shift == 0.0
+    assert decay_integral == 0.5 * t * t
     assert ch.shift_integral(t) == 0.0
 
 
@@ -319,7 +325,8 @@ def test_rate_channel_scalar_and_array_agree():
     ch = RateChannel(np.array([0.3, -0.8]), np.array([0.01, 0.02]))
     grid = np.array([0.0, 0.5, 2.0])
     for name in ("decay", "shift", "decay_integral", "shift_integral"):
-        f = getattr(ch, name)
+        f = (ch.shift_integral if name == "shift_integral"
+             else lambda t: ch.sums(t, parts=(name,))[0])
         vec = f(grid)
         assert vec.shape == grid.shape
         for i, t in enumerate(grid):
@@ -341,7 +348,8 @@ def test_effective_hamiltonian_vacuum_structure():
     r = rate_functions(model)
     t = 1.3
     h = second_order_hamiltonian(r, t)
-    assert np.allclose(h, -r.emission.shift(t) * PROJ_UP, atol=1e-15)
+    (shift,) = r.emission.sums(t, parts=("shift",))
+    assert np.allclose(h, -shift * PROJ_UP, atol=1e-15)
     assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
@@ -370,7 +378,7 @@ def test_l2_closed_form_assembly_matches_generic_generator():
         decomp, bath = interaction_decomposition(model), bath_statistics(model)
         rho = random_density_matrix(rng, 2)
         for t in (0.6, 2.3):
-            a, e = rates.absorption.decay(t), rates.emission.decay(t)
+            (a,), (e,) = rates.sums(t, ("decay",))
             h2 = second_order_hamiltonian(rates, t)
             assembled = (-1j * (h2 @ rho - rho @ h2)
                          - a * (PROJ_DOWN @ rho + rho @ PROJ_DOWN
@@ -462,9 +470,9 @@ def population_by_scipy_simpson(rho00_0, rates, tv, panels=400):
     if tv == 0.0:
         return rho00_0
     nodes = np.linspace(0.0, tv, panels + 1)
-    (absorption,), (emission,) = rates.sums(nodes, ("decay_integral",))
+    (decay, absorption), (_, emission) = rates.sums(nodes, ("decay", "decay_integral"))
     running = 8.0 * (absorption + emission)
-    integrand = 8.0 * rates.absorption.decay(nodes) * np.exp(running - running[-1])
+    integrand = 8.0 * decay * np.exp(running - running[-1])
     return rho00_0 * math.exp(-running[-1]) + float(simpson(integrand, x=nodes))
 
 
@@ -488,7 +496,7 @@ def test_population_high_temperature_closed_form():
     for rho0 in (0.5, 0.9, 0.1):
         for t in (0.7, 2.0):
             expected = 0.5 + (rho0 - 0.5) * math.exp(
-                -16.0 * base.absorption.decay_integral(t))
+                -16.0 * base.absorption.sums(t, parts=("decay_integral",))[0])
             assert population_solution(rho0, equal, t) == pytest.approx(expected, abs=1e-8)
     # starting at 1/2 stays at 1/2 (up to the inner Simpson error)
     assert population_solution(0.5, equal, 3.0) == pytest.approx(0.5, abs=1e-8)
@@ -498,7 +506,7 @@ def test_population_zero_temperature_closed_form():
     model = SpinBosonModel(1.0, [(1.0, 0.1), (1.6, 0.05)], math.inf)
     r = rate_functions(model)
     for t in (0.0, 1.0, 5.0):
-        expected = 0.8 * math.exp(-8.0 * r.emission.decay_integral(t))
+        expected = 0.8 * math.exp(-8.0 * r.emission.sums(t, parts=("decay_integral",))[0])
         assert population_solution(0.8, r, t) == pytest.approx(expected, abs=1e-12)
     # the lower level is a fixed point
     assert population_solution(0.0, r, 5.0) == 0.0
@@ -635,7 +643,7 @@ def test_markov_plateau_of_time_resolved_rate():
     _, plateau = markov_rates(disc, model)
     rates = rate_functions(model)
     window = np.linspace(37.5, 50.0, 26)
-    resolved = rates.emission.decay(window)
+    (resolved,) = rates.emission.sums(window, parts=("decay",))
     assert np.max(np.abs(resolved - plateau)) <= 0.10 * plateau
 
 
