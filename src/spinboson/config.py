@@ -23,7 +23,7 @@ output:      output_path (optional if --out is given)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -39,73 +39,7 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-_KNOWN_KEYS = {
-    "omega0", "beta", "modes",
-    "density", "eta", "omega_c", "omega_min", "omega_max", "mode_count",
-    "t_max", "samples", "rk4_substeps",
-    "rho00", "rho01",
-    "oracle_enabled", "n_max", "check_truncation",
-    "output_path",
-}
-
-_REQUIRED_KEYS = {"omega0", "beta", "t_max", "samples", "rho00", "rho01"}
-
 _DISCRETIZATION_KEYS = ("density", "eta", "omega_min", "omega_max", "mode_count")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    omega0: float
-    beta: float
-    modes: tuple[tuple[float, float], ...] | None
-    density: str | None
-    eta: float | None
-    omega_c: float | None
-    omega_min: float | None
-    omega_max: float | None
-    mode_count: int | None
-    t_max: float
-    samples: int
-    rk4_substeps: int | None
-    rho00: float
-    rho01: complex
-    oracle_enabled: bool
-    n_max: int
-    check_truncation: bool
-    output_path: str | None
-
-    def discretization(self) -> SpectralDiscretization | None:
-        if self.density is None:
-            return None
-        if self.density == "ohmic":
-            j = ohmic_density(self.eta, self.omega_c)
-        else:
-            j = flat_density(self.eta)
-        return SpectralDiscretization(j, self.omega_min, self.omega_max,
-                                      self.mode_count)
-
-    def model(self) -> SpinBosonModel:
-        """The model, built once per config (by the validation in
-        :func:`parse_config_text`) and shared by every caller."""
-        return self._model
-
-    @cached_property
-    def _model(self) -> SpinBosonModel:
-        if self.modes is not None:
-            return SpinBosonModel(self.omega0, self.modes, self.beta)
-        return self.discretization().build_model(self.omega0, self.beta)
-
-    def time_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.samples)
-
-    def initial_state(self) -> np.ndarray:
-        return np.array([[self.rho00, self.rho01],
-                         [np.conj(self.rho01), 1.0 - self.rho00]], dtype=complex)
-
-    def model_tag(self) -> str:
-        beta = "vacuum" if self.beta == math.inf else f"{self.beta:g}"
-        n = len(self.modes) if self.modes is not None else self.mode_count
-        return f"spin-boson(omega0={self.omega0:g},beta={beta},modes={n})"
 
 
 def _parse_float(value: str) -> float:
@@ -152,6 +86,12 @@ def _parse_complex(value: str) -> complex:
         raise ConfigError(f"expected a complex literal like 0.3+0.1j, got {value!r}") from None
 
 
+def _parse_density(value: str) -> str:
+    if value not in ("ohmic", "flat"):
+        raise ConfigError(f"expected ohmic or flat, got {value!r}")
+    return value
+
+
 def _parse_modes(value: str) -> tuple[tuple[float, float], ...]:
     modes = []
     for item in value.split(","):
@@ -169,6 +109,73 @@ def _parse_modes(value: str) -> tuple[tuple[float, float], ...]:
     return tuple(modes)
 
 
+def _key(parser, default=MISSING):
+    """A config key's field: its parser, and its default if it is optional."""
+    return field(metadata={"parser": parser, "default": default})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The settings of one run: each field is a config key, with its parser
+    and, for an optional key, its default."""
+
+    omega0: float = _key(_parse_positive_float)
+    beta: float = _key(_parse_beta)
+    modes: tuple[tuple[float, float], ...] | None = _key(_parse_modes, None)
+    density: str | None = _key(_parse_density, None)
+    eta: float | None = _key(_parse_positive_float, None)
+    omega_c: float | None = _key(_parse_positive_float, None)
+    omega_min: float | None = _key(_parse_float, None)
+    omega_max: float | None = _key(_parse_positive_float, None)
+    mode_count: int | None = _key(_parse_int, None)
+    t_max: float = _key(_parse_positive_float)
+    samples: int = _key(_parse_int)
+    rk4_substeps: int | None = _key(_parse_int, None)
+    rho00: float = _key(_parse_float)
+    rho01: complex = _key(_parse_complex)
+    oracle_enabled: bool = _key(_parse_bool, False)
+    n_max: int = _key(_parse_int, 4)
+    check_truncation: bool = _key(_parse_bool, False)
+    output_path: str | None = _key(str, None)
+
+    def discretization(self) -> SpectralDiscretization | None:
+        if self.density is None:
+            return None
+        if self.density == "ohmic":
+            j = ohmic_density(self.eta, self.omega_c)
+        else:
+            j = flat_density(self.eta)
+        return SpectralDiscretization(j, self.omega_min, self.omega_max,
+                                      self.mode_count)
+
+    def model(self) -> SpinBosonModel:
+        """The model, built once per config (by the validation in
+        :func:`parse_config_text`) and shared by every caller."""
+        return self._model
+
+    @cached_property
+    def _model(self) -> SpinBosonModel:
+        if self.modes is not None:
+            return SpinBosonModel(self.omega0, self.modes, self.beta)
+        return self.discretization().build_model(self.omega0, self.beta)
+
+    def time_grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_max, self.samples)
+
+    def initial_state(self) -> np.ndarray:
+        return np.array([[self.rho00, self.rho01],
+                         [np.conj(self.rho01), 1.0 - self.rho00]], dtype=complex)
+
+    def model_tag(self) -> str:
+        beta = "vacuum" if self.beta == math.inf else f"{self.beta:g}"
+        n = len(self.modes) if self.modes is not None else self.mode_count
+        return f"spin-boson(omega0={self.omega0:g},beta={beta},modes={n})"
+
+
+# each key's parser and default, in the order of the fields
+_FIELDS = {f.name: (f.metadata["parser"], f.metadata["default"]) for f in fields(RunConfig)}
+
+
 def parse_config_text(text: str) -> RunConfig:
     raw: dict[str, str] = {}
     line_of: dict[str, int] = {}
@@ -181,7 +188,7 @@ def parse_config_text(text: str) -> RunConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} "
@@ -191,7 +198,7 @@ def parse_config_text(text: str) -> RunConfig:
         raw[key] = value
         line_of[key] = lineno
 
-    def convert(key, parser, default=None):
+    def convert(key, parser, default):
         if key not in raw:
             return default
         try:
@@ -199,9 +206,9 @@ def parse_config_text(text: str) -> RunConfig:
         except ConfigError as exc:
             raise ConfigError(f"line {line_of[key]}: field {key!r}: {exc}") from None
 
-    missing = sorted(_REQUIRED_KEYS - raw.keys())
+    missing = [k for k, (_, default) in _FIELDS.items() if default is MISSING and k not in raw]
     if missing:
-        raise ConfigError(f"missing required keys: {', '.join(missing)}")
+        raise ConfigError(f"missing required keys: {', '.join(sorted(missing))}")
 
     has_modes = "modes" in raw
     disc_present = [k for k in _DISCRETIZATION_KEYS + ("omega_c",) if k in raw]
@@ -215,35 +222,11 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(
                 f"no mode list given and the discretization block is incomplete: "
                 f"missing {', '.join(missing_disc)}")
-
-    density = convert("density", str)
-    if density is not None and density not in ("ohmic", "flat"):
-        raise ConfigError(
-            f"line {line_of['density']}: field 'density': expected ohmic or flat, "
-            f"got {density!r}")
-    if density == "ohmic" and "omega_c" not in raw:
+    if raw.get("density") == "ohmic" and "omega_c" not in raw:
         raise ConfigError("ohmic density requires omega_c")
 
-    cfg = RunConfig(
-        omega0=convert("omega0", _parse_positive_float),
-        beta=convert("beta", _parse_beta),
-        modes=convert("modes", _parse_modes),
-        density=density,
-        eta=convert("eta", _parse_positive_float),
-        omega_c=convert("omega_c", _parse_positive_float),
-        omega_min=convert("omega_min", _parse_float),
-        omega_max=convert("omega_max", _parse_positive_float),
-        mode_count=convert("mode_count", _parse_int),
-        t_max=convert("t_max", _parse_positive_float),
-        samples=convert("samples", _parse_int),
-        rk4_substeps=convert("rk4_substeps", _parse_int),
-        rho00=convert("rho00", _parse_float),
-        rho01=convert("rho01", _parse_complex, default=0j),
-        oracle_enabled=convert("oracle_enabled", _parse_bool, default=False),
-        n_max=convert("n_max", _parse_int, default=4),
-        check_truncation=convert("check_truncation", _parse_bool, default=False),
-        output_path=convert("output_path", str),
-    )
+    cfg = RunConfig(*[convert(key, parser, default)
+                      for key, (parser, default) in _FIELDS.items()])
 
     # the 2 x 2 closed form of linalg.require_density_matrix, whose eigenvalue
     # call would cost more than the rest of the parse on every invocation;

@@ -24,7 +24,6 @@ trajectories.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -190,33 +189,28 @@ def _sector_hamiltonians(model: SpinBosonModel, bath: TruncatedBath):
         yield states, energies[states], v
 
 
-def _bath_weights(model: SpinBosonModel, bath: TruncatedBath,
-                  beta: float | None) -> np.ndarray:
+def _bath_weights(model: SpinBosonModel, bath: TruncatedBath) -> np.ndarray:
     """Diagonal of the truncated thermal bath state, one weight per bath state."""
-    beta = model.beta if beta is None else beta
-    if not (beta == math.inf or beta > 0):
-        raise ValueError(f"beta must be positive or math.inf, got {beta}")
     weights = np.ones(1)
     for omega, _ in model.modes:
-        if beta == math.inf:
+        if model.vacuum:
             mode = np.zeros(bath.levels)
             mode[0] = 1.0
         else:
-            mode = np.exp(-np.arange(bath.levels) * beta * omega)
+            mode = np.exp(-np.arange(bath.levels) * model.beta * omega)
             mode /= mode.sum()
         weights = np.multiply.outer(weights, mode).ravel()
     return weights
 
 
-def thermal_bath_state(model: SpinBosonModel, bath: TruncatedBath,
-                       beta: float | None = None) -> np.ndarray:
+def thermal_bath_state(model: SpinBosonModel, bath: TruncatedBath) -> np.ndarray:
     """Product of per-mode truncated thermal states, diagonal, unit trace.
 
     Each mode carries geometric weights exp(-m beta omega) for m up to
     ``n_max``, normalized by the truncated sum; the vacuum (beta infinite)
     puts all weight on the ground level.
     """
-    return np.diag(_bath_weights(model, bath, beta)).astype(complex)
+    return np.diag(_bath_weights(model, bath)).astype(complex)
 
 
 def interaction_unitary(model: SpinBosonModel, bath: TruncatedBath,
@@ -235,7 +229,6 @@ def _co_rotate(h: np.ndarray, t: float, op: np.ndarray) -> np.ndarray:
 
 def exact_reduced_dynamics(model: SpinBosonModel, bath: TruncatedBath,
                            rho0: np.ndarray, times: Sequence[float],
-                           beta: float | None = None,
                            check_truncation: bool = False,
                            truncation_tol: float = 1e-6) -> Trajectory:
     """Exact reduced dynamics of the system, rotated to the co-rotating frame.
@@ -243,15 +236,14 @@ def exact_reduced_dynamics(model: SpinBosonModel, bath: TruncatedBath,
     The one-factor case of :func:`exact_scaled_dynamics`, which describes
     the method and the arguments.
     """
-    return exact_scaled_dynamics(model, bath, rho0, times, (1.0,), beta=beta,
+    return exact_scaled_dynamics(model, bath, rho0, times, (1.0,),
                                  check_truncation=check_truncation,
                                  truncation_tol=truncation_tol)[0]
 
 
 def exact_scaled_dynamics(model: SpinBosonModel, bath: TruncatedBath,
                           rho0: np.ndarray, times: Sequence[float],
-                          factors: Sequence[float], beta: float | None = None,
-                          check_truncation: bool = False,
+                          factors: Sequence[float], check_truncation: bool = False,
                           truncation_tol: float = 1e-6) -> list[Trajectory]:
     """Exact reduced dynamics of ``model.scaled(f)`` for each ``f`` in ``factors``.
 
@@ -289,7 +281,7 @@ def exact_scaled_dynamics(model: SpinBosonModel, bath: TruncatedBath,
         if fine_dim > bath.dim_cap:
             raise BathDimensionError(fine_dim, bath.dim_cap, fine_n_max, bath.n_modes,
                                      needed_by="check_truncation reruns at twice n_max: ")
-    z = _sector_sums(model, bath, rho0.diagonal().real, times, factors, beta)
+    z = _sector_sums(model, bath, rho0.diagonal().real, times, factors)
     reduced = np.empty((len(factors), len(times), 2, 2), dtype=complex)
     reduced[:, :, 0, 0] = z[:, 0]
     reduced[:, :, 1, 1] = z[:, 1]
@@ -305,8 +297,7 @@ def exact_scaled_dynamics(model: SpinBosonModel, bath: TruncatedBath,
         traj.metadata["min_eigenvalue"] = traj.min_eigenvalues()
         trajectories.append(traj)
     if check_truncation:
-        fine = exact_scaled_dynamics(model, bath.with_n_max(fine_n_max), rho0, times,
-                                     factors, beta=beta)
+        fine = exact_scaled_dynamics(model, bath.with_n_max(fine_n_max), rho0, times, factors)
         for traj, reference in zip(trajectories, fine):
             shift = float(np.max(np.abs(traj.states - reference.states)))
             traj.metadata["truncation_shift"] = shift
@@ -316,8 +307,7 @@ def exact_scaled_dynamics(model: SpinBosonModel, bath: TruncatedBath,
 
 
 def _sector_sums(model: SpinBosonModel, bath: TruncatedBath, populations: np.ndarray,
-                 times: np.ndarray, factors: np.ndarray,
-                 beta: float | None) -> np.ndarray:
+                 times: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """Sector pass behind :func:`exact_scaled_dynamics`.
 
     ``populations`` holds the initial (rho00, rho11), shape ``(2,)``, or a
@@ -353,7 +343,7 @@ def _sector_sums(model: SpinBosonModel, bath: TruncatedBath, populations: np.nda
     """
     populations = np.asarray(populations, dtype=float)
     # one weight per product state: its bath state's, for either level
-    weights = np.tile(_bath_weights(model, bath, beta), 2)
+    weights = np.tile(_bath_weights(model, bath), 2)
     sectors = []
     for states, energies, coupling in _sector_hamiltonians(model, bath):
         p = weights[states]
@@ -533,8 +523,7 @@ def dyson_terms(model: SpinBosonModel, bath: TruncatedBath, t: float,
     return [np.eye(d, dtype=complex)] + [_co_rotate(h, t, row[:, k]) for k in range(1, n)]
 
 
-def _reduced_map(model: SpinBosonModel, bath: TruncatedBath, t: float,
-                 beta: float | None) -> np.ndarray:
+def _reduced_map(model: SpinBosonModel, bath: TruncatedBath, t: float) -> np.ndarray:
     """Exact reduced map Phi(t) as a 4 x 4 matrix on row-major 2 x 2 states.
 
     Built from the sector pass: the bath state is diagonal and the coupling
@@ -545,7 +534,7 @@ def _reduced_map(model: SpinBosonModel, bath: TruncatedBath, t: float,
     rotation exp(i (e_i - e_j) t) applied.
     """
     times = require_time_grid([t])
-    z = _sector_sums(model, bath, np.eye(2), times, np.ones(1), beta)[0, :, 0]
+    z = _sector_sums(model, bath, np.eye(2), times, np.ones(1))[0, :, 0]
     rotation = np.exp(1j * model.omega0 * times[0])
     phi = np.zeros((4, 4), dtype=complex)
     phi[[0, 3], 0] = z[0:2]
@@ -564,8 +553,7 @@ def _system_state(rho) -> np.ndarray:
 
 
 def reduced_map_deviation(model: SpinBosonModel, bath: TruncatedBath,
-                          rho: np.ndarray, t: float,
-                          beta: float | None = None) -> np.ndarray:
+                          rho: np.ndarray, t: float) -> np.ndarray:
     """Deviation of the exact reduced map from the identity at time ``t``.
 
     Returns (Phi(t) - I) applied to the 2 x 2 operator ``rho``.  Vanishes at
@@ -573,12 +561,11 @@ def reduced_map_deviation(model: SpinBosonModel, bath: TruncatedBath,
     order is quadratic in the coupling.
     """
     vec = _system_state(rho)
-    return ((_reduced_map(model, bath, t, beta) - np.eye(4)) @ vec).reshape(2, 2)
+    return ((_reduced_map(model, bath, t) - np.eye(4)) @ vec).reshape(2, 2)
 
 
 def map_inversion_residual(model: SpinBosonModel, bath: TruncatedBath,
-                           rho0: np.ndarray, t: float, order: int,
-                           beta: float | None = None) -> float:
+                           rho0: np.ndarray, t: float, order: int) -> float:
     """Residual of the alternating-sum inversion identity at depth ``order``.
 
     The alternating sum of deviation-map compositions applied to the evolved
@@ -590,7 +577,7 @@ def map_inversion_residual(model: SpinBosonModel, bath: TruncatedBath,
     if order < 0:
         raise ValueError("order must be non-negative")
     rho0 = _system_state(rho0)
-    eps = _reduced_map(model, bath, t, beta) - np.eye(4)
+    eps = _reduced_map(model, bath, t) - np.eye(4)
     rho_t = rho0 + eps @ rho0
 
     total = rho_t.copy()

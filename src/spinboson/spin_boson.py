@@ -53,21 +53,22 @@ and are evaluated on a time lattice ``origin + step + offset``
 
 at ``a = A + B``, so one sine and cosine pass over the origins, the steps
 and the offsets, and one matrix product over the modes per basis, give
-every lattice time.  The evaluation has two stages, as the engine's bath
-contract asks: the steps' sines and cosines, and the offsets' phases and
-table ``[cB^2, sB cB, sB^2]`` weighted by the per-mode factors of every
-part asked for and stacked into one operand per basis (bases with the same
-factors share one), come first; the returned evaluator then takes only the
-phases of its origins.  The engine's RK4 stage times are such lattices
-(:func:`~spinboson.master_eq.stage_generators`): on a grid of equal steps
-an interval then costs one sine and one cosine per mode.  Through the
-bath, a plain array of times is the lattice of those origins with the
-single step and offset 0, where ``sO 1 + cO 0`` is exact, so the angle
-addition leaves the values as they are; the rate evaluators of this
-module pass their times (or starts) as the steps of the origin 0 instead,
-which takes no angle addition.  Near resonance every term above
-keeps one sign, so nothing cancels.  Both channels of a thermal bath share
-their detunings, and so one phase pass.
+every lattice time.  One function, ``_channel_sums``, does all of it, in
+the two stages the engine's bath contract asks for: the steps' sines and
+cosines, and the offsets' phases and table ``[cB^2, sB cB, sB^2]``
+weighted by the per-mode factors of every part asked for and stacked into
+one operand per basis, keyed by the factor kinds its parts read (so the
+decay and the shift share one), come first; the returned evaluator then
+takes only the phases of its origins.  The engine's RK4 stage times are
+such lattices (:func:`~spinboson.master_eq.stage_generators`): on a grid
+of equal steps an interval then costs one sine and one cosine per mode.
+Through the bath, a plain array of times is the lattice of those origins
+with the single step and offset 0, where ``sO 1 + cO 0`` is exact, so the
+angle addition leaves the values as they are; the ``sums`` methods and
+:func:`population_solution` pass their times (or starts) as the steps of
+the origin 0 instead, which takes no angle addition.  Near resonance every
+term above keeps one sign, so nothing cancels.  Both channels of a thermal
+bath share their detunings, and so one phase pass.
 """
 
 from __future__ import annotations
@@ -314,9 +315,7 @@ class RateChannel:
     which are the running time integrals of ``w_k cos(d_k (t - s))`` and
     ``w_k sin(d_k (t - s))`` over s in [0, t], and their integrals again.
     ``sums`` gives the first three, ``shift_integral`` the last; both
-    accept scalar or array ``t``, and ``sums`` also a lattice of starts
-    ``t`` and ``offsets``, and then returns the shape of
-    :func:`~spinboson.master_eq.lattice_times`.
+    accept scalar or array ``t``.
 
     The first three take the half-angle form of the module docstring,
     against per-mode factors computed once per channel.  A mode on
@@ -347,12 +346,10 @@ class RateChannel:
         return (0.5 * d, np.concatenate([rate] * 3), np.concatenate([integral] * 3),
                 float(w[resonant].sum()))
 
-    def sums(self, t, offsets=None, parts=("decay", "shift", "decay_integral")):
+    def sums(self, t, parts=("decay", "shift", "decay_integral")):
         """The ``parts`` named (decay, shift, decay_integral) at the times
-        ``t``, or on the lattice of the starts ``t`` and ``offsets``, from
-        one phase pass."""
-        times, starts, offsets = _lattice(t, offsets)
-        return tuple(_like(times, s) for s in _channel_sums((self,), parts, starts, offsets)()[0])
+        ``t``, from one phase pass."""
+        return _sums_at((self,), parts, t)[0]
 
     def shift_integral(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -362,21 +359,17 @@ class RateChannel:
         return _like(t_arr, np.sum(self.weights * kernel, axis=-1) * t_arr ** 2)
 
 
-def _lattice(t, offsets):
-    """``(times, starts, offsets)``: the times in the shape of the result and
-    the lattice that gives them; without offsets, the times ``t`` as starts
-    and the single offset 0."""
-    if offsets is None:
-        times = np.asarray(t, dtype=float)
-        return times, times.reshape(-1), np.zeros(1)
-    starts = np.atleast_1d(np.asarray(t, dtype=float))
-    offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-    return lattice_times(starts, offsets), starts, offsets
-
-
 def _like(times: np.ndarray, out):
     """``out`` in the shape of ``times``, and a float when that is a scalar."""
     return float(out.reshape(())) if times.ndim == 0 else out.reshape(times.shape)
+
+
+def _sums_at(channels, parts, t) -> tuple:
+    """Each of ``parts`` of each channel at the times ``t``: the times as the
+    steps of the origin 0, with the single offset 0."""
+    times = np.asarray(t, dtype=float)
+    sums = _channel_sums(channels, parts, times.reshape(-1), np.zeros(1))()
+    return tuple(tuple(_like(times, s) for s in channel) for channel in sums)
 
 
 # The parts a channel sums: the angle-addition basis (0: sin a cos a,
@@ -395,11 +388,18 @@ def _channel_sums(channels, parts, steps: np.ndarray,
     ``steps`` and ``offsets``: given ``origins``, ``sums[channel][part]`` of
     shape ``lattice_times(origins[..., None] + steps, offsets).shape``;
     without them, on the lattice ``lattice_times(steps, offsets)`` of the
-    starts ``steps``.
+    starts ``steps``, at the origin 0.
 
     The channels share their detunings (one model's, or the same channel
-    twice), so one phase pass serves them all.  A channel with no weight
-    (no modes, or a vacuum's absorption) is zero without a kernel
+    twice), so one phase pass serves them all.  This call takes one sine
+    and cosine per step and mode, and per offset and mode, and builds one
+    operand per basis: the per-mode factors of the basis's parts, the live
+    channels side by side, against ``[cB^2, sB cB, sB^2]`` of the offsets.
+    Bases whose parts read the same factor kinds share one operand.  The
+    evaluator takes one sine and cosine per origin and mode, turns them
+    into those of every start ``origin + step`` by angle addition, and
+    takes one matrix product over the modes per basis.  A channel with no
+    weight (no modes, or a vacuum's absorption) is zero without a kernel
     evaluation.
     """
     live = [bool(ch.weights.any()) for ch in channels]
@@ -410,68 +410,35 @@ def _channel_sums(channels, parts, steps: np.ndarray,
 
     if not factors:
         return lambda origins=None: np.zeros((len(channels), len(parts)) + lattice(origins).shape)
-    rows = [(_PARTS[p][0], f[_PARTS[p][1]]) for f in factors for p in parts]
-    kernel = _half_angle_sums(factors[0][0], rows, steps, offsets)
-    resonant = []  # (channel, part, weight of its resonant term, power of t)
-    for j, part in enumerate(parts):
-        if _PARTS[part][2] is not None:
-            coefficient, power = _PARTS[part][2]
-            resonant += [(i, j, coefficient * f[3], power) for i, f in enumerate(factors) if f[3]]
-
-    def at(origins: np.ndarray | None = None) -> list:
-        flat = kernel(origins)
-        sums = [flat[i:i + len(parts)] for i in range(0, len(flat), len(parts))]
-        if resonant:
-            times = lattice(origins)
-            for i, j, weight, power in resonant:
-                sums[i][j] += weight * times ** power
-        if all(live):
-            return sums
-        sums = iter(sums)
-        return [next(sums) if alive else list(np.zeros((len(parts),) + flat[0].shape))
-                for alive in live]
-
-    return at
-
-
-def _half_angle_sums(half_detunings: np.ndarray, rows, steps: np.ndarray,
-                     offsets: np.ndarray) -> Callable[..., list]:
-    """Evaluator of ``sum_k c_k sin a_k cos a_k`` (basis 0) or
-    ``sum_k c_k sin^2 a_k`` (basis 1) for each ``(basis, c)`` of ``rows``, at
-    ``a_k = half_detunings_k (origin + step + offset)`` on the lattices of
-    ``steps`` and ``offsets``: given ``origins`` (0 if omitted), one array
-    per row of the lattice's shape (:func:`_channel_sums`).  Each ``c``
-    holds its per-mode factors three times over.
-
-    This call takes one sine and cosine per step and mode, and per offset
-    and mode, and stacks the factor rows of each basis against
-    ``[cB^2, sB cB, sB^2]`` of the offsets into one operand, which bases
-    with the same factor rows share, and drops the offsets' table; the
-    evaluator takes one sine and cosine per origin and mode and turns them
-    into those of every start ``origin + step`` by angle addition, and the
-    angle-addition terms of all rows of a basis are one matrix product over
-    the modes.
-    """
+    half_detunings = factors[0][0]
     phase_b = offsets[..., :, None] * half_detunings     # (..., R, K)
     sb, cb = np.sin(phase_b), np.cos(phase_b)
     right = np.concatenate([cb * cb, sb * cb, sb * sb], axis=-1).swapaxes(-1, -2)
     del phase_b, sb, cb
     # the factors weight the offsets' side, the smaller one for plain times;
-    # bases whose rows hold the same factor arrays share one operand
-    members = {}
-    for i, (basis, _) in enumerate(rows):
-        members.setdefault(basis, []).append(i)
-    operands, built = {}, {}
-    for basis, m in members.items():
-        key = tuple([id(rows[i][1]) for i in m])
-        if key not in built:
-            built[key] = (np.concatenate([rows[i][1][:, None] * right for i in m], axis=-1)
-                          if len(m) > 1 else rows[m[0]][1][:, None] * right)
-        operands[basis] = built[key]
-    del right, built
+    # a basis's operand is keyed by the factor kinds its parts read, so that
+    # the decay and shift bases share one
+    bases = []  # (basis, factor kinds, the (channel, part) of each block)
+    for basis in (0, 1):
+        js = [j for j, part in enumerate(parts) if _PARTS[part][0] == basis]
+        if js:
+            bases.append((basis, tuple(_PARTS[parts[j]][1] for j in js),
+                          [(i, j) for i in range(len(factors)) for j in js]))
+    operands = {}
+    for _, kinds, _ in bases:
+        if kinds not in operands:
+            blocks = [f[kind][:, None] * right for f in factors for kind in kinds]
+            operands[kinds] = np.concatenate(blocks, axis=-1) if len(blocks) > 1 else blocks[0]
+            del blocks
+    del right
     fine = offsets.shape[-1]
     phase_p = steps[..., :, None] * half_detunings       # (..., Q, K)
     sp, cp = np.sin(phase_p), np.cos(phase_p)
+    resonant = []  # (channel, part, weight of its resonant term, power of t)
+    for j, part in enumerate(parts):
+        if _PARTS[part][2] is not None:
+            coefficient, power = _PARTS[part][2]
+            resonant += [(i, j, coefficient * f[3], power) for i, f in enumerate(factors) if f[3]]
 
     def at(origins: np.ndarray | None = None) -> list:
         if origins is None:
@@ -486,16 +453,24 @@ def _half_angle_sums(half_detunings: np.ndarray, rows, steps: np.ndarray,
             ca -= np.multiply(so, sp, out=sc)
             sc = np.multiply(sa, ca, out=sc)
             ss, cc = np.square(sa, out=sa), np.square(ca, out=ca)
-        out = [None] * len(rows)
-        for basis, m in members.items():
+        sums = [[None] * len(parts) for _ in factors]
+        for basis, kinds, rows in bases:
             # times as rows (..., Q, 3K), so that each time's sum over the
             # modes is one dot product, in the order of a per-time evaluation
             left = np.concatenate([sc, cc - ss, -sc] if basis == 0 else [ss, 2.0 * sc, cc],
                                   axis=-1)
-            product = left @ operands[basis]                     # (..., Q, len(m) R)
-            for k, i in enumerate(m):
-                out[i] = product[..., k * fine:(k + 1) * fine]
-        return out
+            product = left @ operands[kinds]                     # (..., Q, len(rows) R)
+            for k, (i, j) in enumerate(rows):
+                sums[i][j] = product[..., k * fine:(k + 1) * fine]
+        if resonant:
+            times = lattice(origins)
+            for i, j, weight, power in resonant:
+                sums[i][j] += weight * times ** power
+        if all(live):
+            return sums
+        shape, sums = sums[0][0].shape, iter(sums)
+        return [next(sums) if alive else list(np.zeros((len(parts),) + shape))
+                for alive in live]
 
     return at
 
@@ -516,9 +491,7 @@ class RateFunctions:
         """``(absorption parts, emission parts)``: the ``parts`` named (decay,
         shift, decay_integral) of both channels at the times ``t``, from one
         phase pass."""
-        times, starts, offsets = _lattice(t, None)
-        channels = _channel_sums((self.absorption, self.emission), parts, starts, offsets)()
-        return tuple(tuple(_like(times, s) for s in channel) for channel in channels)
+        return _sums_at((self.absorption, self.emission), parts, t)
 
 
 def rate_functions(model: SpinBosonModel) -> RateFunctions:

@@ -39,6 +39,12 @@ def test_parse_explicit_modes():
     assert cfg.beta == 1.0
     assert cfg.rho01 == 0.2 + 0.1j
     assert cfg.oracle_enabled is False and cfg.n_max == 4
+    # the defaults of the other optional keys
+    assert cfg.check_truncation is False and cfg.rk4_substeps is None
+    assert (cfg.density, cfg.eta, cfg.omega_c, cfg.omega_min, cfg.omega_max,
+            cfg.mode_count) == (None,) * 6
+    assert cfg.output_path == "out.csv"
+    assert parse_config_text(GOOD.replace("output_path = out.csv\n", "")).output_path is None
     model = cfg.model()
     assert len(model.modes) == 3
     grid = cfg.time_grid()

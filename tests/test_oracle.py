@@ -276,9 +276,9 @@ def test_reduced_map_takes_both_population_columns_from_one_pass(monkeypatch, be
     model = SpinBosonModel(1.0, [(0.8, 0.15), (1.4, 0.1), (1.1, 0.05)], beta)
     bath = TruncatedBath(model, n_max=3)
     times, factors = np.array([1.3]), np.ones(1)
-    stacked = oracle._sector_sums(model, bath, np.eye(2), times, factors, None)[0]
+    stacked = oracle._sector_sums(model, bath, np.eye(2), times, factors)[0]
     # the two passes from the initial populations (1, 0) and (0, 1)
-    up, down = (oracle._sector_sums(model, bath, pair, times, factors, None)[0]
+    up, down = (oracle._sector_sums(model, bath, pair, times, factors)[0]
                 for pair in np.eye(2))
     assert stacked.shape == (6, 1)
     assert np.max(np.abs(stacked[:2] - up[:2])) <= 1e-15

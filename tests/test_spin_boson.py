@@ -9,10 +9,11 @@ from scipy.integrate import simpson
 from spinboson.master_eq import BathStatistics, lattice_times, propagate, rhs
 from spinboson.spin_boson import (PROJ_DOWN, PROJ_UP, RateChannel,
                                   RateFunctions, SpectralDiscretization,
-                                  SpinBosonModel, bath_statistics,
-                                  coherence_solution, element_ode_matrix,
-                                  flat_density, interaction_decomposition,
-                                  markov_rates, ohmic_density,
+                                  SpinBosonModel, _channel_sums,
+                                  bath_statistics, coherence_solution,
+                                  element_ode_matrix, flat_density,
+                                  interaction_decomposition, markov_rates,
+                                  ohmic_density,
                                   population_solution, rate_functions,
                                   second_order_hamiltonian,
                                   thermal_occupation, vacuum_rates,
@@ -249,7 +250,8 @@ def test_rate_forms_match_taylor_reference(detuning):
     }
     # t = 1 both as a plain time and as the lattice time 0.6 + 0.4
     start, offset = np.array([0.6]), np.array([0.4])
-    on_lattice = dict(zip(("decay", "shift", "decay_integral"), ch.sums(start, offset)))
+    parts = ("decay", "shift", "decay_integral")
+    on_lattice = dict(zip(parts, _channel_sums((ch,), parts, start, offset)()[0]))
     for name, value in reference.items():
         assert ch.sums(1.0, parts=(name,))[0] == pytest.approx(value, rel=1e-14, abs=0.0), name
         assert on_lattice[name].shape == (1, 1)
@@ -279,7 +281,7 @@ def test_lattice_kernel_matches_per_time_reference(modes, starts, offsets):
     ch = RateChannel(d, w)
     t = lattice_times(starts, offsets)
     expected = half_angle_rates(d, w, t)
-    got = ch.sums(starts, offsets)
+    got = _channel_sums((ch,), ("decay", "shift", "decay_integral"), starts, offsets)()[0]
     # the per-mode factors c (2 w / d, 2 w / d^2; w t and w t^2 / 2 on
     # resonance) set the scale.  Both sides round the phase a = d t / 2 in
     # their own way, by an ulp of a, so the scale grows with |a|.
@@ -319,6 +321,21 @@ def test_rate_channel_compares_by_identity():
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b}) == 2
+
+
+def test_channel_sums_take_parts_positionally():
+    # RateChannel.sums and RateFunctions.sums share the (t, parts) signature;
+    # one channel's operand is half of the pair's, so the sums agree to rounding
+    rates = rate_functions(SpinBosonModel(1.0, [(0.8, 0.1), (1.0, 0.05), (1.4, 0.06)], 1.3))
+    parts = ("decay", "shift")
+    for t in (1.7, np.array([0.0, 0.5, 2.0])):
+        both = rates.sums(t, parts)
+        for channel, expected in zip((rates.absorption, rates.emission), both):
+            positional = channel.sums(t, parts)
+            for got, keyword, value in zip(positional, channel.sums(t, parts=parts), expected):
+                assert np.shape(got) == np.shape(t)
+                assert np.array_equal(got, keyword)
+                assert got == pytest.approx(value, rel=1e-14, abs=1e-17)
 
 
 def test_rate_channel_scalar_and_array_agree():
