@@ -51,5 +51,5 @@ print("400-mode ohmic comb (cutoff 5): emission decay rate vs the")
 print(f"resonance value pi * J(1) * (n(1) + 1) = {plateau:.6f}")
 print(f"  (n(1) = {thermal_occupation(1.0, 1.0):.6f} at this temperature)")
 for t in (0.5, 1.0, 2.0, 5.0, 15.0, 30.0, 50.0):
-    (val,) = dense_rates.emission.sums(t, parts=("decay",))
+    _, (val,) = dense_rates.sums(t, ("decay",))
     print(f"  t = {t:5.1f}: {val:.6f}   ({100 * (val / plateau - 1):+6.2f} %)")

@@ -21,7 +21,7 @@ rates = rate_functions(vac)
 grid = np.linspace(0.0, 14.0, 8)
 traj = propagate(interaction_decomposition(vac), bath_statistics(vac),
                  np.diag([1.0, 0.0]).astype(complex), grid, substeps=60)
-(integral,) = rates.emission.sums(grid, parts=("decay_integral",))
+_, (integral,) = rates.sums(grid, ("decay_integral",))
 envelope = np.exp(-8.0 * integral)
 print("      t    rho00(RK4)   envelope exp(-8 Int)")
 for t, s, e in zip(grid, traj.states, envelope):

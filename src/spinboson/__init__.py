@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 
 from .master_eq import (BathStatistics, InteractionDecomposition,
                         StepDoublingError, TraceDriftError, Trajectory,
-                        first_order_hamiltonian, propagate,
-                        propagate_scaled, rhs,
-                        second_order_generator)
+                        propagate, propagate_scaled, rhs)
 from .oracle import (BathDimensionError, TruncatedBath, dyson_terms,
                      exact_reduced_dynamics, exact_scaled_dynamics, full_hamiltonian,
                      map_inversion_residual, reduced_map_deviation,
@@ -29,8 +27,7 @@ __all__ = [
     "__version__",
     # master equation engine
     "InteractionDecomposition", "BathStatistics", "Trajectory",
-    "TraceDriftError", "StepDoublingError", "first_order_hamiltonian",
-    "second_order_generator", "rhs", "propagate", "propagate_scaled",
+    "TraceDriftError", "StepDoublingError", "rhs", "propagate", "propagate_scaled",
     # spin-boson model
     "SpinBosonModel", "SpectralDiscretization", "RateChannel", "RateFunctions",
     "thermal_occupation", "rate_functions", "second_order_hamiltonian",

@@ -103,8 +103,11 @@ def _trajectory_columns(traj: Trajectory) -> list[np.ndarray]:
             traj.trace_errors(), traj.hermiticity_errors()]
 
 
-def _write_trajectory(cfg: RunConfig, traj: Trajectory, out: str,
-                      extra_summary: list[tuple[str, object]]) -> None:
+# the run's own metadata a summary ends with, in this order, when present
+_SUMMARY_METADATA = ("integrator", "substeps", "error_estimate", "n_max")
+
+
+def _write_trajectory(cfg: RunConfig, traj: Trajectory, out: str) -> None:
     write_csv(out, TRAJECTORY_HEADER, _trajectory_columns(traj))
     rho00 = traj.states[:, 0, 0].real
     coherence = np.abs(traj.states[:, 0, 1])
@@ -127,7 +130,7 @@ def _write_trajectory(cfg: RunConfig, traj: Trajectory, out: str,
         ("max_trace_err", float(np.max(traj.trace_errors()))),
         ("max_herm_err", float(np.max(traj.hermiticity_errors()))),
     ]
-    pairs.extend(extra_summary)
+    pairs += [(key, traj.metadata[key]) for key in _SUMMARY_METADATA if key in traj.metadata]
     summary_path = out + ".summary"
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         _write_keyvals(fh, pairs)
@@ -140,10 +143,7 @@ def run_evolve(cfg: RunConfig, out: str) -> int:
     traj = propagate(interaction_decomposition(model), bath_statistics(model),
                      cfg.initial_state(), cfg.time_grid(),
                      substeps=cfg.rk4_substeps, model_tag=cfg.model_tag())
-    extra = [("integrator", "rk4"), ("substeps", traj.metadata["substeps"])]
-    if cfg.rk4_substeps is None:
-        extra.append(("error_estimate", traj.metadata["error_estimate"]))
-    _write_trajectory(cfg, traj, out, extra)
+    _write_trajectory(cfg, traj, out)
     return EXIT_OK
 
 
@@ -152,8 +152,7 @@ def run_exact(cfg: RunConfig, out: str) -> int:
     bath = TruncatedBath(model, n_max=cfg.n_max)
     traj = exact_reduced_dynamics(model, bath, cfg.initial_state(), cfg.time_grid(),
                                   check_truncation=cfg.check_truncation)
-    _write_trajectory(cfg, traj, out,
-                      [("integrator", "exact-eig"), ("n_max", cfg.n_max)])
+    _write_trajectory(cfg, traj, out)
     return EXIT_OK
 
 
@@ -229,8 +228,8 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
     # vacuum: absorption rates vanish identically and the generic generator
     # collapses to the single-dissipator form
     if model.vacuum:
-        max_absorption = max(float(np.max(np.abs(r)))
-                             for r in rates.absorption.sums(grid, parts=("decay", "shift")))
+        absorption, _ = rates.sums(grid, ("decay", "shift"))
+        max_absorption = max(float(np.max(np.abs(r))) for r in absorption)
         # the generator applied to the unit matrix |i><j| is column 2 i + j
         # of its matrix
         generic = generator_matrix(decomp, bath, grid).swapaxes(1, 2).reshape(-1, 4, 2, 2)
@@ -250,7 +249,7 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
     if not model.vacuum and min_occ >= 100.0:
         traj = propagate(decomp, bath, cfg.initial_state(), grid,
                          substeps=cfg.rk4_substeps)
-        (integral,) = rates.absorption.sums(cfg.t_max, parts=("decay_integral",))
+        (integral,), _ = rates.sums(cfg.t_max, ("decay_integral",))
         decay_factor = math.exp(-16.0 * integral)
         final = float(traj.states[-1, 0, 0].real)
         ok = decay_factor < 1e-4 and abs(final - 0.5) <= 1e-3
@@ -270,7 +269,8 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
     if model.vacuum:
         traj = propagate(decomp, bath, cfg.initial_state(), grid,
                          substeps=cfg.rk4_substeps)
-        envelope = np.exp(-8.0 * rates.emission.sums(grid, parts=("decay_integral",))[0])
+        _, (emitted,) = rates.sums(grid, ("decay_integral",))
+        envelope = np.exp(-8.0 * emitted)
         closed = cfg.rho00 * envelope
         deviation = float(np.max(np.abs(traj.states[:, 0, 0].real - closed)))
         final_rho11 = float(traj.states[-1, 1, 1].real)
@@ -289,7 +289,7 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
     if disc is not None and disc.omega_min <= model.omega0 <= disc.omega_max:
         _, emission_const = markov_rates(disc, model)
         quartile = grid[3 * (len(grid) - 1) // 4:]
-        (resolved,) = rates.emission.sums(quartile, parts=("decay",))
+        _, (resolved,) = rates.sums(quartile, ("decay",))
         deviation = float(np.max(np.abs(resolved - emission_const))) / emission_const
         checks.append(("markov_plateau", "pass" if deviation <= 0.10 else "fail", [
             ("expected_plateau", emission_const),

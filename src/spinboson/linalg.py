@@ -1,7 +1,8 @@
 """Input checks shared by the dynamics modules and the config parser.
 
 Square, Hermitian and density matrices as plain ``numpy`` arrays
-(``complex128``), finite, strictly increasing time grids, and counts.
+(``complex128``), finite, strictly increasing time grids, counts, and
+coupling factors.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ __all__ = [
     "require_density_matrix",
     "require_time_grid",
     "require_count",
+    "require_factors",
 ]
 
 
@@ -69,3 +71,12 @@ def require_count(value, name: str, minimum: int = 0) -> int:
         kind = "positive" if minimum else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
+
+
+def require_factors(factors) -> np.ndarray:
+    """``factors`` as a float array if it is a 1-d sequence of finite
+    numbers, an empty one included; ``ValueError`` otherwise."""
+    factors = np.asarray(factors, dtype=float)
+    if factors.ndim != 1 or not np.all(np.isfinite(factors)):
+        raise ValueError("coupling factors must be a 1-d sequence of finite numbers")
+    return factors

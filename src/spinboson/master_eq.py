@@ -1,25 +1,24 @@
 """Generic second-order time-local master equation engine.
 
 The coupling Hamiltonian is supplied as a sum of constant system operators
-paired with bath operators; the bath enters only through first moments and
-two-time correlation functions.  The generator at time ``t`` is
-
-    d rho / dt = -i [H1(t), rho] + L2(rho, t),
-
-where ``H1`` collects the first-moment terms and ``L2`` is the second-order
-dissipative part built from time integrals of the correlations.  With
-constant system operators it is one linear combination
+paired with bath operators; the bath enters only through its two-time
+correlation functions.  The bath has zero mean, as a thermal state does
+(it is diagonal in occupation number), so no first-order term appears and
+the generator at time ``t`` is the second-order dissipative part built
+from time integrals of the correlations.  With constant system operators
+it is one linear combination
 
     L(t) = sum_c f_c(t) S_c
 
 of fixed superoperators ``S_c`` built once from the coupling terms, weighted
 by coefficients ``f_c`` the bath supplies for a whole array of times: the
-first moments, then the forward and reverse integrated correlations.  A
+forward and reverse integrated correlations, and nothing else.  A
 time-dependent coupling operator of finite dimension splits into constant
 eigen-operators whose phases move into the bath correlations, as in the
 spin-boson co-rotating frame.  The bath supplies the integrated
 correlations itself (the spin-boson module does so in closed form), so the
-engine runs no quadrature.
+engine runs no quadrature.  :func:`rhs` applies the generator to a state,
+:func:`generator_matrix` gives its matrix.
 
 The bath evaluates its integrals on a time lattice of origins, coarse
 steps and fine offsets, in two stages (the contract of
@@ -51,7 +50,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .linalg import require_count, require_density_matrix, require_time_grid
+from .linalg import (require_count, require_density_matrix, require_factors,
+                     require_time_grid)
 
 __all__ = [
     "InteractionDecomposition",
@@ -59,8 +59,6 @@ __all__ = [
     "Trajectory",
     "TraceDriftError",
     "StepDoublingError",
-    "first_order_hamiltonian",
-    "second_order_generator",
     "rhs",
     "lattice_times",
     "progression_lattice",
@@ -106,6 +104,11 @@ _STAGE_BUDGET = 512
 
 # The lattice of a plain array of times: the single step and offset 0.
 _ORIGIN = np.zeros(1)
+
+# The bath contract's shape rule: square integral blocks (checked by
+# BathStatistics.coefficients), one row and column per decomposition term
+# (checked against the decomposition's basis).
+_PAIRING = "one row and one column of integrals per decomposition term required"
 
 
 class TraceDriftError(RuntimeError):
@@ -154,19 +157,14 @@ class InteractionDecomposition:
     def dim(self) -> int:
         return self.terms[0].shape[0]
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
     @cached_property
     def superoperators(self) -> np.ndarray:
-        """Basis ``S_c`` of the generator, shape ``(n + 2 n^2, d^2, d^2)``.
+        """Basis ``S_c`` of the generator, shape ``(2 n^2, d^2, d^2)``.
 
         Each acts on row-major vectorized states, where ``A rho B`` becomes
         ``kron(A, B.T) @ rho.ravel()``.  In the order of
         :meth:`BathStatistics.coefficients`:
 
-            first moment n:    rho -> -i [S_n, rho]
             forward (j, k):    rho -> -[S_j, S_k rho]
             reverse (j, k):    rho ->  [S_k, rho S_j]
 
@@ -178,12 +176,10 @@ class InteractionDecomposition:
         eye = np.eye(self.dim)
         pair = s[:, None] @ s[None, :]          # [j, k] = S_j S_k
         mixed = _kron(s[None, :], st[:, None])  # [j, k] = kron(S_k, S_j^T)
-        first = -1j * (_kron(s, eye) - _kron(eye, st))
         forward = mixed - _kron(pair, eye)
         reverse = mixed - _kron(eye, pair.swapaxes(-1, -2))
         size = self.dim ** 2
-        return np.concatenate([first, forward.reshape(-1, size, size),
-                               reverse.reshape(-1, size, size)])
+        return np.concatenate([forward, reverse]).reshape(-1, size, size)
 
     @cached_property
     def real_superoperators(self) -> np.ndarray:
@@ -216,65 +212,57 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BathStatistics:
-    """Bath side of the coupling Hamiltonian.
+    """Bath side of the coupling Hamiltonian, of zero mean.
 
-    ``first_moments[n](times)`` is the bath average of the n-th bath
-    operator at each of an array of times (a constant may come back as a
-    scalar); ``correlation(j, k, t, s)`` the connected two-time average of
-    operators j at ``t`` and k at ``s``.  ``integrals(steps, offsets)``
-    returns the evaluator of the origins: ``integrals(steps,
-    offsets)(origins)`` gives, on the lattice ``t = lattice_times(origins[...,
-    None] + steps, offsets)`` of shape ``origins.shape + (Q, R)``,
+    Every first moment of the bath vanishes, as it does in a thermal state,
+    so the correlations are all the generator needs: ``correlation(j, k, t,
+    s)`` is the two-time average of bath operators j at ``t`` and k at
+    ``s``.  ``integrals(steps, offsets)`` returns the evaluator of the
+    origins: ``integrals(steps, offsets)(origins)`` gives, on the lattice
+    ``t = lattice_times(origins[..., None] + steps, offsets)`` of shape
+    ``origins.shape + (Q, R)``,
 
         forward[..., j, k] = int_0^t ds correlation(j, k, t, s)
         reverse[..., j, k] = int_0^t ds correlation(j, k, s, t)
 
-    each of shape ``t.shape + (n, n)``; these are all the generator reads.
-    The outer call does the work that depends on the coarse steps and fine
-    offsets alone, that is on the step size of a propagation, so that one
-    evaluator serves any number of batches of origins; the leading axes of
-    ``steps`` and ``offsets`` broadcast against the origins.  A plain array
-    of times is the lattice of those origins with the single step 0 and the
-    single offset 0.  The spin-boson bath gives the integrals in closed
-    form (:mod:`spinboson.spin_boson` describes how it evaluates the
-    lattice).  ``correlation`` is their definition, against which the closed
-    forms are checked; the test suite holds a composite-Simpson quadrature
-    of it, evaluated at the summed lattice times, as the reference for baths
+    each of shape ``t.shape + (n, n)``, one row and one column per term of
+    the decomposition; these are all the generator reads.  The outer call
+    does the work that depends on the coarse steps and fine offsets alone,
+    that is on the step size of a propagation, so that one evaluator serves
+    any number of batches of origins; the leading axes of ``steps`` and
+    ``offsets`` broadcast against the origins.  A plain array of times is
+    the lattice of those origins with the single step 0 and the single
+    offset 0.  The spin-boson bath gives the integrals in closed form
+    (:mod:`spinboson.spin_boson` describes how it evaluates the lattice).
+    ``correlation`` is their definition, against which the closed forms are
+    checked; the test suite holds a composite-Simpson quadrature of it,
+    evaluated at the summed lattice times, as the reference for baths
     without closed forms.
     """
 
-    first_moments: tuple
     correlation: Callable[[int, int, float, float], complex]
     integrals: Callable[[np.ndarray, np.ndarray],
                         Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "first_moments", tuple(self.first_moments))
 
     def coefficients(self, steps, offsets) -> Callable[[np.ndarray], np.ndarray]:
         """Evaluator of the generator coefficients ``f_c`` on the lattices of
         ``steps`` and ``offsets``: given ``origins``, their values on the
         lattice ``t`` of ``origins``, ``steps`` and ``offsets``, shape
-        ``t.shape + (n + 2 n^2,)``: the first moments, then the forward and
-        reverse integrals, each ``n x n`` block in row-major order."""
+        ``t.shape + (2 n^2,)``: the forward, then the reverse integrals, each
+        ``n x n`` block in row-major order."""
         steps = np.atleast_1d(np.asarray(steps, dtype=float))
         offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
         integrals = self.integrals(steps, offsets)
-        n = len(self.first_moments)
 
         def at(origins) -> np.ndarray:
-            origins = np.atleast_1d(np.asarray(origins, dtype=float))
-            times = lattice_times(origins[..., None] + steps, offsets)
-            out = np.empty(times.shape + (n + 2 * n * n,), dtype=complex)
-            for i, moment in enumerate(self.first_moments):
-                out[..., i] = moment(times)
-            forward, reverse = integrals(origins)
-            if np.shape(forward)[-2:] != (n, n):
-                raise ValueError("one first moment per decomposition term required")
-            blocks = out[..., n:].reshape(times.shape + (2, n, n))
-            blocks[..., 0, :, :] = forward
-            blocks[..., 1, :, :] = reverse
-            return out
+            forward, reverse = integrals(np.atleast_1d(np.asarray(origins, dtype=float)))
+            shape = np.shape(forward)
+            if len(shape) < 2 or shape[-2] != shape[-1]:
+                raise ValueError(_PAIRING)
+            out = np.empty(shape[:-2] + (2,) + shape[-2:], dtype=complex)
+            out[..., 0, :, :] = forward
+            out[..., 1, :, :] = reverse
+            return out.reshape(shape[:-2] + (-1,))
 
         return at
 
@@ -346,17 +334,6 @@ class Trajectory:
         return self
 
 
-def first_order_hamiltonian(decomp: InteractionDecomposition, bath: BathStatistics,
-                            t: float) -> np.ndarray:
-    """First-moment effective Hamiltonian: sum_n <E_n(t)> S_n.
-
-    Hermitian whenever adjoint-paired terms come with conjugate moments;
-    identically zero for baths with vanishing first moments.
-    """
-    moments = _coefficients(decomp, bath, t)[:decomp.n_terms]
-    return np.tensordot(moments, np.array(decomp.terms), axes=1)
-
-
 def _coefficients(decomp, bath, t) -> np.ndarray:
     """``bath.coefficients`` at the times ``t`` (scalar or array), in their
     shape, checked against ``decomp``."""
@@ -365,39 +342,22 @@ def _coefficients(decomp, bath, t) -> np.ndarray:
 
 def _checked(decomp, f: np.ndarray) -> np.ndarray:
     if f.shape[-1] != len(decomp.superoperators):
-        raise ValueError("one first moment per decomposition term required")
+        raise ValueError(_PAIRING)
     return f
-
-
-def _apply(mat: np.ndarray, rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    return (mat @ rho.ravel()).reshape(rho.shape)
-
-
-def second_order_generator(decomp: InteractionDecomposition, bath: BathStatistics,
-                           rho: np.ndarray, t: float) -> np.ndarray:
-    """Second-order dissipative part of the generator at time ``t``.
-
-    Evaluates
-
-        - sum_{m,n} int_0^t ds ( C_mn(t,s) [S_m, S_n rho]
-                                 - C_nm(s,t) [S_m, rho S_n] )
-
-    from the forward and reverse coefficients of the bath.  The result is
-    traceless by construction.
-    """
-    n = decomp.n_terms
-    f = _coefficients(decomp, bath, t)[n:]
-    return _apply(np.tensordot(f, decomp.superoperators[n:], axes=1), rho)
 
 
 def rhs(decomp: InteractionDecomposition, bath: BathStatistics,
         rho: np.ndarray, t: float) -> np.ndarray:
-    """Full generator: commutator with the first-moment Hamiltonian plus the
-    second-order part.  Linear in ``rho``; maps Hermitian to Hermitian and is
-    traceless whenever the bath correlations satisfy the Hermitian pairing
-    relation."""
-    return _apply(generator_matrix(decomp, bath, t), rho)
+    """The generator applied to ``rho`` at time ``t``:
+
+        - sum_{m,n} int_0^t ds ( C_mn(t,s) [S_m, S_n rho]
+                                 - C_nm(s,t) [S_m, rho S_n] )
+
+    from the forward and reverse coefficients of the bath.  Linear in
+    ``rho``; traceless by construction, and maps Hermitian to Hermitian
+    whenever the bath correlations satisfy the Hermitian pairing relation."""
+    rho = np.asarray(rho, dtype=complex)
+    return (generator_matrix(decomp, bath, t) @ rho.ravel()).reshape(rho.shape)
 
 
 def generator_matrix(decomp: InteractionDecomposition, bath: BathStatistics,
@@ -469,16 +429,14 @@ def _scaled_basis(decomp: InteractionDecomposition, factors) -> np.ndarray:
     ``np.shape(factors) + (2 c, 4 D^2)``, against which the real view of the
     unscaled coefficients gives the scaled generators.
 
-    The generator is second order in the coupling: the first moments scale
-    with f and the integrated correlations with f**2, and so do their rows
-    of the basis.  A power of two scales every product exactly, so for such
-    factors the generators equal those of the scaled bath bit for bit.
+    The generator is second order in the coupling: the integrated
+    correlations scale with f**2, and so does the whole basis.  A power of
+    two scales every product exactly, so for such factors the generators
+    equal those of the scaled bath bit for bit.
     """
-    f = np.asarray(factors, dtype=float)[..., None]
-    first = np.arange(len(decomp.superoperators)) < decomp.n_terms
-    scales = np.repeat(np.where(first, f, f * f), 2, axis=-1)
+    f = np.asarray(factors, dtype=float)
     basis = decomp.real_superoperators
-    return (scales[..., None, None] * basis).reshape(scales.shape + (-1,))
+    return (f[..., None, None, None] ** 2 * basis).reshape(f.shape + (len(basis), -1))
 
 
 def _rk4_step_matrices(stages: np.ndarray, h) -> np.ndarray:
@@ -737,26 +695,24 @@ def propagate_scaled(decomp: InteractionDecomposition, bath: BathStatistics,
     in one pass; returns one trajectory per factor, in the order given.
 
     The generator is second order in the coupling, so scaling the couplings
-    by f scales the bath's first moments by f and its integrated
-    correlations by f**2.  Each batch's coefficients are evaluated once and
-    scaled per factor; for a power of two this is exact, and the result
-    equals that of the bath of the scaled model bit for bit.  The step
-    matrices, block products and states of all factors advance together,
-    batch by batch as in :func:`propagate`, so that each result equals a
-    separate run: the batches, the stops and the drift checks are those of
-    one factor.  An automatic run shares its pilot; a factor whose pilot is
-    rejected, or stops early and leaves the shared pilot to the others,
-    reruns alone from its own count.  If any factor drifts in the shared
-    run, the factors are rerun one at a time, in order, which raises the
-    exception the separate runs raise.  ``factors`` must be a 1-d sequence
-    of finite numbers; with none, no bath is evaluated and the result is
-    empty.  The other arguments are those of :func:`propagate`.
+    by f scales the bath's integrated correlations by f**2.  Each batch's
+    coefficients are evaluated once and scaled per factor; for a power of
+    two this is exact, and the result equals that of the bath of the scaled
+    model bit for bit.  The step matrices, block products and states of all
+    factors advance together, batch by batch as in :func:`propagate`, so
+    that each result equals a separate run: the batches, the stops and the
+    drift checks are those of one factor.  An automatic run shares its
+    pilot; a factor whose pilot is rejected, or stops early and leaves the
+    shared pilot to the others, reruns alone from its own count.  If any
+    factor drifts in the shared run, the factors are rerun one at a time,
+    in order, which raises the exception the separate runs raise.
+    ``factors`` must be a 1-d sequence of finite numbers; with none, no
+    bath is evaluated and the result is empty.  The other arguments are
+    those of :func:`propagate`.
     """
     rho0 = require_density_matrix(rho0)
     times = require_time_grid(times)
-    factors = np.asarray(factors, dtype=float)
-    if factors.ndim != 1 or not np.all(np.isfinite(factors)):
-        raise ValueError("coupling factors must be a 1-d sequence of finite numbers")
+    factors = require_factors(factors)
     if substeps is not None:
         substeps = require_count(substeps, "substeps", 1)
 

@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import require_count, require_density_matrix, require_time_grid
+from .linalg import (require_count, require_density_matrix, require_factors,
+                     require_time_grid)
 from .master_eq import Trajectory
 from .spin_boson import SpinBosonModel
 
@@ -271,9 +272,7 @@ def exact_scaled_dynamics(model: SpinBosonModel, bath: TruncatedBath,
     """
     rho0 = require_density_matrix(rho0)
     times = require_time_grid(times)
-    factors = np.asarray(factors, dtype=float)
-    if factors.ndim != 1 or not np.all(np.isfinite(factors)):
-        raise ValueError("coupling factors must be a 1-d sequence of finite numbers")
+    factors = require_factors(factors)
     if check_truncation:
         # the rerun must fit the cap too: say so before the first run, not after it
         fine_n_max = 2 * bath.n_max

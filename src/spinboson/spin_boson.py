@@ -33,10 +33,12 @@ a ``shift`` part (sine kernel, feeds the second-order effective
 Hamiltonian), plus exact running integrals of both.  All four are closed
 per-mode sums, not quadratures, which keeps them fast and bit-reproducible;
 the defining integrals survive in the test suite as an independent check.
-``RateChannel.sums`` (one channel) and ``RateFunctions.sums`` (both) give
-the decay, shift and decay-integral parts asked for from one evaluation;
-the shift integral is a kernel of its own (``shift_integral``), the only
-one with a near-resonance series.
+``RateFunctions.sums`` gives the decay, shift and decay-integral parts
+asked for, of both channels, from one evaluation; every caller reads them
+there, so that a part at the same times has the same bits wherever it is
+read.  The shift integral is a kernel of its own
+(``RateChannel.shift_integral``), the only one with a near-resonance
+series.
 
 With ``a_k = d_k t / 2`` for the detunings ``d_k`` and weights ``w_k``,
 the decay, the shift and the decay integral are the half-angle sums of
@@ -64,7 +66,7 @@ such lattices (:func:`~spinboson.master_eq.stage_generators`): on a grid
 of equal steps an interval then costs one sine and one cosine per mode.
 Through the bath, a plain array of times is the lattice of those origins
 with the single step and offset 0, where ``sO 1 + cO 0`` is exact, so the
-angle addition leaves the values as they are; the ``sums`` methods and
+angle addition leaves the values as they are; ``RateFunctions.sums`` and
 :func:`population_solution` pass their times (or starts) as the steps of
 the origin 0 instead, which takes no angle addition.  Near resonance every
 term above keeps one sign, so nothing cancels.  Both channels of a thermal
@@ -314,8 +316,8 @@ class RateChannel:
 
     which are the running time integrals of ``w_k cos(d_k (t - s))`` and
     ``w_k sin(d_k (t - s))`` over s in [0, t], and their integrals again.
-    ``sums`` gives the first three, ``shift_integral`` the last; both
-    accept scalar or array ``t``.
+    :meth:`RateFunctions.sums` gives the first three, ``shift_integral`` the
+    last; both accept scalar or array ``t``.
 
     The first three take the half-angle form of the module docstring,
     against per-mode factors computed once per channel.  A mode on
@@ -334,6 +336,11 @@ class RateChannel:
             raise ValueError("one weight per detuning required")
 
     @cached_property
+    def _live(self) -> bool:
+        """Whether any mode carries weight; a channel without is zero."""
+        return bool(self.weights.any())
+
+    @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """Half detunings; ``2 w / d`` and ``2 w / d^2`` (zero on resonance),
         each repeated for the three angle-addition terms; and the summed
@@ -346,14 +353,9 @@ class RateChannel:
         return (0.5 * d, np.concatenate([rate] * 3), np.concatenate([integral] * 3),
                 float(w[resonant].sum()))
 
-    def sums(self, t, parts=("decay", "shift", "decay_integral")):
-        """The ``parts`` named (decay, shift, decay_integral) at the times
-        ``t``, from one phase pass."""
-        return _sums_at((self,), parts, t)[0]
-
     def shift_integral(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if not self.weights.any():
+        if not self._live:
             return _like(t_arr, np.zeros_like(t_arr))
         kernel = _shift_integral_kernel(np.multiply.outer(t_arr, self.detunings))
         return _like(t_arr, np.sum(self.weights * kernel, axis=-1) * t_arr ** 2)
@@ -362,14 +364,6 @@ class RateChannel:
 def _like(times: np.ndarray, out):
     """``out`` in the shape of ``times``, and a float when that is a scalar."""
     return float(out.reshape(())) if times.ndim == 0 else out.reshape(times.shape)
-
-
-def _sums_at(channels, parts, t) -> tuple:
-    """Each of ``parts`` of each channel at the times ``t``: the times as the
-    steps of the origin 0, with the single offset 0."""
-    times = np.asarray(t, dtype=float)
-    sums = _channel_sums(channels, parts, times.reshape(-1), np.zeros(1))()
-    return tuple(tuple(_like(times, s) for s in channel) for channel in sums)
 
 
 # The parts a channel sums: the angle-addition basis (0: sin a cos a,
@@ -402,7 +396,7 @@ def _channel_sums(channels, parts, steps: np.ndarray,
     weight (no modes, or a vacuum's absorption) is zero without a kernel
     evaluation.
     """
-    live = [bool(ch.weights.any()) for ch in channels]
+    live = [ch._live for ch in channels]
     factors = [ch._factors for ch, alive in zip(channels, live) if alive]
 
     def lattice(origins):
@@ -490,8 +484,13 @@ class RateFunctions:
     def sums(self, t, parts=("decay", "shift", "decay_integral")):
         """``(absorption parts, emission parts)``: the ``parts`` named (decay,
         shift, decay_integral) of both channels at the times ``t``, from one
-        phase pass."""
-        return _sums_at((self.absorption, self.emission), parts, t)
+        phase pass, the times as the steps of the origin 0 with the single
+        offset 0.  Each part has the shape of ``t``, and is a float for a
+        scalar ``t``."""
+        times = np.asarray(t, dtype=float)
+        sums = _channel_sums((self.absorption, self.emission), parts,
+                             times.reshape(-1), np.zeros(1))()
+        return tuple(tuple(_like(times, s) for s in channel) for channel in sums)
 
 
 def rate_functions(model: SpinBosonModel) -> RateFunctions:
@@ -561,8 +560,9 @@ def population_solution(rho00_0: float, rates: RateFunctions, t):
     result.  ``t`` may be a scalar or an array of any shape; an array result
     has the same shape.
     """
-    if not rates.absorption.weights.any():
-        decayed = rho00_0 * np.exp(-8.0 * rates.emission.sums(t, parts=("decay_integral",))[0])
+    if not rates.absorption._live:
+        _, (emitted,) = rates.sums(t, ("decay_integral",))
+        decayed = rho00_0 * np.exp(-8.0 * emitted)
         return float(decayed) if np.ndim(t) == 0 else decayed
 
     # the Simpson nodes k step of each sample as one lattice, a leading
@@ -599,7 +599,7 @@ def vacuum_rates(model: SpinBosonModel, t):
     """
     if not model.vacuum:
         raise ValueError("vacuum rates require beta = math.inf")
-    decay, shift = rate_functions(model).emission.sums(t, parts=("decay", "shift"))
+    _, (decay, shift) = rate_functions(model).sums(t, ("decay", "shift"))
     return 2.0 * decay, -2.0 * shift
 
 
@@ -652,8 +652,9 @@ def interaction_decomposition(model: SpinBosonModel) -> InteractionDecomposition
 def bath_statistics(model: SpinBosonModel) -> BathStatistics:
     """Thermal bath statistics for the two coupling terms.
 
-    First moments vanish (the thermal state is diagonal in occupation
-    number).  The only non-zero correlations are the cross ones:
+    The bath has zero mean (the thermal state is diagonal in occupation
+    number), as the engine's contract asks.  The only non-zero correlations
+    are the cross ones:
 
         C[0,1](t, s) = sum_k g_k^2 (n_k + 1) exp(-i d_k (t - s))
         C[1,0](t, s) = sum_k g_k^2  n_k      exp(+i d_k (t - s))
@@ -689,7 +690,4 @@ def bath_statistics(model: SpinBosonModel) -> BathStatistics:
 
         return at
 
-    zero = lambda t: 0j
-    return BathStatistics(first_moments=(zero, zero),
-                          correlation=correlation,
-                          integrals=integrals)
+    return BathStatistics(correlation=correlation, integrals=integrals)

@@ -47,10 +47,10 @@ def matrix_units(d: int) -> list[np.ndarray]:
 # The reference for baths without closed-form integrated correlations: the
 # engine itself only reads the integrals a bath supplies.
 
-def quadrature_bath(first_moments, correlation) -> BathStatistics:
-    """Bath whose integrated correlations are composite Simpson over
-    ``DEFAULT_PANELS`` panels of its ``correlation``."""
-    n = len(first_moments)
+def quadrature_bath(n_terms, correlation) -> BathStatistics:
+    """Bath of ``n_terms`` bath operators whose integrated correlations are
+    composite Simpson over ``DEFAULT_PANELS`` panels of its ``correlation``."""
+    n = n_terms
 
     def integrals(steps: np.ndarray, offsets: np.ndarray):
         # the lattice contract, met by evaluating at the summed times
@@ -69,7 +69,7 @@ def quadrature_bath(first_moments, correlation) -> BathStatistics:
                     reverse[i + (j, k)] = simpson(c_rev, x=nodes)
         return forward, reverse
 
-    return BathStatistics(first_moments, correlation, integrals)
+    return BathStatistics(correlation, integrals)
 
 
 # -- rate kernels one time at a time -----------------------------------------

@@ -196,7 +196,7 @@ def test_evolve_vacuum_population_decay(tmp_path):
     assert np.all(np.diff(rho00) < 0)  # monotone decay toward the ground state
     cfg = load_config(cfg_path)
     rates = rate_functions(cfg.model())
-    (integral,) = rates.emission.sums(cfg.time_grid(), parts=("decay_integral",))
+    _, (integral,) = rates.sums(cfg.time_grid(), ("decay_integral",))
     closed = np.exp(-8.0 * integral)
     assert np.max(np.abs(rho00 - closed)) <= 1e-6
 
@@ -211,6 +211,9 @@ def test_exact_runs_and_matches_evolve_at_weak_coupling(tmp_path):
     assert np.max(np.abs(me[:, 1] - ex[:, 1])) <= 1e-3  # weak coupling, short time
     summary = read_summary(str(ex_out) + ".summary")
     assert summary["integrator"] == "exact-eig"
+    # the run's own metadata closes the summary
+    lines = Path(str(ex_out) + ".summary").read_text().splitlines()
+    assert lines[-2:] == ["integrator = exact-eig", "n_max = 4"]
 
 
 def test_exact_dimension_cap_exit(tmp_path):
@@ -320,6 +323,27 @@ def test_limits_markov_config(tmp_path):
     assert main(["limits", "--config", cfg, "--out", str(out)]) == EXIT_OK
     text = out.read_text(encoding="utf-8")
     assert "[markov_plateau]\nstatus = pass" in text
+
+
+def test_limits_markov_plateau_reads_the_rate_functions_sums(tmp_path):
+    # the plateau check reads the emission decay from RateFunctions.sums, the
+    # entry point the rates verb writes from; on this beta = 2 comb the
+    # emission channel evaluated alone differs from it in the last bits
+    from spinboson.config import load_config
+    from spinboson.spin_boson import markov_rates, rate_functions
+
+    cfg_path = write_cfg(tmp_path, MARKOV_CFG.replace("beta = 1.0", "beta = 2.0"))
+    out = tmp_path / "limits.txt"
+    assert main(["limits", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+    report = dict(line.split(" = ") for line in out.read_text(encoding="utf-8").splitlines()
+                  if " = " in line)
+    cfg = load_config(cfg_path)
+    grid = cfg.time_grid()
+    _, (resolved,) = rate_functions(cfg.model()).sums(grid[3 * (len(grid) - 1) // 4:],
+                                                      ("decay",))
+    _, plateau = markov_rates(cfg.discretization(), cfg.model())
+    deviation = float(np.max(np.abs(resolved - plateau))) / plateau
+    assert float(report["max_relative_deviation"]) == deviation
 
 
 def test_limits_failing_check_exits_nonzero(tmp_path):

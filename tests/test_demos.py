@@ -1,4 +1,6 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script runs to completion, under the warning
+filters the suite runs under (pyproject.toml): a numpy overflow or
+invalid-value warning, or a resource left unclosed, fails the demo."""
 
 import os
 import subprocess
@@ -16,6 +18,7 @@ def test_demo_runs(demo):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-    result = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+    warnings = ["-W", "error::RuntimeWarning", "-W", "error::ResourceWarning"]
+    result = subprocess.run([sys.executable, *warnings, str(demo)], env=env, cwd=ROOT,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr[-2000:]

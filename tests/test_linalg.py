@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from spinboson.config import ConfigError, parse_config_text
-from spinboson.linalg import require_count
-from spinboson.master_eq import propagate
-from spinboson.oracle import TruncatedBath
+from spinboson.linalg import require_count, require_factors
+from spinboson.master_eq import propagate, propagate_scaled
+from spinboson.oracle import TruncatedBath, exact_scaled_dynamics
 from spinboson.spin_boson import (SpectralDiscretization, SpinBosonModel, bath_statistics,
                                   flat_density, interaction_decomposition)
 
@@ -111,3 +111,32 @@ def test_require_count_returns_a_plain_int():
     assert count == 3 and type(count) is int
     with pytest.raises(ValueError, match="count must be a non-negative integer, got -1"):
         require_count(-1, "count")
+
+
+# -- coupling factors (linalg.require_factors, at every site that uses it) ----
+
+_FACTOR_SITES = {
+    "propagate_scaled": lambda f: propagate_scaled(
+        interaction_decomposition(_MODEL), bath_statistics(_MODEL),
+        np.diag([1.0, 0.0]), [0.0, 0.1], f, substeps=1),
+    "exact_scaled_dynamics": lambda f: exact_scaled_dynamics(
+        _MODEL, TruncatedBath(_MODEL, n_max=1), np.diag([1.0, 0.0]), [0.0, 0.1], f),
+}
+
+
+@pytest.mark.parametrize("site", _FACTOR_SITES)
+def test_factors_reject_non_finite_and_non_1d_input(site):
+    call = _FACTOR_SITES[site]
+    for bad in ([1.0, np.nan], [np.inf], [[1.0, 0.5]], 1.0):
+        with pytest.raises(ValueError,
+                           match="coupling factors must be a 1-d sequence of finite numbers"):
+            call(bad)
+    # no factor, no trajectory
+    assert call([]) == []
+    assert len(call((1, 0.5))) == 2
+
+
+def test_require_factors_returns_a_float_array():
+    factors = require_factors((1, 0.5))
+    assert factors.dtype == float and factors.tolist() == [1.0, 0.5]
+    assert require_factors([]).shape == (0,)

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 import spinboson.master_eq as master_eq
 from spinboson.master_eq import (BathStatistics, InteractionDecomposition,
-                                 TraceDriftError, Trajectory,
-                                 first_order_hamiltonian, generator_matrix,
-                                 propagate, propagate_scaled, rhs,
-                                 second_order_generator, stage_generators)
+                                 TraceDriftError, Trajectory, generator_matrix,
+                                 propagate, propagate_scaled, rhs, stage_generators)
 from spinboson.spin_boson import (SIGMA_Z, SpectralDiscretization, SpinBosonModel,
                                   bath_statistics, coherence_solution,
                                   interaction_decomposition, ohmic_density,
@@ -20,13 +18,9 @@ from spinboson.spin_boson import (SIGMA_Z, SpectralDiscretization, SpinBosonMode
 from helpers import (make_rng, quadrature_bath, random_complex,
                      random_density_matrix, random_hermitian)
 
-ZERO_MOMENT = lambda t: 0j
-
-
 def silent_bath(n_terms=2):
-    """All moments and correlations zero."""
-    return quadrature_bath(first_moments=(ZERO_MOMENT,) * n_terms,
-                           correlation=lambda j, k, t, s: 0j)
+    """All correlations zero."""
+    return quadrature_bath(n_terms, correlation=lambda j, k, t, s: 0j)
 
 
 def thermal_pair(beta=1.2):
@@ -76,37 +70,17 @@ def patched_generator(generator):
     return stage_generators
 
 
-# -- first-order hamiltonian ---------------------------------------------------
+# -- generator basis -------------------------------------------------------------
 
 def test_superoperators_match_kron_construction():
     rng = make_rng(11)
     for d, n in ((2, 2), (3, 3)):
         terms = tuple(random_complex(rng, (d, d)) for _ in range(n))
         eye = np.eye(d)
-        first = [-1j * (np.kron(a, eye) - np.kron(eye, a.T)) for a in terms]
         forward = [np.kron(b, a.T) - np.kron(a @ b, eye) for a in terms for b in terms]
         reverse = [np.kron(b, a.T) - np.kron(eye, (a @ b).T) for a in terms for b in terms]
-        expected = np.array(first + forward + reverse)
+        expected = np.array(forward + reverse)
         assert np.array_equal(InteractionDecomposition(terms).superoperators, expected)
-
-
-def test_first_order_zero_moments():
-    decomp = InteractionDecomposition(terms=(SIGMA_Z, SIGMA_Z))
-    assert np.max(np.abs(first_order_hamiltonian(decomp, silent_bath(), 1.5))) == 0.0
-
-
-def test_first_order_vanishes_for_thermal_spin_boson():
-    _, decomp, bath = thermal_pair()
-    for t in (0.0, 0.4, 2.7):
-        assert np.max(np.abs(first_order_hamiltonian(decomp, bath, t))) == 0.0
-
-
-def test_first_order_single_constant_moment():
-    c = 0.37
-    decomp = InteractionDecomposition(terms=(SIGMA_Z,))
-    bath = quadrature_bath(first_moments=(lambda t: c,),
-                           correlation=lambda j, k, t, s: 0j)
-    assert np.allclose(first_order_hamiltonian(decomp, bath, 0.9), c * SIGMA_Z)
 
 
 # -- second-order generator -----------------------------------------------------
@@ -114,8 +88,8 @@ def test_first_order_single_constant_moment():
 def test_l2_zero_correlations_and_zero_time():
     model, decomp, bath = thermal_pair()
     rho = np.diag([0.6, 0.4]).astype(complex)
-    assert np.max(np.abs(second_order_generator(decomp, silent_bath(), rho, 1.0))) == 0.0
-    assert np.max(np.abs(second_order_generator(decomp, bath, rho, 0.0))) == 0.0
+    assert np.max(np.abs(rhs(decomp, silent_bath(), rho, 1.0))) == 0.0
+    assert np.max(np.abs(rhs(decomp, bath, rho, 0.0))) == 0.0
 
 
 def test_l2_trace_free():
@@ -123,7 +97,7 @@ def test_l2_trace_free():
     rng = make_rng(5)
     for _ in range(5):
         rho = random_density_matrix(rng, 2)
-        out = second_order_generator(decomp, bath, rho, 1.3)
+        out = rhs(decomp, bath, rho, 1.3)
         assert abs(np.trace(out)) <= 1e-10
 
 
@@ -131,13 +105,12 @@ def test_exact_hook_matches_simpson_quadrature():
     # same physics through the closed-form hooks and through the generic
     # Simpson path; agreement is limited only by quadrature error
     model, decomp, bath = thermal_pair()
-    quad_bath = quadrature_bath(first_moments=bath.first_moments,
-                                correlation=bath.correlation)
+    quad_bath = quadrature_bath(2, correlation=bath.correlation)
     rng = make_rng(6)
     rho = random_density_matrix(rng, 2)
     for t in (0.2, 1.0, 2.5):
-        a = second_order_generator(decomp, bath, rho, t)
-        b = second_order_generator(decomp, quad_bath, rho, t)
+        a = rhs(decomp, bath, rho, t)
+        b = rhs(decomp, quad_bath, rho, t)
         assert np.max(np.abs(a - b)) <= 1e-8
 
 
@@ -856,18 +829,26 @@ def test_trajectory_rejects_non_finite_times():
         Trajectory(np.array([0.0, math.nan]), states)
 
 
-def test_bath_with_too_few_first_moments_is_rejected():
-    # the bath's own mismatch is named before any shape error
+def test_bath_whose_blocks_do_not_pair_the_terms_is_rejected():
+    # one term's blocks against a two-term decomposition, and non-square
+    # blocks: the contract is named before any shape error
     _, decomp, bath = thermal_pair()
-    short = dataclasses.replace(bath, first_moments=bath.first_moments[:1],
-                                integrals=lambda steps, offsets: bath.integrals(steps, offsets))
-    with pytest.raises(ValueError, match="one first moment per decomposition term"):
-        generator_matrix(decomp, short, np.array([0.5]))
+
+    def cut(rows, cols):
+        def integrals(steps, offsets):
+            at = bath.integrals(steps, offsets)
+            return lambda origins: tuple(b[..., :rows, :cols] for b in at(origins))
+        return dataclasses.replace(bath, integrals=integrals)
+
+    for short in (cut(1, 1), cut(1, 2), cut(2, 1)):
+        with pytest.raises(ValueError, match="one row and one column of integrals per "
+                                             "decomposition term"):
+            generator_matrix(decomp, short, np.array([0.5]))
 
 
 def test_bath_statistics_requires_integrals():
     with pytest.raises(TypeError):
-        BathStatistics(first_moments=(ZERO_MOMENT,), correlation=lambda j, k, t, s: 0j)
+        BathStatistics(correlation=lambda j, k, t, s: 0j)
 
 
 def test_trajectory_requires_increasing_times():

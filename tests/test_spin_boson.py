@@ -23,6 +23,15 @@ from helpers import (half_angle_rates, make_rng, matrix_units,
                      random_density_matrix)
 
 
+def one_channel(detunings, weights) -> RateFunctions:
+    """Rate functions whose emission is the channel of ``detunings`` and
+    ``weights`` and whose absorption carries no weight, so that their
+    emission sums are those of that channel alone."""
+    detunings = np.asarray(detunings, dtype=float)
+    return RateFunctions(RateChannel(detunings, np.zeros_like(detunings)),
+                         RateChannel(detunings, weights))
+
+
 def random_model(rng, vacuum_chance=0.25):
     n_modes = int(rng.integers(1, 6))
     modes = [(float(rng.uniform(0.2, 3.0)), float(rng.uniform(-0.3, 0.3)))
@@ -140,8 +149,8 @@ def test_rates_zero_at_zero_time():
     rng = make_rng(101)
     for _ in range(5):
         r = rate_functions(random_model(rng))
-        for channel in (r.absorption, r.emission):
-            decay, shift, decay_integral = channel.sums(0.0)
+        for channel, (decay, shift, decay_integral) in zip((r.absorption, r.emission),
+                                                           r.sums(0.0)):
             assert decay == 0.0
             assert shift == 0.0
             assert decay_integral == 0.0
@@ -152,7 +161,7 @@ def test_vacuum_absorption_vanishes_identically():
     model = SpinBosonModel(1.0, [(0.6, 0.2), (1.4, 0.1)], math.inf)
     r = rate_functions(model)
     t = np.linspace(0.0, 20.0, 50)
-    decay, shift = r.absorption.sums(t, parts=("decay", "shift"))
+    (decay, shift), _ = r.sums(t, ("decay", "shift"))
     assert np.max(np.abs(decay)) == 0.0
     assert np.max(np.abs(shift)) == 0.0
 
@@ -162,7 +171,7 @@ def test_single_resonant_mode_rates():
     model = SpinBosonModel(1.0, [(1.0, 0.1)], math.log(1.5))  # occupation 2
     r = rate_functions(model)
     assert model.occupations()[0] == pytest.approx(2.0, abs=1e-13)
-    decay, shift, decay_integral = r.absorption.sums(3.0)
+    (decay, shift, decay_integral), _ = r.sums(3.0)
     assert decay == pytest.approx(0.06, abs=1e-14)
     assert shift == 0.0
     assert decay == pytest.approx(
@@ -193,8 +202,8 @@ def test_rate_integrals_match_quadrature_of_rates():
     r = rate_functions(model)
     t = 4.0
     s = np.linspace(0.0, t, 2001)
-    decay, shift = r.emission.sums(s, parts=("decay", "shift"))
-    assert r.emission.sums(t, parts=("decay_integral",))[0] == pytest.approx(
+    _, (decay, shift) = r.sums(s, ("decay", "shift"))
+    assert r.sums(t, ("decay_integral",))[1][0] == pytest.approx(
         float(simpson(decay, x=s)), abs=1e-8)
     assert r.emission.shift_integral(t) == pytest.approx(
         float(simpson(shift, x=s)), abs=1e-8)
@@ -206,10 +215,10 @@ def test_emission_minus_absorption_is_the_vacuum_part():
     for _ in range(5):
         model = random_model(rng, vacuum_chance=0.0)
         r = rate_functions(model)
-        vac = RateChannel(model.frequencies - model.omega0, model.couplings ** 2)
+        vac = one_channel(model.frequencies - model.omega0, model.couplings ** 2)
         for t in (0.5, 1.8, 7.0):
             (a_decay, a_shift), (e_decay, e_shift) = r.sums(t, ("decay", "shift"))
-            vac_decay, vac_shift = vac.sums(t, parts=("decay", "shift"))
+            _, (vac_decay, vac_shift) = vac.sums(t, ("decay", "shift"))
             assert e_decay - a_decay == pytest.approx(vac_decay, abs=1e-12)
             assert e_shift - a_shift == pytest.approx(vac_shift, abs=1e-12)
 
@@ -221,8 +230,9 @@ def test_near_resonance_branch_is_continuous():
     t = 1.0
     for detuning in (0.99e-3, 1.01e-3):
         x = detuning * t
-        ch = RateChannel(np.array([detuning]), np.array([1.0]))
-        decay, shift, decay_integral = ch.sums(t)
+        rates = one_channel([detuning], [1.0])
+        ch = rates.emission
+        _, (decay, shift, decay_integral) = rates.sums(t)
         assert decay == pytest.approx(t * (1 - x * x / 6), rel=1e-9)
         assert shift == pytest.approx(0.5 * x * t * (1 - x * x / 12), rel=1e-9)
         assert decay_integral == pytest.approx(0.5 * t * t * (1 - x * x / 12), rel=1e-9)
@@ -242,7 +252,8 @@ def test_rate_forms_match_taylor_reference(detuning):
     # at t = 1, x = detuning; 25 terms of each series are exact for |x| <= 1
     # in double precision, on both sides of the old 1e-3 series cutover
     x = detuning
-    ch = RateChannel(np.array([detuning]), np.array([1.0]))
+    rates = one_channel([detuning], [1.0])
+    ch = rates.emission
     reference = {
         "decay": _taylor(x, 0, 1),           # sin(x) / x
         "shift": _taylor(x, 1, 2),           # (1 - cos x) / x
@@ -253,15 +264,16 @@ def test_rate_forms_match_taylor_reference(detuning):
     parts = ("decay", "shift", "decay_integral")
     on_lattice = dict(zip(parts, _channel_sums((ch,), parts, start, offset)()[0]))
     for name, value in reference.items():
-        assert ch.sums(1.0, parts=(name,))[0] == pytest.approx(value, rel=1e-14, abs=0.0), name
+        assert rates.sums(1.0, (name,))[1][0] == pytest.approx(value, rel=1e-14, abs=0.0), name
         assert on_lattice[name].shape == (1, 1)
         assert on_lattice[name][0, 0] == pytest.approx(value, rel=1e-14, abs=0.0), name
 
 
 def test_exact_resonance_closed_values():
-    ch = RateChannel(np.array([0.0]), np.array([1.0]))
+    rates = one_channel([0.0], [1.0])
+    ch = rates.emission
     t = 2.5
-    decay, shift, decay_integral = ch.sums(t)
+    _, (decay, shift, decay_integral) = rates.sums(t)
     assert decay == t
     assert shift == 0.0
     assert decay_integral == 0.5 * t * t
@@ -324,26 +336,27 @@ def test_rate_channel_compares_by_identity():
 
 
 def test_channel_sums_take_parts_positionally():
-    # RateChannel.sums and RateFunctions.sums share the (t, parts) signature;
-    # one channel's operand is half of the pair's, so the sums agree to rounding
+    # RateFunctions.sums takes the parts positionally or by keyword; one
+    # channel's operand is half of the pair's, so the sums agree to rounding
     rates = rate_functions(SpinBosonModel(1.0, [(0.8, 0.1), (1.0, 0.05), (1.4, 0.06)], 1.3))
     parts = ("decay", "shift")
     for t in (1.7, np.array([0.0, 0.5, 2.0])):
         both = rates.sums(t, parts)
         for channel, expected in zip((rates.absorption, rates.emission), both):
-            positional = channel.sums(t, parts)
-            for got, keyword, value in zip(positional, channel.sums(t, parts=parts), expected):
+            alone = one_channel(channel.detunings, channel.weights)
+            positional = alone.sums(t, parts)[1]
+            for got, keyword, value in zip(positional, alone.sums(t, parts=parts)[1], expected):
                 assert np.shape(got) == np.shape(t)
                 assert np.array_equal(got, keyword)
                 assert got == pytest.approx(value, rel=1e-14, abs=1e-17)
 
 
 def test_rate_channel_scalar_and_array_agree():
-    ch = RateChannel(np.array([0.3, -0.8]), np.array([0.01, 0.02]))
+    rates = one_channel([0.3, -0.8], [0.01, 0.02])
     grid = np.array([0.0, 0.5, 2.0])
     for name in ("decay", "shift", "decay_integral", "shift_integral"):
-        f = (ch.shift_integral if name == "shift_integral"
-             else lambda t: ch.sums(t, parts=(name,))[0])
+        f = (rates.emission.shift_integral if name == "shift_integral"
+             else lambda t: rates.sums(t, (name,))[1][0])
         vec = f(grid)
         assert vec.shape == grid.shape
         for i, t in enumerate(grid):
@@ -365,7 +378,7 @@ def test_effective_hamiltonian_vacuum_structure():
     r = rate_functions(model)
     t = 1.3
     h = second_order_hamiltonian(r, t)
-    (shift,) = r.emission.sums(t, parts=("shift",))
+    _, (shift,) = r.sums(t, ("shift",))
     assert np.allclose(h, -shift * PROJ_UP, atol=1e-15)
     assert np.max(np.abs(h - h.conj().T)) == 0.0
 
@@ -385,7 +398,6 @@ def test_element_ode_population_columns_balance():
 def test_l2_closed_form_assembly_matches_generic_generator():
     # independent assembly of the dissipative part: commutator with the
     # shift hamiltonian plus the absorption and emission dissipators
-    from spinboson.master_eq import second_order_generator
     from spinboson.spin_boson import SIGMA_MINUS, SIGMA_PLUS
 
     rng = make_rng(110)
@@ -402,7 +414,7 @@ def test_l2_closed_form_assembly_matches_generic_generator():
                                 - 2.0 * SIGMA_PLUS @ rho @ SIGMA_MINUS)
                          - e * (PROJ_UP @ rho + rho @ PROJ_UP
                                 - 2.0 * SIGMA_MINUS @ rho @ SIGMA_PLUS))
-            generic = second_order_generator(decomp, bath, rho, t)
+            generic = rhs(decomp, bath, rho, t)
             assert np.max(np.abs(assembled - generic)) <= 1e-8
 
 
@@ -513,7 +525,7 @@ def test_population_high_temperature_closed_form():
     for rho0 in (0.5, 0.9, 0.1):
         for t in (0.7, 2.0):
             expected = 0.5 + (rho0 - 0.5) * math.exp(
-                -16.0 * base.absorption.sums(t, parts=("decay_integral",))[0])
+                -16.0 * base.sums(t, ("decay_integral",))[0][0])
             assert population_solution(rho0, equal, t) == pytest.approx(expected, abs=1e-8)
     # starting at 1/2 stays at 1/2 (up to the inner Simpson error)
     assert population_solution(0.5, equal, 3.0) == pytest.approx(0.5, abs=1e-8)
@@ -523,7 +535,7 @@ def test_population_zero_temperature_closed_form():
     model = SpinBosonModel(1.0, [(1.0, 0.1), (1.6, 0.05)], math.inf)
     r = rate_functions(model)
     for t in (0.0, 1.0, 5.0):
-        expected = 0.8 * math.exp(-8.0 * r.emission.sums(t, parts=("decay_integral",))[0])
+        expected = 0.8 * math.exp(-8.0 * r.sums(t, ("decay_integral",))[1][0])
         assert population_solution(0.8, r, t) == pytest.approx(expected, abs=1e-12)
     # the lower level is a fixed point
     assert population_solution(0.0, r, 5.0) == 0.0
@@ -660,7 +672,7 @@ def test_markov_plateau_of_time_resolved_rate():
     _, plateau = markov_rates(disc, model)
     rates = rate_functions(model)
     window = np.linspace(37.5, 50.0, 26)
-    (resolved,) = rates.emission.sums(window, parts=("decay",))
+    _, (resolved,) = rates.sums(window, ("decay",))
     assert np.max(np.abs(resolved - plateau)) <= 0.10 * plateau
 
 
