@@ -19,8 +19,9 @@ significant digits, so emitted CSV re-parses bit-exactly; nothing in any
 code path depends on wall clock or randomness, so identical configs yield
 byte-identical outputs.
 
-Exit codes: 0 success / all checks pass; 1 configuration or usage error;
-2 runtime abort (trace drift, a non-finite step-doubling estimate,
+Exit codes: 0 success / all checks pass; 1 configuration or usage error,
+or an output file that cannot be written (``output error``, naming the
+path); 2 runtime abort (trace drift, a non-finite step-doubling estimate,
 Hilbert-space cap, Fock truncation not converged under
 ``check_truncation``); 3 failed check in compare/limits.
 """
@@ -219,17 +220,24 @@ def run_compare(cfg: RunConfig, out: str) -> int:
 
 def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object]]]]:
     model = cfg.model()
-    rates = rate_functions(model)
     grid = cfg.time_grid()
     decomp = interaction_decomposition(model)
     bath = bath_statistics(model)
+    occupations = model.occupations()
+    min_occ = float(np.min(occupations)) if len(occupations) else 0.0
+    hot = not model.vacuum and min_occ >= 100.0
+    disc = cfg.discretization()
+    in_band = disc is not None and disc.omega_min <= model.omega0 <= disc.omega_max
+    if model.vacuum or hot or in_band:
+        # every rate part a check reads, from the call the rates verb makes,
+        # so that the checks read the numbers of its CSV
+        (a_decay, a_shift, a_integral), (e_decay, _, e_integral) = rate_functions(model).sums(grid)
     checks = []
 
     # vacuum: absorption rates vanish identically and the generic generator
     # collapses to the single-dissipator form
     if model.vacuum:
-        absorption, _ = rates.sums(grid, ("decay", "shift"))
-        max_absorption = max(float(np.max(np.abs(r))) for r in absorption)
+        max_absorption = max(float(np.max(np.abs(r))) for r in (a_decay, a_shift))
         # the generator applied to the unit matrix |i><j| is column 2 i + j
         # of its matrix
         generic = generator_matrix(decomp, bath, grid).swapaxes(1, 2).reshape(-1, 4, 2, 2)
@@ -244,13 +252,10 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
         checks.append(("vacuum", "skipped", [("reason", "beta is finite")]))
 
     # high temperature: equal populations are the steady state
-    occupations = model.occupations()
-    min_occ = float(np.min(occupations)) if len(occupations) else 0.0
-    if not model.vacuum and min_occ >= 100.0:
+    if hot:
         traj = propagate(decomp, bath, cfg.initial_state(), grid,
                          substeps=cfg.rk4_substeps)
-        (integral,), _ = rates.sums(cfg.t_max, ("decay_integral",))
-        decay_factor = math.exp(-16.0 * integral)
+        decay_factor = math.exp(-16.0 * a_integral[-1])  # at t_max
         final = float(traj.states[-1, 0, 0].real)
         ok = decay_factor < 1e-4 and abs(final - 0.5) <= 1e-3
         checks.append(("high_temperature", "pass" if ok else "fail", [
@@ -269,8 +274,7 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
     if model.vacuum:
         traj = propagate(decomp, bath, cfg.initial_state(), grid,
                          substeps=cfg.rk4_substeps)
-        _, (emitted,) = rates.sums(grid, ("decay_integral",))
-        envelope = np.exp(-8.0 * emitted)
+        envelope = np.exp(-8.0 * e_integral)
         closed = cfg.rho00 * envelope
         deviation = float(np.max(np.abs(traj.states[:, 0, 0].real - closed)))
         final_rho11 = float(traj.states[-1, 1, 1].real)
@@ -285,11 +289,9 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
 
     # constant-rate plateau: the time-resolved emission rate settles on the
     # resonance value over the final quartile of the grid
-    disc = cfg.discretization()
-    if disc is not None and disc.omega_min <= model.omega0 <= disc.omega_max:
+    if in_band:
         _, emission_const = markov_rates(disc, model)
-        quartile = grid[3 * (len(grid) - 1) // 4:]
-        _, (resolved,) = rates.sums(quartile, ("decay",))
+        resolved = e_decay[3 * (len(grid) - 1) // 4:]
         deviation = float(np.max(np.abs(resolved - emission_const))) / emission_const
         checks.append(("markov_plateau", "pass" if deviation <= 0.10 else "fail", [
             ("expected_plateau", emission_const),
@@ -363,6 +365,10 @@ def main(argv=None) -> int:
     except (TraceDriftError, StepDoublingError, BathDimensionError, TruncationError) as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OSError as exc:
+        # an output path that names a directory or lies in a missing one
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -12,7 +12,10 @@ model:       omega0, beta ("vacuum" or a positive float), and exactly one of
                omega_min, omega_max, mode_count
 simulation:  t_max, samples, rk4_substeps (optional; by default sized from
              a step-doubling error estimate, see master_eq.propagate)
-state:       rho00, rho01 (complex literal, e.g. "0.3+0.1j")
+state:       rho00, rho01 (complex literal, e.g. "0.3+0.1j"); the state
+             [[rho00, rho01], [conj(rho01), 1 - rho00]] must pass
+             linalg.require_density_matrix at tol = 1e-15, the library's
+             one initial-state rule, whose error names both keys
 oracle:      oracle_enabled (true|false, default false), n_max (default 4),
              check_truncation (true|false, default false: rerun the exact
              solver at twice n_max and abort if any element moves by more
@@ -28,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import require_count
+from .linalg import require_count, require_density_matrix
 from .spin_boson import (SpectralDiscretization, SpinBosonModel, flat_density,
                          ohmic_density)
 
@@ -164,7 +167,7 @@ class RunConfig:
 
     def initial_state(self) -> np.ndarray:
         return np.array([[self.rho00, self.rho01],
-                         [np.conj(self.rho01), 1.0 - self.rho00]], dtype=complex)
+                         [self.rho01.conjugate(), 1.0 - self.rho00]], dtype=complex)
 
     def model_tag(self) -> str:
         beta = "vacuum" if self.beta == math.inf else f"{self.beta:g}"
@@ -172,8 +175,10 @@ class RunConfig:
         return f"spin-boson(omega0={self.omega0:g},beta={beta},modes={n})"
 
 
-# each key's parser and default, in the order of the fields
+# each key's parser and default, in the order of the fields, and the keys
+# without a default
 _FIELDS = {f.name: (f.metadata["parser"], f.metadata["default"]) for f in fields(RunConfig)}
+_REQUIRED = tuple(key for key, (_, default) in _FIELDS.items() if default is MISSING)
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -206,7 +211,7 @@ def parse_config_text(text: str) -> RunConfig:
         except ConfigError as exc:
             raise ConfigError(f"line {line_of[key]}: field {key!r}: {exc}") from None
 
-    missing = [k for k, (_, default) in _FIELDS.items() if default is MISSING and k not in raw]
+    missing = [k for k in _REQUIRED if k not in raw]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(sorted(missing))}")
 
@@ -228,15 +233,10 @@ def parse_config_text(text: str) -> RunConfig:
     cfg = RunConfig(*[convert(key, parser, default)
                       for key, (parser, default) in _FIELDS.items()])
 
-    # the 2 x 2 closed form of linalg.require_density_matrix, whose eigenvalue
-    # call would cost more than the rest of the parse on every invocation;
-    # "not <=" rejects a NaN rho01 too
-    if not 0.0 <= cfg.rho00 <= 1.0:
-        raise ConfigError(f"rho00 must lie in [0, 1], got {cfg.rho00}")
-    if not abs(cfg.rho01) ** 2 <= cfg.rho00 * (1.0 - cfg.rho00) + 1e-15:
-        raise ConfigError(
-            f"initial state not positive semidefinite: |rho01|^2 = {abs(cfg.rho01)**2:.6g} "
-            f"exceeds rho00*(1-rho00) = {cfg.rho00 * (1 - cfg.rho00):.6g}")
+    try:
+        require_density_matrix(cfg.initial_state(), tol=1e-15)
+    except ValueError as exc:
+        raise ConfigError(f"rho00, rho01: {exc}") from None
     # the library's checks name their fields: the counts here, the model's in cfg.model()
     try:
         require_count(cfg.samples, "samples", 1)

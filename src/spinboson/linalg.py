@@ -1,18 +1,17 @@
 """Input checks shared by the dynamics modules and the config parser.
 
-Square, Hermitian and density matrices as plain ``numpy`` arrays
-(``complex128``), finite, strictly increasing time grids, counts, and
-coupling factors.
+Density matrices as plain ``numpy`` arrays (``complex128``), finite,
+strictly increasing time grids, counts, and coupling factors.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
 
 __all__ = [
-    "require_hermitian",
     "require_density_matrix",
     "require_time_grid",
     "require_count",
@@ -20,30 +19,39 @@ __all__ = [
 ]
 
 
-def _as_square(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
-def require_hermitian(a: np.ndarray, tol: float = 1e-10,
-                      name: str = "matrix") -> np.ndarray:
-    a = _as_square(a, name)
-    defect = float(np.max(np.abs(a - a.conj().T)))
-    if not defect <= tol:  # a NaN entry fails too
-        raise ValueError(f"{name} is not Hermitian: max |A - A^dag| = {defect:.3e} > {tol:.1e}")
-    return a
-
-
 def require_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """``rho`` as a complex array if it is Hermitian, unit trace and positive
-    semidefinite within ``tol``; ``ValueError`` otherwise."""
-    rho = require_hermitian(rho, tol, "initial state")
-    trace = complex(np.trace(rho))
+    """``rho`` as a complex array if it is square, Hermitian, unit trace and
+    positive semidefinite within ``tol``; ``ValueError`` otherwise.
+
+    The three quantities checked are the Hermitian defect
+    ``max |rho - rho^dag|``, the trace, and the smallest eigenvalue of the
+    Hermitian part ``(rho + rho^dag) / 2``.  For a 2 x 2 ``rho`` they are
+    scalar closed forms, cheap enough for a config parse: the eigenvalue of
+    ``[[p, o], [conj(o), q]]`` is ``(p + q - hypot(p - q, 2 |o|)) / 2``.  A
+    NaN entry fails, off the diagonal by the defect and on it by the trace.
+    Other sizes take the eigenvalue from ``eigvalsh``.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape == (2, 2):
+        (a, b), (c, d) = rho.tolist()
+        c = c.conjugate()
+        # the off-diagonal term first: max keeps a NaN first argument
+        defect = max(abs(b - c), 2.0 * abs(a.imag), 2.0 * abs(d.imag))
+        trace = a + d
+        min_eig = 0.5 * (trace.real - math.hypot(a.real - d.real, abs(b + c)))
+    elif rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"initial state must be square, got shape {rho.shape}")
+    else:
+        defect = float(np.max(np.abs(rho - rho.conj().T)))
+        trace = complex(np.trace(rho))
+        min_eig = None
+    if not defect <= tol:  # a NaN entry fails too
+        raise ValueError(f"initial state is not Hermitian: max |A - A^dag| = {defect:.3e} "
+                         f"> {tol:.1e}")
     if not abs(trace - 1.0) <= tol:
         raise ValueError(f"initial state trace {trace:.12g} is not 1")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+    if min_eig is None:
+        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
     if min_eig < -tol:
         raise ValueError(f"initial state is not positive semidefinite: "
                          f"eigenvalue {min_eig:.3e}")

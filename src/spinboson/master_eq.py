@@ -496,49 +496,43 @@ def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int
     """States on ``times`` from RK4 at ``substeps`` per interval and, with
     ``doubled`` (even ``substeps``), the step-doubling error estimates: one
     of each per coupling factor of ``factors``, a 1-d array.  The states
-    are a list of ``(len(times), d, d)`` arrays and the estimates an array.
+    are one ``(len(factors), len(times), d, d)`` array and the estimates an
+    array, zero without ``doubled``.
 
     The stage generators of a batch are evaluated once for all factors, and
     the step matrices, block products and states carry the leading factor
     axis.  The second state advances by the RK4 step matrices of size 2 h
     from every other stage generator of the batch, so no generator is
-    evaluated twice.  A factor whose batch estimate passes ``_ESTIMATE_CAP``
-    or is NaN stops: its states are ``None``, its estimate that of the
-    batch, and the other factors go on without it.  With one factor a trace
-    drift stops it in the same way when its estimate at the drift passes
-    the cap, and raises otherwise; with several, any drift ends the run with
-    ``(None, None)``, after which :func:`propagate_scaled` reruns the
-    factors one at a time.
+    evaluated twice.  A factor that cannot finish the pass ends it: its
+    batch estimate passes ``_ESTIMATE_CAP`` or is NaN (a stop), or its trace
+    drifts.  With several factors either ends the pass with ``(None,
+    None)``, after which :func:`propagate_scaled` runs every factor alone.
+    With one factor a stop gives ``[None]`` and the estimate of the batch,
+    and so does a drift whose estimate at the drift passes the cap; any
+    other drift raises :class:`TraceDriftError`.
     """
     count, d = len(factors), rho0.shape[0]
-    live = np.arange(count)  # the factors still advancing
     states = np.empty((count, len(times), d, d), dtype=complex)
     states[:, 0] = rho0
-    # the estimates of the live factors, and of every factor at the end
-    estimates, final = np.zeros(count), np.zeros(count)
-    coarse = None
+    estimates = np.zeros(count)
     if doubled:
         coarse = np.empty((count, len(times), d * d), dtype=complex)
         coarse[:, 0] = rho0.ravel()
+        coarse_columns = coarse.view(float)[..., None]
     block = math.isqrt(substeps)
     blocks = -(-substeps // block)
     # the states after each substep of an interval, block by block; the
     # padding repeats the last substep, so `last` is the interval's end and
     # the next interval's start.  The real step matrices write the states
-    # through real column views, set up again when factors stop, and
-    # `trace` views the diagonals of the first `substeps` states of each
-    # factor.
+    # through real column views, and `trace` views the diagonals of the
+    # first `substeps` states of each factor.
     path = np.empty((count, blocks, block, d * d), dtype=complex)
-    path[:, -1, -1] = rho0.ravel()
-
-    def views():
-        columns = path.view(float)[..., None]
-        return (path[:, -1, -1], [columns[:, b - 1, -1:] for b in range(blocks)],
-                [columns[:, b] for b in range(blocks)],
-                path.reshape(len(path), -1, d * d)[:, :substeps, ::d + 1],
-                None if coarse is None else coarse.view(float)[..., None])
-
-    last, starts, ends, trace, coarse_columns = views()
+    last = path[:, -1, -1]
+    last[...] = rho0.ravel()
+    columns = path.view(float)[..., None]
+    starts = [columns[:, b - 1, -1:] for b in range(blocks)]
+    ends = [columns[:, b] for b in range(blocks)]
+    trace = path.reshape(count, -1, d * d)[:, :substeps, ::d + 1]
     intervals = len(times) - 1
     per_batch = max(1, _STAGE_BUDGET // (2 * substeps + 1))
     stages = stage_generators(decomp, bath, times, substeps, factors)
@@ -546,8 +540,6 @@ def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int
         stop = min(first + per_batch, intervals)
         h = np.diff(times[first:stop + 1]) / substeps
         batch = stages(first, stop)
-        if len(live) < count:
-            batch = batch[live]
         products = _block_products(_rk4_step_matrices(batch, h), block)
         if doubled:
             # the product of each interval's substeps of size 2 h
@@ -577,29 +569,26 @@ def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int
                 raise TraceDriftError(times[i] + (j + 1) * h[i - first], float(drift[0, j]))
             states[:, i + 1] = last.reshape(-1, d, d)
         if doubled:
-            fine = states[:, first + 1:stop + 1].reshape(len(live), stop - first, -1)
+            fine = states[:, first + 1:stop + 1].reshape(count, stop - first, -1)
             deviation = np.max(np.abs(fine - coarse[:, first + 1:stop + 1]), axis=(1, 2)) / 15.0
-            stopped = ~(deviation <= _ESTIMATE_CAP)  # NaN too
-            if stopped.any():
-                final[live[stopped]] = deviation[stopped]
-                kept = ~stopped
-                live, states, path, coarse = live[kept], states[kept], path[kept], coarse[kept]
-                estimates, deviation = estimates[kept], deviation[kept]
-                if not len(live):
-                    break
-                last, starts, ends, trace, coarse_columns = views()
+            if not np.all(deviation <= _ESTIMATE_CAP):  # NaN stops too
+                return ([None], deviation) if count == 1 else (None, None)
             np.maximum(estimates, deviation, out=estimates)
-    results = [None] * count
-    for j, s in zip(live, states):
-        results[j] = s
-    final[live] = estimates
-    return results, final if doubled else None
+    return states, estimates
 
 
-def _automatic(run: Callable[[int], tuple], pilot: tuple | None = None) -> tuple:
-    """``(states, estimate, substeps)`` of an automatic run: the pilot at
-    ``_PILOT_SUBSTEPS``, its result ``pilot`` when given, and the reruns
-    :func:`propagate` describes, each ``run(substeps)``."""
+def _one_factor(decomp, bath, rho0, times, substeps, factor, pilot=None) -> tuple:
+    """``(states, estimate, substeps)`` of the couplings scaled by ``factor``
+    alone: at a fixed ``substeps``, or automatic, from the pilot at
+    ``_PILOT_SUBSTEPS`` (its result ``pilot`` when given) and the reruns
+    :func:`propagate` describes."""
+    def run(substeps: int, doubled: bool = True) -> tuple:
+        states, estimates = _rk4_states(decomp, bath, rho0, times, substeps, doubled,
+                                        np.array([factor]))
+        return states[0], float(estimates[0])
+
+    if substeps is not None:
+        return run(substeps, False)[0], None, substeps
     substeps, previous = _PILOT_SUBSTEPS, math.inf
     states, estimate = run(substeps) if pilot is None else pilot
     while True:
@@ -613,20 +602,6 @@ def _automatic(run: Callable[[int], tuple], pilot: tuple | None = None) -> tuple
         growth = 1.1 * (min(estimate, _ESTIMATE_CAP) / _ERROR_TARGET) ** 0.25
         substeps = 2 * math.ceil(0.5 * substeps * growth)
         states, estimate = run(substeps)
-
-
-def _one_factor(decomp, bath, rho0, times, substeps, factor, pilot=None) -> tuple:
-    """``(states, estimate, substeps)`` of the couplings scaled by ``factor``
-    alone, continuing from an automatic ``pilot`` when given."""
-    def run(substeps: int, doubled: bool) -> tuple:
-        states, estimates = _rk4_states(decomp, bath, rho0, times, substeps, doubled,
-                                        np.array([factor]))
-        return (None if states is None else states[0],
-                None if estimates is None else float(estimates[0]))
-
-    if substeps is not None:
-        return run(substeps, False)[0], None, substeps
-    return _automatic(lambda s: run(s, True), pilot)
 
 
 def _trajectory(times, run: tuple, model_tag: str) -> Trajectory:
@@ -666,10 +641,13 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
     ``s * 1.1 * (estimate / 1e-12)^(1/4)``, so every rerun grows.  Beyond
     1e-6 the steps are too large for that fourth-order law and may be
     unstable: the run stops at the end of the batch, or at a trace drift,
-    and its rerun grows as if the estimate were 1e-6 (about 35 times).  A
-    complete rerun that does not halve the estimate has reached the
-    rounding floor and is the result.  A non-finite estimate raises
-    :class:`StepDoublingError`.  A fixed ``substeps`` computes no estimate.
+    keeps no states, and its rerun grows as if the estimate were 1e-6
+    (about 35 times).  That stop is the one way a run ends short of the
+    grid's end without raising (:func:`propagate_scaled` has the same for
+    all its factors at once).  A complete rerun that does not halve the
+    estimate has reached the rounding floor and is the result.  A
+    non-finite estimate raises :class:`StepDoublingError`.  A fixed
+    ``substeps`` computes no estimate.
 
     The equation is linear, so each substep is one step matrix
     ``M = I + h/6 (K1 + 2 K2 + 2 K3 + K4)`` from the generator at its stage
@@ -702,10 +680,11 @@ def propagate_scaled(decomp: InteractionDecomposition, bath: BathStatistics,
     factors advance together, batch by batch as in :func:`propagate`, so
     that each result equals a separate run: the batches, the stops and the
     drift checks are those of one factor.  An automatic run shares its
-    pilot; a factor whose pilot is rejected, or stops early and leaves the
-    shared pilot to the others, reruns alone from its own count.  If any
-    factor drifts in the shared run, the factors are rerun one at a time,
-    in order, which raises the exception the separate runs raise.
+    pilot, and a factor whose pilot is rejected reruns alone from its own
+    count.  A factor that cannot finish the shared pass, because it stops
+    early or its trace drifts, ends the pass for all: every factor then
+    runs alone, in order, from its own pilot, which gives the results and
+    raises the exception the separate runs do.
     ``factors`` must be a 1-d sequence of finite numbers; with none, no
     bath is evaluated and the result is empty.  The other arguments are
     those of :func:`propagate`.
@@ -727,13 +706,14 @@ def propagate_scaled(decomp: InteractionDecomposition, bath: BathStatistics,
     states, estimates = _rk4_states(decomp, bath, rho0, times,
                                     _PILOT_SUBSTEPS if automatic else substeps,
                                     automatic, factors)
-    # each trajectory is checked as its run ends, so the first failure is
-    # the one separate runs meet first
     if states is None:
-        return [_trajectory(times, _one_factor(decomp, bath, rho0, times, substeps, f),
-                            model_tag) for f in factors]
-    if not automatic:
-        return [_trajectory(times, (s, None, substeps), model_tag) for s in states]
-    return [_trajectory(times, _one_factor(decomp, bath, rho0, times, None, f, (s, float(e))),
-                        model_tag)
-            for f, s, e in zip(factors, states, estimates)]
+        # a factor stopped or drifted: every factor runs alone, in order, and
+        # each trajectory is checked as its run ends, so the first failure is
+        # the one separate runs meet first
+        runs = (_one_factor(decomp, bath, rho0, times, substeps, f) for f in factors)
+    elif automatic:
+        runs = (_one_factor(decomp, bath, rho0, times, None, f, (s, float(e)))
+                for f, s, e in zip(factors, states, estimates))
+    else:
+        runs = ((s, None, substeps) for s in states)
+    return [_trajectory(times, run, model_tag) for run in runs]

@@ -326,24 +326,50 @@ def test_limits_markov_config(tmp_path):
 
 
 def test_limits_markov_plateau_reads_the_rate_functions_sums(tmp_path):
-    # the plateau check reads the emission decay from RateFunctions.sums, the
-    # entry point the rates verb writes from; on this beta = 2 comb the
-    # emission channel evaluated alone differs from it in the last bits
+    # the plateau check slices the emission decay from RateFunctions.sums on
+    # the whole grid, the call the rates verb writes its CSV from
     from spinboson.config import load_config
-    from spinboson.spin_boson import markov_rates, rate_functions
+    from spinboson.spin_boson import markov_rates
 
     cfg_path = write_cfg(tmp_path, MARKOV_CFG.replace("beta = 1.0", "beta = 2.0"))
     out = tmp_path / "limits.txt"
     assert main(["limits", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
     report = dict(line.split(" = ") for line in out.read_text(encoding="utf-8").splitlines()
                   if " = " in line)
+    assert main(["rates", "--config", cfg_path, "--out", str(tmp_path / "rates.csv")]) == EXIT_OK
+    header, data = read_csv(str(tmp_path / "rates.csv"))
+    resolved = data[3 * (len(data) - 1) // 4:, header.index("D_Rp")]
     cfg = load_config(cfg_path)
-    grid = cfg.time_grid()
-    _, (resolved,) = rate_functions(cfg.model()).sums(grid[3 * (len(grid) - 1) // 4:],
-                                                      ("decay",))
     _, plateau = markov_rates(cfg.discretization(), cfg.model())
     deviation = float(np.max(np.abs(resolved - plateau))) / plateau
     assert float(report["max_relative_deviation"]) == deviation
+
+
+OHMIC_VACUUM_CFG = MARKOV_CFG.replace("beta = 1.0", "beta = vacuum").replace(
+    "samples = 101", "samples = 11\nrk4_substeps = 128")
+
+
+@pytest.mark.parametrize("text, calls", [(OHMIC_VACUUM_CFG, 1), (THERMAL_CFG, 0)],
+                         ids=["ohmic_vacuum", "explicit_thermal"])
+def test_limit_checks_evaluate_the_rates_at_most_once(tmp_path, monkeypatch, text, calls):
+    # every check that reads rates slices one RateFunctions.sums(grid); the
+    # vacuum check's independent assembly (vacuum_rhs) makes its own call
+    # from spin_boson, which is not counted.  With every such check skipped
+    # (beta = 1, explicit modes) there is no call at all.
+    from spinboson.spin_boson import RateFunctions
+
+    made = []
+    sums = RateFunctions.sums
+
+    def counted(self, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == cli.__name__:
+            made.append(args)
+        return sums(self, *args, **kwargs)
+
+    monkeypatch.setattr(RateFunctions, "sums", counted)
+    cfg = write_cfg(tmp_path, text)
+    assert main(["limits", "--config", cfg, "--out", str(tmp_path / "limits.txt")]) == EXIT_OK
+    assert len(made) == calls
 
 
 def test_limits_failing_check_exits_nonzero(tmp_path):
@@ -396,6 +422,17 @@ def test_config_error_exit_code(tmp_path):
 def test_missing_output_path_is_config_error(tmp_path):
     cfg = write_cfg(tmp_path, THERMAL_CFG)
     assert main(["rates", "--config", cfg]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("target", ["", "missing/rates.csv"], ids=["directory", "missing_dir"])
+@pytest.mark.parametrize("verb", ["rates", "evolve"])
+def test_unwritable_output_is_an_output_error(tmp_path, capsys, target, verb):
+    cfg = write_cfg(tmp_path, THERMAL_CFG)
+    out = str(tmp_path / target)
+    assert main([verb, "--config", cfg, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and out.rstrip("/") in err
+    assert "Traceback" not in err
 
 
 def test_output_path_from_config(tmp_path):

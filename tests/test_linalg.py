@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinboson.config import ConfigError, parse_config_text
-from spinboson.linalg import require_count, require_factors
+from spinboson.linalg import require_count, require_density_matrix, require_factors
 from spinboson.master_eq import propagate, propagate_scaled
 from spinboson.oracle import TruncatedBath, exact_scaled_dynamics
 from spinboson.spin_boson import (SpectralDiscretization, SpinBosonModel, bath_statistics,
@@ -140,3 +144,83 @@ def test_require_factors_returns_a_float_array():
     factors = require_factors((1, 0.5))
     assert factors.dtype == float and factors.tolist() == [1.0, 0.5]
     assert require_factors([]).shape == (0,)
+
+
+# -- density matrices (linalg.require_density_matrix's 2 x 2 closed form) -----
+
+_BAND = 1e-12  # no verdict is compared this close to a bound
+
+
+def _accepts(rho, tol) -> bool:
+    try:
+        require_density_matrix(rho, tol)
+    except ValueError:
+        return False
+    return True
+
+
+def _eigvalsh_rule(rho, tol) -> tuple[bool, bool]:
+    """(accepts, near a bound) by the rule for other sizes: the Hermitian
+    defect, the trace, then the smallest eigenvalue from eigvalsh."""
+    defect = float(np.max(np.abs(rho - rho.conj().T)))
+    if not defect <= tol:
+        return False, abs(defect - tol) < _BAND
+    trace_error = abs(np.trace(rho) - 1.0)
+    if not trace_error <= tol:
+        return False, abs(trace_error - tol) < _BAND
+    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+    near = min(abs(defect - tol), abs(trace_error - tol), abs(min_eig + tol)) < _BAND
+    return min_eig >= -tol, near
+
+
+_unit = st.floats(-1.0, 1.0)
+# multiples of tol, mostly none
+_tols = st.sampled_from([0.0] * 4 + [0.25, 0.75, 2.0, 1e3])
+
+
+@settings(max_examples=500, deadline=None)
+@given(theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi),
+       mixing=st.sampled_from([0.0, 0.0, 0.3, 1.0, 2.5]),
+       deficit=st.sampled_from([0.0] * 3 + [0.5, 2.0, 4.0]),
+       trace_offset=st.sampled_from([0.0] * 4 + [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+       diagonal_skew=st.tuples(_unit, _tols), off_skew=st.tuples(_unit, _unit, _tols),
+       tol=st.sampled_from([1e-15, 1e-10, 1e-6]),
+       nan_at=st.sampled_from([None] * 24 + [(i, j, nan) for i in (0, 1) for j in (0, 1)
+                                            for nan in (complex(math.nan, 0.0),
+                                                        complex(0.0, math.nan))]))
+def test_two_by_two_closed_form_decides_as_eigvalsh(theta, phi, mixing, deficit, trace_offset,
+                                                    diagonal_skew, off_skew, tol, nan_at):
+    # a pure state |psi><psi| at rounding, mixed toward the identity (at
+    # 2.5 past it, one eigenvalue -0.25), its smaller eigenvalue lowered by
+    # deficit * tol, its trace moved by multiples of tol, and non-Hermitian
+    # parts on the diagonal (trace kept) and off it.  Both rules must agree
+    # wherever no quantity lies within the band of its bound, and a NaN in
+    # any entry fails both.
+    psi = np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)])
+    mixing -= 2.0 * deficit * tol
+    rho = (1.0 - mixing) * np.outer(psi, psi.conj()) + 0.5 * mixing * np.eye(2)
+    rho[0, 0] += trace_offset * tol
+    x, scale = diagonal_skew
+    rho += 1j * x * scale * tol * np.diag([1.0, -1.0])
+    x, y, scale = off_skew
+    rho[0, 1] += complex(x, y) * scale * tol
+    if nan_at is not None:
+        i, j, nan = nan_at
+        rho[i, j] += nan
+    accepts, near = _eigvalsh_rule(rho, tol)
+    if nan_at is not None:
+        assert not accepts and not _accepts(rho, tol)
+    elif not near:
+        assert _accepts(rho, tol) == accepts
+
+
+def test_two_by_two_closed_form_names_what_fails():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_density_matrix(np.array([[0.5, 0.1], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="not Hermitian: max .* = nan"):
+        require_density_matrix(np.array([[0.5, math.nan], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="trace"):
+        require_density_matrix(np.diag([0.9, 0.9]))
+    with pytest.raises(ValueError, match=r"positive semidefinite: eigenvalue -5\.000e-01"):
+        require_density_matrix(np.diag([1.5, -0.5]))
+    assert require_density_matrix([[1, 0], [0, 0]]).dtype == complex

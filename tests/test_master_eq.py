@@ -677,11 +677,10 @@ def test_propagate_scaled_reruns_a_rejected_pilot_alone():
     assert joint[0].metadata["substeps"] > master_eq._PILOT_SUBSTEPS
 
 
-def test_propagate_scaled_keeps_the_shared_pilot_when_one_factor_stops():
+def test_propagate_scaled_reruns_every_factor_alone_when_one_factor_stops():
     # at beta = 0.01 the factor-1 pilot stops at the estimate cap after its
-    # first batch; the other factors finish the shared pilot, and only the
-    # stopped one reruns, so the pilot's batch is evaluated once where
-    # separate runs evaluate it once each
+    # first batch, which ends the shared pilot for every factor; each factor
+    # then runs alone, in order, as separate calls do
     model = SpinBosonModel(1.0, README_MODES, 0.01)
     decomp = interaction_decomposition(model)
     times = np.linspace(0, 1, 11)
@@ -698,9 +697,10 @@ def test_propagate_scaled_keeps_the_shared_pilot_when_one_factor_stops():
     assert joint[0].metadata["substeps"] > master_eq._PILOT_SUBSTEPS
     # every run's pilot is one batch of all ten intervals
     assert all(len(b[0]) == len(times) - 1 for b in separate)
-    reruns = [batch for b in separate for batch in b[1:]]
-    assert len(batches) == 1 + len(reruns)
-    assert all(np.array_equal(a, b) for a, b in zip(batches[1:], reruns))
+    # the shared pilot's one batch, then each factor's own batches
+    own = [batch for b in separate for batch in b]
+    assert len(batches) == 1 + len(own)
+    assert all(np.array_equal(a, b) for a, b in zip(batches, [own[0]] + own))
 
 
 def test_ohmic_propagate_stays_within_its_memory():

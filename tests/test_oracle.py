@@ -474,7 +474,7 @@ def test_vacuum_pass_builds_only_the_weighted_sectors():
     assert peak <= 8e6
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None)
 @given(modes=st.lists(st.tuples(st.floats(0.5, 1.5), st.floats(-0.3, 0.3)),
                       min_size=1, max_size=3),
        beta=st.sampled_from([0.5, 1.0, 3.0, math.inf]),
