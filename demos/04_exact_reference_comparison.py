@@ -21,7 +21,7 @@ grid = np.linspace(0.0, 2.0, 9)
 
 print("excited start, vacuum resonant mode, g = 0.05")
 me = propagate(interaction_decomposition(base), bath_statistics(base), rho0, grid)
-exact = exact_reduced_dynamics(base, TruncatedBath(base, n_max=4), rho0, grid)
+exact = exact_reduced_dynamics(TruncatedBath(base, n_max=4), rho0, grid)
 print("      t    rho00(master eq)  rho00(exact)  rho00(Rabi formula)")
 for t, m, e in zip(grid, me.states, exact.states):
     print(f"  {t:5.2f}   {m[0, 0].real:16.8f}  {e[0, 0].real:12.8f}  "
@@ -33,7 +33,7 @@ print("coupling scan: Frobenius distance to the exact state at t = 2")
 scan = (1.0, 0.5, 0.25, 0.125)
 m_trajs = propagate_scaled(interaction_decomposition(base), bath_statistics(base),
                            rho0, grid, scan)
-e_trajs = exact_scaled_dynamics(base, TruncatedBath(base, n_max=4), rho0, grid, scan)
+e_trajs = exact_scaled_dynamics(TruncatedBath(base, n_max=4), rho0, grid, scan)
 errors = {}
 for factor, m_traj, e_traj in zip(scan, m_trajs, e_trajs):
     errors[factor] = np.linalg.norm(m_traj.states[-1] - e_traj.states[-1])

@@ -23,25 +23,23 @@ t = 2.0
 rho0 = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]])
 
 print("series terms of the co-rotating propagator at t = 2")
-u0, u1, u2 = dyson_terms(model, bath, t)
-u_exact = interaction_unitary(model, bath, t)
+u0, u1, u2 = dyson_terms(bath, t)
+u_exact = interaction_unitary(bath, t)
 print(f"  |term 1|           = {np.linalg.norm(u1):.3e}   (anti-hermitian: "
       f"{np.max(np.abs(u1 + u1.conj().T)):.1e})")
 print(f"  |term 2|           = {np.linalg.norm(u2):.3e}")
 print(f"  |1 + U1 + U2 - U|  = {np.linalg.norm(u0 + u1 + u2 - u_exact):.3e}")
 for factor in (0.5, 0.25):
-    scaled = model.scaled(factor)
-    sbath = TruncatedBath(scaled, n_max=3)
-    s0, s1, s2 = dyson_terms(scaled, sbath, t)
-    resid = np.linalg.norm(s0 + s1 + s2 - interaction_unitary(scaled, sbath, t))
+    sbath = TruncatedBath(model.scaled(factor), n_max=3)
+    s0, s1, s2 = dyson_terms(sbath, t)
+    resid = np.linalg.norm(s0 + s1 + s2 - interaction_unitary(sbath, t))
     print(f"  ... couplings x {factor}: residual {resid:.3e}")
 print("each halving divides the residual by ~8 (third-order remainder)")
 print()
 
 print("deviation of the exact reduced map from the identity")
 for factor in (1.0, 0.5, 0.25):
-    scaled = model.scaled(factor)
-    dev = reduced_map_deviation(scaled, TruncatedBath(scaled, n_max=3), rho0, t)
+    dev = reduced_map_deviation(TruncatedBath(model.scaled(factor), n_max=3), rho0, t)
     print(f"  couplings x {factor:5.2f}: |deviation| = {np.linalg.norm(dev):.3e}")
 print("quadratic in the coupling: the first-order piece is gone for thermal baths")
 print()
@@ -49,5 +47,5 @@ print()
 print("inversion-identity residual vs composition depth (exact identity;")
 print("what remains is floating-point noise)")
 for depth in (0, 1, 2, 3):
-    r = map_inversion_residual(model, bath, rho0, t, depth)
+    r = map_inversion_residual(bath, rho0, t, depth)
     print(f"  depth {depth}: {r:.2e}")

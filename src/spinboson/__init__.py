@@ -15,7 +15,7 @@ from .oracle import (BathDimensionError, TruncatedBath, dyson_terms,
                      exact_reduced_dynamics, exact_scaled_dynamics, full_hamiltonian,
                      map_inversion_residual, reduced_map_deviation,
                      thermal_bath_state)
-from .spin_boson import (RateChannel, RateFunctions, SpectralDiscretization,
+from .spin_boson import (RateFunctions, SpectralDiscretization,
                          SpinBosonModel, bath_statistics, coherence_solution,
                          element_ode_matrix, flat_density,
                          interaction_decomposition, markov_rates,
@@ -29,7 +29,7 @@ __all__ = [
     "InteractionDecomposition", "BathStatistics", "Trajectory",
     "TraceDriftError", "StepDoublingError", "rhs", "propagate", "propagate_scaled",
     # spin-boson model
-    "SpinBosonModel", "SpectralDiscretization", "RateChannel", "RateFunctions",
+    "SpinBosonModel", "SpectralDiscretization", "RateFunctions",
     "thermal_occupation", "rate_functions", "second_order_hamiltonian",
     "element_ode_matrix", "coherence_solution", "population_solution",
     "vacuum_rates", "vacuum_rhs", "markov_rates", "ohmic_density",

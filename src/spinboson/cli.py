@@ -23,7 +23,8 @@ Exit codes: 0 success / all checks pass; 1 configuration or usage error,
 or an output file that cannot be written (``output error``, naming the
 path); 2 runtime abort (trace drift, a non-finite step-doubling estimate,
 Hilbert-space cap, Fock truncation not converged under
-``check_truncation``); 3 failed check in compare/limits.
+``check_truncation``, a NaN or infinity bound for a CSV); 3 failed check in
+compare/limits.
 """
 
 from __future__ import annotations
@@ -62,16 +63,27 @@ RATIO_WINDOW = (6.0, 10.0)
 RATIO_NOISE_FLOOR = 1e-12
 
 
+class NonFiniteOutputError(RuntimeError):
+    """A value bound for a CSV is NaN or infinite."""
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
+    """Write ``columns``, the times first, under ``header``; a NaN or an
+    infinity raises :class:`NonFiniteOutputError`, and no file is opened."""
+    table = np.array(columns, dtype=float).T
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, column = np.argwhere(~finite)[0]
+        raise NonFiniteOutputError(f"{header[column]} is {table[row, column]} "
+                                   f"at t = {_fmt(table[row, 0])}; no CSV written")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        for values in table.tolist():
+            fh.write(",".join(map(_fmt, values)) + "\n")
 
 
 def _write_keyvals(fh, pairs) -> None:
@@ -84,24 +96,15 @@ def _write_keyvals(fh, pairs) -> None:
 # -- commands ----------------------------------------------------------------
 
 def run_rates(cfg: RunConfig, out: str) -> int:
-    rates = rate_functions(cfg.model())
     grid = cfg.time_grid()
-    # decay, shift and decay integral of both channels from one phase pass
-    (a_decay, a_shift, a_integral), (e_decay, e_shift, e_integral) = rates.sums(grid)
-    columns = [grid, a_decay, a_shift, e_decay, e_shift,
-               a_integral, rates.absorption.shift_integral(grid),
-               e_integral, rates.emission.shift_integral(grid)]
-    write_csv(out, RATES_HEADER, [np.atleast_1d(c) for c in columns])
+    # the four parts of both channels from one evaluation, in the header's
+    # order: each channel's decay and shift, then each channel's integrals
+    absorption, emission = rate_functions(cfg.model()).sums(
+        grid, ("decay", "shift", "decay_integral", "shift_integral"))
+    write_csv(out, RATES_HEADER,
+              [grid, *absorption[:2], *emission[:2], *absorption[2:], *emission[2:]])
     print(f"wrote {out}")
     return EXIT_OK
-
-
-def _trajectory_columns(traj: Trajectory) -> list[np.ndarray]:
-    s = traj.states
-    return [traj.times,
-            s[:, 0, 0].real, s[:, 0, 1].real, s[:, 0, 1].imag,
-            s[:, 1, 0].real, s[:, 1, 0].imag, s[:, 1, 1].real,
-            traj.trace_errors(), traj.hermiticity_errors()]
 
 
 # the run's own metadata a summary ends with, in this order, when present
@@ -109,9 +112,12 @@ _SUMMARY_METADATA = ("integrator", "substeps", "error_estimate", "n_max")
 
 
 def _write_trajectory(cfg: RunConfig, traj: Trajectory, out: str) -> None:
-    write_csv(out, TRAJECTORY_HEADER, _trajectory_columns(traj))
-    rho00 = traj.states[:, 0, 0].real
-    coherence = np.abs(traj.states[:, 0, 1])
+    s = traj.states
+    write_csv(out, TRAJECTORY_HEADER,
+              [traj.times, s[:, 0, 0].real, s[:, 0, 1].real, s[:, 0, 1].imag, s[:, 1, 0].real,
+               s[:, 1, 0].imag, s[:, 1, 1].real, traj.trace_errors(), traj.hermiticity_errors()])
+    rho00 = s[:, 0, 0].real
+    coherence = np.abs(s[:, 0, 1])
     quartile = rho00[3 * (len(rho00) - 1) // 4:]
     pairs: list[tuple[str, object]] = [
         ("command", "evolve" if traj.metadata.get("integrator") == "rk4" else "exact"),
@@ -119,7 +125,7 @@ def _write_trajectory(cfg: RunConfig, traj: Trajectory, out: str) -> None:
         ("samples", cfg.samples),
         ("t_max", cfg.t_max),
         ("final_rho00", float(rho00[-1])),
-        ("final_rho11", float(traj.states[-1, 1, 1].real)),
+        ("final_rho11", float(s[-1, 1, 1].real)),
         ("steady_state_estimate", float(np.mean(quartile))),
         ("initial_coherence_abs", float(coherence[0])),
         ("final_coherence_abs", float(coherence[-1])),
@@ -142,16 +148,14 @@ def _write_trajectory(cfg: RunConfig, traj: Trajectory, out: str) -> None:
 def run_evolve(cfg: RunConfig, out: str) -> int:
     model = cfg.model()
     traj = propagate(interaction_decomposition(model), bath_statistics(model),
-                     cfg.initial_state(), cfg.time_grid(),
-                     substeps=cfg.rk4_substeps, model_tag=cfg.model_tag())
+                     cfg.initial_state(), cfg.time_grid(), substeps=cfg.rk4_substeps)
     _write_trajectory(cfg, traj, out)
     return EXIT_OK
 
 
 def run_exact(cfg: RunConfig, out: str) -> int:
-    model = cfg.model()
-    bath = TruncatedBath(model, n_max=cfg.n_max)
-    traj = exact_reduced_dynamics(model, bath, cfg.initial_state(), cfg.time_grid(),
+    traj = exact_reduced_dynamics(TruncatedBath(cfg.model(), n_max=cfg.n_max),
+                                  cfg.initial_state(), cfg.time_grid(),
                                   check_truncation=cfg.check_truncation)
     _write_trajectory(cfg, traj, out)
     return EXIT_OK
@@ -164,7 +168,7 @@ def run_compare(cfg: RunConfig, out: str) -> int:
     grid = cfg.time_grid()
     rho0 = cfg.initial_state()
     # one sector pass gives the reference at every coupling scale
-    references = exact_scaled_dynamics(base, TruncatedBath(base, n_max=cfg.n_max), rho0, grid,
+    references = exact_scaled_dynamics(TruncatedBath(base, n_max=cfg.n_max), rho0, grid,
                                        SCALING_FACTORS, check_truncation=cfg.check_truncation)
 
     # and one master-equation pass, from one bath
@@ -229,8 +233,8 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
     disc = cfg.discretization()
     in_band = disc is not None and disc.omega_min <= model.omega0 <= disc.omega_max
     if model.vacuum or hot or in_band:
-        # every rate part a check reads, from the call the rates verb makes,
-        # so that the checks read the numbers of its CSV
+        # every rate part a check reads, from the call the rates verb makes
+        # less the shift integrals, so that the checks read its CSV's numbers
         (a_decay, a_shift, a_integral), (e_decay, _, e_integral) = rate_functions(model).sums(grid)
     checks = []
 
@@ -362,7 +366,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TraceDriftError, StepDoublingError, BathDimensionError, TruncationError) as exc:
+    except (TraceDriftError, StepDoublingError, BathDimensionError, TruncationError,
+            NonFiniteOutputError) as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:

@@ -10,8 +10,9 @@ model:       omega0, beta ("vacuum" or a positive float), and exactly one of
              * modes            explicit list, "omega:g, omega:g, ..."
              * density (ohmic|flat), eta, omega_c (ohmic only),
                omega_min, omega_max, mode_count
-simulation:  t_max, samples, rk4_substeps (optional; by default sized from
-             a step-doubling error estimate, see master_eq.propagate)
+simulation:  t_max (times the largest of omega0 and the mode frequencies at
+             most MAX_PHASE), samples, rk4_substeps (optional; by default
+             sized from a step-doubling error estimate, see master_eq.propagate)
 state:       rho00, rho01 (complex literal, e.g. "0.3+0.1j"); the state
              [[rho00, rho01], [conj(rho01), 1 - rho00]] must pass
              linalg.require_density_matrix at tol = 1e-15, the library's
@@ -35,7 +36,12 @@ from .linalg import require_count, require_density_matrix
 from .spin_boson import (SpectralDiscretization, SpinBosonModel, flat_density,
                          ohmic_density)
 
-__all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_config", "MAX_PHASE"]
+
+# The largest phase t_max * max(omega0, mode frequencies) a config may ask
+# for: one ulp of a phase of 1e8 is 1.5e-8 rad, and far beyond it the verbs
+# write infinities or abort on NaN.  The benchmark configs reach about 500.
+MAX_PHASE = 1e8
 
 
 class ConfigError(ValueError):
@@ -243,9 +249,13 @@ def parse_config_text(text: str) -> RunConfig:
         if cfg.rk4_substeps is not None:
             require_count(cfg.rk4_substeps, "rk4_substeps", 1)
         require_count(cfg.n_max, "n_max", 1)
-        cfg.model()
+        model = cfg.model()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    phase = cfg.t_max * max(cfg.omega0, float(model.frequencies.max()))
+    if phase > MAX_PHASE:
+        raise ConfigError(f"line {line_of['t_max']}: field 't_max': t_max x max(omega0, mode "
+                          f"frequencies) = {phase:g} exceeds the phase bound {MAX_PHASE:g}")
     return cfg
 
 

@@ -604,10 +604,10 @@ def _one_factor(decomp, bath, rho0, times, substeps, factor, pilot=None) -> tupl
         states, estimate = run(substeps)
 
 
-def _trajectory(times, run: tuple, model_tag: str) -> Trajectory:
+def _trajectory(times, run: tuple) -> Trajectory:
     """The validated trajectory of ``run``, ``(states, estimate, substeps)``."""
     states, estimate, substeps = run
-    metadata: dict[str, Any] = {"model": model_tag, "integrator": "rk4", "substeps": substeps}
+    metadata: dict[str, Any] = {"integrator": "rk4", "substeps": substeps}
     if substeps:
         metadata["step_size"] = float(np.max(np.diff(times))) / substeps
     if estimate is not None:
@@ -619,7 +619,7 @@ def _trajectory(times, run: tuple, model_tag: str) -> Trajectory:
 
 def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
               rho0: np.ndarray, times: Sequence[float],
-              substeps: int | None = None, model_tag: str = "") -> Trajectory:
+              substeps: int | None = None) -> Trajectory:
     """Propagate ``rho0`` over ``times`` with RK4 at one count of substeps
     per output interval.
 
@@ -663,12 +663,12 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
     trace and hermiticity invariants at every sample, a one-point grid
     included.
     """
-    return propagate_scaled(decomp, bath, rho0, times, (1.0,), substeps, model_tag)[0]
+    return propagate_scaled(decomp, bath, rho0, times, (1.0,), substeps)[0]
 
 
 def propagate_scaled(decomp: InteractionDecomposition, bath: BathStatistics,
                      rho0: np.ndarray, times: Sequence[float], factors: Sequence[float],
-                     substeps: int | None = None, model_tag: str = "") -> list[Trajectory]:
+                     substeps: int | None = None) -> list[Trajectory]:
     """:func:`propagate` with every coupling scaled by each of ``factors``,
     in one pass; returns one trajectory per factor, in the order given.
 
@@ -700,8 +700,7 @@ def propagate_scaled(decomp: InteractionDecomposition, bath: BathStatistics,
     if len(times) == 1:
         # no interval to integrate: the initial state is the trajectory
         estimate = 0.0 if substeps is None else None
-        return [_trajectory(times, (rho0[None, :, :].copy(), estimate, 0), model_tag)
-                for _ in factors]
+        return [_trajectory(times, (rho0[None, :, :].copy(), estimate, 0)) for _ in factors]
     automatic = substeps is None
     states, estimates = _rk4_states(decomp, bath, rho0, times,
                                     _PILOT_SUBSTEPS if automatic else substeps,
@@ -716,4 +715,4 @@ def propagate_scaled(decomp: InteractionDecomposition, bath: BathStatistics,
                 for f, s, e in zip(factors, states, estimates))
     else:
         runs = ((s, None, substeps) for s in states)
-    return [_trajectory(times, run, model_tag) for run in runs]
+    return [_trajectory(times, run) for run in runs]

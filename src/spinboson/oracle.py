@@ -15,7 +15,8 @@ matrix built from the free energies and the coupling.  The exact reduced
 map comes from the same sector pass, as a 4 x 4 matrix on row-major 2 x 2
 states; the deviation of that map from the identity and the
 alternating-sum inversion identity work with it alone.  All of them read
-one table of product-basis matrix elements.
+one table of product-basis matrix elements.  Each function takes the one
+:class:`TruncatedBath`, which holds the model it truncates.
 
 All reduced states returned here live in the frame co-rotating with the
 uncoupled Hamiltonian, so they compare directly against the master-equation
@@ -80,12 +81,12 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncatedBath:
-    """Fock cutoff and dimension bookkeeping for a model's bath.
+    """A model and the Fock cutoff of its bath, with the dimension
+    bookkeeping: the one argument every function here reads the model from.
 
     Thermal runs with beta * omega >= 1 are well served by the default
-    ``n_max = 4``; hotter baths populate higher levels and need an explicit,
-    larger cutoff (check with ``exact_reduced_dynamics(...,
-    check_truncation=True)``).
+    ``n_max = 4``; hotter baths need a larger cutoff (check with
+    ``exact_reduced_dynamics(bath, rho0, times, check_truncation=True)``).
     """
 
     model: SpinBosonModel
@@ -119,7 +120,7 @@ class TruncatedBath:
         return replace(self, n_max=n_max)
 
 
-def _matrix_elements(model: SpinBosonModel, bath: TruncatedBath):
+def _matrix_elements(bath: TruncatedBath):
     """Matrix elements of the total Hamiltonian in the product basis.
 
     Product state ``s * bath_dim + b`` is system level ``s`` (0 up, 1 down)
@@ -129,6 +130,7 @@ def _matrix_elements(model: SpinBosonModel, bath: TruncatedBath):
     ``(rows, cols, values)``: <up, n| H |down, n + e_k> = 2 g_k sqrt(n_k + 1)
     in the factor-two ladder convention, each pair listed once.
     """
+    model = bath.model
     strides = bath.levels ** np.arange(bath.n_modes - 1, -1, -1)
     occupations = np.arange(bath.bath_dim)[:, None] // strides % bath.levels
     e_sys = np.array([0.5 * model.omega0, -0.5 * model.omega0])
@@ -142,20 +144,20 @@ def _matrix_elements(model: SpinBosonModel, bath: TruncatedBath):
     return occupations, energies, tuple(map(np.concatenate, (rows, cols, values)))
 
 
-def full_hamiltonian(model: SpinBosonModel, bath: TruncatedBath) -> np.ndarray:
+def full_hamiltonian(bath: TruncatedBath) -> np.ndarray:
     """Total Hamiltonian on the truncated system+bath space.
 
     Level splitting plus free modes plus the excitation-exchanging coupling,
     in the module-wide factor-two ladder convention.
     """
-    _, energies, (rows, cols, values) = _matrix_elements(model, bath)
+    _, energies, (rows, cols, values) = _matrix_elements(bath)
     h = np.diag(energies).astype(complex)
     h[rows, cols] = values
     h[cols, rows] = values
     return h
 
 
-def _sector_hamiltonians(model: SpinBosonModel, bath: TruncatedBath):
+def _sector_hamiltonians(bath: TruncatedBath):
     """Blocks of the total Hamiltonian in excitation-number sectors.
 
     The coupling only exchanges single quanta, so N = n_up + sum_k n_k is
@@ -168,7 +170,7 @@ def _sector_hamiltonians(model: SpinBosonModel, bath: TruncatedBath):
     ``np.diag(energies) + f * coupling``.  Each block is built when it is
     asked for, so a pass that stops early never builds the later ones.
     """
-    occupations, energies, (rows, cols, values) = _matrix_elements(model, bath)
+    occupations, energies, (rows, cols, values) = _matrix_elements(bath)
     quanta = occupations.sum(axis=1)
     number = np.concatenate([quanta + 1, quanta])
     order = np.argsort(number, kind="stable")
@@ -190,8 +192,9 @@ def _sector_hamiltonians(model: SpinBosonModel, bath: TruncatedBath):
         yield states, energies[states], v
 
 
-def _bath_weights(model: SpinBosonModel, bath: TruncatedBath) -> np.ndarray:
+def _bath_weights(bath: TruncatedBath) -> np.ndarray:
     """Diagonal of the truncated thermal bath state, one weight per bath state."""
+    model = bath.model
     weights = np.ones(1)
     for omega, _ in model.modes:
         if model.vacuum:
@@ -204,20 +207,19 @@ def _bath_weights(model: SpinBosonModel, bath: TruncatedBath) -> np.ndarray:
     return weights
 
 
-def thermal_bath_state(model: SpinBosonModel, bath: TruncatedBath) -> np.ndarray:
+def thermal_bath_state(bath: TruncatedBath) -> np.ndarray:
     """Product of per-mode truncated thermal states, diagonal, unit trace.
 
     Each mode carries geometric weights exp(-m beta omega) for m up to
     ``n_max``, normalized by the truncated sum; the vacuum (beta infinite)
     puts all weight on the ground level.
     """
-    return np.diag(_bath_weights(model, bath)).astype(complex)
+    return np.diag(_bath_weights(bath)).astype(complex)
 
 
-def interaction_unitary(model: SpinBosonModel, bath: TruncatedBath,
-                        t: float) -> np.ndarray:
+def interaction_unitary(bath: TruncatedBath, t: float) -> np.ndarray:
     """Exact co-rotating-frame propagator exp(+i H0 t) exp(-i H t)."""
-    h = full_hamiltonian(model, bath)
+    h = full_hamiltonian(bath)
     w, v = np.linalg.eigh(h)
     u_sch = (v * np.exp(-1j * w * float(t))) @ v.conj().T
     return _co_rotate(h, t, u_sch)
@@ -228,8 +230,7 @@ def _co_rotate(h: np.ndarray, t: float, op: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.diag(h).real * float(t))[:, None] * op
 
 
-def exact_reduced_dynamics(model: SpinBosonModel, bath: TruncatedBath,
-                           rho0: np.ndarray, times: Sequence[float],
+def exact_reduced_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence[float],
                            check_truncation: bool = False,
                            truncation_tol: float = 1e-6) -> Trajectory:
     """Exact reduced dynamics of the system, rotated to the co-rotating frame.
@@ -237,16 +238,14 @@ def exact_reduced_dynamics(model: SpinBosonModel, bath: TruncatedBath,
     The one-factor case of :func:`exact_scaled_dynamics`, which describes
     the method and the arguments.
     """
-    return exact_scaled_dynamics(model, bath, rho0, times, (1.0,),
-                                 check_truncation=check_truncation,
+    return exact_scaled_dynamics(bath, rho0, times, (1.0,), check_truncation=check_truncation,
                                  truncation_tol=truncation_tol)[0]
 
 
-def exact_scaled_dynamics(model: SpinBosonModel, bath: TruncatedBath,
-                          rho0: np.ndarray, times: Sequence[float],
+def exact_scaled_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence[float],
                           factors: Sequence[float], check_truncation: bool = False,
                           truncation_tol: float = 1e-6) -> list[Trajectory]:
-    """Exact reduced dynamics of ``model.scaled(f)`` for each ``f`` in ``factors``.
+    """Exact reduced dynamics of ``bath.model.scaled(f)`` for each ``f`` in ``factors``.
 
     Propagates ``rho0 (x) thermal bath`` one excitation-number sector at a
     time, in one pass for all factors: the sectors and the bath weights are
@@ -280,14 +279,15 @@ def exact_scaled_dynamics(model: SpinBosonModel, bath: TruncatedBath,
         if fine_dim > bath.dim_cap:
             raise BathDimensionError(fine_dim, bath.dim_cap, fine_n_max, bath.n_modes,
                                      needed_by="check_truncation reruns at twice n_max: ")
-    z = _sector_sums(model, bath, rho0.diagonal().real, times, factors)
+    z = _sector_sums(bath, rho0.diagonal().real, times, factors)
     reduced = np.empty((len(factors), len(times), 2, 2), dtype=complex)
     reduced[:, :, 0, 0] = z[:, 0]
     reduced[:, :, 1, 1] = z[:, 1]
     reduced[:, :, 0, 1] = rho0[0, 1] * z[:, 2]
     reduced[:, :, 1, 0] = rho0[1, 0] * z[:, 3]
 
-    e_sys = np.array([0.5 * model.omega0, -0.5 * model.omega0])
+    omega0 = bath.model.omega0
+    e_sys = np.array([0.5 * omega0, -0.5 * omega0])
     rot = np.exp(1j * np.outer(times, e_sys))
     trajectories = []
     for states in rot[:, :, None] * reduced * rot.conj()[:, None, :]:
@@ -296,7 +296,7 @@ def exact_scaled_dynamics(model: SpinBosonModel, bath: TruncatedBath,
         traj.metadata["min_eigenvalue"] = traj.min_eigenvalues()
         trajectories.append(traj)
     if check_truncation:
-        fine = exact_scaled_dynamics(model, bath.with_n_max(fine_n_max), rho0, times, factors)
+        fine = exact_scaled_dynamics(bath.with_n_max(fine_n_max), rho0, times, factors)
         for traj, reference in zip(trajectories, fine):
             shift = float(np.max(np.abs(traj.states - reference.states)))
             traj.metadata["truncation_shift"] = shift
@@ -305,8 +305,8 @@ def exact_scaled_dynamics(model: SpinBosonModel, bath: TruncatedBath,
     return trajectories
 
 
-def _sector_sums(model: SpinBosonModel, bath: TruncatedBath, populations: np.ndarray,
-                 times: np.ndarray, factors: np.ndarray) -> np.ndarray:
+def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray,
+                 factors: np.ndarray) -> np.ndarray:
     """Sector pass behind :func:`exact_scaled_dynamics`.
 
     ``populations`` holds the initial (rho00, rho11), shape ``(2,)``, or a
@@ -342,9 +342,9 @@ def _sector_sums(model: SpinBosonModel, bath: TruncatedBath, populations: np.nda
     """
     populations = np.asarray(populations, dtype=float)
     # one weight per product state: its bath state's, for either level
-    weights = np.tile(_bath_weights(model, bath), 2)
+    weights = np.tile(_bath_weights(bath), 2)
     sectors = []
-    for states, energies, coupling in _sector_hamiltonians(model, bath):
+    for states, energies, coupling in _sector_hamiltonians(bath):
         p = weights[states]
         if not p.any():
             break  # the weights fall with the quanta, so no later sector has any
@@ -491,8 +491,7 @@ def _pairings(left: np.ndarray, trig: np.ndarray) -> np.ndarray:
     return np.einsum("...sutj,...svtj->...uvt", halves, trig)
 
 
-def dyson_terms(model: SpinBosonModel, bath: TruncatedBath, t: float,
-                order: int = 2) -> list[np.ndarray]:
+def dyson_terms(bath: TruncatedBath, t: float, order: int = 2) -> list[np.ndarray]:
     """Series terms of the co-rotating evolution operator through ``order``.
 
     Term zero is the identity and term k is the k-fold time-ordered integral
@@ -511,7 +510,7 @@ def dyson_terms(model: SpinBosonModel, bath: TruncatedBath, t: float,
     if not 0 <= order <= 2:
         raise ValueError("only orders 0..2 are implemented")
     d, n = bath.full_dim, order + 1
-    h = full_hamiltonian(model, bath)
+    h = full_hamiltonian(bath)
     free = np.diag(np.diag(h))
     blocks = np.zeros((n, d, n, d), dtype=complex)
     for k in range(n):
@@ -522,7 +521,7 @@ def dyson_terms(model: SpinBosonModel, bath: TruncatedBath, t: float,
     return [np.eye(d, dtype=complex)] + [_co_rotate(h, t, row[:, k]) for k in range(1, n)]
 
 
-def _reduced_map(model: SpinBosonModel, bath: TruncatedBath, t: float) -> np.ndarray:
+def _reduced_map(bath: TruncatedBath, t: float) -> np.ndarray:
     """Exact reduced map Phi(t) as a 4 x 4 matrix on row-major 2 x 2 states.
 
     Built from the sector pass: the bath state is diagonal and the coupling
@@ -533,8 +532,8 @@ def _reduced_map(model: SpinBosonModel, bath: TruncatedBath, t: float) -> np.nda
     rotation exp(i (e_i - e_j) t) applied.
     """
     times = require_time_grid([t])
-    z = _sector_sums(model, bath, np.eye(2), times, np.ones(1))[0, :, 0]
-    rotation = np.exp(1j * model.omega0 * times[0])
+    z = _sector_sums(bath, np.eye(2), times, np.ones(1))[0, :, 0]
+    rotation = np.exp(1j * bath.model.omega0 * times[0])
     phi = np.zeros((4, 4), dtype=complex)
     phi[[0, 3], 0] = z[0:2]
     phi[[0, 3], 3] = z[2:4]
@@ -551,8 +550,7 @@ def _system_state(rho) -> np.ndarray:
     return rho.reshape(4)
 
 
-def reduced_map_deviation(model: SpinBosonModel, bath: TruncatedBath,
-                          rho: np.ndarray, t: float) -> np.ndarray:
+def reduced_map_deviation(bath: TruncatedBath, rho: np.ndarray, t: float) -> np.ndarray:
     """Deviation of the exact reduced map from the identity at time ``t``.
 
     Returns (Phi(t) - I) applied to the 2 x 2 operator ``rho``.  Vanishes at
@@ -560,11 +558,11 @@ def reduced_map_deviation(model: SpinBosonModel, bath: TruncatedBath,
     order is quadratic in the coupling.
     """
     vec = _system_state(rho)
-    return ((_reduced_map(model, bath, t) - np.eye(4)) @ vec).reshape(2, 2)
+    return ((_reduced_map(bath, t) - np.eye(4)) @ vec).reshape(2, 2)
 
 
-def map_inversion_residual(model: SpinBosonModel, bath: TruncatedBath,
-                           rho0: np.ndarray, t: float, order: int) -> float:
+def map_inversion_residual(bath: TruncatedBath, rho0: np.ndarray, t: float,
+                           order: int) -> float:
     """Residual of the alternating-sum inversion identity at depth ``order``.
 
     The alternating sum of deviation-map compositions applied to the evolved
@@ -576,7 +574,7 @@ def map_inversion_residual(model: SpinBosonModel, bath: TruncatedBath,
     if order < 0:
         raise ValueError("order must be non-negative")
     rho0 = _system_state(rho0)
-    eps = _reduced_map(model, bath, t) - np.eye(4)
+    eps = _reduced_map(bath, t) - np.eye(4)
     rho_t = rho0 + eps @ rho0
 
     total = rho_t.copy()

@@ -33,12 +33,11 @@ a ``shift`` part (sine kernel, feeds the second-order effective
 Hamiltonian), plus exact running integrals of both.  All four are closed
 per-mode sums, not quadratures, which keeps them fast and bit-reproducible;
 the defining integrals survive in the test suite as an independent check.
-``RateFunctions.sums`` gives the decay, shift and decay-integral parts
-asked for, of both channels, from one evaluation; every caller reads them
-there, so that a part at the same times has the same bits wherever it is
-read.  The shift integral is a kernel of its own
-(``RateChannel.shift_integral``), the only one with a near-resonance
-series.
+Both channels run over the same modes: :class:`RateFunctions` holds the
+detunings once and the two channels' weights, and its ``sums`` gives the
+parts asked for, of both channels, from one evaluation, which every caller
+reads.  The shift integral is the one part with a near-resonance series
+(``_shift_integral_kernel``).
 
 With ``a_k = d_k t / 2`` for the detunings ``d_k`` and weights ``w_k``,
 the decay, the shift and the decay integral are the half-angle sums of
@@ -69,8 +68,8 @@ with the single step and offset 0, where ``sO 1 + cO 0`` is exact, so the
 angle addition leaves the values as they are; ``RateFunctions.sums`` and
 :func:`population_solution` pass their times (or starts) as the steps of
 the origin 0 instead, which takes no angle addition.  Near resonance every
-term above keeps one sign, so nothing cancels.  Both channels of a thermal
-bath share their detunings, and so one phase pass.
+term above keeps one sign, so nothing cancels.  Both channels share their
+detunings, and so one phase pass.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ __all__ = [
     "ohmic_density",
     "flat_density",
     "thermal_occupation",
-    "RateChannel",
     "RateFunctions",
     "rate_functions",
     "second_order_hamiltonian",
@@ -217,12 +215,10 @@ class SpinBosonModel:
     @cached_property
     def _rate_functions(self) -> "RateFunctions":
         # see rate_functions
-        detunings = _read_only(self.frequencies - self.omega0)
         g2 = self.couplings ** 2
-        return RateFunctions(
-            absorption=RateChannel(detunings, _read_only(g2 * self._occupations)),
-            emission=RateChannel(detunings, _read_only(g2 * (self._occupations + 1.0))),
-        )
+        return RateFunctions(_read_only(self.frequencies - self.omega0),
+                             absorption=_read_only(g2 * self._occupations),
+                             emission=_read_only(g2 * (self._occupations + 1.0)))
 
     def scaled(self, factor: float) -> "SpinBosonModel":
         """Same model with every coupling multiplied by ``factor``."""
@@ -291,7 +287,7 @@ class SpectralDiscretization:
 # -- rate functions ---------------------------------------------------------
 
 def _shift_integral_kernel(x: np.ndarray) -> np.ndarray:
-    """The shape (1 - sin(x)/x)/x of ``shift_integral`` at x = detuning * t.
+    """The shape (1 - sin(x)/x)/x of the shift integral at x = detuning * t.
 
     Below |x| = ``_RESONANCE_EPS`` (1e-3) it switches to its two-term
     series, accurate to 1.2e-15 relative there; the closed form above the
@@ -303,11 +299,13 @@ def _shift_integral_kernel(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class RateChannel:
-    """One weighted family of rate kernels summed over modes.
+class RateFunctions:
+    """The absorption (occupation-weighted) and emission (occupation+1)
+    channels, two families of rate kernels summed over the same modes.
 
-    With detunings ``d_k = omega_k - omega0`` and non-negative weights
-    ``w_k`` the channel evaluates, per mode and summed,
+    With detunings ``d_k = omega_k - omega0`` and a channel's non-negative
+    weights ``w_k`` (``absorption`` or ``emission``, one per detuning) the
+    channel evaluates, per mode and summed,
 
         decay(t)          = sum_k w_k sin(d_k t) / d_k
         shift(t)          = sum_k w_k (1 - cos(d_k t)) / d_k
@@ -316,49 +314,55 @@ class RateChannel:
 
     which are the running time integrals of ``w_k cos(d_k (t - s))`` and
     ``w_k sin(d_k (t - s))`` over s in [0, t], and their integrals again.
-    :meth:`RateFunctions.sums` gives the first three, ``shift_integral`` the
-    last; both accept scalar or array ``t``.
-
-    The first three take the half-angle form of the module docstring,
-    against per-mode factors computed once per channel.  A mode on
-    resonance (``d_k = 0``) adds ``w_k t``, ``0`` and ``w_k t^2 / 2``.
-    Channels compare by identity; their arrays make value equality
-    ambiguous.
+    :meth:`sums` gives any of them, of both channels, at scalar or array
+    ``t``.  The first three take the half-angle form of the module
+    docstring, against per-mode factors computed once; the shift integral
+    is ``w_k t^2`` times :func:`_shift_integral_kernel` at ``d_k t``.  A
+    mode on resonance (``d_k = 0``) adds ``w_k t``, ``0``, ``w_k t^2 / 2``
+    and ``0``.  Rate functions compare by identity; their arrays make value
+    equality ambiguous.
     """
 
     detunings: np.ndarray
-    weights: np.ndarray
+    absorption: np.ndarray
+    emission: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "detunings", np.atleast_1d(np.asarray(self.detunings, float)))
-        object.__setattr__(self, "weights", np.atleast_1d(np.asarray(self.weights, float)))
-        if self.detunings.shape != self.weights.shape:
-            raise ValueError("one weight per detuning required")
+        for name in ("detunings", "absorption", "emission"):
+            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), float)))
+        if not self.detunings.shape == self.absorption.shape == self.emission.shape:
+            raise ValueError("one absorption and one emission weight per detuning required")
 
     @cached_property
-    def _live(self) -> bool:
-        """Whether any mode carries weight; a channel without is zero."""
-        return bool(self.weights.any())
+    def _live(self) -> tuple[bool, bool]:
+        """Whether each channel carries weight; a channel without is zero."""
+        return bool(self.absorption.any()), bool(self.emission.any())
 
     @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Half detunings; ``2 w / d`` and ``2 w / d^2`` (zero on resonance),
-        each repeated for the three angle-addition terms; and the summed
-        weight of the resonant modes."""
-        d, w = self.detunings, self.weights
+    def _factors(self) -> list:
+        """Half detunings, then per channel: its weights; ``2 w / d`` and
+        ``2 w / d^2`` (zero on resonance), each repeated for the three
+        angle-addition terms; and the summed weight of the resonant modes."""
+        d = self.detunings
         resonant = np.abs(d) < _RESONANT_DETUNING
-        rate = 2.0 * w / np.where(resonant, 1.0, d)
-        rate[resonant] = 0.0
-        integral = rate / np.where(resonant, 1.0, d)
-        return (0.5 * d, np.concatenate([rate] * 3), np.concatenate([integral] * 3),
-                float(w[resonant].sum()))
+        factors = [0.5 * d]
+        for w in (self.absorption, self.emission):
+            rate = 2.0 * w / np.where(resonant, 1.0, d)
+            rate[resonant] = 0.0
+            integral = rate / np.where(resonant, 1.0, d)
+            factors.append((w, np.concatenate([rate] * 3), np.concatenate([integral] * 3),
+                            float(w[resonant].sum())))
+        return factors
 
-    def shift_integral(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if not self._live:
-            return _like(t_arr, np.zeros_like(t_arr))
-        kernel = _shift_integral_kernel(np.multiply.outer(t_arr, self.detunings))
-        return _like(t_arr, np.sum(self.weights * kernel, axis=-1) * t_arr ** 2)
+    def sums(self, t, parts=("decay", "shift", "decay_integral")):
+        """``(absorption parts, emission parts)``: the ``parts`` named (decay,
+        shift, decay_integral, shift_integral) of both channels at the times
+        ``t``, from one evaluation, the times as the steps of the origin 0
+        with the single offset 0.  Each part has the shape of ``t``, and is
+        a float for a scalar ``t``."""
+        times = np.asarray(t, dtype=float)
+        sums = _channel_sums(self, parts, times.reshape(-1), np.zeros(1))()
+        return tuple(tuple(_like(times, s) for s in channel) for channel in sums)
 
 
 def _like(times: np.ndarray, out):
@@ -366,45 +370,46 @@ def _like(times: np.ndarray, out):
     return float(out.reshape(())) if times.ndim == 0 else out.reshape(times.shape)
 
 
-# The parts a channel sums: the angle-addition basis (0: sin a cos a,
-# 1: sin^2 a), the index of the per-mode factor in RateChannel._factors, and
-# the resonant modes' term as (coefficient on their weight, power of t).
+# The parts of a channel: the angle-addition basis (0: sin a cos a,
+# 1: sin^2 a; None for the shift integral, which has a kernel of its own),
+# the index of the per-mode factor in a channel's RateFunctions._factors,
+# and the resonant modes' term as (coefficient on their weight, power of t).
 _PARTS = {
     "decay": (0, 1, (1.0, 1)),
     "shift": (1, 1, None),
     "decay_integral": (1, 2, (0.5, 2)),
+    "shift_integral": (None, 0, None),
 }
 
 
-def _channel_sums(channels, parts, steps: np.ndarray,
+def _channel_sums(rates: RateFunctions, parts, steps: np.ndarray,
                   offsets: np.ndarray) -> Callable[..., list]:
-    """Evaluator of each of ``parts`` of each channel on the lattices of
-    ``steps`` and ``offsets``: given ``origins``, ``sums[channel][part]`` of
-    shape ``lattice_times(origins[..., None] + steps, offsets).shape``;
-    without them, on the lattice ``lattice_times(steps, offsets)`` of the
-    starts ``steps``, at the origin 0.
+    """Evaluator of ``parts`` of both channels of ``rates``: given
+    ``origins``, ``sums[channel][part]`` on the lattice
+    ``lattice_times(origins[..., None] + steps, offsets)``; without them, on
+    ``lattice_times(steps, offsets)``, the starts ``steps`` at the origin 0.
 
-    The channels share their detunings (one model's, or the same channel
-    twice), so one phase pass serves them all.  This call takes one sine
-    and cosine per step and mode, and per offset and mode, and builds one
-    operand per basis: the per-mode factors of the basis's parts, the live
-    channels side by side, against ``[cB^2, sB cB, sB^2]`` of the offsets.
-    Bases whose parts read the same factor kinds share one operand.  The
-    evaluator takes one sine and cosine per origin and mode, turns them
-    into those of every start ``origin + step`` by angle addition, and
-    takes one matrix product over the modes per basis.  A channel with no
-    weight (no modes, or a vacuum's absorption) is zero without a kernel
-    evaluation.
+    The channels share their detunings, so one phase pass serves both.
+    This call takes one sine and cosine per step and mode, and per offset
+    and mode, and builds one operand per basis: the per-mode factors of the
+    basis's parts, the live channels side by side, against ``[cB^2, sB cB,
+    sB^2]`` of the offsets; bases whose parts read the same factor kinds
+    share one.  The evaluator takes one sine and cosine per origin and mode,
+    turns them into those of every start ``origin + step`` by angle
+    addition, takes one matrix product over the modes per basis, and
+    evaluates the shift integral's kernel once at the lattice times for all
+    live channels.  A channel with no weight (no modes, or a vacuum's
+    absorption) is zero without a kernel evaluation.
     """
-    live = [ch._live for ch in channels]
-    factors = [ch._factors for ch, alive in zip(channels, live) if alive]
+    live = rates._live
+    half_detunings, *channels = rates._factors
+    factors = [f for f, alive in zip(channels, live) if alive]
 
     def lattice(origins):
         return lattice_times(steps if origins is None else origins[..., None] + steps, offsets)
 
     if not factors:
-        return lambda origins=None: np.zeros((len(channels), len(parts)) + lattice(origins).shape)
-    half_detunings = factors[0][0]
+        return lambda origins=None: np.zeros((len(live), len(parts)) + lattice(origins).shape)
     phase_b = offsets[..., :, None] * half_detunings     # (..., R, K)
     sb, cb = np.sin(phase_b), np.cos(phase_b)
     right = np.concatenate([cb * cb, sb * cb, sb * sb], axis=-1).swapaxes(-1, -2)
@@ -433,6 +438,7 @@ def _channel_sums(channels, parts, steps: np.ndarray,
         if _PARTS[part][2] is not None:
             coefficient, power = _PARTS[part][2]
             resonant += [(i, j, coefficient * f[3], power) for i, f in enumerate(factors) if f[3]]
+    kernel_parts = [j for j, part in enumerate(parts) if _PARTS[part][0] is None]
 
     def at(origins: np.ndarray | None = None) -> list:
         if origins is None:
@@ -456,10 +462,17 @@ def _channel_sums(channels, parts, steps: np.ndarray,
             product = left @ operands[kinds]                     # (..., Q, len(rows) R)
             for k, (i, j) in enumerate(rows):
                 sums[i][j] = product[..., k * fine:(k + 1) * fine]
-        if resonant:
+        if resonant or kernel_parts:
             times = lattice(origins)
             for i, j, weight, power in resonant:
                 sums[i][j] += weight * times ** power
+            if kernel_parts:
+                kernel = _shift_integral_kernel(times[..., None] * rates.detunings)
+                square = times ** 2
+                for i, f in enumerate(factors):
+                    value = np.sum(f[0] * kernel, axis=-1) * square
+                    for j in kernel_parts:
+                        sums[i][j] = value
         if all(live):
             return sums
         shape, sums = sums[0][0].shape, iter(sums)
@@ -467,30 +480,6 @@ def _channel_sums(channels, parts, steps: np.ndarray,
                 for alive in live]
 
     return at
-
-
-@dataclass(frozen=True)
-class RateFunctions:
-    """Absorption (occupation-weighted) and emission (occupation+1) channels
-    over the same modes; each total sums both from one phase pass."""
-
-    absorption: RateChannel
-    emission: RateChannel
-
-    def __post_init__(self):
-        if not np.array_equal(self.absorption.detunings, self.emission.detunings):
-            raise ValueError("absorption and emission must share their detunings")
-
-    def sums(self, t, parts=("decay", "shift", "decay_integral")):
-        """``(absorption parts, emission parts)``: the ``parts`` named (decay,
-        shift, decay_integral) of both channels at the times ``t``, from one
-        phase pass, the times as the steps of the origin 0 with the single
-        offset 0.  Each part has the shape of ``t``, and is a float for a
-        scalar ``t``."""
-        times = np.asarray(t, dtype=float)
-        sums = _channel_sums((self.absorption, self.emission), parts,
-                             times.reshape(-1), np.zeros(1))()
-        return tuple(tuple(_like(times, s) for s in channel) for channel in sums)
 
 
 def rate_functions(model: SpinBosonModel) -> RateFunctions:
@@ -537,10 +526,9 @@ def coherence_solution(rho01_0: complex, rates: RateFunctions, t):
     Uses the exact running integrals; the lower coherence is the complex
     conjugate with the same decay envelope.
     """
-    phase = np.exp(4j * (rates.absorption.shift_integral(t)
-                         + rates.emission.shift_integral(t)))
-    (absorption,), (emission,) = rates.sums(t, ("decay_integral",))
-    envelope = np.exp(-4.0 * (absorption + emission))
+    (absorbed, a_shift), (emitted, e_shift) = rates.sums(t, ("decay_integral", "shift_integral"))
+    phase = np.exp(4j * (a_shift + e_shift))
+    envelope = np.exp(-4.0 * (absorbed + emitted))
     return rho01_0 * phase * envelope
 
 
@@ -560,7 +548,7 @@ def population_solution(rho00_0: float, rates: RateFunctions, t):
     result.  ``t`` may be a scalar or an array of any shape; an array result
     has the same shape.
     """
-    if not rates.absorption._live:
+    if not rates._live[0]:
         _, (emitted,) = rates.sums(t, ("decay_integral",))
         decayed = rho00_0 * np.exp(-8.0 * emitted)
         return float(decayed) if np.ndim(t) == 0 else decayed
@@ -573,11 +561,11 @@ def population_solution(rho00_0: float, rates: RateFunctions, t):
     samples = np.flatnonzero(flat)
     nodes = _POPULATION_PANELS + 1
     per_batch = max(1, _POPULATION_BUDGET // (_SIMPSON_STARTS.size * _SIMPSON_OFFSETS.size
-                                              * rates.emission.detunings.size))
+                                              * rates.detunings.size))
     for first in range(0, samples.size, per_batch):
         batch = samples[first:first + per_batch]
         step = flat[batch, None] / _POPULATION_PANELS
-        sums = _channel_sums((rates.absorption, rates.emission), ("decay", "decay_integral"),
+        sums = _channel_sums(rates, ("decay", "decay_integral"),
                              step * _SIMPSON_STARTS, step * _SIMPSON_OFFSETS)()
         (decay, absorbed), (_, emitted) = ([s.reshape(batch.size, -1)[:, :nodes] for s in channel]
                                            for channel in sums)
@@ -664,8 +652,7 @@ def bath_statistics(model: SpinBosonModel) -> BathStatistics:
     lattice, so the generic engine never quadratures this bath.
     """
     rates = rate_functions(model)
-    detunings = rates.emission.detunings
-    emission, absorption = rates.emission.weights, rates.absorption.weights
+    detunings, emission, absorption = rates.detunings, rates.emission, rates.absorption
 
     def correlation(j: int, k: int, t: float, s: float) -> complex:
         if (j, k) == (0, 1):
@@ -678,11 +665,10 @@ def bath_statistics(model: SpinBosonModel) -> BathStatistics:
         # both channels from one phase pass, over one table of steps and
         # offsets; the reverse integrals are the complex conjugates of the
         # forward ones
-        sums = _channel_sums((rates.emission, rates.absorption), ("decay", "shift"),
-                             steps, offsets)
+        sums = _channel_sums(rates, ("decay", "shift"), steps, offsets)
 
         def at(origins: np.ndarray):
-            (e_decay, e_shift), (a_decay, a_shift) = sums(origins)
+            (a_decay, a_shift), (e_decay, e_shift) = sums(origins)
             forward = np.zeros(e_decay.shape + (2, 2), dtype=complex)
             forward[..., 0, 1] = e_decay - 1j * e_shift
             forward[..., 1, 0] = a_decay + 1j * a_shift

@@ -73,7 +73,7 @@ def quadrature_bath(n_terms, correlation) -> BathStatistics:
 
 
 # -- rate kernels one time at a time -----------------------------------------
-# The reference for the lattice kernel of RateChannel: the half-angle sums
+# The reference for the lattice kernel of RateFunctions: the half-angle sums
 # with one sine and one cosine per mode and time, no angle addition.
 
 def half_angle_rates(detunings, weights, t):

@@ -159,7 +159,7 @@ def test_criterion_5_second_order_error_scaling():
         model = base.scaled(factor)
         me = propagate(interaction_decomposition(model), bath_statistics(model),
                        rho0, grid)
-        exact = exact_reduced_dynamics(model, TruncatedBath(model, n_max=4), rho0, grid)
+        exact = exact_reduced_dynamics(TruncatedBath(model, n_max=4), rho0, grid)
         errors[factor] = float(np.linalg.norm(me.states[-1] - exact.states[-1]))
         min_eig = min(min_eig, float(np.min(me.metadata["min_eigenvalue"])))
 
@@ -185,7 +185,7 @@ def test_criterion_6_inversion_identity():
     model = SpinBosonModel(1.0, [(0.8, 0.05), (1.5, 0.03)], math.inf)
     bath = TruncatedBath(model, n_max=3)
     rho0 = state(0.6, 0.2 + 0.1j)
-    residuals = [map_inversion_residual(model, bath, rho0, 2.0, depth)
+    residuals = [map_inversion_residual(bath, rho0, 2.0, depth)
                  for depth in (0, 1, 2)]
     worst = max(residuals)
     ok = worst <= 1e-9
@@ -201,8 +201,8 @@ def test_criterion_7_series_consistency():
     def residual(factor):
         model = base.scaled(factor)
         bath = TruncatedBath(model, n_max=3)
-        u0, u1, u2 = dyson_terms(model, bath, t)
-        return float(np.linalg.norm(u0 + u1 + u2 - interaction_unitary(model, bath, t)))
+        u0, u1, u2 = dyson_terms(bath, t)
+        return float(np.linalg.norm(u0 + u1 + u2 - interaction_unitary(bath, t)))
 
     r1, r2, r3 = residual(1.0), residual(0.5), residual(0.25)
     ratios = (r1 / r2, r2 / r3)

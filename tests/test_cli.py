@@ -85,6 +85,13 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def _subprocess_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(spinboson.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def read_summary(path):
     out = {}
     with open(path, encoding="utf-8") as fh:
@@ -435,6 +442,53 @@ def test_unwritable_output_is_an_output_error(tmp_path, capsys, target, verb):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["rates", "evolve", "exact"])
+def test_phase_beyond_the_bound_is_a_config_error(tmp_path, capsys, verb):
+    # at t_max = 1e308 the phases carry no digits: the rates overflow to
+    # infinities and the trajectories to NaN, so the parse refuses it
+    cfg = write_cfg(tmp_path, THERMAL_CFG.replace("t_max = 4.0", "t_max = 1e308"))
+    out = tmp_path / "out"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: line 4: field 't_max': t_max x ")
+    assert not out.exists()
+
+
+def test_non_finite_rate_is_a_runtime_abort(tmp_path, capsys, monkeypatch):
+    # a NaN bound for the CSV is named with its column and time, and no
+    # file is written
+    from spinboson.spin_boson import RateFunctions
+
+    sums = RateFunctions.sums
+
+    def poisoned(self, t, parts):
+        absorption, emission = sums(self, t, parts)
+        shift_integral = absorption[3].copy()
+        shift_integral[2] = math.nan
+        return absorption[:3] + (shift_integral,), emission
+
+    monkeypatch.setattr(RateFunctions, "sums", poisoned)
+    cfg = write_cfg(tmp_path, THERMAL_CFG)
+    out = tmp_path / "rates.csv"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "runtime abort: int_D_I is nan at t = 0.25; no CSV written\n")
+    assert not out.exists()
+
+
+def test_overflowing_coupling_is_a_runtime_abort(tmp_path):
+    # g = 1e200 squares to infinity, which makes the rates NaN.  Run in a
+    # fresh interpreter: the suite turns the overflow's RuntimeWarning into
+    # an error
+    cfg = write_cfg(tmp_path, THERMAL_CFG.replace("0.8:0.1, 1.2:0.07", "0.8:1e200"))
+    out = tmp_path / "rates.csv"
+    done = subprocess.run([sys.executable, "-m", "spinboson", "rates", "--config", cfg,
+                           "--out", str(out)],
+                          capture_output=True, text=True, env=_subprocess_env(), cwd=tmp_path)
+    assert done.returncode == EXIT_RUNTIME
+    assert done.stderr.endswith("runtime abort: D_R is nan at t = 0; no CSV written\n")
+    assert not out.exists()
+
+
 def test_output_path_from_config(tmp_path):
     target = tmp_path / "from_config.csv"
     cfg = write_cfg(tmp_path, THERMAL_CFG + f"output_path = {target}\n")
@@ -571,9 +625,9 @@ def test_compare_builds_the_sectors_once_per_pass(tmp_path, monkeypatch, check, 
     built = []
     sectors = oracle._sector_hamiltonians
 
-    def counted(model, bath):
+    def counted(bath):
         built.append(bath.n_max)
-        return sectors(model, bath)
+        return sectors(bath)
 
     monkeypatch.setattr(oracle, "_sector_hamiltonians", counted)
     cfg = write_cfg(tmp_path, COMPARE_CFG + f"check_truncation = {check}\n")
@@ -638,7 +692,7 @@ loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
 assert not loaded, loaded
 from spinboson import SpinBosonModel, TruncatedBath, dyson_terms
 model = SpinBosonModel(1.0, [(1.1, 0.05)], math.inf)
-_, u1, u2 = dyson_terms(model, TruncatedBath(model, n_max=1), 0.7)
+_, u1, u2 = dyson_terms(TruncatedBath(model, n_max=1), 0.7)
 assert np.max(np.abs(u1)) > 1e-3
 assert np.max(np.abs(u2 + u2.conj().T + u1 @ u1.conj().T)) <= 1e-13
 """
@@ -646,12 +700,9 @@ assert np.max(np.abs(u2 + u2.conj().T + u1 @ u1.conj().T)) <= 1e-13
 
 def test_cli_import_path_loads_no_scipy(tmp_path):
     cfg = write_cfg(tmp_path, THERMAL_CFG)
-    src = str(Path(spinboson.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT, cfg,
                            str(tmp_path / "rates.csv")],
-                          capture_output=True, text=True, env=env, cwd=tmp_path)
+                          capture_output=True, text=True, env=_subprocess_env(), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
 
 

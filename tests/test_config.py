@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from spinboson.config import ConfigError, parse_config_text
+from spinboson.config import MAX_PHASE, ConfigError, parse_config_text
 
 GOOD = """\
 # explicit three-mode thermal model
@@ -157,3 +158,26 @@ def test_comments_and_blank_lines_ignored():
     text = "\n# leading comment\n\n" + GOOD + "\n   # trailing\n"
     cfg = parse_config_text(text)
     assert cfg.omega0 == 1.0
+
+
+@pytest.mark.parametrize("text", [GOOD, GOOD_DISC], ids=["explicit", "discretized"])
+def test_phase_bound_reads_the_largest_frequency(text):
+    # t_max times the largest of omega0 and the mode frequencies (a mode's
+    # here, the top midpoint for a discretization): at the bound the config
+    # parses, one ulp of t_max past it does not, and the error names t_max
+    # and its line
+    frequency = float(parse_config_text(text).model().frequencies.max())
+    line = [key.split()[0] for key in text.splitlines()].index("t_max") + 1
+    t_max = MAX_PHASE / frequency
+    while t_max * frequency > MAX_PHASE:
+        t_max = math.nextafter(t_max, 0.0)
+    under = re.sub(r"t_max = \S+", f"t_max = {t_max!r}", text)
+    assert parse_config_text(under).t_max == t_max
+    over = re.sub(r"t_max = \S+", f"t_max = {math.nextafter(t_max, math.inf)!r}", text)
+    with pytest.raises(ConfigError, match=rf"^line {line}: field 't_max': t_max x max"):
+        parse_config_text(over)
+    # omega0 counts when it is the largest frequency
+    slow = re.sub(r"t_max = \S+", f"t_max = {MAX_PHASE / 20.0!r}", text)
+    assert parse_config_text(slow.replace("omega0 = 1.0", "omega0 = 20.0")).t_max == MAX_PHASE / 20
+    with pytest.raises(ConfigError, match="'t_max'"):
+        parse_config_text(slow.replace("omega0 = 1.0", "omega0 = 20.5"))

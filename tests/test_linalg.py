@@ -124,7 +124,7 @@ _FACTOR_SITES = {
         interaction_decomposition(_MODEL), bath_statistics(_MODEL),
         np.diag([1.0, 0.0]), [0.0, 0.1], f, substeps=1),
     "exact_scaled_dynamics": lambda f: exact_scaled_dynamics(
-        _MODEL, TruncatedBath(_MODEL, n_max=1), np.diag([1.0, 0.0]), [0.0, 0.1], f),
+        TruncatedBath(_MODEL, n_max=1), np.diag([1.0, 0.0]), [0.0, 0.1], f),
 }
 
 

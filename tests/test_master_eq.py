@@ -423,8 +423,8 @@ def test_stage_generators_at_ohmic_scale(grid):
     times = OHMIC_GRID if grid == "uniform" else ulp_grid(OHMIC_GRID)
     stages = stage_generators(decomp, bath, times, OHMIC_SUBSTEPS)
     # the per-mode factor scale of the rates, sum_k |2 w_k / d_k|
-    channel = rate_functions(model).emission
-    scale = np.sum(np.abs(2.0 * channel.weights / channel.detunings))
+    rates = rate_functions(model)
+    scale = np.sum(np.abs(2.0 * rates.emission / rates.detunings))
     for i in range(len(times) - 1):
         step = (times[i + 1] - times[i]) / OHMIC_SUBSTEPS
         t = times[i] + step * 0.5 * np.arange(2 * OHMIC_SUBSTEPS + 1)

@@ -79,7 +79,7 @@ def test_annihilation_matrix_elements():
 
 def test_full_hamiltonian_no_modes():
     model = SpinBosonModel(1.3, [], math.inf)
-    h = full_hamiltonian(model, TruncatedBath(model, n_max=4))
+    h = full_hamiltonian(TruncatedBath(model, n_max=4))
     assert np.allclose(h, 0.5 * 1.3 * SIGMA_Z, atol=1e-15)
 
 
@@ -88,7 +88,7 @@ def test_full_hamiltonian_single_mode_hand_built():
     # |up, 0> and |down, 1> with strength 2g (factor-two ladder convention)
     omega0, omega, g = 1.0, 1.4, 0.2
     model = SpinBosonModel(omega0, [(omega, g)], math.inf)
-    h = full_hamiltonian(model, TruncatedBath(model, n_max=1))
+    h = full_hamiltonian(TruncatedBath(model, n_max=1))
     hand = np.array([
         [omega0 / 2, 0, 0, 2 * g],
         [0, omega0 / 2 + omega, 0, 0],
@@ -100,15 +100,15 @@ def test_full_hamiltonian_single_mode_hand_built():
 
 def test_full_hamiltonian_hermitian():
     model = SpinBosonModel(1.0, [(0.7, 0.12), (1.9, -0.08)], 2.0)
-    h = full_hamiltonian(model, TruncatedBath(model, n_max=3))
+    h = full_hamiltonian(TruncatedBath(model, n_max=3))
     assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
 
 def test_sector_blocks_reassemble_full_hamiltonian():
     model = SpinBosonModel(1.0, [(0.7, 0.12), (1.9, -0.08), (1.1, 0.05)], 2.0)
     bath = TruncatedBath(model, n_max=2)
-    h = full_hamiltonian(model, bath)
-    blocks = list(oracle._sector_hamiltonians(model, bath))
+    h = full_hamiltonian(bath)
+    blocks = list(oracle._sector_hamiltonians(bath))
     assembled = np.zeros_like(h)
     for states, energies, coupling in blocks:
         assembled[np.ix_(states, states)] = np.diag(energies) + coupling
@@ -124,7 +124,7 @@ def test_sector_blocks_reassemble_full_hamiltonian():
 
 def test_thermal_state_vacuum():
     model = two_mode_vacuum()
-    state = thermal_bath_state(model, TruncatedBath(model, n_max=2))
+    state = thermal_bath_state(TruncatedBath(model, n_max=2))
     expected = np.zeros((9, 9), dtype=complex)
     expected[0, 0] = 1.0
     assert np.array_equal(state, expected)
@@ -133,7 +133,7 @@ def test_thermal_state_vacuum():
 def test_thermal_state_geometric_weights():
     # beta*omega = ln 2: weights 1, 1/2, 1/4 normalize to 4/7, 2/7, 1/7
     model = SpinBosonModel(1.0, [(1.0, 0.1)], math.log(2.0))
-    state = thermal_bath_state(model, TruncatedBath(model, n_max=2))
+    state = thermal_bath_state(TruncatedBath(model, n_max=2))
     assert np.allclose(state, np.diag([4 / 7, 2 / 7, 1 / 7]), atol=1e-15)
     assert np.trace(state).real == pytest.approx(1.0, abs=1e-15)
 
@@ -141,7 +141,7 @@ def test_thermal_state_geometric_weights():
 def test_thermal_state_ladder_averages_vanish():
     model = SpinBosonModel(1.0, [(0.9, 0.1), (1.6, 0.2)], 1.2)
     bath = TruncatedBath(model, n_max=4)
-    state = thermal_bath_state(model, bath)
+    state = thermal_bath_state(bath)
     for b in bath_annihilation_ops(bath):
         assert abs(np.trace(state @ b)) == 0.0
         assert abs(np.trace(state @ b.conj().T)) == 0.0
@@ -150,9 +150,8 @@ def test_thermal_state_ladder_averages_vanish():
 def test_thermal_state_product_structure():
     model = SpinBosonModel(1.0, [(1.0, 0.1), (2.0, 0.1)], 0.9)
     bath = TruncatedBath(model, n_max=2)
-    state = thermal_bath_state(model, bath)
-    single = [thermal_bath_state(SpinBosonModel(1.0, [mode], 0.9),
-                                 TruncatedBath(SpinBosonModel(1.0, [mode], 0.9), n_max=2))
+    state = thermal_bath_state(bath)
+    single = [thermal_bath_state(TruncatedBath(SpinBosonModel(1.0, [mode], 0.9), n_max=2))
               for mode in model.modes]
     assert np.allclose(state, np.kron(single[0], single[1]), atol=1e-15)
 
@@ -161,8 +160,7 @@ def test_thermal_state_product_structure():
 
 def test_exact_dynamics_no_coupling_is_constant():
     model = SpinBosonModel(1.0, [(1.3, 0.0)], 1.0)
-    traj = exact_reduced_dynamics(model, TruncatedBath(model, n_max=3), RHO_MIXED,
-                                  np.linspace(0, 5, 11))
+    traj = exact_reduced_dynamics(TruncatedBath(model, n_max=3), RHO_MIXED, np.linspace(0, 5, 11))
     assert np.max(np.abs(traj.states - RHO_MIXED)) <= 1e-12
 
 
@@ -172,15 +170,14 @@ def test_exact_dynamics_matches_rabi_formula():
     g = 0.05
     model = vacuum_mode(g=g)
     grid = np.linspace(0, 6.0, 31)
-    traj = exact_reduced_dynamics(model, TruncatedBath(model, n_max=4), RHO_EXCITED, grid)
+    traj = exact_reduced_dynamics(TruncatedBath(model, n_max=4), RHO_EXCITED, grid)
     assert np.max(np.abs(traj.states[:, 0, 0].real - np.cos(2 * g * grid) ** 2)) <= 1e-12
     assert np.max(np.abs(traj.states[:, 0, 1])) <= 1e-12
 
 
 def test_exact_dynamics_preserves_trace_and_hermiticity():
     model = SpinBosonModel(1.0, [(0.8, 0.15), (1.4, 0.1)], 1.0)
-    traj = exact_reduced_dynamics(model, TruncatedBath(model, n_max=4), RHO_MIXED,
-                                  np.linspace(0, 3, 13))
+    traj = exact_reduced_dynamics(TruncatedBath(model, n_max=4), RHO_MIXED, np.linspace(0, 3, 13))
     assert np.max(traj.trace_errors()) <= 1e-10
     assert np.max(traj.hermiticity_errors()) <= 1e-10
 
@@ -190,11 +187,11 @@ def test_exact_dynamics_conserves_excitation_number():
     # commutes with the full Hamiltonian
     model = two_mode_vacuum(0.12, 0.09)
     bath = TruncatedBath(model, n_max=3)
-    rho_e = thermal_bath_state(model, bath)
+    rho_e = thermal_bath_state(bath)
     number = np.kron(SIGMA_PLUS @ SIGMA_MINUS / 4.0, np.eye(bath.bath_dim))
     for b in bath_annihilation_ops(bath):
         number += np.kron(np.eye(2), b.conj().T @ b)
-    h = full_hamiltonian(model, bath)
+    h = full_hamiltonian(bath)
     assert np.max(np.abs(h @ number - number @ h)) <= 1e-12
 
     w, v = np.linalg.eigh(h)
@@ -208,10 +205,10 @@ def test_exact_dynamics_conserves_excitation_number():
 
 def full_space_reduced_dynamics(model, bath, rho0, times):
     """Reference: the full co-rotating propagator on rho0 (x) rho_E, traced."""
-    full0 = np.kron(rho0, thermal_bath_state(model, bath))
+    full0 = np.kron(rho0, thermal_bath_state(bath))
     out = []
     for t in times:
-        u = interaction_unitary(model, bath, t)
+        u = interaction_unitary(bath, t)
         out.append(partial_trace(u @ full0 @ u.conj().T, (2, bath.bath_dim)))
     return np.array(out)
 
@@ -234,7 +231,7 @@ def test_sector_solver_matches_full_space_propagation(model, n_max):
     bath = TruncatedBath(model, n_max=n_max)
     grid = np.linspace(0, 4, 9)
     rho0 = random_density_matrix(make_rng(n_max), 2)
-    traj = exact_reduced_dynamics(model, bath, rho0, grid)
+    traj = exact_reduced_dynamics(bath, rho0, grid)
     reference = full_space_reduced_dynamics(model, bath, rho0, grid)
     assert np.max(np.abs(traj.states - reference)) <= 1e-12
 
@@ -242,10 +239,10 @@ def test_sector_solver_matches_full_space_propagation(model, n_max):
 def test_exact_dynamics_forms_no_full_space_array(monkeypatch):
     model = SpinBosonModel(1.0, [(0.8, 0.15), (1.4, 0.1), (1.1, 0.05)], 1.0)
     bath = TruncatedBath(model, n_max=3)
-    expected = exact_reduced_dynamics(model, bath, RHO_MIXED, np.linspace(0, 3, 7))
+    expected = exact_reduced_dynamics(bath, RHO_MIXED, np.linspace(0, 3, 7))
     # the deviation map and the inversion identity read the same sector pass
-    expected_deviation = reduced_map_deviation(model, bath, RHO_MIXED, 1.3)
-    expected_residual = map_inversion_residual(model, bath, RHO_MIXED, 1.3, 2)
+    expected_deviation = reduced_map_deviation(bath, RHO_MIXED, 1.3)
+    expected_residual = map_inversion_residual(bath, RHO_MIXED, 1.3, 2)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("full-space construction")
@@ -260,14 +257,13 @@ def test_exact_dynamics_forms_no_full_space_array(monkeypatch):
     monkeypatch.setattr(oracle, "full_hamiltonian", forbidden)
     monkeypatch.setattr(np, "kron", forbidden)
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    traj = exact_reduced_dynamics(model, bath, RHO_MIXED, np.linspace(0, 3, 7))
+    traj = exact_reduced_dynamics(bath, RHO_MIXED, np.linspace(0, 3, 7))
     assert np.array_equal(traj.states, expected.states)
     # the largest sector, N = 5: 12 up states with 4 quanta, 12 down with 5
     assert max(sizes) == 24
     sizes.clear()
-    assert np.array_equal(reduced_map_deviation(model, bath, RHO_MIXED, 1.3),
-                          expected_deviation)
-    assert map_inversion_residual(model, bath, RHO_MIXED, 1.3, 2) == expected_residual
+    assert np.array_equal(reduced_map_deviation(bath, RHO_MIXED, 1.3), expected_deviation)
+    assert map_inversion_residual(bath, RHO_MIXED, 1.3, 2) == expected_residual
     assert max(sizes) == 24
 
 
@@ -276,9 +272,9 @@ def test_reduced_map_takes_both_population_columns_from_one_pass(monkeypatch, be
     model = SpinBosonModel(1.0, [(0.8, 0.15), (1.4, 0.1), (1.1, 0.05)], beta)
     bath = TruncatedBath(model, n_max=3)
     times, factors = np.array([1.3]), np.ones(1)
-    stacked = oracle._sector_sums(model, bath, np.eye(2), times, factors)[0]
+    stacked = oracle._sector_sums(bath, np.eye(2), times, factors)[0]
     # the two passes from the initial populations (1, 0) and (0, 1)
-    up, down = (oracle._sector_sums(model, bath, pair, times, factors)[0]
+    up, down = (oracle._sector_sums(bath, pair, times, factors)[0]
                 for pair in np.eye(2))
     assert stacked.shape == (6, 1)
     assert np.max(np.abs(stacked[:2] - up[:2])) <= 1e-15
@@ -293,10 +289,10 @@ def test_reduced_map_takes_both_population_columns_from_one_pass(monkeypatch, be
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    exact_reduced_dynamics(model, bath, RHO_MIXED, times)
+    exact_reduced_dynamics(bath, RHO_MIXED, times)
     per_sector = list(sizes)
     sizes.clear()
-    reduced_map_deviation(model, bath, RHO_MIXED, 1.3)
+    reduced_map_deviation(bath, RHO_MIXED, 1.3)
     # one eigendecomposition per sector with bath weight, as for one state
     assert sizes == per_sector
 
@@ -311,13 +307,11 @@ def test_scaled_pass_matches_one_run_per_scaled_model(model, n_max):
     factors = (1.0, 0.5, 0.25, 0.3)
     grid = np.linspace(0, 4, 9)
     rho0 = random_density_matrix(make_rng(7), 2)
-    scaled = exact_scaled_dynamics(model, TruncatedBath(model, n_max=n_max), rho0, grid,
-                                   factors)
+    scaled = exact_scaled_dynamics(TruncatedBath(model, n_max=n_max), rho0, grid, factors)
     assert len(scaled) == len(factors)
     for factor, traj in zip(factors, scaled):
         model_f = model.scaled(factor)
-        single = exact_reduced_dynamics(model_f, TruncatedBath(model_f, n_max=n_max),
-                                        rho0, grid)
+        single = exact_reduced_dynamics(TruncatedBath(model_f, n_max=n_max), rho0, grid)
         assert np.max(np.abs(traj.states - single.states)) <= 1e-14
         assert traj.metadata.keys() == single.metadata.keys()
 
@@ -336,10 +330,10 @@ def assert_stacked_pass_is_per_factor_passes(model, n_max, times, factors, rho0=
     """Each trajectory of the stacked pass equals the pass of its factor
     alone, bit for bit, with the same metadata."""
     bath = TruncatedBath(model, n_max=n_max)
-    stacked = exact_scaled_dynamics(model, bath, rho0, times, factors)
+    stacked = exact_scaled_dynamics(bath, rho0, times, factors)
     assert len(stacked) == len(factors)
     for factor, traj in zip(factors, stacked):
-        alone = exact_scaled_dynamics(model, bath, rho0, times, (factor,))[0]
+        alone = exact_scaled_dynamics(bath, rho0, times, (factor,))[0]
         assert np.array_equal(traj.states, alone.states)
         assert traj.metadata.keys() == alone.metadata.keys()
         assert np.array_equal(traj.metadata["min_eigenvalue"], alone.metadata["min_eigenvalue"])
@@ -375,13 +369,13 @@ def test_sector_pass_takes_one_eigh_per_sector_and_chunk(monkeypatch, case, fact
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    exact_reduced_dynamics(model, bath, BENCH_RHO0, times)
+    exact_reduced_dynamics(bath, BENCH_RHO0, times)
     sizes = [shape[-1] for shape in calls]  # one per sector with bath weight
     assert calls == [(1, d, d) for d in sizes]
     chunk = max(1, oracle._SECTOR_BUDGET // max(sizes) ** 2)
     assert [min(chunk, len(factors) - i) for i in range(0, len(factors), chunk)] == chunks
     calls.clear()
-    exact_scaled_dynamics(model, bath, BENCH_RHO0, times, factors)
+    exact_scaled_dynamics(bath, BENCH_RHO0, times, factors)
     assert calls == [(count, d, d) for count in chunks for d in sizes]
 
 
@@ -399,10 +393,9 @@ def test_sector_pass_buckets_small_sectors_and_leaves_large_ones_alone(monkeypat
 
     monkeypatch.setattr(oracle, "_buckets", recording)
     for (model, n_max, times), factors in [(THERMAL_2MODE, (1.0,)), (FOCK_4MODE, (1.0, 0.5, 0.25))]:
-        exact_scaled_dynamics(model, TruncatedBath(model, n_max=n_max), BENCH_RHO0, times,
-                              factors)
+        exact_scaled_dynamics(TruncatedBath(model, n_max=n_max), BENCH_RHO0, times, factors)
     model, n_max, _ = THERMAL_2MODE
-    reduced_map_deviation(model, TruncatedBath(model, n_max=n_max), RHO_MIXED, 0.5)
+    reduced_map_deviation(TruncatedBath(model, n_max=n_max), RHO_MIXED, 0.5)
     thermal = [[1, 3, 5, 7, 9, 11, 13, 13, 11, 9, 7, 5, 3, 1]]
     fock = [[1, 5, 14, 30], [51], [71], [84], [84], [71], [51], [30, 14, 5, 1]]
     assert recorded == [thermal, fock, thermal]
@@ -416,7 +409,7 @@ def test_three_factor_fock_pass_stays_within_its_memory():
 
     model, n_max, times = FOCK_4MODE
     bath = TruncatedBath(model, n_max=n_max)
-    run = lambda: exact_scaled_dynamics(model, bath, BENCH_RHO0, times, (1.0, 0.5, 0.25))
+    run = lambda: exact_scaled_dynamics(bath, BENCH_RHO0, times, (1.0, 0.5, 0.25))
     run()
     tracemalloc.start()
     try:
@@ -441,7 +434,7 @@ def test_three_factor_thermal_pass_stays_within_its_memory(samples, bound):
     model, n_max, _ = THERMAL_2MODE
     bath = TruncatedBath(model, n_max=n_max)
     times = np.linspace(0, 1, samples)
-    run = lambda: exact_scaled_dynamics(model, bath, BENCH_RHO0, times, (1.0, 0.5, 0.25))
+    run = lambda: exact_scaled_dynamics(bath, BENCH_RHO0, times, (1.0, 0.5, 0.25))
     run()
     tracemalloc.start()
     try:
@@ -463,7 +456,7 @@ def test_vacuum_pass_builds_only_the_weighted_sectors():
     model = SpinBosonModel(1.0, [(0.7 + 0.1 * k, 0.05) for k in range(6)], math.inf)
     bath = TruncatedBath(model, n_max=3)
     assert bath.full_dim == bath.dim_cap == 8192
-    run = lambda: exact_reduced_dynamics(model, bath, RHO_MIXED, np.linspace(0, 2, 11))
+    run = lambda: exact_reduced_dynamics(bath, RHO_MIXED, np.linspace(0, 2, 11))
     run()
     tracemalloc.start()
     try:
@@ -488,14 +481,14 @@ def test_stacked_pass_is_per_factor_passes_on_small_models(modes, beta, n_max, f
 
 def test_scaled_pass_without_factors_is_empty():
     model = vacuum_mode()
-    assert exact_scaled_dynamics(model, TruncatedBath(model, n_max=2), RHO_MIXED,
+    assert exact_scaled_dynamics(TruncatedBath(model, n_max=2), RHO_MIXED,
                                  np.linspace(0, 1, 3), []) == []
 
 
 def test_scaled_pass_rejects_non_finite_factors():
     model = vacuum_mode()
     with pytest.raises(ValueError, match="finite"):
-        exact_scaled_dynamics(model, TruncatedBath(model, n_max=2), RHO_MIXED,
+        exact_scaled_dynamics(TruncatedBath(model, n_max=2), RHO_MIXED,
                               np.linspace(0, 1, 3), (1.0, math.nan))
 
 
@@ -505,15 +498,14 @@ def test_scaled_truncation_check_raises_for_the_first_unconverged_factor():
     model = SpinBosonModel(1.0, [(1.0, 0.08)], 0.3)
     bath = TruncatedBath(model, n_max=1)
     grid = np.linspace(0, 2, 5)
-    fine = exact_reduced_dynamics(model, bath.with_n_max(2), RHO_MIXED, grid)
-    coarse = exact_reduced_dynamics(model, bath, RHO_MIXED, grid)
+    fine = exact_reduced_dynamics(bath.with_n_max(2), RHO_MIXED, grid)
+    coarse = exact_reduced_dynamics(bath, RHO_MIXED, grid)
     expected = float(np.max(np.abs(coarse.states - fine.states)))
     for factors in ((0.0, 1.0), (1.0, 0.5)):
         with pytest.raises(TruncationError) as err:
-            exact_scaled_dynamics(model, bath, RHO_MIXED, grid, factors,
-                                  check_truncation=True)
+            exact_scaled_dynamics(bath, RHO_MIXED, grid, factors, check_truncation=True)
         assert err.value.shift == expected
-    passed = exact_scaled_dynamics(model, bath, RHO_MIXED, grid, (0.0, 1.0),
+    passed = exact_scaled_dynamics(bath, RHO_MIXED, grid, (0.0, 1.0),
                                    check_truncation=True, truncation_tol=1.0)
     assert passed[0].metadata["truncation_shift"] <= 1e-15
     assert passed[1].metadata["truncation_shift"] == expected
@@ -523,9 +515,9 @@ def test_check_truncation_reports_the_doubled_cutoff_shift():
     model = SpinBosonModel(1.0, [(1.0, 0.08)], 2.0)
     bath = TruncatedBath(model, n_max=3)
     grid = np.linspace(0, 2, 5)
-    traj = exact_reduced_dynamics(model, bath, RHO_MIXED, grid, check_truncation=True,
+    traj = exact_reduced_dynamics(bath, RHO_MIXED, grid, check_truncation=True,
                                   truncation_tol=1e-2)
-    fine = exact_reduced_dynamics(model, TruncatedBath(model, n_max=6), RHO_MIXED, grid)
+    fine = exact_reduced_dynamics(TruncatedBath(model, n_max=6), RHO_MIXED, grid)
     shift = traj.metadata["truncation_shift"]
     assert 0.0 < shift == float(np.max(np.abs(traj.states - fine.states)))
 
@@ -535,23 +527,23 @@ def test_exact_dynamics_validates_initial_state():
     bath = TruncatedBath(model, n_max=2)
     grid = np.linspace(0, 1, 3)
     with pytest.raises(ValueError):
-        exact_reduced_dynamics(model, bath, np.array([[1.0, 0.5], [0.0, 0.0]]), grid)
+        exact_reduced_dynamics(bath, np.array([[1.0, 0.5], [0.0, 0.0]]), grid)
     with pytest.raises(ValueError):
-        exact_reduced_dynamics(model, bath, 2 * RHO_EXCITED, grid)
+        exact_reduced_dynamics(bath, 2 * RHO_EXCITED, grid)
 
 
 @pytest.mark.parametrize("bad", [[0.0, math.nan], [0.0, math.inf], [math.nan]])
 def test_exact_dynamics_rejects_non_finite_times(bad):
     model = vacuum_mode()
     with pytest.raises(ValueError, match="finite"):
-        exact_reduced_dynamics(model, TruncatedBath(model, n_max=2), RHO_MIXED, bad)
+        exact_reduced_dynamics(TruncatedBath(model, n_max=2), RHO_MIXED, bad)
 
 
 # -- truncation convergence ----------------------------------------------------------
 
 def test_truncation_exact_for_single_excitation_vacuum():
     model = vacuum_mode()
-    traj = exact_reduced_dynamics(model, TruncatedBath(model, n_max=2), RHO_MIXED,
+    traj = exact_reduced_dynamics(TruncatedBath(model, n_max=2), RHO_MIXED,
                                   np.linspace(0, 2, 5), check_truncation=True)
     assert traj.metadata["truncation_shift"] <= 1e-12
 
@@ -560,8 +552,8 @@ def test_truncation_invariant_on_acceptance_parameters():
     # the order-scaling acceptance set: vacuum resonant mode, n_max 4 vs 6
     model = vacuum_mode(g=0.05)
     grid = np.linspace(0, 2.0, 9)
-    a = exact_reduced_dynamics(model, TruncatedBath(model, n_max=4), RHO_EXCITED, grid)
-    b = exact_reduced_dynamics(model, TruncatedBath(model, n_max=6), RHO_EXCITED, grid)
+    a = exact_reduced_dynamics(TruncatedBath(model, n_max=4), RHO_EXCITED, grid)
+    b = exact_reduced_dynamics(TruncatedBath(model, n_max=6), RHO_EXCITED, grid)
     assert np.max(np.abs(a.states - b.states)) < 1e-6
 
 
@@ -569,8 +561,7 @@ def test_truncation_flagged_for_hot_bath():
     model = SpinBosonModel(1.0, [(1.0, 0.08)], 0.3)
     bath = TruncatedBath(model, n_max=1)
     with pytest.raises(TruncationError) as err:
-        exact_reduced_dynamics(model, bath, RHO_MIXED, np.linspace(0, 2, 5),
-                               check_truncation=True)
+        exact_reduced_dynamics(bath, RHO_MIXED, np.linspace(0, 2, 5), check_truncation=True)
     assert err.value.shift > 1e-6
 
 
@@ -580,13 +571,13 @@ def test_dyson_terms_without_scipy_name_the_extra(monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy.linalg", None)
     model = vacuum_mode()
     with pytest.raises(ImportError, match=r"spinboson\[dyson\]"):
-        dyson_terms(model, TruncatedBath(model, n_max=1), 0.5)
+        dyson_terms(TruncatedBath(model, n_max=1), 0.5)
 
 
 def test_dyson_terms_at_zero_time():
     model = two_mode_vacuum()
     bath = TruncatedBath(model, n_max=2)
-    u0, u1, u2 = dyson_terms(model, bath, 0.0)
+    u0, u1, u2 = dyson_terms(bath, 0.0)
     assert np.array_equal(u0, np.eye(bath.full_dim))
     assert np.max(np.abs(u1)) == 0.0
     assert np.max(np.abs(u2)) == 0.0
@@ -595,7 +586,7 @@ def test_dyson_terms_at_zero_time():
 def test_dyson_first_term_anti_hermitian():
     model = two_mode_vacuum(0.07, 0.11)
     bath = TruncatedBath(model, n_max=3)
-    _, u1 = dyson_terms(model, bath, 1.7, order=1)
+    _, u1 = dyson_terms(bath, 1.7, order=1)
     assert np.max(np.abs(u1 + u1.conj().T)) <= 1e-10
 
 
@@ -607,8 +598,8 @@ def test_dyson_partial_sum_error_is_third_order():
     def residual(factor):
         scaled = model.scaled(factor)
         bath = TruncatedBath(scaled, n_max=3)
-        u0, u1, u2 = dyson_terms(scaled, bath, t)
-        return np.linalg.norm(u0 + u1 + u2 - interaction_unitary(scaled, bath, t))
+        u0, u1, u2 = dyson_terms(bath, t)
+        return np.linalg.norm(u0 + u1 + u2 - interaction_unitary(bath, t))
 
     r1, r2 = residual(1.0), residual(0.5)
     assert 6.0 <= r1 / r2 <= 10.0
@@ -620,7 +611,7 @@ def test_dyson_terms_satisfy_second_order_unitarity(t):
     # U2 + U2^dag + U1^dag U1 = 0, where U1^dag U1 = U1 U1^dag (U1 is
     # anti-hermitian)
     model = SpinBosonModel(1.0, [(0.9, 0.1), (1.0, 0.2), (1.2, 0.15)], 0.8)
-    _, u1, u2 = dyson_terms(model, TruncatedBath(model, n_max=2), t)
+    _, u1, u2 = dyson_terms(TruncatedBath(model, n_max=2), t)
     assert np.max(np.abs(u2 + u2.conj().T + u1 @ u1.conj().T)) <= 1e-13
 
 
@@ -646,7 +637,7 @@ def test_dyson_terms_match_nested_quadrature():
         inner = np.linspace(0.0, outer[i], panels + 1)
         integrand[i] = h_outer[i] @ simpson(co_rotating(inner), x=inner, axis=0)
 
-    _, u1, u2 = dyson_terms(model, bath, t)
+    _, u1, u2 = dyson_terms(bath, t)
     assert np.max(np.abs(u1 + 1j * simpson(h_outer, x=outer, axis=0))) <= 1e-10
     assert np.max(np.abs(u2 + simpson(integrand, x=outer, axis=0))) <= 1e-10
 
@@ -654,15 +645,14 @@ def test_dyson_terms_match_nested_quadrature():
 def test_dyson_rejects_unimplemented_orders():
     model = vacuum_mode()
     with pytest.raises(ValueError):
-        dyson_terms(model, TruncatedBath(model, n_max=2), 1.0, order=3)
+        dyson_terms(TruncatedBath(model, n_max=2), 1.0, order=3)
 
 
 def test_interaction_unitary_properties():
     model = two_mode_vacuum()
     bath = TruncatedBath(model, n_max=2)
-    assert np.allclose(interaction_unitary(model, bath, 0.0),
-                       np.eye(bath.full_dim), atol=1e-14)
-    u = interaction_unitary(model, bath, 2.3)
+    assert np.allclose(interaction_unitary(bath, 0.0), np.eye(bath.full_dim), atol=1e-14)
+    u = interaction_unitary(bath, 2.3)
     assert np.max(np.abs(u @ u.conj().T - np.eye(bath.full_dim))) <= 1e-12
 
 
@@ -670,7 +660,7 @@ def test_interaction_hamiltonian_at_zero_matches_schroedinger_coupling():
     # at t = 0 the co-rotating coupling is the off-diagonal part of H
     model = two_mode_vacuum(0.07, 0.11)
     bath = TruncatedBath(model, n_max=2)
-    h = full_hamiltonian(model, bath)
+    h = full_hamiltonian(bath)
     assert np.allclose(h - np.diag(np.diag(h)), ladder_coupling(model, bath), atol=1e-14)
 
 
@@ -686,13 +676,13 @@ def test_deviation_map_matches_full_space_reference(model, n_max, t):
     # (Phi - I) rho against U (rho (x) rho_E) U^dag traced over the bath, on a
     # state and on a non-Hermitian operator (the map is linear on both)
     bath = TruncatedBath(model, n_max=n_max)
-    u = interaction_unitary(model, bath, t)
-    rho_e = thermal_bath_state(model, bath)
+    u = interaction_unitary(bath, t)
+    rho_e = thermal_bath_state(bath)
     operator = np.array([[0.3, 1.0 - 0.4j], [2.0j, -0.5]])
     for rho in (random_density_matrix(make_rng(n_max), 2), operator):
         full = u @ np.kron(rho, rho_e) @ u.conj().T
         reference = partial_trace(full, (2, bath.bath_dim)) - rho
-        got = reduced_map_deviation(model, bath, rho, t)
+        got = reduced_map_deviation(bath, rho, t)
         assert np.max(np.abs(got - reference)) <= 1e-13
 
 
@@ -702,17 +692,17 @@ def test_deviation_map_and_inversion_identity_reject_non_2x2_states(rho):
     model = vacuum_mode(g=0.1)
     bath = TruncatedBath(model, n_max=3)
     with pytest.raises(ValueError, match="2 x 2"):
-        reduced_map_deviation(model, bath, rho, 1.0)
+        reduced_map_deviation(bath, rho, 1.0)
     with pytest.raises(ValueError, match="2 x 2"):
-        map_inversion_residual(model, bath, rho, 1.0, 1)
+        map_inversion_residual(bath, rho, 1.0, 1)
 
 
 def test_deviation_map_trivial_zeros():
     model = vacuum_mode(g=0.1)
     bath = TruncatedBath(model, n_max=3)
-    assert np.max(np.abs(reduced_map_deviation(model, bath, RHO_MIXED, 0.0))) <= 1e-14
+    assert np.max(np.abs(reduced_map_deviation(bath, RHO_MIXED, 0.0))) <= 1e-14
     dead = SpinBosonModel(1.0, [(1.0, 0.0)], math.inf)
-    assert np.max(np.abs(reduced_map_deviation(dead, TruncatedBath(dead, n_max=3),
+    assert np.max(np.abs(reduced_map_deviation(TruncatedBath(dead, n_max=3),
                                                RHO_MIXED, 2.0))) <= 1e-13
 
 
@@ -722,7 +712,7 @@ def test_deviation_map_is_second_order_for_thermal_baths():
     def norm(factor):
         scaled = model.scaled(factor)
         return np.linalg.norm(
-            reduced_map_deviation(scaled, TruncatedBath(scaled, n_max=8), RHO_MIXED, 1.5))
+            reduced_map_deviation(TruncatedBath(scaled, n_max=8), RHO_MIXED, 1.5))
 
     assert 3.5 <= norm(1.0) / norm(0.5) <= 4.5
     assert 3.5 <= norm(0.5) / norm(0.25) <= 4.5
@@ -739,8 +729,8 @@ def test_deviation_derivative_matches_generator_at_small_coupling():
     def rel_err(factor):
         scaled = model.scaled(factor)
         bath = TruncatedBath(scaled, n_max=12)
-        fd = (reduced_map_deviation(scaled, bath, RHO_MIXED, t + h)
-              - reduced_map_deviation(scaled, bath, RHO_MIXED, t - h)) / (2 * h)
+        fd = (reduced_map_deviation(bath, RHO_MIXED, t + h)
+              - reduced_map_deviation(bath, RHO_MIXED, t - h)) / (2 * h)
         analytic = rhs(interaction_decomposition(scaled), bath_statistics(scaled),
                        RHO_MIXED, t)
         return np.linalg.norm(fd - analytic) / np.linalg.norm(analytic)
@@ -755,21 +745,21 @@ def test_deviation_derivative_matches_generator_at_small_coupling():
 def test_inversion_identity_depth_zero_is_exact_rearrangement():
     model = vacuum_mode(g=0.1)
     bath = TruncatedBath(model, n_max=3)
-    assert map_inversion_residual(model, bath, RHO_MIXED, 1.3, 0) <= 1e-15
+    assert map_inversion_residual(bath, RHO_MIXED, 1.3, 0) <= 1e-15
 
 
 def test_inversion_identity_residuals_at_float_level():
     model = two_mode_vacuum(0.08, 0.05)
     bath = TruncatedBath(model, n_max=3)
     for depth in (0, 1, 2):
-        assert map_inversion_residual(model, bath, RHO_MIXED, 2.0, depth) <= 1e-9
+        assert map_inversion_residual(bath, RHO_MIXED, 2.0, depth) <= 1e-9
 
 
 def test_inversion_identity_zero_coupling():
     model = SpinBosonModel(1.0, [(1.0, 0.0)], math.inf)
     bath = TruncatedBath(model, n_max=3)
     for depth in (0, 1, 3):
-        assert map_inversion_residual(model, bath, RHO_MIXED, 2.0, depth) <= 1e-13
+        assert map_inversion_residual(bath, RHO_MIXED, 2.0, depth) <= 1e-13
 
 
 def test_thermal_correlations_from_truncated_bath_match_closed_forms():
@@ -778,7 +768,7 @@ def test_thermal_correlations_from_truncated_bath_match_closed_forms():
     # occupations within ~1e-10 of the closed Bose-Einstein values
     model = SpinBosonModel(1.0, [(0.8, 0.11), (1.6, 0.07)], 1.5)
     bath = TruncatedBath(model, n_max=20, dim_cap=10 ** 6)
-    state_diag = np.diag(thermal_bath_state(model, bath)).real
+    state_diag = np.diag(thermal_bath_state(bath)).real
     ops = bath_annihilation_ops(bath)
     detunings = model.frequencies - model.omega0
     g = model.couplings
@@ -820,7 +810,7 @@ def test_partial_sum_defect_shrinks_with_depth_and_coupling():
     def defect(factor, depth):
         model = base.scaled(factor)
         bath = TruncatedBath(model, n_max=8)
-        eps = lambda rho: reduced_map_deviation(model, bath, rho, t)
+        eps = lambda rho: reduced_map_deviation(bath, rho, t)
         rho_t = RHO_MIXED + eps(RHO_MIXED)
         total = rho_t.copy()
         current = rho_t

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from spinboson.master_eq import BathStatistics, lattice_times, propagate, rhs
-from spinboson.spin_boson import (PROJ_DOWN, PROJ_UP, RateChannel,
-                                  RateFunctions, SpectralDiscretization,
+from spinboson.spin_boson import (PROJ_DOWN, PROJ_UP, RateFunctions,
+                                  SpectralDiscretization,
                                   SpinBosonModel, _channel_sums,
                                   bath_statistics, coherence_solution,
                                   element_ode_matrix, flat_density,
@@ -23,13 +24,15 @@ from helpers import (half_angle_rates, make_rng, matrix_units,
                      random_density_matrix)
 
 
+ALL_PARTS = ("decay", "shift", "decay_integral", "shift_integral")
+
+
 def one_channel(detunings, weights) -> RateFunctions:
     """Rate functions whose emission is the channel of ``detunings`` and
     ``weights`` and whose absorption carries no weight, so that their
     emission sums are those of that channel alone."""
     detunings = np.asarray(detunings, dtype=float)
-    return RateFunctions(RateChannel(detunings, np.zeros_like(detunings)),
-                         RateChannel(detunings, weights))
+    return RateFunctions(detunings, np.zeros_like(detunings), weights)
 
 
 def random_model(rng, vacuum_chance=0.25):
@@ -118,10 +121,9 @@ def test_rate_functions_are_built_once_per_model_on_read_only_arrays():
     rates = rate_functions(model)
     assert rate_functions(model) is rates
     assert rate_functions(model.scaled(1.0)) is not rates
-    for channel in (rates.absorption, rates.emission):
-        for values in (channel.detunings, channel.weights):
-            with pytest.raises(ValueError, match="read-only"):
-                values[0] = 5.0
+    for values in (rates.detunings, rates.absorption, rates.emission):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 5.0
 
 
 def test_model_scaling():
@@ -149,12 +151,11 @@ def test_rates_zero_at_zero_time():
     rng = make_rng(101)
     for _ in range(5):
         r = rate_functions(random_model(rng))
-        for channel, (decay, shift, decay_integral) in zip((r.absorption, r.emission),
-                                                           r.sums(0.0)):
+        for decay, shift, decay_integral, shift_integral in r.sums(0.0, ALL_PARTS):
             assert decay == 0.0
             assert shift == 0.0
             assert decay_integral == 0.0
-            assert channel.shift_integral(0.0) == 0.0
+            assert shift_integral == 0.0
 
 
 def test_vacuum_absorption_vanishes_identically():
@@ -205,7 +206,7 @@ def test_rate_integrals_match_quadrature_of_rates():
     _, (decay, shift) = r.sums(s, ("decay", "shift"))
     assert r.sums(t, ("decay_integral",))[1][0] == pytest.approx(
         float(simpson(decay, x=s)), abs=1e-8)
-    assert r.emission.shift_integral(t) == pytest.approx(
+    assert r.sums(t, ("shift_integral",))[1][0] == pytest.approx(
         float(simpson(shift, x=s)), abs=1e-8)
 
 
@@ -231,13 +232,11 @@ def test_near_resonance_branch_is_continuous():
     for detuning in (0.99e-3, 1.01e-3):
         x = detuning * t
         rates = one_channel([detuning], [1.0])
-        ch = rates.emission
-        _, (decay, shift, decay_integral) = rates.sums(t)
+        _, (decay, shift, decay_integral, shift_integral) = rates.sums(t, ALL_PARTS)
         assert decay == pytest.approx(t * (1 - x * x / 6), rel=1e-9)
         assert shift == pytest.approx(0.5 * x * t * (1 - x * x / 12), rel=1e-9)
         assert decay_integral == pytest.approx(0.5 * t * t * (1 - x * x / 12), rel=1e-9)
-        assert ch.shift_integral(t) == pytest.approx(x * t * t / 6 * (1 - x * x / 20),
-                                                     rel=1e-9)
+        assert shift_integral == pytest.approx(x * t * t / 6 * (1 - x * x / 20), rel=1e-9)
 
 
 def _taylor(x, first_power, denominator_offset):
@@ -253,7 +252,6 @@ def test_rate_forms_match_taylor_reference(detuning):
     # in double precision, on both sides of the old 1e-3 series cutover
     x = detuning
     rates = one_channel([detuning], [1.0])
-    ch = rates.emission
     reference = {
         "decay": _taylor(x, 0, 1),           # sin(x) / x
         "shift": _taylor(x, 1, 2),           # (1 - cos x) / x
@@ -262,7 +260,7 @@ def test_rate_forms_match_taylor_reference(detuning):
     # t = 1 both as a plain time and as the lattice time 0.6 + 0.4
     start, offset = np.array([0.6]), np.array([0.4])
     parts = ("decay", "shift", "decay_integral")
-    on_lattice = dict(zip(parts, _channel_sums((ch,), parts, start, offset)()[0]))
+    on_lattice = dict(zip(parts, _channel_sums(rates, parts, start, offset)()[1]))
     for name, value in reference.items():
         assert rates.sums(1.0, (name,))[1][0] == pytest.approx(value, rel=1e-14, abs=0.0), name
         assert on_lattice[name].shape == (1, 1)
@@ -271,13 +269,12 @@ def test_rate_forms_match_taylor_reference(detuning):
 
 def test_exact_resonance_closed_values():
     rates = one_channel([0.0], [1.0])
-    ch = rates.emission
     t = 2.5
-    _, (decay, shift, decay_integral) = rates.sums(t)
+    _, (decay, shift, decay_integral, shift_integral) = rates.sums(t, ALL_PARTS)
     assert decay == t
     assert shift == 0.0
     assert decay_integral == 0.5 * t * t
-    assert ch.shift_integral(t) == 0.0
+    assert shift_integral == 0.0
 
 
 _detuning = st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-10.0, 10.0))
@@ -290,10 +287,10 @@ _detuning = st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-10.0, 10.
 def test_lattice_kernel_matches_per_time_reference(modes, starts, offsets):
     d, w = (np.array(v) for v in zip(*modes))
     starts, offsets = np.array(starts), np.array(offsets)
-    ch = RateChannel(d, w)
     t = lattice_times(starts, offsets)
     expected = half_angle_rates(d, w, t)
-    got = _channel_sums((ch,), ("decay", "shift", "decay_integral"), starts, offsets)()[0]
+    got = _channel_sums(one_channel(d, w), ("decay", "shift", "decay_integral"),
+                        starts, offsets)()[1]
     # the per-mode factors c (2 w / d, 2 w / d^2; w t and w t^2 / 2 on
     # resonance) set the scale.  Both sides round the phase a = d t / 2 in
     # their own way, by an ulp of a, so the scale grows with |a|.
@@ -317,19 +314,18 @@ def test_thermal_channels_share_one_lattice_pass():
     forward, reverse = bath_statistics(model).integrals(starts, offsets)(np.zeros(2))
     assert forward.shape == (2, 2, 3, 2, 2)
     t = lattice_times(starts, offsets)
-    for channel, (j, k), sign in ((rates.emission, (0, 1), -1), (rates.absorption, (1, 0), 1)):
-        decay, shift, _ = half_angle_rates(channel.detunings, channel.weights, t)
+    for weights, (j, k), sign in ((rates.emission, (0, 1), -1), (rates.absorption, (1, 0), 1)):
+        decay, shift, _ = half_angle_rates(rates.detunings, weights, t)
         assert np.max(np.abs(forward[..., j, k] - (decay + sign * 1j * shift))) <= 1e-15
     assert np.array_equal(reverse, forward.conj())
-    # one pass needs one set of modes
-    with pytest.raises(ValueError, match="share their detunings"):
-        RateFunctions(rates.absorption,
-                      RateChannel(rates.emission.detunings + 0.1, rates.emission.weights))
+    # both channels weight the one set of modes, one weight per detuning each
+    with pytest.raises(ValueError, match="one absorption and one emission weight per detuning"):
+        RateFunctions(rates.detunings, rates.absorption, rates.emission[:-1])
 
 
-def test_rate_channel_compares_by_identity():
-    a = RateChannel(np.array([0.1, -0.2]), np.array([1.0, 2.0]))
-    b = RateChannel(np.array([0.1, -0.2]), np.array([1.0, 2.0]))
+def test_rate_functions_compare_by_identity():
+    a = RateFunctions(np.array([0.1, -0.2]), np.array([1.0, 2.0]), np.array([2.0, 3.0]))
+    b = RateFunctions(np.array([0.1, -0.2]), np.array([1.0, 2.0]), np.array([2.0, 3.0]))
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b}) == 2
@@ -342,8 +338,8 @@ def test_channel_sums_take_parts_positionally():
     parts = ("decay", "shift")
     for t in (1.7, np.array([0.0, 0.5, 2.0])):
         both = rates.sums(t, parts)
-        for channel, expected in zip((rates.absorption, rates.emission), both):
-            alone = one_channel(channel.detunings, channel.weights)
+        for weights, expected in zip((rates.absorption, rates.emission), both):
+            alone = one_channel(rates.detunings, weights)
             positional = alone.sums(t, parts)[1]
             for got, keyword, value in zip(positional, alone.sums(t, parts=parts)[1], expected):
                 assert np.shape(got) == np.shape(t)
@@ -354,13 +350,83 @@ def test_channel_sums_take_parts_positionally():
 def test_rate_channel_scalar_and_array_agree():
     rates = one_channel([0.3, -0.8], [0.01, 0.02])
     grid = np.array([0.0, 0.5, 2.0])
-    for name in ("decay", "shift", "decay_integral", "shift_integral"):
-        f = (rates.emission.shift_integral if name == "shift_integral"
-             else lambda t: rates.sums(t, (name,))[1][0])
+    for name in ALL_PARTS:
+        f = lambda t: rates.sums(t, (name,))[1][0]
         vec = f(grid)
         assert vec.shape == grid.shape
         for i, t in enumerate(grid):
             assert vec[i] == pytest.approx(f(float(t)), abs=1e-15)
+
+
+THERMAL_3MODE = SpinBosonModel(1.0, [(0.8, 0.1), (1.0, 0.05), (1.4, 0.06)], 1.3)
+VACUUM_3MODE = SpinBosonModel(1.0, [(0.8, 0.1), (1.0, 0.05), (1.4, 0.06)], math.inf)
+
+
+@pytest.mark.parametrize("model", [THERMAL_3MODE, VACUUM_3MODE], ids=["thermal", "vacuum"])
+def test_one_shift_integral_kernel_evaluation_serves_both_channels(monkeypatch, model):
+    # both channels share their detunings, so a sums call evaluates the
+    # near-resonance kernel once, at times x modes points; the vacuum's
+    # absorption carries no weight and is zero without it
+    import spinboson.spin_boson as spin_boson
+
+    rates = rate_functions(model)
+    t = np.linspace(0.0, 3.0, 7)
+    points = []
+    kernel = spin_boson._shift_integral_kernel
+
+    def counted(x):
+        points.append(x.size)
+        return kernel(x)
+
+    monkeypatch.setattr(spin_boson, "_shift_integral_kernel", counted)
+    absorption, emission = rates.sums(t, ALL_PARTS)
+    assert points == [t.size * len(model.modes)]
+    assert np.any(emission[3] != 0.0)
+    assert np.any(absorption[3] != 0.0) == (not model.vacuum)
+    # coherence_solution reads it from one sums call, and a call without the
+    # shift integral evaluates no kernel
+    points.clear()
+    coherence_solution(0.3, rates, t)
+    rates.sums(t, ("decay", "shift", "decay_integral"))
+    assert points == [t.size * len(model.modes)]
+
+
+# With one live channel a part's operand over plain times is one column wide,
+# and numpy multiplies a matrix by one column through BLAS gemv, which sums in
+# another order than the gemm of the two columns of a shift and a decay
+# integral asked for together: the last bits differ.  The rates CSV (stacked)
+# and the closed forms (one part) both pin their bits, so this stays open.
+_ONE_COLUMN = pytest.mark.xfail(strict=True, reason="gemv and gemm sum in different orders")
+
+
+@pytest.mark.parametrize("model, t", [
+    (THERMAL_3MODE, 1.7),
+    (THERMAL_3MODE, np.linspace(0.0, 7.0, 15).reshape(3, 5)),
+    (VACUUM_3MODE, 1.7),
+    pytest.param(VACUUM_3MODE, np.linspace(0.0, 7.0, 15).reshape(3, 5), marks=_ONE_COLUMN),
+], ids=["thermal-scalar", "thermal-array", "vacuum-scalar", "vacuum-array"])
+def test_any_order_or_subset_of_parts_equals_the_one_part_calls(model, t):
+    rates = rate_functions(model)
+    alone = {part: [sums for (sums,) in rates.sums(t, (part,))] for part in ALL_PARTS}
+    for size in range(1, len(ALL_PARTS) + 1):
+        for parts in itertools.permutations(ALL_PARTS, size):
+            for channel, sums in enumerate(rates.sums(t, parts)):
+                for part, value in zip(parts, sums):
+                    assert np.shape(value) == np.shape(t)
+                    assert np.array_equal(value, alone[part][channel]), (parts, part)
+
+
+def test_shift_integral_on_a_lattice_equals_sums_at_the_lattice_times():
+    rates = rate_functions(THERMAL_3MODE)
+    starts, offsets = np.array([[0.0, 0.9], [2.0, 3.1]]), np.array([[0.0, 0.1, 0.2]])
+    origins = np.array([0.0, 1.25])
+    for evaluate, t in ((lambda f: f(), lattice_times(starts, offsets)),
+                        (lambda f: f(origins), lattice_times(origins[:, None] + starts, offsets))):
+        lattice = evaluate(_channel_sums(rates, ("shift_integral", "decay"), starts, offsets))
+        plain = rates.sums(t, ("shift_integral",))
+        for on_lattice, (at_times,) in zip(lattice, plain):
+            assert on_lattice[0].shape == t.shape
+            assert np.array_equal(on_lattice[0], at_times)
 
 
 # -- effective hamiltonian and element ODEs ---------------------------------------
@@ -480,9 +546,9 @@ def test_population_solution_batches_samples_within_the_budget(monkeypatch, mode
     alone = [population_solution(0.7, rates, tv) for tv in grid]
     batches = []
 
-    def recording(channels, parts, steps, offsets):
+    def recording(rates, parts, steps, offsets):
         batches.append(len(offsets))
-        return channel_sums(channels, parts, steps, offsets)
+        return channel_sums(rates, parts, steps, offsets)
 
     channel_sums = spin_boson._channel_sums
     monkeypatch.setattr(spin_boson, "_channel_sums", recording)
@@ -521,7 +587,7 @@ def test_population_high_temperature_closed_form():
     # with the doubled exponent
     model = SpinBosonModel(1.0, [(0.9, 0.2), (1.1, 0.15)], 0.8)
     base = rate_functions(model)
-    equal = RateFunctions(absorption=base.absorption, emission=base.absorption)
+    equal = RateFunctions(base.detunings, absorption=base.absorption, emission=base.absorption)
     for rho0 in (0.5, 0.9, 0.1):
         for t in (0.7, 2.0):
             expected = 0.5 + (rho0 - 0.5) * math.exp(
@@ -590,7 +656,8 @@ def test_high_temperature_occupation_shift_is_small():
     model = SpinBosonModel(1.0, [(0.9, 0.01), (1.0, 0.01), (1.1, 0.01)], beta)
     assert model.occupations().min() >= 100.0
     base = rate_functions(model)
-    modified = RateFunctions(absorption=base.absorption, emission=base.absorption)
+    modified = RateFunctions(base.detunings, absorption=base.absorption,
+                             emission=base.absorption)
     grid = np.linspace(0.0, 4.0, 41)
     z0 = 0.25 + 0.15j
     for r0 in (1.0, 0.3):
