@@ -10,9 +10,10 @@ model:       omega0, beta ("vacuum" or a positive float), and exactly one of
              * modes            explicit list, "omega:g, omega:g, ..."
              * density (ohmic|flat), eta, omega_c (ohmic only),
                omega_min, omega_max, mode_count
-simulation:  t_max (times the largest of omega0 and the mode frequencies at
-             most MAX_PHASE), samples, rk4_substeps (optional; by default
-             sized from a step-doubling error estimate, see master_eq.propagate)
+simulation:  t_max (times the largest of omega0 and the mode frequencies,
+             and times 2 sqrt(n_max) sum_k |g_k|, at most MAX_PHASE),
+             samples, rk4_substeps (optional; by default sized from a
+             step-doubling error estimate, see master_eq.propagate)
 state:       rho00, rho01 (complex literal, e.g. "0.3+0.1j"); the state
              [[rho00, rho01], [conj(rho01), 1 - rho00]] must pass
              linalg.require_density_matrix at tol = 1e-15, the library's
@@ -38,9 +39,12 @@ from .spin_boson import (SpectralDiscretization, SpinBosonModel, flat_density,
 
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_config", "MAX_PHASE"]
 
-# The largest phase t_max * max(omega0, mode frequencies) a config may ask
-# for: one ulp of a phase of 1e8 is 1.5e-8 rad, and far beyond it the verbs
-# write infinities or abort on NaN.  The benchmark configs reach about 500.
+# The largest phase a config may ask for, of the free energies,
+# t_max * max(omega0, mode frequencies), and of the coupling,
+# t_max * 2 sqrt(n_max) sum_k |g_k|, a Gershgorin bound of its share of the
+# exact reference's sector energies: one ulp of a phase of 1e8 is 1.5e-8
+# rad, and far beyond it the verbs write infinities, abort on NaN, or write
+# phases without digits.  The benchmark configs reach about 500 and 1.5e3.
 MAX_PHASE = 1e8
 
 
@@ -252,10 +256,14 @@ def parse_config_text(text: str) -> RunConfig:
         model = cfg.model()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    phase = cfg.t_max * max(cfg.omega0, float(model.frequencies.max()))
-    if phase > MAX_PHASE:
-        raise ConfigError(f"line {line_of['t_max']}: field 't_max': t_max x max(omega0, mode "
-                          f"frequencies) = {phase:g} exceeds the phase bound {MAX_PHASE:g}")
+    # in Python floats, which overflow to infinity without a warning
+    coupling = 2.0 * math.sqrt(cfg.n_max) * sum(abs(g) for _, g in model.modes)
+    for name, phase in (("max(omega0, mode frequencies)",
+                         cfg.t_max * max(cfg.omega0, float(model.frequencies.max()))),
+                        ("2 sqrt(n_max) sum |g_k|", cfg.t_max * coupling)):
+        if phase > MAX_PHASE:
+            raise ConfigError(f"line {line_of['t_max']}: field 't_max': t_max x {name} "
+                              f"= {phase:g} exceeds the phase bound {MAX_PHASE:g}")
     return cfg
 
 

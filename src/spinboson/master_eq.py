@@ -105,9 +105,8 @@ _STAGE_BUDGET = 512
 # The lattice of a plain array of times: the single step and offset 0.
 _ORIGIN = np.zeros(1)
 
-# The bath contract's shape rule: square integral blocks (checked by
-# BathStatistics.coefficients), one row and column per decomposition term
-# (checked against the decomposition's basis).
+# The bath contract's shape rule: the forward and the reverse block of
+# integrals, each with one row and one column per decomposition term.
 _PAIRING = "one row and one column of integrals per decomposition term required"
 
 
@@ -162,8 +161,8 @@ class InteractionDecomposition:
         """Basis ``S_c`` of the generator, shape ``(2 n^2, d^2, d^2)``.
 
         Each acts on row-major vectorized states, where ``A rho B`` becomes
-        ``kron(A, B.T) @ rho.ravel()``.  In the order of
-        :meth:`BathStatistics.coefficients`:
+        ``kron(A, B.T) @ rho.ravel()``.  In the order of the bath's
+        integrals (:class:`BathStatistics`), flattened:
 
             forward (j, k):    rho -> -[S_j, S_k rho]
             reverse (j, k):    rho ->  [S_k, rho S_j]
@@ -220,17 +219,19 @@ class BathStatistics:
     ``s``.  ``integrals(steps, offsets)`` returns the evaluator of the
     origins: ``integrals(steps, offsets)(origins)`` gives, on the lattice
     ``t = lattice_times(origins[..., None] + steps, offsets)`` of shape
-    ``origins.shape + (Q, R)``,
+    ``origins.shape + (Q, R)``, one complex array of shape ``t.shape + (2,
+    n, n)``, one row and one column per term of the decomposition:
 
-        forward[..., j, k] = int_0^t ds correlation(j, k, t, s)
-        reverse[..., j, k] = int_0^t ds correlation(j, k, s, t)
+        [..., 0, j, k] = int_0^t ds correlation(j, k, t, s)    (forward)
+        [..., 1, j, k] = int_0^t ds correlation(j, k, s, t)    (reverse)
 
-    each of shape ``t.shape + (n, n)``, one row and one column per term of
-    the decomposition; these are all the generator reads.  The outer call
-    does the work that depends on the coarse steps and fine offsets alone,
-    that is on the step size of a propagation, so that one evaluator serves
-    any number of batches of origins; the leading axes of ``steps`` and
-    ``offsets`` broadcast against the origins.  A plain array of times is
+    These are the generator's coefficients ``f_c``, each block in row-major
+    order, and all it reads; any other shape, a tuple of the two blocks
+    included, raises ``ValueError``.  The outer call does the work that
+    depends on the coarse steps and fine offsets alone, that is on the step
+    size of a propagation, so that one evaluator serves any number of
+    batches of origins; the leading axes of ``steps`` and ``offsets``
+    broadcast against the origins.  A plain array of times is
     the lattice of those origins with the single step 0 and the single
     offset 0.  The spin-boson bath gives the integrals in closed form
     (:mod:`spinboson.spin_boson` describes how it evaluates the lattice).
@@ -241,30 +242,7 @@ class BathStatistics:
     """
 
     correlation: Callable[[int, int, float, float], complex]
-    integrals: Callable[[np.ndarray, np.ndarray],
-                        Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]
-
-    def coefficients(self, steps, offsets) -> Callable[[np.ndarray], np.ndarray]:
-        """Evaluator of the generator coefficients ``f_c`` on the lattices of
-        ``steps`` and ``offsets``: given ``origins``, their values on the
-        lattice ``t`` of ``origins``, ``steps`` and ``offsets``, shape
-        ``t.shape + (2 n^2,)``: the forward, then the reverse integrals, each
-        ``n x n`` block in row-major order."""
-        steps = np.atleast_1d(np.asarray(steps, dtype=float))
-        offsets = np.atleast_1d(np.asarray(offsets, dtype=float))
-        integrals = self.integrals(steps, offsets)
-
-        def at(origins) -> np.ndarray:
-            forward, reverse = integrals(np.atleast_1d(np.asarray(origins, dtype=float)))
-            shape = np.shape(forward)
-            if len(shape) < 2 or shape[-2] != shape[-1]:
-                raise ValueError(_PAIRING)
-            out = np.empty(shape[:-2] + (2,) + shape[-2:], dtype=complex)
-            out[..., 0, :, :] = forward
-            out[..., 1, :, :] = reverse
-            return out.reshape(shape[:-2] + (-1,))
-
-        return at
+    integrals: Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
 
 def progression_lattice(count: int, served: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -335,15 +313,21 @@ class Trajectory:
 
 
 def _coefficients(decomp, bath, t) -> np.ndarray:
-    """``bath.coefficients`` at the times ``t`` (scalar or array), in their
-    shape, checked against ``decomp``."""
-    return _checked(decomp, bath.coefficients(_ORIGIN, _ORIGIN)(t)).reshape(np.shape(t) + (-1,))
+    """The bath's integrals at the times ``t`` (scalar or array), checked
+    against ``decomp`` and flattened: shape ``np.shape(t) + (2 n^2,)``."""
+    origins = np.atleast_1d(np.asarray(t, dtype=float))
+    f = _checked(decomp, bath.integrals(_ORIGIN, _ORIGIN)(origins), origins.shape + (1, 1))
+    return f.reshape(np.shape(t) + (-1,))
 
 
-def _checked(decomp, f: np.ndarray) -> np.ndarray:
-    if f.shape[-1] != len(decomp.superoperators):
+def _checked(decomp, f, shape: tuple) -> np.ndarray:
+    """The bath's integrals ``f`` on a lattice of ``shape``, which must be
+    ``shape + (2, n, n)`` for the ``n`` terms of ``decomp``, flattened to
+    ``shape + (2 n^2,)``."""
+    n = len(decomp.terms)
+    if getattr(f, "shape", None) != shape + (2, n, n):
         raise ValueError(_PAIRING)
-    return f
+    return np.asarray(f, dtype=complex).reshape(shape + (-1,))
 
 
 def rhs(decomp: InteractionDecomposition, bath: BathStatistics,
@@ -388,7 +372,7 @@ def stage_generators(decomp: InteractionDecomposition, bath: BathStatistics,
     interval, tabled for each call's intervals.  ``R`` is from
     :func:`progression_lattice` over the stage times one row serves, at most
     ``_STAGE_BUDGET``.  The real forms come from one real product of the
-    coefficients' real view with the flattened
+    real view of the bath's integrals with the flattened
     :attr:`InteractionDecomposition.real_superoperators`.
 
     The caller takes whole intervals in batches of at most
@@ -408,14 +392,14 @@ def stage_generators(decomp: InteractionDecomposition, bath: BathStatistics,
     served = min(stage_count * len(half) // len(rows), _STAGE_BUDGET)
     coarse, fine = progression_lattice(stage_count, served)
     steps, offsets = rows[:, None] * coarse, rows[:, None] * fine
-    shared = bath.coefficients(steps, offsets) if len(rows) == 1 else None
+    shared = bath.integrals(steps, offsets) if len(rows) == 1 else None
     basis = _scaled_basis(decomp, factors)
     size = decomp.real_superoperators.shape[-1]
 
     def stages(first: int, stop: int) -> np.ndarray:
         evaluate = (shared if shared is not None
-                    else bath.coefficients(steps[first:stop], offsets[first:stop]))
-        f = _checked(decomp, evaluate(times[first:stop]))
+                    else bath.integrals(steps[first:stop], offsets[first:stop]))
+        f = _checked(decomp, evaluate(times[first:stop]), (stop - first, len(coarse), len(fine)))
         f = f.reshape(stop - first, -1, f.shape[-1])[:, :stage_count].view(float)
         return (f.reshape(-1, f.shape[-1]) @ basis).reshape(
             np.shape(factors) + f.shape[:-1] + (size, size))

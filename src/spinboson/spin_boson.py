@@ -53,14 +53,15 @@ and are evaluated on a time lattice ``origin + step + offset``
     sin^2 a     = sA^2 cB^2 + 2 sA cA sB cB + cA^2 sB^2
 
 at ``a = A + B``, so one sine and cosine pass over the origins, the steps
-and the offsets, and one matrix product over the modes per basis, give
+and the offsets, and one matrix product over the modes per part, give
 every lattice time.  One function, ``_channel_sums``, does all of it, in
 the two stages the engine's bath contract asks for: the steps' sines and
 cosines, and the offsets' phases and table ``[cB^2, sB cB, sB^2]``
-weighted by the per-mode factors of every part asked for and stacked into
-one operand per basis, keyed by the factor kinds its parts read (so the
-decay and the shift share one), come first; the returned evaluator then
-takes only the phases of its origins.  The engine's RK4 stage times are
+weighted by each per-mode factor the parts read, one operand per factor
+(so the decay and the shift share one), come first; the returned
+evaluator then takes only the phases of its origins.  A part's product
+has one shape whatever parts are asked for with it, so its bits are
+those of the part asked for alone.  The engine's RK4 stage times are
 such lattices (:func:`~spinboson.master_eq.stage_generators`): on a grid
 of equal steps an interval then costs one sine and one cosine per mode.
 Through the bath, a plain array of times is the lattice of those origins
@@ -391,15 +392,17 @@ def _channel_sums(rates: RateFunctions, parts, steps: np.ndarray,
 
     The channels share their detunings, so one phase pass serves both.
     This call takes one sine and cosine per step and mode, and per offset
-    and mode, and builds one operand per basis: the per-mode factors of the
-    basis's parts, the live channels side by side, against ``[cB^2, sB cB,
-    sB^2]`` of the offsets; bases whose parts read the same factor kinds
-    share one.  The evaluator takes one sine and cosine per origin and mode,
-    turns them into those of every start ``origin + step`` by angle
-    addition, takes one matrix product over the modes per basis, and
-    evaluates the shift integral's kernel once at the lattice times for all
-    live channels.  A channel with no weight (no modes, or a vacuum's
-    absorption) is zero without a kernel evaluation.
+    and mode, and builds one operand per factor kind the parts read (the
+    decay and the shift share one): that per-mode factor of each live
+    channel, side by side, against ``[cB^2, sB cB, sB^2]`` of the offsets.
+    The evaluator takes one sine and cosine per origin and mode, turns them
+    into those of every start ``origin + step`` by angle addition, builds
+    the left matrix of each basis once, and takes one matrix product over
+    the modes per part, whose shape does not depend on the other parts
+    asked for, so neither do its bits.  It evaluates the shift integral's
+    kernel once at the lattice times for all live channels.  A channel with
+    no weight (no modes, or a vacuum's absorption) is zero without a kernel
+    evaluation.
     """
     live = rates._live
     half_detunings, *channels = rates._factors
@@ -414,31 +417,21 @@ def _channel_sums(rates: RateFunctions, parts, steps: np.ndarray,
     sb, cb = np.sin(phase_b), np.cos(phase_b)
     right = np.concatenate([cb * cb, sb * cb, sb * sb], axis=-1).swapaxes(-1, -2)
     del phase_b, sb, cb
-    # the factors weight the offsets' side, the smaller one for plain times;
-    # a basis's operand is keyed by the factor kinds its parts read, so that
-    # the decay and shift bases share one
-    bases = []  # (basis, factor kinds, the (channel, part) of each block)
-    for basis in (0, 1):
-        js = [j for j, part in enumerate(parts) if _PARTS[part][0] == basis]
-        if js:
-            bases.append((basis, tuple(_PARTS[parts[j]][1] for j in js),
-                          [(i, j) for i in range(len(factors)) for j in js]))
+    # the factors weight the offsets' side, the smaller one for plain times
     operands = {}
-    for _, kinds, _ in bases:
-        if kinds not in operands:
-            blocks = [f[kind][:, None] * right for f in factors for kind in kinds]
-            operands[kinds] = np.concatenate(blocks, axis=-1) if len(blocks) > 1 else blocks[0]
+    for part in parts:
+        basis, kind, _ = _PARTS[part]
+        if basis is not None and kind not in operands:
+            blocks = [f[kind][:, None] * right for f in factors]
+            operands[kind] = np.concatenate(blocks, axis=-1) if len(blocks) > 1 else blocks[0]
             del blocks
     del right
     fine = offsets.shape[-1]
     phase_p = steps[..., :, None] * half_detunings       # (..., Q, K)
     sp, cp = np.sin(phase_p), np.cos(phase_p)
-    resonant = []  # (channel, part, weight of its resonant term, power of t)
-    for j, part in enumerate(parts):
-        if _PARTS[part][2] is not None:
-            coefficient, power = _PARTS[part][2]
-            resonant += [(i, j, coefficient * f[3], power) for i, f in enumerate(factors) if f[3]]
-    kernel_parts = [j for j, part in enumerate(parts) if _PARTS[part][0] is None]
+    # the lattice times, for the shift integral and the resonant modes' terms
+    resonant = any(f[3] for f in factors)
+    timed = any(_PARTS[part][0] is None or (_PARTS[part][2] and resonant) for part in parts)
 
     def at(origins: np.ndarray | None = None) -> list:
         if origins is None:
@@ -453,26 +446,31 @@ def _channel_sums(rates: RateFunctions, parts, steps: np.ndarray,
             ca -= np.multiply(so, sp, out=sc)
             sc = np.multiply(sa, ca, out=sc)
             ss, cc = np.square(sa, out=sa), np.square(ca, out=ca)
+        times = lattice(origins) if timed else None
+        left, integrals = {}, None
         sums = [[None] * len(parts) for _ in factors]
-        for basis, kinds, rows in bases:
-            # times as rows (..., Q, 3K), so that each time's sum over the
-            # modes is one dot product, in the order of a per-time evaluation
-            left = np.concatenate([sc, cc - ss, -sc] if basis == 0 else [ss, 2.0 * sc, cc],
-                                  axis=-1)
-            product = left @ operands[kinds]                     # (..., Q, len(rows) R)
-            for k, (i, j) in enumerate(rows):
-                sums[i][j] = product[..., k * fine:(k + 1) * fine]
-        if resonant or kernel_parts:
-            times = lattice(origins)
-            for i, j, weight, power in resonant:
-                sums[i][j] += weight * times ** power
-            if kernel_parts:
-                kernel = _shift_integral_kernel(times[..., None] * rates.detunings)
-                square = times ** 2
-                for i, f in enumerate(factors):
-                    value = np.sum(f[0] * kernel, axis=-1) * square
-                    for j in kernel_parts:
-                        sums[i][j] = value
+        for j, part in enumerate(parts):
+            basis, kind, resonance = _PARTS[part]
+            if basis is None:
+                if integrals is None:
+                    kernel = _shift_integral_kernel(times[..., None] * rates.detunings)
+                    square = times ** 2
+                    integrals = [np.sum(f[0] * kernel, axis=-1) * square for f in factors]
+                values = integrals
+            else:
+                if basis not in left:
+                    # times as rows (..., Q, 3K), so that each time's sum over the
+                    # modes is one dot product, in the order of a per-time evaluation
+                    left[basis] = np.concatenate([sc, cc - ss, -sc] if basis == 0
+                                                 else [ss, 2.0 * sc, cc], axis=-1)
+                product = left[basis] @ operands[kind]      # (..., Q, live channels R)
+                values = [product[..., i * fine:(i + 1) * fine] for i in range(len(factors))]
+                for value, f in zip(values, factors):
+                    if resonance is not None and f[3]:
+                        coefficient, power = resonance
+                        value += coefficient * f[3] * times ** power
+            for i, value in enumerate(values):
+                sums[i][j] = value
         if all(live):
             return sums
         shape, sums = sums[0][0].shape, iter(sums)
@@ -664,15 +662,16 @@ def bath_statistics(model: SpinBosonModel) -> BathStatistics:
     def integrals(steps: np.ndarray, offsets: np.ndarray):
         # both channels from one phase pass, over one table of steps and
         # offsets; the reverse integrals are the complex conjugates of the
-        # forward ones
+        # forward ones, written in place into the second half
         sums = _channel_sums(rates, ("decay", "shift"), steps, offsets)
 
         def at(origins: np.ndarray):
             (a_decay, a_shift), (e_decay, e_shift) = sums(origins)
-            forward = np.zeros(e_decay.shape + (2, 2), dtype=complex)
-            forward[..., 0, 1] = e_decay - 1j * e_shift
-            forward[..., 1, 0] = a_decay + 1j * a_shift
-            return forward, forward.conj()
+            out = np.zeros(e_decay.shape + (2, 2, 2), dtype=complex)
+            out[..., 0, 0, 1] = e_decay - 1j * e_shift
+            out[..., 0, 1, 0] = a_decay + 1j * a_shift
+            np.conjugate(out[..., 0, :, :], out=out[..., 1, :, :])
+            return out
 
         return at
 

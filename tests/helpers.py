@@ -57,8 +57,8 @@ def quadrature_bath(n_terms, correlation) -> BathStatistics:
         return lambda origins: integrals_at(lattice_times(origins[..., None] + steps, offsets))
 
     def integrals_at(times: np.ndarray):
-        forward = np.zeros(times.shape + (n, n), dtype=complex)
-        reverse = np.zeros_like(forward)
+        out = np.zeros(times.shape + (2, n, n), dtype=complex)
+        forward, reverse = out[..., 0, :, :], out[..., 1, :, :]
         for i, t in np.ndenumerate(times):
             nodes = np.linspace(0.0, t, DEFAULT_PANELS + 1)
             for j in range(n):
@@ -67,7 +67,7 @@ def quadrature_bath(n_terms, correlation) -> BathStatistics:
                     c_rev = [correlation(j, k, s, t) for s in nodes]
                     forward[i + (j, k)] = simpson(c_fwd, x=nodes)
                     reverse[i + (j, k)] = simpson(c_rev, x=nodes)
-        return forward, reverse
+        return out
 
     return BathStatistics(correlation, integrals)
 

@@ -117,6 +117,32 @@ def test_rates_csv_columns_and_vacuum_zeros(tmp_path):
     assert np.all(data[:, 5] == 0.0) and np.all(data[:, 6] == 0.0)
 
 
+@pytest.mark.parametrize("samples", [11, 29])
+def test_rates_csv_columns_equal_the_one_part_calls(tmp_path, samples):
+    # every column of the CSV, bit for bit, is its part asked for alone, as
+    # the closed forms ask for it; on a vacuum bath too, where one channel
+    # carries weight and a part's product over the modes is one column wide
+    from spinboson.config import load_config
+    from spinboson.spin_boson import rate_functions
+
+    cfg_path = write_cfg(tmp_path, VACUUM_CFG.replace(
+        "modes = 1.0:0.1", "modes = 0.8:0.1, 1.0:0.05, 1.4:0.06").replace(
+        "samples = 57", f"samples = {samples}"))
+    out = tmp_path / "rates.csv"
+    assert main(["rates", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+    header, data = read_csv(str(out))
+    cfg = load_config(cfg_path)
+    grid = cfg.time_grid()
+    assert np.array_equal(data[:, 0], grid)
+    rates = rate_functions(cfg.model())
+    # a trailing p marks the emission channel
+    parts = {"D_R": "decay", "D_I": "shift", "int_D_R": "decay_integral",
+             "int_D_I": "shift_integral"}
+    for column, name in zip(data.T[1:], header[1:]):
+        (absorption,), (emission,) = rates.sums(grid, (parts[name.rstrip("p")],))
+        assert np.array_equal(column, emission if name.endswith("p") else absorption), name
+
+
 def test_rates_markov_plateau_column(tmp_path):
     from spinboson.config import load_config
     from spinboson.spin_boson import markov_rates
@@ -301,8 +327,8 @@ def test_limits_vacuum_check_fails_on_perturbed_bath(tmp_path, monkeypatch):
 
     def perturbed(model):
         bath = bath_statistics(model)
-        integrals = lambda steps, offsets: lambda origins: tuple(
-            (1 + 1e-6) * f for f in bath.integrals(steps, offsets)(origins))
+        integrals = lambda steps, offsets: lambda origins: (
+            (1 + 1e-6) * bath.integrals(steps, offsets)(origins))
         return dataclasses.replace(bath, integrals=integrals)
 
     monkeypatch.setattr(cli, "bath_statistics", perturbed)
@@ -453,6 +479,22 @@ def test_phase_beyond_the_bound_is_a_config_error(tmp_path, capsys, verb):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["rates", "exact"])
+@pytest.mark.parametrize("g", ["1e200", "1e9"])
+def test_coupling_beyond_the_phase_bound_is_a_config_error(tmp_path, capsys, verb, g):
+    # the sector energies of such a coupling reach g: at g = 1e200 the
+    # exact phases carry no digits and the rates are NaN, and at g = 1e9
+    # t_max x 2 sqrt(n_max) sum |g_k| = 4e9 still passes the bound
+    cfg = write_cfg(tmp_path, COMPARE_CFG.replace("modes = 1.0:0.05", f"modes = 1.2:{g}")
+                    .replace("beta = vacuum", "beta = 1.0")
+                    .replace("t_max = 2.0", "t_max = 1.0").replace("samples = 9", "samples = 3"))
+    out = tmp_path / "out"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: line 4: field 't_max': t_max x 2 sqrt(n_max) sum |g_k| = ")
+    assert not out.exists()
+
+
 def test_non_finite_rate_is_a_runtime_abort(tmp_path, capsys, monkeypatch):
     # a NaN bound for the CSV is named with its column and time, and no
     # file is written
@@ -476,10 +518,12 @@ def test_non_finite_rate_is_a_runtime_abort(tmp_path, capsys, monkeypatch):
 
 
 def test_overflowing_coupling_is_a_runtime_abort(tmp_path):
-    # g = 1e200 squares to infinity, which makes the rates NaN.  Run in a
+    # g = 1e200 squares to infinity, which makes the rates NaN; t_max =
+    # 1e-200 keeps the coupling's phase under the config's bound.  Run in a
     # fresh interpreter: the suite turns the overflow's RuntimeWarning into
     # an error
-    cfg = write_cfg(tmp_path, THERMAL_CFG.replace("0.8:0.1, 1.2:0.07", "0.8:1e200"))
+    cfg = write_cfg(tmp_path, THERMAL_CFG.replace("0.8:0.1, 1.2:0.07", "0.8:1e200")
+                    .replace("t_max = 4.0", "t_max = 1e-200"))
     out = tmp_path / "rates.csv"
     done = subprocess.run([sys.executable, "-m", "spinboson", "rates", "--config", cfg,
                            "--out", str(out)],

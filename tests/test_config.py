@@ -165,7 +165,10 @@ def test_phase_bound_reads_the_largest_frequency(text):
     # t_max times the largest of omega0 and the mode frequencies (a mode's
     # here, the top midpoint for a discretization): at the bound the config
     # parses, one ulp of t_max past it does not, and the error names t_max
-    # and its line
+    # and its line.  n_max = 1 keeps the couplings' phase, which reads
+    # 2 sqrt(n_max) sum |g_k| (10.7 for the discretization at the default
+    # n_max = 4), below the frequencies' one
+    text += "n_max = 1\n"
     frequency = float(parse_config_text(text).model().frequencies.max())
     line = [key.split()[0] for key in text.splitlines()].index("t_max") + 1
     t_max = MAX_PHASE / frequency
@@ -181,3 +184,26 @@ def test_phase_bound_reads_the_largest_frequency(text):
     assert parse_config_text(slow.replace("omega0 = 1.0", "omega0 = 20.0")).t_max == MAX_PHASE / 20
     with pytest.raises(ConfigError, match="'t_max'"):
         parse_config_text(slow.replace("omega0 = 1.0", "omega0 = 20.5"))
+
+
+@pytest.mark.parametrize("n_max", [1, 4, 9])
+def test_phase_bound_reads_the_couplings(n_max):
+    # t_max times 2 sqrt(n_max) sum |g_k|, a bound of the couplings' share
+    # of the exact reference's sector energies: at the bound the config
+    # parses, one ulp of t_max past it does not, and the error names t_max
+    # and its line; a negative coupling counts by its size
+    coupling = 2.0 * math.sqrt(n_max) * (1.0 + 0.8 + 0.6)
+    t_max = MAX_PHASE / coupling
+    while t_max * coupling > MAX_PHASE:
+        t_max = math.nextafter(t_max, 0.0)
+    text = GOOD.replace("0.8:0.1, 1.0:0.08, 1.3:0.06", "0.8:1.0, 1.0:-0.8, 1.3:0.6")
+    text += f"n_max = {n_max}\n"
+    under = text.replace("t_max = 5.0", f"t_max = {t_max!r}")
+    assert parse_config_text(under).t_max == t_max
+    over = text.replace("t_max = 5.0", f"t_max = {math.nextafter(t_max, math.inf)!r}")
+    with pytest.raises(ConfigError, match=r"^line 5: field 't_max': t_max x 2 sqrt\(n_max\)"):
+        parse_config_text(over)
+    # a coupling whose phases carry no digits, of either sign
+    for g in ("1e200", "-1e9"):
+        with pytest.raises(ConfigError, match="t_max x 2 sqrt"):
+            parse_config_text(text.replace("1.3:0.6", f"1.3:{g}"))

@@ -830,20 +830,27 @@ def test_trajectory_rejects_non_finite_times():
 
 
 def test_bath_whose_blocks_do_not_pair_the_terms_is_rejected():
-    # one term's blocks against a two-term decomposition, and non-square
-    # blocks: the contract is named before any shape error
+    # one term's blocks against a two-term decomposition, non-square blocks,
+    # the forward and reverse blocks as a tuple of two arrays, and the
+    # forward block alone: the contract is named before any shape error
     _, decomp, bath = thermal_pair()
 
-    def cut(rows, cols):
+    def reshaped(change):
         def integrals(steps, offsets):
             at = bath.integrals(steps, offsets)
-            return lambda origins: tuple(b[..., :rows, :cols] for b in at(origins))
+            return lambda origins: change(at(origins))
         return dataclasses.replace(bath, integrals=integrals)
 
-    for short in (cut(1, 1), cut(1, 2), cut(2, 1)):
+    for change in (lambda f: f[..., :1, :1], lambda f: f[..., :1, :2], lambda f: f[..., :2, :1],
+                   lambda f: (f[..., 0, :, :], f[..., 1, :, :]), lambda f: f[..., 0, :, :]):
         with pytest.raises(ValueError, match="one row and one column of integrals per "
                                              "decomposition term"):
-            generator_matrix(decomp, short, np.array([0.5]))
+            generator_matrix(decomp, reshaped(change), np.array([0.5]))
+    # the forward block alone on a lattice of two offsets, whose axis could
+    # pass for the forward and reverse one
+    forward = reshaped(lambda f: f[..., 0, :, :])
+    with pytest.raises(ValueError, match="one row and one column of integrals per "):
+        propagate(decomp, forward, np.diag([1.0, 0.0]), [0.0, 1.0], substeps=1)
 
 
 def test_bath_statistics_requires_integrals():

@@ -311,7 +311,8 @@ def test_thermal_channels_share_one_lattice_pass():
     model = SpinBosonModel(1.0, [(0.8, 0.1), (1.0, 0.05), (1.4, 0.06)], 1.3)
     rates = rate_functions(model)
     starts, offsets = np.array([[0.0, 0.9], [2.0, 3.1]]), np.array([[0.0, 0.1, 0.2]])
-    forward, reverse = bath_statistics(model).integrals(starts, offsets)(np.zeros(2))
+    forward, reverse = np.moveaxis(
+        bath_statistics(model).integrals(starts, offsets)(np.zeros(2)), -3, 0)
     assert forward.shape == (2, 2, 3, 2, 2)
     t = lattice_times(starts, offsets)
     for weights, (j, k), sign in ((rates.emission, (0, 1), -1), (rates.absorption, (1, 0), 1)):
@@ -391,28 +392,41 @@ def test_one_shift_integral_kernel_evaluation_serves_both_channels(monkeypatch, 
     assert points == [t.size * len(model.modes)]
 
 
-# With one live channel a part's operand over plain times is one column wide,
-# and numpy multiplies a matrix by one column through BLAS gemv, which sums in
-# another order than the gemm of the two columns of a shift and a decay
-# integral asked for together: the last bits differ.  The rates CSV (stacked)
-# and the closed forms (one part) both pin their bits, so this stays open.
-_ONE_COLUMN = pytest.mark.xfail(strict=True, reason="gemv and gemm sum in different orders")
+# A lattice of starts and offsets, and the origins of its evaluator.
+_STARTS, _OFFSETS = np.array([[0.0, 0.9], [2.0, 3.1]]), np.array([[0.0, 0.1, 0.2]])
+_ORIGINS = np.array([0.0, 1.25])
 
 
 @pytest.mark.parametrize("model, t", [
     (THERMAL_3MODE, 1.7),
     (THERMAL_3MODE, np.linspace(0.0, 7.0, 15).reshape(3, 5)),
+    (THERMAL_3MODE, ()),
+    (THERMAL_3MODE, (_ORIGINS,)),
     (VACUUM_3MODE, 1.7),
-    pytest.param(VACUUM_3MODE, np.linspace(0.0, 7.0, 15).reshape(3, 5), marks=_ONE_COLUMN),
-], ids=["thermal-scalar", "thermal-array", "vacuum-scalar", "vacuum-array"])
+    (VACUUM_3MODE, np.linspace(0.0, 7.0, 15).reshape(3, 5)),
+    (VACUUM_3MODE, ()),
+    (VACUUM_3MODE, (_ORIGINS,)),
+], ids=["thermal-scalar", "thermal-array", "thermal-lattice", "thermal-origins",
+        "vacuum-scalar", "vacuum-array", "vacuum-lattice", "vacuum-origins"])
 def test_any_order_or_subset_of_parts_equals_the_one_part_calls(model, t):
+    # each part takes a product over the modes of its own, of one shape
+    # whatever comes with it, so its bits do not depend on the other parts:
+    # at plain times (RateFunctions.sums) and on a lattice (_channel_sums),
+    # without origins (a tuple t of none) or with them, also with one live
+    # channel (the vacuum), where a plain time's product is one column wide
     rates = rate_functions(model)
-    alone = {part: [sums for (sums,) in rates.sums(t, (part,))] for part in ALL_PARTS}
+    if isinstance(t, tuple):
+        shape = (2, 2, 3)
+        sums = lambda parts: _channel_sums(rates, parts, _STARTS, _OFFSETS)(*t)
+    else:
+        shape = np.shape(t)
+        sums = lambda parts: rates.sums(t, parts)
+    alone = {part: [value for (value,) in sums((part,))] for part in ALL_PARTS}
     for size in range(1, len(ALL_PARTS) + 1):
         for parts in itertools.permutations(ALL_PARTS, size):
-            for channel, sums in enumerate(rates.sums(t, parts)):
-                for part, value in zip(parts, sums):
-                    assert np.shape(value) == np.shape(t)
+            for channel, values in enumerate(sums(parts)):
+                for part, value in zip(parts, values):
+                    assert np.shape(value) == shape
                     assert np.array_equal(value, alone[part][channel]), (parts, part)
 
 
@@ -802,7 +816,8 @@ def test_integrated_correlations_match_quadrature():
     model = SpinBosonModel(1.0, [(0.8, 0.1), (1.4, 0.06)], 1.3)
     bath = bath_statistics(model)
     t = 2.2
-    forward, reverse = (f[:, 0, 0] for f in bath.integrals(np.zeros(1), np.zeros(1))(np.array([t])))
+    forward, reverse = np.moveaxis(
+        bath.integrals(np.zeros(1), np.zeros(1))(np.array([t]))[:, 0, 0], -3, 0)
     s = np.linspace(0.0, t, 2001)
     for j, k in ((0, 1), (1, 0)):
         fwd = complex(simpson(np.array([bath.correlation(j, k, t, sv) for sv in s]), x=s))
