@@ -2,7 +2,9 @@
 
 Configs are flat ``key = value`` text files; ``#`` starts a comment, blank
 lines are ignored.  Unknown or duplicate keys are hard errors so that a
-typo in a physics parameter cannot silently fall back to a default.
+typo in a physics parameter cannot silently fall back to a default; so is
+omega_c with a flat density, which ignores it.  Every count is a positive
+integer, by linalg.require_count.
 
 Keys
 ----
@@ -21,7 +23,7 @@ state:       rho00, rho01 (complex literal, e.g. "0.3+0.1j"); the state
 oracle:      oracle_enabled (true|false, default false), n_max (default 4),
              check_truncation (true|false, default false: rerun the exact
              solver at twice n_max and abort if any element moves by more
-             than 1e-6)
+             than the fixed bound 1e-6)
 output:      output_path (optional if --out is given)
 """
 
@@ -72,11 +74,12 @@ def _parse_positive_float(value: str) -> float:
     return out
 
 
-def _parse_int(value: str) -> int:
+def _parse_count(value: str) -> int:
     try:
-        return int(value)
+        count = int(value)
     except ValueError:
         raise ConfigError(f"expected an integer, got {value!r}") from None
+    return require_count(count, "the value", 1)
 
 
 def _parse_beta(value: str) -> float:
@@ -140,14 +143,14 @@ class RunConfig:
     omega_c: float | None = _key(_parse_positive_float, None)
     omega_min: float | None = _key(_parse_float, None)
     omega_max: float | None = _key(_parse_positive_float, None)
-    mode_count: int | None = _key(_parse_int, None)
+    mode_count: int | None = _key(_parse_count, None)
     t_max: float = _key(_parse_positive_float)
-    samples: int = _key(_parse_int)
-    rk4_substeps: int | None = _key(_parse_int, None)
+    samples: int = _key(_parse_count)
+    rk4_substeps: int | None = _key(_parse_count, None)
     rho00: float = _key(_parse_float)
     rho01: complex = _key(_parse_complex)
     oracle_enabled: bool = _key(_parse_bool, False)
-    n_max: int = _key(_parse_int, 4)
+    n_max: int = _key(_parse_count, 4)
     check_truncation: bool = _key(_parse_bool, False)
     output_path: str | None = _key(str, None)
 
@@ -218,7 +221,7 @@ def parse_config_text(text: str) -> RunConfig:
             return default
         try:
             return parser(raw[key])
-        except ConfigError as exc:
+        except ValueError as exc:
             raise ConfigError(f"line {line_of[key]}: field {key!r}: {exc}") from None
 
     missing = [k for k in _REQUIRED if k not in raw]
@@ -242,17 +245,16 @@ def parse_config_text(text: str) -> RunConfig:
 
     cfg = RunConfig(*[convert(key, parser, default)
                       for key, (parser, default) in _FIELDS.items()])
+    if cfg.density == "flat" and cfg.omega_c is not None:
+        raise ConfigError(f"line {line_of['omega_c']}: field 'omega_c': "
+                          f"only density = ohmic takes a cutoff")
 
     try:
         require_density_matrix(cfg.initial_state(), tol=1e-15)
     except ValueError as exc:
         raise ConfigError(f"rho00, rho01: {exc}") from None
-    # the library's checks name their fields: the counts here, the model's in cfg.model()
+    # the model's own checks name their fields
     try:
-        require_count(cfg.samples, "samples", 1)
-        if cfg.rk4_substeps is not None:
-            require_count(cfg.rk4_substeps, "rk4_substeps", 1)
-        require_count(cfg.n_max, "n_max", 1)
         model = cfg.model()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

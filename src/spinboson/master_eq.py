@@ -85,6 +85,9 @@ _ESTIMATE_CAP = 1e-6
 # Trace drift beyond this aborts a propagation outright.
 _TRACE_ABORT = 1e-6
 
+# The trace and hermiticity errors every Trajectory keeps at each sample.
+_INVARIANT_TOL = 1e-9
+
 # Stage times per generator batch in propagate, and the cap on the stage
 # times one row of steps and offsets is sized for.  A batch holds the bath's
 # phase tables of its coarse starts and the real forms of the generator and
@@ -273,7 +276,10 @@ def lattice_times(starts, offsets) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Time grid plus one reduced density matrix per grid point."""
+    """Time grid plus one reduced density matrix per grid point, checked when
+    built: a trace or hermiticity error above ``_INVARIANT_TOL`` (1e-9) at any
+    sample, or a NaN one, raises ``ValueError``.  ``metadata["min_eigenvalue"]``
+    records each state's smallest eigenvalue; positivity is not asserted."""
 
     times: np.ndarray
     states: np.ndarray
@@ -284,6 +290,12 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=complex)
         if self.states.shape[0] != self.times.shape[0]:
             raise ValueError("one state per time point required")
+        for name, errors in (("trace", self.trace_errors()),
+                             ("hermiticity", self.hermiticity_errors())):
+            if not np.all(errors <= _INVARIANT_TOL):  # so that a NaN error fails
+                i = int(np.argmax(errors))  # the first NaN, if any
+                raise ValueError(f"{name} error {errors[i]:.3e} at t = {self.times[i]:.6g}")
+        self.metadata["min_eigenvalue"] = self.min_eigenvalues()
 
     @property
     def final_state(self) -> np.ndarray:
@@ -298,18 +310,6 @@ class Trajectory:
     def min_eigenvalues(self) -> np.ndarray:
         s = self.states
         return np.linalg.eigvalsh(0.5 * (s + s.conj().transpose(0, 2, 1)))[:, 0]
-
-    def validate(self, trace_tol: float = 1e-9, herm_tol: float = 1e-9) -> "Trajectory":
-        # written as "not all within", so that a NaN error fails (argmax finds it)
-        tr = self.trace_errors()
-        if not np.all(tr <= trace_tol):
-            i = int(np.argmax(tr))
-            raise ValueError(f"trace error {tr[i]:.3e} at t = {self.times[i]:.6g}")
-        he = self.hermiticity_errors()
-        if not np.all(he <= herm_tol):
-            i = int(np.argmax(he))
-            raise ValueError(f"hermiticity error {he[i]:.3e} at t = {self.times[i]:.6g}")
-        return self
 
 
 def _coefficients(decomp, bath, t) -> np.ndarray:
@@ -589,16 +589,14 @@ def _one_factor(decomp, bath, rho0, times, substeps, factor, pilot=None) -> tupl
 
 
 def _trajectory(times, run: tuple) -> Trajectory:
-    """The validated trajectory of ``run``, ``(states, estimate, substeps)``."""
+    """The trajectory of ``run``, ``(states, estimate, substeps)``."""
     states, estimate, substeps = run
     metadata: dict[str, Any] = {"integrator": "rk4", "substeps": substeps}
     if substeps:
         metadata["step_size"] = float(np.max(np.diff(times))) / substeps
     if estimate is not None:
         metadata["error_estimate"] = estimate
-    traj = Trajectory(times, states, metadata=metadata).validate()
-    traj.metadata["min_eigenvalue"] = traj.min_eigenvalues()
-    return traj
+    return Trajectory(times, states, metadata=metadata)
 
 
 def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
@@ -643,9 +641,8 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
     forms of the complex ones, and the states are advanced through their
     real views, so nothing is symmetrized on the way.  Trace drift beyond
     1e-6 (or NaN) after any substep aborts with a :class:`TraceDriftError`
-    naming the first such substep; accepted trajectories satisfy the 1e-9
-    trace and hermiticity invariants at every sample, a one-point grid
-    included.
+    naming the first such substep; every sample, a one-point grid's too,
+    keeps the invariants of :class:`Trajectory`.
     """
     return propagate_scaled(decomp, bath, rho0, times, (1.0,), substeps)[0]
 

@@ -57,6 +57,9 @@ __all__ = [
 # which for many small sectors exceeds the largest sector's alone.
 _SECTOR_BUDGET = 4096
 
+# check_truncation's one bound on the shift of a sampled element at twice n_max.
+_TRUNCATION_BOUND = 1e-6
+
 
 class BathDimensionError(ValueError):
     """Truncated Hilbert space would exceed the configured cap."""
@@ -218,33 +221,32 @@ def thermal_bath_state(bath: TruncatedBath) -> np.ndarray:
 
 
 def interaction_unitary(bath: TruncatedBath, t: float) -> np.ndarray:
-    """Exact co-rotating-frame propagator exp(+i H0 t) exp(-i H t)."""
+    """Exact co-rotating-frame propagator exp(+i H0 t) exp(-i H t), at a finite ``t``."""
+    t = float(require_time_grid([t])[0])
     h = full_hamiltonian(bath)
     w, v = np.linalg.eigh(h)
-    u_sch = (v * np.exp(-1j * w * float(t))) @ v.conj().T
+    u_sch = (v * np.exp(-1j * w * t)) @ v.conj().T
     return _co_rotate(h, t, u_sch)
 
 
 def _co_rotate(h: np.ndarray, t: float, op: np.ndarray) -> np.ndarray:
-    """exp(+i H0 t) op, with H0 the diagonal of ``h``."""
-    return np.exp(1j * np.diag(h).real * float(t))[:, None] * op
+    """exp(+i H0 t) op, with H0 the diagonal of ``h``, at a checked time ``t``."""
+    return np.exp(1j * np.diag(h).real * t)[:, None] * op
 
 
 def exact_reduced_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence[float],
-                           check_truncation: bool = False,
-                           truncation_tol: float = 1e-6) -> Trajectory:
+                           check_truncation: bool = False) -> Trajectory:
     """Exact reduced dynamics of the system, rotated to the co-rotating frame.
 
     The one-factor case of :func:`exact_scaled_dynamics`, which describes
     the method and the arguments.
     """
-    return exact_scaled_dynamics(bath, rho0, times, (1.0,), check_truncation=check_truncation,
-                                 truncation_tol=truncation_tol)[0]
+    return exact_scaled_dynamics(bath, rho0, times, (1.0,), check_truncation=check_truncation)[0]
 
 
 def exact_scaled_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence[float],
-                          factors: Sequence[float], check_truncation: bool = False,
-                          truncation_tol: float = 1e-6) -> list[Trajectory]:
+                          factors: Sequence[float],
+                          check_truncation: bool = False) -> list[Trajectory]:
     """Exact reduced dynamics of ``bath.model.scaled(f)`` for each ``f`` in ``factors``.
 
     Propagates ``rho0 (x) thermal bath`` one excitation-number sector at a
@@ -263,11 +265,10 @@ def exact_scaled_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence
     diagonalized.  The free system rotation is applied last, so the output
     is directly comparable to master-equation trajectories.  With
     ``check_truncation`` the pass is repeated at double the Fock cutoff,
-    and the first factor whose sampled elements move by more than
-    ``truncation_tol`` raises TruncationError; a doubled cutoff over
-    ``bath.dim_cap`` raises before the first pass.
-    ``times`` must be a finite, strictly increasing grid.  Returns one
-    trajectory per factor, in the order given.
+    and the first factor whose sampled elements move by more than the fixed
+    1e-6 raises TruncationError; a doubled cutoff over ``bath.dim_cap``
+    raises before the first pass.  ``times`` must be a finite, strictly
+    increasing grid.  Returns one checked :class:`Trajectory` per factor.
     """
     rho0 = require_density_matrix(rho0)
     times = require_time_grid(times)
@@ -289,19 +290,16 @@ def exact_scaled_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence
     omega0 = bath.model.omega0
     e_sys = np.array([0.5 * omega0, -0.5 * omega0])
     rot = np.exp(1j * np.outer(times, e_sys))
-    trajectories = []
-    for states in rot[:, :, None] * reduced * rot.conj()[:, None, :]:
-        traj = Trajectory(times, states,
-                          metadata={"integrator": "exact-eig", "n_max": bath.n_max}).validate()
-        traj.metadata["min_eigenvalue"] = traj.min_eigenvalues()
-        trajectories.append(traj)
+    trajectories = [Trajectory(times, states,
+                               metadata={"integrator": "exact-eig", "n_max": bath.n_max})
+                    for states in rot[:, :, None] * reduced * rot.conj()[:, None, :]]
     if check_truncation:
         fine = exact_scaled_dynamics(bath.with_n_max(fine_n_max), rho0, times, factors)
         for traj, reference in zip(trajectories, fine):
             shift = float(np.max(np.abs(traj.states - reference.states)))
             traj.metadata["truncation_shift"] = shift
-            if shift > truncation_tol:
-                raise TruncationError(shift, truncation_tol)
+            if shift > _TRUNCATION_BOUND:
+                raise TruncationError(shift, _TRUNCATION_BOUND)
     return trajectories
 
 
@@ -499,15 +497,17 @@ def dyson_terms(bath: TruncatedBath, t: float, order: int = 2) -> list[np.ndarra
     exponential (Van Loan, IEEE TAC 23, 395 (1978)): with H = H0 + V, the
     block matrix holding -i H0 on every diagonal block and -i V on the block
     superdiagonal exponentiates, at time t, to a first block row whose block
-    k is exp(-i H0 t) times term k.  Needs scipy, which nothing else in the
-    package imports; install it with the ``dyson`` extra.
+    k is exp(-i H0 t) times term k; ``t`` is finite and ``order`` 0, 1 or 2.
+    Needs scipy, which nothing else in the package imports; install it with
+    the ``dyson`` extra.
     """
     try:
         from scipy.linalg import expm  # here, to keep scipy off the import path
     except ImportError as exc:
         raise ImportError("dyson_terms needs scipy: pip install 'spinboson[dyson]'") from exc
 
-    if not 0 <= order <= 2:
+    t = float(require_time_grid([t])[0])
+    if require_count(order, "order") > 2:
         raise ValueError("only orders 0..2 are implemented")
     d, n = bath.full_dim, order + 1
     h = full_hamiltonian(bath)
@@ -517,7 +517,7 @@ def dyson_terms(bath: TruncatedBath, t: float, order: int = 2) -> list[np.ndarra
         blocks[k, :, k] = free
         if k:
             blocks[k - 1, :, k] = h - free
-    row = expm(-1j * float(t) * blocks.reshape(n * d, n * d))[:d].reshape(d, n, d)
+    row = expm(-1j * t * blocks.reshape(n * d, n * d))[:d].reshape(d, n, d)
     return [np.eye(d, dtype=complex)] + [_co_rotate(h, t, row[:, k]) for k in range(1, n)]
 
 
@@ -571,8 +571,7 @@ def map_inversion_residual(bath: TruncatedBath, rho0: np.ndarray, t: float,
     identity is exact, so the returned Frobenius residual measures pure
     floating-point error.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    order = require_count(order, "order")
     rho0 = _system_state(rho0)
     eps = _reduced_map(bath, t) - np.eye(4)
     rho_t = rho0 + eps @ rho0

@@ -382,6 +382,18 @@ OHMIC_VACUUM_CFG = MARKOV_CFG.replace("beta = 1.0", "beta = vacuum").replace(
     "samples = 101", "samples = 11\nrk4_substeps = 128")
 
 
+def test_flat_density_runs_rates_and_limits(tmp_path):
+    # a vacuum flat band, J = eta: the plateau is pi eta (n(omega0) + 1), n = 0
+    cfg = write_cfg(tmp_path, OHMIC_VACUUM_CFG.replace("density = ohmic", "density = flat")
+                    .replace("omega_c = 5.0\n", ""))
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path / "rates.csv")]) == EXIT_OK
+    out = tmp_path / "limits.txt"
+    assert main(["limits", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    report = dict(line.split(" = ") for line in out.read_text(encoding="utf-8").splitlines()
+                  if " = " in line)
+    assert float(report["expected_plateau"]) == math.pi * 0.01 == 0.031415926535897934
+
+
 @pytest.mark.parametrize("text, calls", [(OHMIC_VACUUM_CFG, 1), (THERMAL_CFG, 0)],
                          ids=["ohmic_vacuum", "explicit_thermal"])
 def test_limit_checks_evaluate_the_rates_at_most_once(tmp_path, monkeypatch, text, calls):

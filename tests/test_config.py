@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from spinboson.config import MAX_PHASE, ConfigError, parse_config_text
+from spinboson.config import MAX_PHASE, ConfigError, load_config, parse_config_text
 
 GOOD = """\
 # explicit three-mode thermal model
@@ -101,6 +101,14 @@ def test_ohmic_requires_cutoff():
         parse_config_text(bad)
 
 
+def test_flat_density_rejects_a_cutoff():
+    # a flat band would ignore omega_c; a physics key must not fall back silently
+    flat = GOOD_DISC.replace("density = ohmic", "density = flat")
+    with pytest.raises(ConfigError, match=r"^line 5: field 'omega_c': only density = ohmic"):
+        parse_config_text(flat)
+    assert parse_config_text(flat.replace("omega_c = 5.0\n", "")).omega_c is None
+
+
 def test_initial_state_positivity():
     bad = GOOD.replace("rho01 = 0.2+0.1j", "rho01 = 0.9")
     with pytest.raises(ConfigError, match="positive semidefinite"):
@@ -140,13 +148,42 @@ def test_value_range_checks():
         parse_config_text(GOOD.replace("t_max = 5.0", "t_max = -1.0"))
 
 
+@pytest.mark.parametrize("text, match", [
+    (GOOD.replace("omega0 = 1.0", "omega0 = inf"),
+     r"^line 2: field 'omega0': expected a finite number, got 'inf'$"),
+    (GOOD.replace("rho01 = 0.2+0.1j", "rho01 = 0.2+"),
+     r"^line 8: field 'rho01': expected a complex literal like 0.3\+0.1j, got '0.2\+'$"),
+    (GOOD_DISC.replace("density = ohmic", "density = gaussian"),
+     r"^line 3: field 'density': expected ohmic or flat, got 'gaussian'$"),
+    (GOOD.replace("samples = 51", "samples 51"),
+     r"^line 6: expected 'key = value', got 'samples 51'$"),
+    (GOOD.replace("samples = 51", "samples ="), r"^line 6: empty value for 'samples'$"),
+    (GOOD.replace("modes = 0.8:0.1, 1.0:0.08, 1.3:0.06", "modes = , ,"),
+     r"^line 4: field 'modes': mode list is empty$"),
+    (GOOD.replace("samples = 51", "samples = 5.1"),
+     r"^line 6: field 'samples': expected an integer, got '5.1'$"),
+    (GOOD_DISC.replace("mode_count = 50", "mode_count = 0"),
+     r"^line 8: field 'mode_count': the value must be a positive integer, got 0$"),
+    (None, r"^cannot read config '.*': "),
+], ids=["inf", "complex", "density", "no_equals", "empty_value", "empty_modes", "float_count",
+        "zero_count", "unreadable_path"])
+def test_config_errors_name_what_is_wrong(tmp_path, text, match):
+    # through load_config; None reads a directory, which no config can be
+    path = tmp_path
+    if text is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=match):
+        load_config(str(path))
+
+
 def test_truncation_check_key():
     assert parse_config_text(GOOD).check_truncation is False
     assert parse_config_text(GOOD + "check_truncation = true\n").check_truncation is True
     with pytest.raises(ConfigError, match="field 'check_truncation'"):
         parse_config_text(GOOD + "check_truncation = maybe\n")
     with pytest.raises(ConfigError, match="unknown"):
-        parse_config_text(GOOD + "truncation_tol = 1e-4\n")
+        parse_config_text(GOOD + "truncation_bound = 1e-4\n")
 
 
 def test_model_is_built_once_per_config():

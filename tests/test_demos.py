@@ -1,7 +1,7 @@
 """Smoke test: every demo script and every ``python`` code block of
 README.md runs to completion, under the warning filters the suite runs
 under (pyproject.toml): a numpy overflow or invalid-value warning, or a
-resource left unclosed, fails it."""
+resource left unclosed, fails it.  README.md's config example parses."""
 
 import os
 import re
@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from spinboson.config import parse_config_text
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -35,3 +37,17 @@ README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_t
 def test_readme_python_block_runs(block):
     # in this process, so that the suite's warning filters apply
     exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+
+
+README_CONFIG, = re.findall(r"^```\n(# model:.*?)^```", (ROOT / "README.md").read_text(
+    encoding="utf-8"), flags=re.DOTALL | re.MULTILINE)
+
+
+def test_readme_config_example_parses():
+    # as written, and with the commented discretization in place of the
+    # mode list, so that the documented keys and bounds follow the parser
+    cfg = parse_config_text(README_CONFIG)
+    assert cfg.modes == ((0.8, 0.1), (1.2, 0.07)) and cfg.oracle_enabled
+    text = re.sub(r"^modes = .*\n", "", README_CONFIG, flags=re.MULTILINE)
+    cfg = parse_config_text(re.sub(r"^#(?=\w+ *=)", "", text, flags=re.MULTILINE))
+    assert cfg.modes is None and cfg.density == "ohmic" and len(cfg.model().modes) == 400

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from spinboson.config import ConfigError, parse_config_text
 from spinboson.linalg import require_count, require_density_matrix, require_factors
 from spinboson.master_eq import propagate, propagate_scaled
-from spinboson.oracle import TruncatedBath, exact_scaled_dynamics
+from spinboson.oracle import (TruncatedBath, dyson_terms, exact_scaled_dynamics,
+                              interaction_unitary, map_inversion_residual,
+                              reduced_map_deviation)
 from spinboson.spin_boson import (SpectralDiscretization, SpinBosonModel, bath_statistics,
                                   flat_density, interaction_decomposition)
 
@@ -79,6 +81,18 @@ rho00 = 0.7
 rho01 = 0
 """
 _SAMPLES = "samples = 3\n"
+_FLAT_BAND = """\
+omega0 = 1.0
+beta = vacuum
+density = flat
+eta = 0.01
+omega_min = 0.5
+omega_max = 1.5
+t_max = 1.0
+rho00 = 1.0
+rho01 = 0
+""" + _SAMPLES
+_RHO = np.diag([0.7, 0.3])
 
 
 def _propagate(substeps):
@@ -97,6 +111,10 @@ _COUNT_SITES = [
     ("config", "rk4_substeps", 1,
      lambda v: parse_config_text(_CONFIG + _SAMPLES + f"rk4_substeps = {v}\n")),
     ("config", "n_max", 1, lambda v: parse_config_text(_CONFIG + _SAMPLES + f"n_max = {v}\n")),
+    ("config", "mode_count", 1, lambda v: parse_config_text(_FLAT_BAND + f"mode_count = {v}\n")),
+    ("dyson_terms", "order", 0, lambda v: dyson_terms(TruncatedBath(_MODEL, n_max=1), 0.5, v)),
+    ("map_inversion_residual", "order", 0,
+     lambda v: map_inversion_residual(TruncatedBath(_MODEL, n_max=1), _RHO, 0.5, v)),
 ]
 
 
@@ -110,11 +128,33 @@ def test_counts_reject_bools_floats_and_values_below_the_minimum(site, name, min
     call(np.int64(minimum + 2))
 
 
+def test_dyson_terms_stop_at_order_two():
+    with pytest.raises(ValueError, match="only orders 0..2"):
+        dyson_terms(TruncatedBath(_MODEL, n_max=1), 0.5, 3)
+
+
 def test_require_count_returns_a_plain_int():
     count = require_count(np.int32(3), "count", 1)
     assert count == 3 and type(count) is int
     with pytest.raises(ValueError, match="count must be a non-negative integer, got -1"):
         require_count(-1, "count")
+
+
+# -- scalar times (linalg.require_time_grid, at every site of the oracle) -----
+
+_TIME_SITES = {
+    "interaction_unitary": lambda bath, t: interaction_unitary(bath, t),
+    "dyson_terms": lambda bath, t: dyson_terms(bath, t),
+    "reduced_map_deviation": lambda bath, t: reduced_map_deviation(bath, _RHO, t),
+    "map_inversion_residual": lambda bath, t: map_inversion_residual(bath, _RHO, t, 1),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("site", _TIME_SITES)
+def test_scalar_times_must_be_finite(site, t):
+    with pytest.raises(ValueError, match=f"times must be finite, got {t}"):
+        _TIME_SITES[site](TruncatedBath(_MODEL, n_max=1), t)
 
 
 # -- coupling factors (linalg.require_factors, at every site that uses it) ----

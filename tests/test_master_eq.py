@@ -10,8 +10,8 @@ import spinboson.master_eq as master_eq
 from spinboson.master_eq import (BathStatistics, InteractionDecomposition,
                                  TraceDriftError, Trajectory, generator_matrix,
                                  propagate, propagate_scaled, rhs, stage_generators)
-from spinboson.spin_boson import (SIGMA_Z, SpectralDiscretization, SpinBosonModel,
-                                  bath_statistics, coherence_solution,
+from spinboson.spin_boson import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, SpectralDiscretization,
+                                  SpinBosonModel, bath_statistics, coherence_solution,
                                   interaction_decomposition, ohmic_density,
                                   rate_functions)
 
@@ -797,17 +797,17 @@ def test_propagate_scaled_is_separate_runs_for_powers_of_two(modes, beta, powers
 def test_trajectory_validation_catches_bad_states():
     times = np.array([0.0, 1.0])
     good = np.broadcast_to(np.diag([0.5, 0.5]), (2, 2, 2)).astype(complex)
-    Trajectory(times, good.copy()).validate()
+    assert Trajectory(times, good.copy()).metadata["min_eigenvalue"].tolist() == [0.5, 0.5]
 
     bad_trace = good.copy()
     bad_trace[1] = np.diag([0.6, 0.5])
     with pytest.raises(ValueError):
-        Trajectory(times, bad_trace).validate()
+        Trajectory(times, bad_trace)
 
     bad_herm = good.copy()
     bad_herm[1, 0, 1] = 1e-6
     with pytest.raises(ValueError):
-        Trajectory(times, bad_herm).validate()
+        Trajectory(times, bad_herm)
 
 
 def test_trajectory_validation_catches_nan_states():
@@ -816,11 +816,45 @@ def test_trajectory_validation_catches_nan_states():
     nan_trace = states.copy()
     nan_trace[1, 0, 0] = np.nan
     with pytest.raises(ValueError, match="trace error nan"):
-        Trajectory(times, nan_trace).validate()
+        Trajectory(times, nan_trace)
     nan_herm = states.copy()
     nan_herm[1, 0, 1] = np.nan
     with pytest.raises(ValueError, match="hermiticity error nan"):
-        Trajectory(times, nan_herm).validate()
+        Trajectory(times, nan_herm)
+
+
+def test_decomposition_and_trajectory_reject_malformed_input():
+    with pytest.raises(ValueError, match="at least one term"):
+        InteractionDecomposition(terms=())
+    for terms in ((SIGMA_Z, np.eye(3)), (np.ones((2, 3)),)):
+        with pytest.raises(ValueError, match="one square system dimension"):
+            InteractionDecomposition(terms=terms)
+    states = np.broadcast_to(np.diag([0.5, 0.5]), (3, 2, 2)).astype(complex)
+    with pytest.raises(ValueError, match="one state per time point"):
+        Trajectory(np.array([0.0, 1.0]), states)
+
+
+@pytest.mark.parametrize("substeps", [4, None])
+def test_three_level_system_with_an_idle_level(substeps):
+    # the spin-boson coupling on the first two levels of three: the active
+    # block evolves as the two-level run scaled by its weight 1 - p, and the
+    # idle level, which no term touches, keeps its population p exactly.
+    # p = 1/2 scales the block exactly, so the runs differ only by the
+    # rounding of the larger products
+    _, decomp, bath = thermal_pair()
+    embedded = np.zeros((2, 3, 3), dtype=complex)
+    embedded[:, :2, :2] = SIGMA_PLUS, SIGMA_MINUS
+    rho2 = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]], dtype=complex)
+    p = 0.5
+    rho3 = np.zeros((3, 3), dtype=complex)
+    rho3[:2, :2] = (1.0 - p) * rho2
+    rho3[2, 2] = p
+    grid = np.linspace(0.0, 4.0, 81)  # automatic substeps keep the pilot: 4
+    two = propagate(decomp, bath, rho2, grid, substeps)
+    three = propagate(InteractionDecomposition(terms=tuple(embedded)), bath, rho3, grid, substeps)
+    assert three.metadata["substeps"] == two.metadata["substeps"]
+    assert np.max(np.abs(three.states[:, :2, :2] - (1.0 - p) * two.states)) <= 1e-15
+    assert np.all(three.states[:, 2, 2] == p)
 
 
 def test_trajectory_rejects_non_finite_times():

@@ -492,7 +492,7 @@ def test_scaled_pass_rejects_non_finite_factors():
                               np.linspace(0, 1, 3), (1.0, math.nan))
 
 
-def test_scaled_truncation_check_raises_for_the_first_unconverged_factor():
+def test_scaled_truncation_check_raises_for_the_first_unconverged_factor(monkeypatch):
     # at zero coupling the cutoff cannot matter; at full coupling on a hot
     # bath it does, so the error carries the shift of the full-coupling run
     model = SpinBosonModel(1.0, [(1.0, 0.08)], 0.3)
@@ -505,18 +505,18 @@ def test_scaled_truncation_check_raises_for_the_first_unconverged_factor():
         with pytest.raises(TruncationError) as err:
             exact_scaled_dynamics(bath, RHO_MIXED, grid, factors, check_truncation=True)
         assert err.value.shift == expected
-    passed = exact_scaled_dynamics(bath, RHO_MIXED, grid, (0.0, 1.0),
-                                   check_truncation=True, truncation_tol=1.0)
+    monkeypatch.setattr(oracle, "_TRUNCATION_BOUND", 1.0)
+    passed = exact_scaled_dynamics(bath, RHO_MIXED, grid, (0.0, 1.0), check_truncation=True)
     assert passed[0].metadata["truncation_shift"] <= 1e-15
     assert passed[1].metadata["truncation_shift"] == expected
 
 
-def test_check_truncation_reports_the_doubled_cutoff_shift():
+def test_check_truncation_reports_the_doubled_cutoff_shift(monkeypatch):
     model = SpinBosonModel(1.0, [(1.0, 0.08)], 2.0)
     bath = TruncatedBath(model, n_max=3)
     grid = np.linspace(0, 2, 5)
-    traj = exact_reduced_dynamics(bath, RHO_MIXED, grid, check_truncation=True,
-                                  truncation_tol=1e-2)
+    monkeypatch.setattr(oracle, "_TRUNCATION_BOUND", 1e-2)
+    traj = exact_reduced_dynamics(bath, RHO_MIXED, grid, check_truncation=True)
     fine = exact_reduced_dynamics(TruncatedBath(model, n_max=6), RHO_MIXED, grid)
     shift = traj.metadata["truncation_shift"]
     assert 0.0 < shift == float(np.max(np.abs(traj.states - fine.states)))
