@@ -30,6 +30,7 @@ output:      output_path (optional if --out is given)
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
@@ -274,5 +275,5 @@ def load_config(path) -> RunConfig:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+        raise ConfigError(f"cannot read config {os.fspath(path)!r}: {exc}") from None
     return parse_config_text(text)

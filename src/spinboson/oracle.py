@@ -275,11 +275,27 @@ def exact_scaled_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence
     factors = require_factors(factors)
     if check_truncation:
         # the rerun must fit the cap too: say so before the first run, not after it
-        fine_n_max = 2 * bath.n_max
-        fine_dim = 2 * (fine_n_max + 1) ** bath.n_modes
-        if fine_dim > bath.dim_cap:
-            raise BathDimensionError(fine_dim, bath.dim_cap, fine_n_max, bath.n_modes,
-                                     needed_by="check_truncation reruns at twice n_max: ")
+        try:
+            fine = bath.with_n_max(2 * bath.n_max)
+        except BathDimensionError as exc:
+            raise BathDimensionError(exc.dim, exc.cap, 2 * bath.n_max, bath.n_modes,
+                                     needed_by="check_truncation reruns at twice n_max: ") from None
+    trajectories = [Trajectory(times, states,
+                               metadata={"integrator": "exact-eig", "n_max": bath.n_max})
+                    for states in _rotated_states(bath, rho0, times, factors)]
+    if check_truncation:
+        for traj, reference in zip(trajectories, _rotated_states(fine, rho0, times, factors)):
+            shift = float(np.max(np.abs(traj.states - reference)))
+            traj.metadata["truncation_shift"] = shift
+            if shift > _TRUNCATION_BOUND:
+                raise TruncationError(shift, _TRUNCATION_BOUND)
+    return trajectories
+
+
+def _rotated_states(bath: TruncatedBath, rho0: np.ndarray, times: np.ndarray,
+                    factors: np.ndarray) -> np.ndarray:
+    """The reduced states of :func:`exact_scaled_dynamics`, co-rotated, from
+    checked arguments: shape ``(len(factors), len(times), 2, 2)``."""
     z = _sector_sums(bath, rho0.diagonal().real, times, factors)
     reduced = np.empty((len(factors), len(times), 2, 2), dtype=complex)
     reduced[:, :, 0, 0] = z[:, 0]
@@ -290,17 +306,7 @@ def exact_scaled_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence
     omega0 = bath.model.omega0
     e_sys = np.array([0.5 * omega0, -0.5 * omega0])
     rot = np.exp(1j * np.outer(times, e_sys))
-    trajectories = [Trajectory(times, states,
-                               metadata={"integrator": "exact-eig", "n_max": bath.n_max})
-                    for states in rot[:, :, None] * reduced * rot.conj()[:, None, :]]
-    if check_truncation:
-        fine = exact_scaled_dynamics(bath.with_n_max(fine_n_max), rho0, times, factors)
-        for traj, reference in zip(trajectories, fine):
-            shift = float(np.max(np.abs(traj.states - reference.states)))
-            traj.metadata["truncation_shift"] = shift
-            if shift > _TRUNCATION_BOUND:
-                raise TruncationError(shift, _TRUNCATION_BOUND)
-    return trajectories
+    return rot[:, :, None] * reduced * rot.conj()[:, None, :]
 
 
 def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray,

@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,16 +166,18 @@ def test_value_range_checks():
     (GOOD_DISC.replace("mode_count = 50", "mode_count = 0"),
      r"^line 8: field 'mode_count': the value must be a positive integer, got 0$"),
     (None, r"^cannot read config '.*': "),
+    (Path, r"^cannot read config '[^']*': "),
 ], ids=["inf", "complex", "density", "no_equals", "empty_value", "empty_modes", "float_count",
-        "zero_count", "unreadable_path"])
+        "zero_count", "unreadable_path", "unreadable_pathlib_path"])
 def test_config_errors_name_what_is_wrong(tmp_path, text, match):
-    # through load_config; None reads a directory, which no config can be
+    # through load_config; None reads a directory, which no config can be,
+    # and Path reads it as a pathlib.Path, which the message names as a str
     path = tmp_path
-    if text is not None:
+    if isinstance(text, str):
         path = tmp_path / "run.cfg"
         path.write_text(text)
     with pytest.raises(ConfigError, match=match):
-        load_config(str(path))
+        load_config(path if text is Path else str(path))
 
 
 def test_truncation_check_key():
