@@ -739,12 +739,25 @@ def test_vacuum_limits_build_the_rate_functions_once(tmp_path, monkeypatch):
 
 # Run in a fresh interpreter: the CLI path loads no scipy module, and
 # dyson_terms, the one function that needs scipy, loads it when called.
+# Nor does it load a thread-pool module or start a thread: the exact
+# solver's worker thread starts with its first pass of more than one
+# bucket, and this config's pass has one.  The verbs load no module beyond
+# the import's, but for the locale that opening a text file may load.
 IMPORT_PATH_SCRIPT = """\
-import math, sys
+import math, sys, threading
 import numpy as np
 import spinboson, spinboson.cli
+imported = set(sys.modules)
 assert spinboson.cli.main(["rates", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+assert not loaded, loaded
+assert threading.active_count() == 1, threading.enumerate()
+assert spinboson.cli.main(["exact", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert threading.active_count() == 1, threading.enumerate()
+loaded = sorted(set(sys.modules) - imported - {"locale", "_locale"})
+assert not loaded, loaded
+pools = ("concurrent", "queue", "multiprocessing", "asyncio")
+loaded = sorted(name for name in sys.modules if name.split(".")[0] in pools)
 assert not loaded, loaded
 from spinboson import SpinBosonModel, TruncatedBath, dyson_terms
 model = SpinBosonModel(1.0, [(1.1, 0.05)], math.inf)

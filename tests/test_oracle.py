@@ -1,5 +1,10 @@
 import math
+import multiprocessing
+import os
 import sys
+import threading
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -328,7 +333,7 @@ VACUUM_3MODE = (SpinBosonModel(1.0, [(0.9, 0.1), (1.0, 0.2), (1.2, 0.15)], math.
 
 def assert_stacked_pass_is_per_factor_passes(model, n_max, times, factors, rho0=BENCH_RHO0):
     """Each trajectory of the stacked pass equals the pass of its factor
-    alone, bit for bit, with the same metadata."""
+    alone, bit for bit, with the same metadata; returns the stacked pass."""
     bath = TruncatedBath(model, n_max=n_max)
     stacked = exact_scaled_dynamics(bath, rho0, times, factors)
     assert len(stacked) == len(factors)
@@ -337,6 +342,7 @@ def assert_stacked_pass_is_per_factor_passes(model, n_max, times, factors, rho0=
         assert np.array_equal(traj.states, alone.states)
         assert traj.metadata.keys() == alone.metadata.keys()
         assert np.array_equal(traj.metadata["min_eigenvalue"], alone.metadata["min_eigenvalue"])
+    return stacked
 
 
 @pytest.mark.parametrize("case, factors", [
@@ -474,9 +480,138 @@ def test_vacuum_pass_builds_only_the_weighted_sectors():
        n_max=st.integers(0, 3),
        factors=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
 def test_stacked_pass_is_per_factor_passes_on_small_models(modes, beta, n_max, factors):
+    # on the calling thread alone and on the worker thread, whatever the
+    # bucket count and the CPUs, with the same bits
     model = SpinBosonModel(1.0, modes, beta)
-    assert_stacked_pass_is_per_factor_passes(model, n_max, np.linspace(0, 3, 7), factors,
-                                             RHO_MIXED)
+    runs = []
+    for ahead in (0, oracle._LOOKAHEAD):
+        with mock.patch.object(oracle, "_lookahead", lambda n_buckets, ahead=ahead: ahead):
+            runs.append(assert_stacked_pass_is_per_factor_passes(
+                model, n_max, np.linspace(0, 3, 7), factors, RHO_MIXED))
+    for inline, worker in zip(*runs):
+        assert np.array_equal(inline.states, worker.states)
+
+
+# -- the sector pass's worker thread ----------------------------------------------
+
+def force_lookahead(monkeypatch, ahead):
+    """Run every sector pass inline (0) or ``ahead`` buckets ahead on the
+    worker, whatever its bucket count and the CPUs."""
+    monkeypatch.setattr(oracle, "_lookahead", lambda n_buckets: ahead)
+
+
+def worker_threads():
+    return [t for t in threading.enumerate() if t.name == "spinboson-eigh"]
+
+
+@pytest.mark.parametrize("case, factors", [
+    (FOCK_4MODE, (1.0,)),
+    (FOCK_4MODE, (1.0, 0.5, 0.25)),
+    (VACUUM_3MODE, (1.0, 0.5, 0.25, 0.3)),
+    (THERMAL_2MODE, tuple(np.linspace(-1.5, 2.0, 40))),
+], ids=["fock_4mode", "fock_4mode-three-factors", "vacuum_3mode", "thermal-two-chunks"])
+@pytest.mark.parametrize("populations", [BENCH_RHO0.diagonal().real, np.eye(2)],
+                         ids=["one-pair", "reduced-map-pairs"])
+def test_worker_pass_equals_the_inline_pass_bit_for_bit(monkeypatch, case, factors,
+                                                        populations):
+    model, n_max, times = case
+    bath = TruncatedBath(model, n_max=n_max)
+    threads = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        threads.append(threading.current_thread())
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    sums = []
+    for ahead in (0, oracle._LOOKAHEAD):
+        force_lookahead(monkeypatch, ahead)
+        threads.clear()
+        sums.append(oracle._sector_sums(bath, populations, times, np.asarray(factors)))
+        assert set(threads) == ({threading.current_thread()} if ahead == 0 else
+                                set(worker_threads()))
+    assert len(worker_threads()) == 1
+    assert np.array_equal(sums[0], sums[1])
+
+
+@pytest.mark.parametrize("ahead", [0, oracle._LOOKAHEAD], ids=["inline", "worker"])
+def test_a_failed_eigh_leaves_no_job_behind(monkeypatch, ahead):
+    # the sixth eigh call of the three-factor fock_4mode pass is its third
+    # bucket's (the buckets hold 4, 1, 1, ... sectors); its error reaches
+    # the caller as on the calling thread, no call runs on after it, and
+    # the next pass gives the same bits as before
+    model, n_max, times = FOCK_4MODE
+    bath = TruncatedBath(model, n_max=n_max)
+    factors = (1.0, 0.5, 0.25)
+    force_lookahead(monkeypatch, ahead)
+    before = exact_scaled_dynamics(bath, BENCH_RHO0, times, factors)
+    eigh = np.linalg.eigh
+    calls, running = [], []
+
+    def failing_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        running.append(a.shape)
+        try:
+            if len(calls) == 6:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        exact_scaled_dynamics(bath, BENCH_RHO0, times, factors)
+    made = len(calls)
+    assert not running and 6 <= made <= 6 + ahead
+    if ahead:
+        assert not oracle._WORKER._jobs
+    time.sleep(0.05)
+    assert len(calls) == made
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    after = exact_scaled_dynamics(bath, BENCH_RHO0, times, factors)
+    for old, new in zip(before, after):
+        assert np.array_equal(old.states, new.states)
+
+
+def test_a_one_bucket_pass_hands_no_job_to_the_worker(monkeypatch):
+    # thermal_2mode's 14 sectors share one bucket, and so do those of the
+    # reduced map on its model
+    def refuse(*args):
+        raise AssertionError("a one-bucket pass handed a job to the worker")
+
+    monkeypatch.setattr(oracle._WORKER, "submit", refuse)
+    model, n_max, times = THERMAL_2MODE
+    bath = TruncatedBath(model, n_max=n_max)
+    exact_scaled_dynamics(bath, BENCH_RHO0, times, (1.0, 0.5, 0.25))
+    reduced_map_deviation(bath, RHO_MIXED, 0.5)
+
+
+@pytest.mark.parametrize("cpus, ahead", [({0}, 0), ({0, 1}, oracle._LOOKAHEAD)])
+def test_the_worker_needs_two_buckets_and_two_cpus(monkeypatch, cpus, ahead):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert oracle._lookahead(1) == 0
+    assert oracle._lookahead(8) == ahead
+    # without CPU affinity, the CPU count decides
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
+    assert oracle._lookahead(8) == ahead
+
+
+def _fock_pass_states():
+    model, n_max, times = FOCK_4MODE
+    traj, = exact_scaled_dynamics(TruncatedBath(model, n_max=n_max), BENCH_RHO0, times, (1.0,))
+    return traj.states
+
+
+def test_a_forked_child_starts_its_own_worker(monkeypatch):
+    # the parent's worker thread is not in the child, whose first pass
+    # starts one of its own instead of queueing jobs for no one
+    force_lookahead(monkeypatch, oracle._LOOKAHEAD)
+    states = _fock_pass_states()
+    assert len(worker_threads()) == 1
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert np.array_equal(pool.apply_async(_fock_pass_states).get(timeout=60), states)
 
 
 def test_scaled_pass_without_factors_is_empty():
