@@ -10,11 +10,11 @@ built once, and each sector diagonalizes the stacked blocks of a chunk of
 scales in one call.  The rest of the pass runs on buckets of consecutive
 sectors, zero-padded to common shapes, so that many small sectors share
 each array operation; a large sector is a bucket of its own.  A pass of
-more than one bucket, in a process that may run on more than one CPU,
-hands its ``eigh`` calls to one background thread, started by the first
-such pass, which works up to two buckets ahead of the bucket whose products
-the calling thread forms; the results are used in bucket order, so every
-sum is the one the calling thread alone would form, bit for bit.  The series
+more than one bucket, in a process with a CPU that BLAS leaves idle, hands
+its ``eigh`` calls to one background thread, started by the first such
+pass, which works up to two buckets ahead of the bucket whose products the
+calling thread forms; the results are used in bucket order, so every sum
+is the one the calling thread alone would form, bit for bit.  The series
 terms of the evolution operator come from one exponential of a block
 matrix built from the free energies and the coupling.  The exact reduced
 map comes from the same sector pass, as a 4 x 4 matrix on row-major 2 x 2
@@ -66,11 +66,8 @@ __all__ = [
 # which for many small sectors exceeds the largest sector's alone.
 _SECTOR_BUDGET = 4096
 
-# A sector pass of more than one bucket, in a process that may run on more
-# than one CPU, diagonalizes on one background thread (_WORKER), up to
-# _LOOKAHEAD buckets ahead of the bucket whose phases, products and pairings
-# the calling thread forms meanwhile; LAPACK releases the GIL, so the two
-# overlap.  On one CPU they cannot, and the handing over costs time.
+# Buckets that the worker thread diagonalizes ahead of the calling thread's
+# (_sector_sums, _lookahead).
 _LOOKAHEAD = 2
 
 # check_truncation's one bound on the shift of a sampled element at twice n_max.
@@ -361,11 +358,11 @@ def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray
     same in any chunk.
 
     The chunks' buckets form one stream of ``eigh`` jobs.  A pass of more
-    than one bucket on more than one CPU (:func:`_lookahead`) runs them on
-    the worker thread, up to ``_LOOKAHEAD`` = 2 buckets ahead, while the
-    calling thread forms the phases, products and pairings of the bucket
-    before; LAPACK releases the GIL.  A pass of one bucket, or on one CPU,
-    runs them inline and starts no thread.  The lookahead adds at most two
+    than one bucket, with more CPUs than BLAS threads (:func:`_lookahead`),
+    runs them on the worker thread, up to ``_LOOKAHEAD`` = 2 buckets ahead,
+    while the calling thread forms the phases, products and pairings of the
+    bucket before; LAPACK releases the GIL.  Any other pass runs them
+    inline and starts no thread.  The lookahead adds at most two
     buckets' eigensystems, and the blocks of the bucket being diagonalized,
     to the memory above: on ``fock_4mode`` the three-factor pass peaks at
     0.72 to 0.74 MB against 0.67 MB inline (tracemalloc).  An exception of
@@ -540,14 +537,31 @@ def _eigensystems(jobs: list, ahead: int):
 
 def _lookahead(n_buckets: int) -> int:
     """How many buckets of a pass of ``n_buckets`` the worker diagonalizes
-    ahead: ``_LOOKAHEAD``, or none for one bucket or on one CPU."""
+    ahead: ``_LOOKAHEAD`` when the pass has more than one bucket and the
+    process may run on more CPUs than BLAS runs threads, else none.  Only a
+    CPU that BLAS leaves idle lets the two threads overlap: on the
+    ``fock_4mode`` passes the worker was 10 to 20 % faster with one BLAS
+    thread on two CPUs, and 5 to 15 % slower on one CPU, or with two BLAS
+    threads on two.
+    """
     if n_buckets < 2:
         return 0
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
-    return _LOOKAHEAD if cpus > 1 else 0
+    return _LOOKAHEAD if cpus > _blas_threads(cpus) else 0
+
+
+def _blas_threads(cpus: int) -> int:
+    """The threads a BLAS call may use: the first positive count among
+    OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS, else one per
+    CPU, the OpenBLAS default."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        value = os.environ.get(name, "").split(",")[0].strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
 
 
 class _Job:

@@ -587,8 +587,22 @@ def test_a_one_bucket_pass_hands_no_job_to_the_worker(monkeypatch):
     reduced_map_deviation(bath, RHO_MIXED, 0.5)
 
 
-@pytest.mark.parametrize("cpus, ahead", [({0}, 0), ({0, 1}, oracle._LOOKAHEAD)])
-def test_the_worker_needs_two_buckets_and_two_cpus(monkeypatch, cpus, ahead):
+@pytest.mark.parametrize("cpus, threads, ahead", [
+    ({0}, {"OPENBLAS_NUM_THREADS": "1"}, 0),
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, oracle._LOOKAHEAD),
+    ({0, 1}, {"OMP_NUM_THREADS": "1,1"}, oracle._LOOKAHEAD),
+    ({0, 1, 2, 3}, {"MKL_NUM_THREADS": "2"}, oracle._LOOKAHEAD),
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 0),
+    # BLAS's default, a thread per CPU, leaves no CPU idle
+    ({0, 1}, {}, 0),
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "0"}, 0),
+], ids=["one-cpu", "two-cpus", "omp-list", "mkl", "openblas-first", "default", "zero"])
+def test_the_worker_needs_two_buckets_and_a_cpu_that_blas_leaves_idle(monkeypatch, cpus,
+                                                                       threads, ahead):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in threads.items():
+        monkeypatch.setenv(name, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     assert oracle._lookahead(1) == 0
     assert oracle._lookahead(8) == ahead
@@ -602,6 +616,36 @@ def _fock_pass_states():
     model, n_max, times = FOCK_4MODE
     traj, = exact_scaled_dynamics(TruncatedBath(model, n_max=n_max), BENCH_RHO0, times, (1.0,))
     return traj.states
+
+
+def test_concurrent_passes_share_the_worker(monkeypatch):
+    # more calling threads than CPUs, switching often: each pass gets its
+    # own buckets' eigensystems, in order, from the one worker
+    force_lookahead(monkeypatch, oracle._LOOKAHEAD)
+    expected = _fock_pass_states()
+    results, errors = [], []
+
+    def passes():
+        try:
+            for _ in range(3):
+                results.append(_fock_pass_states())
+        except Exception as exc:  # reported below, on the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=passes) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors and len(results) == 12
+    assert all(np.array_equal(states, expected) for states in results)
+    assert len(worker_threads()) == 1
 
 
 def test_a_forked_child_starts_its_own_worker(monkeypatch):
