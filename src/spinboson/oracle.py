@@ -538,11 +538,13 @@ def _eigensystems(jobs: list, ahead: int):
 def _lookahead(n_buckets: int) -> int:
     """How many buckets of a pass of ``n_buckets`` the worker diagonalizes
     ahead: ``_LOOKAHEAD`` when the pass has more than one bucket and the
-    process may run on more CPUs than BLAS runs threads, else none.  Only a
-    CPU that BLAS leaves idle lets the two threads overlap: on the
-    ``fock_4mode`` passes the worker was 10 to 20 % faster with one BLAS
-    thread on two CPUs, and 5 to 15 % slower on one CPU, or with two BLAS
-    threads on two.
+    process may run on more CPUs than a BLAS call runs threads, else none.
+    The BLAS threads are the first positive count among
+    OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS, else one per
+    CPU, the OpenBLAS default.  Only a CPU that BLAS leaves idle lets the
+    two threads overlap: on the ``fock_4mode`` passes the worker was 10 to
+    20 % faster with one BLAS thread on two CPUs, and 5 to 15 % slower on
+    one CPU, or with two BLAS threads on two.
     """
     if n_buckets < 2:
         return 0
@@ -550,18 +552,10 @@ def _lookahead(n_buckets: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
-    return _LOOKAHEAD if cpus > _blas_threads(cpus) else 0
-
-
-def _blas_threads(cpus: int) -> int:
-    """The threads a BLAS call may use: the first positive count among
-    OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS, else one per
-    CPU, the OpenBLAS default."""
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        value = os.environ.get(name, "").split(",")[0].strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return cpus
+    counts = (os.environ.get(name, "").split(",")[0].strip()
+              for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    threads = next((int(count) for count in counts if count.isdigit() and int(count) > 0), cpus)
+    return _LOOKAHEAD if cpus > threads else 0
 
 
 class _Job:
