@@ -588,25 +588,25 @@ class _Worker:
 
     def __init__(self):
         self._lock = threading.Lock()
+        self._jobs = collections.deque()
+        self._queued = threading.Semaphore(0)
         self._thread = None
 
     def submit(self, call, args) -> _Job:
         job = _Job(call, args)
         with self._lock:
             if self._thread is None:
-                self._jobs, self._queued = collections.deque(), threading.Semaphore(0)
                 self._thread = threading.Thread(target=self._serve, name="spinboson-eigh",
-                                                args=(self._jobs, self._queued), daemon=True)
+                                                daemon=True)
                 self._thread.start()
             self._jobs.append(job)
             self._queued.release()
         return job
 
-    @staticmethod
-    def _serve(jobs: collections.deque, queued: threading.Semaphore) -> None:
+    def _serve(self) -> None:
         while True:
-            queued.acquire()
-            jobs.popleft().run()
+            self._queued.acquire()
+            self._jobs.popleft().run()
 
 
 _WORKER = _Worker()
