@@ -10,11 +10,14 @@ built once, and each sector diagonalizes the stacked blocks of a chunk of
 scales in one call.  The rest of the pass runs on buckets of consecutive
 sectors, zero-padded to common shapes, so that many small sectors share
 each array operation; a large sector is a bucket of its own.  A pass of
-more than one bucket, in a process with a CPU that BLAS leaves idle, hands
-its ``eigh`` calls to one background thread, started by the first such
-pass, which works up to two buckets ahead of the bucket whose products the
-calling thread forms; the results are used in bucket order, so every sum
-is the one the calling thread alone would form, bit for bit.  The series
+more than one bucket, in a process whose OpenBLAS is pinned to fewer
+threads than it has CPUs (OPENBLAS_NUM_THREADS=1 on two CPUs, say), hands
+its ``eigh`` calls to a background thread of its own, which works up to
+two buckets ahead of the bucket whose products the calling thread forms
+and is joined before the pass returns; the results are used in bucket
+order, so every sum is the one the calling thread alone would form, bit
+for bit.  Any other pass, as in a process with OpenBLAS at its default of
+a thread per CPU, runs on the calling thread alone.  The series
 terms of the evolution operator come from one exponential of a block
 matrix built from the free energies and the coupling.  The exact reduced
 map comes from the same sector pass, as a 4 x 4 matrix on row-major 2 x 2
@@ -30,8 +33,8 @@ trajectories.
 
 from __future__ import annotations
 
-import collections
 import os
+import re
 import threading
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -69,6 +72,12 @@ _SECTOR_BUDGET = 4096
 # Buckets that the worker thread diagonalizes ahead of the calling thread's
 # (_sector_sums, _lookahead).
 _LOOKAHEAD = 2
+
+# The BLAS that numpy links, as its build records it ("" before numpy 1.26,
+# whose builds record none): the worker runs only beside OpenBLAS, whose
+# thread count _lookahead reads.
+_BLAS = str(getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+            .get("blas", {}).get("name", "")).lower()
 
 # check_truncation's one bound on the shift of a sampled element at twice n_max.
 _TRUNCATION_BOUND = 1e-6
@@ -358,16 +367,17 @@ def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray
     same in any chunk.
 
     The chunks' buckets form one stream of ``eigh`` jobs.  A pass of more
-    than one bucket, with more CPUs than BLAS threads (:func:`_lookahead`),
-    runs them on the worker thread, up to ``_LOOKAHEAD`` = 2 buckets ahead,
-    while the calling thread forms the phases, products and pairings of the
-    bucket before; LAPACK releases the GIL.  Any other pass runs them
-    inline and starts no thread.  The lookahead adds at most two
+    than one bucket, with more CPUs than OpenBLAS threads
+    (:func:`_lookahead`), starts a worker thread that runs them up to
+    ``_LOOKAHEAD`` = 2 buckets ahead, while the calling thread forms the
+    phases, products and pairings of the bucket before; LAPACK releases
+    the GIL.  The pass joins the thread before it returns.  Any other pass
+    runs them inline and starts no thread.  The lookahead adds at most two
     buckets' eigensystems, and the blocks of the bucket being diagonalized,
     to the memory above: on ``fock_4mode`` the three-factor pass peaks at
     0.72 to 0.74 MB against 0.67 MB inline (tracemalloc).  An exception of
     an ``eigh`` call reaches the caller when its bucket is due, after the
-    jobs queued behind it are cancelled and the running one has ended.
+    jobs not started are cancelled and the thread is joined.
     """
     populations = np.asarray(populations, dtype=float)
     # one weight per product state: its bath state's, for either level
@@ -509,57 +519,67 @@ def _eigensystems(jobs: list, ahead: int):
     """``_diagonalized(blocks, scales)`` of each job in ``jobs``, in order.
 
     With ``ahead`` = 0 each job runs on the calling thread when it is asked
-    for.  Otherwise the jobs run on the worker thread, which is started by
-    the first of them, up to ``ahead`` jobs beyond the one last yielded, so
-    that at most ``ahead`` results wait besides the one in use.  An
-    exception of a job is raised when its result is asked for.  Closing the
-    generator, as an exception does, cancels the jobs not started and waits
-    for the running one, so that no job outlives the pass.
+    for.  Otherwise the first request starts a worker thread for this pass
+    alone, which runs the jobs up to ``ahead`` beyond the one in use, so
+    that at most ``ahead`` results wait besides it.  An exception of a job
+    is raised when its result is asked for.  Closing the generator, as the
+    end of the pass or an exception does, cancels the jobs not started and
+    joins the thread, so that no job outlives the pass.
     """
     if not ahead:
         for job in jobs:
             yield _diagonalized(*job)
         return
-    pending = collections.deque()
+    jobs = [_Job(_diagonalized, job) for job in jobs]
+    free = threading.Semaphore(ahead + 1)  # the result in use and those ahead of it
+
+    def serve():
+        for job in jobs:
+            free.acquire()
+            job.run()
+
+    thread = threading.Thread(target=serve, name="spinboson-eigh", daemon=True)
+    thread.start()
     try:
         for job in jobs:
-            pending.append(_WORKER.submit(_diagonalized, job))
-            if len(pending) > ahead:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+            yield job.result()
+            free.release()
     finally:
-        for job in pending:
+        for job in jobs:
             job.cancelled = True
-        for job in pending:
-            job.done.wait()
+        free.release(len(jobs))
+        thread.join()
 
 
 def _lookahead(n_buckets: int) -> int:
     """How many buckets of a pass of ``n_buckets`` the worker diagonalizes
-    ahead: ``_LOOKAHEAD`` when the pass has more than one bucket and the
-    process may run on more CPUs than a BLAS call runs threads, else none.
-    The BLAS threads are the first positive count among
-    OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS, else one per
-    CPU, the OpenBLAS default.  Only a CPU that BLAS leaves idle lets the
-    two threads overlap: on the ``fock_4mode`` passes the worker was 10 to
-    20 % faster with one BLAS thread on two CPUs, and 5 to 15 % slower on
-    one CPU, or with two BLAS threads on two.
+    ahead: ``_LOOKAHEAD`` when the pass has more than one bucket, numpy
+    links OpenBLAS, and the process may run on more CPUs than an OpenBLAS
+    call runs threads, else none.
+
+    The OpenBLAS threads are read as OpenBLAS reads them at its start: the
+    first positive count among OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS, else one per CPU.  A count changed at runtime (through
+    ``threadpoolctl``, say) is not seen.  Only a CPU that BLAS leaves idle
+    lets the two threads overlap: on the ``fock_4mode`` passes the worker
+    was 10 to 20 % faster with one BLAS thread on two CPUs, and 5 to 15 %
+    slower on one CPU, or with two BLAS threads on two.  So in a process
+    that leaves the thread count at its default no pass starts a thread.
     """
-    if n_buckets < 2:
+    if n_buckets < 2 or "openblas" not in _BLAS:
         return 0
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         cpus = os.cpu_count() or 1
-    counts = (os.environ.get(name, "").split(",")[0].strip()
-              for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
-    threads = next((int(count) for count in counts if count.isdigit() and int(count) > 0), cpus)
+    counts = (int(re.match(r"\s*\+?(\d*)", os.environ.get(name, "")).group(1) or 0)
+              for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    threads = next((count for count in counts if count > 0), cpus)
     return _LOOKAHEAD if cpus > threads else 0
 
 
 class _Job:
-    """A call handed to the worker thread; :meth:`result` waits for it."""
+    """A call that the worker thread runs; :meth:`result` waits for it."""
 
     def __init__(self, call, args):
         self.call, self.args = call, args
@@ -580,37 +600,6 @@ class _Job:
         if self.error is not None:
             raise self.error
         return self.value
-
-
-class _Worker:
-    """One daemon thread that runs the jobs handed to it, in order, started
-    by the first :meth:`submit`; a forked child starts its own."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._jobs = collections.deque()
-        self._queued = threading.Semaphore(0)
-        self._thread = None
-
-    def submit(self, call, args) -> _Job:
-        job = _Job(call, args)
-        with self._lock:
-            if self._thread is None:
-                self._thread = threading.Thread(target=self._serve, name="spinboson-eigh",
-                                                daemon=True)
-                self._thread.start()
-            self._jobs.append(job)
-            self._queued.release()
-        return job
-
-    def _serve(self) -> None:
-        while True:
-            self._queued.acquire()
-            self._jobs.popleft().run()
-
-
-_WORKER = _Worker()
-os.register_at_fork(after_in_child=_WORKER.__init__)
 
 
 def _population_pairings(v, n_up, q, x, trig) -> list[np.ndarray]:

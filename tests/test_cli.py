@@ -740,8 +740,8 @@ def test_vacuum_limits_build_the_rate_functions_once(tmp_path, monkeypatch):
 # Run in a fresh interpreter: the CLI path loads no scipy module, and
 # dyson_terms, the one function that needs scipy, loads it when called.
 # Nor does it load a thread-pool module or start a thread: the exact
-# solver's worker thread starts with its first pass of more than one
-# bucket, and this config's pass has one.  The verbs load no module beyond
+# solver starts a worker thread only for a pass of more than one bucket,
+# and this config's pass has one.  The verbs load no module beyond
 # the import's, but for the locale that opening a text file may load.
 IMPORT_PATH_SCRIPT = """\
 import math, sys, threading

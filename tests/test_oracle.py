@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import os
 import sys
 import threading
@@ -529,9 +528,13 @@ def test_worker_pass_equals_the_inline_pass_bit_for_bit(monkeypatch, case, facto
         force_lookahead(monkeypatch, ahead)
         threads.clear()
         sums.append(oracle._sector_sums(bath, populations, times, np.asarray(factors)))
-        assert set(threads) == ({threading.current_thread()} if ahead == 0 else
-                                set(worker_threads()))
-    assert len(worker_threads()) == 1
+        if ahead == 0:
+            assert set(threads) == {threading.current_thread()}
+        else:
+            worker, = set(threads)
+            assert worker.name == "spinboson-eigh" and worker is not threading.current_thread()
+        # the pass joins its worker before it returns
+        assert not worker_threads()
     assert np.array_equal(sums[0], sums[1])
 
 
@@ -564,8 +567,7 @@ def test_a_failed_eigh_leaves_no_job_behind(monkeypatch, ahead):
         exact_scaled_dynamics(bath, BENCH_RHO0, times, factors)
     made = len(calls)
     assert not running and 6 <= made <= 6 + ahead
-    if ahead:
-        assert not oracle._WORKER._jobs
+    assert not worker_threads()
     time.sleep(0.05)
     assert len(calls) == made
     monkeypatch.setattr(np.linalg, "eigh", eigh)
@@ -574,36 +576,55 @@ def test_a_failed_eigh_leaves_no_job_behind(monkeypatch, ahead):
         assert np.array_equal(old.states, new.states)
 
 
-def test_a_one_bucket_pass_hands_no_job_to_the_worker(monkeypatch):
-    # thermal_2mode's 14 sectors share one bucket, and so do those of the
-    # reduced map on its model
-    def refuse(*args):
-        raise AssertionError("a one-bucket pass handed a job to the worker")
+def pin_openblas(monkeypatch, cpus, threads):
+    """Let ``_lookahead`` see the CPUs ``cpus`` and the thread variables
+    ``threads`` alone, beside an OpenBLAS build."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in threads.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(oracle, "_BLAS", "scipy-openblas")
 
-    monkeypatch.setattr(oracle._WORKER, "submit", refuse)
+
+def test_a_one_bucket_pass_starts_no_thread(monkeypatch):
+    # thermal_2mode's 14 sectors share one bucket, and so do those of the
+    # reduced map on its model; fock_4mode's pass, under the same rule,
+    # would start one
+    def refuse(thread):
+        raise AssertionError(f"a pass started the thread {thread.name}")
+
+    pin_openblas(monkeypatch, {0, 1}, {"OPENBLAS_NUM_THREADS": "1"})
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     model, n_max, times = THERMAL_2MODE
     bath = TruncatedBath(model, n_max=n_max)
     exact_scaled_dynamics(bath, BENCH_RHO0, times, (1.0, 0.5, 0.25))
     reduced_map_deviation(bath, RHO_MIXED, 0.5)
+    model, n_max, times = FOCK_4MODE
+    with pytest.raises(AssertionError, match="spinboson-eigh"):
+        exact_scaled_dynamics(TruncatedBath(model, n_max=n_max), BENCH_RHO0, times, (1.0,))
 
 
 @pytest.mark.parametrize("cpus, threads, ahead", [
     ({0}, {"OPENBLAS_NUM_THREADS": "1"}, 0),
     ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, oracle._LOOKAHEAD),
+    ({0, 1}, {"GOTO_NUM_THREADS": "1"}, oracle._LOOKAHEAD),
     ({0, 1}, {"OMP_NUM_THREADS": "1,1"}, oracle._LOOKAHEAD),
-    ({0, 1, 2, 3}, {"MKL_NUM_THREADS": "2"}, oracle._LOOKAHEAD),
-    ({0, 1}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 0),
-    # BLAS's default, a thread per CPU, leaves no CPU idle
+    ({0, 1, 2, 3}, {"OMP_NUM_THREADS": " 2"}, oracle._LOOKAHEAD),
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, 0),
+    ({0, 1}, {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 0),
+    # OpenBLAS reads no MKL variable, so its default, a thread per CPU,
+    # leaves no CPU idle
+    ({0, 1}, {"MKL_NUM_THREADS": "1"}, 0),
     ({0, 1}, {}, 0),
     ({0, 1}, {"OPENBLAS_NUM_THREADS": "0"}, 0),
-], ids=["one-cpu", "two-cpus", "omp-list", "mkl", "openblas-first", "default", "zero"])
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "one"}, 0),
+], ids=["one-cpu", "two-cpus", "goto", "omp-list", "omp-space", "openblas-first",
+        "goto-before-omp", "mkl-ignored", "default", "zero", "not-a-number"])
 def test_the_worker_needs_two_buckets_and_a_cpu_that_blas_leaves_idle(monkeypatch, cpus,
                                                                        threads, ahead):
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in threads.items():
-        monkeypatch.setenv(name, value)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    pin_openblas(monkeypatch, cpus, threads)
     assert oracle._lookahead(1) == 0
     assert oracle._lookahead(8) == ahead
     # without CPU affinity, the CPU count decides
@@ -612,50 +633,13 @@ def test_the_worker_needs_two_buckets_and_a_cpu_that_blas_leaves_idle(monkeypatc
     assert oracle._lookahead(8) == ahead
 
 
-def _fock_pass_states():
-    model, n_max, times = FOCK_4MODE
-    traj, = exact_scaled_dynamics(TruncatedBath(model, n_max=n_max), BENCH_RHO0, times, (1.0,))
-    return traj.states
-
-
-def test_concurrent_passes_share_the_worker(monkeypatch):
-    # more calling threads than CPUs, switching often: each pass gets its
-    # own buckets' eigensystems, in order, from the one worker
-    force_lookahead(monkeypatch, oracle._LOOKAHEAD)
-    expected = _fock_pass_states()
-    results, errors = [], []
-
-    def passes():
-        try:
-            for _ in range(3):
-                results.append(_fock_pass_states())
-        except Exception as exc:  # reported below, on the test's thread
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=passes) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert not errors and len(results) == 12
-    assert all(np.array_equal(states, expected) for states in results)
-    assert len(worker_threads()) == 1
-
-
-def test_a_forked_child_starts_its_own_worker(monkeypatch):
-    # the parent's worker thread is not in the child, whose first pass
-    # starts one of its own instead of queueing jobs for no one
-    force_lookahead(monkeypatch, oracle._LOOKAHEAD)
-    states = _fock_pass_states()
-    assert len(worker_threads()) == 1
-    with multiprocessing.get_context("fork").Pool(1) as pool:
-        assert np.array_equal(pool.apply_async(_fock_pass_states).get(timeout=60), states)
+@pytest.mark.parametrize("blas", ["mkl", "accelerate", ""])
+def test_the_worker_needs_openblas(monkeypatch, blas):
+    # another BLAS reads its threads from other variables, or none
+    pin_openblas(monkeypatch, {0, 1}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                                       "MKL_NUM_THREADS": "1"})
+    monkeypatch.setattr(oracle, "_BLAS", blas)
+    assert oracle._lookahead(8) == 0
 
 
 def test_scaled_pass_without_factors_is_empty():
