@@ -33,6 +33,7 @@ trajectories.
 
 from __future__ import annotations
 
+import collections
 import os
 import re
 import threading
@@ -523,30 +524,40 @@ def _eigensystems(jobs: list, ahead: int):
     alone, which runs the jobs up to ``ahead`` beyond the one in use, so
     that at most ``ahead`` results wait besides it.  An exception of a job
     is raised when its result is asked for.  Closing the generator, as the
-    end of the pass or an exception does, cancels the jobs not started and
-    joins the thread, so that no job outlives the pass.
+    end of the pass or an exception does, stops the thread before any job
+    it has not started and joins it, so that no job outlives the pass.
     """
     if not ahead:
         for job in jobs:
             yield _diagonalized(*job)
         return
-    jobs = [_Job(_diagonalized, job) for job in jobs]
+    results = collections.deque()
     free = threading.Semaphore(ahead + 1)  # the result in use and those ahead of it
+    ready, stop = threading.Semaphore(0), threading.Event()
 
     def serve():
         for job in jobs:
             free.acquire()
-            job.run()
+            if stop.is_set():
+                return
+            try:
+                results.append((_diagonalized(*job), None))
+            except BaseException as exc:  # raised on the calling thread below
+                results.append((None, exc))
+            ready.release()
 
     thread = threading.Thread(target=serve, name="spinboson-eigh", daemon=True)
     thread.start()
     try:
-        for job in jobs:
-            yield job.result()
+        for _ in jobs:
+            ready.acquire()
+            value, error = results.popleft()
+            if error is not None:
+                raise error
+            yield value
             free.release()
     finally:
-        for job in jobs:
-            job.cancelled = True
+        stop.set()
         free.release(len(jobs))
         thread.join()
 
@@ -576,30 +587,6 @@ def _lookahead(n_buckets: int) -> int:
               for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
     threads = next((count for count in counts if count > 0), cpus)
     return _LOOKAHEAD if cpus > threads else 0
-
-
-class _Job:
-    """A call that the worker thread runs; :meth:`result` waits for it."""
-
-    def __init__(self, call, args):
-        self.call, self.args = call, args
-        self.cancelled = False
-        self.value = self.error = None
-        self.done = threading.Event()
-
-    def run(self) -> None:
-        try:
-            if not self.cancelled:
-                self.value = self.call(*self.args)
-        except BaseException as exc:  # raised on the calling thread by result()
-            self.error = exc
-        self.done.set()
-
-    def result(self):
-        self.done.wait()
-        if self.error is not None:
-            raise self.error
-        return self.value
 
 
 def _population_pairings(v, n_up, q, x, trig) -> list[np.ndarray]:
