@@ -642,6 +642,42 @@ def test_the_worker_needs_openblas(monkeypatch, blas):
     assert oracle._lookahead(8) == 0
 
 
+def _fock_pass_states():
+    model, n_max, times = FOCK_4MODE
+    traj, = exact_scaled_dynamics(TruncatedBath(model, n_max=n_max), BENCH_RHO0, times, (1.0,))
+    return traj.states
+
+
+def test_concurrent_passes_each_run_their_own_worker(monkeypatch):
+    # more calling threads than CPUs, switching often: each pass gets its
+    # own buckets' eigensystems, in order, from its own worker, and joins it
+    force_lookahead(monkeypatch, oracle._LOOKAHEAD)
+    expected = _fock_pass_states()
+    results, errors = [], []
+
+    def passes():
+        try:
+            for _ in range(3):
+                results.append(_fock_pass_states())
+        except Exception as exc:  # reported below, on the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=passes, daemon=True) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors and len(results) == 12
+    assert all(np.array_equal(states, expected) for states in results)
+    assert not worker_threads()
+
+
 def test_scaled_pass_without_factors_is_empty():
     model = vacuum_mode()
     assert exact_scaled_dynamics(TruncatedBath(model, n_max=2), RHO_MIXED,
