@@ -376,9 +376,9 @@ def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray
     runs them inline and starts no thread.  The lookahead adds at most two
     buckets' eigensystems, and the blocks of the bucket being diagonalized,
     to the memory above: on ``fock_4mode`` the three-factor pass peaks at
-    0.72 to 0.74 MB against 0.67 MB inline (tracemalloc).  An exception of
+    0.72 to 0.76 MB against 0.67 MB inline (tracemalloc).  An exception of
     an ``eigh`` call reaches the caller when its bucket is due, after the
-    jobs not started are cancelled and the thread is joined.
+    worker has stopped before the jobs it had not started and is joined.
     """
     populations = np.asarray(populations, dtype=float)
     # one weight per product state: its bath state's, for either level
