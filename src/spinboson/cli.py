@@ -111,7 +111,7 @@ def run_rates(cfg: RunConfig, out: str) -> int:
 _SUMMARY_METADATA = ("integrator", "substeps", "error_estimate", "n_max")
 
 
-def _write_trajectory(cfg: RunConfig, traj: Trajectory, out: str) -> None:
+def _write_trajectory(command: str, cfg: RunConfig, traj: Trajectory, out: str) -> None:
     s = traj.states
     write_csv(out, TRAJECTORY_HEADER,
               [traj.times, s[:, 0, 0].real, s[:, 0, 1].real, s[:, 0, 1].imag, s[:, 1, 0].real,
@@ -120,7 +120,7 @@ def _write_trajectory(cfg: RunConfig, traj: Trajectory, out: str) -> None:
     coherence = np.abs(s[:, 0, 1])
     quartile = rho00[3 * (len(rho00) - 1) // 4:]
     pairs: list[tuple[str, object]] = [
-        ("command", "evolve" if traj.metadata.get("integrator") == "rk4" else "exact"),
+        ("command", command),
         ("model", cfg.model_tag()),
         ("samples", cfg.samples),
         ("t_max", cfg.t_max),
@@ -149,7 +149,7 @@ def run_evolve(cfg: RunConfig, out: str) -> int:
     model = cfg.model()
     traj = propagate(interaction_decomposition(model), bath_statistics(model),
                      cfg.initial_state(), cfg.time_grid(), substeps=cfg.rk4_substeps)
-    _write_trajectory(cfg, traj, out)
+    _write_trajectory("evolve", cfg, traj, out)
     return EXIT_OK
 
 
@@ -157,7 +157,7 @@ def run_exact(cfg: RunConfig, out: str) -> int:
     traj = exact_reduced_dynamics(TruncatedBath(cfg.model(), n_max=cfg.n_max),
                                   cfg.initial_state(), cfg.time_grid(),
                                   check_truncation=cfg.check_truncation)
-    _write_trajectory(cfg, traj, out)
+    _write_trajectory("exact", cfg, traj, out)
     return EXIT_OK
 
 

@@ -9,20 +9,15 @@ several coupling scales at once: the sector blocks and the bath weights are
 built once, and each sector diagonalizes the stacked blocks of a chunk of
 scales in one call.  The rest of the pass runs on buckets of consecutive
 sectors, zero-padded to common shapes, so that many small sectors share
-each array operation; a large sector is a bucket of its own.  A pass of
-more than one bucket, in a process whose OpenBLAS is pinned to fewer
-threads than it has CPUs (OPENBLAS_NUM_THREADS=1 on two CPUs, say), hands
-its ``eigh`` calls to a background thread of its own, which works up to
-two buckets ahead of the bucket whose products the calling thread forms
-and is joined before the pass returns; the results are used in bucket
-order, so every sum is the one the calling thread alone would form, bit
-for bit.  Any other pass, as in a process with OpenBLAS at its default of
-a thread per CPU, runs on the calling thread alone.  The series
-terms of the evolution operator come from one exponential of a block
-matrix built from the free energies and the coupling.  The exact reduced
-map comes from the same sector pass, as a 4 x 4 matrix on row-major 2 x 2
-states; the deviation of that map from the identity and the
-alternating-sum inversion identity work with it alone.  All of them read
+each array operation; a large sector is a bucket of its own.  A pass may
+diagonalize its buckets ahead of their use on a thread of its own
+(:func:`_worker_wins` says when); the results are used in bucket order, so
+every sum is the one the calling thread alone would form, bit for bit.
+The series terms of the evolution operator come from one exponential of a
+block matrix built from the free energies and the coupling.  The exact
+reduced map comes from the same sector pass, as a 4 x 4 matrix on
+row-major 2 x 2 states; the deviation of that map from the identity and
+the alternating-sum inversion identity work with it alone.  All of them read
 one table of product-basis matrix elements.  Each function takes the one
 :class:`TruncatedBath`, which holds the model it truncates.
 
@@ -34,12 +29,13 @@ trajectories.
 from __future__ import annotations
 
 import collections
+import math
 import os
 import re
 import threading
 from contextlib import closing
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -70,15 +66,8 @@ __all__ = [
 # which for many small sectors exceeds the largest sector's alone.
 _SECTOR_BUDGET = 4096
 
-# Buckets that the worker thread diagonalizes ahead of the calling thread's
-# (_sector_sums, _lookahead).
+# Buckets that a pass's worker thread diagonalizes ahead of their use (_lookahead).
 _LOOKAHEAD = 2
-
-# The BLAS that numpy links, as its build records it ("" before numpy 1.26,
-# whose builds record none): the worker runs only beside OpenBLAS, whose
-# thread count _lookahead reads.
-_BLAS = str(getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
-            .get("blas", {}).get("name", "")).lower()
 
 # check_truncation's one bound on the shift of a sampled element at twice n_max.
 _TRUNCATION_BOUND = 1e-6
@@ -89,10 +78,20 @@ class BathDimensionError(ValueError):
 
     def __init__(self, dim: int, cap: int, n_max: int, n_modes: int, needed_by: str = ""):
         super().__init__(
-            f"{needed_by}full Hilbert dimension 2*({n_max}+1)^{n_modes} = {dim} exceeds the "
-            f"cap of {cap}; lower n_max or the mode count, or raise dim_cap")
+            f"{needed_by}full Hilbert dimension 2*({n_max}+1)^{n_modes} = {_size(dim)} "
+            f"exceeds the cap of {cap}; lower n_max or the mode count, or raise dim_cap")
         self.dim = dim
         self.cap = cap
+
+
+def _size(n: int) -> str:
+    """The positive integer ``n`` in full up to 15 digits, else as ``about
+    2.00e400``: no float holds every dimension a bath can ask for."""
+    if n < 10 ** 15:
+        return str(n)
+    shift = int(math.log10(n)) - 2  # math.log10 takes any int, and is within one
+    digits, exponent = f"{n / 10 ** shift:.2e}".split("e")
+    return f"about {digits}e{shift + int(exponent)}"
 
 
 class TruncationError(RuntimeError):
@@ -367,18 +366,18 @@ def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray
     and costs what it would unbucketed.  Each factor's arithmetic is the
     same in any chunk.
 
-    The chunks' buckets form one stream of ``eigh`` jobs.  A pass of more
-    than one bucket, with more CPUs than OpenBLAS threads
-    (:func:`_lookahead`), starts a worker thread that runs them up to
-    ``_LOOKAHEAD`` = 2 buckets ahead, while the calling thread forms the
-    phases, products and pairings of the bucket before; LAPACK releases
-    the GIL.  The pass joins the thread before it returns.  Any other pass
-    runs them inline and starts no thread.  The lookahead adds at most two
-    buckets' eigensystems, and the blocks of the bucket being diagonalized,
-    to the memory above: on ``fock_4mode`` the three-factor pass peaks at
-    0.72 to 0.76 MB against 0.67 MB inline (tracemalloc).  An exception of
-    an ``eigh`` call reaches the caller when its bucket is due, after the
-    worker has stopped before the jobs it had not started and is joined.
+    The chunks' buckets form one stream of ``eigh`` jobs.  Where
+    :func:`_worker_wins`, a pass of more than one bucket starts a worker
+    thread that runs them up to ``_LOOKAHEAD`` = 2 buckets ahead, while
+    the calling thread forms the phases, products and pairings of the
+    bucket before; LAPACK releases the GIL.  The pass joins the thread
+    before it returns.  Any other pass runs them inline and starts no
+    thread.  The lookahead adds at most two buckets' eigensystems, and the
+    blocks of the bucket being diagonalized, to the memory above: on
+    ``fock_4mode`` the three-factor pass peaks at 0.72 to 0.76 MB against
+    0.67 MB inline (tracemalloc).  An exception of an ``eigh`` call
+    reaches the caller when its bucket is due, after the worker has
+    stopped before the jobs it had not started and is joined.
     """
     populations = np.asarray(populations, dtype=float)
     # one weight per product state: its bath state's, for either level
@@ -562,31 +561,39 @@ def _eigensystems(jobs: list, ahead: int):
         thread.join()
 
 
-def _lookahead(n_buckets: int) -> int:
-    """How many buckets of a pass of ``n_buckets`` the worker diagonalizes
-    ahead: ``_LOOKAHEAD`` when the pass has more than one bucket, numpy
-    links OpenBLAS, and the process may run on more CPUs than an OpenBLAS
-    call runs threads, else none.
-
-    The OpenBLAS threads are read as OpenBLAS reads them at its start: the
-    first positive count among OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS, else one per CPU.  A count changed at runtime (through
-    ``threadpoolctl``, say) is not seen.  Only a CPU that BLAS leaves idle
-    lets the two threads overlap: on the ``fock_4mode`` passes the worker
-    was 10 to 20 % faster with one BLAS thread on two CPUs, and 5 to 15 %
-    slower on one CPU, or with two BLAS threads on two.  So in a process
-    that leaves the thread count at its default no pass starts a thread.
+def _worker_wins(environ: Mapping[str, str], cpus: int, blas: str) -> bool:
+    """Whether a sector pass of more than one bucket runs its ``eigh``
+    calls ahead on a worker thread: when ``blas``, the BLAS of numpy's
+    build, is OpenBLAS and the process has more ``cpus`` than OpenBLAS
+    threads.  OpenBLAS runs the first positive count among
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS in
+    ``environ``, else one per CPU; another BLAS reads other variables, or
+    none.  Only a CPU that BLAS leaves idle lets the threads overlap: on
+    the ``fock_4mode`` passes the worker was 10 to 20 % faster with one
+    BLAS thread on two CPUs, 5 to 15 % slower on one CPU, and nearly three
+    times slower at a BLAS thread per CPU.  The rule runs once, at this
+    module's import, when OpenBLAS has fixed its threads.  It cannot see a
+    variable changed between numpy's import and this one, a later change
+    of the variables or of the CPU affinity, or a thread count set at
+    runtime (``threadpoolctl``, say).
     """
-    if n_buckets < 2 or "openblas" not in _BLAS:
-        return 0
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        cpus = os.cpu_count() or 1
-    counts = (int(re.match(r"\s*\+?(\d*)", os.environ.get(name, "")).group(1) or 0)
+    counts = (int(re.match(r"\s*\+?(\d*)", environ.get(name, "")).group(1) or 0)
               for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
-    threads = next((count for count in counts if count > 0), cpus)
-    return _LOOKAHEAD if cpus > threads else 0
+    return "openblas" in blas.lower() and cpus > next((n for n in counts if n > 0), cpus)
+
+
+# numpy's builds record their BLAS from numpy 1.26 on; a platform without CPU
+# affinity counts its CPUs
+_WORKER = _worker_wins(
+    os.environ,
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+    str(getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
+        .get("blas", {}).get("name", "")))
+
+
+def _lookahead(n_buckets: int) -> int:
+    """How many buckets of a pass of ``n_buckets`` the worker runs ahead."""
+    return _LOOKAHEAD if _WORKER and n_buckets > 1 else 0
 
 
 def _population_pairings(v, n_up, q, x, trig) -> list[np.ndarray]:
@@ -708,17 +715,9 @@ def map_inversion_residual(bath: TruncatedBath, rho0: np.ndarray, t: float,
     rho0 = _system_state(rho0)
     eps = _reduced_map(bath, t) - np.eye(4)
     rho_t = rho0 + eps @ rho0
-
-    total = rho_t.copy()
-    current = rho_t
-    sign = 1.0
+    # the signed powers: term (-eps)^n rho_t for n <= order, tail (-eps)^(order+1) rho0
+    total, term, tail = rho_t.copy(), rho_t, -(eps @ rho0)
     for _ in range(order):
-        current = eps @ current
-        sign = -sign
-        total += sign * current
-
-    tail = rho0
-    for _ in range(order + 1):
-        tail = eps @ tail
-    tail_sign = -1.0 if (order + 1) % 2 else 1.0
-    return float(np.linalg.norm(total - rho0 + tail_sign * tail))
+        term, tail = -(eps @ term), -(eps @ tail)
+        total += term
+    return float(np.linalg.norm(total - rho0 + tail))

@@ -4,10 +4,14 @@ mismatch the failure names the file and, per numeric column, the largest
 absolute and relative deviation from the golden value, and says so when the
 running numpy or BLAS build differs from the one that wrote the files."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from golden.regenerate import (GOLDEN, INVOCATIONS, WORKLOADS, benchmark_configs, build,
+from golden.regenerate import (GOLDEN, INVOCATIONS, ROOT, WORKLOADS, benchmark_configs, build,
                                run_invocation)
 
 
@@ -86,6 +90,45 @@ def test_cli_outputs_match_the_golden_files(tmp_path, workload, verb):
         problems.append(f"the golden files were written by\n{recorded}"
                         f"and this run uses\n{build()}")
     assert not problems, "\n".join(problems)
+
+
+# Run in a fresh interpreter that starts with OpenBLAS pinned to one thread,
+# as the benchmark runs: the exact sector pass decides for its worker thread
+# at import, diagonalizes fock_4mode's buckets on it, and writes the bytes the
+# calling thread alone writes.
+PINNED_SCRIPT = """\
+import tempfile, threading
+from pathlib import Path
+import numpy as np
+from spinboson import oracle
+from golden.regenerate import GOLDEN, run_invocation
+assert oracle._WORKER
+threads = set()
+eigh = np.linalg.eigh
+
+def recording_eigh(a, *args, **kwargs):
+    threads.add(threading.current_thread().name)
+    return eigh(a, *args, **kwargs)
+
+np.linalg.eigh = recording_eigh
+for verb in ("exact", "compare"):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in run_invocation("fock_4mode", verb, Path(tmp)).items():
+            assert data == (GOLDEN / "fock_4mode" / name).read_bytes(), name
+assert "spinboson-eigh" in threads, threads
+"""
+
+
+def test_a_pinned_process_writes_the_golden_bytes_on_the_worker():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if cpus < 2 or "openblas" not in build().lower():
+        pytest.skip("the worker runs beside OpenBLAS with a CPU it leaves idle")
+    path = [str(ROOT / "src"), str(GOLDEN.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", PINNED_SCRIPT], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_golden_configs_are_the_benchmark_seed0_configs():

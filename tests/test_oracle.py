@@ -1,5 +1,6 @@
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -54,6 +55,18 @@ def test_dimension_cap_rejected_with_diagnostic():
         TruncatedBath(model, n_max=9, dim_cap=8192)
     assert err.value.dim == 2 * 10 ** 5
     assert "lower n_max" in str(err.value)
+
+
+@pytest.mark.parametrize("n_max, size", [(4, "2*(4+1)^400 = about 7.75e279 exceeds"),
+                                         (9, "2*(9+1)^400 = about 2.00e400 exceeds")],
+                         ids=["ohmic_400", "past-any-float"])
+def test_a_400_mode_bath_reports_its_dimension_compactly(n_max, size):
+    # the dimension has 280 and 401 digits, and 10^400 is past any float
+    model = SpinBosonModel(1.0, [(1.0, 0.01)] * 400, math.inf)
+    with pytest.raises(BathDimensionError) as err:
+        TruncatedBath(model, n_max=n_max)
+    assert err.value.dim == 2 * (n_max + 1) ** 400
+    assert size in str(err.value) and len(str(err.value)) < 130
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -576,26 +589,14 @@ def test_a_failed_eigh_leaves_no_job_behind(monkeypatch, ahead):
         assert np.array_equal(old.states, new.states)
 
 
-def pin_openblas(monkeypatch, cpus, threads):
-    """Let ``_lookahead`` see the CPUs ``cpus`` and the thread variables
-    ``threads`` alone, beside an OpenBLAS build."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
-                 "MKL_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in threads.items():
-        monkeypatch.setenv(name, value)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    monkeypatch.setattr(oracle, "_BLAS", "scipy-openblas")
-
-
 def test_a_one_bucket_pass_starts_no_thread(monkeypatch):
     # thermal_2mode's 14 sectors share one bucket, and so do those of the
-    # reduced map on its model; fock_4mode's pass, under the same rule,
-    # would start one
+    # reduced map on its model; fock_4mode's pass, in a process that runs
+    # the worker, would start one
     def refuse(thread):
         raise AssertionError(f"a pass started the thread {thread.name}")
 
-    pin_openblas(monkeypatch, {0, 1}, {"OPENBLAS_NUM_THREADS": "1"})
+    monkeypatch.setattr(oracle, "_WORKER", True)
     monkeypatch.setattr(threading.Thread, "start", refuse)
     model, n_max, times = THERMAL_2MODE
     bath = TruncatedBath(model, n_max=n_max)
@@ -606,40 +607,71 @@ def test_a_one_bucket_pass_starts_no_thread(monkeypatch):
         exact_scaled_dynamics(TruncatedBath(model, n_max=n_max), BENCH_RHO0, times, (1.0,))
 
 
-@pytest.mark.parametrize("cpus, threads, ahead", [
-    ({0}, {"OPENBLAS_NUM_THREADS": "1"}, 0),
-    ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, oracle._LOOKAHEAD),
-    ({0, 1}, {"GOTO_NUM_THREADS": "1"}, oracle._LOOKAHEAD),
-    ({0, 1}, {"OMP_NUM_THREADS": "1,1"}, oracle._LOOKAHEAD),
-    ({0, 1, 2, 3}, {"OMP_NUM_THREADS": " 2"}, oracle._LOOKAHEAD),
-    ({0, 1}, {"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, 0),
-    ({0, 1}, {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 0),
+ALL_PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+@pytest.mark.parametrize("environ, cpus, blas, wins", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, "scipy-openblas", False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, "scipy-openblas", True),
+    ({"GOTO_NUM_THREADS": "1"}, 2, "scipy-openblas", True),
+    ({"OMP_NUM_THREADS": "1,1"}, 2, "scipy-openblas", True),
+    ({"OMP_NUM_THREADS": " 2"}, 4, "scipy-openblas", True),
+    ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, 2, "scipy-openblas", False),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, "scipy-openblas", False),
     # OpenBLAS reads no MKL variable, so its default, a thread per CPU,
     # leaves no CPU idle
-    ({0, 1}, {"MKL_NUM_THREADS": "1"}, 0),
-    ({0, 1}, {}, 0),
-    ({0, 1}, {"OPENBLAS_NUM_THREADS": "0"}, 0),
-    ({0, 1}, {"OPENBLAS_NUM_THREADS": "one"}, 0),
-], ids=["one-cpu", "two-cpus", "goto", "omp-list", "omp-space", "openblas-first",
-        "goto-before-omp", "mkl-ignored", "default", "zero", "not-a-number"])
-def test_the_worker_needs_two_buckets_and_a_cpu_that_blas_leaves_idle(monkeypatch, cpus,
-                                                                       threads, ahead):
-    pin_openblas(monkeypatch, cpus, threads)
-    assert oracle._lookahead(1) == 0
-    assert oracle._lookahead(8) == ahead
-    # without CPU affinity, the CPU count decides
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
-    assert oracle._lookahead(8) == ahead
-
-
-@pytest.mark.parametrize("blas", ["mkl", "accelerate", ""])
-def test_the_worker_needs_openblas(monkeypatch, blas):
+    ({"MKL_NUM_THREADS": "1"}, 2, "scipy-openblas", False),
+    ({}, 2, "scipy-openblas", False),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, "scipy-openblas", False),
+    ({"OPENBLAS_NUM_THREADS": "one"}, 2, "scipy-openblas", False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, "OpenBLAS", True),
     # another BLAS reads its threads from other variables, or none
-    pin_openblas(monkeypatch, {0, 1}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                                       "MKL_NUM_THREADS": "1"})
-    monkeypatch.setattr(oracle, "_BLAS", blas)
-    assert oracle._lookahead(8) == 0
+    (ALL_PINNED, 2, "mkl", False),
+    (ALL_PINNED, 2, "accelerate", False),
+    (ALL_PINNED, 2, "", False),
+], ids=["one-cpu", "two-cpus", "goto", "omp-list", "omp-space", "openblas-first",
+        "goto-before-omp", "mkl-ignored", "default", "zero", "not-a-number", "openblas-case",
+        "blas-mkl", "blas-accelerate", "blas-unrecorded"])
+def test_the_worker_needs_two_buckets_and_a_cpu_that_blas_leaves_idle(monkeypatch, environ,
+                                                                       cpus, blas, wins):
+    assert oracle._worker_wins(environ, cpus, blas) is wins
+    monkeypatch.setattr(oracle, "_WORKER", wins)
+    assert oracle._lookahead(1) == 0
+    assert oracle._lookahead(8) == (oracle._LOOKAHEAD if wins else 0)
+
+
+# Run in a fresh interpreter whose OpenBLAS runs its default of a thread per
+# CPU: a thread variable set after the import is one OpenBLAS never read, so
+# the pass runs inline.
+LATE_VARIABLE_SCRIPT = """\
+import os, threading
+import numpy as np
+import spinboson
+from spinboson import SpinBosonModel, TruncatedBath, exact_scaled_dynamics
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+model = SpinBosonModel(1.0, [(0.9, 0.03), (0.95, 0.03), (1.05, 0.03), (1.1, 0.03)], 2.0)
+threads = set()
+eigh = np.linalg.eigh
+
+def recording_eigh(a, *args, **kwargs):
+    threads.add(threading.current_thread().name)
+    return eigh(a, *args, **kwargs)
+
+np.linalg.eigh = recording_eigh
+exact_scaled_dynamics(TruncatedBath(model, n_max=3), [[0.7, 0.25], [0.25, 0.3]],
+                      np.linspace(0, 5, 11), (1.0, 0.5, 0.25))
+assert threads == {threading.current_thread().name}, threads
+"""
+
+
+def test_a_thread_variable_set_after_the_import_starts_no_worker():
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", LATE_VARIABLE_SCRIPT], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _fock_pass_states():
