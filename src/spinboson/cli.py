@@ -20,9 +20,10 @@ code path depends on wall clock or randomness, so identical configs yield
 byte-identical outputs.
 
 Exit codes: 0 success / all checks pass; 1 configuration or usage error,
-or an output file that cannot be written (``output error``, naming the
-path); 2 runtime abort (trace drift, a non-finite step-doubling estimate,
-Hilbert-space cap, Fock truncation not converged under
+or an output file that cannot be written or would overwrite the config
+(``output error``, naming the path; the config case is refused before any
+file is opened); 2 runtime abort (trace drift, a non-finite step-doubling
+estimate, Hilbert-space cap, Fock truncation not converged under
 ``check_truncation``, a NaN or infinity bound for a CSV); 3 failed check in
 compare/limits.
 """
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -111,11 +113,32 @@ def run_rates(cfg: RunConfig, out: str) -> int:
 _SUMMARY_METADATA = ("integrator", "substeps", "error_estimate", "n_max")
 
 
+def _outputs(command: str, out: str) -> list[str]:
+    """The files ``command`` writes: ``out``, and a trajectory's summary sidecar."""
+    return [out, out + ".summary"] if command in ("evolve", "exact") else [out]
+
+
+def _refuse_overwriting(config: str, paths: list[str]) -> None:
+    """``OSError`` if one of ``paths`` is the file ``config``, by whatever
+    name, symbolic link or hard link.  A path that cannot be looked up
+    names no file yet, or none that the verb could open, so it is not the
+    config."""
+    config_stat = os.stat(config)
+    for path in paths:
+        try:
+            same = os.path.samestat(os.stat(path), config_stat)
+        except OSError:
+            continue
+        if same:
+            raise OSError(f"{path} is the config file {config}; nothing written")
+
+
 def _write_trajectory(command: str, cfg: RunConfig, traj: Trajectory, out: str) -> None:
     s = traj.states
+    trace_errors, herm_errors = traj.trace_errors(), traj.hermiticity_errors()
     write_csv(out, TRAJECTORY_HEADER,
               [traj.times, s[:, 0, 0].real, s[:, 0, 1].real, s[:, 0, 1].imag, s[:, 1, 0].real,
-               s[:, 1, 0].imag, s[:, 1, 1].real, traj.trace_errors(), traj.hermiticity_errors()])
+               s[:, 1, 0].imag, s[:, 1, 1].real, trace_errors, herm_errors])
     rho00 = s[:, 0, 0].real
     coherence = np.abs(s[:, 0, 1])
     quartile = rho00[3 * (len(rho00) - 1) // 4:]
@@ -134,11 +157,11 @@ def _write_trajectory(command: str, cfg: RunConfig, traj: Trajectory, out: str) 
         pairs.append(("coherence_decay_factor", float(coherence[-1] / coherence[0])))
     pairs += [
         ("min_eigenvalue", float(np.min(traj.metadata["min_eigenvalue"]))),
-        ("max_trace_err", float(np.max(traj.trace_errors()))),
-        ("max_herm_err", float(np.max(traj.hermiticity_errors()))),
+        ("max_trace_err", float(np.max(trace_errors))),
+        ("max_herm_err", float(np.max(herm_errors))),
     ]
     pairs += [(key, traj.metadata[key]) for key in _SUMMARY_METADATA if key in traj.metadata]
-    summary_path = out + ".summary"
+    summary_path = _outputs(command, out)[1]
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         _write_keyvals(fh, pairs)
     print(f"wrote {out}")
@@ -362,6 +385,7 @@ def main(argv=None) -> int:
         out = args.out or cfg.output_path
         if not out:
             raise ConfigError("no output path: pass --out or set output_path")
+        _refuse_overwriting(args.config, _outputs(args.command, out))
         return _COMMANDS[args.command][0](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -371,7 +395,7 @@ def main(argv=None) -> int:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:
-        # an output path that names a directory or lies in a missing one
+        # an output path that names the config, a directory or lies in a missing one
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

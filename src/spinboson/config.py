@@ -24,7 +24,8 @@ oracle:      oracle_enabled (true|false, default false), n_max (default 4),
              check_truncation (true|false, default false: rerun the exact
              solver at twice n_max and abort if any element moves by more
              than the fixed bound 1e-6)
-output:      output_path (optional if --out is given)
+output:      output_path (optional if --out is given; the CLI refuses it,
+             like --out, where the output would overwrite the config)
 """
 
 from __future__ import annotations

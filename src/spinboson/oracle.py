@@ -95,12 +95,12 @@ def _size(n: int) -> str:
 
 
 class TruncationError(RuntimeError):
-    """Doubling the Fock cutoff moved a reported element beyond tolerance."""
+    """Doubling the Fock cutoff moved a reported element beyond the fixed bound."""
 
-    def __init__(self, shift: float, tol: float):
+    def __init__(self, shift: float):
         super().__init__(
             f"truncation not converged: doubling n_max shifts elements by "
-            f"{shift:.3e} > {tol:.1e}")
+            f"{shift:.3e} > {_TRUNCATION_BOUND:.1e}")
         self.shift = shift
 
 
@@ -109,9 +109,12 @@ class TruncatedBath:
     """A model and the Fock cutoff of its bath, with the dimension
     bookkeeping: the one argument every function here reads the model from.
 
-    Thermal runs with beta * omega >= 1 are well served by the default
-    ``n_max = 4``; hotter baths need a larger cutoff (check with
-    ``exact_reduced_dynamics(bath, rho0, times, check_truncation=True)``).
+    The default ``n_max = 4`` is exact for the vacuum only.  Thermal baths
+    need more even at beta * omega >= 1: against ``n_max = 30``, one mode
+    (omega = 1, g = 0.1, beta = 1, 21 samples on [0, 5]) errs by up to
+    8.7e-3 at ``n_max = 4``, 1.7e-4 at 8 and 3.3e-6 at 12; the modes 0.8:0.1
+    and 1.2:0.07 at beta = 1.25 by 7.4e-3 at 4.  Check a cutoff with
+    ``exact_reduced_dynamics(..., check_truncation=True)``.
     """
 
     model: SpinBosonModel
@@ -140,9 +143,6 @@ class TruncatedBath:
     @property
     def full_dim(self) -> int:
         return 2 * self.bath_dim
-
-    def with_n_max(self, n_max: int) -> "TruncatedBath":
-        return replace(self, n_max=n_max)
 
 
 def _matrix_elements(bath: TruncatedBath):
@@ -183,19 +183,22 @@ def full_hamiltonian(bath: TruncatedBath) -> np.ndarray:
 
 
 def _sector_hamiltonians(bath: TruncatedBath):
-    """Blocks of the total Hamiltonian in excitation-number sectors.
+    """The excitation-number sectors that hold bath weight, one record each.
 
     The coupling only exchanges single quanta, so N = n_up + sum_k n_k is
     conserved (exactly, also under the per-mode Fock cutoff).  Sector N holds
-    the states (up, n) with sum n = N - 1 and (down, n) with sum n = N.
-    Yields one ``(states, energies, coupling)`` triple per N = 0, 1, ...:
-    the product-basis indices of the sector in ascending order (its up
-    states first), their uncoupled energies and the coupling restricted to
-    them.  The block of the model with every coupling scaled by ``f`` is
-    ``np.diag(energies) + f * coupling``.  Each block is built when it is
-    asked for, so a pass that stops early never builds the later ones.
+    the states (up, n) with sum n = N - 1 and (down, n) with sum n = N, in
+    product-basis order, so its up states first.  Yields one ``(energies,
+    coupling, up count, weights)`` record per N = 0, 1, ...: the uncoupled
+    energies, the coupling restricted to the sector, its number of up
+    states, and each state's bath weight (its bath state's, for either
+    level).  The block of the model with every coupling scaled by ``f`` is
+    ``np.diag(energies) + f * coupling``.  The weights fall with the quanta,
+    so the records end before the first sector with no weight (after N = 1
+    for the vacuum), and neither its block nor a later one is built.
     """
     occupations, energies, (rows, cols, values) = _matrix_elements(bath)
+    weights = np.tile(_bath_weights(bath), 2)
     quanta = occupations.sum(axis=1)
     number = np.concatenate([quanta + 1, quanta])
     order = np.argsort(number, kind="stable")
@@ -209,12 +212,15 @@ def _sector_hamiltonians(bath: TruncatedBath):
     rows, cols, values = local[rows[pairs]], local[cols[pairs]], values[pairs]
     for n in range(number.max() + 1):
         states = order[starts[n]:starts[n + 1]]
+        p = weights[states]
+        if not p.any():
+            return
         v = np.zeros((len(states), len(states)))
         inside = slice(bounds[n], bounds[n + 1])
         r, c = rows[inside], cols[inside]
         v[r, c] = values[inside]
         v[c, r] = values[inside]
-        yield states, energies[states], v
+        yield energies[states], v, int(np.searchsorted(states, bath.bath_dim)), p
 
 
 def _bath_weights(bath: TruncatedBath) -> np.ndarray:
@@ -298,7 +304,7 @@ def exact_scaled_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence
     if check_truncation:
         # the rerun must fit the cap too: say so before the first run, not after it
         try:
-            fine = bath.with_n_max(2 * bath.n_max)
+            fine = replace(bath, n_max=2 * bath.n_max)
         except BathDimensionError as exc:
             raise BathDimensionError(exc.dim, exc.cap, 2 * bath.n_max, bath.n_modes,
                                      needed_by="check_truncation reruns at twice n_max: ") from None
@@ -310,7 +316,7 @@ def exact_scaled_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence
             shift = float(np.max(np.abs(traj.states - reference)))
             traj.metadata["truncation_shift"] = shift
             if shift > _TRUNCATION_BOUND:
-                raise TruncationError(shift, _TRUNCATION_BOUND)
+                raise TruncationError(shift)
     return trajectories
 
 
@@ -380,14 +386,7 @@ def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray
     stopped before the jobs it had not started and is joined.
     """
     populations = np.asarray(populations, dtype=float)
-    # one weight per product state: its bath state's, for either level
-    weights = np.tile(_bath_weights(bath), 2)
-    sectors = []
-    for states, energies, coupling in _sector_hamiltonians(bath):
-        p = weights[states]
-        if not p.any():
-            break  # the weights fall with the quanta, so no later sector has any
-        sectors.append((energies, coupling, int(np.searchsorted(states, bath.bath_dim)), p))
+    sectors = list(_sector_hamiltonians(bath))
     n_t = len(times)
     column = times[:, None]
     sums = np.zeros((populations.size + 2, len(factors), 2, 2, n_t))
@@ -446,9 +445,9 @@ def _chunk_sums(part: np.ndarray, buckets: list, systems, column: np.ndarray) ->
 def _buckets(sectors: list, populations: np.ndarray) -> list:
     """Consecutive sectors grouped into the zero-padded buckets of the sector pass.
 
-    ``sectors`` holds one ``(energies, coupling, up count, weights)`` per
-    sector, in order.  A sector joins the open bucket while the bucket's
-    padded elements per factor, sectors x rows x columns, stay within
+    ``sectors`` holds the records of :func:`_sector_hamiltonians`, in
+    order.  A sector joins the open bucket while the bucket's padded
+    elements per factor, sectors x rows x columns, stay within
     ``_SECTOR_BUDGET``, so the buckets depend on the sector dimensions
     alone.  A bucket's rows are its largest up count and then its largest
     down count: sector N's up rows line up with sector N - 1's down rows.

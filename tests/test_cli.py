@@ -480,6 +480,41 @@ def test_unwritable_output_is_an_output_error(tmp_path, capsys, target, verb):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink", "hardlink"])
+def test_an_output_over_the_config_is_refused(tmp_path, capsys, spelling):
+    # the files are compared, not the names: "..", "." and links all lead to the config
+    cfg = write_cfg(tmp_path, THERMAL_CFG)
+    (tmp_path / "sub").mkdir()
+    out = {"same": cfg, "dotted": str(tmp_path / "sub" / ".." / "." / "run.cfg"),
+           "symlink": str(tmp_path / "link.cfg"), "hardlink": str(tmp_path / "hard.cfg")}[spelling]
+    if spelling in ("symlink", "hardlink"):
+        (os.symlink if spelling == "symlink" else os.link)(cfg, out)
+    assert main(["rates", "--config", cfg, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"output error: {out} is the config file {cfg}; nothing written\n"
+    assert Path(cfg).read_text() == THERMAL_CFG
+
+
+@pytest.mark.parametrize("verb", ["evolve", "exact"])
+def test_a_summary_sidecar_over_the_config_is_refused(tmp_path, capsys, verb):
+    cfg = write_cfg(tmp_path, THERMAL_CFG, name="traj.csv.summary")
+    out = tmp_path / "traj.csv"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"output error: {out}.summary is the config file")
+    assert Path(cfg).read_text() == THERMAL_CFG
+    assert not out.exists()  # refused before any file is opened
+
+
+@pytest.mark.parametrize("verb", ["compare", "limits"])
+def test_an_output_path_key_naming_the_config_is_refused(tmp_path, capsys, monkeypatch, verb):
+    text = COMPARE_CFG + "output_path = run.cfg\n"
+    cfg = write_cfg(tmp_path, text)
+    monkeypatch.chdir(tmp_path)
+    assert main([verb, "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("output error: run.cfg is the config file")
+    assert Path(cfg).read_text() == text
+
+
 @pytest.mark.parametrize("verb", ["rates", "evolve", "exact"])
 def test_phase_beyond_the_bound_is_a_config_error(tmp_path, capsys, verb):
     # at t_max = 1e308 the phases carry no digits: the rates overflow to

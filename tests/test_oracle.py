@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -125,16 +126,56 @@ def test_sector_blocks_reassemble_full_hamiltonian():
     model = SpinBosonModel(1.0, [(0.7, 0.12), (1.9, -0.08), (1.1, 0.05)], 2.0)
     bath = TruncatedBath(model, n_max=2)
     h = full_hamiltonian(bath)
+    # product state s * bath_dim + b, mode 0 the most significant digit of b;
+    # sector N holds the up states with N - 1 quanta and the down states with N
+    quanta = np.array(list(itertools.product(range(bath.levels), repeat=bath.n_modes))).sum(axis=1)
+    number = np.concatenate([quanta + 1, quanta])
     blocks = list(oracle._sector_hamiltonians(bath))
+    # a thermal bath weights every sector
+    assert len(blocks) == number.max() + 1
     assembled = np.zeros_like(h)
-    for states, energies, coupling in blocks:
+    for n, (energies, coupling, _, _) in enumerate(blocks):
+        states = np.flatnonzero(number == n)
         assembled[np.ix_(states, states)] = np.diag(energies) + coupling
     assert np.array_equal(assembled, h)
-    # every product state sits in exactly one sector
-    assert np.array_equal(np.sort(np.concatenate([s for s, _, _ in blocks])),
-                          np.arange(bath.full_dim))
     # the coupling agrees with the one built from ladder operators
     assert np.allclose(h - np.diag(np.diag(h)), ladder_coupling(model, bath), atol=1e-15)
+
+
+def test_a_vacuum_bath_yields_the_sectors_zero_and_one():
+    model = SpinBosonModel(1.0, [(0.7, 0.12), (1.9, -0.08), (1.1, 0.05)], math.inf)
+    blocks = list(oracle._sector_hamiltonians(TruncatedBath(model, n_max=2)))
+    assert len(blocks) == 2
+    (e0, v0, up0, p0), (e1, v1, up1, p1) = blocks
+    # N = 0 is (down, vacuum); N = 1 is (up, vacuum) and (down, one quantum)
+    assert (up0, up1) == (0, 1)
+    assert np.array_equal(e0, [-0.5]) and np.array_equal(v0, [[0.0]])
+    assert np.array_equal(p0, [1.0]) and np.array_equal(p1, [1.0, 0.0, 0.0, 0.0])
+    assert np.allclose(e1, [0.5, -0.5 + 1.1, -0.5 + 1.9, -0.5 + 0.7], atol=1e-15)
+    assert np.allclose(v1[0, 1:], [2 * 0.05, 2 * -0.08, 2 * 0.12], atol=1e-15)
+
+
+def test_sector_records_carry_the_up_count_and_the_bath_weights():
+    model = SpinBosonModel(1.0, [(0.7, 0.12), (1.9, -0.08)], 1.3)
+    bath = TruncatedBath(model, n_max=3)
+    occupations = oracle._matrix_elements(bath)[0]
+    quanta = occupations.sum(axis=1)
+    # each bath state's weight, a product of normalized per-mode Boltzmann factors
+    boltzmann = np.exp(-model.beta * occupations * model.frequencies)
+    levels = np.exp(-model.beta * np.outer(np.arange(bath.levels), model.frequencies))
+    weights = np.prod(boltzmann / levels.sum(axis=0), axis=1)
+    blocks = list(oracle._sector_hamiltonians(bath))
+    assert len(blocks) == quanta.max() + 2
+    for n, (energies, coupling, up, p) in enumerate(blocks):
+        up_states, down_states = quanta == n - 1, quanta == n
+        assert up == np.count_nonzero(up_states)
+        assert len(energies) == len(p) == coupling.shape[0] == up + np.count_nonzero(down_states)
+        assert np.allclose(p, np.concatenate([weights[up_states], weights[down_states]]),
+                           rtol=1e-14, atol=0)
+        assert np.allclose(energies[:up], 0.5 + occupations[up_states] @ model.frequencies,
+                           rtol=0, atol=1e-14)
+        assert np.allclose(energies[up:], -0.5 + occupations[down_states] @ model.frequencies,
+                           rtol=0, atol=1e-14)
 
 
 # -- thermal bath state ------------------------------------------------------------
@@ -729,7 +770,7 @@ def test_scaled_truncation_check_raises_for_the_first_unconverged_factor(monkeyp
     model = SpinBosonModel(1.0, [(1.0, 0.08)], 0.3)
     bath = TruncatedBath(model, n_max=1)
     grid = np.linspace(0, 2, 5)
-    fine = exact_reduced_dynamics(bath.with_n_max(2), RHO_MIXED, grid)
+    fine = exact_reduced_dynamics(TruncatedBath(model, n_max=2), RHO_MIXED, grid)
     coarse = exact_reduced_dynamics(bath, RHO_MIXED, grid)
     expected = float(np.max(np.abs(coarse.states - fine.states)))
     for factors in ((0.0, 1.0), (1.0, 0.5)):
@@ -794,6 +835,8 @@ def test_truncation_flagged_for_hot_bath():
     with pytest.raises(TruncationError) as err:
         exact_reduced_dynamics(bath, RHO_MIXED, np.linspace(0, 2, 5), check_truncation=True)
     assert err.value.shift > 1e-6
+    # the message names the fixed bound
+    assert str(err.value).endswith(f"{err.value.shift:.3e} > 1.0e-06")
 
 
 # -- series terms of the propagator ----------------------------------------------------
