@@ -1,10 +1,10 @@
 """Run configuration for the command-line tools.
 
-Configs are flat ``key = value`` text files; ``#`` starts a comment, blank
-lines are ignored.  Unknown or duplicate keys are hard errors so that a
-typo in a physics parameter cannot silently fall back to a default; so is
-omega_c with a flat density, which ignores it.  Every count is a positive
-integer, by linalg.require_count.
+Configs are flat ``key = value`` UTF-8 text files; ``#`` starts a
+comment, blank lines are ignored.  Unknown or duplicate keys are hard
+errors so that a typo in a physics parameter cannot silently fall back to
+a default; so is omega_c with a flat density, which ignores it.  Every
+count is a positive integer, by linalg.require_count.
 
 Keys
 ----
@@ -14,8 +14,11 @@ model:       omega0, beta ("vacuum" or a positive float), and exactly one of
                omega_min, omega_max, mode_count
 simulation:  t_max (times the largest of omega0 and the mode frequencies,
              and times 2 sqrt(n_max) sum_k |g_k|, at most MAX_PHASE),
-             samples, rk4_substeps (optional; by default sized from a
-             step-doubling error estimate, see master_eq.propagate)
+             samples (the grid linspace(0, t_max, samples) must pass
+             linalg.require_time_grid, the one time rule, so a t_max so
+             small that two times round together is refused), rk4_substeps
+             (optional; by default sized from a step-doubling error
+             estimate, see master_eq.propagate)
 state:       rho00, rho01 (complex literal, e.g. "0.3+0.1j"); the state
              [[rho00, rho01], [conj(rho01), 1 - rho00]] must pass
              linalg.require_density_matrix at tol = 1e-15, the library's
@@ -37,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import require_count, require_density_matrix
+from .linalg import require_count, require_density_matrix, require_time_grid
 from .spin_boson import (SpectralDiscretization, SpinBosonModel, flat_density,
                          ohmic_density)
 
@@ -252,6 +255,11 @@ def parse_config_text(text: str) -> RunConfig:
                           f"only density = ohmic takes a cutoff")
 
     try:
+        require_time_grid(cfg.time_grid())
+    except ValueError as exc:
+        raise ConfigError(f"lines {line_of['t_max']} and {line_of['samples']}: "
+                          f"fields 't_max' and 'samples': {exc}") from None
+    try:
         require_density_matrix(cfg.initial_state(), tol=1e-15)
     except ValueError as exc:
         raise ConfigError(f"rho00, rho01: {exc}") from None
@@ -273,8 +281,11 @@ def parse_config_text(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {os.fspath(path)!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {os.fspath(path)!r}: not UTF-8 at byte "
+                          f"offset {exc.start} ({exc.reason})") from None
     return parse_config_text(text)

@@ -10,9 +10,10 @@ built once, and each sector diagonalizes the stacked blocks of a chunk of
 scales in one call.  The rest of the pass runs on buckets of consecutive
 sectors, zero-padded to common shapes, so that many small sectors share
 each array operation; a large sector is a bucket of its own.  A pass may
-diagonalize its buckets ahead of their use on a thread of its own
-(:func:`_worker_wins` says when); the results are used in bucket order, so
-every sum is the one the calling thread alone would form, bit for bit.
+diagonalize its buckets on a thread of its own and on the calling thread
+at once, ahead of their use (:func:`_worker_wins` says when); the results
+are used in bucket order, so every sum is the one the calling thread
+alone would form, bit for bit.
 The series terms of the evolution operator come from one exponential of a
 block matrix built from the free energies and the coupling.  The exact
 reduced map comes from the same sector pass, as a 4 x 4 matrix on
@@ -28,7 +29,6 @@ trajectories.
 
 from __future__ import annotations
 
-import collections
 import math
 import os
 import re
@@ -66,7 +66,7 @@ __all__ = [
 # which for many small sectors exceeds the largest sector's alone.
 _SECTOR_BUDGET = 4096
 
-# Buckets that a pass's worker thread diagonalizes ahead of their use (_lookahead).
+# Buckets that a pass's threads diagonalize ahead of the one in use (_lookahead).
 _LOOKAHEAD = 2
 
 # check_truncation's one bound on the shift of a sampled element at twice n_max.
@@ -374,16 +374,17 @@ def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray
 
     The chunks' buckets form one stream of ``eigh`` jobs.  Where
     :func:`_worker_wins`, a pass of more than one bucket starts a worker
-    thread that runs them up to ``_LOOKAHEAD`` = 2 buckets ahead, while
-    the calling thread forms the phases, products and pairings of the
-    bucket before; LAPACK releases the GIL.  The pass joins the thread
-    before it returns.  Any other pass runs them inline and starts no
-    thread.  The lookahead adds at most two buckets' eigensystems, and the
-    blocks of the bucket being diagonalized, to the memory above: on
-    ``fock_4mode`` the three-factor pass peaks at 0.72 to 0.76 MB against
-    0.67 MB inline (tracemalloc).  An exception of an ``eigh`` call
-    reaches the caller when its bucket is due, after the worker has
-    stopped before the jobs it had not started and is joined.
+    thread that shares the stream with the calling thread, up to
+    ``_LOOKAHEAD`` = 2 buckets ahead of the one in use
+    (:func:`_eigensystems`), while the calling thread also forms the
+    phases, products and pairings; LAPACK releases the GIL.  The pass
+    joins the thread before it returns.  Any other pass runs the stream
+    inline and starts no thread.  The lookahead adds at most two buckets'
+    eigensystems, and the blocks of the buckets being diagonalized, to the
+    memory above: on ``fock_4mode`` the three-factor pass peaks at 0.75 to
+    0.77 MB against 0.66 MB inline (tracemalloc).  An exception of an
+    ``eigh`` call reaches the caller when its bucket is due, after the
+    worker is joined.
     """
     populations = np.asarray(populations, dtype=float)
     sectors = list(_sector_hamiltonians(bath))
@@ -519,44 +520,59 @@ def _eigensystems(jobs: list, ahead: int):
 
     With ``ahead`` = 0 each job runs on the calling thread when it is asked
     for.  Otherwise the first request starts a worker thread for this pass
-    alone, which runs the jobs up to ``ahead`` beyond the one in use, so
-    that at most ``ahead`` results wait besides it.  An exception of a job
-    is raised when its result is asked for.  Closing the generator, as the
-    end of the pass or an exception does, stops the thread before any job
-    it has not started and joins it, so that no job outlives the pass.
+    alone, and both threads take the next job that nobody has started, up
+    to ``ahead`` beyond the one due, so that at most ``ahead`` results wait
+    besides the one in use.  The worker runs ahead; the calling thread,
+    when the result it asks for is not ready, runs the next unstarted job
+    itself and waits only when every job of the window has started.  An
+    exception of a job, on either thread, is raised when its result is
+    due.  Closing the generator, as the end of the pass or an exception
+    does, stops both threads before any job not yet started and joins the
+    worker, so that no job outlives the pass.
     """
     if not ahead:
         for job in jobs:
             yield _diagonalized(*job)
         return
-    results = collections.deque()
-    free = threading.Semaphore(ahead + 1)  # the result in use and those ahead of it
-    ready, stop = threading.Semaphore(0), threading.Event()
+    done, lock = {}, threading.Condition()
+    started = due = 0  # jobs started (or cancelled), and the job whose result is due
 
-    def serve():
-        for job in jobs:
-            free.acquire()
-            if stop.is_set():
-                return
+    def work(k=None):
+        # run the window's unstarted jobs, one at a time, until result k is
+        # done, and return it; the worker (k None) runs until none is left
+        nonlocal started
+        while True:
+            with lock:
+                while k not in done and started >= min(len(jobs), due + ahead + 1):
+                    if k is None and started == len(jobs):
+                        return None
+                    lock.wait()
+                if k in done:
+                    return done.pop(k)
+                j, started = started, started + 1
             try:
-                results.append((_diagonalized(*job), None))
-            except BaseException as exc:  # raised on the calling thread below
-                results.append((None, exc))
-            ready.release()
+                out = _diagonalized(*jobs[j]), None
+            except BaseException as exc:  # raised on the calling thread when job j is due
+                out = None, exc
+            with lock:
+                done[j] = out
+                lock.notify_all()
 
-    thread = threading.Thread(target=serve, name="spinboson-eigh", daemon=True)
+    thread = threading.Thread(target=work, name="spinboson-eigh", daemon=True)
     thread.start()
     try:
-        for _ in jobs:
-            ready.acquire()
-            value, error = results.popleft()
+        for k in range(len(jobs)):
+            with lock:
+                due = k
+                lock.notify_all()  # the window moved on
+            value, error = work(k)
             if error is not None:
                 raise error
             yield value
-            free.release()
     finally:
-        stop.set()
-        free.release(len(jobs))
+        with lock:
+            started = len(jobs)  # no job starts after this
+            lock.notify_all()
         thread.join()
 
 

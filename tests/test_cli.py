@@ -515,6 +515,35 @@ def test_an_output_path_key_naming_the_config_is_refused(tmp_path, capsys, monke
     assert Path(cfg).read_text() == text
 
 
+@pytest.mark.parametrize("verb", ["rates", "evolve", "exact", "compare", "limits"])
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, verb):
+    # a 0xff byte in the value of beta: the message names the file and the
+    # byte, where it used to end in a UnicodeDecodeError traceback
+    cfg = tmp_path / "run.cfg"
+    data = COMPARE_CFG.replace("beta = vacuum", "beta = \xff").encode("latin-1")
+    cfg.write_bytes(data)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: cannot read config {str(cfg)!r}: not "
+                                       f"UTF-8 at byte offset {data.index(0xff)} "
+                                       f"(invalid start byte)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["rates", "evolve", "exact", "compare", "limits"])
+def test_a_grid_that_repeats_a_time_is_a_config_error(tmp_path, capsys, verb):
+    # at t_max = 5e-324, the smallest subnormal, the middle of three samples
+    # rounds onto an end: evolve and exact used to abort with a traceback,
+    # and rates and limits wrote a grid with a repeated time
+    cfg = write_cfg(tmp_path, COMPARE_CFG.replace("t_max = 2.0", "t_max = 5e-324")
+                    .replace("samples = 9", "samples = 3"))
+    out = tmp_path / "out"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: lines 4 and 5: fields 't_max' and "
+                                       "'samples': times must be strictly increasing\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb", ["rates", "evolve", "exact"])
 def test_phase_beyond_the_bound_is_a_config_error(tmp_path, capsys, verb):
     # at t_max = 1e308 the phases carry no digits: the rates overflow to

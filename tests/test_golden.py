@@ -94,8 +94,8 @@ def test_cli_outputs_match_the_golden_files(tmp_path, workload, verb):
 
 # Run in a fresh interpreter that starts with OpenBLAS pinned to one thread,
 # as the benchmark runs: the exact sector pass decides for its worker thread
-# at import, diagonalizes fock_4mode's buckets on it, and writes the bytes the
-# calling thread alone writes.
+# at import, diagonalizes fock_4mode's buckets on it and on the calling
+# thread, and writes the bytes the calling thread alone writes.
 PINNED_SCRIPT = """\
 import tempfile, threading
 from pathlib import Path
@@ -115,7 +115,7 @@ for verb in ("exact", "compare"):
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in run_invocation("fock_4mode", verb, Path(tmp)).items():
             assert data == (GOLDEN / "fock_4mode" / name).read_bytes(), name
-assert "spinboson-eigh" in threads, threads
+assert "spinboson-eigh" in threads and threading.current_thread().name in threads, threads
 """
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 from unittest import mock
 
 import numpy as np
@@ -348,11 +350,12 @@ def test_reduced_map_takes_both_population_columns_from_one_pass(monkeypatch, be
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     exact_reduced_dynamics(bath, RHO_MIXED, times)
-    per_sector = list(sizes)
+    per_sector = collections.Counter(sizes)
     sizes.clear()
     reduced_map_deviation(bath, RHO_MIXED, 1.3)
-    # one eigendecomposition per sector with bath weight, as for one state
-    assert sizes == per_sector
+    # one eigendecomposition per sector with bath weight, as for one state;
+    # counted, since a pass's two threads may take them in either order
+    assert collections.Counter(sizes) == per_sector
 
 
 @pytest.mark.parametrize("model, n_max", [
@@ -429,13 +432,16 @@ def test_sector_pass_takes_one_eigh_per_sector_and_chunk(monkeypatch, case, fact
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     exact_reduced_dynamics(bath, BENCH_RHO0, times)
-    sizes = [shape[-1] for shape in calls]  # one per sector with bath weight
-    assert calls == [(1, d, d) for d in sizes]
+    # one call per sector with bath weight, counted: where a pass runs its
+    # worker, the two threads take the calls in no fixed order
+    sizes = [len(energies) for energies, *_ in oracle._sector_hamiltonians(bath)]
+    assert collections.Counter(calls) == collections.Counter((1, d, d) for d in sizes)
     chunk = max(1, oracle._SECTOR_BUDGET // max(sizes) ** 2)
     assert [min(chunk, len(factors) - i) for i in range(0, len(factors), chunk)] == chunks
     calls.clear()
     exact_scaled_dynamics(bath, BENCH_RHO0, times, factors)
-    assert calls == [(count, d, d) for count in chunks for d in sizes]
+    assert collections.Counter(calls) == collections.Counter(
+        (count, d, d) for count in chunks for d in sizes)
 
 
 def test_sector_pass_buckets_small_sectors_and_leaves_large_ones_alone(monkeypatch):
@@ -533,8 +539,8 @@ def test_vacuum_pass_builds_only_the_weighted_sectors():
        n_max=st.integers(0, 3),
        factors=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
 def test_stacked_pass_is_per_factor_passes_on_small_models(modes, beta, n_max, factors):
-    # on the calling thread alone and on the worker thread, whatever the
-    # bucket count and the CPUs, with the same bits
+    # on the calling thread alone and on the calling thread with the
+    # worker, whatever the bucket count and the CPUs, with the same bits
     model = SpinBosonModel(1.0, modes, beta)
     runs = []
     for ahead in (0, oracle._LOOKAHEAD):
@@ -548,8 +554,8 @@ def test_stacked_pass_is_per_factor_passes_on_small_models(modes, beta, n_max, f
 # -- the sector pass's worker thread ----------------------------------------------
 
 def force_lookahead(monkeypatch, ahead):
-    """Run every sector pass inline (0) or ``ahead`` buckets ahead on the
-    worker, whatever its bucket count and the CPUs."""
+    """Run every sector pass inline (0) or with its worker, ``ahead``
+    buckets ahead, whatever its bucket count and the CPUs."""
     monkeypatch.setattr(oracle, "_lookahead", lambda n_buckets: ahead)
 
 
@@ -569,26 +575,30 @@ def test_worker_pass_equals_the_inline_pass_bit_for_bit(monkeypatch, case, facto
                                                         populations):
     model, n_max, times = case
     bath = TruncatedBath(model, n_max=n_max)
-    threads = []
+    calls = []
     eigh = np.linalg.eigh
 
     def recording_eigh(a, *args, **kwargs):
-        threads.append(threading.current_thread())
+        calls.append((threading.current_thread(), a.shape))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    sums = []
+    sums, shapes = [], []
     for ahead in (0, oracle._LOOKAHEAD):
         force_lookahead(monkeypatch, ahead)
-        threads.clear()
+        calls.clear()
         sums.append(oracle._sector_sums(bath, populations, times, np.asarray(factors)))
+        shapes.append(collections.Counter(shape for _, shape in calls))
+        others = {thread for thread, _ in calls} - {threading.current_thread()}
         if ahead == 0:
-            assert set(threads) == {threading.current_thread()}
+            assert not others
         else:
-            worker, = set(threads)
-            assert worker.name == "spinboson-eigh" and worker is not threading.current_thread()
+            # the calling thread and the pass's own worker share the calls
+            assert len(others) <= 1 and all(t.name == "spinboson-eigh" for t in others)
         # the pass joins its worker before it returns
         assert not worker_threads()
+    # one call per sector and chunk, of the same shape, wherever it ran
+    assert shapes[0] == shapes[1]
     assert np.array_equal(sums[0], sums[1])
 
 
@@ -625,6 +635,99 @@ def test_a_failed_eigh_leaves_no_job_behind(monkeypatch, ahead):
     time.sleep(0.05)
     assert len(calls) == made
     monkeypatch.setattr(np.linalg, "eigh", eigh)
+    after = exact_scaled_dynamics(bath, BENCH_RHO0, times, factors)
+    for old, new in zip(before, after):
+        assert np.array_equal(old.states, new.states)
+
+
+def test_the_calling_thread_diagonalizes_while_its_result_is_not_ready(monkeypatch):
+    # the worker's first job stalls until the calling thread has finished a
+    # job of its own: the pass goes on instead of waiting for the worker, no
+    # job starts more than _LOOKAHEAD beyond the one due, and the bits are
+    # those of the inline pass
+    model, n_max, times = FOCK_4MODE
+    bath = TruncatedBath(model, n_max=n_max)
+    populations, factors = BENCH_RHO0.diagonal().real, np.array([1.0, 0.5, 0.25])
+    force_lookahead(monkeypatch, 0)
+    inline = oracle._sector_sums(bath, populations, times, factors)
+
+    caller, ran, stalled = threading.current_thread(), threading.Event(), []
+    starts = []  # (job, job due, thread) as each job starts
+    stream = {}
+    eigensystems, diagonalized = oracle._eigensystems, oracle._diagonalized
+
+    def watched(jobs, ahead):
+        # the pass's stream, noting which result the pass asks for
+        stream["jobs"], stream["due"] = jobs, 0
+        with closing(eigensystems(jobs, ahead)) as systems:
+            for k in range(len(jobs)):
+                stream["due"] = k
+                yield next(systems)
+
+    def recording(blocks, scales):
+        thread = threading.current_thread()
+        job = next(k for k, (b, s) in enumerate(stream["jobs"]) if b is blocks and s is scales)
+        starts.append((job, stream["due"], thread))
+        if thread is not caller and not stalled:
+            stalled.append(ran.wait(timeout=30))
+        systems = diagonalized(blocks, scales)
+        if thread is caller:
+            ran.set()
+        return systems
+
+    monkeypatch.setattr(oracle, "_eigensystems", watched)
+    monkeypatch.setattr(oracle, "_diagonalized", recording)
+    force_lookahead(monkeypatch, oracle._LOOKAHEAD)
+    shared = oracle._sector_sums(bath, populations, times, factors)
+    assert stalled == [True]
+    threads = {thread for _, _, thread in starts}
+    assert caller in threads and len(threads) == 2
+    assert sorted(job for job, _, _ in starts) == list(range(len(stream["jobs"])))
+    assert all(job <= due + oracle._LOOKAHEAD for job, due, _ in starts)
+    assert not worker_threads()
+    assert np.array_equal(shared, inline)
+
+
+@pytest.mark.parametrize("ahead", [0, oracle._LOOKAHEAD], ids=["inline", "worker"])
+def test_a_failure_outside_eigh_ends_the_stream(monkeypatch, ahead):
+    # the calling thread's pairings fail on the third bucket of the
+    # three-factor fock_4mode pass (the buckets hold 4, 1, 1, ... sectors):
+    # the error reaches the caller, no eigh call starts after it, the worker
+    # is joined, and the next pass gives the same bits as before
+    model, n_max, times = FOCK_4MODE
+    bath = TruncatedBath(model, n_max=n_max)
+    factors = (1.0, 0.5, 0.25)
+    force_lookahead(monkeypatch, ahead)
+    before = exact_scaled_dynamics(bath, BENCH_RHO0, times, factors)
+    eigh, pairings = np.linalg.eigh, oracle._population_pairings
+    calls, running, buckets = [], [], []
+
+    def recording_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        running.append(a.shape)
+        try:
+            return eigh(a, *args, **kwargs)
+        finally:
+            running.pop()
+
+    def failing_pairings(*args):
+        buckets.append(None)
+        if len(buckets) == 3:
+            raise RuntimeError("pairings failed")
+        return pairings(*args)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(oracle, "_population_pairings", failing_pairings)
+    with pytest.raises(RuntimeError, match="^pairings failed$"):
+        exact_scaled_dynamics(bath, BENCH_RHO0, times, factors)
+    made = len(calls)
+    # the first three buckets' six calls, and at most those of the window
+    assert not running and 6 <= made <= 6 + ahead
+    assert not worker_threads()
+    time.sleep(0.05)
+    assert len(calls) == made
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(oracle, "_population_pairings", pairings)
     after = exact_scaled_dynamics(bath, BENCH_RHO0, times, factors)
     for old, new in zip(before, after):
         assert np.array_equal(old.states, new.states)
@@ -723,7 +826,8 @@ def _fock_pass_states():
 
 def test_concurrent_passes_each_run_their_own_worker(monkeypatch):
     # more calling threads than CPUs, switching often: each pass gets its
-    # own buckets' eigensystems, in order, from its own worker, and joins it
+    # own buckets' eigensystems, in order, from its own stream, and joins
+    # its own worker
     force_lookahead(monkeypatch, oracle._LOOKAHEAD)
     expected = _fock_pass_states()
     results, errors = [], []
