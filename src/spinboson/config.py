@@ -13,7 +13,11 @@ model:       omega0, beta ("vacuum" or a positive float), and exactly one of
              * density (ohmic|flat), eta, omega_c (ohmic only),
                omega_min, omega_max, mode_count
 simulation:  t_max (times the largest of omega0 and the mode frequencies,
-             and times 2 sqrt(n_max) sum_k |g_k|, at most MAX_PHASE),
+             and times 2 sqrt(n_max) sum_k |g_k|, at most MAX_PHASE; with a
+             density, below the recurrence time 2 pi mode_count /
+             (omega_max - omega_min) of its evenly spaced modes, past which
+             every bath correlation repeats and the run stands for no
+             continuum: SpectralDiscretization.recurrence_time),
              samples (the grid linspace(0, t_max, samples) must pass
              linalg.require_time_grid, the one time rule, so a t_max so
              small that two times round together is refused), rk4_substeps
@@ -268,6 +272,14 @@ def parse_config_text(text: str) -> RunConfig:
         model = cfg.model()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if cfg.density is not None:
+        recurrence = cfg.discretization().recurrence_time
+        if cfg.t_max >= recurrence:
+            raise ConfigError(
+                f"lines {line_of['mode_count']} and {line_of['t_max']}: fields 'mode_count' "
+                f"and 't_max': t_max = {cfg.t_max:g} reaches the recurrence time "
+                f"2 pi / delta_omega = {recurrence:.6g} of {cfg.mode_count} modes, past "
+                f"which the discretized bath revives; raise mode_count or lower t_max")
     # in Python floats, which overflow to infinity without a warning
     coupling = 2.0 * math.sqrt(cfg.n_max) * sum(abs(g) for _, g in model.modes)
     for name, phase in (("max(omega0, mode frequencies)",

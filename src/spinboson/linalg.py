@@ -1,7 +1,8 @@
 """Input checks shared by the dynamics modules and the config parser.
 
 Density matrices as plain ``numpy`` arrays (``complex128``), finite,
-strictly increasing time grids, counts, and coupling factors.
+strictly increasing time grids, finite times of any shape, counts, and
+coupling factors.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 __all__ = [
     "require_density_matrix",
     "require_time_grid",
+    "require_finite_times",
     "require_count",
     "require_factors",
 ]
@@ -64,13 +66,21 @@ def require_time_grid(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-d grid")
-    if not np.isfinite(times).all():
-        raise ValueError(f"times must be finite, got {times[~np.isfinite(times)][0]}")
+    require_finite_times(times)
     # two different finite floats have a nonzero difference (subnormals), so
     # comparing neighbours tests np.diff(times) > 0, at half the cost of
     # np.diff: every config parse checks its grid
     if (times[1:] <= times[:-1]).any():
         raise ValueError("times must be strictly increasing")
+    return times
+
+
+def require_finite_times(t) -> np.ndarray:
+    """``t``, a scalar or an array of any shape, as a float array if every
+    time in it is finite; ``ValueError`` naming the first one otherwise."""
+    times = np.asarray(t, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError(f"times must be finite, got {times[~np.isfinite(times)][0]}")
     return times
 
 

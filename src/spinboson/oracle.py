@@ -9,11 +9,11 @@ several coupling scales at once: the sector blocks and the bath weights are
 built once, and each sector diagonalizes the stacked blocks of a chunk of
 scales in one call.  The rest of the pass runs on buckets of consecutive
 sectors, zero-padded to common shapes, so that many small sectors share
-each array operation; a large sector is a bucket of its own.  A pass may
-diagonalize its buckets on a thread of its own and on the calling thread
-at once, ahead of their use (:func:`_worker_wins` says when); the results
-are used in bucket order, so every sum is the one the calling thread
-alone would form, bit for bit.
+each array operation; a large sector is a bucket of its own.  Every pass
+takes its buckets' eigensystems from one stream of jobs, which a pass of
+more than one bucket may share with a thread of its own that runs ahead
+(:func:`_worker_wins` says where); the results are used in bucket order,
+so every sum is the one the calling thread alone would form, bit for bit.
 The series terms of the evolution operator come from one exponential of a
 block matrix built from the free energies and the coupling.  The exact
 reduced map comes from the same sector pass, as a 4 x 4 matrix on
@@ -66,7 +66,7 @@ __all__ = [
 # which for many small sectors exceeds the largest sector's alone.
 _SECTOR_BUDGET = 4096
 
-# Buckets that a pass's threads diagonalize ahead of the one in use (_lookahead).
+# Buckets that a pass's threads diagonalize ahead of the one in use (_eigensystems).
 _LOOKAHEAD = 2
 
 # check_truncation's one bound on the shift of a sampled element at twice n_max.
@@ -372,19 +372,19 @@ def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray
     and costs what it would unbucketed.  Each factor's arithmetic is the
     same in any chunk.
 
-    The chunks' buckets form one stream of ``eigh`` jobs.  Where
-    :func:`_worker_wins`, a pass of more than one bucket starts a worker
-    thread that shares the stream with the calling thread, up to
-    ``_LOOKAHEAD`` = 2 buckets ahead of the one in use
-    (:func:`_eigensystems`), while the calling thread also forms the
-    phases, products and pairings; LAPACK releases the GIL.  The pass
-    joins the thread before it returns.  Any other pass runs the stream
-    inline and starts no thread.  The lookahead adds at most two buckets'
-    eigensystems, and the blocks of the buckets being diagonalized, to the
-    memory above: on ``fock_4mode`` the three-factor pass peaks at 0.75 to
-    0.77 MB against 0.66 MB inline (tracemalloc).  An exception of an
-    ``eigh`` call reaches the caller when its bucket is due, after the
-    worker is joined.
+    The chunks' buckets form one stream of ``eigh`` jobs
+    (:func:`_eigensystems`).  Where :func:`_worker_wins`, a pass of more
+    than one bucket starts a worker thread that shares the stream with the
+    calling thread, up to ``_LOOKAHEAD`` = 2 buckets ahead of the one in
+    use, while the calling thread also forms the phases, products and
+    pairings; LAPACK releases the GIL.  The pass joins the thread before
+    it returns.  Any other pass starts no thread: the calling thread runs
+    each job when its result is due.  The lookahead adds at most two
+    buckets' eigensystems, and the blocks of the buckets being
+    diagonalized, to the memory above: on ``fock_4mode`` the three-factor
+    pass peaks at 0.75 to 0.77 MB against 0.66 MB without the worker
+    (tracemalloc).  An exception of an ``eigh`` call reaches the caller
+    when its bucket is due, after any worker is joined.
     """
     populations = np.asarray(populations, dtype=float)
     sectors = list(_sector_hamiltonians(bath))
@@ -394,10 +394,10 @@ def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray
     chunk = max(1, _SECTOR_BUDGET // max(len(s[0]) for s in sectors) ** 2)
     firsts = range(0, len(factors), chunk)
     buckets = _buckets(sectors, populations)
-    # every chunk's buckets form one stream, diagonalized ahead of its use
+    # every chunk's buckets form one stream of jobs, in the order of their use
     systems = _eigensystems([(blocks, factors[first:first + chunk, None, None])
                              for first in firsts for blocks, *_ in buckets],
-                            _lookahead(len(buckets)))
+                            _WORKER and len(buckets) > 1)
     with closing(systems):
         for first in firsts:
             _chunk_sums(sums[:, first:first + chunk], buckets, systems, column)
@@ -515,25 +515,23 @@ def _padded(systems: list, blocks: list, n_up: int,
     return w, v
 
 
-def _eigensystems(jobs: list, ahead: int):
+def _eigensystems(jobs: list, worker: bool):
     """``_diagonalized(blocks, scales)`` of each job in ``jobs``, in order.
 
-    With ``ahead`` = 0 each job runs on the calling thread when it is asked
-    for.  Otherwise the first request starts a worker thread for this pass
-    alone, and both threads take the next job that nobody has started, up
-    to ``ahead`` beyond the one due, so that at most ``ahead`` results wait
-    besides the one in use.  The worker runs ahead; the calling thread,
-    when the result it asks for is not ready, runs the next unstarted job
-    itself and waits only when every job of the window has started.  An
-    exception of a job, on either thread, is raised when its result is
-    due.  Closing the generator, as the end of the pass or an exception
-    does, stops both threads before any job not yet started and joins the
-    worker, so that no job outlives the pass.
+    A request for a result runs the next job that nobody has started, one
+    at a time, until that result is done.  On the calling thread alone
+    each job thus runs when its result is due, and only the result in use
+    is held.  With ``worker`` the first request starts a worker thread for
+    this pass alone, which takes the unstarted jobs too, up to
+    ``_LOOKAHEAD`` beyond the one due, so that at most ``_LOOKAHEAD``
+    results wait besides the one in use: the worker runs ahead, and the
+    calling thread, when the result it asks for is not ready, runs the next
+    unstarted job itself and waits only when every job of the window has
+    started.  An exception of a job, on either thread, is raised when its
+    result is due.  Closing the generator, as the end of the pass or an
+    exception does, stops both threads before any job not yet started and
+    joins the worker, so that no job outlives the pass.
     """
-    if not ahead:
-        for job in jobs:
-            yield _diagonalized(*job)
-        return
     done, lock = {}, threading.Condition()
     started = due = 0  # jobs started (or cancelled), and the job whose result is due
 
@@ -543,7 +541,7 @@ def _eigensystems(jobs: list, ahead: int):
         nonlocal started
         while True:
             with lock:
-                while k not in done and started >= min(len(jobs), due + ahead + 1):
+                while k not in done and started >= min(len(jobs), due + _LOOKAHEAD + 1):
                     if k is None and started == len(jobs):
                         return None
                     lock.wait()
@@ -558,8 +556,9 @@ def _eigensystems(jobs: list, ahead: int):
                 done[j] = out
                 lock.notify_all()
 
-    thread = threading.Thread(target=work, name="spinboson-eigh", daemon=True)
-    thread.start()
+    if worker:
+        thread = threading.Thread(target=work, name="spinboson-eigh", daemon=True)
+        thread.start()
     try:
         for k in range(len(jobs)):
             with lock:
@@ -573,7 +572,8 @@ def _eigensystems(jobs: list, ahead: int):
         with lock:
             started = len(jobs)  # no job starts after this
             lock.notify_all()
-        thread.join()
+        if worker:
+            thread.join()
 
 
 def _worker_wins(environ: Mapping[str, str], cpus: int, blas: str) -> bool:
@@ -604,11 +604,6 @@ _WORKER = _worker_wins(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
     str(getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {})
         .get("blas", {}).get("name", "")))
-
-
-def _lookahead(n_buckets: int) -> int:
-    """How many buckets of a pass of ``n_buckets`` the worker runs ahead."""
-    return _LOOKAHEAD if _WORKER and n_buckets > 1 else 0
 
 
 def _population_pairings(v, n_up, q, x, trig) -> list[np.ndarray]:

@@ -82,7 +82,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import require_count
+from .linalg import require_count, require_finite_times
 from .master_eq import (BathStatistics, InteractionDecomposition, lattice_times,
                         progression_lattice)
 
@@ -266,6 +266,14 @@ class SpectralDiscretization:
     def delta_omega(self) -> float:
         return (self.omega_max - self.omega_min) / self.mode_count
 
+    @property
+    def recurrence_time(self) -> float:
+        """``2 pi / delta_omega``: the mode frequencies differ by multiples of
+        ``delta_omega``, so every bath correlation repeats with this period
+        up to a global phase, and from it on the discrete bath revives and
+        stands for no continuum."""
+        return 2.0 * math.pi / self.delta_omega
+
     def mode_grid(self) -> np.ndarray:
         d = self.delta_omega
         return self.omega_min + d * (np.arange(self.mode_count) + 0.5)
@@ -360,8 +368,9 @@ class RateFunctions:
         shift, decay_integral, shift_integral) of both channels at the times
         ``t``, from one evaluation, the times as the steps of the origin 0
         with the single offset 0.  Each part has the shape of ``t``, and is
-        a float for a scalar ``t``."""
-        times = np.asarray(t, dtype=float)
+        a float for a scalar ``t``.  A time that is not finite raises
+        ``ValueError``."""
+        times = require_finite_times(t)
         sums = _channel_sums(self, parts, times.reshape(-1), np.zeros(1))()
         return tuple(tuple(_like(times, s) for s in channel) for channel in sums)
 
@@ -522,7 +531,8 @@ def coherence_solution(rho01_0: complex, rates: RateFunctions, t):
     """Closed-form upper coherence: initial value times a phase times a decay.
 
     Uses the exact running integrals; the lower coherence is the complex
-    conjugate with the same decay envelope.
+    conjugate with the same decay envelope.  A time that is not finite
+    raises ``ValueError``.
     """
     (absorbed, a_shift), (emitted, e_shift) = rates.sums(t, ("decay_integral", "shift_integral"))
     phase = np.exp(4j * (a_shift + e_shift))
@@ -544,7 +554,7 @@ def population_solution(rho00_0: float, rates: RateFunctions, t):
     weight) the inner integral is exactly zero, and all times come from one
     decay-integral evaluation.  The spin-down population is one minus the
     result.  ``t`` may be a scalar or an array of any shape; an array result
-    has the same shape.
+    has the same shape.  A time that is not finite raises ``ValueError``.
     """
     if not rates._live[0]:
         _, (emitted,) = rates.sums(t, ("decay_integral",))
@@ -553,7 +563,7 @@ def population_solution(rho00_0: float, rates: RateFunctions, t):
 
     # the Simpson nodes k step of each sample as one lattice, a leading
     # sample axis over batches of samples, both channels in one pass
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = require_finite_times(t)
     flat = t_arr.ravel()
     out = np.full(flat.shape, float(rho00_0))
     samples = np.flatnonzero(flat)

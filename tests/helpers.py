@@ -1,6 +1,7 @@
-"""Shared random-state, quadrature, rate-reference, ladder-operator and
-partial-trace helpers for the test suite."""
+"""Shared random-state, quadrature, rate-reference, ladder-operator,
+partial-trace and one-mode exact-dynamics helpers for the test suite."""
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -131,6 +132,49 @@ def partial_trace(rho, dims: tuple[int, int]) -> np.ndarray:
     """Trace of ``rho`` over the second of two tensor factors of dimensions
     ``dims``, in Kronecker order."""
     return np.trace(np.asarray(rho).reshape(dims + dims), axis1=1, axis2=3)
+
+
+# -- one mode at any temperature: the Jaynes-Cummings sum -------------------
+# An oracle-free exact reference for the sector pass: the coupling keeps a
+# single mode's dynamics inside the 2 x 2 sectors {|up, N - 1>, |down, N>},
+# so the reduced state is a thermal sum of Rabi problems (Eberly, Narozhny &
+# Sanchez-Mondragon, PRL 44, 1323 (1980)).
+
+def jaynes_cummings_dynamics(model, rho0, times, weight=1e-16):
+    """``(rho00, rho01)`` of the one-mode ``model`` from ``rho0`` (x) its
+    thermal bath state at the ``times``, in the frame co-rotating with the
+    uncoupled Hamiltonian.
+
+    Sector N >= 1 has the energies omega0 / 2 + (N - 1) omega and
+    -omega0 / 2 + N omega and the coupling 2 g sqrt(N) in the factor-two
+    ladder convention, and sector 0 holds |down, 0> alone.  The Fock
+    numbers n run until the thermal weight past n, q^(n + 1) with
+    q = exp(-beta omega), falls below ``weight``; the weights are not
+    renormalized.  Each sector's propagator is exp(-i (N omega - omega / 2) t)
+    times the closed form of its traceless part, whose phases stay small at
+    any N.
+    """
+    (omega, g), = model.modes
+    q = math.exp(-model.beta * omega)
+    count = 1 if q == 0.0 else math.ceil(math.log(weight) / math.log(q))
+    p = (1.0 - q) * q ** np.arange(count, dtype=float)  # the weight of each n
+    t = np.asarray(times, dtype=float)[:, None]
+    detuning = 0.5 * (model.omega0 - omega)
+    coupling = 2.0 * g * np.sqrt(np.arange(1, count + 1, dtype=float))  # sectors 1 ... count
+    rabi = np.hypot(detuning, coupling)
+    cos, sin = np.cos(rabi * t), t * np.sinc(rabi * t / math.pi)  # sin(W t) / W
+    stay_up = cos - 1j * detuning * sin  # <up|u_N|up> of sector N = n + 1
+    rise = coupling * sin  # |<up|u_N|down>|
+    stay_down = cos + 1j * detuning * sin  # <down|u_N|down>
+    (a, c), (_, b) = np.asarray(rho0)
+    rho00 = (a.real * np.abs(stay_up) ** 2 @ p + b.real * rise[:, :-1] ** 2 @ p[1:])
+    # the up state of Fock number n pairs with the down state of n, in the
+    # sectors n + 1 and n: a relative phase exp(-i omega t) for n >= 1, and
+    # exp(-i (omega + omega0) t / 2) for |down, 0>
+    pairs = np.exp(1j * (model.omega0 - omega) * t[:, 0]) * (
+        stay_up[:, 1:] * stay_down[:, :-1].conj() @ p[1:])
+    pairs += np.exp(0.5j * (model.omega0 - omega) * t[:, 0]) * stay_up[:, 0] * p[0]
+    return rho00, c * pairs
 
 
 # -- CLI output --------------------------------------------------------------

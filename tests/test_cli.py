@@ -544,6 +544,23 @@ def test_a_grid_that_repeats_a_time_is_a_config_error(tmp_path, capsys, verb):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode_count, code", [(40, EXIT_CONFIG), (100, EXIT_OK), (400, EXIT_OK)])
+def test_a_run_past_the_recurrence_time_is_a_config_error(tmp_path, capsys, mode_count, code):
+    # 40 modes on [0.01, 10] repeat every 2 pi / delta_omega = 25.16, and
+    # evolve used to write rho00(50) = 0.3855 with exit 0 where the
+    # continuum gives 1.8e-5; 100 and 400 modes recur at 62.9 and 251.6
+    cfg = write_cfg(tmp_path, OHMIC_VACUUM_CFG.replace("mode_count = 400",
+                                                       f"mode_count = {mode_count}"))
+    out = tmp_path / "out.csv"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == code
+    if code == EXIT_CONFIG:
+        assert capsys.readouterr().err == (
+            "config error: lines 8 and 9: fields 'mode_count' and 't_max': t_max = 50 reaches "
+            "the recurrence time 2 pi / delta_omega = 25.1579 of 40 modes, past which the "
+            "discretized bath revives; raise mode_count or lower t_max\n")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("verb", ["rates", "evolve", "exact"])
 def test_phase_beyond_the_bound_is_a_config_error(tmp_path, capsys, verb):
     # at t_max = 1e308 the phases carry no digits: the rates overflow to

@@ -200,14 +200,16 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.omega0 == 1.0
 
 
-@pytest.mark.parametrize("text", [GOOD, GOOD_DISC], ids=["explicit", "discretized"])
+# A discretization's frequencies cannot reach the bound before its
+# recurrence time 2 pi M / (omega_max - omega_min), which the parser rejects
+# first, unless it has about MAX_PHASE / 2 pi = 1.6e7 modes: the explicit
+# modes alone can.
+@pytest.mark.parametrize("text", [GOOD], ids=["explicit"])
 def test_phase_bound_reads_the_largest_frequency(text):
     # t_max times the largest of omega0 and the mode frequencies (a mode's
-    # here, the top midpoint for a discretization): at the bound the config
-    # parses, one ulp of t_max past it does not, and the error names t_max
-    # and its line.  n_max = 1 keeps the couplings' phase, which reads
-    # 2 sqrt(n_max) sum |g_k| (10.7 for the discretization at the default
-    # n_max = 4), below the frequencies' one
+    # here): at the bound the config parses, one ulp of t_max past it does
+    # not, and the error names t_max and its line.  n_max = 1 keeps the
+    # couplings' phase, 2 sqrt(n_max) sum |g_k|, below the frequencies' one
     text += "n_max = 1\n"
     frequency = float(parse_config_text(text).model().frequencies.max())
     line = [key.split()[0] for key in text.splitlines()].index("t_max") + 1

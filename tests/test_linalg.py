@@ -12,7 +12,9 @@ from spinboson.oracle import (TruncatedBath, dyson_terms, exact_scaled_dynamics,
                               interaction_unitary, map_inversion_residual,
                               reduced_map_deviation)
 from spinboson.spin_boson import (SpectralDiscretization, SpinBosonModel, bath_statistics,
-                                  flat_density, interaction_decomposition)
+                                  coherence_solution, element_ode_matrix, flat_density,
+                                  interaction_decomposition, population_solution,
+                                  rate_functions, vacuum_rates)
 
 from helpers import make_rng, partial_trace, random_complex, random_density_matrix
 
@@ -155,6 +157,31 @@ _TIME_SITES = {
 def test_scalar_times_must_be_finite(site, t):
     with pytest.raises(ValueError, match=f"times must be finite, got {t}"):
         _TIME_SITES[site](TruncatedBath(_MODEL, n_max=1), t)
+
+
+# -- times of the closed forms (linalg.require_finite_times) ------------------
+
+_VACUUM = SpinBosonModel(1.0, [(0.9, 0.05)], math.inf)
+_CLOSED_FORM_SITES = {
+    "sums": lambda t: rate_functions(_MODEL).sums(t),
+    "coherence_solution": lambda t: coherence_solution(0.3, rate_functions(_MODEL), t),
+    "population_solution": lambda t: population_solution(0.7, rate_functions(_MODEL), t),
+    "population_solution-vacuum": lambda t: population_solution(0.7, rate_functions(_VACUUM), t),
+    "element_ode_matrix": lambda t: element_ode_matrix(rate_functions(_MODEL), t),
+    "vacuum_rates": lambda t: vacuum_rates(_VACUUM, t),
+}
+
+
+@pytest.mark.parametrize("t, first", [
+    (math.nan, "nan"), (-math.inf, "-inf"),
+    (np.array([[0.0, 1.0], [math.inf, math.nan]]), "inf"),
+], ids=["nan", "-inf", "array"])
+@pytest.mark.parametrize("site", _CLOSED_FORM_SITES)
+def test_closed_form_times_must_be_finite(site, t, first):
+    # each used to return NaN, with at most a RuntimeWarning; the error
+    # names the first time that is not finite, in row-major order
+    with pytest.raises(ValueError, match=f"^times must be finite, got {first}$"):
+        _CLOSED_FORM_SITES[site](t)
 
 
 # -- coupling factors (linalg.require_factors, at every site that uses it) ----

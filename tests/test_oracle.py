@@ -27,11 +27,13 @@ from spinboson.spin_boson import (SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z,
                                   SpinBosonModel, bath_statistics,
                                   interaction_decomposition)
 
-from helpers import (bath_annihilation_ops, ladder_coupling, make_rng,
-                     partial_trace, random_density_matrix)
+from helpers import (bath_annihilation_ops, jaynes_cummings_dynamics, ladder_coupling,
+                     make_rng, partial_trace, random_density_matrix)
 
 RHO_EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 RHO_MIXED = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]], dtype=complex)
+# the sector pass's job loop, for the tests that patch it to force its worker
+EIGENSYSTEMS = oracle._eigensystems
 
 
 def vacuum_mode(g=0.05, omega=1.0, detune=0.0):
@@ -543,8 +545,9 @@ def test_stacked_pass_is_per_factor_passes_on_small_models(modes, beta, n_max, f
     # worker, whatever the bucket count and the CPUs, with the same bits
     model = SpinBosonModel(1.0, modes, beta)
     runs = []
-    for ahead in (0, oracle._LOOKAHEAD):
-        with mock.patch.object(oracle, "_lookahead", lambda n_buckets, ahead=ahead: ahead):
+    for worker in (False, True):
+        with mock.patch.object(oracle, "_eigensystems",
+                               lambda jobs, _, worker=worker: EIGENSYSTEMS(jobs, worker)):
             runs.append(assert_stacked_pass_is_per_factor_passes(
                 model, n_max, np.linspace(0, 3, 7), factors, RHO_MIXED))
     for inline, worker in zip(*runs):
@@ -553,10 +556,10 @@ def test_stacked_pass_is_per_factor_passes_on_small_models(modes, beta, n_max, f
 
 # -- the sector pass's worker thread ----------------------------------------------
 
-def force_lookahead(monkeypatch, ahead):
-    """Run every sector pass inline (0) or with its worker, ``ahead``
-    buckets ahead, whatever its bucket count and the CPUs."""
-    monkeypatch.setattr(oracle, "_lookahead", lambda n_buckets: ahead)
+def force_worker(monkeypatch, worker):
+    """Run every sector pass on the calling thread alone (False) or with its
+    worker (True), whatever its bucket count and the CPUs."""
+    monkeypatch.setattr(oracle, "_eigensystems", lambda jobs, _: EIGENSYSTEMS(jobs, worker))
 
 
 def worker_threads():
@@ -584,13 +587,13 @@ def test_worker_pass_equals_the_inline_pass_bit_for_bit(monkeypatch, case, facto
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     sums, shapes = [], []
-    for ahead in (0, oracle._LOOKAHEAD):
-        force_lookahead(monkeypatch, ahead)
+    for worker in (False, True):
+        force_worker(monkeypatch, worker)
         calls.clear()
         sums.append(oracle._sector_sums(bath, populations, times, np.asarray(factors)))
         shapes.append(collections.Counter(shape for _, shape in calls))
         others = {thread for thread, _ in calls} - {threading.current_thread()}
-        if ahead == 0:
+        if not worker:
             assert not others
         else:
             # the calling thread and the pass's own worker share the calls
@@ -602,8 +605,8 @@ def test_worker_pass_equals_the_inline_pass_bit_for_bit(monkeypatch, case, facto
     assert np.array_equal(sums[0], sums[1])
 
 
-@pytest.mark.parametrize("ahead", [0, oracle._LOOKAHEAD], ids=["inline", "worker"])
-def test_a_failed_eigh_leaves_no_job_behind(monkeypatch, ahead):
+@pytest.mark.parametrize("worker", [False, True], ids=["inline", "worker"])
+def test_a_failed_eigh_leaves_no_job_behind(monkeypatch, worker):
     # the sixth eigh call of the three-factor fock_4mode pass is its third
     # bucket's (the buckets hold 4, 1, 1, ... sectors); its error reaches
     # the caller as on the calling thread, no call runs on after it, and
@@ -611,7 +614,7 @@ def test_a_failed_eigh_leaves_no_job_behind(monkeypatch, ahead):
     model, n_max, times = FOCK_4MODE
     bath = TruncatedBath(model, n_max=n_max)
     factors = (1.0, 0.5, 0.25)
-    force_lookahead(monkeypatch, ahead)
+    force_worker(monkeypatch, worker)
     before = exact_scaled_dynamics(bath, BENCH_RHO0, times, factors)
     eigh = np.linalg.eigh
     calls, running = [], []
@@ -630,7 +633,7 @@ def test_a_failed_eigh_leaves_no_job_behind(monkeypatch, ahead):
     with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
         exact_scaled_dynamics(bath, BENCH_RHO0, times, factors)
     made = len(calls)
-    assert not running and 6 <= made <= 6 + ahead
+    assert not running and 6 <= made <= 6 + worker * oracle._LOOKAHEAD
     assert not worker_threads()
     time.sleep(0.05)
     assert len(calls) == made
@@ -648,18 +651,19 @@ def test_the_calling_thread_diagonalizes_while_its_result_is_not_ready(monkeypat
     model, n_max, times = FOCK_4MODE
     bath = TruncatedBath(model, n_max=n_max)
     populations, factors = BENCH_RHO0.diagonal().real, np.array([1.0, 0.5, 0.25])
-    force_lookahead(monkeypatch, 0)
+    force_worker(monkeypatch, False)
     inline = oracle._sector_sums(bath, populations, times, factors)
 
     caller, ran, stalled = threading.current_thread(), threading.Event(), []
     starts = []  # (job, job due, thread) as each job starts
     stream = {}
-    eigensystems, diagonalized = oracle._eigensystems, oracle._diagonalized
+    diagonalized = oracle._diagonalized
 
-    def watched(jobs, ahead):
-        # the pass's stream, noting which result the pass asks for
+    def watched(jobs, _):
+        # the pass's stream, with its worker whatever its bucket count and
+        # the CPUs, noting which result the pass asks for
         stream["jobs"], stream["due"] = jobs, 0
-        with closing(eigensystems(jobs, ahead)) as systems:
+        with closing(EIGENSYSTEMS(jobs, True)) as systems:
             for k in range(len(jobs)):
                 stream["due"] = k
                 yield next(systems)
@@ -677,7 +681,6 @@ def test_the_calling_thread_diagonalizes_while_its_result_is_not_ready(monkeypat
 
     monkeypatch.setattr(oracle, "_eigensystems", watched)
     monkeypatch.setattr(oracle, "_diagonalized", recording)
-    force_lookahead(monkeypatch, oracle._LOOKAHEAD)
     shared = oracle._sector_sums(bath, populations, times, factors)
     assert stalled == [True]
     threads = {thread for _, _, thread in starts}
@@ -688,8 +691,8 @@ def test_the_calling_thread_diagonalizes_while_its_result_is_not_ready(monkeypat
     assert np.array_equal(shared, inline)
 
 
-@pytest.mark.parametrize("ahead", [0, oracle._LOOKAHEAD], ids=["inline", "worker"])
-def test_a_failure_outside_eigh_ends_the_stream(monkeypatch, ahead):
+@pytest.mark.parametrize("worker", [False, True], ids=["inline", "worker"])
+def test_a_failure_outside_eigh_ends_the_stream(monkeypatch, worker):
     # the calling thread's pairings fail on the third bucket of the
     # three-factor fock_4mode pass (the buckets hold 4, 1, 1, ... sectors):
     # the error reaches the caller, no eigh call starts after it, the worker
@@ -697,7 +700,7 @@ def test_a_failure_outside_eigh_ends_the_stream(monkeypatch, ahead):
     model, n_max, times = FOCK_4MODE
     bath = TruncatedBath(model, n_max=n_max)
     factors = (1.0, 0.5, 0.25)
-    force_lookahead(monkeypatch, ahead)
+    force_worker(monkeypatch, worker)
     before = exact_scaled_dynamics(bath, BENCH_RHO0, times, factors)
     eigh, pairings = np.linalg.eigh, oracle._population_pairings
     calls, running, buckets = [], [], []
@@ -722,7 +725,7 @@ def test_a_failure_outside_eigh_ends_the_stream(monkeypatch, ahead):
         exact_scaled_dynamics(bath, BENCH_RHO0, times, factors)
     made = len(calls)
     # the first three buckets' six calls, and at most those of the window
-    assert not running and 6 <= made <= 6 + ahead
+    assert not running and 6 <= made <= 6 + worker * oracle._LOOKAHEAD
     assert not worker_threads()
     time.sleep(0.05)
     assert len(calls) == made
@@ -735,20 +738,23 @@ def test_a_failure_outside_eigh_ends_the_stream(monkeypatch, ahead):
 
 def test_a_one_bucket_pass_starts_no_thread(monkeypatch):
     # thermal_2mode's 14 sectors share one bucket, and so do those of the
-    # reduced map on its model; fock_4mode's pass, in a process that runs
-    # the worker, would start one
-    def refuse(thread):
-        raise AssertionError(f"a pass started the thread {thread.name}")
+    # reduced map on its model; fock_4mode's pass creates a thread only in
+    # a process that runs the worker
+    def refuse(thread, *args, name=None, **kwargs):
+        raise AssertionError(f"a pass created the thread {name}")
 
+    monkeypatch.setattr(threading.Thread, "__init__", refuse)
+    model, n_max, times = FOCK_4MODE
+    fock = TruncatedBath(model, n_max=n_max)
+    monkeypatch.setattr(oracle, "_WORKER", False)
+    exact_scaled_dynamics(fock, BENCH_RHO0, times, (1.0, 0.5, 0.25))
     monkeypatch.setattr(oracle, "_WORKER", True)
-    monkeypatch.setattr(threading.Thread, "start", refuse)
     model, n_max, times = THERMAL_2MODE
     bath = TruncatedBath(model, n_max=n_max)
     exact_scaled_dynamics(bath, BENCH_RHO0, times, (1.0, 0.5, 0.25))
     reduced_map_deviation(bath, RHO_MIXED, 0.5)
-    model, n_max, times = FOCK_4MODE
     with pytest.raises(AssertionError, match="spinboson-eigh"):
-        exact_scaled_dynamics(TruncatedBath(model, n_max=n_max), BENCH_RHO0, times, (1.0,))
+        exact_scaled_dynamics(fock, BENCH_RHO0, FOCK_4MODE[2], (1.0,))
 
 
 ALL_PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -778,10 +784,15 @@ ALL_PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
         "blas-mkl", "blas-accelerate", "blas-unrecorded"])
 def test_the_worker_needs_two_buckets_and_a_cpu_that_blas_leaves_idle(monkeypatch, environ,
                                                                        cpus, blas, wins):
+    # the thermal_2mode pass has one bucket and the fock_4mode pass eight
     assert oracle._worker_wins(environ, cpus, blas) is wins
     monkeypatch.setattr(oracle, "_WORKER", wins)
-    assert oracle._lookahead(1) == 0
-    assert oracle._lookahead(8) == (oracle._LOOKAHEAD if wins else 0)
+    asked = []
+    monkeypatch.setattr(oracle, "_eigensystems",
+                        lambda jobs, worker: asked.append(worker) or EIGENSYSTEMS(jobs, False))
+    for model, n_max, times in (THERMAL_2MODE, FOCK_4MODE):
+        exact_scaled_dynamics(TruncatedBath(model, n_max=n_max), BENCH_RHO0, times[:2], (1.0,))
+    assert asked == [False, wins]
 
 
 # Run in a fresh interpreter whose OpenBLAS runs its default of a thread per
@@ -828,7 +839,7 @@ def test_concurrent_passes_each_run_their_own_worker(monkeypatch):
     # more calling threads than CPUs, switching often: each pass gets its
     # own buckets' eigensystems, in order, from its own stream, and joins
     # its own worker
-    force_lookahead(monkeypatch, oracle._LOOKAHEAD)
+    force_worker(monkeypatch, True)
     expected = _fock_pass_states()
     results, errors = [], []
 
@@ -853,6 +864,27 @@ def test_concurrent_passes_each_run_their_own_worker(monkeypatch):
     assert not errors and len(results) == 12
     assert all(np.array_equal(states, expected) for states in results)
     assert not worker_threads()
+
+
+@pytest.mark.parametrize("worker", [False, True], ids=["inline", "worker"])
+@pytest.mark.parametrize("beta, n_max, buckets", [
+    (math.inf, 2, 1), (1.0, 40, 1), (0.2, 200, 1), (0.02, 2100, 3),
+], ids=["vacuum", "beta1", "beta0.2", "beta0.02"])
+def test_one_mode_pass_is_the_jaynes_cummings_sum(monkeypatch, beta, n_max, buckets, worker):
+    # one detuned mode at any temperature, three coupling factors, against
+    # the thermal sum of 2 x 2 Rabi problems, which needs no oracle; each
+    # n_max keeps a thermal weight past it below 1e-16, and at beta = 0.02
+    # the pass's 2101 sectors fill three buckets
+    model = SpinBosonModel(1.0, [(1.1, 0.05)], beta)
+    bath = TruncatedBath(model, n_max=n_max)
+    sectors = list(oracle._sector_hamiltonians(bath))
+    assert len(oracle._buckets(sectors, RHO_MIXED.diagonal().real)) == buckets
+    times, factors = np.linspace(0, 5, 11), (1.0, 0.5, 0.25)
+    force_worker(monkeypatch, worker)
+    for factor, traj in zip(factors, exact_scaled_dynamics(bath, RHO_MIXED, times, factors)):
+        rho00, rho01 = jaynes_cummings_dynamics(model.scaled(factor), RHO_MIXED, times)
+        assert np.max(np.abs(traj.states[:, 0, 0] - rho00)) <= 1e-13
+        assert np.max(np.abs(traj.states[:, 0, 1] - rho01)) <= 1e-13
 
 
 def test_scaled_pass_without_factors_is_empty():

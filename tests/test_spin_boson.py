@@ -636,6 +636,22 @@ def test_rk4_matches_closed_forms():
     assert np.max(np.abs(traj.states[:, 1, 1].real - (1.0 - pop))) <= 1e-6
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: population_solution's fixed 400 "
+                   "Simpson panels miss the layer of width t / I(t) next to s = t on a hot, "
+                   "strongly coupled bath; here they are off by 1.72e-3 at t = 4")
+def test_population_solution_resolves_a_hot_strongly_coupled_bath():
+    # ROADMAP item 1's counterexample: I(4) = 214, and automatic RK4 takes
+    # 4870 substeps at an error estimate of 6.3e-15
+    model = SpinBosonModel(1.0, [(0.674, 0.148), (1.321, 0.251), (2.419, 0.097)], 0.0416)
+    traj = propagate(interaction_decomposition(model), bath_statistics(model),
+                     np.diag([0.5, 0.5]), [0.0, 4.0])
+    assert traj.metadata["error_estimate"] <= 1e-13
+    expected = traj.states[-1, 0, 0].real
+    assert population_solution(0.5, rate_functions(model), 4.0) == pytest.approx(expected,
+                                                                                 abs=1e-9)
+
+
 def test_element_system_rk4_matches_closed_forms():
     # integrate the four-component element system directly with RK4 and
     # compare against the closed-form coherence and population
@@ -769,6 +785,18 @@ def test_discretization_couplings():
                                       rel=1e-12)
     # midpoint grid stays inside the band
     assert modes[0][0] > 0.5 and modes[-1][0] < 2.5
+
+
+def test_bath_correlation_repeats_at_the_recurrence_time():
+    # sum_k g_k^2 exp(-i omega_k t) of the ohmic_400 band at 40 modes: back
+    # to its size at t = 0 after 2 pi / delta_omega, a hundredth of it half
+    # way there
+    disc = SpectralDiscretization(ohmic_density(0.01, 5.0), 0.01, 10.0, 40)
+    omega, g = np.array(disc.modes()).T
+    correlation = lambda t: abs(np.sum(g ** 2 * np.exp(-1j * omega * t)))
+    assert disc.recurrence_time == pytest.approx(2 * math.pi * 40 / 9.99, rel=1e-15)
+    assert correlation(disc.recurrence_time) == pytest.approx(correlation(0.0), rel=1e-12)
+    assert correlation(disc.recurrence_time / 2) < 0.02 * correlation(0.0)
 
 
 def test_discretization_validation():
