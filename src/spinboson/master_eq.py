@@ -355,7 +355,7 @@ def generator_matrix(decomp: InteractionDecomposition, bath: BathStatistics,
 
 def stage_generators(decomp: InteractionDecomposition, bath: BathStatistics,
                      times: np.ndarray, substeps: int,
-                     factors=1.0) -> Callable[[int, int], np.ndarray]:
+                     factors) -> Callable[[int, int], np.ndarray]:
     """Real forms of the generator matrices at the RK4 stage times of the
     intervals of ``times``.
 
@@ -381,7 +381,7 @@ def stage_generators(decomp: InteractionDecomposition, bath: BathStatistics,
     grid.  On bit-equal steps every batch shares the one table.
 
     The generators are those of the couplings scaled by ``factors``, a
-    scalar (1 by default) or an array whose shape comes first: the basis is
+    scalar, or an array whose shape comes first: the basis is
     scaled once by the second-order rule (:func:`_scaled_basis`), and the
     coefficients the bath gives once per batch serve every factor.
     """

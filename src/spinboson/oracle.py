@@ -16,11 +16,11 @@ more than one bucket may share with a thread of its own that runs ahead
 so every sum is the one the calling thread alone would form, bit for bit.
 The series terms of the evolution operator come from one exponential of a
 block matrix built from the free energies and the coupling.  The exact
-reduced map comes from the same sector pass, as a 4 x 4 matrix on
-row-major 2 x 2 states; the deviation of that map from the identity and
-the alternating-sum inversion identity work with it alone.  All of them read
-one table of product-basis matrix elements.  Each function takes the one
-:class:`TruncatedBath`, which holds the model it truncates.
+reduced map comes from the same sector pass and the same co-rotation, as a
+4 x 4 matrix on row-major 2 x 2 states; the deviation of that map from the
+identity and the alternating-sum inversion identity work with it alone.  All
+of them read one table of product-basis matrix elements.  Each function takes
+the one :class:`TruncatedBath`, which holds the model it truncates.
 
 All reduced states returned here live in the frame co-rotating with the
 uncoupled Hamiltonian, so they compare directly against the master-equation
@@ -72,14 +72,17 @@ _LOOKAHEAD = 2
 # check_truncation's one bound on the shift of a sampled element at twice n_max.
 _TRUNCATION_BOUND = 1e-6
 
+# The largest full system+bath dimension a TruncatedBath may have.
+_DIM_CAP = 8192
+
 
 class BathDimensionError(ValueError):
-    """Truncated Hilbert space would exceed the configured cap."""
+    """Truncated Hilbert space would exceed the cap of 8192 dimensions."""
 
     def __init__(self, dim: int, cap: int, n_max: int, n_modes: int, needed_by: str = ""):
         super().__init__(
             f"{needed_by}full Hilbert dimension 2*({n_max}+1)^{n_modes} = {_size(dim)} "
-            f"exceeds the cap of {cap}; lower n_max or the mode count, or raise dim_cap")
+            f"exceeds the cap of {cap}; lower n_max or the mode count")
         self.dim = dim
         self.cap = cap
 
@@ -106,27 +109,24 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncatedBath:
-    """A model and the Fock cutoff of its bath, with the dimension
+    """A model and the Fock cutoff ``n_max`` of its bath, with the dimension
     bookkeeping: the one argument every function here reads the model from.
 
-    The default ``n_max = 4`` is exact for the vacuum only.  Thermal baths
-    need more even at beta * omega >= 1: against ``n_max = 30``, one mode
-    (omega = 1, g = 0.1, beta = 1, 21 samples on [0, 5]) errs by up to
+    The full dimension 2 (n_max + 1)^modes may not exceed 8192.  Only the
+    vacuum is exact at every cutoff.  Against ``n_max = 30``, one thermal
+    mode (omega = 1, g = 0.1, beta = 1, 21 samples on [0, 5]) errs by up to
     8.7e-3 at ``n_max = 4``, 1.7e-4 at 8 and 3.3e-6 at 12; the modes 0.8:0.1
     and 1.2:0.07 at beta = 1.25 by 7.4e-3 at 4.  Check a cutoff with
     ``exact_reduced_dynamics(..., check_truncation=True)``.
     """
 
     model: SpinBosonModel
-    n_max: int = 4
-    dim_cap: int = 8192
+    n_max: int
 
     def __post_init__(self):
         require_count(self.n_max, "n_max")
-        require_count(self.dim_cap, "dim_cap")
-        if self.full_dim > self.dim_cap:
-            raise BathDimensionError(self.full_dim, self.dim_cap,
-                                     self.n_max, self.n_modes)
+        if self.full_dim > _DIM_CAP:
+            raise BathDimensionError(self.full_dim, _DIM_CAP, self.n_max, self.n_modes)
 
     @property
     def levels(self) -> int:
@@ -294,9 +294,10 @@ def exact_scaled_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence
     is directly comparable to master-equation trajectories.  With
     ``check_truncation`` the pass is repeated at double the Fock cutoff,
     and the first factor whose sampled elements move by more than the fixed
-    1e-6 raises TruncationError; a doubled cutoff over ``bath.dim_cap``
-    raises before the first pass.  ``times`` must be a finite, strictly
-    increasing grid.  Returns one checked :class:`Trajectory` per factor.
+    1e-6 raises TruncationError; a doubled cutoff over the cap of 8192
+    dimensions raises before the first pass.  ``times`` must be a finite,
+    strictly increasing grid.  Returns one checked :class:`Trajectory` per
+    factor.
     """
     rho0 = require_density_matrix(rho0)
     times = require_time_grid(times)
@@ -310,9 +311,10 @@ def exact_scaled_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence
                                      needed_by="check_truncation reruns at twice n_max: ") from None
     trajectories = [Trajectory(times, states,
                                metadata={"integrator": "exact-eig", "n_max": bath.n_max})
-                    for states in _rotated_states(bath, rho0, times, factors)]
+                    for states in _rotated_states(bath, rho0[None], times, factors)[:, 0]]
     if check_truncation:
-        for traj, reference in zip(trajectories, _rotated_states(fine, rho0, times, factors)):
+        for traj, reference in zip(trajectories,
+                                   _rotated_states(fine, rho0[None], times, factors)[:, 0]):
             shift = float(np.max(np.abs(traj.states - reference)))
             traj.metadata["truncation_shift"] = shift
             if shift > _TRUNCATION_BOUND:
@@ -320,16 +322,18 @@ def exact_scaled_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence
     return trajectories
 
 
-def _rotated_states(bath: TruncatedBath, rho0: np.ndarray, times: np.ndarray,
+def _rotated_states(bath: TruncatedBath, operators: np.ndarray, times: np.ndarray,
                     factors: np.ndarray) -> np.ndarray:
     """The reduced states of :func:`exact_scaled_dynamics`, co-rotated, from
-    checked arguments: shape ``(len(factors), len(times), 2, 2)``."""
-    z = _sector_sums(bath, rho0.diagonal().real, times, factors)
-    reduced = np.empty((len(factors), len(times), 2, 2), dtype=complex)
-    reduced[:, :, 0, 0] = z[:, 0]
-    reduced[:, :, 1, 1] = z[:, 1]
-    reduced[:, :, 0, 1] = rho0[0, 1] * z[:, 2]
-    reduced[:, :, 1, 0] = rho0[1, 0] * z[:, 3]
+    checked arguments and a stack of initial 2 x 2 ``operators``, all from
+    one sector pass: shape ``(len(factors), len(operators), len(times), 2,
+    2)``."""
+    z = _sector_sums(bath, operators.diagonal(axis1=1, axis2=2).real, times, factors)
+    reduced = np.empty((len(factors), len(operators), len(times), 2, 2), dtype=complex)
+    reduced[..., 0, 0] = z[:, 0:-2:2]
+    reduced[..., 1, 1] = z[:, 1:-2:2]
+    reduced[..., 0, 1] = operators[:, 0, 1, None] * z[:, None, -2]
+    reduced[..., 1, 0] = operators[:, 1, 0, None] * z[:, None, -1]
 
     omega0 = bath.model.omega0
     e_sys = np.array([0.5 * omega0, -0.5 * omega0])
@@ -639,15 +643,15 @@ def _pairings(left: np.ndarray, trig: np.ndarray) -> np.ndarray:
     return np.einsum("...sutj,...svtj->...uvt", halves, trig)
 
 
-def dyson_terms(bath: TruncatedBath, t: float, order: int = 2) -> list[np.ndarray]:
-    """Series terms of the co-rotating evolution operator through ``order``.
+def dyson_terms(bath: TruncatedBath, t: float) -> list[np.ndarray]:
+    """Series terms zero, one and two of the co-rotating evolution operator.
 
     Term zero is the identity and term k is the k-fold time-ordered integral
     of (-i) times the co-rotating coupling.  All terms come from one matrix
     exponential (Van Loan, IEEE TAC 23, 395 (1978)): with H = H0 + V, the
     block matrix holding -i H0 on every diagonal block and -i V on the block
     superdiagonal exponentiates, at time t, to a first block row whose block
-    k is exp(-i H0 t) times term k; ``t`` is finite and ``order`` 0, 1 or 2.
+    k is exp(-i H0 t) times term k; ``t`` is finite.
     Needs scipy, which nothing else in the package imports; install it with
     the ``dyson`` extra.
     """
@@ -657,39 +661,30 @@ def dyson_terms(bath: TruncatedBath, t: float, order: int = 2) -> list[np.ndarra
         raise ImportError("dyson_terms needs scipy: pip install 'spinboson[dyson]'") from exc
 
     t = float(require_time_grid([t])[0])
-    if require_count(order, "order") > 2:
-        raise ValueError("only orders 0..2 are implemented")
-    d, n = bath.full_dim, order + 1
+    d = bath.full_dim
     h = full_hamiltonian(bath)
     free = np.diag(np.diag(h))
-    blocks = np.zeros((n, d, n, d), dtype=complex)
-    for k in range(n):
+    blocks = np.zeros((3, d, 3, d), dtype=complex)
+    for k in range(3):
         blocks[k, :, k] = free
-        if k:
-            blocks[k - 1, :, k] = h - free
-    row = expm(-1j * t * blocks.reshape(n * d, n * d))[:d].reshape(d, n, d)
-    return [np.eye(d, dtype=complex)] + [_co_rotate(h, t, row[:, k]) for k in range(1, n)]
+    blocks[0, :, 1] = blocks[1, :, 2] = h - free
+    row = expm(-1j * t * blocks.reshape(3 * d, 3 * d))[:d].reshape(d, 3, d)
+    return [np.eye(d, dtype=complex), _co_rotate(h, t, row[:, 1]), _co_rotate(h, t, row[:, 2])]
 
 
 def _reduced_map(bath: TruncatedBath, t: float) -> np.ndarray:
     """Exact reduced map Phi(t) as a 4 x 4 matrix on row-major 2 x 2 states.
 
-    Built from the sector pass: the bath state is diagonal and the coupling
-    conserves the excitation number, so populations map to populations and
-    each coherence only to itself.  The population columns are those from
-    the initial populations (1, 0) and (0, 1), stacked in one pass; the
-    coherence entries are the per-unit rho01 and rho10 sums, with the free
-    rotation exp(i (e_i - e_j) t) applied.
+    Column 2 i + j is the co-rotated reduced state at ``t`` from the initial
+    operator |i><j|.  The four operators share one sector pass
+    (:func:`_rotated_states`), as the states of :func:`exact_scaled_dynamics`
+    do.  The bath state is diagonal and the coupling conserves the
+    excitation number, so populations map to populations and each coherence
+    only to itself: the columns of |0><1| and |1><0| have zero populations.
     """
-    times = require_time_grid([t])
-    z = _sector_sums(bath, np.eye(2), times, np.ones(1))[0, :, 0]
-    rotation = np.exp(1j * bath.model.omega0 * times[0])
-    phi = np.zeros((4, 4), dtype=complex)
-    phi[[0, 3], 0] = z[0:2]
-    phi[[0, 3], 3] = z[2:4]
-    phi[1, 1] = z[4] * rotation
-    phi[2, 2] = z[5] * rotation.conjugate()
-    return phi
+    basis = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    states = _rotated_states(bath, basis, require_time_grid([t]), np.ones(1))
+    return states[0, :, 0].reshape(4, 4).T
 
 
 def _system_state(rho) -> np.ndarray:

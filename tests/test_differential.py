@@ -1,0 +1,65 @@
+"""Differential properties across the independent solvers, on models drawn by
+hypothesis: RK4 ``propagate`` against the closed-form coherence, the
+one-mode sector pass against the Jaynes-Cummings sum, and the exact reduced
+map's trace and complete positivity.  The populations are not compared: the
+closed-form population solution is known to fail on hot, strongly coupled
+baths."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinboson import oracle
+from spinboson.master_eq import propagate
+from spinboson.oracle import TruncatedBath, exact_scaled_dynamics
+from spinboson.spin_boson import (SpinBosonModel, bath_statistics, coherence_solution,
+                                  interaction_decomposition, rate_functions)
+
+from helpers import jaynes_cummings_dynamics
+
+RHO_MIXED = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]], dtype=complex)
+
+# a detuning from 1e-9 to 0.5 in size, of either sign: every mode frequency
+# 1 + detuning stays positive, and a one-mode sector pass at beta >= 0.05
+# within the oracle's cap
+detunings = st.builds(lambda size, sign: sign * 10.0 ** size,
+                      st.floats(-9.0, math.log10(0.5)), st.sampled_from([1.0, -1.0]))
+modes = st.tuples(detunings.map(lambda d: 1.0 + d), st.floats(1e-3, 0.3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(modes, min_size=1, max_size=3),
+       st.one_of(st.floats(0.01, 10.0), st.just(math.inf)), st.floats(0.5, 5.0))
+def test_automatic_propagate_matches_the_closed_form_coherence(bath_modes, beta, t_max):
+    model = SpinBosonModel(1.0, bath_modes, beta)
+    times = np.linspace(0.0, t_max, 6)
+    traj = propagate(interaction_decomposition(model), bath_statistics(model), RHO_MIXED, times)
+    coherence = coherence_solution(RHO_MIXED[0, 1], rate_functions(model), times)
+    assert np.max(np.abs(traj.states[:, 0, 1] - coherence)) <= 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(modes, st.floats(0.05, 5.0))
+def test_one_mode_pass_is_the_jaynes_cummings_sum_at_any_beta(mode, beta):
+    # the cutoff keeps the thermal weight past it, q^(n_max + 1), below 1e-16
+    model = SpinBosonModel(1.0, [mode], beta)
+    n_max = math.ceil(math.log(1e-16) / -(beta * mode[0]))
+    times = np.linspace(0.0, 5.0, 11)
+    traj, = exact_scaled_dynamics(TruncatedBath(model, n_max), RHO_MIXED, times, (1.0,))
+    rho00, rho01 = jaynes_cummings_dynamics(model, RHO_MIXED, times)
+    assert np.max(np.abs(traj.states[:, 0, 0] - rho00)) <= 1e-13
+    assert np.max(np.abs(traj.states[:, 0, 1] - rho01)) <= 1e-13
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(modes, min_size=1, max_size=2), st.floats(0.3, 5.0), st.floats(0.0, 5.0))
+def test_reduced_map_is_trace_preserving_and_completely_positive(bath_modes, beta, t):
+    phi = oracle._reduced_map(TruncatedBath(SpinBosonModel(1.0, bath_modes, beta), 4), t)
+    # the trace of each image, rows 0 and 3 of the row-major map, is that of
+    # its basis operator |i><j|
+    assert np.max(np.abs(phi[0] + phi[3] - [1, 0, 0, 1])) <= 1e-12
+    # Choi matrix: entry ((i, k), (j, l)) is <k| Phi(|i><j|) |l>
+    choi = phi.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+    assert np.min(np.linalg.eigvalsh(choi)) >= -1e-12

@@ -105,7 +105,6 @@ def _propagate(substeps):
 # (site, name, minimum, call with the value); the config sites read text
 _COUNT_SITES = [
     ("TruncatedBath", "n_max", 0, lambda v: TruncatedBath(_MODEL, n_max=v)),
-    ("TruncatedBath", "dim_cap", 0, lambda v: TruncatedBath(_MODEL, n_max=0, dim_cap=v)),
     ("SpectralDiscretization", "mode_count", 1,
      lambda v: SpectralDiscretization(flat_density(0.01), 0.5, 1.5, v)),
     ("propagate", "substeps", 1, _propagate),
@@ -114,7 +113,6 @@ _COUNT_SITES = [
      lambda v: parse_config_text(_CONFIG + _SAMPLES + f"rk4_substeps = {v}\n")),
     ("config", "n_max", 1, lambda v: parse_config_text(_CONFIG + _SAMPLES + f"n_max = {v}\n")),
     ("config", "mode_count", 1, lambda v: parse_config_text(_FLAT_BAND + f"mode_count = {v}\n")),
-    ("dyson_terms", "order", 0, lambda v: dyson_terms(TruncatedBath(_MODEL, n_max=1), 0.5, v)),
     ("map_inversion_residual", "order", 0,
      lambda v: map_inversion_residual(TruncatedBath(_MODEL, n_max=1), _RHO, 0.5, v)),
 ]
@@ -128,11 +126,6 @@ def test_counts_reject_bools_floats_and_values_below_the_minimum(site, name, min
         with pytest.raises(error, match=name):
             call(value)
     call(np.int64(minimum + 2))
-
-
-def test_dyson_terms_stop_at_order_two():
-    with pytest.raises(ValueError, match="only orders 0..2"):
-        dyson_terms(TruncatedBath(_MODEL, n_max=1), 0.5, 3)
 
 
 def test_require_count_returns_a_plain_int():

@@ -63,7 +63,7 @@ def patched_generator(generator):
     constant complex ``generator`` at every stage time."""
     real = master_eq._real_form(np.asarray(generator, dtype=complex))
 
-    def stage_generators(decomp, bath, times, substeps, factors=1.0):
+    def stage_generators(decomp, bath, times, substeps, factors):
         return lambda first, stop: np.broadcast_to(
             real, np.shape(factors) + (stop - first, 2 * substeps + 1) + real.shape)
 
@@ -408,7 +408,7 @@ def test_stage_generators_match_generator_at_stage_times():
     substeps = 7
     for times in (np.array([0.0, 0.35, 1.12, 1.26]), 0.375 * np.arange(4.0)):
         starts, steps = times[:-1], np.diff(times) / substeps
-        stages = complex_form(stage_generators(decomp, bath, times, substeps)(0, 3))
+        stages = complex_form(stage_generators(decomp, bath, times, substeps, 1.0)(0, 3))
         assert stages.shape == (3, 2 * substeps + 1, 4, 4)
         for i in range(3):
             t = starts[i] + steps[i] * 0.5 * np.arange(2 * substeps + 1)
@@ -421,7 +421,7 @@ def test_stage_generators_at_ohmic_scale(grid):
     # origin each (uniform), or a table per interval (one step an ulp off)
     model, decomp, bath = ohmic_vacuum()
     times = OHMIC_GRID if grid == "uniform" else ulp_grid(OHMIC_GRID)
-    stages = stage_generators(decomp, bath, times, OHMIC_SUBSTEPS)
+    stages = stage_generators(decomp, bath, times, OHMIC_SUBSTEPS, 1.0)
     # the per-mode factor scale of the rates, sum_k |2 w_k / d_k|
     rates = rate_functions(model)
     scale = np.sum(np.abs(2.0 * rates.emission / rates.detunings))

@@ -57,7 +57,7 @@ def test_bath_dimensions():
 def test_dimension_cap_rejected_with_diagnostic():
     model = SpinBosonModel(1.0, [(1.0, 0.1)] * 5, math.inf)
     with pytest.raises(BathDimensionError) as err:
-        TruncatedBath(model, n_max=9, dim_cap=8192)
+        TruncatedBath(model, n_max=9)
     assert err.value.dim == 2 * 10 ** 5
     assert "lower n_max" in str(err.value)
 
@@ -76,7 +76,6 @@ def test_a_400_mode_bath_reports_its_dimension_compactly(n_max, size):
 
 @pytest.mark.parametrize("kwargs", [
     {"n_max": 2.5}, {"n_max": 2.0}, {"n_max": True}, {"n_max": -1},
-    {"dim_cap": 8192.0}, {"dim_cap": True}, {"dim_cap": -1},
 ])
 def test_truncated_bath_rejects_non_integral_counts(kwargs):
     # 2.5 used to fail later as an IndexError and True to run silently as 1
@@ -85,8 +84,14 @@ def test_truncated_bath_rejects_non_integral_counts(kwargs):
 
 
 def test_truncated_bath_accepts_numpy_integers():
-    bath = TruncatedBath(two_mode_vacuum(), n_max=np.int64(3), dim_cap=np.int32(100))
+    bath = TruncatedBath(two_mode_vacuum(), n_max=np.int64(3))
     assert bath.full_dim == 32
+
+
+def test_truncated_bath_has_no_default_cutoff():
+    # a thermal bath is wrong at any one default cutoff, so none is offered
+    with pytest.raises(TypeError, match="n_max"):
+        TruncatedBath(two_mode_vacuum())
 
 
 def test_annihilation_matrix_elements():
@@ -514,7 +519,7 @@ def test_three_factor_thermal_pass_stays_within_its_memory(samples, bound):
 
 def test_vacuum_pass_builds_only_the_weighted_sectors():
     # tracemalloc's peak of one pass on a 6-mode vacuum model at n_max = 3
-    # (full dimension 8192, the default cap), where only sectors N = 0 and 1
+    # (full dimension 8192, the cap), where only sectors N = 0 and 1
     # hold bath weight: 1.74 MB when the pass builds those two blocks alone,
     # 55.0 MB when it builds all 20 sectors' dense blocks first.  The bound
     # leaves 4.6 times the first and fails the second
@@ -522,7 +527,7 @@ def test_vacuum_pass_builds_only_the_weighted_sectors():
 
     model = SpinBosonModel(1.0, [(0.7 + 0.1 * k, 0.05) for k in range(6)], math.inf)
     bath = TruncatedBath(model, n_max=3)
-    assert bath.full_dim == bath.dim_cap == 8192
+    assert bath.full_dim == oracle._DIM_CAP == 8192
     run = lambda: exact_reduced_dynamics(bath, RHO_MIXED, np.linspace(0, 2, 11))
     run()
     tracemalloc.start()
@@ -996,7 +1001,7 @@ def test_dyson_terms_at_zero_time():
 def test_dyson_first_term_anti_hermitian():
     model = two_mode_vacuum(0.07, 0.11)
     bath = TruncatedBath(model, n_max=3)
-    _, u1 = dyson_terms(bath, 1.7, order=1)
+    u1 = dyson_terms(bath, 1.7)[1]
     assert np.max(np.abs(u1 + u1.conj().T)) <= 1e-10
 
 
@@ -1050,12 +1055,6 @@ def test_dyson_terms_match_nested_quadrature():
     _, u1, u2 = dyson_terms(bath, t)
     assert np.max(np.abs(u1 + 1j * simpson(h_outer, x=outer, axis=0))) <= 1e-10
     assert np.max(np.abs(u2 + simpson(integrand, x=outer, axis=0))) <= 1e-10
-
-
-def test_dyson_rejects_unimplemented_orders():
-    model = vacuum_mode()
-    with pytest.raises(ValueError):
-        dyson_terms(TruncatedBath(model, n_max=2), 1.0, order=3)
 
 
 def test_interaction_unitary_properties():
@@ -1177,7 +1176,7 @@ def test_thermal_correlations_from_truncated_bath_match_closed_forms():
     # against the closed per-mode sums; n_max = 20 pushes the truncated
     # occupations within ~1e-10 of the closed Bose-Einstein values
     model = SpinBosonModel(1.0, [(0.8, 0.11), (1.6, 0.07)], 1.5)
-    bath = TruncatedBath(model, n_max=20, dim_cap=10 ** 6)
+    bath = TruncatedBath(model, n_max=20)
     state_diag = np.diag(thermal_bath_state(bath)).real
     ops = bath_annihilation_ops(bath)
     detunings = model.frequencies - model.omega0
