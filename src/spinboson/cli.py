@@ -386,6 +386,8 @@ def main(argv=None) -> int:
         if not out:
             raise ConfigError("no output path: pass --out or set output_path")
         _refuse_overwriting(args.config, _outputs(args.command, out))
+        if args.command in ("exact", "compare") and cfg.n_max is None:
+            raise ConfigError(f"{args.command} needs n_max, the exact reference's Fock cutoff")
         return _COMMANDS[args.command][0](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,11 +13,11 @@ model:       omega0, beta ("vacuum" or a positive float), and exactly one of
              * density (ohmic|flat), eta, omega_c (ohmic only),
                omega_min, omega_max, mode_count
 simulation:  t_max (times the largest of omega0 and the mode frequencies,
-             and times 2 sqrt(n_max) sum_k |g_k|, at most MAX_PHASE; with a
-             density, below the recurrence time 2 pi mode_count /
-             (omega_max - omega_min) of its evenly spaced modes, past which
-             every bath correlation repeats and the run stands for no
-             continuum: SpectralDiscretization.recurrence_time),
+             and with n_max times 2 sqrt(n_max) sum_k |g_k|, at most
+             MAX_PHASE; with a density, below the recurrence time 2 pi
+             mode_count / (omega_max - omega_min) of its evenly spaced
+             modes, past which every bath correlation repeats and the run
+             stands for no continuum: SpectralDiscretization.recurrence_time),
              samples (the grid linspace(0, t_max, samples) must pass
              linalg.require_time_grid, the one time rule, so a t_max so
              small that two times round together is refused), rk4_substeps
@@ -27,10 +27,10 @@ state:       rho00, rho01 (complex literal, e.g. "0.3+0.1j"); the state
              [[rho00, rho01], [conj(rho01), 1 - rho00]] must pass
              linalg.require_density_matrix at tol = 1e-15, the library's
              one initial-state rule, whose error names both keys
-oracle:      oracle_enabled (true|false, default false), n_max (default 4),
-             check_truncation (true|false, default false: rerun the exact
-             solver at twice n_max and abort if any element moves by more
-             than the fixed bound 1e-6)
+oracle:      oracle_enabled (true|false, default false), n_max (no default;
+             exact and compare need it), check_truncation (true|false,
+             default false: rerun the exact solver at twice n_max and abort
+             if any element moves by more than the fixed bound 1e-6)
 output:      output_path (optional if --out is given; the CLI refuses it,
              like --out, where the output would overwrite the config)
 """
@@ -51,7 +51,7 @@ from .spin_boson import (SpectralDiscretization, SpinBosonModel, flat_density,
 __all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_config", "MAX_PHASE"]
 
 # The largest phase a config may ask for, of the free energies,
-# t_max * max(omega0, mode frequencies), and of the coupling,
+# t_max * max(omega0, mode frequencies), and with n_max of the coupling,
 # t_max * 2 sqrt(n_max) sum_k |g_k|, a Gershgorin bound of its share of the
 # exact reference's sector energies: one ulp of a phase of 1e8 is 1.5e-8
 # rad, and far beyond it the verbs write infinities, abort on NaN, or write
@@ -159,7 +159,7 @@ class RunConfig:
     rho00: float = _key(_parse_float)
     rho01: complex = _key(_parse_complex)
     oracle_enabled: bool = _key(_parse_bool, False)
-    n_max: int = _key(_parse_count, 4)
+    n_max: int | None = _key(_parse_count, None)
     check_truncation: bool = _key(_parse_bool, False)
     output_path: str | None = _key(str, None)
 
@@ -280,11 +280,13 @@ def parse_config_text(text: str) -> RunConfig:
                 f"and 't_max': t_max = {cfg.t_max:g} reaches the recurrence time "
                 f"2 pi / delta_omega = {recurrence:.6g} of {cfg.mode_count} modes, past "
                 f"which the discretized bath revives; raise mode_count or lower t_max")
-    # in Python floats, which overflow to infinity without a warning
-    coupling = 2.0 * math.sqrt(cfg.n_max) * sum(abs(g) for _, g in model.modes)
-    for name, phase in (("max(omega0, mode frequencies)",
-                         cfg.t_max * max(cfg.omega0, float(model.frequencies.max()))),
-                        ("2 sqrt(n_max) sum |g_k|", cfg.t_max * coupling)):
+    phases = [("max(omega0, mode frequencies)",
+               cfg.t_max * max(cfg.omega0, float(model.frequencies.max())))]
+    if cfg.n_max is not None:
+        # in Python floats, which overflow to infinity without a warning
+        coupling = 2.0 * math.sqrt(cfg.n_max) * sum(abs(g) for _, g in model.modes)
+        phases.append(("2 sqrt(n_max) sum |g_k|", cfg.t_max * coupling))
+    for name, phase in phases:
         if phase > MAX_PHASE:
             raise ConfigError(f"line {line_of['t_max']}: field 't_max': t_max x {name} "
                               f"= {phase:g} exceeds the phase bound {MAX_PHASE:g}")

@@ -609,7 +609,8 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
     couplings as the bath gives them.
 
     ``rho0`` must be Hermitian, unit trace and positive semidefinite within
-    1e-10, ``times`` a finite, strictly increasing grid, and ``substeps`` a
+    1e-10, ``times`` a finite, strictly increasing grid from 0, the time of
+    ``rho0`` and where the bath's integrals start, and ``substeps`` a
     positive integer (a bool or a float raises ``ValueError``) or ``None``.
 
     ``substeps=None`` sizes the count from the integration's own error.  A
@@ -672,6 +673,9 @@ def propagate_scaled(decomp: InteractionDecomposition, bath: BathStatistics,
     """
     rho0 = require_density_matrix(rho0)
     times = require_time_grid(times)
+    if times[0] != 0:
+        raise ValueError(f"times must start at 0, where rho0 and the bath's integrals "
+                         f"start; got times[0] = {times[0]:g}")
     factors = require_factors(factors)
     if substeps is not None:
         substeps = require_count(substeps, "substeps", 1)

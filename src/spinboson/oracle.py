@@ -5,15 +5,9 @@ system+bath space finite.  The coupling exchanges single quanta, so the
 total Hamiltonian splits into excitation-number sectors, and one
 eigendecomposition per sector gives the reduced dynamics exactly (within
 the truncation) at every requested time.  One pass over the sectors serves
-several coupling scales at once: the sector blocks and the bath weights are
-built once, and each sector diagonalizes the stacked blocks of a chunk of
-scales in one call.  The rest of the pass runs on buckets of consecutive
-sectors, zero-padded to common shapes, so that many small sectors share
-each array operation; a large sector is a bucket of its own.  Every pass
-takes its buckets' eigensystems from one stream of jobs, which a pass of
-more than one bucket may share with a thread of its own that runs ahead
-(:func:`_worker_wins` says where); the results are used in bucket order,
-so every sum is the one the calling thread alone would form, bit for bit.
+several coupling scales at once; :func:`_sector_sums` describes its chunks
+of scales, its buckets of sectors and the thread that may run its ``eigh``
+calls ahead without moving a bit of the result.
 The series terms of the evolution operator come from one exponential of a
 block matrix built from the free energies and the coupling.  The exact
 reduced map comes from the same sector pass and the same co-rotation, as a
@@ -77,14 +71,14 @@ _DIM_CAP = 8192
 
 
 class BathDimensionError(ValueError):
-    """Truncated Hilbert space would exceed the cap of 8192 dimensions."""
+    """The full dimension 2 (n_max + 1)^n_modes exceeds the cap of 8192."""
 
-    def __init__(self, dim: int, cap: int, n_max: int, n_modes: int, needed_by: str = ""):
+    def __init__(self, n_max: int, n_modes: int, needed_by: str = ""):
+        self.dim = 2 * (n_max + 1) ** n_modes
+        self.cap = _DIM_CAP
         super().__init__(
-            f"{needed_by}full Hilbert dimension 2*({n_max}+1)^{n_modes} = {_size(dim)} "
-            f"exceeds the cap of {cap}; lower n_max or the mode count")
-        self.dim = dim
-        self.cap = cap
+            f"{needed_by}full Hilbert dimension 2*({n_max}+1)^{n_modes} = {_size(self.dim)} "
+            f"exceeds the cap of {self.cap}; lower n_max or the mode count")
 
 
 def _size(n: int) -> str:
@@ -113,10 +107,11 @@ class TruncatedBath:
     bookkeeping: the one argument every function here reads the model from.
 
     The full dimension 2 (n_max + 1)^modes may not exceed 8192.  Only the
-    vacuum is exact at every cutoff.  Against ``n_max = 30``, one thermal
-    mode (omega = 1, g = 0.1, beta = 1, 21 samples on [0, 5]) errs by up to
-    8.7e-3 at ``n_max = 4``, 1.7e-4 at 8 and 3.3e-6 at 12; the modes 0.8:0.1
-    and 1.2:0.07 at beta = 1.25 by 7.4e-3 at 4.  Check a cutoff with
+    vacuum is exact at every cutoff from ``n_max = 1`` on: at 0 no mode
+    holds a quantum, so the coupling vanishes.  Against ``n_max = 30``, one
+    thermal mode (omega = 1, g = 0.1, beta = 1, 21 samples on [0, 5]) errs
+    by up to 8.7e-3 at ``n_max = 4``, 1.7e-4 at 8 and 3.3e-6 at 12; the
+    modes 0.8:0.1 and 1.2:0.07 at beta = 1.25 by 7.4e-3 at 4.  Check with
     ``exact_reduced_dynamics(..., check_truncation=True)``.
     """
 
@@ -126,7 +121,7 @@ class TruncatedBath:
     def __post_init__(self):
         require_count(self.n_max, "n_max")
         if self.full_dim > _DIM_CAP:
-            raise BathDimensionError(self.full_dim, _DIM_CAP, self.n_max, self.n_modes)
+            raise BathDimensionError(self.n_max, self.n_modes)
 
     @property
     def levels(self) -> int:
@@ -283,16 +278,14 @@ def exact_scaled_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence
     ``diag(E) + f V`` and leaves the weights alone.  The bath state is
     diagonal, so the full state only has blocks (N, N), which give the
     populations, and (N, N - 1) and (N - 1, N), which give the coherences
-    rho01 and rho10.  Each block is eigendecomposed once per factor, with
-    the factors and sectors stacked as :func:`_sector_sums` describes; the
-    reduced element it contributes is then a bilinear form in the phases
-    exp(-i w t) of the two sectors, evaluated for all sample times in real
-    arithmetic on their cosines and sines.  Every factor's result is the
-    same, bit for bit, as that of a pass with that factor alone.  Sectors
-    holding no bath weight (all but two for the vacuum) are never built or
-    diagonalized.  The free system rotation is applied last, so the output
-    is directly comparable to master-equation trajectories.  With
-    ``check_truncation`` the pass is repeated at double the Fock cutoff,
+    rho01 and rho10.  Each block is eigendecomposed once per factor, and
+    each reduced element is a bilinear form in the phases of two sectors,
+    at all sample times at once (:func:`_sector_sums`).  Every factor's
+    result is the same, bit for bit, as that of a pass with that factor
+    alone.  Sectors holding no bath weight (all but two for the vacuum) are
+    never built or diagonalized.  The free system rotation is applied last,
+    so the output is directly comparable to master-equation trajectories.
+    With ``check_truncation`` the pass is repeated at double the Fock cutoff,
     and the first factor whose sampled elements move by more than the fixed
     1e-6 raises TruncationError; a doubled cutoff over the cap of 8192
     dimensions raises before the first pass.  ``times`` must be a finite,
@@ -306,9 +299,9 @@ def exact_scaled_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence
         # the rerun must fit the cap too: say so before the first run, not after it
         try:
             fine = replace(bath, n_max=2 * bath.n_max)
-        except BathDimensionError as exc:
-            raise BathDimensionError(exc.dim, exc.cap, 2 * bath.n_max, bath.n_modes,
-                                     needed_by="check_truncation reruns at twice n_max: ") from None
+        except BathDimensionError:
+            raise BathDimensionError(2 * bath.n_max, bath.n_modes,
+                                     "check_truncation reruns at twice n_max: ") from None
     trajectories = [Trajectory(times, states,
                                metadata={"integrator": "exact-eig", "n_max": bath.n_max})
                     for states in _rotated_states(bath, rho0[None], times, factors)[:, 0]]
@@ -345,16 +338,16 @@ def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray
                  factors: np.ndarray) -> np.ndarray:
     """Sector pass behind :func:`exact_scaled_dynamics`.
 
-    ``populations`` holds the initial (rho00, rho11), shape ``(2,)``, or a
-    stack of them, shape ``(k, 2)``.  Returns rho00 and rho11 from each
-    initial pair in turn, then rho01 / rho0[0, 1] and rho10 / rho0[1, 0],
-    before the free rotation: shape ``(len(factors), 2 k + 2, len(times))``,
-    with k = 1 for a single pair.  Each is a sum over sectors of bilinear
-    forms sum_ij phase[t, i] c[i, j] conj(phase'[t, j]) with real c and
-    phase = exp(-i w t) = cos - i sin, accumulated as its four real cos/sin
-    pairings, in sector order.  Every sector is diagonalized once per
-    factor, whatever the number of initial pairs; each pair costs one
-    d x d product more.
+    ``populations`` is a stack of initial (rho00, rho11) pairs, shape
+    ``(k, 2)``.  Returns rho00 and rho11 from each pair in turn, then
+    rho01 / rho0[0, 1] and rho10 / rho0[1, 0], before the free rotation:
+    shape ``(len(factors), 2 k + 2, len(times))``.  Each is a sum over
+    sectors of bilinear forms sum_ij phase[t, i] c[i, j] conj(phase'[t, j])
+    with real c and phase = exp(-i w t) = cos - i sin, accumulated as its
+    four real cos/sin pairings, in sector order.  Every sector is
+    diagonalized once per factor, whatever the number of pairs; each pair
+    runs through :func:`_population_pairings` on its own, level projectors
+    included, so one pair carries no broadcast axis into the products.
 
     The factors run in chunks of ``max(1, _SECTOR_BUDGET // d**2)``, d the
     largest diagonalized sector, and the sectors in buckets of consecutive
@@ -366,12 +359,11 @@ def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray
     sector order.  The coherence across a bucket boundary pairs the
     bucket's first sector with the previous bucket's last.  Memory per
     chunk: each stacked array of a bucket holds at most ``chunk x
-    _SECTOR_BUDGET`` elements, times the initial pairs for the population
-    products and times ``2 len(times)`` for the phases and the products
-    with them.  So small sectors share arrays larger than any one of them
-    needs, and the chunk does not bound a pass's memory by that of its
-    largest sector: on ``thermal_2mode`` the three-factor pass peaks at
-    about 4.7 times the peak of its sectors run one at a time, on a grid
+    _SECTOR_BUDGET`` elements, times ``2 len(times)`` for the phases and
+    the products with them.  So small sectors share arrays larger than any
+    one of them needs, and the chunk does not bound a pass's memory by that
+    of its largest sector: on ``thermal_2mode`` the three-factor pass peaks
+    at about 4.7 times the peak of its sectors run one at a time, on a grid
     of 201 or 1001 times.  A sector past the budget is a bucket of its own
     and costs what it would unbucketed.  Each factor's arithmetic is the
     same in any chunk.
@@ -390,61 +382,52 @@ def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray
     (tracemalloc).  An exception of an ``eigh`` call reaches the caller
     when its bucket is due, after any worker is joined.
     """
-    populations = np.asarray(populations, dtype=float)
     sectors = list(_sector_hamiltonians(bath))
     n_t = len(times)
     column = times[:, None]
-    sums = np.zeros((populations.size + 2, len(factors), 2, 2, n_t))
+    sums = np.zeros((2 * len(populations) + 2, len(factors), 2, 2, n_t))
     chunk = max(1, _SECTOR_BUDGET // max(len(s[0]) for s in sectors) ** 2)
-    firsts = range(0, len(factors), chunk)
     buckets = _buckets(sectors, populations)
-    # every chunk's buckets form one stream of jobs, in the order of their use
-    systems = _eigensystems([(blocks, factors[first:first + chunk, None, None])
-                             for first in firsts for blocks, *_ in buckets],
-                            _WORKER and len(buckets) > 1)
+    # every chunk's buckets, in the order of their use, form one stream of jobs
+    runs = [(first, b) for first in range(0, len(factors), chunk) for b in range(len(buckets))]
+    systems = _eigensystems([(buckets[b][0], factors[first:first + chunk, None, None])
+                             for first, b in runs], _WORKER and len(buckets) > 1)
     with closing(systems):
-        for first in firsts:
-            _chunk_sums(sums[:, first:first + chunk], buckets, systems, column)
+        for first, b in runs:
+            blocks, n_up, q, p_up = buckets[b]
+            part = sums[:, first:first + chunk]
+            w, v = _padded(next(systems), blocks, n_up, q.shape[-1])
+            count, n_s, columns = w.shape
+            trig = np.empty((count, n_s, 2, n_t, columns))
+            angles = np.multiply(column, w[:, :, None, :], out=trig[:, :, 1])
+            np.cos(angles, out=trig[:, :, 0])
+            np.sin(angles, out=angles)
+            x = trig.reshape(count, n_s, 2 * n_t, columns)
+            for pair, q_pair in enumerate(q):
+                for level, pairings in enumerate(_population_pairings(v, n_up, q_pair, x, trig)):
+                    part[2 * pair + level] += pairings
+            # the up states of sector N pair with the down states of sector
+            # N - 1, bath state by bath state in the same order: first across
+            # the boundary with the chunk's previous bucket, then inside this
+            # one.  The two coherences share one matrix but are summed apart,
+            # so their mismatch stays a measured hermiticity error
+            up_t, down = v[..., :n_up, :].swapaxes(-1, -2), v[..., n_up:, :]
+            if b:
+                m = blocks[0][2]
+                prev_down, prev_x, prev_trig = previous
+                to, fro = _coherences(up_t[:, :1, :, :m], p_up[:1, :, :m], prev_down[:, :, :m],
+                                      x[:, :1], prev_x, trig[:, :1], prev_trig)
+                part[-2] += to
+                part[-1] += fro
+            if n_s > 1:
+                m = min(n_up, down.shape[-2])
+                to, fro = _coherences(up_t[:, 1:, :, :m], p_up[1:, :, :m], down[:, :-1, :m],
+                                      x[:, 1:], x[:, :-1], trig[:, 1:], trig[:, :-1])
+                part[-2] += to
+                part[-1] += fro
+            previous = down[:, -1:], x[:, -1:], trig[:, -1:]
     z = (sums[..., 0, 0, :] + sums[..., 1, 1, :]) + 1j * (sums[..., 0, 1, :] - sums[..., 1, 0, :])
     return z.swapaxes(0, 1)
-
-
-def _chunk_sums(part: np.ndarray, buckets: list, systems, column: np.ndarray) -> None:
-    """Add one chunk's bucket pairings to its sums ``part``, taking each
-    bucket's eigensystems from the stream ``systems`` in turn."""
-    count, n_t = part.shape[1], len(column)
-    diagonal, rho01, rho10 = part[:-2], part[-2], part[-1]
-    previous = None
-    for blocks, n_up, q, p_up in buckets:
-        w, v = _padded(next(systems), blocks, n_up, q.shape[-1])
-        n_s, columns = w.shape[1:]
-        trig = np.empty((count, n_s, 2, n_t, columns))
-        angles = np.multiply(column, w[:, :, None, :], out=trig[:, :, 1])
-        np.cos(angles, out=trig[:, :, 0])
-        np.sin(angles, out=angles)
-        x = trig.reshape(count, n_s, 2 * n_t, columns)
-        for level, pairings in enumerate(_population_pairings(v, n_up, q, x, trig)):
-            diagonal[level::2] += pairings.reshape(diagonal[level::2].shape)
-        # the up states of sector N pair with the down states of sector
-        # N - 1, bath state by bath state in the same order: first across
-        # the boundary with the previous bucket, then inside this one.
-        # The two coherences share one matrix but are summed apart, so
-        # their mismatch stays a measured hermiticity error
-        up_t, down = v[..., :n_up, :].swapaxes(-1, -2), v[..., n_up:, :]
-        if previous is not None:
-            m = blocks[0][2]
-            prev_down, prev_x, prev_trig = previous
-            to, fro = _coherences(up_t[:, :1, :, :m], p_up[:1, :, :m], prev_down[:, :, :m],
-                                  x[:, :1], prev_x, trig[:, :1], prev_trig)
-            rho01 += to
-            rho10 += fro
-        if n_s > 1:
-            m = min(n_up, down.shape[-2])
-            to, fro = _coherences(up_t[:, 1:, :, :m], p_up[1:, :, :m], down[:, :-1, :m],
-                                  x[:, 1:], x[:, :-1], trig[:, 1:], trig[:, :-1])
-            rho01 += to
-            rho10 += fro
-        previous = down[:, -1:], x[:, -1:], trig[:, -1:]
 
 
 def _buckets(sectors: list, populations: np.ndarray) -> list:
@@ -458,9 +441,9 @@ def _buckets(sectors: list, populations: np.ndarray) -> list:
     down count: sector N's up rows line up with sector N - 1's down rows.
     Returns one ``(blocks, up rows, q, p_up)`` per bucket: each sector's
     ``(energies, coupling, up count)``; the padded block (N, N) of each
-    initial state, diagonal in the product basis, shape ``lead + (1,
-    sectors, 1, rows)`` with ``lead`` the leading shape of ``populations``;
-    and the padded up-state weights, ``(sectors, 1, up rows)``.
+    of the k initial pairs of ``populations``, shape ``(k, 2)``, diagonal
+    in the product basis, shape ``(k, 1, sectors, 1, rows)``; and the
+    padded up-state weights, ``(sectors, 1, up rows)``.
     """
     groups = []  # the sectors of each bucket and its (up rows, down rows, columns)
     for sector in sectors:

@@ -145,6 +145,12 @@ _SIMPSON_STARTS, _SIMPSON_OFFSETS = progression_lattice(_POPULATION_PANELS + 1)
 _POPULATION_BUDGET = 1 << 17
 
 
+def _require_beta(beta: float) -> None:
+    """``ValueError`` unless ``beta`` is positive or ``math.inf`` (the vacuum)."""
+    if not (beta == math.inf or beta > 0):
+        raise ValueError(f"beta must be positive or math.inf, got {beta}")
+
+
 def thermal_occupation(omega: float, beta: float) -> float:
     """Mean boson number of a mode at frequency ``omega``, temperature ``1/beta``.
 
@@ -153,6 +159,7 @@ def thermal_occupation(omega: float, beta: float) -> float:
     """
     if omega <= 0:
         raise ValueError(f"mode frequency must be positive, got {omega}")
+    _require_beta(beta)
     if beta == math.inf:
         return 0.0
     return 1.0 / math.expm1(beta * omega)
@@ -191,8 +198,7 @@ class SpinBosonModel:
             raise ValueError("mode frequencies and couplings must be finite")
         if any(w <= 0 for w, _ in self.modes):
             raise ValueError("mode frequencies must be positive")
-        if not (self.beta == math.inf or self.beta > 0):
-            raise ValueError(f"beta must be positive or math.inf, got {self.beta}")
+        _require_beta(self.beta)
 
     @property
     def vacuum(self) -> bool:
@@ -368,9 +374,12 @@ class RateFunctions:
         shift, decay_integral, shift_integral) of both channels at the times
         ``t``, from one evaluation, the times as the steps of the origin 0
         with the single offset 0.  Each part has the shape of ``t``, and is
-        a float for a scalar ``t``.  A time that is not finite raises
-        ``ValueError``."""
+        a float for a scalar ``t``.  A time that is not finite, or a part
+        not among the four, raises ``ValueError``."""
         times = require_finite_times(t)
+        for part in parts:
+            if part not in _PARTS:
+                raise ValueError(f"unknown rate part {part!r}; the parts are {', '.join(_PARTS)}")
         sums = _channel_sums(self, parts, times.reshape(-1), np.zeros(1))()
         return tuple(tuple(_like(times, s) for s in channel) for channel in sums)
 

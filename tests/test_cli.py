@@ -306,6 +306,29 @@ def test_compare_requires_oracle_enabled(tmp_path):
     assert main(["compare", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("verb", ["exact", "compare"])
+def test_the_exact_reference_needs_the_config_to_state_its_cutoff(tmp_path, capsys, verb):
+    # the Fock cutoff has no default: the verbs that run the exact reference
+    # refuse a config without n_max, before any file is opened
+    cfg = write_cfg(tmp_path, COMPARE_CFG.replace("n_max = 4\n", ""))
+    out = tmp_path / "out"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {verb} needs n_max, the exact reference's Fock cutoff\n")
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+def test_exact_on_the_ohmic_400_config_needs_a_cutoff_and_then_meets_the_cap(tmp_path, capsys):
+    text = (Path(__file__).parent / "golden" / "ohmic_400.cfg").read_text()
+    out = tmp_path / "out"
+    assert main(["exact", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == EXIT_CONFIG
+    assert "exact needs n_max" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, text + "n_max = 4\n")
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+    assert "exceeds the cap of 8192" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- limits -----------------------------------------------------------------------
 
 def test_limits_vacuum_config(tmp_path):
@@ -849,7 +872,7 @@ assert np.max(np.abs(u2 + u2.conj().T + u1 @ u1.conj().T)) <= 1e-13
 
 
 def test_cli_import_path_loads_no_scipy(tmp_path):
-    cfg = write_cfg(tmp_path, THERMAL_CFG)
+    cfg = write_cfg(tmp_path, THERMAL_CFG + "n_max = 4\n")
     done = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT, cfg,
                            str(tmp_path / "rates.csv")],
                           capture_output=True, text=True, env=_subprocess_env(), cwd=tmp_path)

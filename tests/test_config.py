@@ -40,7 +40,7 @@ def test_parse_explicit_modes():
     assert cfg.modes == ((0.8, 0.1), (1.0, 0.08), (1.3, 0.06))
     assert cfg.beta == 1.0
     assert cfg.rho01 == 0.2 + 0.1j
-    assert cfg.oracle_enabled is False and cfg.n_max == 4
+    assert cfg.oracle_enabled is False and cfg.n_max is None
     # the defaults of the other optional keys
     assert cfg.check_truncation is False and cfg.rk4_substeps is None
     assert (cfg.density, cfg.eta, cfg.omega_c, cfg.omega_min, cfg.omega_max,
@@ -249,3 +249,12 @@ def test_phase_bound_reads_the_couplings(n_max):
     for g in ("1e200", "-1e9"):
         with pytest.raises(ConfigError, match="t_max x 2 sqrt"):
             parse_config_text(text.replace("1.3:0.6", f"1.3:{g}"))
+
+
+def test_phase_bound_reads_the_couplings_only_with_a_cutoff():
+    # the couplings' phase bounds the exact reference's sector energies at
+    # the config's n_max: without one there is no reference to bound
+    text = GOOD.replace("0.8:0.1, 1.0:0.08, 1.3:0.06", "0.8:1e9")
+    assert parse_config_text(text).n_max is None
+    with pytest.raises(ConfigError, match="t_max x 2 sqrt"):
+        parse_config_text(text + "n_max = 1\n")

@@ -1,7 +1,8 @@
 """Differential properties across the independent solvers, on models drawn by
 hypothesis: RK4 ``propagate`` against the closed-form coherence, the
-one-mode sector pass against the Jaynes-Cummings sum, and the exact reduced
-map's trace and complete positivity.  The populations are not compared: the
+one-mode sector pass against the Jaynes-Cummings sum, the sector pass
+against full-space propagation, and the exact reduced map's trace and
+complete positivity.  The populations are not compared: the
 closed-form population solution is known to fail on hot, strongly coupled
 baths."""
 
@@ -13,11 +14,12 @@ from hypothesis import strategies as st
 
 from spinboson import oracle
 from spinboson.master_eq import propagate
-from spinboson.oracle import TruncatedBath, exact_scaled_dynamics
+from spinboson.oracle import (TruncatedBath, exact_reduced_dynamics, exact_scaled_dynamics,
+                              interaction_unitary, thermal_bath_state)
 from spinboson.spin_boson import (SpinBosonModel, bath_statistics, coherence_solution,
                                   interaction_decomposition, rate_functions)
 
-from helpers import jaynes_cummings_dynamics
+from helpers import jaynes_cummings_dynamics, partial_trace
 
 RHO_MIXED = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]], dtype=complex)
 
@@ -51,6 +53,21 @@ def test_one_mode_pass_is_the_jaynes_cummings_sum_at_any_beta(mode, beta):
     rho00, rho01 = jaynes_cummings_dynamics(model, RHO_MIXED, times)
     assert np.max(np.abs(traj.states[:, 0, 0] - rho00)) <= 1e-13
     assert np.max(np.abs(traj.states[:, 0, 1] - rho01)) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(modes, min_size=1, max_size=3), st.integers(1, 3),
+       st.one_of(st.floats(0.3, 5.0), st.just(math.inf)), st.floats(0.1, 4.0))
+def test_sector_pass_matches_full_space_propagation(bath_modes, n_max, beta, t_max):
+    # full dimension 2 (n_max + 1)^modes <= 128: the co-rotating propagator
+    # on rho0 (x) the thermal bath state, traced over the bath
+    bath = TruncatedBath(SpinBosonModel(1.0, bath_modes, beta), n_max)
+    times = np.linspace(0.0, t_max, 3)
+    full0 = np.kron(RHO_MIXED, thermal_bath_state(bath))
+    reference = [partial_trace(u @ full0 @ u.conj().T, (2, bath.bath_dim))
+                 for u in (interaction_unitary(bath, t) for t in times)]
+    traj = exact_reduced_dynamics(bath, RHO_MIXED, times)
+    assert np.max(np.abs(traj.states - reference)) <= 1e-12
 
 
 @settings(max_examples=15, deadline=None)

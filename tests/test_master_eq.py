@@ -199,6 +199,18 @@ def test_propagate_rejects_bad_grid():
         propagate(decomp, bath, rho0, [0.0, 1.0], substeps=0)
 
 
+@pytest.mark.parametrize("times", [[1.0, 2.0], [1.0], [-0.5, 0.0, 0.5]])
+def test_propagate_starts_at_zero(times):
+    # rho0 is the state at t = 0, where the bath's integrals start: a grid
+    # from 1 once returned rho0 itself at t = 1
+    _, decomp, bath = thermal_pair()
+    rho0 = np.diag([0.7, 0.3]).astype(complex)
+    with pytest.raises(ValueError, match=r"^times must start at 0, .* got times\[0\] = "):
+        propagate(decomp, bath, rho0, times)
+    with pytest.raises(ValueError, match="^times must start at 0"):
+        propagate_scaled(decomp, bath, rho0, times, (1.0, 0.5), substeps=4)
+
+
 def test_propagate_trajectory_invariants():
     _, decomp, bath = thermal_pair()
     rho0 = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]], dtype=complex)

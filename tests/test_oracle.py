@@ -59,7 +59,16 @@ def test_dimension_cap_rejected_with_diagnostic():
     with pytest.raises(BathDimensionError) as err:
         TruncatedBath(model, n_max=9)
     assert err.value.dim == 2 * 10 ** 5
+    assert err.value.cap == oracle._DIM_CAP == 8192
     assert "lower n_max" in str(err.value)
+
+
+def test_dimension_error_computes_its_dimension_and_takes_the_cap():
+    err = BathDimensionError(9, 5, "check_truncation reruns at twice n_max: ")
+    assert (err.dim, err.cap) == (2 * 10 ** 5, 8192)
+    assert str(err) == ("check_truncation reruns at twice n_max: full Hilbert dimension "
+                        "2*(9+1)^5 = 200000 exceeds the cap of 8192; lower n_max or the "
+                        "mode count")
 
 
 @pytest.mark.parametrize("n_max, size", [(4, "2*(4+1)^400 = about 7.75e279 exceeds"),
@@ -341,7 +350,7 @@ def test_reduced_map_takes_both_population_columns_from_one_pass(monkeypatch, be
     times, factors = np.array([1.3]), np.ones(1)
     stacked = oracle._sector_sums(bath, np.eye(2), times, factors)[0]
     # the two passes from the initial populations (1, 0) and (0, 1)
-    up, down = (oracle._sector_sums(bath, pair, times, factors)[0]
+    up, down = (oracle._sector_sums(bath, pair[None], times, factors)[0]
                 for pair in np.eye(2))
     assert stacked.shape == (6, 1)
     assert np.max(np.abs(stacked[:2] - up[:2])) <= 1e-15
@@ -577,7 +586,7 @@ def worker_threads():
     (VACUUM_3MODE, (1.0, 0.5, 0.25, 0.3)),
     (THERMAL_2MODE, tuple(np.linspace(-1.5, 2.0, 40))),
 ], ids=["fock_4mode", "fock_4mode-three-factors", "vacuum_3mode", "thermal-two-chunks"])
-@pytest.mark.parametrize("populations", [BENCH_RHO0.diagonal().real, np.eye(2)],
+@pytest.mark.parametrize("populations", [BENCH_RHO0.diagonal().real[None], np.eye(2)],
                          ids=["one-pair", "reduced-map-pairs"])
 def test_worker_pass_equals_the_inline_pass_bit_for_bit(monkeypatch, case, factors,
                                                         populations):
@@ -655,7 +664,7 @@ def test_the_calling_thread_diagonalizes_while_its_result_is_not_ready(monkeypat
     # those of the inline pass
     model, n_max, times = FOCK_4MODE
     bath = TruncatedBath(model, n_max=n_max)
-    populations, factors = BENCH_RHO0.diagonal().real, np.array([1.0, 0.5, 0.25])
+    populations, factors = BENCH_RHO0.diagonal().real[None], np.array([1.0, 0.5, 0.25])
     force_worker(monkeypatch, False)
     inline = oracle._sector_sums(bath, populations, times, factors)
 
@@ -883,7 +892,7 @@ def test_one_mode_pass_is_the_jaynes_cummings_sum(monkeypatch, beta, n_max, buck
     model = SpinBosonModel(1.0, [(1.1, 0.05)], beta)
     bath = TruncatedBath(model, n_max=n_max)
     sectors = list(oracle._sector_hamiltonians(bath))
-    assert len(oracle._buckets(sectors, RHO_MIXED.diagonal().real)) == buckets
+    assert len(oracle._buckets(sectors, RHO_MIXED.diagonal().real[None])) == buckets
     times, factors = np.linspace(0, 5, 11), (1.0, 0.5, 0.25)
     force_worker(monkeypatch, worker)
     for factor, traj in zip(factors, exact_scaled_dynamics(bath, RHO_MIXED, times, factors)):

@@ -76,6 +76,16 @@ def test_occupation_rejects_nonpositive_frequency():
         thermal_occupation(-1.0, 1.0)
 
 
+@pytest.mark.parametrize("beta", [-1.0, 0.0, math.nan, -math.inf])
+def test_occupation_takes_the_models_beta_rule(beta):
+    # a negative beta gave a negative occupation, zero a ZeroDivisionError
+    # and NaN a NaN
+    with pytest.raises(ValueError, match="^beta must be positive or math.inf, got "):
+        thermal_occupation(1.0, beta)
+    with pytest.raises(ValueError, match="^beta must be positive or math.inf, got "):
+        SpinBosonModel(1.0, [(1.0, 0.1)], beta)
+
+
 # -- model type -----------------------------------------------------------------
 
 def test_model_validation():
@@ -330,6 +340,13 @@ def test_rate_functions_compare_by_identity():
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b}) == 2
+
+
+def test_sums_name_the_parts_on_an_unknown_one():
+    rates = rate_functions(SpinBosonModel(1.0, [(0.8, 0.1)], 1.3))
+    with pytest.raises(ValueError, match="^unknown rate part 'decays'; the parts are decay, "
+                                         "shift, decay_integral, shift_integral$"):
+        rates.sums(1.0, ("decay", "decays"))
 
 
 def test_channel_sums_take_parts_positionally():
