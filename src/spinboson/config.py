@@ -12,9 +12,11 @@ model:       omega0, beta ("vacuum" or a positive float), and exactly one of
              * modes            explicit list, "omega:g, omega:g, ..."
              * density (ohmic|flat), eta, omega_c (ohmic only),
                omega_min, omega_max, mode_count
-simulation:  t_max (times the largest of omega0 and the mode frequencies,
-             and with n_max times 2 sqrt(n_max) sum_k |g_k|, at most
-             MAX_PHASE; with a density, below the recurrence time 2 pi
+simulation:  t_max (within the phase rule of linalg.MAX_PHASE at the
+             master equation's rate, RateFunctions.rate_of(model.detunings),
+             and with n_max also at the exact reference's, oracle.phase_rate,
+             taken at twice n_max with check_truncation; with a density,
+             below the recurrence time 2 pi
              mode_count / (omega_max - omega_min) of its evenly spaced
              modes, past which every bath correlation repeats and the run
              stands for no continuum: SpectralDiscretization.recurrence_time),
@@ -44,19 +46,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import require_count, require_density_matrix, require_time_grid
-from .spin_boson import (SpectralDiscretization, SpinBosonModel, flat_density,
-                         ohmic_density)
+from .linalg import (require_count, require_density_matrix, require_finite_times,
+                     require_time_grid)
+from .oracle import phase_rate
+from .spin_boson import (RateFunctions, SpectralDiscretization, SpinBosonModel,
+                         flat_density, ohmic_density)
 
-__all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_config", "MAX_PHASE"]
-
-# The largest phase a config may ask for, of the free energies,
-# t_max * max(omega0, mode frequencies), and with n_max of the coupling,
-# t_max * 2 sqrt(n_max) sum_k |g_k|, a Gershgorin bound of its share of the
-# exact reference's sector energies: one ulp of a phase of 1e8 is 1.5e-8
-# rad, and far beyond it the verbs write infinities, abort on NaN, or write
-# phases without digits.  The benchmark configs reach about 500 and 1.5e3.
-MAX_PHASE = 1e8
+__all__ = ["ConfigError", "RunConfig", "parse_config_text", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -280,16 +276,14 @@ def parse_config_text(text: str) -> RunConfig:
                 f"and 't_max': t_max = {cfg.t_max:g} reaches the recurrence time "
                 f"2 pi / delta_omega = {recurrence:.6g} of {cfg.mode_count} modes, past "
                 f"which the discretized bath revives; raise mode_count or lower t_max")
-    phases = [("max(omega0, mode frequencies)",
-               cfg.t_max * max(cfg.omega0, float(model.frequencies.max())))]
+    rate = RateFunctions.rate_of(model.detunings)
     if cfg.n_max is not None:
-        # in Python floats, which overflow to infinity without a warning
-        coupling = 2.0 * math.sqrt(cfg.n_max) * sum(abs(g) for _, g in model.modes)
-        phases.append(("2 sqrt(n_max) sum |g_k|", cfg.t_max * coupling))
-    for name, phase in phases:
-        if phase > MAX_PHASE:
-            raise ConfigError(f"line {line_of['t_max']}: field 't_max': t_max x {name} "
-                              f"= {phase:g} exceeds the phase bound {MAX_PHASE:g}")
+        # the exact reference's last pass runs at twice n_max under check_truncation
+        rate = max(rate, phase_rate(model, 2 * cfg.n_max if cfg.check_truncation else cfg.n_max))
+    try:
+        require_finite_times(cfg.t_max, rate)
+    except ValueError as exc:
+        raise ConfigError(f"line {line_of['t_max']}: field 't_max': {exc}") from None
     return cfg
 
 

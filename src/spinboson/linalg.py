@@ -3,6 +3,11 @@
 Density matrices as plain ``numpy`` arrays (``complex128``), finite,
 strictly increasing time grids, finite times of any shape, counts, and
 coupling factors.
+
+The phase rule: past ``MAX_PHASE`` a phase time x frequency has too few
+correct digits, so each evaluator passes its rate, a bound of the
+frequencies it multiplies times by, with its times to
+:func:`require_finite_times` or :func:`require_time_grid`.
 """
 
 from __future__ import annotations
@@ -13,12 +18,19 @@ import numbers
 import numpy as np
 
 __all__ = [
+    "MAX_PHASE",
     "require_density_matrix",
     "require_time_grid",
     "require_finite_times",
     "require_count",
     "require_factors",
 ]
+
+# The largest phase, in rad, that a time may take against an evaluator's
+# rate: one ulp of a phase of 1e8 is 1.5e-8 rad, and far beyond it the
+# sines and cosines carry no digit (at t = 1e17 a shift integral of -5.6e15
+# on the README model), overflow to infinities or turn to NaN.
+MAX_PHASE = 1e8
 
 
 def require_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -60,13 +72,14 @@ def require_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return rho
 
 
-def require_time_grid(times) -> np.ndarray:
+def require_time_grid(times, rate: float = 0.0) -> np.ndarray:
     """``times`` as a float array if it is a non-empty, finite, strictly
-    increasing 1-d grid; ``ValueError`` otherwise."""
+    increasing 1-d grid within the phase rule at ``rate``
+    (:func:`require_finite_times`); ``ValueError`` otherwise."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-d grid")
-    require_finite_times(times)
+    require_finite_times(times, rate)
     # two different finite floats have a nonzero difference (subnormals), so
     # comparing neighbours tests np.diff(times) > 0, at half the cost of
     # np.diff: every config parse checks its grid
@@ -75,12 +88,22 @@ def require_time_grid(times) -> np.ndarray:
     return times
 
 
-def require_finite_times(t) -> np.ndarray:
+def require_finite_times(t, rate: float = 0.0) -> np.ndarray:
     """``t``, a scalar or an array of any shape, as a float array if every
-    time in it is finite; ``ValueError`` naming the first one otherwise."""
+    time in it is finite and its phases ``|t| x rate`` are at most
+    ``MAX_PHASE``; ``ValueError`` otherwise, naming the first time that is
+    not finite, or the largest time and its phase.  ``rate`` is the
+    caller's bound on the frequencies it multiplies the times by, finite
+    and non-negative; at 0 only finiteness is checked."""
     times = np.asarray(t, dtype=float)
-    if not np.isfinite(times).all():
-        raise ValueError(f"times must be finite, got {times[~np.isfinite(times)][0]}")
+    # one reduction for both tests: a NaN or infinite time makes the phase
+    # NaN or infinite, at rate 0 too (in Python floats, without a warning)
+    reach = float(np.abs(times).max(initial=0.0))
+    if not reach * rate <= MAX_PHASE:
+        if not math.isfinite(reach):
+            raise ValueError(f"times must be finite, got {times[~np.isfinite(times)][0]}")
+        raise ValueError(f"time {reach:g} at rate {rate:g} makes a phase of {reach * rate:g} "
+                         f"rad, past MAX_PHASE = {MAX_PHASE:g}")
     return times
 
 

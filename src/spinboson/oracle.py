@@ -42,6 +42,7 @@ __all__ = [
     "BathDimensionError",
     "TruncationError",
     "TruncatedBath",
+    "phase_rate",
     "full_hamiltonian",
     "thermal_bath_state",
     "interaction_unitary",
@@ -138,6 +139,27 @@ class TruncatedBath:
     @property
     def full_dim(self) -> int:
         return 2 * self.bath_dim
+
+
+def phase_rate(model: SpinBosonModel, n_max: int, factor: float = 1.0) -> float:
+    """The rate of the phase rule (``linalg.MAX_PHASE``) for the exact
+    reference of ``model`` at the Fock cutoff ``n_max``, its couplings
+    scaled by ``factor``: a bound of every energy of the truncated
+    Hamiltonian, which the sector pass, the propagator and the series terms
+    multiply by times.  The free energies reach ``omega0 / 2 + n_max sum_k
+    omega_k``, and mode k's coupling, ``2 g_k sqrt(n_k + 1)`` between pairs of
+    states, has norm ``2 |g_k| sqrt(n_max)``."""
+    return (0.5 * model.omega0 + n_max * float(model.frequencies.sum())
+            + abs(factor) * 2.0 * math.sqrt(n_max) * float(np.abs(model.couplings).sum()))
+
+
+def _grid(bath: TruncatedBath, times, factors=(1.0,)) -> np.ndarray:
+    """``times`` through ``linalg.require_time_grid`` at the :func:`phase_rate`
+    of ``bath`` at the largest of the coupling ``factors``: the one time check
+    of every function here that takes a time."""
+    # a Python float, so that a phase past the largest float is inf, not an overflow warning
+    scale = float(np.abs(factors).max(initial=0.0))
+    return require_time_grid(times, phase_rate(bath.model, bath.n_max, scale))
 
 
 def _matrix_elements(bath: TruncatedBath):
@@ -244,8 +266,9 @@ def thermal_bath_state(bath: TruncatedBath) -> np.ndarray:
 
 
 def interaction_unitary(bath: TruncatedBath, t: float) -> np.ndarray:
-    """Exact co-rotating-frame propagator exp(+i H0 t) exp(-i H t), at a finite ``t``."""
-    t = float(require_time_grid([t])[0])
+    """Exact co-rotating-frame propagator exp(+i H0 t) exp(-i H t), at a ``t``
+    within the phase rule (:func:`_grid`)."""
+    t = float(_grid(bath, [t])[0])
     h = full_hamiltonian(bath)
     w, v = np.linalg.eigh(h)
     u_sch = (v * np.exp(-1j * w * t)) @ v.conj().T
@@ -289,12 +312,13 @@ def exact_scaled_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence
     and the first factor whose sampled elements move by more than the fixed
     1e-6 raises TruncationError; a doubled cutoff over the cap of 8192
     dimensions raises before the first pass.  ``times`` must be a finite,
-    strictly increasing grid.  Returns one checked :class:`Trajectory` per
-    factor.
+    strictly increasing grid within the phase rule (:func:`_grid`) of the
+    largest factor, at twice the cutoff with ``check_truncation``.  Returns
+    one checked :class:`Trajectory` per factor.
     """
     rho0 = require_density_matrix(rho0)
-    times = require_time_grid(times)
     factors = require_factors(factors)
+    fine = bath
     if check_truncation:
         # the rerun must fit the cap too: say so before the first run, not after it
         try:
@@ -302,6 +326,8 @@ def exact_scaled_dynamics(bath: TruncatedBath, rho0: np.ndarray, times: Sequence
         except BathDimensionError:
             raise BathDimensionError(2 * bath.n_max, bath.n_modes,
                                      "check_truncation reruns at twice n_max: ") from None
+    # the finest pass forms the largest phases
+    times = _grid(fine, times, factors)
     trajectories = [Trajectory(times, states,
                                metadata={"integrator": "exact-eig", "n_max": bath.n_max})
                     for states in _rotated_states(bath, rho0[None], times, factors)[:, 0]]
@@ -346,8 +372,9 @@ def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray
     with real c and phase = exp(-i w t) = cos - i sin, accumulated as its
     four real cos/sin pairings, in sector order.  Every sector is
     diagonalized once per factor, whatever the number of pairs; each pair
-    runs through :func:`_population_pairings` on its own, level projectors
-    included, so one pair carries no broadcast axis into the products.
+    with a nonzero population runs through :func:`_population_pairings` on
+    its own, level projectors included, so one pair carries no broadcast
+    axis into the products, and the rows of an all-zero pair stay zero.
 
     The factors run in chunks of ``max(1, _SECTOR_BUDGET // d**2)``, d the
     largest diagonalized sector, and the sectors in buckets of consecutive
@@ -388,6 +415,8 @@ def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray
     sums = np.zeros((2 * len(populations) + 2, len(factors), 2, 2, n_t))
     chunk = max(1, _SECTOR_BUDGET // max(len(s[0]) for s in sectors) ** 2)
     buckets = _buckets(sectors, populations)
+    # a pair with no population adds nothing: its rows stay zero
+    live = np.flatnonzero(populations.any(axis=-1))
     # every chunk's buckets, in the order of their use, form one stream of jobs
     runs = [(first, b) for first in range(0, len(factors), chunk) for b in range(len(buckets))]
     systems = _eigensystems([(buckets[b][0], factors[first:first + chunk, None, None])
@@ -403,8 +432,8 @@ def _sector_sums(bath: TruncatedBath, populations: np.ndarray, times: np.ndarray
             np.cos(angles, out=trig[:, :, 0])
             np.sin(angles, out=angles)
             x = trig.reshape(count, n_s, 2 * n_t, columns)
-            for pair, q_pair in enumerate(q):
-                for level, pairings in enumerate(_population_pairings(v, n_up, q_pair, x, trig)):
+            for pair in live:
+                for level, pairings in enumerate(_population_pairings(v, n_up, q[pair], x, trig)):
                     part[2 * pair + level] += pairings
             # the up states of sector N pair with the down states of sector
             # N - 1, bath state by bath state in the same order: first across
@@ -634,7 +663,8 @@ def dyson_terms(bath: TruncatedBath, t: float) -> list[np.ndarray]:
     exponential (Van Loan, IEEE TAC 23, 395 (1978)): with H = H0 + V, the
     block matrix holding -i H0 on every diagonal block and -i V on the block
     superdiagonal exponentiates, at time t, to a first block row whose block
-    k is exp(-i H0 t) times term k; ``t`` is finite.
+    k is exp(-i H0 t) times term k; ``t`` is within the phase rule
+    (:func:`_grid`).
     Needs scipy, which nothing else in the package imports; install it with
     the ``dyson`` extra.
     """
@@ -643,7 +673,7 @@ def dyson_terms(bath: TruncatedBath, t: float) -> list[np.ndarray]:
     except ImportError as exc:
         raise ImportError("dyson_terms needs scipy: pip install 'spinboson[dyson]'") from exc
 
-    t = float(require_time_grid([t])[0])
+    t = float(_grid(bath, [t])[0])
     d = bath.full_dim
     h = full_hamiltonian(bath)
     free = np.diag(np.diag(h))
@@ -666,7 +696,7 @@ def _reduced_map(bath: TruncatedBath, t: float) -> np.ndarray:
     only to itself: the columns of |0><1| and |1><0| have zero populations.
     """
     basis = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    states = _rotated_states(bath, basis, require_time_grid([t]), np.ones(1))
+    states = _rotated_states(bath, basis, _grid(bath, [t]), np.ones(1))
     return states[0, :, 0].reshape(4, 4).T
 
 

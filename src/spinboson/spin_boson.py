@@ -155,10 +155,11 @@ def thermal_occupation(omega: float, beta: float) -> float:
     """Mean boson number of a mode at frequency ``omega``, temperature ``1/beta``.
 
     Closed Bose-Einstein form of the thermal-trace definition;
-    ``beta = math.inf`` gives the vacuum value 0.
+    ``beta = math.inf`` gives the vacuum value 0.  A frequency that is not
+    positive and finite raises ``ValueError``.
     """
-    if omega <= 0:
-        raise ValueError(f"mode frequency must be positive, got {omega}")
+    if not 0 < omega < math.inf:  # NaN fails too
+        raise ValueError(f"mode frequency must be positive and finite, got {omega}")
     _require_beta(beta)
     if beta == math.inf:
         return 0.0
@@ -178,9 +179,10 @@ class SpinBosonModel:
     The splitting ``omega0`` must be positive and finite, like every mode
     frequency: ``|0>`` is the excited level, and the thermal occupation at
     the system frequency (``markov_rates``) has no meaning at or below zero.
-    ``frequencies``, ``couplings``, ``occupations()`` and the rate evaluators
-    of :func:`rate_functions` are computed once per model, on read-only
-    arrays, which every consumer shares.
+    ``frequencies``, ``couplings``, the ``detunings`` omega_k - omega0,
+    ``occupations()`` and the rate evaluators of :func:`rate_functions` are
+    computed once per model, on read-only arrays, which every consumer
+    shares.
     """
 
     omega0: float
@@ -213,6 +215,10 @@ class SpinBosonModel:
         return _read_only([g for _, g in self.modes])
 
     @cached_property
+    def detunings(self) -> np.ndarray:
+        return _read_only(self.frequencies - self.omega0)
+
+    @cached_property
     def _occupations(self) -> np.ndarray:
         return _read_only([thermal_occupation(w, self.beta) for w, _ in self.modes])
 
@@ -223,7 +229,7 @@ class SpinBosonModel:
     def _rate_functions(self) -> "RateFunctions":
         # see rate_functions
         g2 = self.couplings ** 2
-        return RateFunctions(_read_only(self.frequencies - self.omega0),
+        return RateFunctions(self.detunings,
                              absorption=_read_only(g2 * self._occupations),
                              emission=_read_only(g2 * (self._occupations + 1.0)))
 
@@ -348,6 +354,18 @@ class RateFunctions:
         if not self.detunings.shape == self.absorption.shape == self.emission.shape:
             raise ValueError("one absorption and one emission weight per detuning required")
 
+    @staticmethod
+    def rate_of(detunings) -> float:
+        """max |d_k|, the rate of the phase rule (``linalg.MAX_PHASE``) for
+        the detunings ``d_k``: every phase the kernels form is a detuning
+        times a time."""
+        return float(np.abs(detunings).max(initial=0.0))
+
+    @cached_property
+    def phase_rate(self) -> float:
+        """:meth:`rate_of` of these detunings."""
+        return self.rate_of(self.detunings)
+
     @cached_property
     def _live(self) -> tuple[bool, bool]:
         """Whether each channel carries weight; a channel without is zero."""
@@ -374,9 +392,10 @@ class RateFunctions:
         shift, decay_integral, shift_integral) of both channels at the times
         ``t``, from one evaluation, the times as the steps of the origin 0
         with the single offset 0.  Each part has the shape of ``t``, and is
-        a float for a scalar ``t``.  A time that is not finite, or a part
-        not among the four, raises ``ValueError``."""
-        times = require_finite_times(t)
+        a float for a scalar ``t``.  A time that is not finite or past the
+        phase rule at :attr:`phase_rate`, or a part not among the four,
+        raises ``ValueError``."""
+        times = require_finite_times(t, self.phase_rate)
         for part in parts:
             if part not in _PARTS:
                 raise ValueError(f"unknown rate part {part!r}; the parts are {', '.join(_PARTS)}")
@@ -540,8 +559,8 @@ def coherence_solution(rho01_0: complex, rates: RateFunctions, t):
     """Closed-form upper coherence: initial value times a phase times a decay.
 
     Uses the exact running integrals; the lower coherence is the complex
-    conjugate with the same decay envelope.  A time that is not finite
-    raises ``ValueError``.
+    conjugate with the same decay envelope.  The times are those of
+    :meth:`RateFunctions.sums`.
     """
     (absorbed, a_shift), (emitted, e_shift) = rates.sums(t, ("decay_integral", "shift_integral"))
     phase = np.exp(4j * (a_shift + e_shift))
@@ -563,7 +582,8 @@ def population_solution(rho00_0: float, rates: RateFunctions, t):
     weight) the inner integral is exactly zero, and all times come from one
     decay-integral evaluation.  The spin-down population is one minus the
     result.  ``t`` may be a scalar or an array of any shape; an array result
-    has the same shape.  A time that is not finite raises ``ValueError``.
+    has the same shape.  A time that is not finite or past the phase rule
+    at ``rates.phase_rate`` raises ``ValueError``.
     """
     if not rates._live[0]:
         _, (emitted,) = rates.sums(t, ("decay_integral",))
@@ -572,7 +592,7 @@ def population_solution(rho00_0: float, rates: RateFunctions, t):
 
     # the Simpson nodes k step of each sample as one lattice, a leading
     # sample axis over batches of samples, both channels in one pass
-    t_arr = require_finite_times(t)
+    t_arr = require_finite_times(t, rates.phase_rate)
     flat = t_arr.ravel()
     out = np.full(flat.shape, float(rho00_0))
     samples = np.flatnonzero(flat)
@@ -666,7 +686,11 @@ def bath_statistics(model: SpinBosonModel) -> BathStatistics:
 
     with d_k the detunings.  Their exact time integrals are the decay and
     shift rates of :func:`rate_functions`, evaluated on the engine's time
-    lattice, so the generic engine never quadratures this bath.
+    lattice, so the generic engine never quadratures this bath.  The
+    evaluator of the origins applies the phase rule at
+    ``RateFunctions.phase_rate`` to the lattice's largest time, bounded by
+    ``|origin| + max |step| + max |offset|``: a ``ValueError`` there stops
+    ``propagate``, ``generator_matrix`` and ``rhs``.
     """
     rates = rate_functions(model)
     detunings, emission, absorption = rates.detunings, rates.emission, rates.absorption
@@ -683,8 +707,12 @@ def bath_statistics(model: SpinBosonModel) -> BathStatistics:
         # offsets; the reverse integrals are the complex conjugates of the
         # forward ones, written in place into the second half
         sums = _channel_sums(rates, ("decay", "shift"), steps, offsets)
+        # in Python floats, which overflow to inf without a warning
+        reach = float(np.abs(steps).max(initial=0.0)) + float(np.abs(offsets).max(initial=0.0))
 
         def at(origins: np.ndarray):
+            require_finite_times(float(np.abs(origins).max(initial=0.0)) + reach,
+                                 rates.phase_rate)
             (a_decay, a_shift), (e_decay, e_shift) = sums(origins)
             out = np.zeros(e_decay.shape + (2, 2, 2), dtype=complex)
             out[..., 0, 0, 1] = e_decay - 1j * e_shift

@@ -14,6 +14,9 @@ import spinboson
 import spinboson.cli as cli
 from spinboson.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME,
                            RATES_HEADER, TRAJECTORY_HEADER, main)
+from spinboson.linalg import MAX_PHASE
+from spinboson.oracle import phase_rate
+from spinboson.spin_boson import SpinBosonModel, rate_functions
 
 from helpers import read_csv
 
@@ -584,30 +587,39 @@ def test_a_run_past_the_recurrence_time_is_a_config_error(tmp_path, capsys, mode
         assert not out.exists()
 
 
+def _phase_error(t_max: float, rate: float) -> str:
+    """The config error of a t_max on line 4 past the phase rule at ``rate``."""
+    return (f"config error: line 4: field 't_max': time {t_max:g} at rate {rate:g} makes a "
+            f"phase of {t_max * rate:g} rad, past MAX_PHASE = {MAX_PHASE:g}\n")
+
+
 @pytest.mark.parametrize("verb", ["rates", "evolve", "exact"])
 def test_phase_beyond_the_bound_is_a_config_error(tmp_path, capsys, verb):
     # at t_max = 1e308 the phases carry no digits: the rates overflow to
-    # infinities and the trajectories to NaN, so the parse refuses it
+    # infinities and the trajectories to NaN, so the parse refuses it at
+    # the master equation's rate, max |d_k| = 0.2
     cfg = write_cfg(tmp_path, THERMAL_CFG.replace("t_max = 4.0", "t_max = 1e308"))
     out = tmp_path / "out"
     assert main([verb, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: line 4: field 't_max': t_max x ")
+    rate = rate_functions(SpinBosonModel(1.0, [(0.8, 0.1), (1.2, 0.07)], 1.0)).phase_rate
+    assert capsys.readouterr().err == _phase_error(1e308, rate)
     assert not out.exists()
 
 
 @pytest.mark.parametrize("verb", ["rates", "exact"])
 @pytest.mark.parametrize("g", ["1e200", "1e9"])
 def test_coupling_beyond_the_phase_bound_is_a_config_error(tmp_path, capsys, verb, g):
-    # the sector energies of such a coupling reach g: at g = 1e200 the
-    # exact phases carry no digits and the rates are NaN, and at g = 1e9
-    # t_max x 2 sqrt(n_max) sum |g_k| = 4e9 still passes the bound
-    cfg = write_cfg(tmp_path, COMPARE_CFG.replace("modes = 1.0:0.05", f"modes = 1.2:{g}")
-                    .replace("beta = vacuum", "beta = 1.0")
-                    .replace("t_max = 2.0", "t_max = 1.0").replace("samples = 9", "samples = 3"))
+    # the energies of the exact reference grow with the coupling: at g =
+    # 1e200 its phases carry no digits and the rates are NaN, and at g = 1e9
+    # the reference's rate, oracle.phase_rate at n_max = 4, is about 4e9
+    text = (COMPARE_CFG.replace("modes = 1.0:0.05", f"modes = 1.2:{g}")
+            .replace("beta = vacuum", "beta = 1.0")
+            .replace("t_max = 2.0", "t_max = 1.0").replace("samples = 9", "samples = 3"))
+    cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main([verb, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(
-        "config error: line 4: field 't_max': t_max x 2 sqrt(n_max) sum |g_k| = ")
+    model = SpinBosonModel(1.0, [(1.2, float(g))], 1.0)
+    assert capsys.readouterr().err == _phase_error(1.0, phase_rate(model, 4))
     assert not out.exists()
 
 

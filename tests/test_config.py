@@ -5,7 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinboson.config import MAX_PHASE, ConfigError, load_config, parse_config_text
+from spinboson.config import ConfigError, load_config, parse_config_text
+from spinboson.linalg import MAX_PHASE
+from spinboson.oracle import phase_rate
+from spinboson.spin_boson import rate_functions
 
 GOOD = """\
 # explicit three-mode thermal model
@@ -200,61 +203,80 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.omega0 == 1.0
 
 
-# A discretization's frequencies cannot reach the bound before its
-# recurrence time 2 pi M / (omega_max - omega_min), which the parser rejects
-# first, unless it has about MAX_PHASE / 2 pi = 1.6e7 modes: the explicit
-# modes alone can.
-@pytest.mark.parametrize("text", [GOOD], ids=["explicit"])
-def test_phase_bound_reads_the_largest_frequency(text):
-    # t_max times the largest of omega0 and the mode frequencies (a mode's
-    # here): at the bound the config parses, one ulp of t_max past it does
-    # not, and the error names t_max and its line.  n_max = 1 keeps the
-    # couplings' phase, 2 sqrt(n_max) sum |g_k|, below the frequencies' one
-    text += "n_max = 1\n"
-    frequency = float(parse_config_text(text).model().frequencies.max())
-    line = [key.split()[0] for key in text.splitlines()].index("t_max") + 1
-    t_max = MAX_PHASE / frequency
-    while t_max * frequency > MAX_PHASE:
+def _boundary(rate: float) -> float:
+    """The largest t_max whose phase t_max x rate is within MAX_PHASE."""
+    t_max = MAX_PHASE / rate
+    while t_max * rate > MAX_PHASE:
         t_max = math.nextafter(t_max, 0.0)
+    return t_max
+
+
+def _phase_error(line: int, t_max: float, rate: float) -> str:
+    return re.escape(f"line {line}: field 't_max': time {t_max:g} at rate {rate:g} makes a "
+                     f"phase of {t_max * rate:g} rad, past MAX_PHASE = {MAX_PHASE:g}")
+
+
+# A discretization's detunings cannot reach the bound before its recurrence
+# time 2 pi M / (omega_max - omega_min), which the parser rejects first,
+# unless it has about MAX_PHASE / 2 pi = 1.6e7 modes: the explicit modes
+# alone can.
+@pytest.mark.parametrize("text", [GOOD], ids=["explicit"])
+def test_phase_bound_reads_the_largest_detuning(text):
+    # without n_max, t_max times the master equation's rate,
+    # RateFunctions.phase_rate = max |omega_k - omega0| (0.3 here): at the
+    # bound the config parses, one ulp of t_max past it does not, and the
+    # error names t_max and its line
+    model = parse_config_text(text).model()
+    rate = rate_functions(model).phase_rate
+    assert rate == max(abs(w - model.omega0) for w in model.frequencies)
+    line = [key.split()[0] for key in text.splitlines()].index("t_max") + 1
+    t_max = _boundary(rate)
     under = re.sub(r"t_max = \S+", f"t_max = {t_max!r}", text)
     assert parse_config_text(under).t_max == t_max
-    over = re.sub(r"t_max = \S+", f"t_max = {math.nextafter(t_max, math.inf)!r}", text)
-    with pytest.raises(ConfigError, match=rf"^line {line}: field 't_max': t_max x max"):
-        parse_config_text(over)
-    # omega0 counts when it is the largest frequency
-    slow = re.sub(r"t_max = \S+", f"t_max = {MAX_PHASE / 20.0!r}", text)
-    assert parse_config_text(slow.replace("omega0 = 1.0", "omega0 = 20.0")).t_max == MAX_PHASE / 20
-    with pytest.raises(ConfigError, match="'t_max'"):
-        parse_config_text(slow.replace("omega0 = 1.0", "omega0 = 20.5"))
+    over = math.nextafter(t_max, math.inf)
+    with pytest.raises(ConfigError, match=f"^{_phase_error(line, over, rate)}$"):
+        parse_config_text(re.sub(r"t_max = \S+", f"t_max = {over!r}", text))
+    # omega0 counts through the detunings: at 20 the largest is 19.2, at 21
+    # it is 20.2
+    slow = re.sub(r"t_max = \S+", "t_max = 5e6", text)
+    assert parse_config_text(slow.replace("omega0 = 1.0", "omega0 = 20.0")).t_max == 5e6
+    with pytest.raises(ConfigError, match="'t_max': time 5e\\+06 at rate 20.2 makes"):
+        parse_config_text(slow.replace("omega0 = 1.0", "omega0 = 21.0"))
 
 
 @pytest.mark.parametrize("n_max", [1, 4, 9])
 def test_phase_bound_reads_the_couplings(n_max):
-    # t_max times 2 sqrt(n_max) sum |g_k|, a bound of the couplings' share
-    # of the exact reference's sector energies: at the bound the config
-    # parses, one ulp of t_max past it does not, and the error names t_max
-    # and its line; a negative coupling counts by its size
-    coupling = 2.0 * math.sqrt(n_max) * (1.0 + 0.8 + 0.6)
-    t_max = MAX_PHASE / coupling
-    while t_max * coupling > MAX_PHASE:
-        t_max = math.nextafter(t_max, 0.0)
+    # with n_max, also t_max times the exact reference's rate,
+    # oracle.phase_rate = omega0 / 2 + n_max sum omega_k + 2 sqrt(n_max)
+    # sum |g_k|, a bound of its energies: at the bound the config parses,
+    # one ulp of t_max past it does not, and the error names t_max and its
+    # line; a negative coupling counts by its size
     text = GOOD.replace("0.8:0.1, 1.0:0.08, 1.3:0.06", "0.8:1.0, 1.0:-0.8, 1.3:0.6")
     text += f"n_max = {n_max}\n"
+    model = parse_config_text(text).model()
+    rate = phase_rate(model, n_max)
+    assert rate == pytest.approx(0.5 + 3.1 * n_max + 2.0 * math.sqrt(n_max) * 2.4, rel=1e-15)
+    assert rate == phase_rate(model.scaled(-1.0), n_max)
+    t_max = _boundary(rate)
     under = text.replace("t_max = 5.0", f"t_max = {t_max!r}")
     assert parse_config_text(under).t_max == t_max
-    over = text.replace("t_max = 5.0", f"t_max = {math.nextafter(t_max, math.inf)!r}")
-    with pytest.raises(ConfigError, match=r"^line 5: field 't_max': t_max x 2 sqrt\(n_max\)"):
-        parse_config_text(over)
+    over = math.nextafter(t_max, math.inf)
+    with pytest.raises(ConfigError, match=f"^{_phase_error(5, over, rate)}$"):
+        parse_config_text(text.replace("t_max = 5.0", f"t_max = {over!r}"))
+    # check_truncation reruns the reference at twice n_max, at that rate
+    fine = phase_rate(model, 2 * n_max)
+    with pytest.raises(ConfigError, match=f"^{_phase_error(5, t_max, fine)}$"):
+        parse_config_text(under + "check_truncation = true\n")
     # a coupling whose phases carry no digits, of either sign
     for g in ("1e200", "-1e9"):
-        with pytest.raises(ConfigError, match="t_max x 2 sqrt"):
+        with pytest.raises(ConfigError, match="^line 5: field 't_max': time 5 at rate "):
             parse_config_text(text.replace("1.3:0.6", f"1.3:{g}"))
 
 
 def test_phase_bound_reads_the_couplings_only_with_a_cutoff():
-    # the couplings' phase bounds the exact reference's sector energies at
-    # the config's n_max: without one there is no reference to bound
+    # the exact reference's rate bounds its energies at the config's n_max:
+    # without one there is no reference to bound
     text = GOOD.replace("0.8:0.1, 1.0:0.08, 1.3:0.06", "0.8:1e9")
     assert parse_config_text(text).n_max is None
-    with pytest.raises(ConfigError, match="t_max x 2 sqrt"):
+    with pytest.raises(ConfigError, match="makes a phase"):
         parse_config_text(text + "n_max = 1\n")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinboson.config import ConfigError, parse_config_text
-from spinboson.linalg import require_count, require_density_matrix, require_factors
-from spinboson.master_eq import propagate, propagate_scaled
-from spinboson.oracle import (TruncatedBath, dyson_terms, exact_scaled_dynamics,
-                              interaction_unitary, map_inversion_residual,
-                              reduced_map_deviation)
+from spinboson.linalg import MAX_PHASE, require_count, require_density_matrix, require_factors
+from spinboson.master_eq import generator_matrix, propagate, propagate_scaled, rhs
+from spinboson.oracle import (TruncatedBath, dyson_terms, exact_reduced_dynamics,
+                              exact_scaled_dynamics, interaction_unitary,
+                              map_inversion_residual, reduced_map_deviation)
 from spinboson.spin_boson import (SpectralDiscretization, SpinBosonModel, bath_statistics,
                                   coherence_solution, element_ode_matrix, flat_density,
                                   interaction_decomposition, population_solution,
@@ -135,21 +136,46 @@ def test_require_count_returns_a_plain_int():
         require_count(-1, "count")
 
 
-# -- scalar times (linalg.require_time_grid, at every site of the oracle) -----
+# -- times of the oracle and the engine (linalg.require_time_grid, at each
+# site of the oracle that takes a time, and the bath's evaluator) ------------
 
+def _past_the_phase_rule(time: str = r"\S+") -> str:
+    """The error of a finite time whose phase at the site's rate exceeds
+    MAX_PHASE, where it has too few correct digits to give an answer: the
+    largest time checked, ``time``, the grid's or a lattice's past it."""
+    return (rf"^time {time} at rate \S+ makes a phase of \S+ rad, "
+            rf"past MAX_PHASE = {re.escape(f'{MAX_PHASE:g}')}$")
+
+
+_BATH = TruncatedBath(_MODEL, n_max=2)
+_ENGINE = interaction_decomposition(_MODEL), bath_statistics(_MODEL)
+# a scalar time, or a grid that ends at it
 _TIME_SITES = {
-    "interaction_unitary": lambda bath, t: interaction_unitary(bath, t),
-    "dyson_terms": lambda bath, t: dyson_terms(bath, t),
-    "reduced_map_deviation": lambda bath, t: reduced_map_deviation(bath, _RHO, t),
-    "map_inversion_residual": lambda bath, t: map_inversion_residual(bath, _RHO, t, 1),
+    "interaction_unitary": lambda t: interaction_unitary(_BATH, t),
+    "dyson_terms": lambda t: dyson_terms(_BATH, t),
+    "reduced_map_deviation": lambda t: reduced_map_deviation(_BATH, _RHO, t),
+    "map_inversion_residual": lambda t: map_inversion_residual(_BATH, _RHO, t, 1),
+    "exact_reduced_dynamics": lambda t: exact_reduced_dynamics(_BATH, _RHO, [0.0, t]),
+    "exact_scaled_dynamics": lambda t: exact_scaled_dynamics(_BATH, _RHO, [0.0, t], (1.0, 0.5)),
+    "propagate": lambda t: propagate(*_ENGINE, _RHO, [0.0, t], substeps=1),
+    "propagate_scaled": lambda t: propagate_scaled(*_ENGINE, _RHO, [0.0, t], (1.0, 0.5),
+                                                   substeps=1),
+    "generator_matrix": lambda t: generator_matrix(*_ENGINE, t),
+    "rhs": lambda t: rhs(*_ENGINE, _RHO, t),
 }
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, 1e17, 1e308],
+                         ids=["nan", "inf", "1e17", "1e308"])
 @pytest.mark.parametrize("site", _TIME_SITES)
 def test_scalar_times_must_be_finite(site, t):
-    with pytest.raises(ValueError, match=f"times must be finite, got {t}"):
-        _TIME_SITES[site](TruncatedBath(_MODEL, n_max=1), t)
+    # and within the phase rule: at 1e17 the oracle's states and the
+    # engine's generators had no correct digit, propagate blamed its step
+    # size (TraceDriftError), and at 1e308 the oracle returned NaN.  There
+    # the oracle's phase, at its rate 2.44, overflows to inf, with no warning
+    message = _past_the_phase_rule() if math.isfinite(t) else f"times must be finite, got {t}"
+    with pytest.raises(ValueError, match=message):
+        _TIME_SITES[site](t)
 
 
 # -- times of the closed forms (linalg.require_finite_times) ------------------
@@ -165,15 +191,22 @@ _CLOSED_FORM_SITES = {
 }
 
 
-@pytest.mark.parametrize("t, first", [
-    (math.nan, "nan"), (-math.inf, "-inf"),
-    (np.array([[0.0, 1.0], [math.inf, math.nan]]), "inf"),
-], ids=["nan", "-inf", "array"])
+@pytest.mark.parametrize("t, message", [
+    (math.nan, "^times must be finite, got nan$"),
+    (-math.inf, "^times must be finite, got -inf$"),
+    (np.array([[0.0, 1.0], [math.inf, math.nan]]), "^times must be finite, got inf$"),
+    (1e17, _past_the_phase_rule(r"1e\+17")),
+    (np.array([1.0, -1e308]), _past_the_phase_rule(r"1e\+308")),
+], ids=["nan", "-inf", "array", "1e17", "1e308"])
 @pytest.mark.parametrize("site", _CLOSED_FORM_SITES)
-def test_closed_form_times_must_be_finite(site, t, first):
+def test_closed_form_times_must_be_finite(site, t, message):
     # each used to return NaN, with at most a RuntimeWarning; the error
-    # names the first time that is not finite, in row-major order
-    with pytest.raises(ValueError, match=f"^times must be finite, got {first}$"):
+    # names the first time that is not finite, in row-major order.  A
+    # finite time past the phase rule gave numbers without a correct digit
+    # (on the README model, population_solution 3.03e19 at 1e17), or
+    # infinities and NaN at 1e308; its error names the largest time, of
+    # either sign
+    with pytest.raises(ValueError, match=message):
         _CLOSED_FORM_SITES[site](t)
 
 

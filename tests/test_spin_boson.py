@@ -70,10 +70,10 @@ def test_occupation_high_temperature():
 
 
 def test_occupation_rejects_nonpositive_frequency():
-    with pytest.raises(ValueError):
-        thermal_occupation(0.0, 1.0)
-    with pytest.raises(ValueError):
-        thermal_occupation(-1.0, 1.0)
+    # and one that is not finite: NaN used to give NaN, as NaN <= 0 is False
+    for omega in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^mode frequency must be positive and finite, got "):
+            thermal_occupation(omega, 1.0)
 
 
 @pytest.mark.parametrize("beta", [-1.0, 0.0, math.nan, -math.inf])
