@@ -14,8 +14,10 @@ Usage: ``spinboson <verb> --config <path> [--out <path>]``; ``--help``
 lists the verbs with one line each.  One flat parser reads the verb as a
 positional argument, so the options may come before or after it
 (``spinboson --config run.cfg rates`` works too).  ``--out`` falls back to
-``output_path`` from the config.  Numbers are serialized with 17
-significant digits, so emitted CSV re-parses bit-exactly; nothing in any
+``output_path`` from the config.  Each verb builds its output's lines,
+and :func:`_write` alone opens the file, in UTF-8 with ``\\n`` line ends,
+and prints one ``wrote <path>`` line for it.  Numbers are serialized with
+17 significant digits, so emitted CSV re-parses bit-exactly; nothing in any
 code path depends on wall clock or randomness, so identical configs yield
 byte-identical outputs.
 
@@ -73,6 +75,14 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _write(path: str, lines) -> None:
+    """The one writer of an output: ``lines``, each ended by one ``\\n``,
+    into ``path`` in UTF-8, then one ``wrote <path>`` line on stdout."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+    print(f"wrote {path}")
+
+
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     """Write ``columns``, the times first, under ``header``; a NaN or an
     infinity raises :class:`NonFiniteOutputError`, and no file is opened."""
@@ -82,17 +92,13 @@ def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
         row, column = np.argwhere(~finite)[0]
         raise NonFiniteOutputError(f"{header[column]} is {table[row, column]} "
                                    f"at t = {_fmt(table[row, 0])}; no CSV written")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for values in table.tolist():
-            fh.write(",".join(map(_fmt, values)) + "\n")
+    _write(path, [",".join(header), *(",".join(map(_fmt, values)) for values in table.tolist())])
 
 
-def _write_keyvals(fh, pairs) -> None:
-    for key, value in pairs:
-        if isinstance(value, float):
-            value = _fmt(value)
-        fh.write(f"{key} = {value}\n")
+def _keyvals(pairs) -> list[str]:
+    """``key = value`` lines, a float value by :func:`_fmt`."""
+    return [f"{key} = {_fmt(value) if isinstance(value, float) else value}"
+            for key, value in pairs]
 
 
 # -- commands ----------------------------------------------------------------
@@ -105,12 +111,11 @@ def run_rates(cfg: RunConfig, out: str) -> int:
         grid, ("decay", "shift", "decay_integral", "shift_integral"))
     write_csv(out, RATES_HEADER,
               [grid, *absorption[:2], *emission[:2], *absorption[2:], *emission[2:]])
-    print(f"wrote {out}")
     return EXIT_OK
 
 
 # the run's own metadata a summary ends with, in this order, when present
-_SUMMARY_METADATA = ("integrator", "substeps", "error_estimate", "n_max")
+_SUMMARY_METADATA = ("integrator", "substeps", "error_estimate", "n_max", "truncation_shift")
 
 
 def _outputs(command: str, out: str) -> list[str]:
@@ -161,11 +166,7 @@ def _write_trajectory(command: str, cfg: RunConfig, traj: Trajectory, out: str) 
         ("max_herm_err", float(np.max(herm_errors))),
     ]
     pairs += [(key, traj.metadata[key]) for key in _SUMMARY_METADATA if key in traj.metadata]
-    summary_path = _outputs(command, out)[1]
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_keyvals(fh, pairs)
-    print(f"wrote {out}")
-    print(f"wrote {summary_path}")
+    _write(_outputs(command, out)[1], _keyvals(pairs))
 
 
 def run_evolve(cfg: RunConfig, out: str) -> int:
@@ -197,51 +198,31 @@ def run_compare(cfg: RunConfig, out: str) -> int:
     # and one master-equation pass, from one bath
     trajectories = propagate_scaled(interaction_decomposition(base), bath_statistics(base),
                                     rho0, grid, SCALING_FACTORS, substeps=cfg.rk4_substeps)
-    distances = None
-    errors = []
-    for factor, me, exact in zip(SCALING_FACTORS, trajectories, references):
-        dist = np.linalg.norm(me.states - exact.states, axis=(1, 2))
-        if factor == 1.0:
-            distances = dist
-        errors.append(float(dist[-1]))
-
-    ratios: list[tuple[str, float | None]] = []
-    for (fa, ea), (fb, eb) in zip(zip(SCALING_FACTORS, errors),
-                                  zip(SCALING_FACTORS[1:], errors[1:])):
-        name = f"ratio_{fa:g}_to_{fb:g}"
-        ratios.append((name, ea / eb if eb > RATIO_NOISE_FLOOR else None))
-
+    # one per scale; SCALING_FACTORS[0] is 1, so the first is the one reported per time
+    distances = [np.linalg.norm(me.states - exact.states, axis=(1, 2))
+                 for me, exact in zip(trajectories, references)]
+    errors = [float(d[-1]) for d in distances]
+    ratios = [(f"ratio_{fa:g}_to_{fb:g}", ea / eb if eb > RATIO_NOISE_FLOOR else None)
+              for fa, fb, ea, eb in zip(SCALING_FACTORS, SCALING_FACTORS[1:], errors, errors[1:])]
     lo, hi = RATIO_WINDOW
-    reported = [(n, r) for n, r in ratios if r is not None]
-    all_pass = all(lo <= r <= hi for _, r in reported)
+    checks = [(name, "pass" if lo <= ratio <= hi else "fail")
+              for name, ratio in ratios if ratio is not None]
+    all_pass = all(verdict == "pass" for _, verdict in checks)
 
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        _write_keyvals(fh, [
-            ("command", "compare"),
-            ("model", cfg.model_tag()),
-            ("samples", cfg.samples),
-            ("t_max", cfg.t_max),
-            ("n_max", cfg.n_max),
-            ("accepted_window", f"[{lo:g}, {hi:g}]"),
-        ])
-        fh.write("[distances]\n")
-        fh.write("t,distance\n")
-        for t, d in zip(grid, distances):
-            fh.write(f"{_fmt(t)},{_fmt(d)}\n")
-        fh.write("[scaling]\n")
-        fh.write("coupling_scale,error_final\n")
-        for factor, err in zip(SCALING_FACTORS, errors):
-            fh.write(f"{_fmt(factor)},{_fmt(err)}\n")
-        fh.write("[ratios]\n")
-        for name, ratio in ratios:
-            value = _fmt(ratio) if ratio is not None else "below-noise-floor"
-            fh.write(f"{name} = {value}\n")
-        fh.write("[checks]\n")
-        for name, ratio in reported:
-            verdict = "pass" if lo <= ratio <= hi else "fail"
-            fh.write(f"{name} = {verdict}\n")
-        fh.write(f"overall = {'pass' if all_pass else 'fail'}\n")
-    print(f"wrote {out}")
+    _write(out, [
+        *_keyvals([("command", "compare"), ("model", cfg.model_tag()), ("samples", cfg.samples),
+                   ("t_max", cfg.t_max), ("n_max", cfg.n_max),
+                   ("accepted_window", f"[{lo:g}, {hi:g}]")]),
+        "[distances]", "t,distance",
+        *(f"{_fmt(t)},{_fmt(d)}" for t, d in zip(grid, distances[0])),
+        "[scaling]", "coupling_scale,error_final",
+        *(f"{_fmt(factor)},{_fmt(err)}" for factor, err in zip(SCALING_FACTORS, errors)),
+        "[ratios]",
+        *_keyvals((name, "below-noise-floor" if ratio is None else ratio)
+                  for name, ratio in ratios),
+        "[checks]",
+        *_keyvals(checks + [("overall", "pass" if all_pass else "fail")]),
+    ])
     return EXIT_OK if all_pass else EXIT_CHECK
 
 
@@ -334,15 +315,12 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
 
 def run_limits(cfg: RunConfig, out: str) -> int:
     checks = _limit_checks(cfg)
-    failed = [name for name, status, _ in checks if status == "fail"]
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        _write_keyvals(fh, [("command", "limits"), ("model", cfg.model_tag())])
-        for name, status, measurements in checks:
-            fh.write(f"[{name}]\n")
-            _write_keyvals(fh, [("status", status)] + measurements)
-        fh.write(f"overall = {'pass' if not failed else 'fail'}\n")
-    print(f"wrote {out}")
-    return EXIT_OK if not failed else EXIT_CHECK
+    lines = _keyvals([("command", "limits"), ("model", cfg.model_tag())])
+    for name, status, measurements in checks:
+        lines += [f"[{name}]", *_keyvals([("status", status)] + measurements)]
+    failed = any(status == "fail" for _, status, _ in checks)
+    _write(out, lines + [f"overall = {'fail' if failed else 'pass'}"])
+    return EXIT_CHECK if failed else EXIT_OK
 
 
 # verb -> (runner, one-line description for --help)

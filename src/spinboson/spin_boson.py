@@ -687,10 +687,11 @@ def bath_statistics(model: SpinBosonModel) -> BathStatistics:
     with d_k the detunings.  Their exact time integrals are the decay and
     shift rates of :func:`rate_functions`, evaluated on the engine's time
     lattice, so the generic engine never quadratures this bath.  The
-    evaluator of the origins applies the phase rule at
-    ``RateFunctions.phase_rate`` to the lattice's largest time, bounded by
-    ``|origin| + max |step| + max |offset|``: a ``ValueError`` there stops
-    ``propagate``, ``generator_matrix`` and ``rhs``.
+    bath applies the phase rule at ``RateFunctions.phase_rate`` to the
+    steps and offsets of its table and to the origins of each evaluation,
+    whose phases the kernel forms apart and adds by angle addition: a
+    ``ValueError`` there stops ``propagate``, ``generator_matrix`` and
+    ``rhs``.
     """
     rates = rate_functions(model)
     detunings, emission, absorption = rates.detunings, rates.emission, rates.absorption
@@ -703,16 +704,17 @@ def bath_statistics(model: SpinBosonModel) -> BathStatistics:
         return 0j
 
     def integrals(steps: np.ndarray, offsets: np.ndarray):
+        # the kernel forms the phases of the steps, the offsets and the
+        # origins apart, so the phase rule holds each of them
+        require_finite_times(steps, rates.phase_rate)
+        require_finite_times(offsets, rates.phase_rate)
         # both channels from one phase pass, over one table of steps and
         # offsets; the reverse integrals are the complex conjugates of the
         # forward ones, written in place into the second half
         sums = _channel_sums(rates, ("decay", "shift"), steps, offsets)
-        # in Python floats, which overflow to inf without a warning
-        reach = float(np.abs(steps).max(initial=0.0)) + float(np.abs(offsets).max(initial=0.0))
 
         def at(origins: np.ndarray):
-            require_finite_times(float(np.abs(origins).max(initial=0.0)) + reach,
-                                 rates.phase_rate)
+            require_finite_times(origins, rates.phase_rate)
             (a_decay, a_shift), (e_decay, e_shift) = sums(origins)
             out = np.zeros(e_decay.shape + (2, 2, 2), dtype=complex)
             out[..., 0, 0, 1] = e_decay - 1j * e_shift

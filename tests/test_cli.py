@@ -531,6 +531,27 @@ def test_a_summary_sidecar_over_the_config_is_refused(tmp_path, capsys, verb):
     assert not out.exists()  # refused before any file is opened
 
 
+@pytest.mark.parametrize("verb", list(cli._COMMANDS))
+def test_each_verb_opens_the_files_the_refusal_checks(tmp_path, monkeypatch, verb):
+    # the refusal checks _outputs(verb, out) before the run, and each writer
+    # opens its own path: they must name the same files, each opened once,
+    # as UTF-8 with "\n" line ends
+    import builtins
+
+    opened, real_open = [], builtins.open
+
+    def spy(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            opened.append((file, mode, kwargs.get("encoding"), kwargs.get("newline")))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    cfg = write_cfg(tmp_path, COMPARE_CFG)
+    out = str(tmp_path / "out")
+    assert main([verb, "--config", cfg, "--out", out]) in (EXIT_OK, EXIT_CHECK)
+    assert opened == [(path, "w", "utf-8", "\n") for path in cli._outputs(verb, out)]
+
+
 @pytest.mark.parametrize("verb", ["compare", "limits"])
 def test_an_output_path_key_naming_the_config_is_refused(tmp_path, capsys, monkeypatch, verb):
     text = COMPARE_CFG + "output_path = run.cfg\n"
@@ -621,6 +642,18 @@ def test_coupling_beyond_the_phase_bound_is_a_config_error(tmp_path, capsys, ver
     model = SpinBosonModel(1.0, [(1.2, float(g))], 1.0)
     assert capsys.readouterr().err == _phase_error(1.0, phase_rate(model, 4))
     assert not out.exists()
+
+
+def test_a_stage_lattice_past_the_grid_is_within_the_phase_rule(tmp_path, capsys):
+    # 4.9e8 at the kernel rate 0.2 parses; one RK4 substep per interval then
+    # ends in trace drift, where the bath used to check origin + step +
+    # offset, 7.35e8, a time no phase is formed of, and end in a traceback
+    cfg = write_cfg(tmp_path, THERMAL_CFG.replace("t_max = 4.0", "t_max = 4.9e8")
+                    .replace("samples = 33", "samples = 2")
+                    .replace("rk4_substeps = 40", "rk4_substeps = 1"))
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("runtime abort: trace drifted") and "Traceback" not in err
 
 
 def test_non_finite_rate_is_a_runtime_abort(tmp_path, capsys, monkeypatch):
@@ -762,6 +795,28 @@ def test_truncation_check_aborts_on_a_hot_bath(tmp_path, capsys, verb):
     on = write_cfg(tmp_path, HOT_CFG + "check_truncation = true\n", "on.cfg")
     assert main([verb, "--config", on, "--out", out]) == EXIT_RUNTIME
     assert "runtime abort: truncation not converged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["false", "true"])
+def test_the_summary_reports_the_truncation_shift_it_measured(tmp_path, check):
+    # at beta = 6 the README modes converge at n_max = 4, and check_truncation
+    # reports how far doubling the cutoff moved the sampled elements
+    from spinboson.config import load_config
+    from spinboson.oracle import TruncatedBath, exact_reduced_dynamics
+
+    text = (THERMAL_CFG.replace("beta = 1.0", "beta = 6.0")
+            + f"n_max = 4\ncheck_truncation = {check}\n")
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "exact.csv"
+    assert main(["exact", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    run = load_config(cfg)
+    metadata = exact_reduced_dynamics(TruncatedBath(run.model(), n_max=4), run.initial_state(),
+                                      run.time_grid(), check_truncation=check == "true").metadata
+    expected = ["n_max = 4"]
+    if check == "true":
+        assert 0 < metadata["truncation_shift"] <= 1e-6
+        expected.append(f"truncation_shift = {metadata['truncation_shift']:.17g}")
+    assert (tmp_path / "exact.csv.summary").read_text().splitlines()[-len(expected):] == expected
 
 
 def test_non_finite_step_doubling_estimate_exits_runtime(tmp_path, capsys, monkeypatch):

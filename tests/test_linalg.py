@@ -142,7 +142,8 @@ def test_require_count_returns_a_plain_int():
 def _past_the_phase_rule(time: str = r"\S+") -> str:
     """The error of a finite time whose phase at the site's rate exceeds
     MAX_PHASE, where it has too few correct digits to give an answer: the
-    largest time checked, ``time``, the grid's or a lattice's past it."""
+    largest time checked, ``time``: the grid's end, or a lattice's step
+    or offset."""
     return (rf"^time {time} at rate \S+ makes a phase of \S+ rad, "
             rf"past MAX_PHASE = {re.escape(f'{MAX_PHASE:g}')}$")
 
