@@ -259,10 +259,13 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
     else:
         checks.append(("vacuum", "skipped", [("reason", "beta is finite")]))
 
+    # the high- and the zero-temperature check exclude each other and read
+    # one trajectory
+    if hot or model.vacuum:
+        traj = propagate(decomp, bath, cfg.initial_state(), grid, substeps=cfg.rk4_substeps)
+
     # high temperature: equal populations are the steady state
     if hot:
-        traj = propagate(decomp, bath, cfg.initial_state(), grid,
-                         substeps=cfg.rk4_substeps)
         decay_factor = math.exp(-16.0 * a_integral[-1])  # at t_max
         final = float(traj.states[-1, 0, 0].real)
         ok = decay_factor < 1e-4 and abs(final - 0.5) <= 1e-3
@@ -280,8 +283,6 @@ def _limit_checks(cfg: RunConfig) -> list[tuple[str, str, list[tuple[str, object
     # zero temperature: population decays with the emission envelope and
     # everything ends in the lower level
     if model.vacuum:
-        traj = propagate(decomp, bath, cfg.initial_state(), grid,
-                         substeps=cfg.rk4_substeps)
         envelope = np.exp(-8.0 * e_integral)
         closed = cfg.rho00 * envelope
         deviation = float(np.max(np.abs(traj.states[:, 0, 0].real - closed)))

@@ -28,7 +28,11 @@ estimate (:func:`propagate`); the generator at the RK4 stage times of a
 batch of intervals is one such lattice evaluation
 (:func:`stage_generators`).  Any number of coupling scales run in one pass
 (:func:`propagate_scaled`), one evaluation of a batch's coefficients
-serving every scale; one scale is the single factor 1.
+serving every scale; one scale is the single factor 1.  A factor that
+cannot finish ends alone: an automatic run whose error estimate passes its
+cap stops and reruns finer, a drifting trace is that factor's error, and
+the other factors go on, so that each factor's result or error is that of
+its own run.
 
 The stage generators, step matrices, block products and the state advance
 are in real arithmetic: each complex matrix is its interleaved real form,
@@ -476,29 +480,28 @@ def _block_products(steps: np.ndarray, block: int) -> np.ndarray:
 
 
 def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int,
-                doubled: bool, factors: np.ndarray):
-    """States on ``times`` from RK4 at ``substeps`` per interval and, with
-    ``doubled`` (even ``substeps``), the step-doubling error estimates: one
-    of each per coupling factor of ``factors``, a 1-d array.  The states
-    are one ``(len(factors), len(times), d, d)`` array and the estimates an
-    array, zero without ``doubled``.
+                doubled: bool, factors: np.ndarray) -> list:
+    """RK4 on ``times`` at ``substeps`` per interval, with the step-doubling
+    error estimate under ``doubled`` (even ``substeps``): one outcome per
+    coupling factor of ``factors``, a 1-d array, in its order.
 
     The stage generators of a batch are evaluated once for all factors, and
     the step matrices, block products and states carry the leading factor
     axis.  The second state advances by the RK4 step matrices of size 2 h
     from every other stage generator of the batch, so no generator is
-    evaluated twice.  A factor that cannot finish the pass ends it: its
-    batch estimate passes ``_ESTIMATE_CAP`` or is NaN (a stop), or its trace
-    drifts.  With several factors either ends the pass with ``(None,
-    None)``, after which :func:`propagate_scaled` runs every factor alone.
-    With one factor a stop gives ``[None]`` and the estimate of the batch,
-    and so does a drift whose estimate at the drift passes the cap; any
-    other drift raises :class:`TraceDriftError`.
+    evaluated twice.  A factor's outcome is ``(states, estimate)``, its
+    ``(len(times), d, d)`` states and its estimate, zero without
+    ``doubled``, when it finishes; ``(None, estimate)`` when it stops, at a
+    batch estimate past ``_ESTIMATE_CAP`` or NaN, or at a trace drift whose
+    estimate passes the cap; and its :class:`TraceDriftError` at any other
+    drift.  A factor that ends has its states zeroed, so it carries nothing
+    forward, and the pass ends once every factor has.
     """
     count, d = len(factors), rho0.shape[0]
     states = np.empty((count, len(times), d, d), dtype=complex)
     states[:, 0] = rho0
     estimates = np.zeros(count)
+    outcomes, running = [None] * count, [True] * count
     if doubled:
         coarse = np.empty((count, len(times), d * d), dtype=complex)
         coarse[:, 0] = rho0.ravel()
@@ -517,10 +520,20 @@ def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int
     starts = [columns[:, b - 1, -1:] for b in range(blocks)]
     ends = [columns[:, b] for b in range(blocks)]
     trace = path.reshape(count, -1, d * d)[:, :substeps, ::d + 1]
+
+    def retire(k: int, i: int, outcome) -> None:
+        # factor k ends after interval i; zeroed, its states cannot overflow
+        # in the batches the other factors still run
+        outcomes[k], running[k], last[k] = outcome, False, 0.0
+        if doubled:
+            coarse[k, i + 1] = 0.0
+
     intervals = len(times) - 1
     per_batch = max(1, _STAGE_BUDGET // (2 * substeps + 1))
     stages = stage_generators(decomp, bath, times, substeps, factors)
     for first in range(0, intervals, per_batch):
+        if None not in outcomes:
+            break
         stop = min(first + per_batch, intervals)
         h = np.diff(times[first:stop + 1]) / substeps
         batch = stages(first, stop)
@@ -543,39 +556,37 @@ def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int
             drift = np.abs(trace.sum(axis=-1) - 1.0)
             bad = ~(drift <= _TRACE_ABORT)  # NaN aborts too
             if bad.any():
-                if count > 1:
-                    return None, None
-                if doubled:
-                    deviation = np.max(np.abs(last - coarse[:, i + 1]), axis=-1) / 15.0
-                    if deviation[0] > _ESTIMATE_CAP:
-                        return [None], deviation
-                j = int(np.argmax(bad[0]))
-                raise TraceDriftError(times[i] + (j + 1) * h[i - first], float(drift[0, j]))
+                for k in np.flatnonzero(bad.any(axis=1) & running):
+                    j = int(np.argmax(bad[k]))
+                    deviation = (np.max(np.abs(last[k] - coarse[k, i + 1])) / 15.0
+                                 if doubled else 0.0)
+                    retire(k, i, (None, float(deviation)) if deviation > _ESTIMATE_CAP else
+                           TraceDriftError(times[i] + (j + 1) * h[i - first], float(drift[k, j])))
             states[:, i + 1] = last.reshape(-1, d, d)
         if doubled:
             fine = states[:, first + 1:stop + 1].reshape(count, stop - first, -1)
             deviation = np.max(np.abs(fine - coarse[:, first + 1:stop + 1]), axis=(1, 2)) / 15.0
             if not np.all(deviation <= _ESTIMATE_CAP):  # NaN stops too
-                return ([None], deviation) if count == 1 else (None, None)
+                for k in np.flatnonzero(~(deviation <= _ESTIMATE_CAP) & running):
+                    retire(k, stop - 1, (None, float(deviation[k])))
             np.maximum(estimates, deviation, out=estimates)
-    return states, estimates
+    return [(states[k], float(estimates[k])) if outcome is None else outcome
+            for k, outcome in enumerate(outcomes)]
 
 
-def _one_factor(decomp, bath, rho0, times, substeps, factor, pilot=None) -> tuple:
+def _one_factor(decomp, bath, rho0, times, substeps, factor, outcome) -> tuple:
     """``(states, estimate, substeps)`` of the couplings scaled by ``factor``
-    alone: at a fixed ``substeps``, or automatic, from the pilot at
-    ``_PILOT_SUBSTEPS`` (its result ``pilot`` when given) and the reruns
-    :func:`propagate` describes."""
-    def run(substeps: int, doubled: bool = True) -> tuple:
-        states, estimates = _rk4_states(decomp, bath, rho0, times, substeps, doubled,
-                                        np.array([factor]))
-        return states[0], float(estimates[0])
-
-    if substeps is not None:
-        return run(substeps, False)[0], None, substeps
-    substeps, previous = _PILOT_SUBSTEPS, math.inf
-    states, estimate = run(substeps) if pilot is None else pilot
+    alone, from ``outcome``, that of its run at a fixed ``substeps`` or of
+    its pilot at ``_PILOT_SUBSTEPS`` (:func:`_rk4_states`), and the reruns
+    :func:`propagate` describes; a drift is raised when it is reached."""
+    automatic, previous = substeps is None, math.inf
+    substeps = _PILOT_SUBSTEPS if automatic else substeps
     while True:
+        if isinstance(outcome, TraceDriftError):
+            raise outcome
+        states, estimate = outcome
+        if not automatic:
+            return states, None, substeps
         if not math.isfinite(estimate):
             raise StepDoublingError(substeps, estimate)
         if states is not None and (estimate <= _ERROR_TARGET or estimate > 0.5 * previous):
@@ -585,7 +596,7 @@ def _one_factor(decomp, bath, rho0, times, substeps, factor, pilot=None) -> tupl
         previous = math.inf if states is None else estimate
         growth = 1.1 * (min(estimate, _ESTIMATE_CAP) / _ERROR_TARGET) ** 0.25
         substeps = 2 * math.ceil(0.5 * substeps * growth)
-        states, estimate = run(substeps)
+        outcome, = _rk4_states(decomp, bath, rho0, times, substeps, True, np.array([factor]))
 
 
 def _trajectory(times, run: tuple) -> Trajectory:
@@ -626,8 +637,8 @@ def propagate(decomp: InteractionDecomposition, bath: BathStatistics,
     unstable: the run stops at the end of the batch, or at a trace drift,
     keeps no states, and its rerun grows as if the estimate were 1e-6
     (about 35 times).  That stop is the one way a run ends short of the
-    grid's end without raising (:func:`propagate_scaled` has the same for
-    all its factors at once).  A complete rerun that does not halve the
+    grid's end without raising (each factor of :func:`propagate_scaled`
+    has the same, alone).  A complete rerun that does not halve the
     estimate has reached the rounding floor and is the result.  A
     non-finite estimate raises :class:`StepDoublingError`.  A fixed
     ``substeps`` computes no estimate.
@@ -663,10 +674,12 @@ def propagate_scaled(decomp: InteractionDecomposition, bath: BathStatistics,
     that each result equals a separate run: the batches, the stops and the
     drift checks are those of one factor.  An automatic run shares its
     pilot, and a factor whose pilot is rejected reruns alone from its own
-    count.  A factor that cannot finish the shared pass, because it stops
-    early or its trace drifts, ends the pass for all: every factor then
-    runs alone, in order, from its own pilot, which gives the results and
-    raises the exception the separate runs do.
+    count.  A factor that cannot finish ends alone: one that stops keeps no
+    states and reruns alone, one whose trace drifts keeps its
+    :class:`TraceDriftError`, and the other factors go on.  The factors are
+    then resolved in order, each trajectory checked as its run ends, so the
+    results and the exception raised are those of separate runs, and no
+    factor repeats work because another failed.
     ``factors`` must be a 1-d sequence of finite numbers; with none, no
     bath is evaluated and the result is empty.  The other arguments are
     those of :func:`propagate`.
@@ -687,17 +700,9 @@ def propagate_scaled(decomp: InteractionDecomposition, bath: BathStatistics,
         estimate = 0.0 if substeps is None else None
         return [_trajectory(times, (rho0[None, :, :].copy(), estimate, 0)) for _ in factors]
     automatic = substeps is None
-    states, estimates = _rk4_states(decomp, bath, rho0, times,
-                                    _PILOT_SUBSTEPS if automatic else substeps,
-                                    automatic, factors)
-    if states is None:
-        # a factor stopped or drifted: every factor runs alone, in order, and
-        # each trajectory is checked as its run ends, so the first failure is
-        # the one separate runs meet first
-        runs = (_one_factor(decomp, bath, rho0, times, substeps, f) for f in factors)
-    elif automatic:
-        runs = (_one_factor(decomp, bath, rho0, times, None, f, (s, float(e)))
-                for f, s, e in zip(factors, states, estimates))
-    else:
-        runs = ((s, None, substeps) for s in states)
-    return [_trajectory(times, run) for run in runs]
+    outcomes = _rk4_states(decomp, bath, rho0, times,
+                           _PILOT_SUBSTEPS if automatic else substeps, automatic, factors)
+    # each factor resolves in order, and its trajectory is checked as its run
+    # ends, so the first failure is the one separate runs meet first
+    return [_trajectory(times, _one_factor(decomp, bath, rho0, times, substeps, f, outcome))
+            for f, outcome in zip(factors, outcomes)]

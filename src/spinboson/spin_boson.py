@@ -154,16 +154,21 @@ def _require_beta(beta: float) -> None:
 def thermal_occupation(omega: float, beta: float) -> float:
     """Mean boson number of a mode at frequency ``omega``, temperature ``1/beta``.
 
-    Closed Bose-Einstein form of the thermal-trace definition;
-    ``beta = math.inf`` gives the vacuum value 0.  A frequency that is not
-    positive and finite raises ``ValueError``.
+    Closed Bose-Einstein form of the thermal-trace definition,
+    ``1 / expm1(beta omega)``, wherever ``expm1`` is finite.  Past
+    ``beta omega = 709.78``, where it overflows, the value is ``exp(-beta
+    omega)``, whose relative difference from the closed form is below
+    ``e^-709``; it underflows to 0 past ``beta omega = 745``, and ``beta =
+    math.inf`` gives the vacuum value 0.  A frequency that is not positive
+    and finite raises ``ValueError``.
     """
     if not 0 < omega < math.inf:  # NaN fails too
         raise ValueError(f"mode frequency must be positive and finite, got {omega}")
     _require_beta(beta)
-    if beta == math.inf:
-        return 0.0
-    return 1.0 / math.expm1(beta * omega)
+    try:
+        return 1.0 / math.expm1(beta * omega)
+    except OverflowError:
+        return math.exp(-beta * omega)
 
 
 def _read_only(values) -> np.ndarray:

@@ -332,6 +332,19 @@ def test_exact_on_the_ohmic_400_config_needs_a_cutoff_and_then_meets_the_cap(tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["rates", "evolve", "limits"])
+def test_the_ohmic_400_config_runs_in_a_cold_bath(tmp_path, capsys, verb):
+    # at beta = 100 the band's top modes have beta omega up to 1000, past
+    # where 1 / expm1 overflows
+    text = (Path(__file__).parent / "golden" / "ohmic_400.cfg").read_text()
+    cfg = write_cfg(tmp_path, text.replace("beta = vacuum", "beta = 100"))
+    out = tmp_path / "out"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    if verb == "limits":
+        assert "[markov_plateau]\nstatus = pass" in out.read_text(encoding="utf-8")
+
+
 # -- limits -----------------------------------------------------------------------
 
 def test_limits_vacuum_config(tmp_path):

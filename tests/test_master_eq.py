@@ -582,9 +582,10 @@ def test_automatic_substeps_stop_at_the_rounding_floor(monkeypatch):
     original = master_eq._rk4_states
 
     def recorded(*args):
-        states, estimate = original(*args)
+        outcomes = original(*args)
+        (_, estimate), = outcomes
         runs.append((args[4], estimate))
-        return states, estimate
+        return outcomes
 
     monkeypatch.setattr(master_eq, "_rk4_states", recorded)
     traj = propagate(decomp, bath, rho0, np.linspace(0, 1, 11))
@@ -691,8 +692,9 @@ def test_propagate_scaled_reruns_a_rejected_pilot_alone():
 
 def test_propagate_scaled_reruns_every_factor_alone_when_one_factor_stops():
     # at beta = 0.01 the factor-1 pilot stops at the estimate cap after its
-    # first batch, which ends the shared pilot for every factor; each factor
-    # then runs alone, in order, as separate calls do
+    # first batch, and the pilots of 0.5 and 0.25 finish above the target;
+    # each factor then reruns alone, in order, from its own outcome of the
+    # shared pilot, as separate calls do after their own pilots
     model = SpinBosonModel(1.0, README_MODES, 0.01)
     decomp = interaction_decomposition(model)
     times = np.linspace(0, 1, 11)
@@ -709,10 +711,11 @@ def test_propagate_scaled_reruns_every_factor_alone_when_one_factor_stops():
     assert joint[0].metadata["substeps"] > master_eq._PILOT_SUBSTEPS
     # every run's pilot is one batch of all ten intervals
     assert all(len(b[0]) == len(times) - 1 for b in separate)
-    # the shared pilot's one batch, then each factor's own batches
-    own = [batch for b in separate for batch in b]
-    assert len(batches) == 1 + len(own)
-    assert all(np.array_equal(a, b) for a, b in zip(batches, [own[0]] + own))
+    # the shared pilot's one batch, then each factor's own batches less its
+    # pilot: 1 + 10 + 4 + 1
+    own = [batch for b in separate for batch in b[1:]]
+    assert len(batches) == 1 + len(own) == 16
+    assert all(np.array_equal(a, b) for a, b in zip(batches, [separate[0][0]] + own))
 
 
 def test_ohmic_propagate_stays_within_its_memory():
@@ -768,6 +771,36 @@ def test_propagate_scaled_raises_the_drift_of_separate_runs(monkeypatch):
         propagate_scaled(decomp, bath, rho0, times, SCALES, substeps=4)
     assert (joint.value.t, joint.value.drift) == (alone.value.t, alone.value.drift)
     assert str(joint.value) == str(alone.value)
+
+
+def test_propagate_scaled_raises_the_first_factor_s_drift_from_one_pass(monkeypatch):
+    # a leak of 1e-6 f^2 per unit time: factor 1 drifts near t = 1, factor
+    # 0.25 only near t = 16, yet 0.25 comes first and so does its error; the
+    # pass goes on past factor 1's drift, and no factor reruns
+    _, decomp, bath = thermal_pair()
+    built = []
+
+    def leaky_generator(decomp, bath, times, substeps, factors=1.0):
+        built.append(np.shape(factors))
+        leak = 1e-6 * np.asarray(factors, dtype=float) ** 2
+        return lambda first, stop: leak[..., None, None, None, None] * np.broadcast_to(
+            np.eye(8), np.shape(factors) + (stop - first, 2 * substeps + 1, 8, 8))
+
+    monkeypatch.setattr(master_eq, "stage_generators", leaky_generator)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    times = np.linspace(0, 20, 21)
+    errors = {}
+    for factor in (0.25, 1.0):
+        with pytest.raises(TraceDriftError) as alone:
+            propagate_scaled(decomp, bath, rho0, times, (factor,), substeps=4)
+        errors[factor] = alone.value
+    assert errors[1.0].t < errors[0.25].t
+    built.clear()
+    with pytest.raises(TraceDriftError) as joint:
+        propagate_scaled(decomp, bath, rho0, times, (0.25, 1.0), substeps=4)
+    assert (joint.value.t, joint.value.drift) == (errors[0.25].t, errors[0.25].drift)
+    assert str(joint.value) == str(errors[0.25])
+    assert built == [(2,)]
 
 
 @pytest.mark.parametrize("substeps", [None, 4])

@@ -69,6 +69,18 @@ def test_occupation_high_temperature():
     assert got > 99.0  # deep in the classical regime
 
 
+def test_occupation_of_a_cold_bath_is_finite_and_falls():
+    # 1 / expm1 overflows past beta omega = 709.78, where exp(-beta omega)
+    # takes over: subnormal at first, then 0, as in the vacuum
+    betas = (709.78, 709.79, 1000.0, math.inf)
+    got = [thermal_occupation(1.0, beta) for beta in betas]
+    assert all(math.isfinite(n) and n >= 0.0 for n in got)
+    assert all(a >= b for a, b in zip(got, got[1:]))
+    assert got[0] == 1.0 / math.expm1(709.78)
+    assert 0.0 < got[1] < got[0]
+    assert got[2] == got[3] == 0.0
+
+
 def test_occupation_rejects_nonpositive_frequency():
     # and one that is not finite: NaN used to give NaN, as NaN <= 0 is False
     for omega in (0.0, -1.0, math.nan, math.inf, -math.inf):
@@ -770,6 +782,15 @@ def test_markov_rates_ohmic_value():
     model = disc.build_model(1.0, 1.0)
     absorption, _ = markov_rates(disc, model)
     assert absorption == pytest.approx(0.014969130654454411, rel=1e-13)
+
+
+def test_markov_rates_of_a_cold_bath_are_those_of_the_vacuum():
+    # at beta = 1000 the occupation at omega0 = 1, e^-1000, underflows to 0;
+    # the modes above omega = 0.71 take the overflow branch as the model is built
+    disc = SpectralDiscretization(ohmic_density(0.01, 5.0), 0.01, 10.0, 100)
+    cold = markov_rates(disc, disc.build_model(1.0, 1000.0))
+    assert cold == markov_rates(disc, disc.build_model(1.0, math.inf))
+    assert cold[0] == 0.0 and cold[1] > 0.0
 
 
 def test_markov_rates_reject_omega0_outside_band():
