@@ -8,7 +8,9 @@ count is a positive integer, by linalg.require_count.
 
 Keys
 ----
-model:       omega0, beta ("vacuum" or a positive float), and exactly one of
+model:       omega0, beta ("vacuum" or a positive float, not so small that
+             the thermal occupation at omega0 or at a mode overflows), and
+             exactly one of
              * modes            explicit list, "omega:g, omega:g, ..."
              * density (ohmic|flat), eta, omega_c (ohmic only),
                omega_min, omega_max, mode_count

@@ -501,7 +501,7 @@ def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int
     states = np.empty((count, len(times), d, d), dtype=complex)
     states[:, 0] = rho0
     estimates = np.zeros(count)
-    outcomes, running = [None] * count, [True] * count
+    outcomes = [None] * count
     if doubled:
         coarse = np.empty((count, len(times), d * d), dtype=complex)
         coarse[:, 0] = rho0.ravel()
@@ -524,7 +524,7 @@ def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int
     def retire(k: int, i: int, outcome) -> None:
         # factor k ends after interval i; zeroed, its states cannot overflow
         # in the batches the other factors still run
-        outcomes[k], running[k], last[k] = outcome, False, 0.0
+        outcomes[k], last[k] = outcome, 0.0
         if doubled:
             coarse[k, i + 1] = 0.0
 
@@ -556,6 +556,7 @@ def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int
             drift = np.abs(trace.sum(axis=-1) - 1.0)
             bad = ~(drift <= _TRACE_ABORT)  # NaN aborts too
             if bad.any():
+                running = [outcome is None for outcome in outcomes]
                 for k in np.flatnonzero(bad.any(axis=1) & running):
                     j = int(np.argmax(bad[k]))
                     deviation = (np.max(np.abs(last[k] - coarse[k, i + 1])) / 15.0
@@ -567,6 +568,7 @@ def _rk4_states(decomp, bath, rho0: np.ndarray, times: np.ndarray, substeps: int
             fine = states[:, first + 1:stop + 1].reshape(count, stop - first, -1)
             deviation = np.max(np.abs(fine - coarse[:, first + 1:stop + 1]), axis=(1, 2)) / 15.0
             if not np.all(deviation <= _ESTIMATE_CAP):  # NaN stops too
+                running = [outcome is None for outcome in outcomes]
                 for k in np.flatnonzero(~(deviation <= _ESTIMATE_CAP) & running):
                     retire(k, stop - 1, (None, float(deviation[k])))
             np.maximum(estimates, deviation, out=estimates)

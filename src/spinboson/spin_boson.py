@@ -184,6 +184,7 @@ class SpinBosonModel:
     The splitting ``omega0`` must be positive and finite, like every mode
     frequency: ``|0>`` is the excited level, and the thermal occupation at
     the system frequency (``markov_rates``) has no meaning at or below zero.
+    ``beta`` must leave that occupation and every mode's finite.
     ``frequencies``, ``couplings``, the ``detunings`` omega_k - omega0,
     ``occupations()`` and the rate evaluators of :func:`rate_functions` are
     computed once per model, on read-only arrays, which every consumer
@@ -206,6 +207,12 @@ class SpinBosonModel:
         if any(w <= 0 for w, _ in self.modes):
             raise ValueError("mode frequencies must be positive")
         _require_beta(self.beta)
+        # 1 / expm1(beta omega) overflows below beta omega = 5.6e-309;
+        # markov_rates reads the occupation at omega0 too
+        if not (math.isfinite(thermal_occupation(self.omega0, self.beta))
+                and np.isfinite(self._occupations).all()):
+            raise ValueError(f"beta = {self.beta} is too small: a thermal occupation "
+                             "1 / expm1(beta omega) overflows")
 
     @property
     def vacuum(self) -> bool:

@@ -503,6 +503,18 @@ def test_config_error_exit_code(tmp_path):
     assert main(["rates", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("verb", ["rates", "evolve", "exact", "compare", "limits"])
+def test_a_beta_whose_occupation_overflows_is_a_config_error(tmp_path, capsys, verb):
+    # 1 / expm1(beta omega) overflows though expm1 is finite: rates stopped
+    # on a nan D_R, evolve and limits on a nan trace, and exact exited 0
+    cfg = write_cfg(tmp_path, THERMAL_CFG.replace("beta = 1.0", "beta = 1e-320") + "n_max = 4\n")
+    out = tmp_path / "out.csv"
+    assert main([verb, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: beta = 1e-320 is too small") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_output_path_is_config_error(tmp_path):
     cfg = write_cfg(tmp_path, THERMAL_CFG)
     assert main(["rates", "--config", cfg]) == EXIT_CONFIG

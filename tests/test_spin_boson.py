@@ -98,6 +98,18 @@ def test_occupation_takes_the_models_beta_rule(beta):
         SpinBosonModel(1.0, [(1.0, 0.1)], beta)
 
 
+@pytest.mark.parametrize("omega0, omega", [(1.0, 1e6), (1e6, 1.0)], ids=["omega0", "mode"])
+def test_model_rejects_a_beta_whose_occupation_overflows(omega0, omega):
+    # 1 / expm1(beta omega) is inf below beta omega = 5.6e-309, though
+    # expm1 is finite: at omega0 (which markov_rates reads) or at a mode
+    assert thermal_occupation(1.0, 1e-314) == math.inf
+    assert math.isfinite(thermal_occupation(1e6, 1e-314))
+    with pytest.raises(ValueError, match=r"^beta = 1e-314 is too small"):
+        SpinBosonModel(omega0, [(omega, 0.1)], 1e-314)
+    model = SpinBosonModel(omega0, [(omega, 0.1)], 1e-300)
+    assert np.isfinite(model.occupations()).all()
+
+
 # -- model type -----------------------------------------------------------------
 
 def test_model_validation():
